@@ -3,15 +3,15 @@ export PYTHONPATH := src
 
 .PHONY: verify test bench bench-gate smoke-trace profile-smoke chaos-smoke \
         bench-help-policies bench-scaling-smoke health-smoke sweep-smoke \
-        sdc-smoke
+        sdc-smoke perf-selfcheck
 
 # default CI entry point: unit tests + trace smoke + benchmark gate +
 # profiler smoke + chaos smoke + work-distribution policy matrix smoke +
 # big-cluster scaling smoke + telemetry-plane smoke + sweep orchestrator
-# smoke + silent-data-corruption defense smoke
+# smoke + silent-data-corruption defense smoke + benchmark self-check
 verify: test smoke-trace bench-gate profile-smoke chaos-smoke \
         bench-help-policies bench-scaling-smoke health-smoke sweep-smoke \
-        sdc-smoke
+        sdc-smoke perf-selfcheck
 
 test:
 	$(PY) -m pytest -q
@@ -69,3 +69,9 @@ sweep-smoke:
 # flagged by the sdc_commit invariant
 sdc-smoke:
 	$(PY) benchmarks/smoke_sdc.py
+
+# CI smoke for the benchmark of BENCHMARK.json: the declaration matches
+# benchmarks/perf/layers.py, every workload and pass runs at toy size and
+# emits every declared metric, and a wrong reference fails the run (~40 s)
+perf-selfcheck:
+	$(PY) benchmarks/perf/selfcheck.py --quick

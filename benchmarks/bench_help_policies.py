@@ -23,6 +23,7 @@ from dataclasses import replace
 
 from repro.bench import calibrated_test_params, render_table, run_primes
 from repro.bench.harness import bench_config
+from repro.common.config import SchedulingConfig
 
 from bench_util import write_result
 
@@ -89,12 +90,17 @@ def run_smoke() -> int:
     scale, base = 400.0, 4000.0
     rows = []
     failures = 0
-    for gossip in (0.0, 1e-3):
+    config = bench_config(trace=True)
+    # without load reports nothing refreshes a figure, so the gossip-off
+    # cells trust one only as long as gossip-off configs elsewhere do
+    for gossip, staleness in (
+            (0.0, SchedulingConfig().gossip_staleness),
+            (1e-3, config.scheduling.gossip_staleness)):
         for batch in (1, 4):
             for push in (False, True):
-                config = bench_config(trace=True)
                 config = config.with_(scheduling=replace(
                     config.scheduling, gossip_interval=gossip,
+                    gossip_staleness=staleness,
                     steal_batch_max=batch, push_enabled=push))
                 duration, cluster = run_primes(
                     SMOKE_P, SMOKE_WIDTH, SMOKE_SITES, scale, base,

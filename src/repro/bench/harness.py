@@ -68,13 +68,17 @@ def bench_config(**overrides) -> SDVMConfig:
     """The configuration every benchmark uses unless it sweeps a knob."""
     base = SDVMConfig(
         # gossip_interval: the benchmarks measure work distribution, so
-        # the low-rate load heartbeat is on (the global default keeps it
-        # off to preserve quiescence for the power/sleep experiments)
+        # the load-report tick is on (the global default keeps it off to
+        # preserve quiescence for the power/sleep experiments)
+        # gossip_staleness: reports go out on change, so this is not a
+        # multiple of the interval: it bounds how long a lost report can
+        # mislead, and a steady site refreshes its peers at half of it
         # push_min_queue 0: the fan-out producer (the program's home)
         # sheds every surplus frame to a known-idle peer the moment its
         # own lanes are full, instead of waiting for thieves to beg
         scheduling=SchedulingConfig(ready_target=1, keep_local_min=0,
                                     gossip_interval=1e-3,
+                                    gossip_staleness=5e-2,
                                     push_min_queue=0),
         trace=bool(TRACE_DIR))
     return base.with_(**overrides) if overrides else base

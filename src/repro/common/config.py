@@ -157,11 +157,19 @@ class SchedulingConfig:
     #: max frames handed over per HELP_REPLY or proactive push (the
     #: steal-half batch is capped here)
     steal_batch_max: int = 4
-    #: period of the low-rate LOAD_REPORT gossip heartbeat (0 disables it;
-    #: the load/queue figures piggybacked on regular traffic are always on)
+    #: period of the LOAD_REPORT gossip tick (0 disables it; the load/queue
+    #: figures piggybacked on regular traffic are always on).  The tick is
+    #: a timer and a rate limit, not a heartbeat: each one reports to at
+    #: most ``ClusterConfig.gossip_fanout`` peers, and only to peers whose
+    #: view of this site is out of date (the figure changed, the last
+    #: message to them is older than half of ``gossip_staleness``, or
+    #: there are rumors to relay)
     gossip_interval: float = 0.0
-    #: max age of a peer's load/queue figure before it stops counting as
-    #: fresh for victim selection and push targeting
+    #: how long a first-hand load/queue figure stays valid for victim
+    #: selection and push targeting.  A sender whose figure does not change
+    #: refreshes its peers at half of this, so a steady peer never goes
+    #: stale, and a lost report misleads for no longer than that.  With
+    #: ``gossip_interval`` 0 nothing refreshes a figure: keep this short
     gossip_staleness: float = 5e-3
     #: proactively push surplus executable frames toward known-idle peers
     push_enabled: bool = True
@@ -230,7 +238,8 @@ class ClusterConfig:
     #: heartbeat period and the timeout after which a site is declared crashed
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
-    #: how many known sites to piggyback on each cluster-info exchange
+    #: how many known sites to piggyback on each cluster-info exchange,
+    #: and at most how many peers one gossip tick sends a LOAD_REPORT to
     gossip_fanout: int = 3
     #: heartbeat partners per tick: 0 sends to every alive peer (full
     #: pairwise liveness, the default for small clusters); k > 0 sends to

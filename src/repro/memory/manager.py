@@ -510,6 +510,9 @@ class AttractionMemory(Manager):
         return payload.get("epoch", self.site.epoch) < self.site.epoch
 
     def _on_frame_transfer(self, msg: SDMessage) -> None:
+        # the pusher's note_pushed raised its own record of our load, so
+        # it no longer holds the figure we last sent it — stale push or not
+        self.site.message_manager.forget_told(msg.src_site)
         if self._stale_epoch(msg.payload):
             self.stats.inc("stale_frames_dropped")
             return

@@ -52,7 +52,7 @@ class SchedulingManager(Manager):
         self._parked_helps: Dict[int, Tuple[SDMessage, object]] = {}
         #: per-frame code-fetch retry budget
         self._code_retries: Dict[GlobalAddress, int] = {}
-        #: low-rate LOAD_REPORT gossip heartbeat
+        #: LOAD_REPORT gossip tick (see _gossip_tick)
         self._gossip_timer = None
         self._gossip_cursor = 0
         #: guards against pushing frames we are adopting right now
@@ -370,6 +370,7 @@ class SchedulingManager(Manager):
         """Membership hook: drop all per-peer scheduler state for a site
         that crashed or signed off."""
         self._cooldown.pop(logical, None)
+        self.site.message_manager.forget_told(logical)
         stale = [seq for seq, req in self._inflight_helps.items()
                  if req.target == logical]
         for seq in stale:
@@ -721,45 +722,76 @@ class SchedulingManager(Manager):
         return self.kernel.rng.random() < chance
 
     def _gossip_tick(self) -> None:
+        """News or refresh: report our load to the peers that need it.
+
+        The tick is a local timer and a rate limit, not a heartbeat.  It
+        walks the ring from the cursor and reports to at most
+        ``gossip_fanout`` peers whose view of us is out of date: the
+        figure changed since the last message of ours they got, that
+        message is older than half of ``gossip_staleness`` (so a steady
+        site stays fresh in its peers' views, and a lost report misleads
+        for no longer), or there are rumors to relay.  The message
+        manager keeps the record, because every message carries a figure.
+        """
         self._gossip_timer = None
         if not self.site.running:
             return
-        interval = self.config.scheduling.gossip_interval
-        if interval <= 0:
+        cfg = self.config.scheduling
+        if cfg.gossip_interval <= 0:
             return
+        # entries past the refresh horizon tell nothing: the peer is due a
+        # report either way.  Pruned on every tick, so the record holds
+        # recent traffic only and drains when the programs are over
+        self.site.message_manager.prune_told(
+            self.kernel.now - cfg.gossip_staleness / 2)
         if (not self.site.paused and not self.site.sleeping
                 and self.site.program_manager.has_active_programs()):
-            # incrementally maintained by the cluster manager — the old
-            # per-tick rebuild+sort was O(sites log sites) on every site
-            peers = self.site.cluster_manager.sorted_alive_ids()
-            fanout = min(self.config.cluster.gossip_fanout, len(peers))
-            if fanout > 0:
-                start = self._gossip_cursor % len(peers)
-                self._gossip_cursor += fanout
-                queue = float(self.stealable_depth())
-                load = self.site.site_manager.current_load()
-                cm = self.site.cluster_manager
-                # rumors only pay off past the sample window; below it
-                # every peer is already in everyone's sample, and a
-                # silent wire keeps small-cluster runs bit-identical
-                rumors = (cm.hot_rumors()
-                          if len(peers) > cm.PICK_SAMPLE else [])
-                for i in range(fanout):
-                    peer = peers[(start + i) % len(peers)]
-                    payload = {"load": load, "queue": queue}
-                    hot = [row for row in rumors if row[0] != peer]
-                    if hot:
-                        payload["hot"] = hot
-                    self.site.message_manager.send(SDMessage(
-                        type=MsgType.LOAD_REPORT,
-                        src_site=self.local_id,
-                        src_manager=ManagerId.SCHEDULING,
-                        dst_site=peer, dst_manager=ManagerId.SCHEDULING,
-                        payload=payload,
-                    ))
-                    self.stats.inc("gossip_sent")
-        self._gossip_timer = self.kernel.call_later(interval,
+            self._report_load()
+        self._gossip_timer = self.kernel.call_later(cfg.gossip_interval,
                                                     self._gossip_tick)
+
+    def _report_load(self) -> None:
+        cm = self.site.cluster_manager
+        mm = self.site.message_manager
+        # incrementally maintained by the cluster manager — a per-tick
+        # rebuild+sort would be O(sites log sites) on every site
+        peers = cm.sorted_alive_ids()
+        npeers = len(peers)
+        fanout = min(self.config.cluster.gossip_fanout, npeers)
+        if fanout <= 0:
+            return
+        queue = float(self.stealable_depth())
+        load = self.site.site_manager.current_load()
+        # rumors only pay off past the sample window; below it every
+        # peer is already in everyone's sample, and a silent wire keeps
+        # small-cluster runs bit-identical
+        rumors = cm.hot_rumors() if npeers > cm.PICK_SAMPLE else []
+        start = self._gossip_cursor % npeers
+        sent = 0
+        # every peer passed over has an entry in the message manager's
+        # record, so the walk costs what recent traffic did, not O(sites)
+        for step in range(npeers):
+            peer = peers[(start + step) % npeers]
+            hot = [row for row in rumors if row[0] != peer] if rumors else ()
+            if not hot and mm.peer_holds(peer, load, queue):
+                continue
+            payload = {"load": load, "queue": queue}
+            if hot:
+                payload["hot"] = hot
+            mm.send(SDMessage(
+                type=MsgType.LOAD_REPORT,
+                src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
+                dst_site=peer, dst_manager=ManagerId.SCHEDULING,
+                payload=payload,
+            ))
+            self.stats.inc("gossip_sent")
+            sent += 1
+            if sent == fanout:
+                self._gossip_cursor = start + step + 1
+                return
+        # what a fixed-rate heartbeat would have sent on top; added once
+        # per tick, so the figure is the counter's total, not its count
+        self.stats.add("gossip_suppressed", fanout - sent)
 
     def _maybe_push(self) -> None:
         """Proactive work sharing: an overloaded site pushes surplus frames
@@ -841,6 +873,10 @@ class SchedulingManager(Manager):
         self.ready.clear()
         self._pending_code.clear()
         self._code_retries.clear()
+        # a rollback discards pushes and replies in flight on both sides,
+        # so what a peer holds no longer follows from what we sent it:
+        # report again rather than reason about which figures survived
+        self.site.message_manager.forget_told()
 
     def export_frames(self) -> List[Microframe]:
         """Drain all queues (including in-flight code fetches) for sign-off

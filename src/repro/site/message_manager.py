@@ -40,6 +40,13 @@ class MessageManager(Manager):
         super().__init__(site)
         self._next_seq = 1
         self._pending: Dict[int, _Pending] = {}
+        #: peer -> (load, queue, sent_at): the figure our last message to
+        #: that peer carried, oldest first.  Every message is stamped with
+        #: one and the receiver applies it, so the record is kept here and
+        #: not by the gossip that reads it (see :meth:`peer_holds`).  Kept only
+        #: while the gossip tick runs; it prunes what it no longer needs.
+        self._told: Dict[int, Tuple[float, float, float]] = {}
+        self._track_told = self.config.scheduling.gossip_interval > 0
 
     # ------------------------------------------------------------------
     # sending
@@ -106,7 +113,38 @@ class MessageManager(Manager):
         ok = self.kernel.transport_send(physical, envelope)
         if not ok:
             self.stats.inc("send_failed")
+        elif self._track_told and msg.src_load >= 0:
+            # re-inserted, so the dict stays ordered by send time
+            self._told.pop(dst, None)
+            self._told[dst] = (msg.src_load, msg.src_queue, self.kernel.now)
         return ok
+
+    def peer_holds(self, peer: int, load: float, queue: float) -> bool:
+        """Whether ``(load, queue)`` is the figure ``peer`` last got from
+        us — False once that is past the :meth:`prune_told` horizon or
+        the peer's view of us may have changed since."""
+        entry = self._told.get(peer)
+        return entry is not None and entry[0] == load and entry[1] == queue
+
+    def forget_told(self, peer: Optional[int] = None) -> None:
+        """``peer`` (or, with None, every peer) may no longer believe what
+        we last told it: its record of us changed without a message of
+        ours (it pushed us frames, it departed, we rolled back)."""
+        if peer is None:
+            self._told.clear()
+        else:
+            self._told.pop(peer, None)
+
+    def prune_told(self, before: float) -> None:
+        """Drop figures sent before ``before``.  Bounded by what is
+        dropped: the dict is in send order, so the scan stops at the first
+        entry that stays."""
+        told = self._told
+        while told:
+            peer = next(iter(told))
+            if told[peer][2] >= before:
+                return
+            del told[peer]
 
     def send_physical(self, physical: str, msg: SDMessage) -> bool:
         """Send directly to a physical address, bypassing logical resolution.

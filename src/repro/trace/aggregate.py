@@ -132,6 +132,14 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         "help_timeouts": merged.get("help_timeouts").count,
         "frames_pushed": merged.get("frames_pushed").count,
         "gossip_sent": merged.get("gossip_sent").count,
+        # load reports the gossip tick had a fanout slot for and did not
+        # send, because no peer's view of the sender was out of date —
+        # the rate is the share of a fixed-rate heartbeat's volume saved
+        "gossip_suppressed": merged.get("gossip_suppressed").total,
+        "gossip_suppression_rate": _rate(
+            merged.get("gossip_suppressed").total,
+            merged.get("gossip_sent").count
+            + merged.get("gossip_suppressed").total),
         "code_hit_rate": _rate(
             merged.get("hits").count,
             merged.get("hits").count + merged.get("misses").count),

@@ -313,10 +313,15 @@ class TestSilentDataCorruption:
 
     def test_param_corruption_fires_on_the_wire(self):
         """Wire-mode corruption: APPLY_RESULT payloads get flipped in
-        flight (journal shows it) and the run is still deterministic."""
-        plan = FaultPlan(seed=3, nsites=4, name="param", faults=[
-            CorruptFault(start=0.3, end=0.5, site=1, mode="param",
-                         prob=0.5)])
+        flight (journal shows it) and the run is still deterministic.
+
+        The horizon ends soon after the fault window: an undefended
+        corrupted primes run cannot terminate (the rewritten frontier
+        result makes collect's state grow without bound), and both
+        assertions are decided once the window has closed."""
+        plan = FaultPlan(seed=3, nsites=4, name="param", horizon=2.0,
+                         faults=[CorruptFault(start=0.3, end=0.5, site=1,
+                                              mode="param", prob=0.5)])
         result = run_plan(plan)
         kinds = [e.fields[0] for e in result.cluster.tracer.events
                  if e.kind == "chaos_fault"]
