@@ -1,10 +1,12 @@
 """CI smoke for big-cluster work distribution (`make bench-scaling-smoke`).
 
-A treesum run at 64 sites — four times the 16-peer gossip sample window,
-so work discovery has to go through the hot-peer cache and rumor relay —
+A treesum run at 64 sites — four times the 16-peer sample window, so
+work discovery has to go through help requests and the hot-peer cache —
 compared against the same program on one site.  If the cluster falls
 back into the blind-beg regime (the O(sites) bug this guards against),
-the speedup collapses far below the floor asserted here.
+the speedup collapses far below the floor asserted here.  A second
+tripwire watches the other side of that trade: load reports per
+execution, which a membership-wide heartbeat pushes far above one.
 
 Deliberately smaller than the ``scaling`` bench-gate suite: this is the
 seconds-fast tripwire, the gate suite is the precise regression fence.
@@ -27,6 +29,9 @@ NSITES = 64
 #: well under the ~40x the run actually reaches — a tripwire for "work
 #: discovery broke", not a perf fence (the gate suite is that)
 MIN_SPEEDUP = 10.0
+#: LOAD_REPORTs per execution at 64 sites: about 1.0 when reports follow
+#: conversations, 3.6 when every site kept the whole membership fresh
+MAX_REPORTS_PER_EXEC = 1.5
 
 #: virtual-seconds budget for every site to learn the full membership.
 #: Joins stagger at 1e-4 s and converge well under 0.1 s; a join wave
@@ -82,6 +87,13 @@ def main() -> int:
     if speedup < MIN_SPEEDUP:
         print(f"smoke_scaling FAILED: speedup {speedup:.1f} "
               f"< floor {MIN_SPEEDUP}", file=sys.stderr)
+        return 1
+    reports = cluster.cluster_report().derived["load_reports_per_exec"]
+    print(f"smoke_scaling: {reports:.2f} load reports per execution")
+    if reports > MAX_REPORTS_PER_EXEC:
+        print(f"smoke_scaling FAILED: {reports:.2f} load reports per "
+              f"execution > {MAX_REPORTS_PER_EXEC} (reports no longer "
+              f"scoped to conversations?)", file=sys.stderr)
         return 1
     print("smoke_scaling OK")
     return 0

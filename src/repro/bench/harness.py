@@ -72,7 +72,8 @@ def bench_config(**overrides) -> SDVMConfig:
         # preserve quiescence for the power/sleep experiments)
         # gossip_staleness: reports go out on change, so this is not a
         # multiple of the interval: it bounds how long a lost report can
-        # mislead, and a steady site refreshes its peers at half of it
+        # mislead, and a site keeps correcting a peer for half of it
+        # after its last message to that peer
         # push_min_queue 0: the fan-out producer (the program's home)
         # sheds every surplus frame to a known-idle peer the moment its
         # own lanes are full, instead of waiting for thieves to beg

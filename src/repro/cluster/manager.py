@@ -55,9 +55,9 @@ class ClusterManager(Manager):
         #: our watch set with no heartbeat history at all — its silence is
         #: our fault, not a crash, until a full timeout has passed.
         self._watch_since: Dict[int, float] = {}
-        #: peers recently reported (first- or second-hand) to hold
-        #: stealable work — lets victim selection find the few busy sites
-        #: of a large cluster without scanning or sampling all of it
+        #: peers recently reported (first-hand) to hold stealable work —
+        #: lets victim selection find the few busy sites of a large
+        #: cluster without scanning or sampling all of it
         self._hot_peers: Dict[int, SiteRecord] = {}
         #: physical address -> first record seen with it — the duplicate
         #: sign-on check and transport suspicion used to re-walk every
@@ -181,7 +181,7 @@ class ClusterManager(Manager):
 
     def sorted_alive_ids(self) -> List[int]:
         """Sorted alive peer ids, maintained incrementally on membership
-        change — O(1) per gossip tick instead of an O(n log n) rebuild."""
+        change — O(1) per call instead of an O(n log n) rebuild."""
         return self._sorted_alive_peers
 
     def dir_site_for(self, addr: GlobalAddress) -> int:
@@ -291,8 +291,6 @@ class ClusterManager(Manager):
 
     #: hot-peer cache bound — the busy minority of even a huge cluster
     HOT_CAP = 32
-    #: best-known hot entries relayed per outgoing load report
-    RUMOR_FANOUT = 3
 
     def _note_hot(self, record: SiteRecord) -> None:
         """Track (or drop) ``record`` in the hot-peer cache after a load
@@ -320,38 +318,6 @@ class ClusterManager(Manager):
         for logical in stale:
             del self._hot_peers[logical]
         return list(self._hot_peers.values())
-
-    def hot_rumors(self) -> List[List[float]]:
-        """The deepest fresh queues this site knows of, as relayable
-        ``[logical, queue, load, age]`` rows.  Ages (not timestamps)
-        travel on the wire so receivers on other clocks can re-anchor
-        them locally."""
-        now = self.kernel.now
-        rows = [[r.logical, r.queue, r.load, now - r.load_at]
-                for r in self.hot_peers()]
-        rows.sort(key=lambda row: -row[1])
-        return rows[:self.RUMOR_FANOUT]
-
-    def note_load_rumor(self, logical: int, load: float, queue: float,
-                        age: float) -> None:
-        """Merge a second-hand load figure relayed by a peer's gossip.
-
-        Only fresher-than-known figures are applied, and ``last_seen`` is
-        deliberately *not* touched — liveness evidence stays first-hand
-        so a relayed rumor can never mask a real heartbeat failure."""
-        if logical == self.local_id:
-            return
-        record = self.sites.get(logical)
-        if record is None or not record.alive:
-            return
-        at = self.kernel.now - max(0.0, age)
-        if at <= record.load_at:
-            return
-        record.load = load
-        if queue >= 0:
-            record.queue = queue
-        record.load_at = at
-        self._note_hot(record)
 
     def observe(self, logical: int) -> None:
         record = self.sites.get(logical)

@@ -159,17 +159,18 @@ class SchedulingConfig:
     steal_batch_max: int = 4
     #: period of the LOAD_REPORT gossip tick (0 disables it; the load/queue
     #: figures piggybacked on regular traffic are always on).  The tick is
-    #: a timer and a rate limit, not a heartbeat: each one reports to at
-    #: most ``ClusterConfig.gossip_fanout`` peers, and only to peers whose
-    #: view of this site is out of date (the figure changed, the last
-    #: message to them is older than half of ``gossip_staleness``, or
-    #: there are rumors to relay)
+    #: a timer and a rate limit, not a heartbeat: each one corrects at most
+    #: ``ClusterConfig.gossip_fanout`` peers, and only peers this site is
+    #: in conversation with (it sent them a message within half of
+    #: ``gossip_staleness``) whose last stealable-queue figure from us is
+    #: out of date.  Peers it has not talked to get nothing
     gossip_interval: float = 0.0
     #: how long a first-hand load/queue figure stays valid for victim
-    #: selection and push targeting.  A sender whose figure does not change
-    #: refreshes its peers at half of this, so a steady peer never goes
-    #: stale, and a lost report misleads for no longer than that.  With
-    #: ``gossip_interval`` 0 nothing refreshes a figure: keep this short
+    #: selection and push targeting.  Half of it is how long a sender
+    #: keeps correcting a peer after its last message to it; nothing
+    #: re-sends an unchanged figure, so a lost report misleads until this
+    #: horizon expires it at the receiver.  With ``gossip_interval`` 0
+    #: nothing corrects a figure: keep this short
     gossip_staleness: float = 5e-3
     #: proactively push surplus executable frames toward known-idle peers
     push_enabled: bool = True

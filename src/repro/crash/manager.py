@@ -6,6 +6,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage, make_reply
+from repro.serde import dumps, loads
 from repro.site.manager_base import Manager
 
 #: attempts per RECOVER_BEGIN/STATE/DONE before giving up on a target;
@@ -177,13 +178,16 @@ class CrashManager(Manager):
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_ACK, {"wave": wave})
 
     def _on_snapshot_request(self, wave: int, coordinator: int) -> None:
-        from repro.serde import dumps, loads
-        # deep-copy through the wire codec: frame parameters hold live
-        # references to application values (e.g. a mutable state dict that
-        # keeps evolving after the wave) — a by-reference snapshot would be
-        # an inconsistent cut.  Remote shards get this copy for free when
-        # the message encodes; the coordinator's own shard does not.
-        state = loads(dumps(self.site.attraction_memory.export_checkpoint()))
+        state = self.site.attraction_memory.export_checkpoint()
+        if (self.site.cluster_manager.effective_site(coordinator)
+                == self.local_id):
+            # deep-copy through the wire codec: frame parameters hold live
+            # references to application values (e.g. a mutable state dict
+            # that keeps evolving after the wave) — a by-reference snapshot
+            # would be an inconsistent cut.  Remote shards get this copy
+            # when the message encodes; our own shard, or one an heir link
+            # loops back to us, is never serialised.
+            state = loads(dumps(state))
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_STATE,
                         {"wave": wave, "state": state,
                          "site": self.local_id})

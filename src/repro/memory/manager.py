@@ -512,7 +512,7 @@ class AttractionMemory(Manager):
     def _on_frame_transfer(self, msg: SDMessage) -> None:
         # the pusher's note_pushed raised its own record of our load, so
         # it no longer holds the figure we last sent it — stale push or not
-        self.site.message_manager.forget_told(msg.src_site)
+        self.site.message_manager.mark_told(msg.src_site)
         if self._stale_epoch(msg.payload):
             self.stats.inc("stale_frames_dropped")
             return

@@ -54,7 +54,6 @@ class SchedulingManager(Manager):
         self._code_retries: Dict[GlobalAddress, int] = {}
         #: LOAD_REPORT gossip tick (see _gossip_tick)
         self._gossip_timer = None
-        self._gossip_cursor = 0
         #: guards against pushing frames we are adopting right now
         self._adopting = False
         # per-peer state (cooldown, in-flight fence, parked thieves) must
@@ -296,11 +295,11 @@ class SchedulingManager(Manager):
             # a small cluster: the refuser just went on cooldown and its
             # piggybacked queue figure stops it counting as deep.  In a
             # large cluster this eager re-targeting is NOT self-limiting
-            # — rumor-fed load views nearly always show a deep queue
-            # somewhere, so resetting the backoff here melts every
-            # refusal into an RTT-rate beg loop; past the sample size,
-            # thieves sit out their backoff and rely on the (gated)
-            # gossip wake-ups instead.
+            # — among hundreds of peers the load view nearly always shows
+            # a deep queue somewhere, so resetting the backoff here melts
+            # every refusal into an RTT-rate beg loop; past the sample
+            # size, thieves sit out their backoff, and the refuser's next
+            # queue change reaches them as a correction (_report_load).
             cm = self.site.cluster_manager
             if (self._pm_hungry and not self._inflight_helps
                     and len(cm.alive_peers()) <= cm.PICK_SAMPLE):
@@ -393,16 +392,12 @@ class SchedulingManager(Manager):
             return
         delay = (self.config.scheduling.help_retry_interval
                  * self._help_backoff)
-        # the ceiling can sit well above the old 8x now that gossip
-        # wake-ups re-arm a backed-off thief the moment any peer's queue
-        # deepens: blind retries into a drained cluster only pad the
-        # CANT_HELP count, they don't discover work faster than gossip.
-        # Past the sample size the ceiling grows with the cluster, so the
-        # aggregate blind-retry rate hitting the few busy sites stays
-        # constant instead of scaling O(sites)
-        cm = self.site.cluster_manager
-        ceiling = max(20.0, float(len(cm.alive_peers())))
-        self._help_backoff = min(self._help_backoff * 1.5, ceiling)
+        # a constant ceiling: a refused thief is woken by the victim's
+        # next queue change, so blind retries into a drained cluster only
+        # pad the CANT_HELP count — but nothing wakes a thief nobody has
+        # refused lately, so its longest sleep must not grow with the
+        # membership
+        self._help_backoff = min(self._help_backoff * 1.5, 20.0)
         self._help_timer = self.kernel.call_later(delay, self._retry_tick)
 
     def _retry_tick(self) -> None:
@@ -663,75 +658,38 @@ class SchedulingManager(Manager):
 
     def _on_load_report(self, msg: SDMessage) -> None:
         self.stats.inc("gossip_received")
-        cm = self.site.cluster_manager
-        cm.note_load(
-            msg.src_site, msg.payload.get("load", msg.src_load),
-            queue=msg.payload.get("queue", msg.src_queue))
         queue = msg.payload.get("queue", msg.src_queue)
-        # second-hand rumors: the deepest queues the sender knows of.
-        # Epidemic relay spreads "site X has work" in O(log sites)
-        # gossip rounds, where first-hand reports alone need O(sites /
-        # fanout) ticks to reach everyone — the difference between a
-        # 256-site cluster finding its one busy site now or begging
-        # blindly until then.  Rumors deliberately do NOT clear
-        # cooldowns: a thief this victim already refused stays backed
-        # off, otherwise every gossip round re-arms the whole cluster
-        # into a synchronized stampede.
-        best_rumor = 0.0
-        for row in msg.payload.get("hot", ()):
-            logical, rqueue = int(row[0]), float(row[1])
-            if logical == self.local_id:
-                continue
-            cm.note_load_rumor(logical, float(row[2]), rqueue,
-                               float(row[3]))
-            best_rumor = max(best_rumor, rqueue)
+        self.site.cluster_manager.note_load(
+            msg.src_site, msg.payload.get("load", msg.src_load), queue=queue)
         # the steal_min_queue dampener assumes a queue-1 victim will run
         # the frame itself before a request lands — the right bet for a
         # prefetching thief, the wrong one for a site with empty lanes
         # in the drain phase, where single-frame bursts are all there is
         wake_at = (1 if self._pm_hungry
                    else self.config.scheduling.steal_min_queue)
-        direct = queue is not None and queue >= wake_at
-        if direct or best_rumor >= wake_at:
-            if direct:
-                # the sender has stealable work: fresh positive first-hand
-                # evidence beats stale failure memory, so take it off
-                # cooldown and drop the backoff a streak of startup
-                # CANT_HELPs built up, then react now instead of waiting
-                # out the retry timer
-                self._cooldown.pop(msg.src_site, None)
-            elif not self._rumor_wakes_me(cm, best_rumor):
-                # rumor-only wake in a large cluster: the rumor reaches
-                # nearly everyone within a round, so waking every idle
-                # site would bury the busy one under O(sites) begs per
-                # frame.  A random gate sizes the responders to the
-                # advertised depth instead.
-                self._maybe_push()
-                return
+        if queue is not None and queue >= wake_at:
+            # the sender has stealable work: fresh positive first-hand
+            # evidence beats stale failure memory, so take it off
+            # cooldown and drop the backoff a streak of startup
+            # CANT_HELPs built up, then react now instead of waiting
+            # out the retry timer
+            self._cooldown.pop(msg.src_site, None)
             self._help_backoff = 1.0
             self._maybe_help()
         else:
             # the sender is idle: maybe shed some surplus onto it
             self._maybe_push()
 
-    def _rumor_wakes_me(self, cm, best_rumor: float) -> bool:  # noqa: ANN001
-        npeers = len(cm.alive_peers())
-        if npeers <= cm.PICK_SAMPLE:
-            return True
-        chance = min(1.0, 4.0 * best_rumor / npeers)
-        return self.kernel.rng.random() < chance
-
     def _gossip_tick(self) -> None:
-        """News or refresh: report our load to the peers that need it.
+        """Correct the peers we are in conversation with.
 
-        The tick is a local timer and a rate limit, not a heartbeat.  It
-        walks the ring from the cursor and reports to at most
-        ``gossip_fanout`` peers whose view of us is out of date: the
-        figure changed since the last message of ours they got, that
-        message is older than half of ``gossip_staleness`` (so a steady
-        site stays fresh in its peers' views, and a lost report misleads
-        for no longer), or there are rumors to relay.  The message
-        manager keeps the record, because every message carries a figure.
+        The tick is a local timer and a rate limit, not a heartbeat.  A
+        conversation with a peer opens with any message of ours handed to
+        the transport and closes ``gossip_staleness / 2`` after the last
+        one; the message manager keeps the record, because every message
+        carries a figure.  Nothing re-sends an unchanged figure, so a lost
+        correction misleads until the receiver's ``gossip_staleness``
+        expires it.
         """
         self._gossip_timer = None
         if not self.site.running:
@@ -739,9 +697,8 @@ class SchedulingManager(Manager):
         cfg = self.config.scheduling
         if cfg.gossip_interval <= 0:
             return
-        # entries past the refresh horizon tell nothing: the peer is due a
-        # report either way.  Pruned on every tick, so the record holds
-        # recent traffic only and drains when the programs are over
+        # pruned on every tick, so the record holds recent traffic only
+        # and drains when the programs are over
         self.site.message_manager.prune_told(
             self.kernel.now - cfg.gossip_staleness / 2)
         if (not self.site.paused and not self.site.sleeping
@@ -751,47 +708,25 @@ class SchedulingManager(Manager):
                                                     self._gossip_tick)
 
     def _report_load(self) -> None:
-        cm = self.site.cluster_manager
+        """Report to at most ``gossip_fanout`` conversation partners whose
+        last figure from us is not our stealable queue any more.  Only
+        the queue is compared: it is what a thief acts on, and the load
+        moves with every execution that starts or ends.  A peer outside
+        the record gets nothing — it holds no figure of ours to correct."""
         mm = self.site.message_manager
-        # incrementally maintained by the cluster manager — a per-tick
-        # rebuild+sort would be O(sites log sites) on every site
-        peers = cm.sorted_alive_ids()
-        npeers = len(peers)
-        fanout = min(self.config.cluster.gossip_fanout, npeers)
-        if fanout <= 0:
-            return
         queue = float(self.stealable_depth())
+        peers = mm.told_other_than(queue, self.config.cluster.gossip_fanout)
+        if not peers:
+            return
         load = self.site.site_manager.current_load()
-        # rumors only pay off past the sample window; below it every
-        # peer is already in everyone's sample, and a silent wire keeps
-        # small-cluster runs bit-identical
-        rumors = cm.hot_rumors() if npeers > cm.PICK_SAMPLE else []
-        start = self._gossip_cursor % npeers
-        sent = 0
-        # every peer passed over has an entry in the message manager's
-        # record, so the walk costs what recent traffic did, not O(sites)
-        for step in range(npeers):
-            peer = peers[(start + step) % npeers]
-            hot = [row for row in rumors if row[0] != peer] if rumors else ()
-            if not hot and mm.peer_holds(peer, load, queue):
-                continue
-            payload = {"load": load, "queue": queue}
-            if hot:
-                payload["hot"] = hot
+        for peer in peers:
             mm.send(SDMessage(
                 type=MsgType.LOAD_REPORT,
                 src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
                 dst_site=peer, dst_manager=ManagerId.SCHEDULING,
-                payload=payload,
+                payload={"load": load, "queue": queue},
             ))
             self.stats.inc("gossip_sent")
-            sent += 1
-            if sent == fanout:
-                self._gossip_cursor = start + step + 1
-                return
-        # what a fixed-rate heartbeat would have sent on top; added once
-        # per tick, so the figure is the counter's total, not its count
-        self.stats.add("gossip_suppressed", fanout - sent)
 
     def _maybe_push(self) -> None:
         """Proactive work sharing: an overloaded site pushes surplus frames
@@ -875,8 +810,9 @@ class SchedulingManager(Manager):
         self._code_retries.clear()
         # a rollback discards pushes and replies in flight on both sides,
         # so what a peer holds no longer follows from what we sent it:
-        # report again rather than reason about which figures survived
-        self.site.message_manager.forget_told()
+        # correct every partner rather than reason about which figures
+        # survived
+        self.site.message_manager.mark_told()
 
     def export_frames(self) -> List[Microframe]:
         """Drain all queues (including in-flight code fetches) for sign-off

@@ -13,7 +13,8 @@ reads) builds on.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SecurityError, SerializationError
 from repro.common.ids import ManagerId
@@ -40,12 +41,13 @@ class MessageManager(Manager):
         super().__init__(site)
         self._next_seq = 1
         self._pending: Dict[int, _Pending] = {}
-        #: peer -> (load, queue, sent_at): the figure our last message to
-        #: that peer carried, oldest first.  Every message is stamped with
-        #: one and the receiver applies it, so the record is kept here and
-        #: not by the gossip that reads it (see :meth:`peer_holds`).  Kept only
-        #: while the gossip tick runs; it prunes what it no longer needs.
-        self._told: Dict[int, Tuple[float, float, float]] = {}
+        #: peer -> (queue, sent_at): the stealable-queue figure our last
+        #: message to that peer carried, oldest first; a negative figure
+        #: means "unknown" (see :meth:`mark_told`).  Every message is stamped
+        #: with one and the receiver applies it, so the record is kept here
+        #: and not by the gossip that reads it (see :meth:`told_other_than`).
+        #: Kept only while the gossip tick runs; it prunes what is too old.
+        self._told: Dict[int, Tuple[float, float]] = {}
         self._track_told = self.config.scheduling.gossip_interval > 0
 
     # ------------------------------------------------------------------
@@ -113,27 +115,32 @@ class MessageManager(Manager):
         ok = self.kernel.transport_send(physical, envelope)
         if not ok:
             self.stats.inc("send_failed")
-        elif self._track_told and msg.src_load >= 0:
+        elif self._track_told and msg.src_queue >= 0:
             # re-inserted, so the dict stays ordered by send time
             self._told.pop(dst, None)
-            self._told[dst] = (msg.src_load, msg.src_queue, self.kernel.now)
+            self._told[dst] = (msg.src_queue, self.kernel.now)
         return ok
 
-    def peer_holds(self, peer: int, load: float, queue: float) -> bool:
-        """Whether ``(load, queue)`` is the figure ``peer`` last got from
-        us — False once that is past the :meth:`prune_told` horizon or
-        the peer's view of us may have changed since."""
-        entry = self._told.get(peer)
-        return entry is not None and entry[0] == load and entry[1] == queue
+    def told_other_than(self, queue: float, limit: int) -> List[int]:
+        """At most ``limit`` peers we are in conversation with whose last
+        figure from us is not ``queue``, longest-silent first.  Peers with
+        no entry hold no figure of ours that could be wrong."""
+        return list(islice((peer for peer, entry in self._told.items()
+                            if entry[0] != queue), limit))
 
-    def forget_told(self, peer: Optional[int] = None) -> None:
-        """``peer`` (or, with None, every peer) may no longer believe what
-        we last told it: its record of us changed without a message of
-        ours (it pushed us frames, it departed, we rolled back)."""
-        if peer is None:
-            self._told.clear()
-        else:
-            self._told.pop(peer, None)
+    def mark_told(self, peer: Optional[int] = None) -> None:
+        """``peer`` (or, with None, every peer on record) may no longer
+        believe what we last told it: its record of us changed without a
+        message of ours (it pushed us frames, we rolled back).  The entry
+        stays, so the next tick corrects it; a stranger stays a stranger."""
+        told = self._told
+        for known in (list(told) if peer is None else [peer]):
+            if known in told:
+                told[known] = (-1.0, told[known][1])
+
+    def forget_told(self, peer: int) -> None:
+        """``peer`` departed: the conversation is over."""
+        self._told.pop(peer, None)
 
     def prune_told(self, before: float) -> None:
         """Drop figures sent before ``before``.  Bounded by what is
@@ -142,7 +149,7 @@ class MessageManager(Manager):
         told = self._told
         while told:
             peer = next(iter(told))
-            if told[peer][2] >= before:
+            if told[peer][1] >= before:
                 return
             del told[peer]
 

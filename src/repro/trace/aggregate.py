@@ -132,14 +132,13 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         "help_timeouts": merged.get("help_timeouts").count,
         "frames_pushed": merged.get("frames_pushed").count,
         "gossip_sent": merged.get("gossip_sent").count,
-        # load reports the gossip tick had a fanout slot for and did not
-        # send, because no peer's view of the sender was out of date —
-        # the rate is the share of a fixed-rate heartbeat's volume saved
-        "gossip_suppressed": merged.get("gossip_suppressed").total,
-        "gossip_suppression_rate": _rate(
-            merged.get("gossip_suppressed").total,
-            merged.get("gossip_sent").count
-            + merged.get("gossip_suppressed").total),
+        # the trade conversation-scoped load reports make: fewer reports
+        # per useful execution, paid for in blind probes that come back
+        # as CANT_HELP
+        "load_reports_per_exec": _rate(merged.get("gossip_sent").count,
+                                       merged.get("executions").count),
+        "help_refusal_rate": _rate(merged.get("cant_help_received").count,
+                                   merged.get("help_sent").count),
         "code_hit_rate": _rate(
             merged.get("hits").count,
             merged.get("hits").count + merged.get("misses").count),

@@ -257,6 +257,36 @@ class TestHardening:
         assert cm.stats.get("checkpoints_committed").count == committed_before
         assert cm.committed_wave == wave_before
 
+    @pytest.mark.parametrize("owner", [0, 1],
+                             ids=["local-coordinator", "remote-coordinator"])
+    def test_committed_shard_is_a_copy_of_live_parameters(self, owner):
+        """Frame parameters are live application values.  The
+        coordinator's own shard never crosses the codec, so it must be
+        copied by hand; a remote shard is copied when the message encodes,
+        before this handler returns."""
+        from repro.common.ids import GlobalAddress
+        from repro.core.frames import Microframe
+        cluster = SimCluster(nsites=2, config=config(heartbeats=False))
+        cluster.sim.run(until=0.2)
+        coordinator, site = cluster.sites[0], cluster.sites[owner]
+        live = {"results": [1]}
+        frame = Microframe(GlobalAddress(site.site_id, 4242), thread_id=0,
+                           program=1, nparams=2)
+        frame.params[0] = live
+        site.attraction_memory.frames[frame.frame_id] = frame
+        cm = coordinator.crash_manager
+        cm._wave = 7
+        cm._states_pending = {site.site_id}
+        cm._collected = {}
+        site.crash_manager._on_snapshot_request(7, coordinator.site_id)
+        live["results"].append(2)
+        cluster.sim.run(until=0.3)
+        assert cm.committed_wave == 7
+        (shard_frame,) = [f for f in cm.committed[site.site_id]["frames"]
+                          if f["id"] == frame.frame_id]
+        assert [list(pair) for pair in shard_frame["filled"]] == [
+            [0, {"results": [1]}]]
+
     def test_duplicate_ack_after_drain_is_ignored(self):
         cluster = SimCluster(nsites=3, config=config())
         cluster.submit(build_primes_program(), args=(40, 6, 800.0, 8000.0))

@@ -1,8 +1,9 @@
-"""Load reports go out on news or at the refresh rate, not on a clock.
+"""Load reports follow conversations.
 
-One *reporter* site has its load figure pinned by the test, so every
-LOAD_REPORT it sends is caused by the rule under test and not by a
-program's queue moving.
+A site corrects the stealable-queue figure of the peers it has lately sent
+a message to, and of nobody else.  One *reporter* site has its figure
+pinned by the test, so every LOAD_REPORT it sends is caused by the rule
+under test and not by a program's queue moving.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from repro.site.simcluster import SimCluster
 
 INTERVAL = 1e-3
 STALENESS = 2e-2
-REFRESH = STALENESS / 2
+#: a conversation closes this long after the last message
+CONVERSATION = STALENESS / 2
 #: a report's way over the simulated wire, with room to spare
 WIRE = 1e-3
 
@@ -34,7 +36,8 @@ def gossip_config():
 
 
 class Reporter:
-    """Site 0 of a formed cluster, with a pinned figure and a send log."""
+    """Site 0 of a formed cluster, with a pinned figure, a send log, and
+    no conversation open."""
 
     def __init__(self, nsites: int) -> None:
         self.cluster = SimCluster(nsites=nsites, config=gossip_config())
@@ -50,52 +53,54 @@ class Reporter:
             lambda: int(self.figure[1]))
         # the tick reports only while a program is active
         self.site.program_manager.has_active_programs = lambda: True
-        #: (time, peer, payload) of every LOAD_REPORT the reporter sent
+        #: (time, peer) of every LOAD_REPORT the reporter sent
         self.reports = []
-        mm = self.site.message_manager
-        send = mm.send
+        self.mm = self.site.message_manager
+        send = self.mm.send
 
         def logged_send(msg):
             if msg.type == MsgType.LOAD_REPORT:
-                self.reports.append((self.sim.now, msg.dst_site,
-                                     msg.payload))
+                self.reports.append((self.sim.now, msg.dst_site))
             return send(msg)
-        mm.send = logged_send
+        self.mm.send = logged_send
+        # the join wave was a conversation with everyone: let it close
+        self.run(CONVERSATION + 2 * INTERVAL)
+        assert not self.mm._told and not self.reports
 
     def run(self, seconds: float) -> None:
         self.sim.run(until=self.sim.now + seconds)
 
-    def settle(self) -> None:
-        """Run until every peer holds the current figure."""
-        self.run(len(self.peers) * INTERVAL + WIRE)
-        assert all(self.view(peer) == self.figure for peer in self.peers)
-        self.reports.clear()
+    def talk_to(self, *peers) -> None:
+        """Ordinary traffic: any message opens a conversation."""
+        for peer in peers:
+            self.mm.send(SDMessage(
+                type=MsgType.HEARTBEAT,
+                src_site=self.site.site_id, src_manager=ManagerId.CLUSTER,
+                dst_site=peer.site_id, dst_manager=ManagerId.CLUSTER,
+                payload={"load": self.figure[0], "queue": self.figure[1]}))
 
     def view(self, peer):
         record = peer.cluster_manager.sites[self.site.site_id]
         return (record.load, record.queue)
 
-    def reports_to(self, peer):
-        return [row for row in self.reports if row[1] == peer.site_id]
+    def reported_to(self):
+        return [peer for _at, peer in self.reports]
 
 
-class TestNewsOrRefresh:
-    def test_steady_site_sends_at_the_refresh_rate(self):
+class TestConversationScope:
+    def test_a_stranger_never_gets_a_report(self):
         rep = Reporter(nsites=4)
-        rep.settle()
-        window = 20 * REFRESH
-        rep.run(window)
-        for peer in rep.peers:
-            count = len(rep.reports_to(peer))
-            # a fixed-rate heartbeat would have sent window / INTERVAL
-            assert window / REFRESH - 1 <= count <= window / REFRESH + 1
-        stats = rep.site.scheduling_manager.stats
-        assert stats.get("gossip_suppressed").total > (
-            5 * stats.get("gossip_sent").count)
+        partner = rep.peers[0]
+        rep.talk_to(partner)
+        for queue in (3.0, 0.0, 5.0, 1.0):
+            rep.figure = (queue + 1, queue)
+            rep.run(2 * INTERVAL)
+        assert len(rep.reports) == 4
+        assert set(rep.reported_to()) == {partner.site_id}
 
-    def test_change_reaches_every_peer_within_the_fanout_rotation(self):
+    def test_partners_are_corrected_once_oldest_first_under_the_cap(self):
         rep = Reporter(nsites=8)
-        rep.settle()
+        rep.talk_to(*rep.peers)
         rep.figure = (3.0, 2.0)
         fanout = rep.cluster.config.cluster.gossip_fanout
         rep.run(INTERVAL + WIRE)
@@ -103,22 +108,31 @@ class TestNewsOrRefresh:
         rounds = -(-len(rep.peers) // fanout)
         rep.run((rounds - 1) * INTERVAL)
         assert all(rep.view(p) == rep.figure for p in rep.peers)
-        # and nobody was told twice
+        # longest-silent first, at most the fanout per tick...
+        assert rep.reported_to() == [p.site_id for p in rep.peers]
+        ticks = [at for at, _peer in rep.reports]
+        assert all(ticks.count(at) <= fanout for at in ticks)
+        # ...and nobody is corrected twice for one change
+        rep.run(CONVERSATION)
         assert len(rep.reports) == len(rep.peers)
 
-    def test_figure_piggybacked_between_ticks_is_reported_over(self):
-        """f1 gossiped, f2 rides on ordinary traffic, back to f1 by the
-        next tick: a record of LOAD_REPORTs alone would see no news."""
+    def test_a_load_only_change_sends_nothing(self):
         rep = Reporter(nsites=4)
-        rep.settle()
+        rep.talk_to(*rep.peers)
+        rep.figure = (7.0, rep.figure[1])
+        rep.run(5 * INTERVAL)
+        assert rep.reports == []
+
+    def test_figure_piggybacked_between_ticks_is_reported_over(self):
+        """f1 told, f2 rides on ordinary traffic, back to f1 by the next
+        tick: a record of LOAD_REPORTs alone would see no news."""
+        rep = Reporter(nsites=4)
+        peer = rep.peers[0]
+        rep.talk_to(peer)
         rep.run(INTERVAL / 2)  # between two ticks
-        f1, peer = rep.figure, rep.peers[0]
+        f1 = rep.figure
         rep.figure = (5.0, 4.0)
-        rep.site.message_manager.send(SDMessage(
-            type=MsgType.HEARTBEAT,
-            src_site=rep.site.site_id, src_manager=ManagerId.CLUSTER,
-            dst_site=peer.site_id, dst_manager=ManagerId.CLUSTER,
-            payload={"load": 5.0, "queue": 4.0}))
+        rep.talk_to(peer)
         rep.figure = f1
         held = set()
         for _ in range(40):
@@ -126,14 +140,53 @@ class TestNewsOrRefresh:
             held.add(rep.view(peer))
         assert (5.0, 4.0) in held
         assert rep.view(peer) == f1
-        assert [row[1] for row in rep.reports] == [peer.site_id]
+        assert rep.reported_to() == [peer.site_id]
 
-    def test_push_receipt_is_reported_over(self):
-        """A pusher raises its own record of the target (note_pushed), so
-        the target must tell it the real figure again."""
+    def test_a_refused_thief_hears_the_victims_next_queue_change(self):
+        """The CANT_HELP is a message like any other: it subscribes the
+        thief, and only the thief, to the victim's next queue change."""
         rep = Reporter(nsites=4)
-        rep.settle()
-        pusher = rep.peers[1]
+        thief, bystanders = rep.peers[0], rep.peers[1:]
+        sm = thief.scheduling_manager
+        rep.run(STALENESS)  # the thief knows nothing fresh: it probes
+        sm._send_help(exclude={p.site_id for p in bystanders})
+        rep.run(2 * WIRE)
+        victim = rep.site.site_id
+        assert sm.stats.get("cant_help_received").count == 1
+        assert victim in sm._cooldown
+        assert rep.reports == []
+        rep.figure = (4.0, 3.0)
+        rep.run(INTERVAL + WIRE)
+        assert rep.reported_to() == [thief.site_id]
+        assert rep.view(thief) == rep.figure
+        # first-hand news of work takes the victim off cooldown
+        assert victim not in sm._cooldown
+
+    def test_conversation_ends_half_the_staleness_after_the_last_message(
+            self):
+        rep = Reporter(nsites=4)
+        peer = rep.peers[0]
+        rep.talk_to(peer)
+        rep.run(CONVERSATION - 2 * INTERVAL)
+        rep.figure = (2.0, 1.0)
+        rep.run(2 * INTERVAL)
+        assert rep.reported_to() == [peer.site_id]
+        # the correction was a message too: the conversation goes on
+        rep.run(CONVERSATION - 3 * INTERVAL)
+        rep.figure = (3.0, 2.0)
+        rep.run(2 * INTERVAL)
+        assert rep.reported_to() == [peer.site_id] * 2
+        # silence closes it
+        rep.run(CONVERSATION + INTERVAL)
+        assert not rep.mm._told
+        rep.figure = (4.0, 3.0)
+        rep.run(5 * INTERVAL)
+        assert len(rep.reports) == 2
+
+
+class TestInvalidation:
+    @staticmethod
+    def push_from(pusher, rep):
         pusher.cluster_manager.note_pushed(rep.site.site_id, 2)
         pusher.message_manager.send(SDMessage(
             type=MsgType.FRAME_TRANSFER,
@@ -141,12 +194,48 @@ class TestNewsOrRefresh:
             dst_site=rep.site.site_id,
             dst_manager=ManagerId.ATTRACTION_MEMORY,
             payload={"frames": []}))
+
+    def test_push_receipt_marks_the_pushers_figure_unknown(self):
+        """A pusher raises its own record of the target (note_pushed), so
+        the target must tell it the real figure again."""
+        rep = Reporter(nsites=4)
+        pusher = rep.peers[1]
+        rep.talk_to(pusher)
+        rep.run(WIRE)
+        self.push_from(pusher, rep)
         assert rep.view(pusher) != rep.figure
         rep.run(2 * WIRE + INTERVAL)
         assert rep.view(pusher) == rep.figure
-        assert [row[1] for row in rep.reports] == [pusher.site_id]
+        assert rep.reported_to() == [pusher.site_id]
 
-    def test_dropped_report_heals_within_half_the_staleness(self):
+    def test_push_from_a_stranger_opens_no_conversation(self):
+        rep = Reporter(nsites=4)
+        self.push_from(rep.peers[1], rep)
+        rep.run(2 * WIRE + 3 * INTERVAL)
+        assert rep.reports == [] and not rep.mm._told
+
+    def test_rollback_marks_every_partner_and_no_stranger(self):
+        rep = Reporter(nsites=6)
+        partners = rep.peers[:2]
+        rep.talk_to(*partners)
+        before = dict(rep.mm._told)
+        rep.site.scheduling_manager.reset_for_recovery()
+        assert list(rep.mm._told) == list(before)
+        assert all(rep.mm._told[p][1] == before[p][1] for p in before)
+        rep.run(INTERVAL + WIRE)
+        assert rep.reported_to() == [p.site_id for p in partners]
+
+    def test_departure_drops_the_entry(self):
+        rep = Reporter(nsites=4)
+        rep.talk_to(*rep.peers)
+        gone = rep.peers[0].site_id
+        rep.site.cluster_manager.mark_dead(gone, left=False)
+        assert gone not in rep.mm._told
+        rep.figure = (2.0, 1.0)
+        rep.run(3 * INTERVAL)
+        assert gone not in rep.reported_to()
+
+    def test_dropped_correction_misleads_for_at_most_the_staleness(self):
         class DropLink:
             """What a chaos LinkFault with drop=1 does to one link."""
             corrupts_wire = False
@@ -158,55 +247,47 @@ class TestNewsOrRefresh:
                 return [] if (src, dst) == self.link else None
 
         rep = Reporter(nsites=4)
-        rep.settle()
-        old, victim = rep.figure, rep.peers[2]
+        victim = rep.peers[2]
+        rep.figure = old = (4.0, 3.0)
+        rep.talk_to(victim)
+        told_at = rep.sim.now
+        rep.run(WIRE)
+        record = victim.cluster_manager.sites[rep.site.site_id]
         network = rep.cluster.network
         network.chaos = DropLink(int(rep.site.kernel.local_physical()),
                                  int(victim.kernel.local_physical()))
-        rep.figure = (2.0, 1.0)
-        rep.run(len(rep.peers) * INTERVAL + WIRE)
+        rep.figure = (1.0, 0.0)
+        rep.run(3 * INTERVAL)
         network.chaos = None
         assert network.stats.get("chaos_dropped").count == 1
+        # the reporter believes the victim was told, and nothing re-sends
+        # an unchanged figure: the victim goes on seeing work here...
+        rep.run(told_at + STALENESS - INTERVAL - rep.sim.now)
+        assert len(rep.reports) == 1
         assert rep.view(victim) == old
-        # the reporter believes the victim was told: nothing but the
-        # refresh will tell it again
-        rep.run(REFRESH / 2)
-        assert rep.view(victim) == old
-        rep.run(REFRESH / 2 + INTERVAL + WIRE)
-        assert rep.view(victim) == rep.figure
-
-    def test_reports_with_rumors_are_never_suppressed(self):
-        rep = Reporter(nsites=20)  # past the 16-peer sample window
-        rep.settle()
-        cm = rep.site.cluster_manager
-        fanout = rep.cluster.config.cluster.gossip_fanout
-        ticks = 40
-        for _ in range(ticks):
-            # keep one rumor fresh; reports to its subject carry none
-            cm.note_load(5, 6.0, queue=6.0)
-            rep.run(INTERVAL)
-        relayed = [row for row in rep.reports if "hot" in row[2]]
-        assert len(relayed) >= (ticks - 1) * (fanout - 1)
-        assert all(row[1] != 5 for row in relayed)
+        assert record in victim.cluster_manager.hot_peers()
+        # ...until its own staleness horizon expires the figure
+        rep.run(2 * INTERVAL + WIRE)
+        assert record not in victim.cluster_manager.hot_peers()
 
 
 class TestToldRecord:
     def test_record_is_bounded_by_traffic_not_membership(self):
-        """On 64 sites every entry is younger than the refresh horizon
-        while the program runs, and the record drains once it is over."""
+        """On 64 sites every entry is younger than the conversation
+        horizon while the program runs, and the record drains once it is
+        over."""
         base = bench_config()
         config = base.with_(scheduling=replace(
             base.scheduling, gossip_interval=1e-2, gossip_staleness=5e-2))
         cluster = SimCluster(nsites=64, config=config)
-        horizon = 5e-2 / 2 + 1e-2  # refresh, plus one tick between prunes
+        horizon = 5e-2 / 2 + 1e-2  # plus one tick between prunes
         sizes = []
 
         def sample():
             now = cluster.sim.now
             for site in cluster.sites:
                 told = site.message_manager._told
-                assert all(now - at <= horizon
-                           for _l, _q, at in told.values())
+                assert all(now - at <= horizon for _q, at in told.values())
                 sizes.append(len(told))
             if not handle.done:
                 cluster.sim.schedule(5e-3, sample)
@@ -216,8 +297,6 @@ class TestToldRecord:
         cluster.sim.schedule(0.1, sample)
         cluster.run(progress_timeout=600.0)
         assert handle.result == treesum_expected(1024)
-        # a plain per-peer dict fills up to all 63 peers on every site:
-        # the gossip ring alone gets round in 21 ticks
         assert sizes and sum(sizes) / len(sizes) < 63 / 3
         cluster.sim.run(until=cluster.sim.now + 2 * horizon)
         assert not any(site.message_manager._told
@@ -229,18 +308,11 @@ class TestToldRecord:
                                                  gossip_interval=0.0))
         _duration, cluster = run_primes(10, 4, 4, 400.0, 4000.0,
                                         config=config)
-        assert cluster.total_stats().get("sent").count > 0
+        stats = cluster.total_stats()
+        assert stats.get("sent").count > 0
+        assert stats.get("gossip_sent").count == 0
         assert not any(site.message_manager._told
                        for site in cluster.sites)
-
-    def test_departed_peer_is_forgotten(self):
-        rep = Reporter(nsites=4)
-        rep.settle()
-        gone = rep.peers[0].site_id
-        mm = rep.site.message_manager
-        assert mm.peer_holds(gone, *rep.figure)
-        rep.site.cluster_manager.mark_dead(gone, left=False)
-        assert not mm.peer_holds(gone, *rep.figure)
 
 
 def test_same_seed_twice_is_bit_identical():
@@ -249,20 +321,24 @@ def test_same_seed_twice_is_bit_identical():
                                        config=bench_config(trace=True))
         stats = cluster.total_stats()
         return (journal_fingerprint(cluster.tracer), duration,
-                stats.get("gossip_sent").count,
-                stats.get("gossip_suppressed").total)
+                stats.get("gossip_sent").count)
 
     first = once()
     assert first == once()
-    assert first[3] > 0
+    assert first[2] > 0
 
 
-def test_suppression_rate_is_reported():
+def test_the_trade_is_on_the_report():
     _duration, cluster = run_treesum(64, 16000.0, 4)
     report = cluster.cluster_report()
-    sent = report.derived["gossip_sent"]
-    suppressed = report.derived["gossip_suppressed"]
-    assert suppressed > 0
-    assert report.derived["gossip_suppression_rate"] == pytest.approx(
-        suppressed / (sent + suppressed))
-    assert "gossip_suppression_rate" in report.render()
+    stats = cluster.total_stats()
+    assert report.derived["load_reports_per_exec"] == pytest.approx(
+        stats.get("gossip_sent").count / stats.get("executions").count)
+    assert report.derived["help_refusal_rate"] == pytest.approx(
+        stats.get("cant_help_received").count
+        / stats.get("help_sent").count)
+    assert 0 < report.derived["help_refusal_rate"] < 1
+    assert "gossip_suppressed" not in report.derived
+    rendered = report.render()
+    assert "load_reports_per_exec" in rendered
+    assert "help_refusal_rate" in rendered
