@@ -6,7 +6,9 @@ compared against the same program on one site.  If the cluster falls
 back into the blind-beg regime (the O(sites) bug this guards against),
 the speedup collapses far below the floor asserted here.  A second
 tripwire watches the other side of that trade: load reports per
-execution, which a membership-wide heartbeat pushes far above one.
+execution, which a membership-wide heartbeat pushes far above one.  A
+third counts envelopes the receivers had to parse: none on a fault-free
+sim wire, where every envelope carries its sender's snapshot.
 
 Deliberately smaller than the ``scaling`` bench-gate suite: this is the
 seconds-fast tripwire, the gate suite is the precise regression fence.
@@ -95,6 +97,14 @@ def main() -> int:
               f"execution > {MAX_REPORTS_PER_EXEC} (reports no longer "
               f"scoped to conversations?)", file=sys.stderr)
         return 1
+    parsed = cluster.total_stats().get("parsed").count
+    if parsed:
+        print(f"smoke_scaling FAILED: {parsed} envelopes were parsed on a "
+              f"fault-free sim run (something between send and deliver "
+              f"drops the snapshot; that costs a fifth of host time)",
+              file=sys.stderr)
+        return 1
+    print("smoke_scaling: no envelope parsed")
     print("smoke_scaling OK")
     return 0
 

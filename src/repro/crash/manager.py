@@ -6,7 +6,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage, make_reply
-from repro.serde import dumps, loads
+from repro.serde import wire_copy
 from repro.site.manager_base import Manager
 
 #: attempts per RECOVER_BEGIN/STATE/DONE before giving up on a target;
@@ -181,13 +181,14 @@ class CrashManager(Manager):
         state = self.site.attraction_memory.export_checkpoint()
         if (self.site.cluster_manager.effective_site(coordinator)
                 == self.local_id):
-            # deep-copy through the wire codec: frame parameters hold live
+            # a wire copy without the wire: frame parameters hold live
             # references to application values (e.g. a mutable state dict
             # that keeps evolving after the wave) — a by-reference snapshot
-            # would be an inconsistent cut.  Remote shards get this copy
-            # when the message encodes; our own shard, or one an heir link
-            # loops back to us, is never serialised.
-            state = loads(dumps(state))
+            # would be an inconsistent cut.  A remote shard is copied as it
+            # is sent (by the encoding, and on the sim wire by the snapshot
+            # that rides with it); our own shard, or one an heir link loops
+            # back to us, never reaches a wire.
+            state = wire_copy(state)
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_STATE,
                         {"wave": wave, "state": state,
                          "site": self.local_id})

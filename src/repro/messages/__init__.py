@@ -5,6 +5,7 @@ source's and the target's site ids and manager ids apart from other
 administrational information and the payload data itself."
 """
 
-from repro.messages.message import SDMessage, MsgType, make_reply
+from repro.messages.message import (MsgType, SDMessage, SnapshotEnvelope,
+                                    make_reply)
 
-__all__ = ["SDMessage", "MsgType", "make_reply"]
+__all__ = ["SDMessage", "MsgType", "SnapshotEnvelope", "make_reply"]

@@ -9,7 +9,7 @@ from typing import Any, Dict, Optional
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
-from repro.serde import dumps, loads
+from repro.serde import dumps, loads, wire_copy
 
 
 class MsgType(enum.IntEnum):
@@ -215,6 +215,41 @@ class SDMessage:
         msg._wire = None
         return msg
 
+    def snapshot(self) -> "SDMessage":
+        """What ``SDMessage.decode(self.encode())`` builds, without the
+        bytes: a private copy whose payload shares no mutable container
+        with this message (see :func:`repro.serde.wire_copy`), the wire
+        cache cold.  Raises the :class:`SerializationError` that decode
+        would, so a caller can fall back to the bytes.
+        """
+        payload = self.payload
+        if type(payload) is not dict:
+            raise SerializationError("SDMessage payload must be a dict")
+        try:
+            msg_type = _MSG_BY_VALUE[self.type]
+            src_manager = _MGR_BY_VALUE[self.src_manager]
+            dst_manager = _MGR_BY_VALUE[self.dst_manager]
+        except (KeyError, TypeError) as exc:
+            raise SerializationError(
+                f"unknown enum value on wire: {exc}") from exc
+        msg = SDMessage.__new__(SDMessage)
+        msg.type = msg_type
+        msg.src_site = self.src_site
+        msg.src_manager = src_manager
+        msg.dst_site = self.dst_site
+        msg.dst_manager = dst_manager
+        # the payload sits one container deep, inside the envelope tuple
+        msg.payload = wire_copy(payload, 1)
+        msg.program = self.program
+        msg.seq = self.seq
+        msg.reply_to = self.reply_to
+        msg.src_load = self.src_load
+        msg.src_queue = self.src_queue
+        msg.origin_site = self.origin_site
+        msg.cause_id = self.cause_id
+        msg._wire = None
+        return msg
+
     def invalidate_wire(self) -> None:
         """Drop the cached encoding after a legitimate mutation.
 
@@ -237,6 +272,30 @@ class SDMessage:
         return (f"SDMessage({self.type.name} {self.src_site}/"
                 f"{self.src_manager.name} -> {self.dst_site}/"
                 f"{self.dst_manager.name} seq={self.seq})")
+
+
+class SnapshotEnvelope(bytes):
+    """Envelope bytes with the sender's :meth:`SDMessage.snapshot` riding
+    along, for a wire that never leaves the process.
+
+    The bytes are the complete envelope and everything that sizes, traces,
+    corrupts or unseals a message reads them; the receiver alone asks for
+    the rider, to dispatch it in place of parsing bytes this process
+    encoded itself.  The rider falls off by construction: slicing,
+    concatenating or re-encoding yields plain ``bytes``, and :meth:`take`
+    gives it up once, so a second delivery of one envelope is parsed and
+    the two deliveries share no container.
+    """
+
+    def __new__(cls, data: bytes, message: SDMessage) -> "SnapshotEnvelope":
+        self = super().__new__(cls, data)
+        self._message = message
+        return self
+
+    def take(self) -> Optional[SDMessage]:
+        """The snapshot, on the first call only."""
+        message, self._message = self._message, None
+        return message
 
 
 def make_reply(request: SDMessage, msg_type: MsgType,

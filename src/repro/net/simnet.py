@@ -92,6 +92,12 @@ class SimNetwork:
         A detached destination (crashed/left site) silently swallows the
         message at delivery time — like a real network, the sender cannot
         know; failure surfaces via timeouts (heartbeats, help retries).
+
+        ``data`` is the complete envelope and all this method reads.  It
+        is handed to the receiver as the object it arrived as: a sim
+        kernel sends a :class:`~repro.messages.SnapshotEnvelope`, whose
+        receiver skips the parse, and anything that puts other bytes on
+        the wire (``corrupt_wire`` below) thereby drops that rider.
         """
         cfg = self.config
         if self.chaos is not None and self.chaos.corrupts_wire:

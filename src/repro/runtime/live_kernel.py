@@ -214,7 +214,8 @@ class LiveKernel(Kernel):
         fn(*args)
 
     # ------------------------------------------------------------------
-    def transport_send(self, dst_physical: str, data: bytes) -> bool:
+    def transport_send(self, dst_physical: str, data: bytes,
+                       msg: Optional[Any] = None) -> bool:
         return self.transport.send(dst_physical, data)
 
     def local_physical(self) -> str:

@@ -11,8 +11,9 @@ streams.  This package implements that substrate from scratch:
   transports (TCP), with incremental feed/decode for real sockets.
 """
 
-from repro.serde.codec import dumps, loads, encoded_size, measured_size
+from repro.serde.codec import (dumps, loads, encoded_size, measured_size,
+                               wire_copy)
 from repro.serde.framing import frame, FrameDecoder, MAX_FRAME_SIZE
 
-__all__ = ["dumps", "loads", "encoded_size", "measured_size", "frame",
-           "FrameDecoder", "MAX_FRAME_SIZE"]
+__all__ = ["dumps", "loads", "encoded_size", "measured_size", "wire_copy",
+           "frame", "FrameDecoder", "MAX_FRAME_SIZE"]

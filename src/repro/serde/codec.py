@@ -17,8 +17,9 @@ Design goals:
 * **Fast**: the codec sits on the sim kernel's hottest path (every remote
   message encodes and decodes through it), so tag bytes are precomputed
   ints, single-byte varints are inlined, :func:`measured_size` computes an
-  encoding's size without materializing bytes, and :func:`loads` accepts
-  ``memoryview``/``bytearray`` without copying the buffer.
+  encoding's size without materializing bytes, :func:`loads` accepts
+  ``memoryview``/``bytearray`` without copying the buffer, and
+  :func:`wire_copy` builds what a decode would return without any bytes.
 
 Wire grammar (one byte tag, then payload):
 
@@ -518,3 +519,59 @@ def loads(data: _Buffer) -> Any:
         raise SerializationError(
             f"{len(data) - pos} trailing bytes after value")
     return value
+
+
+# ---------------------------------------------------------------------------
+# a wire copy without the wire
+
+#: what a decode hands back equal to the object that was encoded and
+#: immutable besides, so a copy may share it with the original
+_SHARED = frozenset({type(None), bool, int, float, str, bytes,
+                     GlobalAddress, FileHandle})
+_CONTAINERS = frozenset({dict, list, tuple, set, frozenset})
+
+
+def wire_copy(value: Any, depth: int = 0) -> Any:
+    """What ``loads(dumps(value))`` returns, built without the bytes.
+
+    A structural copy over the codec's closed type set: immutable leaves
+    are shared, every dict/list/tuple is rebuilt, ``frozenset`` becomes
+    ``set`` and ``bytearray``/``memoryview`` become ``bytes`` exactly as a
+    trip over the wire would turn them, so the result shares no mutable
+    container with ``value``.  Containers are filled in the order the
+    decoder fills them (sets in the encoder's canonical order), so a copy
+    iterates like the decoded value does.  Raises the same
+    :class:`SerializationError` the round trip would: for a type outside
+    the set, for nesting past :data:`MAX_DECODE_DEPTH` and for a set that
+    decodes into a dict key or set element.  ``depth`` is the number of
+    containers that enclose ``value`` on the wire.
+    """
+    t = type(value)
+    if t in _SHARED:
+        return value
+    if t is bytearray or t is memoryview:
+        return bytes(value)
+    if t not in _CONTAINERS:
+        raise SerializationError(
+            f"type {t.__name__!r} is not serializable on the SDVM wire")
+    if depth >= MAX_DECODE_DEPTH:
+        raise SerializationError(
+            f"payload nested deeper than {MAX_DECODE_DEPTH}")
+    depth += 1
+    shared = _SHARED
+    if t is list or t is tuple:
+        items = [item if type(item) in shared else wire_copy(item, depth)
+                 for item in value]
+        return items if t is list else tuple(items)
+    try:
+        if t is dict:
+            return {(key if type(key) in shared else wire_copy(key, depth)):
+                    (val if type(val) in shared else wire_copy(val, depth))
+                    for key, val in value.items()}
+        out = set()
+        for item in sorted(value, key=_set_sort_key):
+            out.add(item if type(item) in shared else wire_copy(item, depth))
+        return out
+    except TypeError as exc:
+        raise SerializationError(
+            f"unhashable dict key or set element on wire: {exc}") from exc

@@ -61,8 +61,15 @@ class Kernel(abc.ABC):
         """Occupy the CPU for ``seconds``, then run ``fn(*args)``."""
 
     @abc.abstractmethod
-    def transport_send(self, dst_physical: str, data: bytes) -> bool:
-        """Hand bytes to the transport for ``dst_physical``."""
+    def transport_send(self, dst_physical: str, data: bytes,
+                       msg: Optional[Any] = None) -> bool:
+        """Hand bytes to the transport for ``dst_physical``.
+
+        ``msg`` is the :class:`~repro.messages.SDMessage` that ``data``
+        encodes, when the sender has just encoded it: a kernel whose wire
+        stays inside the process may deliver a private copy of it next to
+        the bytes; one with a real wire ignores it.
+        """
 
     @abc.abstractmethod
     def local_physical(self) -> str:

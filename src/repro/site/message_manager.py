@@ -4,7 +4,9 @@ Outgoing path: a manager builds an :class:`SDMessage`; the message manager
 assigns a sequence number, resolves the target's *logical* site id to a
 *physical* address by querying the cluster manager's list, serializes, hands
 the bytes to the security layer for sealing, and passes the envelope to the
-network manager (the kernel transport).  Incoming path is the mirror image.
+network manager (the kernel transport).  Incoming path is the mirror image,
+except that an envelope which never left the process may carry the message
+it encodes (:class:`~repro.messages.SnapshotEnvelope`) and is then not parsed.
 
 It also implements request/reply correlation (``reply_to``) with optional
 timeouts, which every higher protocol (help requests, code fetches, memory
@@ -18,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SecurityError, SerializationError
 from repro.common.ids import ManagerId
-from repro.messages import MsgType, SDMessage
+from repro.messages import MsgType, SDMessage, SnapshotEnvelope
 from repro.site.manager_base import Manager
 from repro.trace.causal import msg_node
 
@@ -112,7 +114,7 @@ class MessageManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "msg_send",
                     msg.type.name, dst, len(envelope), msg.seq,
                     msg.cause_id, msg.origin_site)
-        ok = self.kernel.transport_send(physical, envelope)
+        ok = self.kernel.transport_send(physical, envelope, msg)
         if not ok:
             self.stats.inc("send_failed")
         elif self._track_told and msg.src_queue >= 0:
@@ -175,7 +177,7 @@ class MessageManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "msg_send",
                     msg.type.name, msg.dst_site, len(envelope), msg.seq,
                     msg.cause_id, msg.origin_site)
-        return self.kernel.transport_send(physical, envelope)
+        return self.kernel.transport_send(physical, envelope, msg)
 
     def request(self, msg: SDMessage, on_reply: ReplyCallback,
                 timeout: Optional[float] = None,
@@ -211,25 +213,34 @@ class MessageManager(Manager):
     # receiving
 
     def deliver_raw(self, envelope: bytes) -> None:
-        """Entry point for the network manager: unseal, decode, dispatch."""
+        """Entry point for the network manager: unseal, decode, dispatch.
+
+        Every envelope is unsealed; the parse is skipped only for one that
+        still carries the snapshot its sender took (nothing on the wire
+        replaced the bytes, and no earlier delivery took the snapshot).
+        """
         try:
             _sender, data = self.site.security_manager.unprotect(envelope)
         except SecurityError as exc:
             self.stats.inc("rejected_envelopes")
             self.log("security rejected envelope: %s", exc)
             return
-        try:
-            msg = SDMessage.decode(data)
-        except SerializationError as exc:
-            self.stats.inc("malformed")
-            self.log("malformed message dropped: %s", exc)
-            return
+        msg = (envelope.take() if type(envelope) is SnapshotEnvelope
+               else None)
+        if msg is None:
+            try:
+                msg = SDMessage.decode(data)
+            except SerializationError as exc:
+                self.stats.inc("malformed")
+                self.log("malformed message dropped: %s", exc)
+                return
+            self.stats.inc("parsed")
         cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
         if self.site.security_manager.enabled:
             cpu_cost += (self.cost.crypto_fixed_cost
                          + len(data) * self.cost.crypto_byte_cost)
         self.stats.inc("received")
-        self.stats.add("bytes_received", len(data))
+        self.stats.add("bytes_received", len(envelope))
         tr = self.tracer
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "msg_recv",

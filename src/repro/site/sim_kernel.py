@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.common.errors import SerializationError
 from repro.common.ids import GlobalAddress
+from repro.messages import SnapshotEnvelope
 from repro.net.simnet import SimNetwork
 from repro.sim.engine import Event, Simulator
 from repro.site.kernel import CpuModel, Kernel
@@ -90,9 +92,18 @@ class SimKernel(Kernel):
                 *args: Any) -> None:
         self.cpu.run(seconds, fn, *args)
 
-    def transport_send(self, dst_physical: str, data: bytes) -> bool:
+    def transport_send(self, dst_physical: str, data: bytes,
+                       msg: Optional[Any] = None) -> bool:
         if self._closed:
             return False
+        if msg is not None:
+            # the receiver is in this process: spare it the parse.  The
+            # copy is taken now, not at delivery — senders go on mutating
+            # what they sent (a checkpoint shard holds live parameters)
+            try:
+                data = SnapshotEnvelope(data, msg.snapshot())
+            except SerializationError:
+                pass  # let the receiver's parse reject the bytes
         return self.shared.network.send(self._physical, int(dst_physical),
                                         data)
 

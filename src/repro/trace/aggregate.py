@@ -120,6 +120,11 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         "work_units": merged.get("work_units").total,
         "messages_sent": merged.get("sent").count,
         "bytes_sent": merged.get("bytes_sent").total,
+        # deliveries that had to be parsed from bytes: all of them on a
+        # real wire, on the sim wire only what a fault duplicated or
+        # rewrote (the rest dispatch the sender's snapshot)
+        "parsed_per_msg": _rate(merged.get("parsed").count,
+                                merged.get("received").count),
         # grants over *attempts*: help_sent counts at send time, so
         # requests that time out with no reply at all still land in the
         # denominator (a timed-out request is a failed attempt, not a

@@ -360,6 +360,101 @@ class TestSilentDataCorruption:
             replay._replay()
 
 
+def _dispatched_at(site):
+    got = []
+    site.route = got.append
+    return got
+
+
+def _apply_result(src, dst, value):
+    from repro.common.ids import GlobalAddress, ManagerId
+    from repro.messages import MsgType, SDMessage
+    return SDMessage(
+        type=MsgType.APPLY_RESULT,
+        src_site=src.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
+        dst_site=dst.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+        payload={"addr": GlobalAddress(dst.site_id, 1), "slot": 0,
+                 "value": value})
+
+
+def _report_without_parse_counters(cluster):
+    report = cluster.cluster_report().as_dict()
+    report["counters"].pop("parsed", None)
+    del report["derived"]["parsed_per_msg"]
+    return report
+
+
+class TestSnapshotDeliveryUnderChaos:
+    """Faults act on the envelope bytes; the snapshot riding with them
+    must never let a receiver see anything else than those bytes say."""
+
+    @staticmethod
+    def _pair(fault):
+        from repro.chaos import chaos_config
+        from repro.site.simcluster import SimCluster
+        plan = FaultPlan(seed=21, nsites=2, faults=[fault])
+        cluster = SimCluster(nsites=2, config=chaos_config(plan))
+        cluster.apply_chaos(plan)
+        cluster.sim.run(until=0.2)
+        return (cluster, *cluster.sites)
+
+    def test_duplicated_envelope_dispatches_two_independent_messages(self):
+        cluster, a, b = self._pair(LinkFault(start=0.2, end=0.3, dup=1.0))
+        got = _dispatched_at(b)
+        parsed_before = b.message_manager.stats.get("parsed").count
+        a.message_manager.send(_apply_result(a, b, [1, 2]))
+        cluster.sim.run(until=0.4)
+        first, second = [m for m in got if m.type.name == "APPLY_RESULT"]
+        assert first is not second
+        assert first.payload == second.payload
+        first.payload["value"].append(3)
+        assert second.payload["value"] == [1, 2]
+        # one of each duplicated pair had only the bytes to go by
+        assert (b.message_manager.stats.get("parsed").count
+                > parsed_before)
+
+    def test_wire_corruption_delivers_the_flipped_value(self):
+        cluster, a, b = self._pair(
+            CorruptFault(start=0.2, end=0.3, mode="param"))
+        got = _dispatched_at(b)
+        a.message_manager.send(_apply_result(a, b, 1000))
+        cluster.sim.run(until=0.4)
+        (delivered,) = [m for m in got if m.type.name == "APPLY_RESULT"]
+        assert delivered.payload["value"] != 1000
+        assert b.message_manager.stats.get("parsed").count >= 1
+
+    @pytest.mark.parametrize("name", [None, "duplicate_delivery",
+                                      "crash_during_wave"],
+                             ids=["fault_free_8_sites", "dup", "crash"])
+    def test_stripping_the_snapshot_changes_nothing(self, name, monkeypatch):
+        """Differential: the same plan with every envelope reduced to
+        plain bytes before it reaches the wire (so every delivery is
+        parsed) writes the same journal and the same cluster report."""
+        from repro.net.simnet import SimNetwork
+        if name is None:
+            plan = FaultPlan(seed=22, nsites=8)
+            carried = run_plan(plan)
+        else:
+            plan = corpus_plan(name)
+            carried = corpus_result(os.path.join(CORPUS_DIR, f"{name}.json"))
+        send = SimNetwork.send
+        monkeypatch.setattr(
+            SimNetwork, "send",
+            lambda net, src, dst, data: send(net, src, dst, bytes(data)))
+        parsed = run_plan(plan)
+        assert parsed.fingerprint == carried.fingerprint
+        assert (_report_without_parse_counters(parsed.cluster)
+                == _report_without_parse_counters(carried.cluster))
+        report = parsed.cluster.cluster_report()
+        assert report.derived["parsed_per_msg"] == 1.0
+        # with the snapshot riding, only a duplicate's second copy is parsed
+        share = carried.cluster.cluster_report().derived["parsed_per_msg"]
+        if name == "duplicate_delivery":
+            assert 0.0 < share < 1.0
+        else:
+            assert share == 0.0
+
+
 class TestInjection:
     def test_partition_holds_traffic_until_heal(self):
         result = run_plan(corpus_plan("partition_then_heal"))

@@ -92,6 +92,9 @@ class TestInProc:
             expected = sum(i * i for i in range(20))
             assert cluster.run(fanout_program(), args=(20,),
                                timeout=20) == expected
+        # a live wire hands over bytes and nothing else: every delivery
+        # is parsed (read after shutdown, when no reactor is mid-count)
+        assert cluster.cluster_report().derived["parsed_per_msg"] == 1.0
 
     def test_output_routed(self):
         with LiveCluster(nsites=2, config=CFG) as cluster:

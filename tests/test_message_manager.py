@@ -104,6 +104,127 @@ class TestSendReceive:
         assert replies[0].payload["site_id"] == c.site_id
 
 
+def data_msg(src, dst, payload):
+    msg = status_msg(src, dst)
+    msg.payload = payload
+    return msg
+
+
+def capture_dispatched(site):
+    """Record what the message manager hands the site, in place of
+    routing it to a manager."""
+    got = []
+    site.route = got.append
+    return got
+
+
+def nested(depth):
+    value = "leaf"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestSnapshotDelivery:
+    """The sim wire delivers the sender's send-time snapshot next to the
+    envelope bytes; the receiver parses only when the bytes are all it
+    has.  Either way it must get what a parse would have built."""
+
+    def test_sender_mutation_after_send_is_invisible(self, pair):
+        cluster, a, b = pair
+        got = capture_dispatched(b)
+        msg = data_msg(a, b, {"items": [1], "deep": {"k": [2]}})
+        a.message_manager.send(msg)
+        msg.payload["items"].append(99)
+        msg.payload["deep"]["k"].clear()
+        msg.payload["late"] = True
+        cluster.sim.run(until=0.5)
+        (delivered,) = got
+        assert delivered is not msg
+        assert delivered.payload == {"items": [1], "deep": {"k": [2]}}
+        assert (delivered.type, delivered.seq, delivered.src_site) == (
+            msg.type, msg.seq, a.site_id)
+
+    def test_receiver_mutation_is_invisible_to_sender(self, pair):
+        cluster, a, b = pair
+        got = capture_dispatched(b)
+        msg = data_msg(a, b, {"items": [1], "deep": {"k": [2]}})
+        a.message_manager.send(msg)
+        cluster.sim.run(until=0.5)
+        got[0].payload["items"].append(99)
+        got[0].payload["deep"]["k"] = None
+        assert msg.payload == {"items": [1], "deep": {"k": [2]}}
+
+    def test_nothing_is_parsed_on_a_fault_free_wire(self, pair):
+        cluster, a, b = pair
+        a.message_manager.request(status_msg(a, b), lambda reply: None)
+        cluster.sim.run(until=0.5)
+        for site in (a, b):
+            stats = site.message_manager.stats
+            assert stats.get("received").count > 0
+            assert stats.get("parsed").count == 0
+        assert cluster.cluster_report().derived["parsed_per_msg"] == 0.0
+
+    def test_plain_bytes_are_parsed(self, pair):
+        cluster, a, b = pair
+        send = cluster.network.send
+        cluster.network.send = lambda src, dst, data: send(src, dst,
+                                                           bytes(data))
+        got = capture_dispatched(b)
+        before = b.message_manager.stats.get("parsed").count
+        a.message_manager.send(data_msg(a, b, {"items": [1]}))
+        cluster.sim.run(until=0.5)
+        assert [m.payload for m in got] == [{"items": [1]}]
+        assert b.message_manager.stats.get("parsed").count == before + 1
+
+    def test_second_delivery_of_one_envelope_is_parsed(self, pair):
+        cluster, a, b = pair
+        send = cluster.network.send
+
+        def twice(src, dst, data):
+            cluster.sim.schedule(1e-3, cluster.network._deliver, dst, data)
+            return send(src, dst, data)
+
+        cluster.network.send = twice
+        got = capture_dispatched(b)
+        a.message_manager.send(data_msg(a, b, {"items": [1]}))
+        cluster.sim.run(until=0.5)
+        first, second = got
+        assert first.payload == second.payload == {"items": [1]}
+        assert first.payload is not second.payload
+        assert first.payload["items"] is not second.payload["items"]
+        assert b.message_manager.stats.get("parsed").count == 1
+
+    def test_what_a_parse_would_drop_is_still_dropped(self, pair):
+        """Nesting the decoder refuses encodes fine: no snapshot rides,
+        and the receiver's parse drops the envelope as it always did."""
+        from repro.serde.codec import MAX_DECODE_DEPTH
+        cluster, a, b = pair
+        got = capture_dispatched(b)
+        assert a.message_manager.send(
+            data_msg(a, b, {"v": nested(MAX_DECODE_DEPTH)}))
+        cluster.sim.run(until=0.5)
+        assert got == []
+        assert b.message_manager.stats.get("malformed").count == 1
+
+    @pytest.mark.parametrize("sealed", [False, True],
+                             ids=["plain", "sealed"])
+    def test_bytes_sent_and_received_balance(self, fast_config, sealed):
+        """Both counters take the envelope, so a cluster that loses
+        nothing (and has nothing in flight) balances."""
+        from repro.common.config import SecurityConfig
+        cluster = SimCluster(nsites=3, config=fast_config.with_(
+            security=SecurityConfig(enabled=sealed)))
+        cluster.sim.run(until=0.2)
+        a, b, _c = cluster.sites
+        a.message_manager.request(status_msg(a, b), lambda reply: None)
+        cluster.sim.run(until=0.5)
+        total = cluster.total_stats()
+        assert total.get("sent").count == total.get("received").count > 0
+        assert (total.get("bytes_sent").total
+                == total.get("bytes_received").total)
+
+
 class TestForwardingMode:
     def test_zombie_forwards_results_to_heir(self, fast_config):
         from repro.common.ids import GlobalAddress

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.common.ids import FileHandle, GlobalAddress
-from repro.serde import dumps, encoded_size, loads, measured_size
+from repro.common.ids import FileHandle, GlobalAddress, ManagerId
+from repro.messages import MsgType, SDMessage
+from repro.serde import dumps, encoded_size, loads, measured_size, wire_copy
 from repro.serde.codec import (MAX_DECODE_DEPTH, read_uvarint, write_uvarint,
                                zigzag)
 
@@ -174,6 +175,183 @@ def test_encoding_deterministic_property(value):
 @given(st.integers())
 def test_int_roundtrip_property(value):
     assert loads(dumps(value)) == value
+
+
+# ---------------------------------------------------------------------------
+# the structural copy: loads(dumps(x)) without the bytes
+
+_hashable_leaves = (st.integers() | st.text(max_size=8)
+                    | st.binary(max_size=8) | st.booleans() | st.none())
+
+#: wire_values plus what the wire changes the type of (frozenset,
+#: bytearray, memoryview), sets, and dict keys that are not strings
+copy_values = st.recursive(
+    wire_values
+    | st.binary(max_size=40).map(bytearray)
+    | st.binary(max_size=40).map(memoryview)
+    | st.sets(_hashable_leaves, max_size=4)
+    | st.frozensets(_hashable_leaves, max_size=4),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.tuples(children, children)
+        | st.dictionaries(
+            _hashable_leaves | st.tuples(st.integers(), st.text(max_size=4)),
+            children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class _Text(str):
+    """Exact-type dispatch: a subclass of a wire type is not a wire type."""
+
+
+#: values the codec refuses, to be buried anywhere inside a legal one
+_strangers = st.sampled_from(
+    [object(), 1j, MsgType.HELP_REQUEST, _Text("x"), range(3), Ellipsis])
+maybe_copyable = st.recursive(
+    copy_values | _strangers,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=10,
+)
+
+
+def assert_same_shape(got, want):
+    """Equal, with identical types at every node and containers that
+    iterate in the same order."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for (gk, gv), (wk, wv) in zip(got.items(), want.items()):
+            assert_same_shape(gk, wk)
+            assert_same_shape(gv, wv)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_shape(g, w)
+    elif isinstance(want, set):
+        assert got == want and list(got) == list(want)
+        assert ({type(item) for item in got}
+                == {type(item) for item in want})
+    else:
+        assert got == want
+
+
+def mutable_ids(value, into=None):
+    """ids of every container under ``value`` a holder could mutate."""
+    into = set() if into is None else into
+    if isinstance(value, (dict, list, set, bytearray, memoryview)):
+        into.add(id(value))
+    if isinstance(value, dict):
+        for key, val in value.items():
+            mutable_ids(key, into)
+            mutable_ids(val, into)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            mutable_ids(item, into)
+    return into
+
+
+class TestWireCopy:
+    @settings(max_examples=150)
+    @given(copy_values)
+    def test_equals_the_round_trip_and_shares_nothing_mutable(self, value):
+        copied = wire_copy(value)
+        assert_same_shape(copied, loads(dumps(value)))
+        assert not mutable_ids(copied) & mutable_ids(value)
+
+    @settings(max_examples=100)
+    @given(maybe_copyable)
+    def test_raises_exactly_when_dumps_does(self, value):
+        try:
+            dumps(value)
+        except SerializationError:
+            with pytest.raises(SerializationError):
+                wire_copy(value)
+        else:
+            assert_same_shape(wire_copy(value), loads(dumps(value)))
+
+    def test_immutable_leaves_are_shared(self):
+        text, blob, addr = "x" * 50, b"y" * 50, GlobalAddress(1, 2)
+        copied = wire_copy([text, blob, addr])
+        assert (copied[0] is text and copied[1] is blob
+                and copied[2] is addr)
+
+    def test_depth_guard_matches_the_decoder(self):
+        value = "leaf"
+        for _ in range(MAX_DECODE_DEPTH):
+            value = [value]
+        assert wire_copy(value) == loads(dumps(value))
+        with pytest.raises(SerializationError):
+            loads(dumps([value]))
+        with pytest.raises(SerializationError):
+            wire_copy([value])
+        # ``depth`` counts containers already around the value on the wire
+        with pytest.raises(SerializationError):
+            wire_copy(value, 1)
+
+    @pytest.mark.parametrize("value", [
+        {frozenset({1})}, {(1, frozenset({2}))}, {frozenset({1}): "v"}],
+        ids=["set-in-set", "set-in-tuple-in-set", "set-as-dict-key"])
+    def test_what_decodes_unhashable_is_refused(self, value):
+        """A frozenset comes off the wire as a set, which nothing can hold
+        as a key or an element: the round trip fails, so the copy does."""
+        with pytest.raises(SerializationError):
+            loads(dumps(value))
+        with pytest.raises(SerializationError):
+            wire_copy(value)
+
+
+_site_ids = st.integers(min_value=-1, max_value=2**20)
+sd_messages = st.builds(
+    SDMessage,
+    type=st.sampled_from(list(MsgType)),
+    src_site=_site_ids, src_manager=st.sampled_from(list(ManagerId)),
+    dst_site=_site_ids, dst_manager=st.sampled_from(list(ManagerId)),
+    payload=st.dictionaries(st.text(max_size=8), copy_values, max_size=4),
+    program=st.integers(min_value=-1, max_value=2**40),
+    seq=st.integers(min_value=-1, max_value=2**40),
+    reply_to=st.integers(min_value=-1, max_value=2**40),
+    src_load=st.floats(min_value=-1.0, max_value=1e6),
+    src_queue=st.floats(min_value=-1.0, max_value=1e6),
+    origin_site=_site_ids,
+    cause_id=st.integers(min_value=-1, max_value=2**63),
+)
+
+_FIELDS = [name for name in SDMessage.__slots__ if name != "_wire"]
+
+
+class TestMessageSnapshot:
+    @settings(max_examples=100)
+    @given(sd_messages)
+    def test_equals_decode_of_encode_field_by_field(self, msg):
+        snap, parsed = msg.snapshot(), SDMessage.decode(msg.encode())
+        for name in _FIELDS:
+            assert_same_shape(getattr(snap, name), getattr(parsed, name))
+        assert snap._wire is None and parsed._wire is None
+        assert not mutable_ids(snap.payload) & mutable_ids(msg.payload)
+
+    def test_enum_fields_come_back_as_members(self):
+        msg = SDMessage(type=10, src_site=0, src_manager=1, dst_site=1,
+                        dst_manager=1)
+        snap = msg.snapshot()
+        assert snap.type is MsgType.HELP_REQUEST
+        assert snap.src_manager is SDMessage.decode(msg.encode()).src_manager
+
+    @pytest.mark.parametrize("field, value", [
+        ("type", 9999), ("dst_manager", 9999), ("payload", [1, 2])])
+    def test_what_decode_rejects_snapshot_rejects(self, field, value):
+        msg = SDMessage(type=MsgType.HEARTBEAT, src_site=0,
+                        src_manager=ManagerId.CLUSTER, dst_site=1,
+                        dst_manager=ManagerId.CLUSTER)
+        setattr(msg, field, value)
+        with pytest.raises(SerializationError):
+            SDMessage.decode(msg.encode())
+        with pytest.raises(SerializationError):
+            msg.snapshot()
 
 
 # ---------------------------------------------------------------------------
