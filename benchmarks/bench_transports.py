@@ -162,21 +162,22 @@ def _throughput(send, sink: _CountingSink, threads: int) -> float:
     return time.perf_counter() - start
 
 
-def _latency(send, sink: _CountingSink) -> float:
+def _latency(send, sink: _CountingSink, pings: int = PINGS) -> float:
     """Mean one-way send-to-receiver-callback time, unloaded queue."""
     total = 0.0
-    for i in range(PINGS):
+    for i in range(pings):
         sink.rearm(1)
         start = time.perf_counter()
         send(b"ping")
         assert sink.done.wait(10.0)
         total += time.perf_counter() - start
-    return total / PINGS
+    return total / pings
 
 
 def test_live_tcp_queued_writer_vs_direct(benchmark):
-    """The reliability layer's cost: per-peer queue + writer thread vs the
-    old inline-``sendall`` path, same loopback socket, same framing."""
+    """The reliability layer's cost: ``TcpTransport.send`` (caller-thread
+    fast path, per-peer queue + writer thread behind it) vs a bare inline
+    ``sendall``, same loopback socket, same framing."""
     cfg = LiveTransportConfig(send_queue_limit=FRAMES + 64)
     results = {}
 
@@ -196,12 +197,19 @@ def test_live_tcp_queued_writer_vs_direct(benchmark):
         client = TcpTransport(lambda d: None, config=cfg)
         try:
             ok = lambda data: client.send(dst, data)  # noqa: E731
-            results["queued 1thr"] = {
+            # connect before the clock starts, as _DirectSender does, and
+            # give the writer thread a moment to retire that first frame
+            _latency(ok, sink, pings=1)
+            time.sleep(0.05)
+            inline = client.stats["inline_sends"]
+            results["transport 1thr"] = {
                 "secs": _throughput(ok, sink, threads=1),
-                "lat": _latency(ok, sink), "threads": 1}
-            results["queued 8thr"] = {
+                "lat": _latency(ok, sink), "threads": 1,
+                "inline": inline.count}
+            results["transport 8thr"] = {
                 "secs": _throughput(ok, sink, threads=8),
-                "lat": None, "threads": 8}
+                "lat": None, "threads": 8,
+                "inline": inline.count - results["transport 1thr"]["inline"]}
             results["dead_letters"] = client.stats.get("dead_letters").total
         finally:
             client.close()
@@ -210,23 +218,34 @@ def test_live_tcp_queued_writer_vs_direct(benchmark):
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     rows = []
-    for name in ("direct 1thr", "queued 1thr", "queued 8thr"):
+    for name in ("direct 1thr", "transport 1thr", "transport 8thr"):
         r = results[name]
         lat = f"{r['lat'] * 1e6:.0f}us" if r["lat"] is not None else "-"
+        # share of the timed frames (throughput + latency pings) that the
+        # sending thread wrote itself; the rest went through the writer
+        sends = FRAMES + (PINGS if r["lat"] is not None else 0)
+        inline = f"{r['inline'] / sends:.0%}" if "inline" in r else "-"
         rows.append([name, r["threads"], f"{FRAMES / r['secs']:,.0f}/s",
-                     lat])
+                     lat, inline])
     write_result("live_tcp_reliability", render_table(
-        f"Live TCP: queued writer vs direct sendall "
+        f"Live TCP: TcpTransport.send vs direct sendall "
         f"({FRAMES} x {PAYLOAD}B frames, loopback)",
-        ["send path", "threads", "throughput", "one-way latency"],
+        ["send path", "threads", "throughput", "one-way latency",
+         "sent inline"],
         rows))
 
     assert results["dead_letters"] == 0
-    # the queue must not cost an order of magnitude: the writer thread adds
-    # a hop, but sendall still dominates
-    assert (results["queued 1thr"]["secs"]
-            < results["direct 1thr"]["secs"] * 10)
-    benchmark.extra_info["queued_vs_direct_slowdown"] = round(
-        results["queued 1thr"]["secs"] / results["direct 1thr"]["secs"], 3)
-    benchmark.extra_info["queued_8thr_throughput"] = round(
-        FRAMES / results["queued 8thr"]["secs"], 1)
+    # One sender on a healthy connection writes the frame itself, so what
+    # the reliability layer costs is Python bookkeeping, not a thread hop:
+    # a lock, the queue and three locked counters, about 4 us on a 2 us
+    # syscall.  Measured 2.6-3.3x direct (4.5x with the hop) and latency
+    # at parity; with the counters stubbed out it is still 2.0x, so the
+    # bound below is what a run on a busy box holds, not the target.
+    assert (results["transport 1thr"]["secs"]
+            < results["direct 1thr"]["secs"] * 4)
+    assert results["transport 1thr"]["inline"] >= 0.9 * (FRAMES + PINGS)
+    benchmark.extra_info["transport_vs_direct_slowdown"] = round(
+        results["transport 1thr"]["secs"] / results["direct 1thr"]["secs"],
+        3)
+    benchmark.extra_info["transport_8thr_throughput"] = round(
+        FRAMES / results["transport 8thr"]["secs"], 1)

@@ -415,10 +415,14 @@ class CodeManager(Manager):
             self._binaries[(payload["pid"], payload["tid"],
                             payload["platform"])] = payload["binary"]
             self.stats.inc("binaries_stored")
-            self._awaiting_push.discard(key)
-            timer = self._push_fallbacks.pop(key, None)
-            if timer is not None:
-                self.kernel.cancel(timer)
+            if payload["platform"] == self.platform:
+                # only a binary we can run ends the wait: a peer on another
+                # platform pushes its own, and disarming the fallback for
+                # that would park a deferred local demand for ever
+                self._awaiting_push.discard(key)
+                timer = self._push_fallbacks.pop(key, None)
+                if timer is not None:
+                    self.kernel.cancel(timer)
             if key in self._pending and key not in self._compiled:
                 # a demand parked on this push (or a remote fetch raced
                 # it): resolve the waiters straight from the fresh binary

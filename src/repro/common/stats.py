@@ -196,9 +196,9 @@ class StatSet:
         self.add(name, 1.0)
 
     def add(self, name: str, value: float) -> None:
-        # Counters sit on the per-message hot path; the unlocked (sim)
-        # branch inlines __getitem__ + Counter.add to avoid three calls per
-        # counted event.
+        # Counters sit on the per-message hot path (the live transport's
+        # locked ones too); both branches inline __getitem__ + Counter.add
+        # to avoid three calls per counted event.
         lock = self._lock
         if lock is None:
             counter = self._counters.get(name)
@@ -208,7 +208,11 @@ class StatSet:
             counter.total += value
             return
         with lock:
-            self[name].add(value)
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counters[name] = Counter()
+            counter.count += 1
+            counter.total += value
 
     def get(self, name: str) -> Counter:
         """Read-only access that does not create the counter."""

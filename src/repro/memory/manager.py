@@ -26,6 +26,7 @@ drives dataflow timing.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import FrameStateError, MemoryFault
@@ -49,7 +50,9 @@ class AttractionMemory(Manager):
 
     def __init__(self, site) -> None:  # noqa: ANN001
         super().__init__(site)
-        self._next_local = 1
+        #: local half of the next address; ``next()`` on it is one C call,
+        #: so live worker threads allocate without visiting the reactor
+        self._next_local = itertools.count(1)
         #: incomplete microframes waiting for parameters
         self.frames: Dict[GlobalAddress, Microframe] = {}
         #: results that arrived before their frame was registered
@@ -74,10 +77,9 @@ class AttractionMemory(Manager):
     # address allocation
 
     def alloc_address(self) -> GlobalAddress:
-        """Fresh global address homed at this site."""
-        addr = GlobalAddress(self.local_id, self._next_local)
-        self._next_local += 1
-        return addr
+        """Fresh global address homed at this site (safe from any
+        thread; every other method here belongs to the reactor)."""
+        return GlobalAddress(self.local_id, next(self._next_local))
 
     # ------------------------------------------------------------------
     # microframes
@@ -253,6 +255,16 @@ class AttractionMemory(Manager):
 
     def alloc_object(self, value: Any) -> GlobalAddress:
         addr = self.alloc_address()
+        self.adopt_new_object(addr, value)
+        return addr
+
+    def adopt_new_object(self, addr: GlobalAddress, value: Any) -> None:
+        """Own and publish a new object at an address taken from
+        :meth:`alloc_address` — the half of an allocation that needs the
+        reactor.  A live worker takes the address itself and posts this:
+        the reactor's FIFO queue runs it before any later read by the
+        same microthread, and before the completion that first shows the
+        address to anyone else."""
         self.objects[addr] = value
         self._versions[addr] = 0
         shared = getattr(self.kernel, "shared", None)
@@ -260,7 +272,6 @@ class AttractionMemory(Manager):
             shared.objects[addr.pack()] = (self.local_id, value, 0)
         self.stats.inc("objects_allocated")
         self._publish_dir(addr)
-        return addr
 
     def sim_read(self, addr: GlobalAddress) -> Tuple[Any, float]:
         """Resolve a read; returns (value, modelled wait seconds).

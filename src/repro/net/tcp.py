@@ -10,8 +10,17 @@ length-prefixed framing from :mod:`repro.serde.framing`.
 Reliability model (see ``LiveTransportConfig``):
 
 * Every destination gets a bounded **send queue** drained by a dedicated
-  writer thread — the single writer per socket is what serializes frames,
-  so concurrent ``send`` calls can never interleave bytes on the stream.
+  writer thread.  At most one thread writes to a peer's socket at a time:
+  that is what serializes frames, so concurrent ``send`` calls can never
+  interleave bytes on the stream.
+* On a healthy connection with nothing queued, ``send`` is that one
+  writer itself (the **fast path**): a non-blocking ``send(2)`` under the
+  peer's lock, on the caller's thread, with no hand-off.  Anything else —
+  no socket yet, a backlog, a failure outstanding, a full kernel buffer,
+  the unsent tail of a partial write — stays queued for the writer
+  thread, so everything below is its business alone.  The writer clears a
+  backlog on a healthy connection with the same non-blocking writes,
+  holding the lock, so a burst that once queued does not stay queued.
 * The writer **reconnects with exponential backoff** when a write fails
   (a stale cached connection after a peer restart is retried with a fresh
   socket instead of silently dropping the frame).
@@ -44,6 +53,11 @@ from repro.serde.framing import FrameDecoder, frame
 #: zero bytes, so receivers can filter these without parsing)
 _KEEPALIVE = frame(b"")
 
+#: per-call non-blocking flag for the fast path (the sockets themselves
+#: stay blocking for the writer's ``sendall``); 0 where the platform has
+#: none, which turns the fast path off
+_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
+
 
 def _hard_close(sock: socket.socket) -> None:
     """Shutdown-then-close.  A plain ``close`` on a socket another thread
@@ -71,7 +85,7 @@ class _Peer:
     """Outgoing state for one destination: queue, socket, failure record."""
 
     __slots__ = ("addr", "queue", "cond", "sock", "writer", "failures",
-                 "suspected")
+                 "suspected", "head_sent")
 
     def __init__(self, addr: str) -> None:
         self.addr = addr
@@ -83,6 +97,10 @@ class _Peer:
         self.failures = 0
         #: failure detector already fired for the current outage
         self.suspected = False
+        #: bytes of ``queue[0]`` a non-blocking write already put on
+        #: ``sock``; whoever invalidates the socket zeroes it, because a
+        #: fresh connection must carry the frame from its first byte
+        self.head_sent = 0
 
 
 class TcpTransport:
@@ -181,6 +199,10 @@ class TcpTransport:
     # outbound path: per-peer queue + writer thread
 
     def _peer(self, dst: str) -> _Peer:
+        peer = self._peers.get(dst)  # peers are never removed
+        if peer is not None:
+            return peer
+        _parse(dst)  # validate early; writer threads rely on a good address
         with self._peers_lock:
             peer = self._peers.get(dst)
             if peer is None:
@@ -192,30 +214,67 @@ class TcpTransport:
             return peer
 
     def send(self, dst: str, data: bytes) -> bool:
-        """Queue ``data`` for delivery to ``dst``.
+        """Deliver ``data`` to ``dst``: written at once on the caller's
+        thread when the connection allows, queued for the writer if not.
 
-        Returns False only for failures known *immediately*: transport
-        closed, or the peer's queue is full (backpressure).  A True return
-        means "accepted for delivery with retries"; if the peer stays
-        unreachable past the retry budget the frame is dead-lettered and
-        :attr:`on_peer_down` fires.  Malformed addresses raise
-        :class:`AddressError`.
+        Never blocks on the network.  Returns False only for failures
+        known *immediately*: transport closed, or the peer's queue is full
+        (backpressure).  A True return means "accepted for delivery with
+        retries"; if the peer stays unreachable past the retry budget the
+        frame is dead-lettered and :attr:`on_peer_down` fires.  Malformed
+        addresses raise :class:`AddressError`.
         """
         if self._closed.is_set():
             return False
-        _parse(dst)  # validate early; writer threads rely on a good address
         payload = frame(data)
         peer = self._peer(dst)
         with peer.cond:
             if len(peer.queue) >= self._config.send_queue_limit:
                 self.stats.inc("queue_full_drops")
                 return False
+            # The writer leaves a frame at the head of the queue while it
+            # delivers it, so an empty queue also means the writer is idle
+            # and this thread may be the socket's one writer.
+            idle = not peer.queue
             peer.queue.append(payload)
+            if idle:
+                self._pump(peer)
+                if not peer.queue:
+                    self.stats.inc("inline_sends")
+                    return True
             depth = len(peer.queue)
             peer.cond.notify()
         self.stats.inc("frames_enqueued")
         self.stats.set_gauge("send_queue_depth", depth)
         return True
+
+    def _pump(self, peer: _Peer) -> None:
+        """Fast path, under ``peer.cond``: on a healthy connection, write
+        queued frames with non-blocking sends until the queue is empty or
+        the kernel's buffer is full.  What stays queued — from
+        ``head_sent`` on — is the writer's to deliver, with its blocking
+        ``sendall``, retries and backoff; an error here only invalidates
+        the socket and leaves the rest to that machinery too."""
+        sock = peer.sock
+        if sock is None or peer.failures or peer.suspected or not _DONTWAIT:
+            return
+        while peer.queue:
+            payload = peer.queue[0]
+            rest = (memoryview(payload)[peer.head_sent:] if peer.head_sent
+                    else payload)
+            try:
+                peer.head_sent += sock.send(rest, _DONTWAIT)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                self._drop_socket(peer)
+                return
+            if peer.head_sent < len(payload):
+                return
+            peer.queue.popleft()
+            peer.head_sent = 0
+            self.stats.inc("frames_sent")
+            self.stats.add("bytes_sent", len(payload))
 
     def _writer_loop(self, peer: _Peer) -> None:
         while True:
@@ -224,6 +283,13 @@ class TcpTransport:
                     peer.cond.wait()
                 if self._closed.is_set():
                     return
+                # a backlog on a good connection drains right here: senders
+                # wait on the lock meanwhile, so they cannot outrun it, and
+                # find the queue empty — the fast path theirs again — after
+                self._pump(peer)
+                if not peer.queue:
+                    self.stats.set_gauge("send_queue_depth", 0)
+                    continue
                 payload = peer.queue[0]
             if self._deliver(peer, payload):
                 with peer.cond:
@@ -252,12 +318,16 @@ class TcpTransport:
         for attempt in range(cfg.retry_budget):
             if self._closed.is_set():
                 return False
-            sock = peer.sock
+            with peer.cond:
+                # read together: the socket, and how much of this frame a
+                # partial fast-path write already put on *that* socket
+                sock, skip = peer.sock, peer.head_sent
             if sock is None:
                 sock = self._connect(peer)
             if sock is not None:
                 try:
-                    sock.sendall(payload)
+                    sock.sendall(memoryview(payload)[skip:])
+                    peer.head_sent = 0
                     peer.failures = 0
                     if peer.suspected:
                         peer.suspected = False
@@ -305,6 +375,7 @@ class TcpTransport:
         with peer.cond:
             if peer.sock is sock:
                 peer.sock = None
+                peer.head_sent = 0
                 self.stats.inc("stale_connections")
         try:
             sock.close()
@@ -313,6 +384,7 @@ class TcpTransport:
 
     def _drop_socket(self, peer: _Peer) -> None:
         sock, peer.sock = peer.sock, None
+        peer.head_sent = 0
         if sock is not None:
             _hard_close(sock)
 

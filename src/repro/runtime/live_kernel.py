@@ -15,7 +15,7 @@ import queue
 import random
 import threading
 import time
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.common.errors import SDVMError
 from repro.net.base import Transport
@@ -50,6 +50,7 @@ class LiveKernel(Kernel):
         self.started_at = time.monotonic()
         self._stopping = threading.Event()
         self._receiver: Optional[Callable[[bytes], None]] = None
+        self._shutdown_hooks: List[Callable[[], None]] = []
         self._peer_watcher: Optional[Callable[[str], None]] = None
         self.transport = make_transport(self._on_raw)
         # reliable transports report suspected-dead peers; route those onto
@@ -138,9 +139,11 @@ class LiveKernel(Kernel):
                      timeout: float = 10.0) -> Any:
         """Run ``fn`` on the reactor and return its result (blocking).
 
-        Used by worker threads for context operations that need manager
-        state (allocations, reads).  Calling from the reactor itself runs
-        inline.
+        Used by client threads that need manager state (submit, sign-off,
+        status queries); microthread workers never call it — their blocking
+        operations wait on a callback instead
+        (:meth:`~repro.runtime.live_proc.LiveExecutionContext._await`).
+        Calling from the reactor itself runs inline.
         """
         if self.on_reactor():
             return fn()
@@ -221,6 +224,13 @@ class LiveKernel(Kernel):
     def local_physical(self) -> str:
         return self.transport.local_address()
 
+    def at_shutdown(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` once when the kernel shuts down — for threads
+        that live as long as the site does, however it goes down (stop,
+        sign-off or crash).  Hooks run after the reactor has handled its
+        last item: on the reactor itself, or once it has been joined."""
+        self._shutdown_hooks.append(hook)
+
     def shutdown(self) -> None:
         if self._stopping.is_set():
             return
@@ -230,3 +240,5 @@ class LiveKernel(Kernel):
         self._timer_wakeup.set()
         if not self.on_reactor():
             self._reactor.join(timeout=2.0)
+        for hook in self._shutdown_hooks:
+            hook()

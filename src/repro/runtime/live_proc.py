@@ -1,17 +1,23 @@
 """Live processing manager + blocking execution context.
 
-Microthreads run on real worker threads; every interaction with manager
-state happens via the site's reactor.  Side effects are buffered and
-dispatched at completion on the reactor (same semantics as the sim kernel);
-global-memory reads are real blocking round trips through the attraction
-memory's message protocol.
+Microthreads run on a small pool of persistent worker threads; every
+interaction with manager state happens via the site's reactor.  One
+execution costs two thread hand-offs — the reactor queues the job for a
+worker, the worker posts the completion back — plus one blocking round
+trip per operation whose answer only the reactor can compute (a
+global-memory read, file I/O).  Side effects are buffered and dispatched
+at completion on the reactor (same semantics as the sim kernel);
+addresses come from an atomic counter and a ``malloc`` posts its
+adoption, so neither waits.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
+import time
 import traceback
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import MemoryFault, ProgramError, SDVMError
 from repro.common.ids import FileHandle, GlobalAddress, ManagerId
@@ -35,6 +41,9 @@ class LiveExecutionContext(ExecutionContext):
         self._site = site
         self.effects: list = []
         self.wait_time = 0.0
+        #: blocking reactor round trips this execution made (folded into
+        #: the manager's ``ctx_round_trips`` at completion, on the reactor)
+        self.round_trips = 0
 
     def _emit(self, effect: Effect) -> None:
         self.effects.append(effect)
@@ -50,6 +59,7 @@ class LiveExecutionContext(ExecutionContext):
             box[1] = error
             done.set()
 
+        self.round_trips += 1
         started = self._site.kernel.now
         self._site.kernel.post(starter, cb)
         if not done.wait(OP_TIMEOUT):
@@ -60,13 +70,17 @@ class LiveExecutionContext(ExecutionContext):
         return box[0]
 
     # -- primitives --------------------------------------------------------
+    # Only what the reactor must compute blocks (``_await``): reads and
+    # file I/O.  Allocation does not — the address counter is atomic, and
+    # the reactor adopts a new object before anything can ask for it.
     def _op_alloc_frame_address(self) -> GlobalAddress:
-        return self._site.kernel.reactor_call(
-            self._site.attraction_memory.alloc_address)
+        return self._site.attraction_memory.alloc_address()
 
     def _op_malloc(self, value: Any) -> GlobalAddress:
-        return self._site.kernel.reactor_call(
-            lambda: self._site.attraction_memory.alloc_object(value))
+        memory = self._site.attraction_memory
+        address = memory.alloc_address()
+        self._site.kernel.post(memory.adopt_new_object, address, value)
+        return address
 
     def _op_read(self, address: GlobalAddress) -> Any:
         return self._await(
@@ -102,6 +116,13 @@ class LiveProcessingManager(Manager):
         self.waiting = 0  # parity with the sim manager's interface
         self._outstanding_requests = 0
         self.work_done = 0.0
+        #: jobs for the worker pool; ``None`` tells one worker to exit
+        self._jobs: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
+        #: persistent workers, started on demand up to ``max_parallel + 1``
+        #: (the overcommit slot) and stopped with the kernel — whichever
+        #: way the site goes down: stop, sign-off or crash
+        self._workers: List[threading.Thread] = []
+        self.kernel.at_shutdown(self._stop_workers)
 
     @property
     def max_parallel(self) -> int:
@@ -141,25 +162,52 @@ class LiveProcessingManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "exec_begin",
                     frame.frame_id.pack(), compiled.name,
                     frame.cause_node, frame.cause_origin)
-        worker = threading.Thread(
-            target=self._worker, args=(frame, compiled, ctx, epoch),
-            name=f"sdvm-exec-{self.local_id}", daemon=True)
-        worker.start()
+        # every worker serves one job at a time, so a job beyond their
+        # number would wait behind a running microthread: grow the pool
+        # (not on a stopped site, whose reactor is only draining its queue)
+        if (len(self._workers) < min(self.in_flight, self.max_parallel + 1)
+                and self.site.running):
+            worker = threading.Thread(
+                target=self._worker_loop,
+                name=f"sdvm-exec-{self.local_id}", daemon=True)
+            self._workers.append(worker)
+            self.stats.inc("workers_started")
+            worker.start()
+        self._jobs.put((frame, compiled, ctx, epoch))
 
-    # -- worker thread ------------------------------------------------------
-    def _worker(self, frame: Microframe, compiled: CompiledMicrothread,
-                ctx: LiveExecutionContext, epoch: int) -> None:
-        error: Optional[str] = None
-        try:
-            compiled.entry(ctx, *frame.arguments())
-        except Exception:  # noqa: BLE001 — user code
-            error = traceback.format_exc(limit=3)
-        self.kernel.post(self._complete, frame, ctx, epoch, error)
+    # -- worker threads -----------------------------------------------------
+    def _worker_loop(self) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            frame, compiled, ctx, epoch = job
+            error: Optional[str] = None
+            try:
+                compiled.entry(ctx, *frame.arguments())
+            except Exception:  # noqa: BLE001 — user code
+                error = traceback.format_exc(limit=3)
+            self.kernel.post(self._complete, frame, ctx, epoch, error)
+
+    def _stop_workers(self) -> None:
+        """Kernel shutdown hook: end the pool, and wait briefly so a
+        process that builds many clusters does not pile up idle threads
+        (a worker stuck in user code is abandoned; it is a daemon)."""
+        workers, self._workers = self._workers, []
+        for _ in workers:
+            self._jobs.put(None)
+        deadline = time.monotonic() + 0.5
+        current = threading.current_thread()
+        for worker in workers:
+            if worker is not current:
+                worker.join(max(0.0, deadline - time.monotonic()))
 
     # -- back on the reactor --------------------------------------------------
     def _complete(self, frame: Microframe, ctx: LiveExecutionContext,
                   epoch: int, error: Optional[str]) -> None:
         tr = self.tracer
+        if ctx.round_trips:
+            self.stats.add("ctx_round_trips", ctx.round_trips)
         if error is not None:
             self.stats.inc("microthread_errors")
             self.log("microthread raised:\n%s", error)

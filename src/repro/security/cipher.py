@@ -12,6 +12,7 @@ Sealed envelope layout: ``nonce(16) || tag(32) || ciphertext``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import struct
@@ -39,21 +40,31 @@ def derive_key(*parts: bytes | str | int) -> bytes:
     return h.digest()
 
 
-def _mac_key(key: bytes) -> bytes:
-    return hashlib.sha256(b"mac" + key).digest()
+@functools.lru_cache(maxsize=256)
+def _keyed_mac(key: bytes) -> "_hmac.HMAC":
+    """HMAC state already keyed with ``key``'s MAC key.  Keying costs two
+    SHA-256 compressions plus the derivation; callers ``.copy()`` the
+    state per message instead of paying that again."""
+    return _hmac.new(hashlib.sha256(b"mac" + key).digest(),
+                     digestmod=hashlib.sha256)
+
+
+def _tag(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
+    mac = _keyed_mac(key).copy()
+    mac.update(nonce)
+    mac.update(ciphertext)
+    return mac.digest()
 
 
 def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    out = bytearray(len(data))
+    size = len(data)
     prefix = key + nonce
-    for block_index in range(0, (len(data) + _BLOCK - 1) // _BLOCK):
-        block = hashlib.sha256(
-            prefix + struct.pack(">Q", block_index)).digest()
-        start = block_index * _BLOCK
-        chunk = data[start:start + _BLOCK]
-        for i, byte in enumerate(chunk):
-            out[start + i] = byte ^ block[i]
-    return bytes(out)
+    stream = b"".join(
+        hashlib.sha256(prefix + struct.pack(">Q", block_index)).digest()
+        for block_index in range((size + _BLOCK - 1) // _BLOCK))
+    # one big-integer XOR instead of a Python-level loop over the bytes
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream[:size], "big")).to_bytes(size, "big")
 
 
 def seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
@@ -68,9 +79,7 @@ def seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
     if len(nonce) != NONCE_SIZE:
         raise SecurityError(f"nonce must be {NONCE_SIZE} bytes")
     ciphertext = _keystream_xor(key, nonce, plaintext)
-    tag = _hmac.new(_mac_key(key), nonce + ciphertext,
-                    hashlib.sha256).digest()
-    return nonce + tag + ciphertext
+    return nonce + _tag(key, nonce, ciphertext) + ciphertext
 
 
 def open_sealed(key: bytes, sealed: bytes) -> bytes:
@@ -82,8 +91,6 @@ def open_sealed(key: bytes, sealed: bytes) -> bytes:
     nonce = sealed[:NONCE_SIZE]
     tag = sealed[NONCE_SIZE:NONCE_SIZE + TAG_SIZE]
     ciphertext = sealed[NONCE_SIZE + TAG_SIZE:]
-    expected = _hmac.new(_mac_key(key), nonce + ciphertext,
-                         hashlib.sha256).digest()
-    if not _hmac.compare_digest(tag, expected):
+    if not _hmac.compare_digest(tag, _tag(key, nonce, ciphertext)):
         raise SecurityError("message authentication failed")
     return _keystream_xor(key, nonce, ciphertext)

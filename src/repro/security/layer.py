@@ -58,6 +58,9 @@ class SecurityLayer:
         self.simulate = simulate
         self._password = cluster_password
         self._session_keys: Dict[str, bytes] = {}
+        #: password-derived initial key per peer, derived once (it sits on
+        #: the per-message path until a session key replaces it)
+        self._derived_keys: Dict[str, bytes] = {}
         #: previous key per peer: messages sealed before a rotation may
         #: still be in flight when the new key installs (rollover grace)
         self._previous_keys: Dict[str, bytes] = {}
@@ -80,8 +83,12 @@ class SecurityLayer:
         key = self._session_keys.get(peer_addr)
         if key is not None:
             return key
-        low, high = sorted((self.local_addr, peer_addr))
-        return derive_key(self._password, low, high)
+        key = self._derived_keys.get(peer_addr)
+        if key is None:
+            low, high = sorted((self.local_addr, peer_addr))
+            key = self._derived_keys[peer_addr] = derive_key(
+                self._password, low, high)
+        return key
 
     def install_session_key(self, peer_addr: str, key: bytes) -> None:
         """Adopt a DH-negotiated session key for ``peer_addr``."""

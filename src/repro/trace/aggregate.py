@@ -106,10 +106,16 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
     per_site: Dict[int, StatSet] = {}
     merged = StatSet()
     busy = busy_sites = 0.0
+    inline_sends = queued_sends = 0.0
     for index, site in enumerate(sites):
         stats = site_stats(site)
         per_site[getattr(site, "site_id", index)] = stats
         merged.merge(stats)
+        # the transport is not a manager: its counters live on the kernel
+        # (live TCP only; the sim and the in-process hub keep none)
+        transport_stats = getattr(site.kernel, "transport_stats", dict)()
+        inline_sends += transport_stats.get("inline_sends", 0.0)
+        queued_sends += transport_stats.get("frames_enqueued", 0.0)
         cpu = getattr(site.kernel, "cpu", None)
         if cpu is not None:
             busy += cpu.busy_total
@@ -125,6 +131,14 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         # rewrote (the rest dispatch the sender's snapshot)
         "parsed_per_msg": _rate(merged.get("parsed").count,
                                 merged.get("received").count),
+        # live-kernel thread hand-offs beyond the two every execution pays
+        # (reactor -> worker -> reactor): blocking context operations per
+        # execution, and the share of frames the sending thread wrote
+        # itself instead of handing to a writer thread; both 0 on the sim
+        "round_trips_per_exec": _rate(merged.get("ctx_round_trips").total,
+                                      merged.get("executions").count),
+        "inline_send_frac": _rate(inline_sends,
+                                  inline_sends + queued_sends),
         # grants over *attempts*: help_sent counts at send time, so
         # requests that time out with no reply at all still land in the
         # denominator (a timed-out request is a failed attempt, not a

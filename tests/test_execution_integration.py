@@ -303,6 +303,42 @@ class TestHeterogeneous:
         assert stats.get("sources_received").count > 0   # source shipped
         assert stats.get("compiles").count >= 2          # compiled twice
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("app, nsites", [
+        ("treesum", 2), ("treesum", 3), ("treesum", 4), ("memstress", 2)])
+    def test_foreign_platform_push_keeps_fallback_armed(self, app, nsites,
+                                                        seed):
+        """Regression: the code home defers a demand because a peer holds
+        the compile duty (``compile_deferrals``), the peer's
+        CODE_PUSH_BINARY arrives — for the *peer's* platform — and used to
+        cancel the fallback timer, so the demand waited for ever ("no
+        progress for 30 virtual seconds" at every seed).  Only a binary
+        for the local platform may disarm the fallback."""
+        from repro.apps import (build_memstress_program,
+                                build_treesum_program, memstress_expected,
+                                treesum_expected)
+        from repro.bench.harness import bench_config
+
+        if app == "treesum":
+            program, args = build_treesum_program(), (64, 2000.0)
+            expected = treesum_expected(64)
+        else:
+            program, args = build_memstress_program(), (32, 50.0)
+            expected = memstress_expected(32)
+        cluster = SimCluster(
+            site_configs=[SiteConfig(name=f"s{i}", platform=f"plat-{i % 2}")
+                          for i in range(nsites)],
+            config=bench_config(seed=seed))
+        handle = cluster.submit(program, args=args)
+        cluster.run(progress_timeout=30.0)
+        assert handle.result == expected
+        stats = cluster.total_stats()
+        # the run went through the branch that used to hang ...
+        assert stats.get("compile_deferrals").count >= 1
+        assert stats.get("binaries_stored").count >= 1
+        # ... and the fallback timer, not a usable push, ended the wait
+        assert stats.get("push_fallback_compiles").count >= 1
+
     def test_binary_reuse_same_platform(self, fast_config):
         """Same-platform sites receive binaries, not source (§3.4).
 

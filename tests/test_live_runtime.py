@@ -4,11 +4,12 @@ blocking contexts, and multiprocess deployment.
 
 from __future__ import annotations
 
-import time
+import threading
 
 import pytest
 
-from repro.common.config import CostModel, SDVMConfig, SecurityConfig, SiteConfig
+from repro.common.config import (CostModel, SchedulingConfig, SDVMConfig,
+                                 SecurityConfig, SiteConfig)
 from repro.common.errors import SDVMError
 from repro.core.program import ProgramBuilder
 from repro.runtime.live_cluster import LiveCluster
@@ -80,6 +81,51 @@ def file_program():
         ctx.exit_program(data)
 
     return prog.build()
+
+
+def malloc_program():
+    """main reads back every object it has just allocated, then hands each
+    address to a child (which may be stolen): the child reads and doubles
+    it, and a grandchild reads the doubled value."""
+    prog = ProgramBuilder("mallocs")
+
+    @prog.microthread(creates=("child", "collect"))
+    def main(ctx, n, token):
+        collector = ctx.create_frame("collect", nparams=n + 1)
+        own = []
+        for i in range(n):
+            addr = ctx.malloc(token + i)
+            own.append(ctx.read(addr))
+            child = ctx.create_frame("child", targets=[(collector, i)])
+            ctx.send_result(child, 0, addr)
+        ctx.send_result(collector, n, own)
+
+    @prog.microthread(creates=("check",))
+    def child(ctx, addr):
+        seen = ctx.read(addr)
+        ctx.write(addr, seen * 2)
+        spin = 0
+        for _ in range(2000):  # long enough for the other site to steal
+            spin += 1
+        check = ctx.create_frame("check", targets=ctx.targets())
+        ctx.send_result(check, 0, addr)
+        ctx.send_result(check, 1, seen)
+        ctx.send_result(check, 2, ctx.site)
+
+    @prog.microthread
+    def check(ctx, addr, seen, child_site):
+        ctx.send_to_targets((child_site, seen, ctx.read(addr)))
+
+    @prog.microthread
+    def collect(ctx, *values):
+        ctx.exit_program(list(values))
+
+    return prog.build()
+
+
+def exec_threads():
+    return {t for t in threading.enumerate()
+            if t.name.startswith("sdvm-exec-") and t.is_alive()}
 
 
 class TestInProc:
@@ -173,6 +219,106 @@ class TestTcp:
         with LiveCluster(nsites=2, config=CFG,
                          transport="tcp") as cluster:
             assert cluster.run(memory_program(), timeout=20) == 99
+
+
+class TestWorkerPool:
+    """Microthreads run on a bounded pool of persistent workers."""
+
+    def test_pool_is_bounded_and_stopped_at_shutdown(self):
+        leftovers = exec_threads()  # other tests' stragglers, if any
+        site_config = SiteConfig(name="solo", max_parallel=3)
+        with LiveCluster(site_configs=[site_config], config=CFG) as cluster:
+            expected = sum(i * i for i in range(298))
+            assert cluster.run(fanout_program(), args=(298,),
+                               timeout=30) == expected
+            pm = cluster.sites[0].processing_manager
+            assert pm.stats.get("executions").count == 300
+            started = pm.stats.get("workers_started").count
+            assert 1 <= started <= site_config.max_parallel + 1
+            assert len(exec_threads() - leftovers) == started
+        # the suite builds dozens of clusters in one process: a pool that
+        # outlived its cluster would pile up
+        assert not exec_threads() - leftovers
+
+    def test_crashed_site_stops_its_workers(self):
+        leftovers = exec_threads()
+        with LiveCluster(nsites=2, config=CFG) as cluster:
+            assert cluster.run(fanout_program(), args=(12,),
+                               timeout=20) == sum(i * i for i in range(12))
+            cluster.crash_site(1)
+        assert not exec_threads() - leftovers
+
+    def test_raising_microthread_frees_worker_and_slot(self):
+        prog = ProgramBuilder("boom")
+
+        @prog.microthread
+        def main(ctx):
+            raise RuntimeError("live failure")
+
+        boom = prog.build()
+        site_config = SiteConfig(name="solo", max_parallel=1)
+        with LiveCluster(site_configs=[site_config], config=CFG) as cluster:
+            for _ in range(5):
+                with pytest.raises(SDVMError, match="failed"):
+                    cluster.submit(boom).wait(15)
+            # one slot, one overcommit slot: five lost ones would wedge it
+            assert cluster.run(fanout_program(), args=(20,),
+                               timeout=20) == sum(i * i for i in range(20))
+            pm = cluster.sites[0].processing_manager
+            assert pm.stats.get("microthread_errors").count == 5
+            assert pm.stats.get("workers_started").count <= 2
+            assert cluster.sites[0].kernel.reactor_call(
+                lambda: pm.in_flight) == 0
+
+
+class TestHandOffs:
+    """Which context operations wait for the reactor, and which frames
+    the sending thread writes itself."""
+
+    CONFIG = SDVMConfig(
+        cost=CostModel(compile_fixed_cost=1e-4),
+        scheduling=SchedulingConfig(ready_target=1, keep_local_min=0))
+
+    def test_malloc_is_ordered_before_its_readers(self):
+        """A posted allocation is adopted before the allocating
+        microthread's own read, and before a child on the other site can
+        ask for it over TCP — 50 programs to shake the ordering."""
+        n = 8
+        with LiveCluster(nsites=2, config=self.CONFIG,
+                         transport="tcp") as cluster:
+            program = malloc_program()
+            for round_ in range(50):
+                token = 1000 * (round_ + 1)
+                *children, own = cluster.run(program, args=(n, token),
+                                             timeout=20)
+                assert own == [token + i for i in range(n)]
+                assert [(seen, final) for _site, seen, final in children] \
+                    == [(token + i, 2 * (token + i)) for i in range(n)]
+            home, thief = cluster.sites
+            # the remote half of the argument was exercised, not skipped
+            assert thief.attraction_memory.stats.get(
+                "reads_remote").count > 0
+            assert home.processing_manager.stats.get(
+                "ctx_round_trips").total > 0
+
+    def test_memstress_round_trips_and_inline_sends(self):
+        from repro.apps import build_memstress_program, memstress_expected
+
+        with LiveCluster(nsites=2, config=self.CONFIG,
+                         transport="tcp") as cluster:
+            for _ in range(3):
+                assert cluster.run(build_memstress_program(),
+                                   args=(64, 1.0),
+                                   timeout=30) == memstress_expected(64)
+        report = cluster.cluster_report()
+        # per program: main (64 mallocs, 128 create_frames) never waits
+        # for the reactor, each of the 64 touches waits once (its read),
+        # the 64 collects never
+        assert report.merged.get("executions").count == 3 * 129
+        assert report.merged.get("ctx_round_trips").total == 3 * 64
+        assert report.derived["round_trips_per_exec"] == pytest.approx(
+            64 / 129)
+        assert report.derived["inline_send_frac"] >= 0.9
 
 
 @pytest.mark.slow

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,45 @@ from repro.security.layer import SecurityLayer
 KEY = derive_key("test-password", "a", "b")
 NONCE = bytes(NONCE_SIZE)
 
+#: ``seal(KEY, bytes(range(256))-cycled[:size], bytes(range(16)))`` as the
+#: byte-by-byte implementation before the big-integer XOR produced it
+#: (hex of the whole envelope; SHA-256 of it for the 1000-byte case)
+GOLDEN_NONCE = bytes(range(NONCE_SIZE))
+GOLDEN = {
+    0: "000102030405060708090a0b0c0d0e0fbc96ed449104a26dea592cd8732e298a"
+       "875241967ee1ff64be3bcb52ad0ce2d4",
+    1: "000102030405060708090a0b0c0d0e0f85e425051e2dac4cd30a548362c67d53"
+       "c9a17c453678bae95cd5b1968c0b5627ef",
+    31: "000102030405060708090a0b0c0d0e0fe8bba4bdad2c09594f58c93f317262e5"
+        "9719592451bf9140787ca72da2444b39efb7c169af983a97c09db8ea24d04e67"
+        "fbca12448dfe2f4e00b94f90674ca4",
+    32: "000102030405060708090a0b0c0d0e0f20ee90d31b4f5ec34d8242ae967c4684"
+        "ca4933b0fc14ffc998495aab9040fff7efb7c169af983a97c09db8ea24d04e67"
+        "fbca12448dfe2f4e00b94f90674ca4e6",
+    33: "000102030405060708090a0b0c0d0e0fc2b196f546e39e2941e83b08347b1fc9"
+        "f6178ae719178c7e1238b1693024dc13efb7c169af983a97c09db8ea24d04e67"
+        "fbca12448dfe2f4e00b94f90674ca4e602",
+}
+GOLDEN_1000_SHA256 = (
+    "21b9ab2f8634e0b601b07dbfeba5b202cb97449940f0a141f8c22d2513ae7fc0")
+
+
+def _pattern(size: int) -> bytes:
+    return (bytes(range(256)) * (size // 256 + 1))[:size]
+
+
+def _reference_seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
+    """The documented construction, one byte at a time (the code the
+    optimised cipher replaced): the two must stay interchangeable."""
+    out = bytearray()
+    for start in range(0, len(plaintext), 32):
+        block = hashlib.sha256(
+            key + nonce + struct.pack(">Q", start // 32)).digest()
+        out.extend(b ^ k for b, k in zip(plaintext[start:start + 32], block))
+    tag = hmac.new(hashlib.sha256(b"mac" + key).digest(),
+                   nonce + bytes(out), hashlib.sha256).digest()
+    return nonce + tag + bytes(out)
+
 
 class TestCipher:
     def test_roundtrip(self):
@@ -28,6 +70,24 @@ class TestCipher:
             data = bytes(range(256)) * (size // 256 + 1)
             data = data[:size]
             assert open_sealed(KEY, seal(KEY, data, NONCE)) == data
+
+    def test_golden_vectors(self):
+        for size, expected in GOLDEN.items():
+            assert seal(KEY, _pattern(size), GOLDEN_NONCE).hex() == expected
+        sealed = seal(KEY, _pattern(1000), GOLDEN_NONCE)
+        assert hashlib.sha256(sealed).hexdigest() == GOLDEN_1000_SHA256
+
+    def test_golden_envelopes_open(self):
+        for size, sealed in GOLDEN.items():
+            assert open_sealed(KEY, bytes.fromhex(sealed)) == _pattern(size)
+
+    def test_interchangeable_with_reference_construction(self):
+        rng = random.Random(7)
+        for size in (0, 1, 31, 32, 33, 64, 232, 1000, 4097):
+            data, nonce = rng.randbytes(size), rng.randbytes(NONCE_SIZE)
+            theirs = _reference_seal(KEY, data, nonce)
+            assert seal(KEY, data, nonce) == theirs
+            assert open_sealed(KEY, theirs) == data
 
     def test_ciphertext_differs_from_plaintext(self):
         sealed = seal(KEY, b"secret" * 10, NONCE)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import faulthandler
 import socket
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -466,3 +467,169 @@ def test_live_cluster_transport_death_reaches_crash_manager():
         log = "\n".join(survivor.log_lines)
         assert "transport suspects site" in log
         assert "suspecting site" in log  # the crash manager's own line
+
+
+# ----------------------------------------------------------------------
+# fast path: the sending thread writes the frame itself when it may
+
+
+def test_fast_path_concurrent_senders_keep_per_thread_order():
+    """8 sender threads x 500 numbered frames to one peer, most of them
+    written inline by their own thread: every frame arrives whole, and
+    each thread's frames arrive in the order that thread sent them."""
+    threads_n, frames_n = 8, 500
+    sink = Collector()
+    server = TcpTransport(sink, config=FAST)
+    roomy = replace(FAST, send_queue_limit=threads_n * frames_n + 64)
+    client = TcpTransport(lambda d: None, config=roomy)
+    try:
+        dst = server.local_address()
+        assert client.send(dst, b"hello")  # queued: it opens the connection
+        _wait_until(lambda: sink.snapshot() == [b"hello"], message="hello")
+
+        def hammer(tid: int) -> None:
+            for i in range(frames_n):
+                assert client.send(
+                    dst, f"{tid}:{i}:".encode() + bytes([tid]) * (64 + i % 32))
+
+        workers = [threading.Thread(target=hammer, args=(tid,))
+                   for tid in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-send
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads_n * frames_n + 1
+        _wait_until(lambda: len(sink.snapshot()) >= total, timeout=30,
+                    message="all frames to arrive")
+        lanes: dict = {tid: [] for tid in range(threads_n)}
+        for payload in sink.snapshot()[1:]:
+            tid, index, filler = payload.split(b":", 2)
+            assert filler == bytes([int(tid)]) * (64 + int(index) % 32)
+            lanes[int(tid)].append(int(index))
+        assert all(lane == list(range(frames_n)) for lane in lanes.values())
+        stats = client.stats
+        assert stats.get("inline_sends").count > 0
+        assert (stats.get("inline_sends").count
+                + stats.get("frames_enqueued").count) == total
+        assert stats.get("frames_sent").count == total
+        assert stats.get("dead_letters").total == 0
+    finally:
+        client.close()
+        server.close()
+
+
+class StalledPeer:
+    """A client transport whose peer accepts but does not read, with small
+    kernel buffers on both sides so a few frames fill them."""
+
+    def __init__(self, config: LiveTransportConfig) -> None:
+        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(2)
+        self.dst = f"127.0.0.1:{self.listener.getsockname()[1]}"
+        self.client = TcpTransport(lambda d: None, config=config)
+        assert self.client.send(self.dst, b"first")
+        self.conn = self.accept()
+        _wait_until(lambda: self.client.stats.get("frames_sent").count == 1
+                    and not self.client._peers[self.dst].queue,
+                    message="connection up, writer idle")
+        self.client._peers[self.dst].sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+    def accept(self) -> socket.socket:
+        conn, _ = self.listener.accept()
+        conn.settimeout(10.0)
+        return conn
+
+    def half_sent(self) -> int:
+        """Bytes of the queue's head frame already on the wire: non-zero
+        once a fast-path write has filled the kernel's buffer mid-frame
+        (and until the stalled writer gets the tail out)."""
+        return self.client._peers[self.dst].head_sent
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        return f"{i}:".encode() + bytes([i % 251]) * 3001
+
+    @staticmethod
+    def drain(conn: socket.socket, count: int) -> List[bytes]:
+        from repro.serde.framing import FrameDecoder
+        decoder, received = FrameDecoder(), []
+        while len(received) < count:
+            data = conn.recv(65536)
+            assert data, "connection closed before the backlog arrived"
+            received.extend(decoder.feed(data))
+        return received
+
+    def close(self) -> None:
+        self.client.close()
+        self.conn.close()
+        self.listener.close()
+
+
+def test_send_never_blocks_on_a_peer_that_stops_reading():
+    """A peer that accepts but does not read fills the kernel buffers: the
+    fast path must hand over (never block the caller), the unsent tail of
+    its partial write must reach the wire before any later frame, and
+    backpressure must still trip at ``send_queue_limit``."""
+    config = replace(FAST, send_queue_limit=16)
+    peer = StalledPeer(config)
+    client = peer.client
+    try:
+        accepted: List[bytes] = [b"first"]
+        slowest = 0.0
+        for i in range(400):
+            started = time.monotonic()
+            ok = client.send(peer.dst, peer.payload(i))
+            slowest = max(slowest, time.monotonic() - started)
+            if not ok:
+                break
+            accepted.append(peer.payload(i))
+        else:
+            pytest.fail("the send queue never filled")
+        assert slowest < 0.050
+        assert client.stats.get("queue_full_drops").count == 1
+        assert len(client._peers[peer.dst].queue) == config.send_queue_limit
+        # once the peer drains, the stream is every accepted frame, whole
+        # and in order: the frame the buffers filled on (mid-frame on
+        # Linux: the next test insists) went out ahead of the backlog
+        assert peer.drain(peer.conn, len(accepted)) == accepted
+        assert client.stats.get("dead_letters").total == 0
+        assert client.stats.get("send_retries").count == 0
+    finally:
+        peer.close()
+
+
+def test_partial_write_restarts_from_byte_zero_on_a_fresh_connection():
+    """The connection dies with half a frame on it.  The reconnect must
+    carry that frame from its first byte — its tail alone would read as a
+    garbage length prefix — followed by everything queued behind it."""
+    patient = replace(FAST, retry_budget=30, send_queue_limit=64)
+    peer = StalledPeer(patient)
+    client = peer.client
+    try:
+        sent_frames = []
+        backlog = client._peers[peer.dst].queue
+        while not backlog:
+            assert client.send(peer.dst, peer.payload(len(sent_frames)))
+            sent_frames.append(peer.payload(len(sent_frames)))
+        if not peer.half_sent():
+            pytest.skip("this kernel filled its buffer on a frame boundary")
+        cut = len(sent_frames) - 1  # every send before it went out whole
+        for i in range(400, 405):  # a backlog behind the half-sent frame
+            assert client.send(peer.dst, peer.payload(i))
+            sent_frames.append(peer.payload(i))
+        peer.conn.close()  # unread bytes pending: the peer sees a reset
+        peer.conn = peer.accept()
+        assert peer.drain(peer.conn, len(sent_frames) - cut) \
+            == sent_frames[cut:]
+        assert client.stats.get("dead_letters").total == 0
+    finally:
+        peer.close()
