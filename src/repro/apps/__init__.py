@@ -13,7 +13,9 @@
 * :mod:`repro.apps.stencil` — iterative Jacobi relaxation, the "permanently
   running climate-model-like" workload used by migration examples (§2.2).
 * :mod:`repro.apps.memstress` — shared-object read/write stress for the
-  sharded attraction-memory directory (chaos + scaling runs).
+  attraction-memory directory (chaos + scaling runs), allocating at the
+  submit site (``memstress``) or wherever a seed frame ran
+  (``memscatter``).
 * :mod:`repro.apps.treesum` — log-depth fan-out/reduce over scalar
   leaves, the scalable-structure workload the big-cluster scaling gate
   measures (§2.2).
@@ -35,6 +37,7 @@ __all__ = [
     "build_mandelbrot_program",
     "build_stencil_program",
     "build_memstress_program",
+    "build_memscatter_program",
     "memstress_expected",
     "build_treesum_program",
     "treesum_expected",
@@ -60,6 +63,9 @@ def __getattr__(name: str):  # lazy: each app module loads on first use
     if name == "build_memstress_program":
         from repro.apps.memstress import build_memstress_program
         return build_memstress_program
+    if name == "build_memscatter_program":
+        from repro.apps.memstress import build_memscatter_program
+        return build_memscatter_program
     if name == "memstress_expected":
         from repro.apps.memstress import memstress_expected
         return memstress_expected

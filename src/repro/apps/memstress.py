@@ -71,3 +71,49 @@ def build_memstress_program() -> SDVMProgram:
         ctx.send_to_targets(value * 2 + 1)
 
     return prog.build()
+
+
+def build_memscatter_program() -> SDVMProgram:
+    """memstress with the allocations scattered over the cluster.
+
+    memstress allocates every object in ``main``, so all of them are homed
+    at the submit site — the one site a chaos plan may not crash.  Here
+    ``main`` fans out one ``seed`` per object and each seed allocates
+    wherever the scheduler placed it, so a plan can kill a *homesite* and
+    leave orphaned addresses behind.  Same entry signature, same
+    ``collect`` and ``touch`` threads, same expected result.
+    """
+    prog = ProgramBuilder(
+        "memscatter",
+        description="memstress, each object allocated where its seed ran")
+
+    @prog.microthread(work=20, creates=("collect", "seed"), entry=True)
+    def main(ctx, n, scale):
+        ctx.charge(20)
+        if n < 1:
+            ctx.exit_program(0)
+            return
+        chain = [ctx.create_frame("collect", critical=True, priority=10.0)
+                 for _ in range(n)]
+        for i in range(n):
+            seed = ctx.create_frame("seed", targets=[(chain[i], 1)])
+            ctx.send_result(seed, 0, i)
+            ctx.send_result(seed, 1, scale)
+        state = {"n": n, "seen": 0, "total": 0, "chain": chain[1:]}
+        ctx.send_result(chain[0], 0, state)
+
+    @prog.microthread(work=200, creates=("touch",))
+    def seed(ctx, index, scale):
+        # enough compute that seeds are worth stealing, so homesites spread
+        ctx.charge(scale * 0.25)
+        addr = ctx.malloc(1000 + 7 * index)
+        worker = ctx.create_frame("touch", targets=ctx.targets())
+        ctx.send_result(worker, 0, addr)
+        ctx.send_result(worker, 1, index)
+        ctx.send_result(worker, 2, scale)
+
+    memstress = build_memstress_program().threads
+    for shared in (memstress["collect"], memstress["touch"]):
+        prog.add_source(shared.name, shared.source, shared.nparams,
+                        work=shared.work_hint)
+    return prog.build()

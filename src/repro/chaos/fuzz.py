@@ -20,9 +20,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.apps import (build_memstress_program, build_primes_program,
-                        build_treesum_program, first_n_primes,
-                        memstress_expected, treesum_expected)
+from repro.apps import (build_memscatter_program, build_memstress_program,
+                        build_primes_program, build_treesum_program,
+                        first_n_primes, memstress_expected, treesum_expected)
 from repro.chaos.invariants import InvariantChecker, Violation
 from repro.chaos.plan import FaultPlan, random_plan, shrink_plan
 from repro.common.config import (CheckpointConfig, ClusterConfig, CostModel,
@@ -37,12 +37,16 @@ WORKLOAD = (40, 6, 800.0, 8000.0)
 
 #: plan.workload -> (program builder, entry args, expected-results thunk).
 #: "memstress" allocates shared objects and read-migrates them between
-#: sites, exercising the sharded directory under the plan's faults.
+#: sites, exercising the ownership directory under the plan's faults;
+#: "memscatter" allocates them all over the cluster, so a plan can crash
+#: a *homesite* and push its orphaned addresses onto the ring.
 WORKLOADS = {
     "primes": (build_primes_program, WORKLOAD,
                lambda: [first_n_primes(WORKLOAD[0])]),
     "memstress": (build_memstress_program, (48, 60000.0),
                   lambda: [memstress_expected(48)]),
+    "memscatter": (build_memscatter_program, (48, 60000.0),
+                   lambda: [memstress_expected(48)]),
     # heavy leaves: even spread over hundreds of sites, the work phase
     # outlives crash *detection* (heartbeat timeout), so a mid-run crash
     # in a big-cluster plan actually exercises rollback recovery

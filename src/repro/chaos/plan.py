@@ -177,7 +177,7 @@ class FaultPlan:
     #: result (False: completion-or-declared-failure is enough)
     expect_complete: bool = True
     #: workload to run under the faults (see chaos.fuzz.WORKLOADS);
-    #: "memstress" exercises the sharded attraction-memory directory
+    #: "memstress" / "memscatter" exercise the attraction-memory directory
     workload: str = "primes"
     #: fraction of microthreads executed twice with result comparison
     #: (the SDC defense; 0.0 keeps the execution path byte-identical)

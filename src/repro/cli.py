@@ -61,6 +61,8 @@ APPS: Dict[str, tuple] = {
                    (60, 20, 60), "width height max_iter"),
     "stencil": ("repro.apps.stencil", "build_stencil_program",
                 (16, 4, 20), "n strips steps"),
+    "memstress": ("repro.apps.memstress", "build_memstress_program",
+                  (48, 60000.0), "n scale"),
 }
 
 

@@ -42,7 +42,8 @@ class ClusterManager(Manager):
         self.on_site_joined: List[Callable[[int], None]] = []
         #: callbacks fired when a site crashes or signs off: fn(logical_id)
         self.on_site_departed: List[Callable[[int], None]] = []
-        #: consistent-hash ring mapping addresses to directory shard sites
+        #: consistent-hash ring over the alive members: the directory of
+        #: addresses whose homesite is gone (see :meth:`dir_site_for`)
         self.shard_map = ShardMap()
         #: incrementally maintained membership caches — rebuilt only on
         #: join/departure, never per message or per gossip tick
@@ -185,9 +186,15 @@ class ClusterManager(Manager):
         return self._sorted_alive_peers
 
     def dir_site_for(self, addr: GlobalAddress) -> int:
-        """Directory shard site for ``addr`` (consistent-hash ring over
-        the alive membership).  Falls back to this site while the map is
-        empty (pre-sign-on window)."""
+        """Directory site for ``addr``: its homesite — or the heir that
+        inherited the homesite's address space by sign-off or recovery —
+        while that site is alive in this view; an orphan (homesite
+        crashed, no heir) hashes onto the ring of alive members.  Falls
+        back to this site while the ring is empty (pre-sign-on window)."""
+        home = self.effective_site(addr.site)
+        record = self.sites.get(home)
+        if record is not None and record.alive:
+            return home
         shard = self.shard_map.shard_for(addr)
         return self.local_id if shard is None else shard
 

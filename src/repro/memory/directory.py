@@ -1,12 +1,17 @@
-"""Consistent-hash shard map for the attraction-memory directory.
+"""Consistent-hash shard map: the directory of *orphaned* addresses.
 
-Every :class:`GlobalAddress` hashes onto a ring of virtual points; the
-site owning the first point at or after the address hash is the address's
-*directory shard* — the single place the cluster asks "who owns this
-object right now?".  Consistent hashing keeps the mapping stable under
-membership churn: adding or removing one site remaps only the keys whose
-ring successor changed (~1/n of them), so directory rebalancing after a
-join or crash is proportional to the churn, never to the cluster.
+A :class:`GlobalAddress` names its homesite, and the homesite (or the
+heir that inherited it) is the address's directory for as long as it is
+alive — :meth:`ClusterManager.dir_site_for` looks there first and sends
+nothing to find it.  This ring is the fallback for an address whose
+homesite crashed with no heir: the orphan hashes onto a ring of virtual
+points, and the site owning the first point at or after the address hash
+is the *directory shard* the cluster asks "who owns this object right
+now?".  Consistent hashing keeps that mapping stable under membership
+churn: adding or removing one site remaps only the keys whose ring
+successor changed (~1/n of them), so rebalancing the orphans after a
+join or a further crash is proportional to the churn, never to the
+cluster.
 
 Hashing uses crc32 over packed integers — NOT Python's ``hash()``, whose
 per-process salting would give every site a different ring.

@@ -1,14 +1,35 @@
 """The attraction memory manager.
 
-Object ownership is tracked by a **consistent-hash sharded directory**
-(:mod:`repro.memory.directory`): every global address hashes to a
-directory shard site, and the current owner publishes ownership changes
-to that shard with a real ``DIR_UPDATE`` message — epoch-fenced against
-post-recovery stragglers, version-fenced against reordered updates from
-older hops of the ownership chain, acked and retried (re-resolving the
-ring) so a crashed shard never swallows an update.  Remote reads do at
-most one directory hop and then a direct owner fetch; nothing on the
-lookup path broadcasts or scales with the cluster size.
+Object ownership is tracked by a **home-based directory**: a global
+address contains the id of the site it was created on, and that
+*homesite* — or the heir that inherited its address space, by an
+orderly sign-off or as the coordinator of its crash recovery — is the
+one place the cluster asks "who owns this object right now?" for as long
+as it lives (:meth:`ClusterManager.dir_site_for`).  Only an *orphan*, an
+address whose homesite crashed and has no heir, falls back to a
+consistent-hash ring over the alive members
+(:mod:`repro.memory.directory`).
+
+Who records which hop of an object's life:
+
+* **allocation** — the creator is the homesite: a local dict write, no
+  message.
+* **migration away from the directory site** — the shipping owner *is*
+  the directory, so it records the requester as it lets the object go
+  and says so in the reply (``"recorded"``): MEM_READ + MEM_READ_REPLY
+  and nothing else, and no window in which the directory names a site
+  that no longer holds the object.
+* **every other migration** — the new owner publishes a real
+  ``DIR_UPDATE`` to the directory site: epoch-fenced against
+  post-recovery stragglers, version-fenced against reordered updates
+  from older hops of the ownership chain, acked and retried
+  (re-resolving the directory site) so a crashed directory never
+  swallows an update.
+* **membership change** — an owner republishes exactly the objects whose
+  directory site moved (homesite departed, orphan's ring shard moved).
+
+Remote reads do at most one directory hop and then a direct owner fetch;
+nothing on the lookup path broadcasts or scales with the cluster size.
 
 Two access paths exist, matching DESIGN.md:
 
@@ -18,7 +39,7 @@ Two access paths exist, matching DESIGN.md:
   latencies are all real and feed the benchmarks.
 * **message protocol** (MEM_READ / MEM_READ_REPLY / MEM_WRITE /
   MEM_LOCATION / DIR_UPDATE / DIR_ACK): the full COMA protocol used by the
-  live runtime's blocking contexts, with directory-shard redirection.
+  live runtime's blocking contexts, with directory redirection.
 
 Result application (APPLY_RESULT) is always message-based — it is what
 drives dataflow timing.
@@ -41,12 +62,16 @@ class AttractionMemory(Manager):
     manager_id = ManagerId.ATTRACTION_MEMORY
 
     #: DIR_UPDATE ack deadline and per-update retry budget; each retry
-    #: re-resolves the shard ring, so an update outlives its shard's crash
+    #: re-resolves the directory site, so an update outlives its crash
     _DIR_TIMEOUT = 0.2
     _DIR_RETRIES = 4
 
     #: total redirect/re-resolve hops a live read may take before failing
     _READ_ATTEMPTS = 4
+
+    #: results held for sites this one has not met yet; past it they are
+    #: dropped like any other undeliverable result
+    _HELD_RESULTS_MAX = 1024
 
     def __init__(self, site) -> None:  # noqa: ANN001
         super().__init__(site)
@@ -59,17 +84,28 @@ class AttractionMemory(Manager):
         self._pending_results: Dict[GlobalAddress, List[Tuple[int, Any]]] = {}
         #: program id of buffered results (so termination can clean up)
         self._pending_programs: Dict[GlobalAddress, int] = {}
+        #: results for a site we hold no record of yet (a stolen frame can
+        #: finish before the join wave has introduced its target's site):
+        #: (site, addr, slot, value, program), sent when the site is learned
+        self._held_results: List[Tuple[int, GlobalAddress, int, Any,
+                                       int]] = []
         #: memory objects currently owned by this site
         self.objects: Dict[GlobalAddress, Any] = {}
         #: per-owned-object migration version; travels with the object and
         #: orders DIR_UPDATEs along the ownership chain
         self._versions: Dict[GlobalAddress, int] = {}
-        #: directory shard entries this site is responsible for:
+        #: per-owned-object site whose directory holds our ownership (we
+        #: published there, or it recorded the hand-off when it shipped
+        #: us the object) — what a membership change compares against
+        self._published_at: Dict[GlobalAddress, int] = {}
+        #: directory entries this site is responsible for (addresses
+        #: homed here or inherited, orphans whose ring shard we are):
         #: address -> (owner, version, epoch)
         self.dir_entries: Dict[GlobalAddress, Tuple[int, int, int]] = {}
-        # membership churn moves shard assignments: republish owned
-        # objects and hand off entries this site no longer covers
+        # membership churn can move an address's directory site:
+        # republish what moved, hand off entries no longer covered here
         cm = site.cluster_manager
+        cm.on_site_joined.append(self._release_held_results)
         cm.on_site_joined.append(self._on_membership_change)
         cm.on_site_departed.append(self._on_membership_change)
 
@@ -121,8 +157,24 @@ class AttractionMemory(Manager):
         ))
         if sent:
             self.stats.inc("results_sent")
+        elif (target not in self.site.cluster_manager.sites
+              and len(self._held_results) < self._HELD_RESULTS_MAX):
+            # never heard of the site: its record is on the way.  A site
+            # that is known and dead is different — recovery replays that
+            self._held_results.append((target, addr, slot, value, program))
+            self.stats.inc("results_held")
         else:
             self.stats.inc("results_undeliverable")
+
+    def _release_held_results(self, logical: int) -> None:
+        if not self._held_results:
+            return  # every join of every wave lands here
+        held, self._held_results = self._held_results, []
+        for entry in held:
+            if entry[0] == logical:
+                self.apply_result(*entry[1:])
+            else:
+                self._held_results.append(entry)
 
     def _apply_local(self, addr: GlobalAddress, slot: int, value: Any,
                      program: int) -> None:
@@ -155,32 +207,39 @@ class AttractionMemory(Manager):
     def drop_program(self, pid: int) -> None:
         for addr in [a for a, f in self.frames.items() if f.program == pid]:
             del self.frames[addr]
+        self._held_results = [entry for entry in self._held_results
+                              if entry[4] != pid]
         for addr in [a for a, p in self._pending_programs.items() if p == pid]:
             self._pending_results.pop(addr, None)
             del self._pending_programs[addr]
 
     # ------------------------------------------------------------------
-    # the sharded ownership directory
+    # the ownership directory (homesite first, ring for orphans)
 
     def dir_owner(self, addr: GlobalAddress) -> Optional[int]:
-        """This shard's view of who owns ``addr`` (None: no entry)."""
+        """This directory's view of who owns ``addr`` (None: no entry)."""
         entry = self.dir_entries.get(addr)
         return None if entry is None else entry[0]
 
     def _apply_dir_entry(self, addr: GlobalAddress, owner: int,
-                         version: int, epoch: int) -> None:
+                         version: int, epoch: int) -> bool:
         """Last-writer-wins ordered by (epoch, version): a recovery rebase
         (higher epoch) always wins; within an epoch the ownership chain's
         version decides, so a reordered update from an older hop can never
-        overwrite the newest owner."""
+        overwrite the newest owner.  True when the entry was written."""
         entry = self.dir_entries.get(addr)
         if entry is None or (epoch, version) >= (entry[2], entry[1]):
             self.dir_entries[addr] = (owner, version, epoch)
+            return True
+        return False
 
     def _publish_dir(self, addr: GlobalAddress, attempt: int = 0) -> None:
-        """Publish this site's ownership of ``addr`` to its shard."""
+        """Publish this site's ownership of ``addr`` to its directory
+        site: a dict write when that is this site (every allocation),
+        one acked DIR_UPDATE otherwise."""
         version = self._versions.get(addr, 0)
         target = self.site.cluster_manager.dir_site_for(addr)
+        self._published_at[addr] = target
         if target == self.local_id:
             self._apply_dir_entry(addr, self.local_id, version,
                                   self.site.epoch)
@@ -196,7 +255,7 @@ class AttractionMemory(Manager):
             self.stats.inc("dir_updates_abandoned")
             return
         self.stats.inc("dir_update_retries")
-        # re-resolves the ring, so a crashed shard re-homes the update
+        # re-resolves the directory site, so a crash re-homes the update
         self._publish_dir(addr, attempt + 1)
 
     def _send_dir_update(self, addr: GlobalAddress, owner: int, version: int,
@@ -230,15 +289,30 @@ class AttractionMemory(Manager):
         self.site.message_manager.send(make_reply(
             msg, MsgType.DIR_ACK, {"addr": payload["addr"]}))
 
+    def _ship_out(self, addr: GlobalAddress, new_owner: int) -> bool:
+        """Give up ownership of ``addr`` to ``new_owner``.  When this site
+        is also the address's directory site it records the hand-off here
+        and now — no DIR_UPDATE, and no window in which the directory
+        names a site that no longer holds the object.  True when it did:
+        only then may the new owner skip publishing."""
+        del self.objects[addr]
+        version = self._versions.pop(addr, 0)
+        self._published_at.pop(addr, None)
+        return (self.site.cluster_manager.dir_site_for(addr) == self.local_id
+                and self._apply_dir_entry(addr, new_owner, version + 1,
+                                          self.site.epoch))
+
     def _on_membership_change(self, _logical: int) -> None:
-        """The directory ring changed: republish ownership of everything
-        owned here (its shard may have moved) and hand off shard entries
-        this site no longer covers.  O(owned + entries) per membership
-        change — never per access — and a no-op on empty sites, so the
-        bootstrap join storm costs nothing."""
+        """A site joined or departed: republish ownership of the objects
+        whose directory site moved (their homesite departed; an orphan's
+        ring shard moved) and hand off directory entries this site no
+        longer covers.  O(owned + entries) look-ups per membership change
+        — never per access — messages only for what moved, and a no-op
+        on empty sites, so the bootstrap join storm costs nothing."""
         cm = self.site.cluster_manager
         for addr in list(self.objects):
-            self._publish_dir(addr)
+            if cm.dir_site_for(addr) != self._published_at.get(addr):
+                self._publish_dir(addr)
         if not self.dir_entries:
             return
         moved = [(addr, entry) for addr, entry in self.dir_entries.items()
@@ -277,9 +351,10 @@ class AttractionMemory(Manager):
         """Resolve a read; returns (value, modelled wait seconds).
 
         A remote hit *attracts* the object: ownership migrates here, the
-        new owner publishes a DIR_UPDATE to the address's shard, and the
-        modelled cost (directory hop if the shard is a third site, then
-        the object transfer at link bandwidth) is charged as wait time.
+        directory site learns of it (see :meth:`_migrate_in`), and the
+        modelled cost (directory hop if the directory is a third site,
+        then the object transfer at link bandwidth) is charged as wait
+        time.
         """
         if addr in self.objects:
             self.stats.inc("reads_local")
@@ -318,10 +393,10 @@ class AttractionMemory(Manager):
 
     def _migration_latency(self, addr: GlobalAddress, owner: int,
                            value: Any) -> float:
-        """Modelled read-migration cost: requester -> directory shard
-        (skipped when the shard is the requester), shard -> owner forward
-        (skipped when the shard *is* the owner), owner -> requester with
-        the object payload."""
+        """Modelled read-migration cost: requester -> directory site
+        (skipped when that is the requester), directory -> owner forward
+        (skipped when the directory *is* the owner), owner -> requester
+        with the object payload."""
         network = self.kernel.shared.network
         my_phys = int(self.kernel.local_physical())
         cm = self.site.cluster_manager
@@ -346,24 +421,18 @@ class AttractionMemory(Manager):
 
     def _migrate_in(self, addr: GlobalAddress, owner: int,
                     value: Any, version: int) -> None:
-        shared = self.kernel.shared
-        owner_site = shared.sites.get(owner)
-        if owner_site is not None:
-            # sim shortcut: the owner-side pop is synchronous because
-            # sim_read resolves value and ownership at its linearization
-            # point; the *directory* update below is a real DIR_UPDATE
-            # message to the shard — never a cross-site dict mutation
-            owner_site.attraction_memory.objects.pop(addr, None)
-            owner_site.attraction_memory._versions.pop(addr, None)
-        self.objects[addr] = value
-        self._versions[addr] = version + 1
-        shared.objects[addr.pack()] = (self.local_id, value, version + 1)
-        self.stats.inc("migrations_in")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "mem_migrate_in",
-                    addr.pack(), owner)
-        self._publish_dir(addr)
+        owner_site = self.kernel.shared.sites.get(owner)
+        # sim shortcut: the owner-side hand-off is synchronous because
+        # sim_read resolves value and ownership at its linearization
+        # point.  The owner does what its MEM_READ handler does — record
+        # the hop itself when it is the directory site — and any other
+        # directory learns of it from a real DIR_UPDATE message below,
+        # never from a cross-site dict mutation
+        recorded = (owner_site is not None
+                    and addr in owner_site.attraction_memory.objects
+                    and owner_site.attraction_memory._ship_out(
+                        addr, self.local_id))
+        self._adopt_remote_object(addr, value, version, owner, recorded)
 
     # ------------------------------------------------------------------
     # memory objects — message protocol (live kernel path)
@@ -373,9 +442,10 @@ class AttractionMemory(Manager):
         """Resolve a read via the COMA message protocol (blocking contexts).
 
         ``cb(value)`` on success; ``cb(None, error)`` on failure.  The
-        read resolves through the address's directory shard (at most one
+        read resolves through the address's directory site (at most one
         hop), then fetches from the owner; the owner ships the object with
-        ownership and the new owner publishes the DIR_UPDATE.
+        ownership, and the new owner publishes a DIR_UPDATE unless the
+        shipper was the directory site and recorded the hop itself.
         """
         if addr in self.objects:
             self.stats.inc("reads_local")
@@ -386,8 +456,8 @@ class AttractionMemory(Manager):
         if target == self.local_id:
             owner = self.dir_owner(addr)
             if owner is None or owner == self.local_id:
-                # no entry yet: an ownership handoff or shard rebalance is
-                # in flight — re-resolve after a short delay, bounded
+                # no entry yet: an ownership handoff or a directory move
+                # is in flight — re-resolve after a short delay, bounded
                 self._read_unresolved(addr, cb, _attempt)
                 return
             target = owner
@@ -422,7 +492,7 @@ class AttractionMemory(Manager):
                 if reply.payload.get("owned"):
                     self._adopt_remote_object(
                         addr, value, reply.payload.get("version", 0),
-                        reply.src_site)
+                        reply.src_site, reply.payload.get("recorded", False))
                 cb(value)
             elif reply.type == MsgType.MEM_LOCATION:
                 self._live_read_at(addr, reply.payload["owner"], cb,
@@ -437,14 +507,18 @@ class AttractionMemory(Manager):
             msg, on_reply, timeout=2.0,
             on_timeout=lambda: self._read_unresolved(addr, cb, attempt))
         if not ok:
-            # target unreachable (crashed shard/owner): the ring re-hashes
-            # once membership catches up — re-resolve instead of failing
+            # target unreachable (crashed directory/owner): the address
+            # re-homes once membership catches up — re-resolve, don't fail
             self._read_unresolved(addr, cb, attempt)
 
     def _adopt_remote_object(self, addr: GlobalAddress, value: Any,
-                             version: int, src: int) -> None:
-        """Ownership arrived with a MEM_READ_REPLY: own it, bump the
-        migration version, and publish the new location."""
+                             version: int, src: int,
+                             recorded: bool = False) -> None:
+        """Ownership arrived from ``src``: own the object, bump the
+        migration version, and publish the new location — unless ``src``
+        said it recorded the hand-off in its own directory
+        (:meth:`_ship_out`).  Only its word counts: this site never
+        guesses what the shipper's membership view made of the address."""
         self.objects[addr] = value
         self._versions[addr] = version + 1
         shared = getattr(self.kernel, "shared", None)
@@ -455,7 +529,10 @@ class AttractionMemory(Manager):
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "mem_migrate_in",
                     addr.pack(), src)
-        self._publish_dir(addr)
+        if recorded:
+            self._published_at[addr] = src
+        else:
+            self._publish_dir(addr)
 
     def apply_write(self, addr: GlobalAddress, value: Any) -> float:
         """Mode-dispatched write: sim shortcut or live message protocol."""
@@ -504,7 +581,8 @@ class AttractionMemory(Manager):
             if msg.payload.get("owned"):
                 self._adopt_remote_object(
                     msg.payload["addr"], msg.payload["value"],
-                    msg.payload.get("version", 0), msg.src_site)
+                    msg.payload.get("version", 0), msg.src_site,
+                    msg.payload.get("recorded", False))
         elif msg.type in (MsgType.MEM_LOCATION, MsgType.MEM_NOT_FOUND):
             self.stats.inc("late_replies_ignored")
         elif msg.type == MsgType.MEM_OBJECT:
@@ -550,17 +628,16 @@ class AttractionMemory(Manager):
         addr = msg.payload["addr"]
         migrate = msg.payload.get("migrate", True)
         if addr in self.objects:
-            value = self.objects[addr]
-            version = self._versions.get(addr, 0)
-            if migrate:
-                # ownership ships with the reply; the *requester* publishes
-                # the DIR_UPDATE once it has adopted the object
-                del self.objects[addr]
-                self._versions.pop(addr, None)
+            reply = {"addr": addr, "value": self.objects[addr],
+                     "owned": migrate,
+                     "version": self._versions.get(addr, 0)}
+            # ownership ships with the reply; the *requester* publishes a
+            # DIR_UPDATE once it has adopted the object, unless the
+            # directory is this very site and already knows
+            if migrate and self._ship_out(addr, msg.src_site):
+                reply["recorded"] = True
             self.site.message_manager.send(make_reply(
-                msg, MsgType.MEM_READ_REPLY,
-                {"addr": addr, "value": value, "owned": migrate,
-                 "version": version}))
+                msg, MsgType.MEM_READ_REPLY, reply))
             self.stats.inc("reads_served")
             return
         owner = self.dir_owner(addr)
@@ -571,6 +648,7 @@ class AttractionMemory(Manager):
             return
         self.site.message_manager.send(make_reply(
             msg, MsgType.MEM_NOT_FOUND, {"addr": addr}))
+        self.stats.inc("reads_not_found")
 
     def _on_mem_write(self, msg: SDMessage) -> None:
         addr = msg.payload["addr"]
@@ -660,6 +738,7 @@ class AttractionMemory(Manager):
         self.frames.clear()
         self._pending_results.clear()
         self._pending_programs.clear()
+        self._held_results.clear()
         shared = getattr(self.kernel, "shared", None)
         if shared is not None:
             for addr in self.objects:
@@ -668,6 +747,7 @@ class AttractionMemory(Manager):
                     del shared.objects[addr.pack()]
         self.objects.clear()
         self._versions.clear()
+        self._published_at.clear()
         self.dir_entries.clear()
 
     def send_state_to_heir(self, heir: int) -> None:
@@ -686,9 +766,11 @@ class AttractionMemory(Manager):
         """Adopt a departed/recovered site's frames, objects, directory.
 
         Every adopted object is re-owned here with a bumped version and
-        republished to its *current* ring shard; adopted directory entries
-        whose shard is no longer this site are forwarded — this is how the
-        directory is rehomed by the existing recovery/relocation waves.
+        republished to its *current* directory site; adopted directory
+        entries that this site does not cover are forwarded — this is how
+        the directory is rehomed by the existing recovery/relocation waves
+        (a leaver's heir covers the leaver's addresses, so an orderly
+        sign-off forwards nothing).
         """
         self.site.program_manager.learn_programs_wire(state.get("programs", []))
         shared = getattr(self.kernel, "shared", None)

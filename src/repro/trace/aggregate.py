@@ -121,11 +121,30 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
             busy += cpu.busy_total
             busy_sites += 1
 
+    def count(name: str) -> int:
+        return merged.get(name).count
+
     derived: Dict[str, float] = {
         "executions": merged.get("executions").count,
         "work_units": merged.get("work_units").total,
         "messages_sent": merged.get("sent").count,
         "bytes_sent": merged.get("bytes_sent").total,
+        "msgs_per_exec": _rate(count("sent"), count("executions")),
+        # the attraction memory's price list.  An allocation publishes to
+        # its own homesite (0 messages); a DIR_UPDATE is what a migration
+        # between two sites that are not the directory costs.  A remote
+        # read is priced from the serving side, which needs no tracer:
+        # every MEM_READ draws exactly one of three replies and every
+        # DIR_UPDATE one DIR_ACK.  (The sim's oracle reads send only the
+        # directory half; the live kernel sends all of it.)
+        "dir_updates_per_alloc": _rate(count("dir_updates_sent"),
+                                       count("objects_allocated")),
+        "msgs_per_remote_read": _rate(
+            2 * (count("reads_served") + count("redirects_served")
+                 + count("reads_not_found"))
+            + count("dir_updates_sent") + count("dir_updates_applied")
+            + count("stale_dir_updates_dropped"),
+            count("migrations_in")),
         # deliveries that had to be parsed from bytes: all of them on a
         # real wire, on the sim wire only what a fault duplicated or
         # rewrote (the rest dispatch the sender's snapshot)

@@ -39,7 +39,11 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 #: journal fingerprints of every replication-off corpus plan, pinned at
 #: the commit that introduced selective replication: the defense layer
-#: must be invisible (bit-for-bit) whenever ``replicate_frac == 0``
+#: must be invisible (bit-for-bit) whenever ``replicate_frac == 0``.
+#: ``dir_shard_crash`` was re-pinned, and ``homesite_crash`` added, when
+#: the homesite became the directory (PR 20): memstress then stopped
+#: sending a DIR_UPDATE per allocation (1 183 -> 764 messages, 240 -> 6
+#: DIR_UPDATEs); the other eight did not move.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
         "9b8c8183631d876425ce8838a4877f5b26cc2d4eb942c5fd24462402d1b1ee94",
@@ -48,9 +52,11 @@ PINNED_FINGERPRINTS = {
     "crash_during_wave.json":
         "49665ab7fcb8bc0378c0c934ddea442807eb032105ab5e28e8ef5f1ae13998a5",
     "dir_shard_crash.json":
-        "b34d4e7116260beccc281fd8a55a13a19f51ce9bc8dc3aeeaa1694bf6b386d97",
+        "cf012a7b64f462409eb2221f795d1e5f83c354014e4e40ec53292093a9a77915",
     "duplicate_delivery.json":
         "8bc69d1b395bf59b8dec96ddfcc0748df9a67bca8c7a61932a31864d7480de07",
+    "homesite_crash.json":
+        "2de046fea14e746c7f7cf80a72032e430c175cb4f0fa357feb39a7b527639c05",
     "lossy_recovery.json":
         "280e428f3d959b7d1c3ec1667eb6b8a48c0bfb027d95353cd5b8ebe36a14098b",
     "partition_then_heal.json":
@@ -194,7 +200,7 @@ class TestCorpus:
                 "coordinator_crash.json", "partition_then_heal.json",
                 "duplicate_delivery.json", "lossy_recovery.json",
                 "steal_batch_reorder.json", "dir_shard_crash.json",
-                "sdc_detected.json"} <= names
+                "homesite_crash.json", "sdc_detected.json"} <= names
         # the undefended twin fails by design, so it lives in a
         # subdirectory the corpus glob (and ``chaos corpus``) skip
         assert os.path.exists(os.path.join(
@@ -266,16 +272,48 @@ class TestCorpus:
         assert first and first == second
 
     def test_dir_shard_crash_rehomes_directory(self):
-        """Sharded-directory regression: crash a site holding both memory
-        objects and directory shard entries while the memstress workload
-        is migrating objects between sites.  Recovery must rehome the
-        shard space, keep ownership single, and replayed reads must see
-        the rolled-back object values (the exact final sum checks it)."""
-        result = run_plan(corpus_plan("dir_shard_crash"))
+        """Directory regression: crash a site that has attracted memory
+        objects while the memstress workload is migrating them between
+        sites.  Recovery must re-own them elsewhere and tell their
+        homesite, keep ownership single, and replayed reads must see the
+        rolled-back object values (the exact final sum checks it)."""
+        result = corpus_result(
+            os.path.join(CORPUS_DIR, "dir_shard_crash.json"))
         assert result.ok, [str(v) for v in result.violations]
         stats = result.cluster.total_stats()
         assert stats.get("migrations_in").count > 0
         assert stats.get("dir_updates_applied").count > 0
+
+    def test_homesite_crash_orphans_stay_reachable(self):
+        """Crash a site that *created* objects after some have migrated
+        away (memscatter allocates all over the cluster; memstress only
+        at the submit site, which must stay up).  The owners push the
+        orphaned addresses onto the ring the moment they learn of the
+        death; rollback recovery then makes the coordinator the dead
+        site's heir and rehomes them there.  Every survivor must agree
+        on that, and the heir's entry must name the true holder."""
+        result = corpus_result(
+            os.path.join(CORPUS_DIR, "homesite_crash.json"))
+        assert result.ok, [str(v) for v in result.violations]
+        cluster = result.cluster
+        dead = cluster.sites[3]
+        assert not dead.running
+        survivors = [site for site in cluster.sites if site.running]
+        orphans = {addr: site for site in survivors
+                   for addr in site.attraction_memory.objects
+                   if addr.site == dead.site_id}
+        assert orphans
+        heir = survivors[0].cluster_manager.sites[dead.site_id].heir
+        for addr, holder in orphans.items():
+            assert {site.cluster_manager.dir_site_for(addr)
+                    for site in survivors} == {heir}
+            assert cluster.site_by_logical(heir).attraction_memory \
+                .dir_owner(addr) == holder.site_id
+        # the ring took them first: before the recovery wave installed
+        # the heir, an owner published an orphan to a shard that is not it
+        assert [e for e in cluster.tracer.events
+                if e.kind == "msg_send" and e.fields[0] == "DIR_UPDATE"
+                and e.fields[1] != heir]
 
     def test_duplicate_delivery_does_not_double_commit(self):
         result = run_plan(corpus_plan("duplicate_delivery"))

@@ -101,6 +101,30 @@ class TestTraceAndStats:
         assert "steal_success_rate" in text
         assert "messages by type" in text
 
+    def test_stats_prices_the_memory_protocol(self):
+        """``repro stats`` prints what an allocation and a remote read
+        cost in messages, next to the messages per execution; a program
+        with no memory objects reads 0, not a division error."""
+        def derived(*argv):
+            code, text = run_cli("stats", *argv)
+            assert code == 0
+            rows = (line.split() for line in text.splitlines())
+            return {row[0]: float(row[1]) for row in rows
+                    if len(row) == 2 and row[0] in (
+                        "msgs_per_exec", "dir_updates_per_alloc",
+                        "msgs_per_remote_read")}
+
+        # 16 allocations and 7 first migrations away from the homesite
+        # (the sim's oracle reads model the fetch and send only what the
+        # directory costs): no message for either
+        assert derived("memstress", "--sites", "3", "--args", "16", "50") \
+            == {"msgs_per_exec": pytest.approx(45 / 33, abs=1e-3),
+                "dir_updates_per_alloc": 0.0, "msgs_per_remote_read": 0.0}
+        assert derived("primes", "--sites", "2",
+                       "--args", "10", "4", "200", "2000") \
+            == {"msgs_per_exec": pytest.approx(89 / 57, abs=1e-3),
+                "dir_updates_per_alloc": 0.0, "msgs_per_remote_read": 0.0}
+
     def test_trace_unknown_app(self):
         code, text = run_cli("trace", "doom")
         assert code == 2

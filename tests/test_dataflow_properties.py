@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import CostModel, SchedulingConfig, SDVMConfig
@@ -87,6 +87,9 @@ def expected_layers(n1, n2):
     work=st.integers(min_value=1, max_value=5000),
     nsites=st.integers(min_value=1, max_value=5),
 )
+# site 1 finishes a stolen frame before the join wave has introduced it to
+# site 2, where the result must go: held until the record arrives, not lost
+@example(n1=6, n2=3, work=122, nsites=4)
 def test_layered_program_correct_everywhere(n1, n2, work, nsites):
     cluster = SimCluster(nsites=nsites, config=FAST)
     handle = cluster.submit(layered_fanout_program(),

@@ -1,9 +1,11 @@
-"""Tests for the consistent-hash sharded attraction-memory directory.
+"""Tests for the attraction-memory directory: homesite first, ring for
+orphans.
 
 Covers the ShardMap itself (determinism, stability under membership
-churn), the DIR_UPDATE protocol (epoch fencing, rebalancing on join and
-departure), and the regression the sharded design was built against:
-losing the ownership record when the creating site dies.
+churn), what each hop of an object's life costs in messages and who
+records it, the DIR_UPDATE protocol (epoch fencing, republishing on join
+and departure), and the regression the ring was built against: losing
+the ownership record when the creating site dies.
 """
 
 from __future__ import annotations
@@ -79,10 +81,21 @@ def trio(fast_config):
     return cluster, cluster.sites[0], cluster.sites[1], cluster.sites[2]
 
 
-def _dir_shard(cluster, addr):
-    """The site object every member agrees is the directory shard."""
-    shard = cluster.sites[0].cluster_manager.dir_site_for(addr)
-    return cluster.site_by_logical(shard)
+def _dir_shard(cluster, addr, view=None):
+    """The directory site of ``addr`` as ``view`` (default: the first
+    site) sees the membership; every live member agrees once settled."""
+    view = view or cluster.sites[0]
+    return cluster.site_by_logical(view.cluster_manager.dir_site_for(addr))
+
+
+def _sent(cluster):
+    """Messages handed to the wire so far, cluster-wide."""
+    return sum(site.message_manager.stats.get("sent").count
+               for site in cluster.sites)
+
+
+def _mem_stat(site, name):
+    return site.attraction_memory.stats.get(name).count
 
 
 class TestDirUpdate:
@@ -140,8 +153,9 @@ class TestDirUpdate:
         assert mem.dir_owner(addr) == b.site_id
 
     def test_departure_rehomes_directory_entries(self, trio):
-        """When a site dies, survivors republish ownership so reads keep
-        resolving via the re-hashed shard ring."""
+        """When a homesite dies, the survivors agree on a ring shard for
+        its orphaned addresses and the owner republishes there, so reads
+        keep resolving."""
         cluster, a, b, c = trio
         addr = a.attraction_memory.alloc_object("v")
         cluster.sim.run(until=0.4)
@@ -150,13 +164,167 @@ class TestDirUpdate:
         b.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
         cluster.sim.run(until=0.8)
         assert got == ["v"]
+        assert _dir_shard(cluster, addr, view=c) is a
         a.crash()
         for survivor in (b, c):
             survivor.cluster_manager.mark_dead(a.site_id, left=False)
         cluster.sim.run(until=1.2)
-        shard = _dir_shard(cluster, addr)
-        assert shard.site_id != a.site_id
+        shard = _dir_shard(cluster, addr, view=b)
+        assert shard is _dir_shard(cluster, addr, view=c)
+        assert shard in (b, c)
         assert shard.attraction_memory.dir_owner(addr) == b.site_id
+
+
+class TestHomesiteDirectory:
+    """The homesite is the directory while it lives: what each hop of an
+    object's life costs in messages, and who records it."""
+
+    def test_allocation_sends_no_message(self, trio):
+        cluster, a, b, c = trio
+        before = _sent(cluster)
+        addrs = [a.attraction_memory.alloc_object(i) for i in range(20)]
+        addrs += [c.attraction_memory.alloc_object(i) for i in range(20)]
+        cluster.sim.run(until=0.4)
+        assert _sent(cluster) == before
+        for view in (a, b, c):
+            for addr in addrs:
+                assert _dir_shard(cluster, addr, view).site_id == addr.site
+        assert all(a.attraction_memory.dir_owner(x) == a.site_id
+                   for x in addrs[:20])
+        assert all(c.attraction_memory.dir_owner(x) == c.site_id
+                   for x in addrs[20:])
+
+    def test_first_migration_is_two_messages_and_leaves_no_window(self, trio):
+        """The homesite records the requester as it ships the object, so
+        its directory never names a site that no longer holds it."""
+        cluster, a, b, _c = trio
+        addr = a.attraction_memory.alloc_object("v")
+        before = _sent(cluster)
+        got = []
+        b.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
+        while addr in a.attraction_memory.objects:
+            assert cluster.sim.step()
+        # the MEM_READ has been served, the reply is still in flight
+        assert not got and addr not in b.attraction_memory.objects
+        assert a.attraction_memory.dir_owner(addr) == b.site_id
+        cluster.sim.run(until=0.6)
+        assert got == ["v"]
+        assert _sent(cluster) - before == 2  # MEM_READ + MEM_READ_REPLY
+        assert _mem_stat(b, "dir_updates_sent") == 0
+        assert a.attraction_memory.dir_owner(addr) == b.site_id
+
+    def test_second_migration_publishes_once_to_the_homesite(self, trio):
+        cluster, a, b, c = trio
+        addr = a.attraction_memory.alloc_object("v")
+        b.attraction_memory.live_read(addr, lambda v, e=None: None)
+        cluster.sim.run(until=0.4)
+        before = _sent(cluster)
+        got = []
+        c.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
+        cluster.sim.run(until=0.8)
+        assert got == ["v"]
+        # MEM_READ -> a, MEM_LOCATION, MEM_READ -> b, MEM_READ_REPLY, then
+        # the one DIR_UPDATE and its DIR_ACK
+        assert _sent(cluster) - before == 6
+        assert _mem_stat(c, "dir_updates_sent") == 1
+        assert _mem_stat(a, "dir_updates_applied") == 1
+        assert _mem_stat(b, "dir_updates_applied") == 0
+        assert a.attraction_memory.dir_owner(addr) == c.site_id
+
+    def test_reply_without_recorded_still_publishes(self, trio):
+        """Only the shipper's word lets the new owner skip the DIR_UPDATE:
+        a reply from a sender that predates the flag is published."""
+        cluster, a, _b, c = trio
+        addr = a.attraction_memory.alloc_object("v")
+        del a.attraction_memory.objects[addr]  # shipped the old way
+        a.message_manager.send(SDMessage(
+            type=MsgType.MEM_READ_REPLY,
+            src_site=a.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
+            dst_site=c.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            payload={"addr": addr, "value": "v", "owned": True,
+                     "version": 0}))
+        cluster.sim.run(until=0.4)
+        assert addr in c.attraction_memory.objects
+        assert _mem_stat(c, "dir_updates_sent") == 1
+        assert a.attraction_memory.dir_owner(addr) == c.site_id
+
+    def test_sign_off_makes_the_heir_the_directory(self, fast_config):
+        cluster = SimCluster(nsites=4, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b, c, d = cluster.sites
+        addr = a.attraction_memory.alloc_object("v")
+        c.attraction_memory.live_read(addr, lambda v, e=None: None)
+        cluster.sim.run(until=0.4)
+        assert a.sign_off()
+        cluster.sim.run(until=0.8)
+        assert not a.running
+        heir = _dir_shard(cluster, addr, view=d)
+        assert heir is b  # lowest alive id above the leaver's
+        assert all(_dir_shard(cluster, addr, view) is heir
+                   for view in (b, c, d))
+        assert heir.attraction_memory.dir_owner(addr) == c.site_id
+        got = []
+        d.attraction_memory.live_read(
+            addr, lambda v, e=None: got.append((v, e)))
+        cluster.sim.run(until=1.2)
+        assert got == [("v", None)]
+        assert heir.attraction_memory.dir_owner(addr) == d.site_id
+
+
+class TestMembershipChange:
+    """A join or departure republishes only what moved."""
+
+    def test_join_republishes_nothing(self, trio):
+        cluster, a, b, c = trio
+        addrs = [site.attraction_memory.alloc_object(i)
+                 for i, site in enumerate([a, b, c] * 17)][:50]
+        for reader, addr in zip([b, c, a] * 17, addrs[:12]):
+            reader.attraction_memory.live_read(addr, lambda v, e=None: None)
+        cluster.sim.run(until=0.4)
+        newcomer = cluster.add_site()
+        cluster.sim.run(until=1.0)
+        assert newcomer.running
+        assert all(newcomer.site_id in s.cluster_manager.sites
+                   for s in (a, b, c))
+        for site in cluster.sites:
+            assert _mem_stat(site, "dir_updates_sent") == 0
+            assert _mem_stat(site, "dir_entries_handed_off") == 0
+
+    def test_homesite_crash_republishes_exactly_its_objects(self, trio):
+        cluster, a, b, c = trio
+        from_a = [a.attraction_memory.alloc_object(i) for i in range(6)]
+        from_b = [b.attraction_memory.alloc_object(i) for i in range(6)]
+        # b attracts four of a's objects, c two of a's and three of b's
+        for reader, addr in zip([b, b, b, b, c, c], from_a):
+            reader.attraction_memory.live_read(addr, lambda v, e=None: None)
+        for addr in from_b[:3]:
+            c.attraction_memory.live_read(addr, lambda v, e=None: None)
+        cluster.sim.run(until=0.4)
+        assert _mem_stat(b, "dir_updates_sent") == 0
+        assert _mem_stat(c, "dir_updates_sent") == 0
+        published = []
+
+        def spy_on_publishes(site):
+            publish = site.attraction_memory._publish_dir
+
+            def spy(addr, attempt=0):
+                published.append((site.site_id, addr))
+                publish(addr, attempt)
+            site.attraction_memory._publish_dir = spy
+
+        spy_on_publishes(b)
+        spy_on_publishes(c)
+        a.crash()
+        for survivor in (b, c):
+            survivor.cluster_manager.mark_dead(a.site_id, left=False)
+        cluster.sim.run(until=0.8)
+        assert sorted(published) == sorted(
+            [(b.site_id, addr) for addr in from_a[:4]]
+            + [(c.site_id, addr) for addr in from_a[4:]])
+        for addr in from_a:
+            shard = _dir_shard(cluster, addr, view=b)
+            owner = b if addr in from_a[:4] else c
+            assert shard.attraction_memory.dir_owner(addr) == owner.site_id
 
 
 class TestDeadCreatorRegression:

@@ -319,6 +319,103 @@ class TestHandOffs:
         assert report.derived["round_trips_per_exec"] == pytest.approx(
             64 / 129)
         assert report.derived["inline_send_frac"] >= 0.9
+        # the memory protocol's price: the 192 allocations sent nothing,
+        # and every object that moved left its homesite for the first
+        # time — MEM_READ + MEM_READ_REPLY, recorded by the shipper
+        assert report.merged.get("objects_allocated").count == 3 * 64
+        assert report.derived["dir_updates_per_alloc"] == 0.0
+        moved = report.merged.get("migrations_in").count
+        assert report.derived["msgs_per_remote_read"] == (2.0 if moved
+                                                          else 0.0)
+
+
+#: the attraction memory's own message types
+MEMORY_TYPES = ("MEM_READ", "MEM_READ_REPLY", "MEM_LOCATION",
+                "DIR_UPDATE", "DIR_ACK")
+
+
+def scripted_hops(cluster, on_site, settle):
+    """Allocate on a, then read from b, c and a in turn, each hop settled
+    before the next; returns the per-type message counts after every
+    step and the homesite's final directory entry.
+
+    ``on_site(site, fn)`` runs ``fn`` where the site's managers may be
+    touched; ``settle(done)`` returns once ``done()`` holds.  The counts
+    are of sends, and the homesite has sent its DIR_ACK by the time its
+    directory shows the update."""
+    a, b, c = cluster.sites
+
+    def counts():
+        messages = cluster.cluster_report().message_breakdown
+        return {t: int(messages.get(t, {"count": 0})["count"])
+                for t in MEMORY_TYPES}
+
+    # running is not acquainted: the join wave's announcements trail it
+    settle(lambda: all(
+        on_site(site, lambda site=site: len(site.cluster_manager.sites)) == 3
+        for site in cluster.sites))
+    addr = on_site(a, lambda: a.attraction_memory.alloc_object("v"))
+    steps = [counts()]
+    for reader in (b, c, a):
+        got = []
+        on_site(reader, lambda: reader.attraction_memory.live_read(
+            addr, lambda value, error=None: got.append((value, error))))
+        settle(lambda: got and on_site(
+            a, lambda: a.attraction_memory.dir_owner(addr))
+            == reader.site_id)
+        assert got == [("v", None)]
+        steps.append(counts())
+    return steps, on_site(a, lambda: a.attraction_memory.dir_owner(addr))
+
+
+class TestSimLiveDifferential:
+    """The two kernels run one memory protocol: the same script sends the
+    same messages under both."""
+
+    CONFIG = SDVMConfig(cost=CostModel(compile_fixed_cost=1e-4), trace=True)
+
+    def sim_run(self):
+        from repro.site.simcluster import SimCluster
+        cluster = SimCluster(nsites=3, config=self.CONFIG)
+        cluster.sim.run(until=0.2)
+
+        def settle(done):
+            cluster.sim.run(until=cluster.sim.now + 0.2)
+            assert done()
+
+        return scripted_hops(cluster, lambda _site, fn: fn(), settle)
+
+    def live_run(self):
+        import time
+
+        def settle(done):
+            deadline = time.monotonic() + 10.0
+            while not done():
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+
+        with LiveCluster(nsites=3, config=self.CONFIG) as cluster:
+            return scripted_hops(
+                cluster, lambda site, fn: site.kernel.reactor_call(fn),
+                settle)
+
+    def test_scripted_hops_send_the_same_messages(self):
+        sim_steps, sim_owner = self.sim_run()
+        live_steps, live_owner = self.live_run()
+        assert sim_steps == live_steps
+        assert sim_owner == live_owner == 0
+        zero = dict.fromkeys(MEMORY_TYPES, 0)
+        assert sim_steps == [
+            zero,  # the allocation: nothing
+            # first hop away from home: the homesite records it
+            {**zero, "MEM_READ": 1, "MEM_READ_REPLY": 1},
+            # a later hop: redirect, fetch, one update to the homesite
+            {"MEM_READ": 3, "MEM_READ_REPLY": 2, "MEM_LOCATION": 1,
+             "DIR_UPDATE": 1, "DIR_ACK": 1},
+            # back home: the directory site publishes to itself
+            {"MEM_READ": 4, "MEM_READ_REPLY": 3, "MEM_LOCATION": 1,
+             "DIR_UPDATE": 1, "DIR_ACK": 1},
+        ]
 
 
 @pytest.mark.slow

@@ -22,7 +22,7 @@ def pair(fast_config):
 
 
 def dir_shard_of(cluster, addr):
-    """The site holding ``addr``'s directory shard entry."""
+    """The site holding ``addr``'s directory entry."""
     shard = cluster.sites[0].cluster_manager.dir_site_for(addr)
     return next(s for s in cluster.sites if s.site_id == shard)
 
@@ -87,6 +87,62 @@ class TestFramesAndResults:
         a.attraction_memory.register_frame(frame)
         assert frame.params[0] == "early"
 
+    def test_result_for_unmet_site_is_held_until_it_joins(self, pair):
+        """A stolen frame can finish before the join wave has introduced
+        the site its result goes to: the result waits for the record."""
+        cluster, a, b = pair
+        pid, tid = register_program(a)
+        newcomer = cluster.add_site()
+        # the moment the newcomer is in: a (its sponsor) knows it, b has
+        # not had the announcement yet
+        while not newcomer.running:
+            assert cluster.sim.step()
+        assert newcomer.site_id not in b.cluster_manager.sites
+        frame = Microframe(newcomer.attraction_memory.alloc_address(),
+                           tid, pid, 2)
+        newcomer.program_manager.learn_program_wire(
+            a.program_manager.get(pid).to_wire())
+        newcomer.attraction_memory.register_frame(frame)
+        b.attraction_memory.apply_result(frame.frame_id, 0, "early", pid)
+        stats = b.attraction_memory.stats
+        assert stats.get("results_held").count == 1
+        assert stats.get("results_undeliverable").count == 0
+        cluster.sim.run(until=1.0)
+        assert frame.params[0] == "early"
+        assert stats.get("results_sent").count == 1
+        assert not b.attraction_memory._held_results
+
+    def test_held_results_are_dropped_with_their_program(self, pair):
+        _cluster, a, _b = pair
+        pid, _tid = register_program(a)
+        a.attraction_memory.apply_result(GlobalAddress(99, 2), 0, 1, pid)
+        assert a.attraction_memory.stats.get("results_held").count == 1
+        a.attraction_memory.drop_program(pid)
+        assert not a.attraction_memory._held_results
+
+    def test_result_for_dead_site_is_still_dropped(self, pair):
+        """Known and dead is not unknown: recovery replays that result."""
+        _cluster, a, b = pair
+        pid, _tid = register_program(a)
+        a.cluster_manager.mark_dead(b.site_id, left=False)
+        a.attraction_memory.apply_result(
+            GlobalAddress(b.site_id, 2), 0, 1, pid)
+        stats = a.attraction_memory.stats
+        assert stats.get("results_undeliverable").count == 1
+        assert stats.get("results_held").count == 0
+
+    def test_held_results_are_bounded(self, pair, monkeypatch):
+        _cluster, a, _b = pair
+        pid, _tid = register_program(a)
+        monkeypatch.setattr(type(a.attraction_memory),
+                            "_HELD_RESULTS_MAX", 3)
+        for slot in range(5):
+            a.attraction_memory.apply_result(
+                GlobalAddress(99, 2), slot, 1, pid)
+        stats = a.attraction_memory.stats
+        assert stats.get("results_held").count == 3
+        assert stats.get("results_undeliverable").count == 2
+
     def test_result_for_terminated_program_dropped(self, pair):
         _cluster, a, _b = pair
         pid, _tid = register_program(a)
@@ -132,6 +188,35 @@ class TestObjects:
         # second read is local
         _value, second = b.attraction_memory.sim_read(addr)
         assert second == 0.0
+
+    def test_sim_twin_sends_what_the_message_protocol_sends(self, fast_config):
+        """``_migrate_in`` records a hop where ``_on_mem_read`` would: at
+        the owner when the owner is the directory site (no message), by
+        one DIR_UPDATE to the homesite otherwise."""
+        cluster = SimCluster(nsites=3, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b, c = cluster.sites
+
+        def sent():
+            return sum(s.message_manager.stats.get("sent").count
+                       for s in cluster.sites)
+
+        before = sent()
+        addr = a.attraction_memory.alloc_object("v")
+        b.attraction_memory.sim_read(addr)
+        # recorded at the homesite as the object left, nothing sent
+        assert a.attraction_memory.dir_owner(addr) == b.site_id
+        cluster.sim.run(until=0.4)
+        assert sent() == before
+        c.attraction_memory.sim_read(addr)
+        cluster.sim.run(until=0.6)
+        assert sent() - before == 2  # DIR_UPDATE + DIR_ACK
+        assert c.attraction_memory.stats.get("dir_updates_sent").count == 1
+        assert a.attraction_memory.dir_owner(addr) == c.site_id
+        a.attraction_memory.sim_read(addr)  # home again: a local write
+        cluster.sim.run(until=0.8)
+        assert sent() - before == 2
+        assert a.attraction_memory.dir_owner(addr) == a.site_id
 
     def test_unknown_address_faults(self, pair):
         _cluster, a, _b = pair

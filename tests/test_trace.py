@@ -86,3 +86,51 @@ class TestTimeline:
         events = [TraceEvent(0.5, 0, "exec_start", {"frame": 1})]
         timeline = Timeline(events, horizon=2.0)
         assert timeline.busy_fraction(0) == pytest.approx(0.75)
+
+
+class TestMemoryProtocolPrices:
+    """``dir_updates_per_alloc`` and ``msgs_per_remote_read`` on the
+    cluster report: what the attraction memory charges, in messages."""
+
+    def derived(self, cluster):
+        report = cluster.cluster_report()
+        assert "dir_updates_per_alloc" in report.render()
+        assert "msgs_per_remote_read" in report.render()
+        return report.derived
+
+    def test_primes_allocates_and_reads_nothing(self, traced_cluster):
+        derived = self.derived(traced_cluster)
+        assert derived["dir_updates_per_alloc"] == 0.0
+        assert derived["msgs_per_remote_read"] == 0.0
+        assert derived["msgs_per_exec"] == pytest.approx(
+            derived["messages_sent"] / derived["executions"])
+
+    def test_memstress_pays_for_neither(self, fast_config):
+        """Every memstress object is read once, away from its homesite:
+        the homesite records each hop as the object leaves."""
+        from repro.apps import build_memstress_program, memstress_expected
+        cluster = SimCluster(nsites=3, config=fast_config)
+        handle = cluster.submit(build_memstress_program(), args=(16, 50.0))
+        cluster.run(progress_timeout=120.0)
+        assert handle.result == memstress_expected(16)
+        stats = cluster.total_stats()
+        assert stats.get("objects_allocated").count == 16
+        assert stats.get("migrations_in").count > 0
+        derived = self.derived(cluster)
+        assert derived["dir_updates_per_alloc"] == 0.0
+        assert derived["msgs_per_remote_read"] == 0.0
+
+    def test_a_wandering_object_is_priced_per_hop(self, fast_config):
+        """One object read from b, c and back home over the message
+        protocol: 4 MEM_READs and their 4 replies (one a redirect), one
+        DIR_UPDATE and its DIR_ACK, for 3 migrations."""
+        cluster = SimCluster(nsites=3, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b, c = cluster.sites
+        addr = a.attraction_memory.alloc_object("v")
+        for step, reader in enumerate((b, c, a)):
+            reader.attraction_memory.live_read(addr, lambda v, e=None: None)
+            cluster.sim.run(until=0.4 + 0.2 * step)
+        derived = self.derived(cluster)
+        assert derived["dir_updates_per_alloc"] == 1.0
+        assert derived["msgs_per_remote_read"] == pytest.approx(10 / 3)
