@@ -3,15 +3,16 @@ export PYTHONPATH := src
 
 .PHONY: verify test bench bench-gate smoke-trace profile-smoke chaos-smoke \
         bench-help-policies bench-scaling-smoke health-smoke sweep-smoke \
-        sdc-smoke perf-selfcheck
+        sdc-smoke perf-selfcheck size
 
 # default CI entry point: unit tests + trace smoke + benchmark gate +
 # profiler smoke + chaos smoke + work-distribution policy matrix smoke +
 # big-cluster scaling smoke + telemetry-plane smoke + sweep orchestrator
-# smoke + silent-data-corruption defense smoke + benchmark self-check
+# smoke + silent-data-corruption defense smoke + benchmark self-check +
+# the size of the system
 verify: test smoke-trace bench-gate profile-smoke chaos-smoke \
         bench-help-policies bench-scaling-smoke health-smoke sweep-smoke \
-        sdc-smoke perf-selfcheck
+        sdc-smoke perf-selfcheck size
 
 test:
 	$(PY) -m pytest -q
@@ -75,3 +76,11 @@ sdc-smoke:
 # emits every declared metric, and a wrong reference fails the run (~40 s)
 perf-selfcheck:
 	$(PY) benchmarks/perf/selfcheck.py --quick
+
+# the trend line of ROADMAP aim 2 (least code, fewest knobs): source lines
+# and dataclass fields declared in common/config.py, in every CI log
+size:
+	@echo "src_lines $$(find src -name '*.py' | xargs cat | wc -l)"
+	@$(PY) -c "import dataclasses as d, repro.common.config as c; \
+	print('config_fields', sum(len(d.fields(v)) for v in vars(c).values() \
+	if isinstance(v, type) and d.is_dataclass(v)))"

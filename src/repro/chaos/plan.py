@@ -187,6 +187,17 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        if self.nsites < 1:
+            raise SDVMError(f"nsites must be >= 1, got {self.nsites}")
+        if not 0 <= self.submit_site < self.nsites:
+            raise SDVMError(
+                f"submit_site {self.submit_site} is outside "
+                f"[0, {self.nsites})")
+        if self.ckpt_interval <= 0:
+            raise SDVMError(
+                f"ckpt_interval must be positive, got {self.ckpt_interval}")
+        if self.horizon <= 0:
+            raise SDVMError(f"horizon must be positive, got {self.horizon}")
         if not 0.0 <= self.replicate_frac <= 1.0:
             raise SDVMError(
                 f"replicate_frac must be in [0, 1], "
@@ -203,10 +214,6 @@ class FaultPlan:
                 if any(i >= self.nsites for i in f.group):
                     raise SDVMError(f"partition group {f.group} exceeds "
                                     f"nsites={self.nsites}")
-
-    def crash_count(self) -> int:
-        return sum(1 for f in self.faults
-                   if isinstance(f, (CrashFault, SignOffFault)))
 
     # ------------------------------------------------------------------
     # JSON round-trip (the corpus format)

@@ -96,7 +96,6 @@ def _build_config(args: argparse.Namespace,
         cost=CostModel(compile_fixed_cost=1e-3),
         scheduling=SchedulingConfig(ready_target=1, keep_local_min=0),
         security=SecurityConfig(enabled=getattr(args, "encrypt", False)),
-        journal=getattr(args, "trace", False),
         trace=trace,
         telemetry=telemetry,
         seed=args.seed,
@@ -132,7 +131,8 @@ def cmd_apps(_args: argparse.Namespace, out) -> int:  # noqa: ANN001
 
 
 def cmd_run(args: argparse.Namespace, out) -> int:  # noqa: ANN001
-    cluster, handle = _run_app(args, out, trace=bool(args.trace_json))
+    cluster, handle = _run_app(args, out,
+                               trace=bool(args.trace or args.trace_json))
     if cluster is None:
         return 2
 

@@ -203,6 +203,12 @@ class ClusterManager(Manager):
     #: larger clusters scan a rotating window so each selection stays
     #: O(1) in cluster size
     PICK_SAMPLE = 16
+    #: only a victim whose fresh queue figure is at least this deep is
+    #: worth a request: a site advertising a single spare frame will
+    #: almost always run it itself before the request lands, so begging
+    #: it mostly buys a CANT_HELP (the thundering-herd dampener for
+    #: victim selection, the hot-peer cache and help-request forwarding)
+    STEAL_MIN_QUEUE = 2
 
     def peer_sample(self) -> List[SiteRecord]:
         """Alive peers to consider for one scheduling decision."""
@@ -232,12 +238,11 @@ class ClusterManager(Manager):
         excluded = set(exclude)
         now = self.kernel.now
         staleness = self.config.scheduling.gossip_staleness
-        min_queue = self.config.scheduling.steal_min_queue
         candidates = [r for r in self.peer_sample()
                       if r.logical not in excluded]
         fresh = [r for r in candidates
                  if r.load_at >= 0 and now - r.load_at <= staleness]
-        with_work = [r for r in fresh if r.queue >= min_queue]
+        with_work = [r for r in fresh if r.queue >= self.STEAL_MIN_QUEUE]
         # the hot cache sees every load report, not just the sample
         # window: in a large cluster with few busy sites this is what
         # keeps work discovery O(1) instead of O(sites) blind probing.
@@ -303,7 +308,7 @@ class ClusterManager(Manager):
         """Track (or drop) ``record`` in the hot-peer cache after a load
         figure changed."""
         if (record.alive
-                and record.queue >= self.config.scheduling.steal_min_queue):
+                and record.queue >= self.STEAL_MIN_QUEUE):
             self._hot_peers[record.logical] = record
             if len(self._hot_peers) > self.HOT_CAP:
                 evict = min(self._hot_peers.values(),
@@ -318,9 +323,8 @@ class ClusterManager(Manager):
         Prunes entries that died or went stale since they were noted."""
         now = self.kernel.now
         staleness = self.config.scheduling.gossip_staleness
-        min_queue = self.config.scheduling.steal_min_queue
         stale = [logical for logical, r in self._hot_peers.items()
-                 if not r.alive or r.queue < min_queue
+                 if not r.alive or r.queue < self.STEAL_MIN_QUEUE
                  or r.load_at < 0 or now - r.load_at > staleness]
         for logical in stale:
             del self._hot_peers[logical]

@@ -46,10 +46,6 @@ class CostModel:
     crypto_byte_cost: float = 6e-9
     #: fixed cost of encrypting/decrypting a message
     crypto_fixed_cost: float = 6e-6
-    #: snapshotting one byte of state during a checkpoint wave
-    checkpoint_byte_cost: float = 3e-9
-    #: fixed per-site checkpoint cost (quiesce + bookkeeping)
-    checkpoint_fixed_cost: float = 2e-3
 
     def work_seconds(self, work: float, speed: float) -> float:
         """Seconds to execute ``work`` units on a site of relative ``speed``."""
@@ -77,8 +73,6 @@ class NetworkConfig:
     #: UDP model: loss probability and reorder probability per message
     udp_loss_rate: float = 0.01
     udp_reorder_rate: float = 0.05
-    #: random jitter fraction applied to latency (0 disables; deterministic seed)
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.latency < 0 or self.bandwidth <= 0:
@@ -134,20 +128,14 @@ class LiveTransportConfig:
 
 @dataclass(frozen=True, slots=True)
 class SchedulingConfig:
-    """Scheduling-manager policy knobs (§3.3, §4)."""
+    """Scheduling-manager policy knobs (§3.3, §4).  Values that held one
+    setting everywhere are constants next to their reader (sched/manager.py,
+    cluster/manager.py, proc/sim_manager.py), not fields."""
 
     #: local execution order.  Paper: FIFO "momentarily" to avoid starvation.
     local_policy: Literal["fifo", "lifo", "priority"] = "fifo"
     #: which frame to give away on a help request.  Paper: LIFO to hide latency.
     help_reply_policy: Literal["fifo", "lifo"] = "lifo"
-    #: how long an idle site waits before re-sending help requests
-    help_retry_interval: float = 5e-4
-    #: keep one steal in flight even while computing, so the ready queue
-    #: hides steal latency ("the communication latencies due to the
-    #: automatic distribution of microframes should be hidden", §4)
-    prefetch_steal: bool = True
-    #: how many distinct sites to ask per help round
-    help_fanout: int = 1
     #: keep this many frames in the ready queue (prefetch code eagerly)
     ready_target: int = 2
     #: honour CDAG scheduling hints (priority / critical path), §3.3
@@ -160,7 +148,7 @@ class SchedulingConfig:
     #: period of the LOAD_REPORT gossip tick (0 disables it; the load/queue
     #: figures piggybacked on regular traffic are always on).  The tick is
     #: a timer and a rate limit, not a heartbeat: each one corrects at most
-    #: ``ClusterConfig.gossip_fanout`` peers, and only peers this site is
+    #: ``GOSSIP_FANOUT`` (sched/manager.py) peers, and only peers this site is
     #: in conversation with (it sent them a message within half of
     #: ``gossip_staleness``) whose last stealable-queue figure from us is
     #: out of date.  Peers it has not talked to get nothing
@@ -176,35 +164,13 @@ class SchedulingConfig:
     push_enabled: bool = True
     #: only push while more than this many frames sit in the executable queue
     push_min_queue: int = 1
-    #: fetch a program's microthread code when the program is first learned
-    #: (CDAG spine threads first) instead of on first frame arrival
-    prefetch_code: bool = True
-    #: only target a victim whose fresh queue figure is at least this deep;
-    #: a site advertising a single spare frame will almost always run it
-    #: itself before a help request lands, so begging it mostly buys a
-    #: CANT_HELP (the thundering-herd dampener for victim selection,
-    #: gossip wake-ups, and help-request forwarding)
-    steal_min_queue: int = 2
-    #: how long an *active* victim (executions in flight) may hold an
-    #: unhelpable help request before refusing: production is bursty, so
-    #: a frame surplus often appears within an execution time and the
-    #: parked thief is granted straight from the fresh enqueue — instead
-    #: of a CANT_HELP now plus the thief's retry round trip later
-    #: (0 disables parking and refuses immediately; must stay well under
-    #: the thief's request timeout, 4x help_retry_interval min 50ms)
-    help_park_max: float = 4e-3
     #: fraction of microthreads executed twice with result comparison
     #: before their effects dispatch — the silent-data-corruption defense
     #: (0.0 keeps the execution pipeline byte-identical to no-replication
     #: behavior; selection is a deterministic per-frame hash, no RNG)
     replicate_frac: float = 0.0
-    #: how long a primary waits for its cross-site shadow's verdict
-    #: before committing its own result anyway (covers shadow-site death)
-    replicate_timeout: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.help_fanout < 1:
-            raise ConfigError("help_fanout must be >= 1")
         if self.ready_target < 1:
             raise ConfigError("ready_target must be >= 1")
         if self.steal_batch_max < 1:
@@ -215,14 +181,8 @@ class SchedulingConfig:
             raise ConfigError("gossip_staleness must be positive")
         if self.push_min_queue < 0:
             raise ConfigError("push_min_queue must be >= 0")
-        if self.steal_min_queue < 1:
-            raise ConfigError("steal_min_queue must be >= 1")
-        if self.help_park_max < 0:
-            raise ConfigError("help_park_max must be >= 0")
         if not 0.0 <= self.replicate_frac <= 1.0:
             raise ConfigError("replicate_frac must be in [0, 1]")
-        if self.replicate_timeout <= 0:
-            raise ConfigError("replicate_timeout must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,9 +199,6 @@ class ClusterConfig:
     #: heartbeat period and the timeout after which a site is declared crashed
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
-    #: how many known sites to piggyback on each cluster-info exchange,
-    #: and at most how many peers one gossip tick sends a LOAD_REPORT to
-    gossip_fanout: int = 3
     #: heartbeat partners per tick: 0 sends to every alive peer (full
     #: pairwise liveness, the default for small clusters); k > 0 sends to
     #: the k ring successors in sorted-id order and watches only the k
@@ -263,8 +220,6 @@ class SecurityConfig:
     enabled: bool = False
     #: pre-shared cluster password used to authenticate first contact
     cluster_password: str = "sdvm"
-    #: Diffie-Hellman modulus size (bits) for the didactic key exchange
-    dh_bits: int = 256
     #: sim-kernel-only fast path: charge the exact same simulated byte and
     #: CPU costs for sealing/opening envelopes, but skip the real keystream
     #: cipher + MAC work (and the DH shared-secret modpow).  Envelopes keep
@@ -283,6 +238,12 @@ class CheckpointConfig:
     interval: float = 5.0
     #: how many replicas of each site snapshot to keep on other sites
     replicas: int = 1
+
+    def __post_init__(self) -> None:
+        if self.interval <= 0:
+            raise ConfigError("checkpoint interval must be positive")
+        if self.replicas < 0:
+            raise ConfigError("checkpoint replicas must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,10 +304,6 @@ class TelemetryConfig:
     wave_stall_intervals: int = 4
     #: recovery-wedged: consecutive intervals a site may stay in recovery
     recovery_wedged_intervals: int = 8
-    #: steal-storm: minimum help requests inside the detection window ...
-    steal_storm_min_help: int = 8
-    #: ... combined with a steal success ratio at or below this
-    steal_storm_max_success: float = 0.15
 
     def __post_init__(self) -> None:
         if self.metrics_interval <= 0:
@@ -354,12 +311,9 @@ class TelemetryConfig:
         if self.flight_ring_depth < 1:
             raise ConfigError("flight_ring_depth must be >= 1")
         for name in ("idle_backlog_min", "stall_intervals",
-                     "wave_stall_intervals", "recovery_wedged_intervals",
-                     "steal_storm_min_help"):
+                     "wave_stall_intervals", "recovery_wedged_intervals"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not (0.0 <= self.steal_storm_max_success <= 1.0):
-            raise ConfigError("steal_storm_max_success must be in [0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,9 +358,6 @@ class SDVMConfig:
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     power: PowerConfig = field(default_factory=PowerConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    #: record a per-site event journal (executions, steals, membership,
-    #: checkpoints) for the repro.trace timeline tools
-    journal: bool = False
     #: structured cluster-wide tracing: every manager reports typed events
     #: into one repro.trace.Tracer (Chrome-trace export, metrics reports).
     #: Off by default — the disabled hot path is a single attribute check.

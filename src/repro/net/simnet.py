@@ -5,7 +5,6 @@ Delivery delay of a message of ``size`` bytes from ``src`` to ``dst``::
     delay = path_latency(src, dst)
           + size / bandwidth
           + transport_overhead            (tcp handshake / ttcp transaction)
-          + jitter                        (optional, seeded)
 
 The UDP model additionally drops messages with ``udp_loss_rate`` probability
 and delays a ``udp_reorder_rate`` fraction by an extra latency so they arrive
@@ -74,7 +73,7 @@ class SimNetwork:
         return self.topology.path_latency(src, dst)
 
     def transit_delay(self, src: int, dst: int, size: int) -> float:
-        """Deterministic part of the delivery delay (no jitter/reorder)."""
+        """Deterministic part of the delivery delay (no UDP reorder)."""
         cfg = self.config
         latency = self._one_way_latency(src, dst)
         serialization = size / cfg.bandwidth
@@ -123,8 +122,6 @@ class SimNetwork:
             if self.sim.rng.random() < cfg.udp_reorder_rate:
                 delay += 3.0 * cfg.latency + self.sim.rng.random() * cfg.latency
                 self.stats.inc("udp_reordered")
-        if cfg.jitter > 0.0:
-            delay *= 1.0 + cfg.jitter * self.sim.rng.random()
 
         if self.chaos is not None:
             offsets = self.chaos.filter_send(src, dst)

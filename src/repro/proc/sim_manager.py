@@ -33,6 +33,10 @@ from repro.sched.policies import replicate_chosen
 from repro.site.manager_base import Manager
 from repro.trace.causal import exec_node
 
+#: how long a primary waits for its cross-site shadow's verdict before
+#: committing its own result anyway (covers shadow-site death)
+REPLICATE_TIMEOUT = 0.25
+
 
 def effects_key(effects: list) -> str:
     """Canonical comparison key for a buffered effect list.
@@ -49,9 +53,6 @@ class SimProcessingManager(Manager):
 
     def __init__(self, site) -> None:  # noqa: ANN001
         super().__init__(site)
-        #: journal flag cached so the per-execution path skips building the
-        #: event kwargs entirely when journalling is off (the common case)
-        self._journal_on = site.config.journal
         self.in_flight = 0
         #: executions currently in their memory-wait phase
         self.waiting = 0
@@ -61,7 +62,6 @@ class SimProcessingManager(Manager):
         #: fraction of microthreads executed twice (SDC defense); cached
         #: so the replication-off hot path costs one float compare
         self._replicate_frac = site.config.scheduling.replicate_frac
-        self._replicate_timeout = site.config.scheduling.replicate_timeout
         #: frame key -> pending-verify timeout event (cross-site shadows)
         self._pending_verify: Dict[int, object] = {}
         #: chaos-engine result-corruption hook (None outside corrupt plans)
@@ -122,9 +122,6 @@ class SimProcessingManager(Manager):
             return
         self.site.site_manager.note_activity()
         self.in_flight += 1
-        if self._journal_on:
-            self.site.journal_event("exec_start", thread=compiled.name,
-                                    frame=frame.frame_id.pack())
         tr = self.tracer
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "exec_begin",
@@ -261,9 +258,6 @@ class SimProcessingManager(Manager):
         self.stats.add("work_units", ctx.charged_work)
         self.stats.add("wait_seconds", ctx.wait_time)
         self.work_done += ctx.charged_work
-        if self._journal_on:
-            self.site.journal_event("exec_end", frame=frame.frame_id.pack(),
-                                    work=ctx.charged_work)
         tr = self.tracer
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "exec_end",
@@ -302,7 +296,7 @@ class SimProcessingManager(Manager):
         buddy = shared.sites[peers[key % len(peers)]]
         latency = shared.network.config.latency
         self._pending_verify[key] = self.kernel.call_later(
-            self._replicate_timeout, self._verify_timeout, frame, ctx, epoch)
+            REPLICATE_TIMEOUT, self._verify_timeout, frame, ctx, epoch)
         self.kernel.call_later(latency, self._shadow_begin,
                                buddy, frame, ctx, epoch)
 

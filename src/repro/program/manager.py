@@ -113,7 +113,7 @@ class ProgramManager(Manager):
         for src in bound.threads.values():
             self.site.code_manager.store_source(src)
         self._broadcast_registration(info)
-        if self.site.running and self.config.scheduling.prefetch_code:
+        if self.site.running:
             # start the entry compile now and note which binaries the
             # compile owners announced by the broadcast will push back
             self.site.code_manager.prefetch_program(info)
@@ -169,8 +169,7 @@ class ProgramManager(Manager):
         existing = self.programs.get(info.pid)
         if existing is None:
             self.programs[info.pid] = info
-            if (not info.terminated and self.site.running
-                    and self.config.scheduling.prefetch_code):
+            if not info.terminated and self.site.running:
                 # warm the code cache now (CDAG spine first) so stolen or
                 # pushed frames of this program start without a fetch stall
                 self.site.code_manager.prefetch_program(info)
@@ -297,8 +296,6 @@ class ProgramManager(Manager):
         flight (``running`` False), where :meth:`learn_program_wire` must
         not start code fetches yet — warm the cache for everything learned
         in that window now."""
-        if not self.config.scheduling.prefetch_code:
-            return
         for info in self.programs.values():
             if not info.terminated:
                 self.site.code_manager.prefetch_program(info)

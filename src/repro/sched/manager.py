@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.ids import GlobalAddress, ManagerId
 from repro.core.frames import FrameState, Microframe
@@ -13,16 +13,20 @@ from repro.sched.policies import (pop_frame, take_batch_for_help,
                                   take_push_batch)
 from repro.site.manager_base import Manager
 
+#: base delay before a refused or unanswered thief asks again (grows with
+#: the backoff) and base length of a refuser's cooldown
+HELP_RETRY_INTERVAL = 5e-4
+#: how long a HELP_REQUEST may stay unanswered before it counts as failed
+HELP_TIMEOUT = 0.05
+#: at most this many peers get a LOAD_REPORT from one gossip tick
+GOSSIP_FANOUT = 3
 
-class _HelpRequest:
-    """Bookkeeping for one in-flight help request."""
 
-    __slots__ = ("target", "prefetch", "sent_at")
+class _HelpRequest(NamedTuple):
+    """Bookkeeping for the in-flight help request."""
 
-    def __init__(self, target: int, prefetch: bool, sent_at: float) -> None:
-        self.target = target
-        self.prefetch = prefetch
-        self.sent_at = sent_at
+    target: int
+    sent_at: float
 
 
 class SchedulingManager(Manager):
@@ -39,26 +43,23 @@ class SchedulingManager(Manager):
         self._pending_code: Dict[GlobalAddress, Microframe] = {}
         #: processing-manager slots waiting for work
         self._pm_hungry = 0
-        #: in-flight help requests, keyed by message seq — the live-request
-        #: fence: only a reply matching one of these may reset backoff and
-        #: cooldown state (late replies already fed the failure path)
+        #: the in-flight help request (at most one), keyed by message seq —
+        #: the live-request fence: only a reply matching it may reset backoff
+        #: and cooldown state (late replies already fed the failure path)
         self._inflight_helps: Dict[int, _HelpRequest] = {}
         self._help_backoff = 1.0
         self._help_timer = None
         #: peers that recently refused/timed out (logical id -> until time)
         self._cooldown: Dict[int, float] = {}
-        #: help requests held for a deferred grant (thief's request seq ->
-        #: (message, expiry timer)) — insertion order is grant order
-        self._parked_helps: Dict[int, Tuple[SDMessage, object]] = {}
         #: per-frame code-fetch retry budget
         self._code_retries: Dict[GlobalAddress, int] = {}
         #: LOAD_REPORT gossip tick (see _gossip_tick)
         self._gossip_timer = None
         #: guards against pushing frames we are adopting right now
         self._adopting = False
-        # per-peer state (cooldown, in-flight fence, parked thieves) must
-        # not outlive the peer: departed sites would otherwise accumulate
-        # forever in long-lived clusters
+        # per-peer state (cooldown, in-flight fence) must not outlive the
+        # peer: departed sites would otherwise accumulate forever in
+        # long-lived clusters
         site.cluster_manager.on_site_departed.append(self._on_peer_departed)
 
     # ------------------------------------------------------------------
@@ -85,13 +86,6 @@ class SchedulingManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "frame_enqueued",
                     frame.frame_id.pack(), frame.program)
         self._fill_ready()
-        if not self._adopting:
-            # a frame adopted from a steal must not be re-granted to a
-            # parked thief in the same breath: with many starved sites
-            # that relays frames around the cluster without ever
-            # executing them, and the parameter routing behind each hop
-            # is what breaks when a frame's home site dies mid-chain
-            self._serve_parked_helps()
         self._maybe_push()
 
     def stealable_depth(self) -> int:
@@ -182,35 +176,26 @@ class SchedulingManager(Manager):
             frame, compiled = self.ready.popleft()
             self.kernel.cpu_charge(self.cost.sched_decision_cost)
             pm.receive_work(frame, compiled, requested=requested)
-        # with everything handed out, consider prefetching the next steal
+        # a lane still hungry with nothing left queued asks now
         self._maybe_help()
 
     # ------------------------------------------------------------------
     # help requests (work stealing)
 
     def _maybe_help(self) -> None:
+        """Ask for work when there is none (paper §4: "if it is idle"):
+        nothing queued, nothing fetching, a lane hungry, no request in
+        flight.  Latency is hidden by the lanes that are still running,
+        not by a speculative request from a busy site."""
         if self.site.paused or self.site.sleeping:
             return
         if self.ready or self.executable or self._pending_code:
             return
-        idle = self._pm_hungry > 0
-        if self._inflight_helps:
-            if not idle:
-                return
-            # a prefetch steal in flight must not gag a genuinely idle
-            # site for a full timeout: escalate once with a real request
-            if any(not req.prefetch
-                   for req in self._inflight_helps.values()):
-                return
-        elif not idle:
-            # not idle — but optionally keep one steal in flight so the
-            # next frame is local by the time the current one completes
-            if not (self.config.scheduling.prefetch_steal
-                    and self.site.processing_manager.in_flight > 0):
-                return
+        if not self._pm_hungry or self._inflight_helps:
+            return
         if not self.site.program_manager.has_active_programs():
             return
-        self._send_help(prefetch=not idle)
+        self._send_help()
 
     def _steal_want(self) -> int:
         """Thief capacity advertised on a help request: how many frames a
@@ -220,49 +205,36 @@ class SchedulingManager(Manager):
         free = max(0, pm.max_parallel - pm.in_flight)
         return max(1, min(cfg.steal_batch_max, free + cfg.ready_target))
 
-    def _send_help(self, prefetch: bool = False,
-                   exclude: Optional[Set[int]] = None) -> None:
+    def _send_help(self) -> None:
+        """One request to one victim that is not on cooldown."""
         now = self.kernel.now
-        cfg = self.config.scheduling
-        excluded = set(exclude or ())
-        excluded.update(req.target for req in self._inflight_helps.values())
-        excluded.update(s for s, until in self._cooldown.items()
-                        if until > now)
         cm = self.site.cluster_manager
-        rounds = 1 if prefetch else cfg.help_fanout
-        sent = 0
-        for _ in range(rounds):
-            target = cm.pick_help_target(excluded)
-            if target is None:
-                break
-            excluded.add(target)
-            msg = SDMessage(
-                type=MsgType.HELP_REQUEST,
-                src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
-                dst_site=target, dst_manager=ManagerId.SCHEDULING,
-                payload={
-                    "record": cm.local_record_wire(),
-                    "load": self.site.site_manager.current_load(),
-                    "want": self._steal_want(),
-                    "prefetch": prefetch,
-                },
-            )
-            self.stats.inc("help_sent")
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(now, self.local_id, "help_request", target)
-            ok = self.site.message_manager.request(
-                msg, self._on_help_reply,
-                timeout=max(4 * cfg.help_retry_interval, 0.05),
-                on_timeout=lambda m=msg: self._help_timed_out(m.seq))
-            if not ok:
-                self._help_failed(target)
-                continue
-            self._inflight_helps[msg.seq] = _HelpRequest(target, prefetch,
-                                                         now)
-            sent += 1
-        if sent == 0:
+        target = cm.pick_help_target(
+            s for s, until in self._cooldown.items() if until > now)
+        if target is None:
             self._schedule_retry()
+            return
+        msg = SDMessage(
+            type=MsgType.HELP_REQUEST,
+            src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
+            dst_site=target, dst_manager=ManagerId.SCHEDULING,
+            payload={
+                "record": cm.local_record_wire(),
+                "load": self.site.site_manager.current_load(),
+                "want": self._steal_want(),
+            },
+        )
+        self.stats.inc("help_sent")
+        tr = self.tracer
+        if tr is not None:
+            tr.emit(now, self.local_id, "help_request", target)
+        ok = self.site.message_manager.request(
+            msg, self._on_help_reply, timeout=HELP_TIMEOUT,
+            on_timeout=lambda: self._help_timed_out(msg.seq))
+        if ok:
+            self._inflight_helps[msg.seq] = _HelpRequest(target, now)
+        else:
+            self._help_failed(target)
 
     def _help_timed_out(self, seq: int) -> None:
         request = self._inflight_helps.pop(seq, None)
@@ -273,8 +245,7 @@ class SchedulingManager(Manager):
 
     def _help_failed(self, target: int) -> None:
         self._cooldown[target] = (self.kernel.now
-                                  + self._help_backoff
-                                  * self.config.scheduling.help_retry_interval)
+                                  + self._help_backoff * HELP_RETRY_INTERVAL)
         self._schedule_retry()
 
     def _on_help_reply(self, msg: SDMessage) -> None:
@@ -287,33 +258,9 @@ class SchedulingManager(Manager):
             queue=msg.payload.get("queue", msg.src_queue))
         if msg.type == MsgType.CANT_HELP:
             self.stats.inc("cant_help_received")
+            # the thief sits out its backoff; the refuser's next queue
+            # change reaches it as a correction (_report_load)
             self._help_failed(msg.src_site)
-            # the refusal taught us only that *this* victim was drained,
-            # not that the cluster is: an idle thief whose load view
-            # still shows a fresh deep queue elsewhere re-targets it now
-            # instead of sitting out the backoff delay.  Self-limiting in
-            # a small cluster: the refuser just went on cooldown and its
-            # piggybacked queue figure stops it counting as deep.  In a
-            # large cluster this eager re-targeting is NOT self-limiting
-            # — among hundreds of peers the load view nearly always shows
-            # a deep queue somewhere, so resetting the backoff here melts
-            # every refusal into an RTT-rate beg loop; past the sample
-            # size, thieves sit out their backoff, and the refuser's next
-            # queue change reaches them as a correction (_report_load).
-            cm = self.site.cluster_manager
-            if (self._pm_hungry and not self._inflight_helps
-                    and len(cm.alive_peers()) <= cm.PICK_SAMPLE):
-                cfg = self.config.scheduling
-                now = self.kernel.now
-                if any(now - r.load_at <= cfg.gossip_staleness
-                       and r.queue >= cfg.steal_min_queue
-                       and self._cooldown.get(r.logical, 0.0) <= now
-                       for r in cm.peer_sample()):
-                    if self._help_timer is not None:
-                        self.kernel.cancel(self._help_timer)
-                        self._help_timer = None
-                    self._help_backoff = 1.0
-                    self._maybe_help()
             return
         if msg.type != MsgType.HELP_REPLY:
             self.log("unexpected help reply %s", msg.type.name)
@@ -341,20 +288,12 @@ class SchedulingManager(Manager):
             return
         for info_wire in msg.payload.get("program_infos", ()):
             self.site.program_manager.learn_program_wire(info_wire)
-        info_wire = msg.payload.get("program_info")
-        if info_wire is not None:
-            self.site.program_manager.learn_program_wire(info_wire)
-        wires = msg.payload.get("frames")
-        if wires is None:
-            wires = [msg.payload["frame"]]
         tr = self.tracer
         self._adopting = True
         try:
-            for wire in wires:
+            for wire in msg.payload["frames"]:
                 frame = Microframe.from_wire(wire)
                 self.stats.inc("steals_in")
-                self.site.journal_event("steal_in", victim=msg.src_site,
-                                        frame=frame.frame_id.pack())
                 if tr is not None:
                     tr.emit(self.kernel.now, self.local_id, "steal_in",
                             msg.src_site, frame.frame_id.pack())
@@ -378,20 +317,13 @@ class SchedulingManager(Manager):
         if stale:
             # don't wait out the request timeout to re-target
             self._schedule_retry()
-        dead_parks = [rseq for rseq, (msg, _t) in self._parked_helps.items()
-                      if int(msg.payload.get("thief", msg.src_site)) == logical]
-        for rseq in dead_parks:
-            _msg, timer = self._parked_helps.pop(rseq)
-            self.kernel.cancel(timer)
-            self.stats.inc("help_parks_dropped_dead")
 
     def _schedule_retry(self) -> None:
         if self._help_timer is not None:
             return
         if not self.site.program_manager.has_active_programs():
             return
-        delay = (self.config.scheduling.help_retry_interval
-                 * self._help_backoff)
+        delay = HELP_RETRY_INTERVAL * self._help_backoff
         # a constant ceiling: a refused thief is woken by the victim's
         # next queue change, so blind retries into a drained cluster only
         # pad the CANT_HELP count — but nothing wakes a thief nobody has
@@ -450,13 +382,9 @@ class SchedulingManager(Manager):
             payload=payload,
             reply_to=int(msg.payload.get("rseq", msg.seq))))
 
-    def _thief_alive(self, msg: SDMessage) -> bool:
-        record = self.site.cluster_manager.sites.get(
-            int(msg.payload.get("thief", msg.src_site)))
-        return record is not None and record.alive
-
-    def _cant_help(self, msg: SDMessage, my_load: float) -> None:
-        self._reply_help(msg, MsgType.CANT_HELP, {"load": my_load})
+    def _cant_help(self, msg: SDMessage) -> None:
+        self._reply_help(msg, MsgType.CANT_HELP,
+                         {"load": self.site.site_manager.current_load()})
         self.stats.inc("cant_help_sent")
         tr = self.tracer
         if tr is not None:
@@ -489,7 +417,7 @@ class SchedulingManager(Manager):
             if r.logical in (thief, msg.src_site):
                 continue
             if (r.load_at >= 0 and now - r.load_at <= staleness
-                    and r.queue >= self.config.scheduling.steal_min_queue
+                    and r.queue >= cm.STEAL_MIN_QUEUE
                     and (best is None or r.queue > best.queue)):
                 best = r
         if best is None:
@@ -519,17 +447,10 @@ class SchedulingManager(Manager):
         self.site.cluster_manager.note_load(
             msg.src_site, msg.payload.get("load", 0.0),
             queue=msg.src_queue)
-        my_load = self.site.site_manager.current_load()
-        if self.site.paused:
+        if (self.site.paused or self.stealable_depth()
+                <= self.config.scheduling.keep_local_min):
             if not self._forward_help(msg):
-                self._cant_help(msg, my_load)
-            return
-        spare = len(self.executable) + len(self.ready)
-        avail = spare - self.config.scheduling.keep_local_min
-        if avail <= 0:
-            if (not self._forward_help(msg)
-                    and not self._park_help(msg)):
-                self._cant_help(msg, my_load)
+                self._cant_help(msg)
             return
         self._grant_help(msg)
 
@@ -554,7 +475,7 @@ class SchedulingManager(Manager):
         if not frames:
             # nothing actually takeable: an empty HELP_REPLY would read
             # as generosity (backoff reset) — refuse honestly instead
-            self._cant_help(msg, self.site.site_manager.current_load())
+            self._cant_help(msg)
             return
         thief = int(msg.payload.get("thief", msg.src_site))
         tr = self.tracer
@@ -581,72 +502,6 @@ class SchedulingManager(Manager):
             self.stats.inc("steals_out")
         self.stats.observe("steal_batch", float(len(frames)))
 
-    # ------------------------------------------------------------------
-    # deferred grants: parked help requests
-
-    def _park_help(self, msg: SDMessage) -> bool:
-        """Hold an unhelpable request briefly instead of refusing.
-
-        Only an *active* victim parks (executions in flight or code
-        fetches pending — a frame may surface within an execution time);
-        a truly idle one refuses immediately so the thief tries its luck
-        elsewhere.  The thief is quiet while its request is in flight, so
-        parking also stops it burning retries on other drained victims.
-        """
-        hold = self.config.scheduling.help_park_max
-        if hold <= 0:
-            return False
-        if not msg.payload.get("prefetch", False):
-            # the thief's lanes are empty right now: a prompt CANT_HELP
-            # lets it re-target (or react to gossip) within a retry
-            # interval, which beats holding it in limbo here — only a
-            # prefetching thief (still computing) can afford the wait
-            return False
-        pm = self.site.processing_manager
-        if pm.in_flight <= 0 and not self._pending_code:
-            return False
-        rseq = int(msg.payload.get("rseq", msg.seq))
-        if rseq in self._parked_helps or len(self._parked_helps) >= 8:
-            return False
-        timer = self.kernel.call_later(
-            hold, lambda: self._park_expired(rseq))
-        self._parked_helps[rseq] = (msg, timer)
-        self.stats.inc("helps_parked")
-        return True
-
-    def _park_expired(self, rseq: int) -> None:
-        entry = self._parked_helps.pop(rseq, None)
-        if entry is None:
-            return
-        msg, _timer = entry
-        self.stats.inc("help_parks_expired")
-        self._cant_help(msg, self.site.site_manager.current_load())
-
-    def _serve_parked_helps(self) -> None:
-        """Grant parked thieves from fresh surplus, oldest first."""
-        cfg = self.config.scheduling
-        while self._parked_helps and not self.site.paused:
-            if (len(self.executable) + len(self.ready)
-                    - cfg.keep_local_min) <= 0:
-                return
-            rseq = next(iter(self._parked_helps))
-            msg, timer = self._parked_helps.pop(rseq)
-            self.kernel.cancel(timer)
-            if not self._thief_alive(msg):
-                # the thief crashed while parked — granting would ship
-                # frames into the void
-                continue
-            self.stats.inc("help_parks_granted")
-            self._grant_help(msg)
-
-    def _flush_parked_helps(self) -> None:
-        """Refuse everything parked (stop/pause/sign-off paths)."""
-        while self._parked_helps:
-            rseq = next(iter(self._parked_helps))
-            msg, timer = self._parked_helps.pop(rseq)
-            self.kernel.cancel(timer)
-            self._cant_help(msg, self.site.site_manager.current_load())
-
     def _program_infos(self, frames: List[Microframe]) -> List[dict]:
         pm = self.site.program_manager
         return [pm.get(pid).to_wire()
@@ -661,24 +516,20 @@ class SchedulingManager(Manager):
         queue = msg.payload.get("queue", msg.src_queue)
         self.site.cluster_manager.note_load(
             msg.src_site, msg.payload.get("load", msg.src_load), queue=queue)
-        # the steal_min_queue dampener assumes a queue-1 victim will run
-        # the frame itself before a request lands — the right bet for a
-        # prefetching thief, the wrong one for a site with empty lanes
-        # in the drain phase, where single-frame bursts are all there is
-        wake_at = (1 if self._pm_hungry
-                   else self.config.scheduling.steal_min_queue)
-        if queue is not None and queue >= wake_at:
-            # the sender has stealable work: fresh positive first-hand
-            # evidence beats stale failure memory, so take it off
-            # cooldown and drop the backoff a streak of startup
-            # CANT_HELPs built up, then react now instead of waiting
-            # out the retry timer
+        if not self._pm_hungry:
+            # we have work: maybe shed some surplus onto an idle peer
+            self._maybe_push()
+        elif queue is not None and queue >= 1:
+            # a single spare frame wakes a hungry site (STEAL_MIN_QUEUE
+            # bets that a queue-1 victim runs the frame itself first —
+            # wrong in the drain phase, where single-frame bursts are all
+            # there is).  Fresh positive first-hand evidence beats stale
+            # failure memory: take the sender off cooldown, drop the
+            # backoff a streak of startup CANT_HELPs built up, and react
+            # now instead of waiting out the retry timer
             self._cooldown.pop(msg.src_site, None)
             self._help_backoff = 1.0
             self._maybe_help()
-        else:
-            # the sender is idle: maybe shed some surplus onto it
-            self._maybe_push()
 
     def _gossip_tick(self) -> None:
         """Correct the peers we are in conversation with.
@@ -708,14 +559,14 @@ class SchedulingManager(Manager):
                                                     self._gossip_tick)
 
     def _report_load(self) -> None:
-        """Report to at most ``gossip_fanout`` conversation partners whose
+        """Report to at most ``GOSSIP_FANOUT`` conversation partners whose
         last figure from us is not our stealable queue any more.  Only
         the queue is compared: it is what a thief acts on, and the load
         moves with every execution that starts or ends.  A peer outside
         the record gets nothing — it holds no figure of ours to correct."""
         mm = self.site.message_manager
         queue = float(self.stealable_depth())
-        peers = mm.told_other_than(queue, self.config.cluster.gossip_fanout)
+        peers = mm.told_other_than(queue, GOSSIP_FANOUT)
         if not peers:
             return
         load = self.site.site_manager.current_load()
@@ -751,8 +602,6 @@ class SchedulingManager(Manager):
         tr = self.tracer
         for frame in frames:
             self.stats.inc("frames_pushed")
-            self.site.journal_event("push_out", target=target,
-                                    frame=frame.frame_id.pack())
             if tr is not None:
                 tr.emit(self.kernel.now, self.local_id, "push_out",
                         target, frame.frame_id.pack())
@@ -825,19 +674,11 @@ class SchedulingManager(Manager):
         # the frames start fresh on their new site; keeping the retry map
         # here would leak one entry per relocated frame forever
         self._code_retries.clear()
-        # parked thieves must look elsewhere — this site is signing off
-        self._flush_parked_helps()
         return frames
 
     def queue_depth(self) -> int:
         return (len(self.executable) + len(self.ready)
                 + len(self._pending_code))
-
-    def parked_depth(self) -> int:
-        """Help requests currently parked awaiting a frame surplus
-        (telemetry: a persistently high figure means thieves are queueing
-        behind a victim that never frees anything)."""
-        return len(self._parked_helps)
 
     def on_start(self) -> None:
         if self.config.scheduling.gossip_interval > 0:
@@ -851,11 +692,6 @@ class SchedulingManager(Manager):
         if self._gossip_timer is not None:
             self.kernel.cancel(self._gossip_timer)
             self._gossip_timer = None
-        # drop parked helps without replying: the site is going away and
-        # the thieves' request timeouts handle the silence
-        for _msg, timer in self._parked_helps.values():
-            self.kernel.cancel(timer)
-        self._parked_helps.clear()
 
     def status(self) -> dict:
         base = super().status()
@@ -863,5 +699,4 @@ class SchedulingManager(Manager):
         base["ready"] = len(self.ready)
         base["pending_code"] = len(self._pending_code)
         base["inflight_helps"] = len(self._inflight_helps)
-        base["parked_helps"] = self.parked_depth()
         return base

@@ -8,6 +8,5 @@ reproducible across machines.
 """
 
 from repro.sim.engine import Simulator, Event, SimulationError
-from repro.sim.resource import SimResource
 
-__all__ = ["Simulator", "Event", "SimulationError", "SimResource"]
+__all__ = ["Simulator", "Event", "SimulationError"]

@@ -57,8 +57,6 @@ class SDVMSite:
         self.forward_to: Optional[int] = None
         self.debug = debug
         self.log_lines: List[str] = []
-        #: optional event journal for repro.trace (config.journal)
-        self.journal: List[tuple] = []
         #: cluster-wide structured tracer (config.trace); managers cache
         #: this reference at construction and guard every emission
         self.tracer = kernel.tracer
@@ -263,11 +261,6 @@ class SDVMSite:
         """Drop all dataflow state (recovery rollback)."""
         self.scheduling_manager.reset_for_recovery()
         self.attraction_memory.reset_program_state()
-
-    def journal_event(self, kind: str, **data: Any) -> None:
-        """Append a timeline event (no-op unless ``config.journal``)."""
-        if self.config.journal:
-            self.journal.append((self.kernel.now, kind, data))
 
     def log(self, fmt: str, *args: Any) -> None:
         line = f"[{self.kernel.now:.6f} s{self.site_id}] " + (

@@ -17,7 +17,7 @@ Three layers, all fed by the same runs:
       from repro.trace import aggregate_cluster
       print(aggregate_cluster(cluster).render())
 
-* **ASCII timelines** — the lightweight ``SDVMConfig(journal=True)`` path::
+* **ASCII timelines** — drawn from the same tracer events::
 
       from repro.trace import Timeline
       print(Timeline.from_cluster(cluster).render(width=72))
@@ -55,7 +55,7 @@ from repro.trace.metrics import (
     render_top,
     validate_metrics,
 )
-from repro.trace.timeline import Timeline, TraceEvent
+from repro.trace.timeline import Timeline
 from repro.trace.tracer import EVENT_FIELDS, Tracer, TracerEvent
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "MetricsSampler",
     "SAMPLE_FIELDS",
     "Timeline",
-    "TraceEvent",
     "Tracer",
     "TracerEvent",
     "aggregate_cluster",

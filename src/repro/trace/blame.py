@@ -314,8 +314,8 @@ def blame_sites(sites: List, tracer: Tracer,  # noqa: ANN001
         idle_budget = max(horizon - busy, 0.0)
         wait_sum = sum(waits.values())
         if wait_sum > idle_budget and wait_sum > 0.0:
-            # waits overlapped busy time (e.g. prefetch steals issued while
-            # computing) — only their truly idle share may claim blame
+            # waits overlapped busy time (e.g. one lane begging while the
+            # others compute) — only their truly idle share may claim blame
             scale = idle_budget / wait_sum
             waits = {cat: sec * scale for cat, sec in waits.items()}
             wait_sum = idle_budget

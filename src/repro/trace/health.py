@@ -44,6 +44,11 @@ from repro.common.stats import Histogram
 DETECTORS = ("idle_stall", "steal_storm", "wave_stall",
              "recovery_wedged", "partition_suspect", "sdc_mismatch")
 
+#: steal-storm: minimum help requests inside the detection window ...
+STEAL_STORM_MIN_HELP = 8
+#: ... combined with a steal success ratio at or below this
+STEAL_STORM_MAX_SUCCESS = 0.15
+
 
 class Detection(NamedTuple):
     """One detector firing: when, where, what, and the evidence."""
@@ -142,9 +147,8 @@ class HealthMonitor:
             steal_sum = sum(w[1] for w in window)
             busy_mean = sum(w[2] for w in window) / len(window)
             storming = (len(window) == cfg.stall_intervals
-                        and help_sum >= cfg.steal_storm_min_help
-                        and steal_sum <= (cfg.steal_storm_max_success
-                                          * help_sum)
+                        and help_sum >= STEAL_STORM_MIN_HELP
+                        and steal_sum <= STEAL_STORM_MAX_SUCCESS * help_sum
                         and busy_mean < 0.25
                         and others_backlog >= cfg.idle_backlog_min)
             if storming:

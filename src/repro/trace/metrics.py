@@ -2,7 +2,7 @@
 
 The post-hoc observability stack (Tracer journal, blame, invariants) only
 answers questions after a run ends.  This module samples every site's
-health *while the run is going*: queue depths, ready/parked frames, CPU
+health *while the run is going*: queue depths, ready frames, CPU
 busy fraction, steal and message counters, the age of the open checkpoint
 wave, and directory-shard ownership — one row per (tick, site), written as
 JSONL so the gateway/sweep tooling and the ``repro health`` / ``repro
@@ -41,7 +41,6 @@ SAMPLE_FIELDS: Tuple[str, ...] = (
     "queue",          # scheduling queue depth (executable+ready+pending)
     "executable",     # frames ready to run now
     "ready",          # frames waiting on code prefetch
-    "parked",         # parked (deferred) help requests held by this site
     "in_flight",      # microthreads currently executing
     "busy_frac",      # CPU busy fraction over the last interval
     "help_sent",      # help requests sent this interval
@@ -263,7 +262,6 @@ class MetricsSampler:
             "queue": sched.queue_depth(),
             "executable": len(sched.executable),
             "ready": len(sched.ready),
-            "parked": sched.parked_depth(),
             "in_flight": proc.in_flight,
             "busy_frac": busy_frac,
             "help_sent": help_sent - prev[1],

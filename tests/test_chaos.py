@@ -37,34 +37,33 @@ from repro.common.errors import SDVMError
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
-#: journal fingerprints of every replication-off corpus plan, pinned at
-#: the commit that introduced selective replication: the defense layer
-#: must be invisible (bit-for-bit) whenever ``replicate_frac == 0``.
-#: ``dir_shard_crash`` was re-pinned, and ``homesite_crash`` added, when
-#: the homesite became the directory (PR 20): memstress then stopped
-#: sending a DIR_UPDATE per allocation (1 183 -> 764 messages, 240 -> 6
-#: DIR_UPDATEs); the other eight did not move.
+#: journal fingerprints of every replication-off corpus plan: the
+#: defense layer must be invisible (bit-for-bit) whenever
+#: ``replicate_frac == 0``.  All ten were re-pinned when a site stopped
+#: asking for work while busy (PR 21): every trajectory with stealing in
+#: it moved, and ``homesite_crash`` was re-timed (crash at 2.05 s, not
+#: 0.9 s) so that an object has again left site 3 before it dies.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "9b8c8183631d876425ce8838a4877f5b26cc2d4eb942c5fd24462402d1b1ee94",
+        "f54c1083e010271bccb7dd07418d1cfc0b8cf20d4871d650cf03fe72e7743863",
     "crash_during_recovery.json":
-        "47a79715baede9d7e0bd1159c50295acf089446c33f056d1938fcf66310a01f9",
+        "bd855f872d8fc7157a2dacfe0f9fc2629f639a5daa9af1ee8f4ea9e3627ada41",
     "crash_during_wave.json":
-        "49665ab7fcb8bc0378c0c934ddea442807eb032105ab5e28e8ef5f1ae13998a5",
+        "46cc3e8c4c0ff0cd195b0cd573c149dc8b15da6a200fa5bb44cfd3afc8d7960c",
     "dir_shard_crash.json":
-        "cf012a7b64f462409eb2221f795d1e5f83c354014e4e40ec53292093a9a77915",
+        "001b4fdd194186f385aa1972ad392ced4654926b9cea99c14eb417276765e98b",
     "duplicate_delivery.json":
-        "8bc69d1b395bf59b8dec96ddfcc0748df9a67bca8c7a61932a31864d7480de07",
+        "8ea9ee63048be122a8ccb46f65c63450df983af99adc1c744c9449676e0e652d",
     "homesite_crash.json":
-        "2de046fea14e746c7f7cf80a72032e430c175cb4f0fa357feb39a7b527639c05",
+        "56ef9a2bc85ba4f3959dcbd8b46db968356bd2fe755612268b7a595e9a6a7045",
     "lossy_recovery.json":
-        "280e428f3d959b7d1c3ec1667eb6b8a48c0bfb027d95353cd5b8ebe36a14098b",
+        "9e5ec193ae7dae6f1d6b3f94b4a72117dfb270f64ead94274aff72863f6bfeef",
     "partition_then_heal.json":
-        "a943357d7a8d2357ed0665b7f242c008a0077730ae8e48d41754805af80ed7da",
+        "b15bed01f834ad62985d658db5600fa13860a2ac7448ff444ae85c69bc68ba93",
     "steal_batch_reorder.json":
-        "b5dbae0d9f9bab51de4d59f7ccef87cfe5610dbe1bb180bac40da30d4f1526b8",
+        "b6bd41093f9090537b9a6b6660e3f7a84263aec68bf6810ab41ad5932bb022a4",
     "wave_stall.json":
-        "4213dbb74225dfefcda1dca700734976ecd4bc8382e1270e927a1d950d67589e",
+        "d184aa3d70f07d71041bd989373735be8f3cdb9ba70e7709f49eb373c8bb1101",
 }
 
 _corpus_results = {}
@@ -154,6 +153,18 @@ class TestFaultPlan:
     def test_replicate_frac_range_is_validated(self):
         with pytest.raises(SDVMError):
             FaultPlan(nsites=2, replicate_frac=1.5).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("ckpt_interval", 0),  # the wave timer re-armed at zero delay
+        ("nsites", 0),
+        ("submit_site", 7),    # an IndexError from simcluster.py
+        ("horizon", 0),
+    ])
+    def test_plan_file_that_cannot_run_is_rejected(self, field, value):
+        blob = {"schema": "sdvm-chaos/1", "nsites": 3,
+                "workload": "primes", "faults": [], field: value}
+        with pytest.raises(SDVMError, match=field):
+            FaultPlan.from_json(json.dumps(blob))
 
     def test_corrupt_end_extends_the_drain_horizon(self):
         """A late corruption window must not outlive the audit: the

@@ -118,11 +118,11 @@ class TestTraceAndStats:
         # (the sim's oracle reads model the fetch and send only what the
         # directory costs): no message for either
         assert derived("memstress", "--sites", "3", "--args", "16", "50") \
-            == {"msgs_per_exec": pytest.approx(45 / 33, abs=1e-3),
+            == {"msgs_per_exec": pytest.approx(43 / 33, abs=1e-3),
                 "dir_updates_per_alloc": 0.0, "msgs_per_remote_read": 0.0}
         assert derived("primes", "--sites", "2",
                        "--args", "10", "4", "200", "2000") \
-            == {"msgs_per_exec": pytest.approx(89 / 57, abs=1e-3),
+            == {"msgs_per_exec": pytest.approx(49 / 57, abs=1e-3),
                 "dir_updates_per_alloc": 0.0, "msgs_per_remote_read": 0.0}
 
     def test_trace_unknown_app(self):

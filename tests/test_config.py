@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import pathlib
+import re
+
 import pytest
+
+import repro
 
 from repro.common.config import (
     CheckpointConfig,
@@ -47,7 +54,7 @@ class TestNetworkConfig:
 
 class TestSchedulingConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"help_fanout": 0},
+        {"steal_batch_max": 0},
         {"ready_target": 0},
     ])
     def test_invalid_rejected(self, kwargs):
@@ -105,3 +112,41 @@ class TestSecurityAndCheckpoint:
     def test_defaults(self):
         assert not SecurityConfig().enabled
         assert not CheckpointConfig().enabled
+
+    @pytest.mark.parametrize("kwargs", [
+        {"interval": 0.0},  # the wave timer would re-arm at zero delay
+        {"replicas": -1},
+    ])
+    def test_invalid_checkpoint_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            CheckpointConfig(**kwargs)
+
+
+def leaf_fields(config):
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaf_fields(value)
+        else:
+            yield f"{type(config).__name__}.{f.name}", f.name
+
+
+def test_every_config_field_has_a_reader():
+    """A knob nothing reads advertises behaviour the system does not
+    have: every leaf field of SDVMConfig must appear as ``.<name>``
+    somewhere under src/repro/ outside the file that declares it, or in
+    one of that file's own methods — a validator is not a reader."""
+    root = pathlib.Path(repro.__file__).parent
+    declaring = root / "common" / "config.py"
+    source = "\n".join(path.read_text()
+                       for path in sorted(root.rglob("*.py"))
+                       if path != declaring)
+    own_reads = {node.attr
+                 for fn in ast.walk(ast.parse(declaring.read_text()))
+                 if isinstance(fn, ast.FunctionDef)
+                 and fn.name != "__post_init__"
+                 for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+    unread = [qualified for qualified, name in leaf_fields(SDVMConfig())
+              if name not in own_reads
+              and not re.search(rf"\.{name}\b", source)]
+    assert unread == []

@@ -18,6 +18,7 @@ from repro.bench.harness import run_primes, run_treesum
 from repro.chaos import journal_fingerprint
 from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage
+from repro.sched.manager import GOSSIP_FANOUT
 from repro.site.simcluster import SimCluster
 
 INTERVAL = 1e-3
@@ -102,7 +103,7 @@ class TestConversationScope:
         rep = Reporter(nsites=8)
         rep.talk_to(*rep.peers)
         rep.figure = (3.0, 2.0)
-        fanout = rep.cluster.config.cluster.gossip_fanout
+        fanout = GOSSIP_FANOUT
         rep.run(INTERVAL + WIRE)
         assert sum(rep.view(p) == rep.figure for p in rep.peers) >= fanout
         rounds = -(-len(rep.peers) // fanout)
@@ -149,7 +150,9 @@ class TestConversationScope:
         thief, bystanders = rep.peers[0], rep.peers[1:]
         sm = thief.scheduling_manager
         rep.run(STALENESS)  # the thief knows nothing fresh: it probes
-        sm._send_help(exclude={p.site_id for p in bystanders})
+        for p in bystanders:  # the thief may only pick the reporter
+            sm._cooldown[p.site_id] = float("inf")
+        sm._send_help()
         rep.run(2 * WIRE)
         victim = rep.site.site_id
         assert sm.stats.get("cant_help_received").count == 1

@@ -123,7 +123,7 @@ class TestStarvationFreedom:
 def running_pair(fast_config):
     from repro.apps import build_primes_program
     cluster = SimCluster(nsites=2,
-                         config=fast_config.with_(journal=True))
+                         config=fast_config.with_(trace=True))
     handle = cluster.submit(build_primes_program(),
                             args=(25, 6, 400.0, 4000.0))
     cluster.sim.run(until=0.05)
@@ -171,8 +171,8 @@ class TestLateHelpReply:
         assert sm.stats.get("steals_in").count == steals + 1
         assert sm.stats.get("frames_enqueued").count == enqueued + 1
         assert sm.stats.get("late_steal_grants").count == late + 1
-        assert any(k == "steal_in" and d.get("victim") == victim.site_id
-                   for _t, k, d in thief.journal)
+        assert any(e.fields[0] == victim.site_id
+                   for e in thief.tracer.select("steal_in", thief.site_id))
         # ...but the fence holds: a reply to a dead request must not wipe
         # congestion state mid-congestion
         assert sm._help_backoff == 4.0
@@ -190,7 +190,7 @@ class TestLateHelpReply:
         sm._cooldown[victim.site_id] = sm.kernel.now + 100.0
         sm._cooldown[999] = sm.kernel.now + 100.0
         sm._inflight_helps[4242] = _HelpRequest(
-            victim.site_id, prefetch=False, sent_at=sm.kernel.now)
+            victim.site_id, sent_at=sm.kernel.now)
         frame = Microframe(GlobalAddress(victim.site_id, 7778),
                            thread_id=0, program=handle.pid, nparams=0)
         steals = sm.stats.get("steals_in").count
@@ -304,40 +304,21 @@ class TestBackoffAndCooldown:
 
 
 class TestDepartureCleanup:
-    """Per-peer scheduler state (cooldown, in-flight fence, parked
-    thieves) must be dropped when the peer crashes or signs off — dead
-    sites used to accumulate in these maps forever."""
+    """Per-peer scheduler state (cooldown, in-flight fence) must be
+    dropped when the peer crashes or signs off — dead sites used to
+    accumulate in these maps forever."""
 
     def test_departure_clears_cooldown_and_inflight(self, running_pair):
         from repro.sched.manager import _HelpRequest
         _cluster, thief, victim, _handle = running_pair
         sm = thief.scheduling_manager
         sm._cooldown[victim.site_id] = sm.kernel.now + 100.0
-        sm._inflight_helps[555] = _HelpRequest(victim.site_id, False,
+        sm._inflight_helps[555] = _HelpRequest(victim.site_id,
                                                sm.kernel.now)
         thief.cluster_manager._note_departed(victim.site_id)
         assert victim.site_id not in sm._cooldown
         assert not sm._inflight_helps
         assert sm.stats.get("help_targets_departed").count == 1
-
-    def test_departure_drops_parked_helps_of_dead_thief(self, running_pair):
-        from repro.common.ids import ManagerId
-        from repro.messages import MsgType, SDMessage
-        _cluster, victim_site, thief_site, _handle = running_pair
-        sm = victim_site.scheduling_manager
-        msg = SDMessage(
-            type=MsgType.HELP_REQUEST,
-            src_site=thief_site.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=victim_site.site_id, dst_manager=ManagerId.SCHEDULING,
-            payload={"thief": thief_site.site_id, "rseq": 42})
-        timer = sm.kernel.call_later(100.0, lambda: None)
-        sm._parked_helps[42] = (msg, timer)
-        cant_help = sm.stats.get("cant_help_sent").count
-        victim_site.cluster_manager._note_departed(thief_site.site_id)
-        assert not sm._parked_helps
-        assert sm.stats.get("help_parks_dropped_dead").count == 1
-        # no CANT_HELP into the void: the thief is gone
-        assert sm.stats.get("cant_help_sent").count == cant_help
 
 
 class TestVictimSelection:
@@ -385,7 +366,7 @@ class TestVictimSelection:
 
 
 class TestStealBatching:
-    def _park_frames(self, sm, pid, count, start=9000):
+    def _queue_frames(self, sm, pid, count, start=9000):
         for i in range(count):
             sm.executable.append(Microframe(
                 GlobalAddress(0, start + i), thread_id=0,
@@ -398,7 +379,7 @@ class TestStealBatching:
         sm = victim.scheduling_manager
         sm.executable.clear()
         sm.ready.clear()
-        self._park_frames(sm, handle.pid, 12)
+        self._queue_frames(sm, handle.pid, 12)
         outs = sm.stats.get("steals_out").count
         sm._on_help_request(SDMessage(
             type=MsgType.HELP_REQUEST, seq=777,
@@ -419,7 +400,7 @@ class TestStealBatching:
         sm = victim.scheduling_manager
         sm.executable.clear()
         sm.ready.clear()
-        self._park_frames(sm, handle.pid, 3)
+        self._queue_frames(sm, handle.pid, 3)
         outs = sm.stats.get("steals_out").count
         sm._on_help_request(SDMessage(
             type=MsgType.HELP_REQUEST, seq=778,
@@ -435,7 +416,7 @@ class TestStealBatching:
         sm = victim.scheduling_manager
         sm.executable.clear()
         sm.ready.clear()
-        self._park_frames(sm, handle.pid, 12)
+        self._queue_frames(sm, handle.pid, 12)
         from repro.common.ids import ManagerId
         from repro.messages import MsgType, SDMessage
         replies = []
@@ -472,8 +453,8 @@ class TestProactivePush:
         # count = min(batch_max=4, (5+1)//2=3, 5-1=4) = 3
         assert sm.stats.get("frames_pushed").count == 3
         assert len(sm.executable) == 2
-        assert any(k == "push_out" and d.get("target") == peer.site_id
-                   for _t, k, d in pusher.journal)
+        assert any(e.fields[0] == peer.site_id
+                   for e in pusher.tracer.select("push_out", pusher.site_id))
         # the peer adopts the batch once the transfer is delivered
         cluster.sim.run(until=0.2)
         adopted = peer.attraction_memory.stats.get("frames_adopted").count
@@ -511,39 +492,58 @@ class TestProactivePush:
         assert len(sm.executable) == 5
 
 
-class TestPrefetchEscalation:
-    """A prefetched steal in flight must not suppress a genuine idle-time
-    help request: an idle site whose only outstanding requests are
-    prefetches escalates with a real one."""
+class TestAsksOnlyWhenHungry:
+    """A site asks for work when it has none (paper §4: "if it is idle"):
+    nothing queued, nothing fetching, a lane hungry, no request in
+    flight.  A busy site sends no speculative request."""
 
-    def _drain(self, sm):
+    def _busy_with_empty_queues(self, thief, victim):
+        """One execution in flight, every queue drained, no lane hungry,
+        and a victim the thief would probe if it asked."""
+        sm = thief.scheduling_manager
         sm.executable.clear()
         sm.ready.clear()
         sm._pending_code.clear()
         sm._cooldown.clear()
-
-    def test_idle_site_escalates_past_prefetch(self, running_pair):
-        from repro.sched.manager import _HelpRequest
-        _cluster, thief, victim, _handle = running_pair
-        sm = thief.scheduling_manager
-        self._drain(sm)
+        sm._inflight_helps.clear()
+        sm._pm_hungry = 0
+        thief.processing_manager.in_flight = 1
         thief.cluster_manager.sites[victim.site_id].load_at = -1.0
-        sm._pm_hungry = 1  # genuinely idle
-        sm._inflight_helps = {99: _HelpRequest(999, prefetch=True,
-                                               sent_at=sm.kernel.now)}
+        return sm
+
+    def test_busy_site_with_empty_queues_does_not_ask(self, running_pair):
+        _cluster, thief, victim, _handle = running_pair
+        sm = self._busy_with_empty_queues(thief, victim)
         sent = sm.stats.get("help_sent").count
-        sm._maybe_help()
-        assert sm.stats.get("help_sent").count == sent + 1
+        sm._serve()  # everything handed out: the trailing steal check
+        assert sm.stats.get("help_sent").count == sent
+        assert not sm._inflight_helps
+
+    def test_last_lane_going_hungry_asks_at_once(self, running_pair,
+                                                 monkeypatch):
+        _cluster, thief, victim, _handle = running_pair
+        sm = self._busy_with_empty_queues(thief, victim)
+        asked = []
+        request = thief.message_manager.request
+        monkeypatch.setattr(
+            thief.message_manager, "request",
+            lambda msg, *a, **kw: asked.append(msg) or request(msg, *a, **kw))
+        sm._serve()
+        sm.pm_request_work()  # the execution ended, nothing to hand over
+        # one request, sent in the instant the lane went hungry, and it
+        # says nothing about being speculative
+        assert [(req.target, req.sent_at)
+                for req in sm._inflight_helps.values()] == [
+                    (victim.site_id, sm.kernel.now)]
+        assert [set(msg.payload) for msg in asked] == [
+            {"record", "load", "want"}]
 
     def test_real_request_in_flight_suppresses(self, running_pair):
         from repro.sched.manager import _HelpRequest
         _cluster, thief, victim, _handle = running_pair
-        sm = thief.scheduling_manager
-        self._drain(sm)
-        thief.cluster_manager.sites[victim.site_id].load_at = -1.0
+        sm = self._busy_with_empty_queues(thief, victim)
         sm._pm_hungry = 1
-        sm._inflight_helps = {99: _HelpRequest(999, prefetch=False,
-                                               sent_at=sm.kernel.now)}
+        sm._inflight_helps = {99: _HelpRequest(999, sent_at=sm.kernel.now)}
         sent = sm.stats.get("help_sent").count
         sm._maybe_help()
         assert sm.stats.get("help_sent").count == sent

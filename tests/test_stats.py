@@ -1,12 +1,10 @@
-"""Tests for the statistics primitives and the sim resource."""
+"""Tests for the statistics primitives."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.stats import Counter, Gauge, Histogram, StatSet, Timer
-from repro.sim.engine import SimulationError
-from repro.sim.resource import SimResource
 
 
 class TestCounter:
@@ -219,35 +217,3 @@ class TestTimer:
         with pytest.raises(ValueError):
             t.stop(1.0)
 
-
-class TestSimResource:
-    def test_capacity_respected(self, sim):
-        res = SimResource(sim, capacity=2)
-        order = []
-        for i in range(4):
-            res.acquire(lambda i=i: order.append(i))
-        assert order == [0, 1]
-        assert res.queued == 2
-        res.release()
-        sim.run()
-        assert order == [0, 1, 2]
-
-    def test_release_without_acquire(self, sim):
-        res = SimResource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_fifo_wakeup(self, sim):
-        res = SimResource(sim, capacity=1)
-        order = []
-        for i in range(3):
-            res.acquire(lambda i=i: order.append(i))
-        res.release()
-        sim.run()
-        res.release()
-        sim.run()
-        assert order == [0, 1, 2]
-
-    def test_bad_capacity(self, sim):
-        with pytest.raises(SimulationError):
-            SimResource(sim, capacity=0)

@@ -1,17 +1,18 @@
 """Tests for ``repro.trace.timeline``: interval pairing, horizon edge
 cases (the zero-horizon guard is a shipped-bug regression), merging, and
-the empty-journal render paths."""
+the empty-trace render paths."""
 
 from __future__ import annotations
 
 from repro.common.config import SDVMConfig
 from repro.site.simcluster import SimCluster
-from repro.trace.timeline import Timeline, TraceEvent
+from repro.trace.timeline import Timeline
+from repro.trace.tracer import TracerEvent
 
 
 def exec_pair(site, frame, start, end):
-    return [TraceEvent(start, site, "exec_start", {"frame": frame}),
-            TraceEvent(end, site, "exec_end", {"frame": frame})]
+    return [TracerEvent(start, site, "exec_begin", (frame,)),
+            TracerEvent(end, site, "exec_end", (frame,))]
 
 
 class TestIntervalPairing:
@@ -25,13 +26,13 @@ class TestIntervalPairing:
         assert timeline.busy_fraction(1) == 0.5
 
     def test_open_execution_runs_to_the_horizon(self):
-        events = [TraceEvent(1.0, 0, "exec_start", {"frame": 9})]
+        events = [TracerEvent(1.0, 0, "exec_begin", (9,))]
         timeline = Timeline(events, horizon=3.0)
         assert timeline._busy[0] == [(1.0, 3.0)]
         assert timeline.busy_fraction(0) == (3.0 - 1.0) / 3.0
 
     def test_unmatched_end_is_ignored(self):
-        events = [TraceEvent(1.0, 0, "exec_end", {"frame": 9})]
+        events = [TracerEvent(1.0, 0, "exec_end", (9,))]
         timeline = Timeline(events, horizon=2.0)
         assert timeline._busy == {}
         assert timeline.busy_fraction(0) == 0.0
@@ -70,23 +71,23 @@ class TestHorizonEdgeCases:
 class TestEmptyAndRendering:
     def test_empty_journal_render_message(self):
         rendered = Timeline([], horizon=1.0).render()
-        assert "no journal events" in rendered
+        assert "no trace events" in rendered
 
     def test_render_marks_busy_and_steals(self):
         events = exec_pair(0, 1, 0.0, 1.0)
-        events.append(TraceEvent(1.5, 0, "steal_in", {}))
+        events.append(TracerEvent(1.5, 0, "steal_in", ()))
         rendered = Timeline(events, horizon=2.0).render(width=8)
         lane = rendered.splitlines()[1]
         assert "#" in lane and "s" in lane
 
     def test_summary_counts_executions_and_steals(self):
         events = (exec_pair(0, 1, 0.0, 1.0) + exec_pair(0, 2, 1.0, 2.0))
-        events.append(TraceEvent(0.5, 0, "steal_in", {}))
+        events.append(TracerEvent(0.5, 0, "steal_in", ()))
         summary = Timeline(events, horizon=2.0).summary()
         assert summary.splitlines()[1].split() == ["0", "100%", "2", "1"]
 
     def test_from_cluster_without_journal_is_empty(self):
-        cluster = SimCluster(nsites=2, config=SDVMConfig(journal=False))
+        cluster = SimCluster(nsites=2, config=SDVMConfig(trace=False))
         timeline = Timeline.from_cluster(cluster)
         assert timeline.events == []
-        assert "no journal events" in timeline.render()
+        assert "no trace events" in timeline.render()

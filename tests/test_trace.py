@@ -1,17 +1,17 @@
-"""Tests for the journal + timeline tooling."""
+"""Tests for the tracer-fed timeline tooling."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.apps import build_primes_program, first_n_primes
-from repro.trace import Timeline, TraceEvent
+from repro.trace import Timeline, TracerEvent
 from repro.site.simcluster import SimCluster
 
 
 @pytest.fixture
 def traced_cluster(fast_config):
-    config = fast_config.with_(journal=True)
+    config = fast_config.with_(trace=True)
     cluster = SimCluster(nsites=3, config=config)
     handle = cluster.submit(build_primes_program(),
                             args=(25, 6, 400.0, 4000.0))
@@ -25,21 +25,20 @@ class TestJournal:
         cluster = SimCluster(nsites=1, config=fast_config)
         cluster.submit(build_primes_program(), args=(5, 2, 100.0, 1000.0))
         cluster.run(progress_timeout=60.0)
-        assert cluster.sites[0].journal == []
+        assert cluster.tracer is None
 
     def test_events_recorded(self, traced_cluster):
-        journal = traced_cluster.sites[0].journal
-        kinds = {kind for _t, kind, _d in journal}
-        assert "exec_start" in kinds
+        kinds = {e.kind for e in traced_cluster.tracer.select(site=0)}
+        assert "exec_begin" in kinds
         assert "exec_end" in kinds
 
     def test_start_end_balanced(self, traced_cluster):
         """Ends may trail starts by at most the in-flight executions the
         simulation stopped on (the run halts the instant the result lands)."""
         for site in traced_cluster.sites:
-            starts = sum(1 for _t, k, _d in site.journal
-                         if k == "exec_start")
-            ends = sum(1 for _t, k, _d in site.journal if k == "exec_end")
+            tracer = traced_cluster.tracer
+            starts = len(tracer.select("exec_begin", site.site_id))
+            ends = len(tracer.select("exec_end", site.site_id))
             slack = site.site_config.max_parallel + 2
             assert ends <= starts <= ends + slack
 
@@ -76,14 +75,14 @@ class TestTimeline:
 
     def test_empty_timeline(self):
         timeline = Timeline([], horizon=1.0)
-        assert "no journal events" in timeline.render()
+        assert "no trace events" in timeline.render()
 
     def test_interval_merge(self):
         merged = Timeline._merge([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)])
         assert merged == [(0.0, 2.0), (3.0, 4.0)]
 
     def test_open_interval_runs_to_horizon(self):
-        events = [TraceEvent(0.5, 0, "exec_start", {"frame": 1})]
+        events = [TracerEvent(0.5, 0, "exec_begin", (1,))]
         timeline = Timeline(events, horizon=2.0)
         assert timeline.busy_fraction(0) == pytest.approx(0.75)
 
