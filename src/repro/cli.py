@@ -501,14 +501,19 @@ def cmd_top(args: argparse.Namespace, out) -> int:  # noqa: ANN001
 def cmd_chaos(args: argparse.Namespace, out) -> int:  # noqa: ANN001
     """Fault-injection front end: replay plans, sweep seeds, run corpus."""
     import glob
+    import json
     import os
 
-    from repro.chaos import FaultPlan, fuzz, run_plan, verify_determinism
+    from repro.chaos import FaultPlan, fuzz, run_plan
+
+    fingerprints = {}  # of the replication-off plans: the ones tests pin
 
     def replay(path: str) -> int:
         plan = FaultPlan.load(path)
         result = run_plan(plan)
         label = plan.name or os.path.basename(path)
+        if plan.replicate_frac == 0.0:
+            fingerprints[os.path.basename(path)] = result.fingerprint
         if result.ok:
             print(f"{label}: PASS ({len(plan.faults)} fault(s), "
                   f"fingerprint {result.fingerprint[:12]})", file=out)
@@ -518,7 +523,7 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:  # noqa: ANN001
                 print(f"  {violation}", file=out)
             return 1
         if args.twice:
-            first, second = verify_determinism(plan)
+            first, second = result.fingerprint, run_plan(plan).fingerprint
             if first != second:
                 print(f"{label}: NOT deterministic "
                       f"({first[:12]} != {second[:12]})", file=out)
@@ -540,6 +545,8 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:  # noqa: ANN001
         worst = 0
         for path in paths:
             worst = max(worst, replay(path))
+        if args.fingerprints:
+            print(json.dumps(fingerprints, indent=4), file=out)
         return worst
 
     # action == "fuzz"
@@ -671,6 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--twice", action="store_true",
                               help="run the plan twice and compare journal "
                                    "fingerprints")
+    chaos_parser.add_argument("--fingerprints", action="store_true",
+                              help="`corpus`: print the JSON map tests pin")
     chaos_parser.add_argument("--dir", default="tests/chaos_corpus",
                               help="corpus directory for `corpus`")
     chaos_parser.add_argument("--seeds", nargs=2, type=int,

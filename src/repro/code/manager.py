@@ -64,9 +64,6 @@ class CodeManager(Manager):
     def store_source(self, src: MicrothreadSource) -> None:
         self._sources[(src.program, src.thread_id)] = src
 
-    def has_local(self, pid: int, tid: int) -> bool:
-        return (pid, tid) in self._compiled
-
     def drop_program(self, pid: int) -> None:
         for store in (self._sources, self._compiled):
             for key in [k for k in store if k[0] == pid]:

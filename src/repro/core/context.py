@@ -97,10 +97,6 @@ class ExecutionContext:
         """Time at execution start (simulated or wall-clock)."""
         return self._now
 
-    @property
-    def param_count(self) -> int:
-        return self._frame.nparams
-
     def get_parameter(self, index: int) -> Any:
         """Extract parameter ``index`` from the microframe (§3.2 step 1)."""
         args = self._frame.arguments()

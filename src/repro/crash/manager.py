@@ -1,12 +1,19 @@
-"""The crash manager: checkpoint waves, crash detection hooks, recovery."""
+"""The crash manager: checkpoint waves, crash detection hooks, recovery.
+
+A checkpoint shard is serialised once, by the site that cuts it
+(``_on_snapshot_request``), and is opaque ``bytes`` from there on:
+CHECKPOINT_STATE, ``committed``, CHECKPOINT_REPLICA and RECOVER_STATE (and
+its retries) carry the same value; only ``_on_recover_state`` parses it.
+"""
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
+from repro.common.errors import SDVMError, SerializationError
 from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage, make_reply
-from repro.serde import wire_copy
+from repro.serde import dumps, loads
 from repro.site.manager_base import Manager
 
 #: attempts per RECOVER_BEGIN/STATE/DONE before giving up on a target;
@@ -24,10 +31,10 @@ class CrashManager(Manager):
         self._wave = 0
         self._acks_pending: Set[int] = set()
         self._states_pending: Set[int] = set()
-        self._collected: Dict[int, dict] = {}
-        #: last committed snapshot: {site logical: state}, and its wave id
+        self._collected: Dict[int, bytes] = {}
+        #: last committed snapshot: {site logical: shard}, and its wave id
         self.committed_wave = -1
-        self.committed: Dict[int, dict] = {}
+        self.committed: Dict[int, bytes] = {}
         #: which coordinator produced ``committed`` (-1: none yet) — used
         #: to fence stale CHECKPOINT_REPLICA duplicates without rejecting
         #: a successor coordinator's restarted wave numbering
@@ -132,25 +139,26 @@ class CrashManager(Manager):
         self._collected = {}
         self._wave_started_at = self.kernel.now
         self.stats.inc("waves_started")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "wave_begin",
-                    self._wave, len(alive))
+        self._trace("wave_begin", self._wave, len(alive))
         for logical in alive:
             self._send_ctrl(logical, MsgType.CHECKPOINT_BEGIN,
                             {"wave": self._wave, "phase": "pause"})
+
+    def _trace(self, kind: str, *fields: Any) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(self.kernel.now, self.local_id, kind, *fields)
+
+    def _msg(self, logical: int, mtype: MsgType, payload: dict) -> SDMessage:
+        return SDMessage(type=mtype, src_site=self.local_id,
+                         src_manager=ManagerId.CRASH, dst_site=logical,
+                         dst_manager=ManagerId.CRASH, payload=payload)
 
     def _send_ctrl(self, logical: int, mtype: MsgType,
                    payload: dict) -> None:
         if logical == self.local_id:
             self._handle_ctrl(mtype, dict(payload), self.local_id)
-            return
-        self.site.message_manager.send(SDMessage(
-            type=mtype,
-            src_site=self.local_id, src_manager=ManagerId.CRASH,
-            dst_site=logical, dst_manager=ManagerId.CRASH,
-            payload=payload,
-        ))
+        else:
+            self.site.message_manager.send(self._msg(logical, mtype, payload))
 
     # ------------------------------------------------------------------
     # participant side
@@ -178,20 +186,15 @@ class CrashManager(Manager):
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_ACK, {"wave": wave})
 
     def _on_snapshot_request(self, wave: int, coordinator: int) -> None:
-        state = self.site.attraction_memory.export_checkpoint()
-        if (self.site.cluster_manager.effective_site(coordinator)
-                == self.local_id):
-            # a wire copy without the wire: frame parameters hold live
-            # references to application values (e.g. a mutable state dict
-            # that keeps evolving after the wave) — a by-reference snapshot
-            # would be an inconsistent cut.  A remote shard is copied as it
-            # is sent (by the encoding, and on the sim wire by the snapshot
-            # that rides with it); our own shard, or one an heir link loops
-            # back to us, never reaches a wire.
-            state = wire_copy(state)
+        # serialising is also the by-value cut: frame parameters are live
+        # application values (e.g. a state dict that keeps evolving after
+        # the wave), and a by-reference snapshot would be inconsistent
+        blob = dumps(self.site.attraction_memory.export_checkpoint())
+        self.stats.inc("shards_serialized")
+        if coordinator != self.local_id:
+            self.stats.add("snapshot_bytes", len(blob))
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_STATE,
-                        {"wave": wave, "state": state,
-                         "site": self.local_id})
+                        {"wave": wave, "state": blob, "site": self.local_id})
 
     def _on_commit(self, wave: int, src: int, aborted: bool = False) -> None:
         if wave >= 0:
@@ -227,13 +230,15 @@ class CrashManager(Manager):
             self._send_ctrl(logical, MsgType.CHECKPOINT_BEGIN,
                             {"wave": wave, "phase": "snapshot"})
 
-    def _on_state(self, wave: int, src: int, state: dict) -> None:
+    def _on_state(self, wave: int, src: int, blob: bytes) -> None:
         if wave != self._wave or src not in self._states_pending:
             # stale wave, or a duplicated snapshot arriving after the wave
             # committed — without this fence the duplicate re-commits the
             # same wave and re-broadcasts CHECKPOINT_COMMIT
             return
-        self._collected[src] = state
+        if type(blob) is not bytes:  # the wave ages out (_wave_blocking)
+            return self._malformed_shard("CHECKPOINT_STATE", src, "not bytes")
+        self._collected[src] = blob
         self._states_pending.discard(src)
         if not self._states_pending:
             self.committed_wave = wave
@@ -242,10 +247,7 @@ class CrashManager(Manager):
             self.stats.inc("checkpoints_committed")
             self.stats.add("wave_seconds",
                            self.kernel.now - self._wave_started_at)
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "wave_commit",
-                        wave, len(self.committed))
+            self._trace("wave_commit", wave, len(self.committed))
             for logical in list(self.committed):
                 self._send_ctrl(logical, MsgType.CHECKPOINT_COMMIT,
                                 {"wave": wave})
@@ -270,12 +272,14 @@ class CrashManager(Manager):
         Without this, the last good checkpoint dies with its coordinator
         and the succeeding coordinator (lowest alive site) could only
         declare the programs failed; with a replica it drives rollback
-        recovery itself.  Shards travel as a (site, state) pair list —
-        message payload dicts are keyed by strings on the wire.
+        recovery itself.  Shards travel as a (site, blob) pair list —
+        message payload dicts are keyed by strings on the wire — of the
+        bytes each participant serialised; a backup keeps them unparsed.
         """
-        shards = [[shard_site, state]
-                  for shard_site, state in self.committed.items()]
+        shards = [list(shard) for shard in self.committed.items()]
+        nbytes = sum(map(len, self.committed.values()))
         for logical in self._backup_sites():
+            self.stats.add("snapshot_bytes", nbytes)
             self._send_ctrl(logical, MsgType.CHECKPOINT_REPLICA,
                             {"wave": wave, "shards": shards})
 
@@ -286,11 +290,21 @@ class CrashManager(Manager):
             # copies are comparable
             self.stats.inc("stale_replicas_ignored")
             return
+        try:
+            committed = {int(shard_site): blob for shard_site, blob in shards}
+            if any(type(blob) is not bytes for blob in committed.values()):
+                raise TypeError("a shard is not bytes")
+        except (TypeError, ValueError) as exc:
+            # keep the older replica: it, at least, can be adopted
+            return self._malformed_shard("CHECKPOINT_REPLICA", src, exc)
         self.committed_wave = wave
-        self.committed = {int(shard_site): state
-                          for shard_site, state in shards}
+        self.committed = committed
         self.committed_src = src
         self.stats.inc("replicas_adopted")
+
+    def _malformed_shard(self, kind: str, src: int, why: object) -> None:
+        self.stats.inc("malformed_shards")
+        self.log("dropping malformed %s shard of site %d: %s", kind, src, why)
 
     def _abort_wave(self, reason: str) -> Optional[int]:
         """Coordinator: cancel the in-flight checkpoint wave, if any.
@@ -309,10 +323,7 @@ class CrashManager(Manager):
         aborted = self._wave
         self.log("aborting checkpoint wave %d: %s", aborted, reason)
         self.stats.inc("waves_aborted")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "wave_abort",
-                    aborted, reason)
+        self._trace("wave_abort", aborted, reason)
         self._wave += 1
         self._acks_pending = set()
         self._states_pending = set()
@@ -381,13 +392,10 @@ class CrashManager(Manager):
         self.stats.inc("recoveries")
         alive = [r.logical for r in self.site.cluster_manager.sites.values()
                  if r.alive]
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "recovery_begin",
-                    self.site.epoch + 1, dead)
         # compute the new epoch once — handling our own RECOVER_BEGIN below
         # bumps self.site.epoch, so an inline read would skew later sends
         new_epoch = self.site.epoch + 1
+        self._trace("recovery_begin", new_epoch, dead)
         for logical in alive:
             self._send_recover(logical, MsgType.RECOVER_BEGIN,
                                {"epoch": new_epoch, "dead": dead,
@@ -400,9 +408,8 @@ class CrashManager(Manager):
                       attempt: int = 0) -> None:
         """Send recovery control with ack+retry.
 
-        RECOVER_BEGIN/STATE/DONE are fire-and-forget no longer: under a
-        lossy transport a single dropped RECOVER_DONE left the survivor
-        paused forever.  Each send expects a RECOVER_ACK within one settle
+        A single dropped RECOVER_DONE would leave a survivor paused
+        forever, so each send expects a RECOVER_ACK within one settle
         delay and is re-sent up to ``_RECOVER_RETRIES`` times; retries to
         a target that has since been marked dead are suppressed.
         """
@@ -414,13 +421,8 @@ class CrashManager(Manager):
         record = self.site.cluster_manager.sites.get(logical)
         if record is None or not record.alive:
             return
-        msg = SDMessage(
-            type=mtype,
-            src_site=self.local_id, src_manager=ManagerId.CRASH,
-            dst_site=logical, dst_manager=ManagerId.CRASH,
-            payload=dict(payload),
-        )
-
+        if mtype == MsgType.RECOVER_STATE:
+            self.stats.add("snapshot_bytes", len(payload["state"]))
         def on_timeout() -> None:
             if attempt + 1 >= _RECOVER_RETRIES:
                 self.stats.inc("recover_retries_exhausted")
@@ -431,7 +433,8 @@ class CrashManager(Manager):
             self._send_recover(logical, mtype, payload, attempt + 1)
 
         self.site.message_manager.request(
-            msg, on_reply=lambda reply: None,
+            self._msg(logical, mtype, dict(payload)),
+            on_reply=lambda reply: None,
             timeout=self._settle_delay(), on_timeout=on_timeout)
 
     def _on_recover_begin(self, payload: dict) -> bool:
@@ -460,10 +463,10 @@ class CrashManager(Manager):
         if seq != self._recover_seq or not self._recovering:
             return  # superseded by a newer recovery
         epoch = self.site.epoch  # our own RECOVER_BEGIN already bumped it
-        for shard_site, state in self.committed.items():
+        for shard_site, blob in self.committed.items():
             target = shard_site if shard_site in alive else self.local_id
             self._send_recover(target, MsgType.RECOVER_STATE,
-                               {"state": state, "epoch": epoch,
+                               {"state": blob, "epoch": epoch,
                                 "shard": shard_site})
         self.kernel.call_later(self._settle_delay(), self._finish_recovery,
                                alive, seq)
@@ -472,10 +475,7 @@ class CrashManager(Manager):
         if seq != self._recover_seq or not self._recovering:
             return
         self._recovering = False
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "recovery_done",
-                    self.site.epoch)
+        self._trace("recovery_done", self.site.epoch)
         for logical in alive:
             self._send_recover(logical, MsgType.RECOVER_DONE,
                                {"epoch": self.site.epoch})
@@ -505,7 +505,17 @@ class CrashManager(Manager):
             self.stats.inc("duplicate_recover_state")
             return True
         self._recover_shards_applied.add(key)
-        self.site.attraction_memory.adopt_state(payload["state"])
+        # parsed in full before anything is adopted; an unreadable shard is
+        # acked all the same — a retry would resend the same bytes
+        blob = payload.get("state")
+        try:
+            state = loads(blob) if type(blob) is bytes else None
+            if type(state) is not dict:
+                raise SerializationError("not a serialised state dict")
+        except SerializationError as exc:
+            self._malformed_shard("RECOVER_STATE", key[1], exc)
+            return True
+        self.site.attraction_memory.adopt_state(state)
         return True
 
     def _on_recover_done(self, payload: dict) -> bool:
@@ -565,10 +575,7 @@ class CrashManager(Manager):
         elif mtype == MsgType.RECOVER_DONE:
             return self._on_recover_done(payload)
         else:
-            raise_unexpected = super().handle
-            raise_unexpected(SDMessage(
-                type=mtype, src_site=src, src_manager=ManagerId.CRASH,
-                dst_site=self.local_id, dst_manager=ManagerId.CRASH))
+            raise SDVMError(f"CrashManager received unexpected {mtype.name}")
 
     def on_stop(self) -> None:
         if self._timer is not None:

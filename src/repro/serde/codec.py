@@ -123,10 +123,6 @@ def zigzag(value: int) -> int:
     return (value << 1) ^ (value >> 63)
 
 
-def unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 # ---------------------------------------------------------------------------
 # encoding
 

@@ -184,17 +184,6 @@ class SimCluster:
         site = self._sites[index]
         self.sim.schedule_at(at, site.crash)
 
-    def slow_site(self, index: int, factor: float, at: float,
-                  until: Optional[float] = None) -> None:
-        """Schedule a CPU slowdown window (``factor``x) on one site."""
-        def set_factor(value: float) -> None:
-            cpu = getattr(self._sites[index].kernel, "cpu", None)
-            if cpu is not None:
-                cpu.slowdown = value
-        self.sim.schedule_at(at, set_factor, factor)
-        if until is not None:
-            self.sim.schedule_at(until, set_factor, 1.0)
-
     def apply_chaos(self, plan) -> "Any":  # noqa: ANN001
         """Arm a :class:`repro.chaos.FaultPlan` against this cluster.
 

@@ -183,6 +183,12 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         "checkpoint_waves": merged.get("checkpoints_committed").count,
         "wave_mean_seconds": merged.get("wave_seconds").mean,
         "recoveries": merged.get("recoveries").count,
+        # the serialised shards inside CHECKPOINT_STATE, CHECKPOINT_REPLICA
+        # and RECOVER_STATE (retries included) that went onto the wire
+        "snapshot_bytes_frac": _rate(merged.get("snapshot_bytes").total,
+                                     merged.get("bytes_sent").total),
+        "snapshot_bytes_per_wave": _rate(merged.get("snapshot_bytes").total,
+                                         count("checkpoints_committed")),
     }
     if busy_sites and horizon > 0:
         derived["busy_fraction_mean"] = busy / (busy_sites * horizon)

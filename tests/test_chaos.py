@@ -9,6 +9,7 @@ plan files' ``name`` fields for which bug each one pins down).
 
 from __future__ import annotations
 
+import collections
 import glob
 import io
 import json
@@ -39,31 +40,32 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 #: journal fingerprints of every replication-off corpus plan: the
 #: defense layer must be invisible (bit-for-bit) whenever
-#: ``replicate_frac == 0``.  All ten were re-pinned when a site stopped
-#: asking for work while busy (PR 21): every trajectory with stealing in
-#: it moved, and ``homesite_crash`` was re-timed (crash at 2.05 s, not
-#: 0.9 s) so that an object has again left site 3 before it dies.
+#: ``replicate_frac == 0``.  All ten were re-pinned when checkpoint
+#: shards became opaque bytes (PR 22): every plan checkpoints, a blob
+#: frames a few bytes differently from the dict it replaced, and message
+#: delay follows size.  ``repro chaos corpus --twice --fingerprints``
+#: prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "f54c1083e010271bccb7dd07418d1cfc0b8cf20d4871d650cf03fe72e7743863",
+        "a7eca8411964431a313b54e5512efb22c20d062ead4dd944eb328de79f7fbb19",
     "crash_during_recovery.json":
-        "bd855f872d8fc7157a2dacfe0f9fc2629f639a5daa9af1ee8f4ea9e3627ada41",
+        "63ebf194bba35f16f114ccad5b2ecb1021097c171c19ed78cf9dcf1f680b45fa",
     "crash_during_wave.json":
-        "46cc3e8c4c0ff0cd195b0cd573c149dc8b15da6a200fa5bb44cfd3afc8d7960c",
+        "8d265ed225b456b310ad1b423d72fe30adbb0a6855ffbcaa6b691fb6285955ab",
     "dir_shard_crash.json":
-        "001b4fdd194186f385aa1972ad392ced4654926b9cea99c14eb417276765e98b",
+        "f25a8c2b02866e1765bfbeb57f2d71a3e568f65d0cad2260ed2cf78e662919d0",
     "duplicate_delivery.json":
-        "8ea9ee63048be122a8ccb46f65c63450df983af99adc1c744c9449676e0e652d",
+        "844f1aac1b7b1bee1226d42f136f15c5ea4d1458e84253569181546468c35a06",
     "homesite_crash.json":
-        "56ef9a2bc85ba4f3959dcbd8b46db968356bd2fe755612268b7a595e9a6a7045",
+        "7932f0849cfbc9f5634bf57eb29f9d3febc17d96aac25f2d04f780d370afac44",
     "lossy_recovery.json":
-        "9e5ec193ae7dae6f1d6b3f94b4a72117dfb270f64ead94274aff72863f6bfeef",
+        "df79a333a1dcb9cb4dc7fa11c9bf3b474c6fb31f983baacada0dc03db7a89dc7",
     "partition_then_heal.json":
-        "b15bed01f834ad62985d658db5600fa13860a2ac7448ff444ae85c69bc68ba93",
+        "4668bf16108d27573d560c3db5c85e5b11fc0cad356c5bb9a98b91e832f342cc",
     "steal_batch_reorder.json":
-        "b6bd41093f9090537b9a6b6660e3f7a84263aec68bf6810ab41ad5932bb022a4",
+        "a007796cd0a435b613fdd02d78563668dd11565f0448d08c15af4da061086273",
     "wave_stall.json":
-        "d184aa3d70f07d71041bd989373735be8f3cdb9ba70e7709f49eb373c8bb1101",
+        "2a3761b25dea01c3f2f517d3ff74f458ff7213744a56b45f07073bc6eee14ec3",
 }
 
 _corpus_results = {}
@@ -243,13 +245,32 @@ class TestCorpus:
         first, second = verify_determinism(corpus_plan("crash_during_wave"))
         assert first and first == second
 
-    def test_lossy_recovery_exercises_retries(self):
+    def test_lossy_recovery_exercises_retries(self, monkeypatch):
         """S3 regression: a total drop window over RECOVER_STATE/DONE is
         survived only because recovery control is acked and re-sent."""
+        import repro.crash.manager as crash_manager
+        calls = collections.Counter()
+
+        def counting(name, real):
+            def call(value):
+                calls[name] += 1
+                return real(value)
+            return call
+
+        for name in ("dumps", "loads"):
+            monkeypatch.setattr(crash_manager, name,
+                                counting(name, getattr(crash_manager, name)))
         result = run_plan(corpus_plan("lossy_recovery"))
         assert result.ok, [str(v) for v in result.violations]
         assert result.cluster.network_stats().get("chaos_dropped").count > 0
-        assert result.cluster.total_stats().get("recover_retries").count > 0
+        stats = result.cluster.total_stats()
+        assert stats.get("recover_retries").count > 0
+        # a shard is serialised when it is cut and parsed when it is
+        # adopted: replicas, the recovery and its retries add to neither
+        assert stats.get("replicas_adopted").count > 0
+        assert calls["dumps"] == stats.get("shards_serialized").count \
+            == 4 * stats.get("checkpoints_committed").count
+        assert calls["loads"] == 4 * stats.get("recoveries").count
 
     def test_crash_during_recovery_queues_second_crash(self):
         """S1 regression: the second crash lands while ``_recovering`` and
@@ -259,6 +280,37 @@ class TestCorpus:
         stats = result.cluster.total_stats()
         assert stats.get("crashes_queued").count >= 1
         assert stats.get("recoveries").count >= 2
+
+    def test_two_recoveries_from_one_wave_restore_the_same_state(
+            self, monkeypatch):
+        """Two crashes far enough apart that the program runs on between
+        the recoveries, close enough that no wave commits in between (a
+        wave that includes a dead, not yet suspected site aborts).  The
+        coordinator adopts its own shard and the first victim's without a
+        wire; primes' collect thread then mutates its restored state in
+        place.  Adopting ``committed`` by reference let that rewrite the
+        checkpoint, and the second recovery distributed post-checkpoint
+        state: the run never finished."""
+        from repro.memory.manager import AttractionMemory
+        from repro.serde import dumps
+        adopted = {}
+        adopt_state = AttractionMemory.adopt_state
+
+        def spy(memory, state):
+            adopted.setdefault(memory.site.epoch, []).append(dumps(state))
+            adopt_state(memory, state)
+
+        monkeypatch.setattr(AttractionMemory, "adopt_state", spy)
+        result = run_plan(FaultPlan(
+            seed=7, nsites=4, ckpt_interval=0.2, horizon=60.0,
+            faults=[CrashFault(at=0.25, site=3), CrashFault(at=0.52, site=2)]))
+        assert result.ok, [str(v) for v in result.violations]
+        kinds = [e.kind for e in result.cluster.tracer.events
+                 if e.kind in ("wave_commit", "recovery_begin")]
+        assert kinds[:3] == ["wave_commit", "recovery_begin",
+                             "recovery_begin"]
+        assert len(adopted[1]) == 4
+        assert sorted(adopted[1]) == sorted(adopted[2])
 
     def test_coordinator_crash_recovers_from_replica(self):
         """S2 regression: the successor coordinator restores from its
@@ -575,10 +627,12 @@ class TestChaosCli:
 
     def test_corpus_subcommand(self):
         out = io.StringIO()
-        assert main(["chaos", "corpus", "--dir", CORPUS_DIR],
-                    out=out) == 0
+        assert main(["chaos", "corpus", "--dir", CORPUS_DIR,
+                     "--fingerprints"], out=out) == 0
         text = out.getvalue()
         assert "lossy_recovery" in text and "FAIL" not in text
+        # the map printed last is what PINNED_FINGERPRINTS is pasted from
+        assert json.loads(text[text.index("{"):]) == PINNED_FINGERPRINTS
 
     def test_fuzz_subcommand_green_seed(self):
         out = io.StringIO()

@@ -14,6 +14,13 @@ from repro.common.config import (
     SDVMConfig,
 )
 from repro.apps import build_primes_program, first_n_primes
+from repro.common.errors import SerializationError
+from repro.common.ids import GlobalAddress
+from repro.core.frames import Microframe
+from repro.crash.manager import CrashManager
+from repro.messages import MsgType, SDMessage
+from repro.serde import dumps, loads
+from repro.serde.codec import MAX_DECODE_DEPTH
 from repro.site.simcluster import SimCluster
 
 
@@ -107,7 +114,7 @@ class TestWaveAbort:
         assert cm.stats.get("waves_aborted").count == 1
         assert not cm._acks_pending and not cm._states_pending
         # a stale CHECKPOINT_STATE from the aborted wave is fenced out
-        cm._on_state(wave, victim_logical, {"stale": True})
+        cm._on_state(wave, victim_logical, dumps({"stale": True}))
         assert cm.committed_wave == -1
         assert cm._collected == {}
         # without a committed checkpoint there is no recovery wave, so the
@@ -144,7 +151,7 @@ class TestWaveAbort:
         for logical in alive:
             cm._on_ack(wave2, logical)
         for logical in alive:
-            cm._on_state(wave2, logical, {"site": logical})
+            cm._on_state(wave2, logical, dumps({"site": logical}))
         assert cm.committed_wave == wave2
         assert set(cm.committed) == set(alive)
         assert cm.stats.get("checkpoints_committed").count == 1
@@ -253,19 +260,17 @@ class TestHardening:
         assert cm.committed_wave >= 1
         committed_before = cm.stats.get("checkpoints_committed").count
         wave_before = cm.committed_wave
-        cm._on_state(cm._wave, cluster.sites[1].site_id, {"dup": True})
+        cm._on_state(cm._wave, cluster.sites[1].site_id,
+                     dumps({"dup": True}))
         assert cm.stats.get("checkpoints_committed").count == committed_before
         assert cm.committed_wave == wave_before
 
     @pytest.mark.parametrize("owner", [0, 1],
                              ids=["local-coordinator", "remote-coordinator"])
     def test_committed_shard_is_a_copy_of_live_parameters(self, owner):
-        """Frame parameters are live application values.  The
-        coordinator's own shard never crosses the codec, so it must be
-        copied by hand; a remote shard is copied when the message encodes,
-        before this handler returns."""
-        from repro.common.ids import GlobalAddress
-        from repro.core.frames import Microframe
+        """Frame parameters are live application values.  Serialising the
+        shard in ``_on_snapshot_request`` is the by-value cut, for the
+        coordinator's own shard and a remote one alike."""
         cluster = SimCluster(nsites=2, config=config(heartbeats=False))
         cluster.sim.run(until=0.2)
         coordinator, site = cluster.sites[0], cluster.sites[owner]
@@ -282,10 +287,38 @@ class TestHardening:
         live["results"].append(2)
         cluster.sim.run(until=0.3)
         assert cm.committed_wave == 7
-        (shard_frame,) = [f for f in cm.committed[site.site_id]["frames"]
+        shard = loads(cm.committed[site.site_id])
+        (shard_frame,) = [f for f in shard["frames"]
                           if f["id"] == frame.frame_id]
         assert [list(pair) for pair in shard_frame["filled"]] == [
             [0, {"results": [1]}]]
+
+    def test_local_adoption_does_not_alias_the_committed_shard(self):
+        """The coordinator adopts its own shard (and a dead site's) without
+        a wire in between.  What it restores must share nothing with
+        ``committed``: a microthread that mutates a restored value in
+        place would otherwise rewrite the last good checkpoint, and the
+        next recovery from the same wave would distribute post-checkpoint
+        state."""
+        cluster = SimCluster(nsites=2, config=config(heartbeats=False))
+        cluster.sim.run(until=0.2)
+        site = cluster.sites[0]
+        cm, memory = site.crash_manager, site.attraction_memory
+        addr = memory.alloc_object({"results": [1]})
+        cm._wave = 7
+        cm._states_pending = {site.site_id}
+        cm._collected = {}
+        cm._on_snapshot_request(7, site.site_id)
+        assert cm.committed_wave == 7
+        blob = cm.committed[site.site_id]
+        memory.reset_program_state()
+        cm._send_recover(site.site_id, MsgType.RECOVER_STATE,
+                         {"state": blob, "epoch": site.epoch,
+                          "shard": site.site_id})
+        memory.objects[addr]["results"].append(99)
+        committed = loads(cm.committed[site.site_id])
+        assert [value for at, value, _version in committed["objects"]
+                if at == addr] == [{"results": [1]}]
 
     def test_duplicate_ack_after_drain_is_ignored(self):
         cluster = SimCluster(nsites=3, config=config())
@@ -307,6 +340,134 @@ class TestHardening:
         assert backup.committed_wave >= 1
         wave_before = backup.committed_wave
         src = backup.committed_src
-        backup._on_replica(wave_before - 1, [[0, {"stale": True}]], src)
+        backup._on_replica(wave_before - 1, [[0, dumps({"stale": True})]], src)
         assert backup.committed_wave == wave_before
         assert backup.stats.get("stale_replicas_ignored").count >= 1
+
+
+class TestShardBlobs:
+    """A shard is serialised once, where it is cut, and is opaque bytes
+    until a site adopts it."""
+
+    def test_serialised_once_and_byte_equal_on_every_keeper(
+            self, monkeypatch):
+        states = []
+        on_state = CrashManager._on_state
+
+        def counted(cm, wave, src, blob):
+            states.append(src)
+            on_state(cm, wave, src, blob)
+
+        monkeypatch.setattr(CrashManager, "_on_state", counted)
+        cfg = config(heartbeats=False).with_(
+            checkpoint=CheckpointConfig(enabled=True, interval=0.1,
+                                        replicas=2))
+        cluster = SimCluster(nsites=8, config=cfg)
+        handle = cluster.submit(build_primes_program(),
+                                args=(60, 8, 800.0, 8000.0))
+        cluster.run(progress_timeout=60.0)
+        cluster.sim.run(until=cluster.sim.now + 0.1)  # the last replicas
+        assert handle.result == first_n_primes(60)
+        stats = cluster.total_stats()
+        waves = stats.get("checkpoints_committed").count
+        assert waves >= 2
+        assert stats.get("shards_serialized").count == len(states) == 8 * waves
+        assert stats.get("replicas_adopted").count == 2 * waves
+        coordinator = cluster.sites[0].crash_manager
+        assert sorted(coordinator.committed) == list(range(8))
+        assert all(type(b) is bytes for b in coordinator.committed.values())
+        for backup in (cluster.sites[1], cluster.sites[2]):
+            assert backup.crash_manager.committed_wave == \
+                coordinator.committed_wave
+            assert backup.crash_manager.committed == coordinator.committed
+        # shipped per wave: seven remote shards, then all eight per replica
+        shipped = stats.get("snapshot_bytes")
+        assert shipped.count == (7 + 2) * waves
+        assert shipped.total > 2 * waves * min(
+            map(len, coordinator.committed.values()))
+        derived = cluster.cluster_report().derived
+        assert derived["snapshot_bytes_per_wave"] == shipped.total / waves
+        assert 0.0 < derived["snapshot_bytes_frac"] < 1.0
+
+    def test_unreadable_recover_state_is_counted_acked_and_not_adopted(self):
+        cluster = SimCluster(nsites=2, config=config(heartbeats=False))
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        whole = dumps({"objects": [(GlobalAddress(0, 7), "kept", 3)],
+                       "frames": [], "dir": [], "pending": [],
+                       "programs": []})
+        hostile = [whole[:-9],              # damaged in flight: truncated
+                   b"\xff\x00not a value",  # no codec tag
+                   dumps([1, 2, 3]),        # parses, but is no state
+                   {"objects": []}]         # the retired dict shape
+        acks = []
+        for shard, blob in enumerate(hostile):
+            a.message_manager.request(
+                a.crash_manager._msg(b.site_id, MsgType.RECOVER_STATE,
+                           {"state": blob, "epoch": b.epoch,
+                            "shard": shard}),
+                on_reply=acks.append, timeout=0.05)
+        cluster.sim.run(until=0.4)
+        assert [m.type for m in acks] == [MsgType.RECOVER_ACK] * len(hostile)
+        cm = b.crash_manager
+        assert cm.stats.get("malformed_shards").count == len(hostile)
+        assert not b.attraction_memory.objects
+        assert sum("malformed RECOVER_STATE" in line
+                   for line in b.log_lines) == len(hostile)
+        # the same site still adopts a shard it can read
+        a.message_manager.request(
+            a.crash_manager._msg(b.site_id, MsgType.RECOVER_STATE,
+                       {"state": whole, "epoch": b.epoch, "shard": 9}),
+            on_reply=acks.append, timeout=0.05)
+        cluster.sim.run(until=0.6)
+        assert b.attraction_memory.objects == {GlobalAddress(0, 7): "kept"}
+
+    def test_malformed_replica_keeps_the_one_already_held(self):
+        cluster = SimCluster(nsites=3, config=config())
+        cluster.submit(build_primes_program(), args=(40, 6, 800.0, 8000.0))
+        cluster.sim.run(until=0.35)
+        coordinator, backup = cluster.sites[0], cluster.sites[1]
+        cm = backup.crash_manager
+        coordinator.crash_manager.on_stop()  # no further waves
+        cluster.sim.run(until=0.45)
+        held, wave = dict(cm.committed), cm.committed_wave
+        assert wave >= 1
+        for shards in ([[0, {"frames": []}]],        # the retired dict shape
+                       [[0, held[0]], [1, "text"]],  # one bad shard of two
+                       [[0, held[0]], "junk"],       # not a pair
+                       7):                           # not a list
+            coordinator.message_manager.send(coordinator.crash_manager._msg(
+                backup.site_id, MsgType.CHECKPOINT_REPLICA,
+                {"wave": wave + 5, "shards": shards}))
+        cluster.sim.run(until=0.5)
+        assert cm.stats.get("malformed_shards").count == 4
+        assert (cm.committed_wave, cm.committed) == (wave, held)
+
+    def test_shard_nesting_does_not_count_against_the_envelope(self):
+        """A shard is parsed on its own, so a value may nest as deep inside
+        one as it may anywhere else; as a subtree of the envelope it lost
+        five levels to the containers around it."""
+        depth = MAX_DECODE_DEPTH - 5
+        deep = []
+        for _ in range(depth):
+            deep = [deep]
+        cluster = SimCluster(nsites=2, config=config(heartbeats=False))
+        cluster.sim.run(until=0.2)
+        coordinator, remote = cluster.sites
+        addr = remote.attraction_memory.alloc_object(deep)
+        tree = remote.attraction_memory.export_checkpoint()
+        with pytest.raises(SerializationError):
+            SDMessage.decode(remote.crash_manager._msg(
+                coordinator.site_id, MsgType.CHECKPOINT_STATE,
+                {"wave": 1, "state": tree, "site": 1}).encode())
+        cm = coordinator.crash_manager
+        cm.start_checkpoint()
+        cluster.sim.run(until=0.3)
+        assert cm.committed_wave == 1
+        remote.attraction_memory.reset_program_state()
+        cm._send_recover(remote.site_id, MsgType.RECOVER_STATE,
+                         {"state": cm.committed[remote.site_id],
+                          "epoch": remote.epoch, "shard": remote.site_id})
+        cluster.sim.run(until=0.4)
+        assert remote.attraction_memory.objects[addr] == deep
+        assert remote.crash_manager.stats.get("malformed_shards").count == 0

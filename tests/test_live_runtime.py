@@ -5,10 +5,12 @@ blocking contexts, and multiprocess deployment.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from repro.common.config import (CostModel, SchedulingConfig, SDVMConfig,
+from repro.common.config import (CheckpointConfig, CostModel,
+                                 SchedulingConfig, SDVMConfig,
                                  SecurityConfig, SiteConfig)
 from repro.common.errors import SDVMError
 from repro.core.program import ProgramBuilder
@@ -269,6 +271,58 @@ class TestWorkerPool:
             assert pm.stats.get("workers_started").count <= 2
             assert cluster.sites[0].kernel.reactor_call(
                 lambda: pm.in_flight) == 0
+
+
+def chain_program():
+    """``left`` microthreads in a row, each a few milliseconds long."""
+    prog = ProgramBuilder("chain")
+
+    @prog.microthread(creates=("main",))
+    def main(ctx, left, seen):
+        spin = 0
+        for _ in range(200000):  # the run must outlive a checkpoint wave
+            spin += 1
+        if left == 0:
+            ctx.exit_program(seen)
+            return
+        successor = ctx.create_frame("main")
+        ctx.send_result(successor, 0, left - 1)
+        ctx.send_result(successor, 1, seen + [left])
+
+    return prog.build()
+
+
+class TestCheckpointPlane:
+    def test_committed_wave_is_byte_equal_on_coordinator_and_backup(self):
+        config = CFG.with_(checkpoint=CheckpointConfig(enabled=True,
+                                                       interval=0.03))
+        with LiveCluster(nsites=2, config=config) as cluster:
+            assert cluster.run(chain_program(), args=(60, []),
+                               timeout=30) == list(range(60, 0, -1))
+
+            def view(site):
+                cm = site.crash_manager
+                return site.kernel.reactor_call(lambda: (
+                    cm.committed_wave, dict(cm.committed),
+                    bool(cm._acks_pending or cm._states_pending)))
+
+            # no program, no new wave: the last one commits and replicates
+            deadline = time.monotonic() + 10.0
+            while True:
+                (wave, shards, open_wave), (copy_wave, copy, _) = map(
+                    view, cluster.sites)
+                if not open_wave and wave == copy_wave:
+                    break
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            assert wave >= 1
+            assert sorted(shards) == [0, 1]
+            assert all(type(blob) is bytes for blob in shards.values())
+            assert copy == shards
+            stats = cluster.cluster_report().merged
+            assert (2 * stats.get("checkpoints_committed").count
+                    <= stats.get("shards_serialized").count
+                    <= 2 * stats.get("waves_started").count)
 
 
 class TestHandOffs:
