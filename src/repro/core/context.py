@@ -10,11 +10,17 @@ One context instance is created per microframe execution.  The *user API*
 (everything without a leading underscore) is identical under both kernels;
 kernels differ in how primitive operations resolve:
 
-* the **sim kernel** buffers side effects as :class:`Effect` records and
-  dispatches them at the execution's simulated completion time (§3.2's
-  "send the results" step), resolving reads against state at start time;
-* the **live kernel** executes every operation immediately, with remote
-  reads as real blocking round trips.
+Both buffer side effects as :class:`Effect` records and dispatch them
+when the execution completes (§3.2's "send the results" step), and both
+answer a primitive through the same manager call (``live_read``,
+``live_open`` …) — what differs is how an execution waits for an answer
+that has to come from another site:
+
+* the **live kernel** blocks its worker thread on the round trip;
+* the **sim kernel** cannot block (a microthread runs at one instant of
+  virtual time), so it abandons the run and repeats it from the
+  arguments' snapshot once the reply has landed, with every earlier
+  answer replayed from a log (:mod:`repro.proc.sim_context`).
 
 Subclasses implement the ``_op_*`` primitives.
 """
@@ -55,6 +61,9 @@ class ExecutionContext:
                  thread_table: Dict[str, Tuple[int, int]],
                  site_id: int, now: float, seed: int = 0) -> None:
         self._frame = frame
+        #: the microthread's arguments; a kernel that re-runs an execution
+        #: replaces them with a fresh copy
+        self._args: List[Any] = frame.arguments()
         #: thread name -> (thread_id, nparams), from the program manager
         self._thread_table = thread_table
         self._site_id = site_id
@@ -99,7 +108,7 @@ class ExecutionContext:
 
     def get_parameter(self, index: int) -> Any:
         """Extract parameter ``index`` from the microframe (§3.2 step 1)."""
-        args = self._frame.arguments()
+        args = self._args
         if not 0 <= index < len(args):
             raise ProgramError(
                 f"parameter index {index} out of range 0..{len(args) - 1}")
@@ -107,7 +116,7 @@ class ExecutionContext:
 
     @property
     def parameters(self) -> List[Any]:
-        return self._frame.arguments()
+        return list(self._args)
 
     def targets(self) -> List[Tuple[GlobalAddress, int]]:
         """This frame's stored result-target addresses (Fig. 2)."""

@@ -27,8 +27,8 @@ class IOManager(Manager):
         self._local_handles: Dict[FileHandle, Tuple[str, str]] = {}
         #: read/write cursors, kept by the owning site
         self._positions: Dict[FileHandle, int] = {}
-        #: live-kernel per-site file store ("the machine the file resides
-        #: on", §4 — path namespaces are per-site, handles are global)
+        #: this site's file store ("the machine the file resides on", §4
+        #: — path namespaces are per-site, handles are global)
         self._live_store: Dict[str, bytearray] = {}
 
     # ------------------------------------------------------------------
@@ -90,92 +90,10 @@ class IOManager(Manager):
         self.site.attraction_memory.apply_result(target, slot, value, program)
 
     # ------------------------------------------------------------------
-    # cluster-global files (sim path: shared VFS with modelled latency)
-
-    def _vfs(self) -> Dict[str, bytearray]:
-        return self.kernel.shared.vfs
-
-    def _remote_latency(self, owner: int, size: int) -> float:
-        network = self.kernel.shared.network
-        record = self.site.cluster_manager.sites.get(owner)
-        if record is None:
-            return 2.0 * network.config.latency
-        me = int(self.kernel.local_physical())
-        there = int(record.physical)
-        return (network.transit_delay(me, there, 64)
-                + network.transit_delay(there, me, 64 + size))
-
-    def sim_open(self, path: str, mode: str) -> Tuple[FileHandle, float]:
-        if mode not in ("r", "w", "a", "rw"):
-            raise ProgramError(f"unsupported file mode {mode!r}")
-        vfs = self._vfs()
-        if mode == "r" and path not in vfs:
-            raise ProgramError(f"file not found: {path!r}")
-        if mode == "w" or path not in vfs:
-            vfs[path] = bytearray()
-        handle = FileHandle(self.local_id, self._next_handle)
-        self._next_handle += 1
-        self._local_handles[handle] = (path, mode)
-        self._positions[handle] = (len(vfs[path]) if mode == "a" else 0)
-        self.stats.inc("files_opened")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "file_open", path, mode)
-        return handle, 0.0
-
-    def _resolve_handle(self, handle: FileHandle) -> Tuple[str, str, "IOManager", float]:
-        """Find the owning site's table entry ("automatically rerouted")."""
-        if handle in self._local_handles:
-            path, mode = self._local_handles[handle]
-            return path, mode, self, 0.0
-        owner_id = self.site.cluster_manager.effective_site(handle.site)
-        owner_site = self.kernel.shared.sites.get(owner_id)
-        if owner_site is None:
-            raise ProgramError(f"file handle {handle} owner unreachable")
-        owner_io = owner_site.io_manager
-        entry = owner_io._local_handles.get(handle)
-        if entry is None:
-            raise ProgramError(f"stale file handle {handle}")
-        path, mode = entry
-        return path, mode, owner_io, self._remote_latency(owner_id, 256)
-
-    def sim_read(self, handle: FileHandle, size: int) -> Tuple[bytes, float]:
-        path, mode, owner_io, latency = self._resolve_handle(handle)
-        if "r" not in mode:
-            raise ProgramError(f"file {path!r} not open for reading")
-        data = self._vfs().get(path, bytearray())
-        pos = owner_io._positions.get(handle, 0)
-        chunk = bytes(data[pos:] if size < 0 else data[pos:pos + size])
-        owner_io._positions[handle] = pos + len(chunk)
-        self.stats.inc("file_reads")
-        return chunk, latency + len(chunk) / self.kernel.shared.network.config.bandwidth
-
-    def sim_write(self, handle: FileHandle, data: bytes) -> Tuple[int, float]:
-        path, mode, owner_io, latency = self._resolve_handle(handle)
-        if mode == "r":
-            raise ProgramError(f"file {path!r} opened read-only")
-        buffer = self._vfs().setdefault(path, bytearray())
-        pos = owner_io._positions.get(handle, len(buffer))
-        buffer[pos:pos + len(data)] = data
-        owner_io._positions[handle] = pos + len(data)
-        self.stats.inc("file_writes")
-        return len(data), latency + len(data) / self.kernel.shared.network.config.bandwidth
-
-    def sim_seek(self, handle: FileHandle, offset: int) -> float:
-        _path, _mode, owner_io, latency = self._resolve_handle(handle)
-        owner_io._positions[handle] = max(0, offset)
-        return latency
-
-    def sim_close(self, handle: FileHandle) -> None:
-        _path, _mode, owner_io, _latency = self._resolve_handle(handle)
-        owner_io._local_handles.pop(handle, None)
-        owner_io._positions.pop(handle, None)
-        self.stats.inc("files_closed")
-
-    # ------------------------------------------------------------------
-    # cluster-global files — live message protocol.  Files reside on the
-    # site that opened them; remote sites access them by handle, with the
-    # access "automatically rerouted to the appropriate site" (§4).
+    # cluster-global files — one message protocol under both kernels.
+    # Files reside on the site that opened them; remote sites access them
+    # by handle, with the access "automatically rerouted to the
+    # appropriate site" (§4).
 
     def live_open(self, path: str, mode: str, cb) -> None:  # noqa: ANN001
         if mode not in ("r", "w", "a", "rw"):

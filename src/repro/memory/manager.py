@@ -31,15 +31,14 @@ Who records which hop of an object's life:
 Remote reads do at most one directory hop and then a direct owner fetch;
 nothing on the lookup path broadcasts or scales with the cluster size.
 
-Two access paths exist, matching DESIGN.md:
-
-* **sim shortcut** (``sim_read``/``sim_write``): values resolve against the
-  cluster-wide object oracle at execution start time; ownership migration,
-  the DIR_UPDATE traffic, and the modelled directory-hop + transfer
-  latencies are all real and feed the benchmarks.
-* **message protocol** (MEM_READ / MEM_READ_REPLY / MEM_WRITE /
-  MEM_LOCATION / DIR_UPDATE / DIR_ACK): the full COMA protocol used by the
-  live runtime's blocking contexts, with directory redirection.
+There is one access path, under both kernels: the message protocol
+(MEM_READ / MEM_READ_REPLY / MEM_WRITE / MEM_LOCATION / DIR_UPDATE /
+DIR_ACK) behind :meth:`live_read` and :meth:`apply_write`.  The live
+kernel's context blocks its worker on the callback; the sim kernel's
+abandons the run and repeats it when the callback fires
+(:mod:`repro.proc.sim_context`).  No site ever looks into another
+site's memory — a migration is two messages that chaos can delay, drop
+or partition, and a read of a dead owner's object fails.
 
 Result application (APPLY_RESULT) is always message-based — it is what
 drives dataflow timing.
@@ -54,7 +53,6 @@ from repro.common.errors import FrameStateError, MemoryFault
 from repro.common.ids import GlobalAddress, ManagerId
 from repro.core.frames import Microframe
 from repro.messages import MsgType, SDMessage, make_reply
-from repro.serde import encoded_size
 from repro.site.manager_base import Manager
 
 
@@ -325,7 +323,7 @@ class AttractionMemory(Manager):
                                   epoch=max(epoch, self.site.epoch))
 
     # ------------------------------------------------------------------
-    # memory objects — sim shortcut path
+    # memory objects
 
     def alloc_object(self, value: Any) -> GlobalAddress:
         addr = self.alloc_address()
@@ -341,105 +339,15 @@ class AttractionMemory(Manager):
         address to anyone else."""
         self.objects[addr] = value
         self._versions[addr] = 0
-        shared = getattr(self.kernel, "shared", None)
-        if shared is not None:
-            shared.objects[addr.pack()] = (self.local_id, value, 0)
         self.stats.inc("objects_allocated")
         self._publish_dir(addr)
 
-    def sim_read(self, addr: GlobalAddress) -> Tuple[Any, float]:
-        """Resolve a read; returns (value, modelled wait seconds).
-
-        A remote hit *attracts* the object: ownership migrates here, the
-        directory site learns of it (see :meth:`_migrate_in`), and the
-        modelled cost (directory hop if the directory is a third site,
-        then the object transfer at link bandwidth) is charged as wait
-        time.
-        """
-        if addr in self.objects:
-            self.stats.inc("reads_local")
-            return self.objects[addr], 0.0
-        shared = self.kernel.shared
-        entry = shared.objects.get(addr.pack())
-        if entry is None:
-            raise MemoryFault(f"read of unknown global address {addr}")
-        owner, value, version = entry
-        self.stats.inc("reads_remote")
-        latency = self._migration_latency(addr, owner, value)
-        self._migrate_in(addr, owner, value, version)
-        return value, latency
-
-    def sim_write(self, addr: GlobalAddress, value: Any) -> float:
-        """Apply a write effect; returns modelled wait seconds (0 if local)."""
-        if addr in self.objects:
-            self.objects[addr] = value
-            self.kernel.shared.objects[addr.pack()] = (
-                self.local_id, value, self._versions.get(addr, 0))
-            self.stats.inc("writes_local")
-            return 0.0
-        shared = self.kernel.shared
-        entry = shared.objects.get(addr.pack())
-        if entry is None:
-            raise MemoryFault(f"write to unknown global address {addr}")
-        owner, _old, version = entry
-        # write-migrate: attract the object, then write locally (COMA)
-        latency = self._migration_latency(addr, owner, _old)
-        self._migrate_in(addr, owner, _old, version)
-        self.objects[addr] = value
-        shared.objects[addr.pack()] = (self.local_id, value,
-                                       self._versions.get(addr, 0))
-        self.stats.inc("writes_migrated")
-        return latency
-
-    def _migration_latency(self, addr: GlobalAddress, owner: int,
-                           value: Any) -> float:
-        """Modelled read-migration cost: requester -> directory site
-        (skipped when that is the requester), directory -> owner forward
-        (skipped when the directory *is* the owner), owner -> requester
-        with the object payload."""
-        network = self.kernel.shared.network
-        my_phys = int(self.kernel.local_physical())
-        cm = self.site.cluster_manager
-        owner_rec = cm.sites.get(owner)
-        if owner_rec is None:
-            return 2.0 * network.config.latency
-        owner_phys = int(owner_rec.physical)
-        total = 0.0
-        dir_site = cm.dir_site_for(addr)
-        if dir_site == self.local_id:
-            total += network.transit_delay(my_phys, owner_phys, 64)
-        else:
-            dir_rec = cm.sites.get(dir_site)
-            dir_phys = (int(dir_rec.physical) if dir_rec is not None
-                        else owner_phys)
-            total += network.transit_delay(my_phys, dir_phys, 64)
-            if dir_site != owner:
-                total += network.transit_delay(dir_phys, owner_phys, 64)
-        total += network.transit_delay(owner_phys, my_phys,
-                                       64 + encoded_size(value))
-        return total
-
-    def _migrate_in(self, addr: GlobalAddress, owner: int,
-                    value: Any, version: int) -> None:
-        owner_site = self.kernel.shared.sites.get(owner)
-        # sim shortcut: the owner-side hand-off is synchronous because
-        # sim_read resolves value and ownership at its linearization
-        # point.  The owner does what its MEM_READ handler does — record
-        # the hop itself when it is the directory site — and any other
-        # directory learns of it from a real DIR_UPDATE message below,
-        # never from a cross-site dict mutation
-        recorded = (owner_site is not None
-                    and addr in owner_site.attraction_memory.objects
-                    and owner_site.attraction_memory._ship_out(
-                        addr, self.local_id))
-        self._adopt_remote_object(addr, value, version, owner, recorded)
-
     # ------------------------------------------------------------------
-    # memory objects — message protocol (live kernel path)
+    # memory objects — the message protocol
 
     def live_read(self, addr: GlobalAddress, cb,  # noqa: ANN001
                   _attempt: int = 0) -> None:
-        """Resolve a read via the COMA message protocol (blocking contexts).
+        """Resolve a read via the COMA message protocol.
 
         ``cb(value)`` on success; ``cb(None, error)`` on failure.  The
         read resolves through the address's directory site (at most one
@@ -488,12 +396,10 @@ class AttractionMemory(Manager):
 
         def on_reply(reply: SDMessage) -> None:
             if reply.type == MsgType.MEM_READ_REPLY:
-                value = reply.payload["value"]
-                if reply.payload.get("owned"):
-                    self._adopt_remote_object(
-                        addr, value, reply.payload.get("version", 0),
-                        reply.src_site, reply.payload.get("recorded", False))
-                cb(value)
+                if self._adopt_shipped(reply):
+                    cb(reply.payload["value"])
+                else:
+                    self._read_unresolved(addr, cb, attempt)
             elif reply.type == MsgType.MEM_LOCATION:
                 self._live_read_at(addr, reply.payload["owner"], cb,
                                    attempt + 1)
@@ -511,6 +417,22 @@ class AttractionMemory(Manager):
             # re-homes once membership catches up — re-resolve, don't fail
             self._read_unresolved(addr, cb, attempt)
 
+    def _adopt_shipped(self, reply: SDMessage) -> bool:
+        """Take the ownership a MEM_READ_REPLY carries.  False — nothing
+        adopted, the value not to be used — for a reply its sender stamped
+        before the last rollback: recovery has restored every checkpointed
+        object at its checkpointed owner, so adopting the straggler would
+        put one address on two sites."""
+        payload = reply.payload
+        if self._stale_epoch(payload):
+            self.stats.inc("stale_read_replies_dropped")
+            return False
+        if payload.get("owned"):
+            self._adopt_remote_object(
+                payload["addr"], payload["value"], payload.get("version", 0),
+                reply.src_site, payload.get("recorded", False))
+        return True
+
     def _adopt_remote_object(self, addr: GlobalAddress, value: Any,
                              version: int, src: int,
                              recorded: bool = False) -> None:
@@ -521,27 +443,23 @@ class AttractionMemory(Manager):
         guesses what the shipper's membership view made of the address."""
         self.objects[addr] = value
         self._versions[addr] = version + 1
-        shared = getattr(self.kernel, "shared", None)
-        if shared is not None:
-            shared.objects[addr.pack()] = (self.local_id, value, version + 1)
         self.stats.inc("migrations_in")
         tr = self.tracer
         if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "mem_migrate_in",
+            tr.emit(self.kernel.now, self.local_id, "mem_migrated",
                     addr.pack(), src)
         if recorded:
             self._published_at[addr] = src
         else:
             self._publish_dir(addr)
 
-    def apply_write(self, addr: GlobalAddress, value: Any) -> float:
-        """Mode-dispatched write: sim shortcut or live message protocol."""
-        if self.kernel.mode == "sim":
-            return self.sim_write(addr, value)
+    def apply_write(self, addr: GlobalAddress, value: Any) -> None:
+        """Write in place when the object is here, else send the value
+        towards its owner by way of the directory site."""
         if addr in self.objects:
             self.objects[addr] = value
             self.stats.inc("writes_local")
-            return 0.0
+            return
         target = self.site.cluster_manager.dir_site_for(addr)
         self.site.message_manager.send(SDMessage(
             type=MsgType.MEM_WRITE,
@@ -550,7 +468,6 @@ class AttractionMemory(Manager):
             payload={"addr": addr, "value": value},
         ))
         self.stats.inc("writes_sent")
-        return 0.0
 
     def handle(self, msg: SDMessage) -> None:
         if msg.type == MsgType.APPLY_RESULT:
@@ -578,11 +495,7 @@ class AttractionMemory(Manager):
         elif msg.type == MsgType.MEM_READ_REPLY:
             # late reply after a timed-out read: if it shipped ownership,
             # adopt the object — dropping it would lose data
-            if msg.payload.get("owned"):
-                self._adopt_remote_object(
-                    msg.payload["addr"], msg.payload["value"],
-                    msg.payload.get("version", 0), msg.src_site,
-                    msg.payload.get("recorded", False))
+            self._adopt_shipped(msg)
         elif msg.type in (MsgType.MEM_LOCATION, MsgType.MEM_NOT_FOUND):
             self.stats.inc("late_replies_ignored")
         elif msg.type == MsgType.MEM_OBJECT:
@@ -629,7 +542,7 @@ class AttractionMemory(Manager):
         migrate = msg.payload.get("migrate", True)
         if addr in self.objects:
             reply = {"addr": addr, "value": self.objects[addr],
-                     "owned": migrate,
+                     "owned": migrate, "epoch": self.site.epoch,
                      "version": self._versions.get(addr, 0)}
             # ownership ships with the reply; the *requester* publishes a
             # DIR_UPDATE once it has adopted the object, unless the
@@ -654,11 +567,6 @@ class AttractionMemory(Manager):
         addr = msg.payload["addr"]
         if addr in self.objects:
             self.objects[addr] = msg.payload["value"]
-            shared = getattr(self.kernel, "shared", None)
-            if shared is not None:
-                shared.objects[addr.pack()] = (
-                    self.local_id, msg.payload["value"],
-                    self._versions.get(addr, 0))
             self.stats.inc("writes_served")
             return
         hops = int(msg.payload.get("hops", 0))
@@ -694,24 +602,13 @@ class AttractionMemory(Manager):
         "All microframes and the local part of the global memory have to be
         relocated to other sites before shutdown" (§3.4).
         """
-        sched_frames = self.site.scheduling_manager.export_frames()
-        return {
-            "frames": [f.to_wire() for f in self.frames.values()]
-                      + [f.to_wire() for f in sched_frames],
-            "objects": [(addr, value, self._versions.get(addr, 0))
-                        for addr, value in self.objects.items()],
-            "dir": [(addr, owner, version, epoch)
-                    for addr, (owner, version, epoch)
-                    in self.dir_entries.items()],
-            "pending": [(addr, slot, value, self._pending_programs.get(addr, -1))
-                        for addr, pairs in self._pending_results.items()
-                        for slot, value in pairs],
-            "programs": self.site.program_manager.known_programs_wire(),
-        }
+        return self._export(self.site.scheduling_manager.export_frames())
 
     def export_checkpoint(self) -> dict:
         """Non-draining snapshot for a checkpoint wave (queues stay put)."""
-        sched_frames = self.site.scheduling_manager.snapshot_frames()
+        return self._export(self.site.scheduling_manager.snapshot_frames())
+
+    def _export(self, sched_frames: List[Microframe]) -> dict:
         return {
             "frames": [f.to_wire() for f in self.frames.values()]
                       + [f.to_wire() for f in sched_frames],
@@ -739,12 +636,6 @@ class AttractionMemory(Manager):
         self._pending_results.clear()
         self._pending_programs.clear()
         self._held_results.clear()
-        shared = getattr(self.kernel, "shared", None)
-        if shared is not None:
-            for addr in self.objects:
-                entry = shared.objects.get(addr.pack())
-                if entry is not None and entry[0] == self.local_id:
-                    del shared.objects[addr.pack()]
         self.objects.clear()
         self._versions.clear()
         self._published_at.clear()
@@ -773,13 +664,9 @@ class AttractionMemory(Manager):
         sign-off forwards nothing).
         """
         self.site.program_manager.learn_programs_wire(state.get("programs", []))
-        shared = getattr(self.kernel, "shared", None)
         for addr, value, version in state.get("objects", []):
             self.objects[addr] = value
             self._versions[addr] = version + 1
-            if shared is not None:
-                shared.objects[addr.pack()] = (self.local_id, value,
-                                               version + 1)
             self._publish_dir(addr)
         cm = self.site.cluster_manager
         for addr, owner, version, epoch in state.get("dir", []):

@@ -1,171 +1,189 @@
-"""Execution context for the simulation kernel.
+"""Execution context for the simulation kernel: a restartable execution.
 
+A sim microthread runs at one instant of virtual time, so it cannot
+block on a reply.  Instead every primitive operation (a frame address, a
+``malloc``, a memory read, the five file calls) goes through :meth:`_op`,
+which asks the *same* manager call the live kernel's blocking context
+uses (``AttractionMemory.live_read``, ``IOManager.live_open`` …) and
+appends the answer to ``oplog``.  When the answer does not come at once —
+the request is a message on its way to another site — the run is
+abandoned (:class:`Suspended`) and the processing manager repeats it from
+``args_snapshot`` once the reply has been logged: every earlier operation
+is then answered from the log, so it returns what it returned before and
+does nothing a second time (no second allocation, no second file write),
+and the run goes one operation further.  An execution with *k* remote
+operations runs *k + 1* times in host time and once in virtual time; its
+wait is the flight of its messages.
+
+The same log is what a silent-data-corruption shadow replays: a context
+built with ``live=False`` over a finished execution answers only from
+the log, observes the primary's clock and RNG seed, touches no cluster
+state, and fails if the microthread asks for more than was recorded.
 Side effects are buffered and dispatched at the execution's simulated
-completion time (§3.2: extract -> calculate -> create frames -> send
-results).  Memory reads resolve immediately against the shared object
-directory but charge the modelled round-trip as *wait time*, which the
-processing manager overlaps with other executions (latency hiding).
+completion (§3.2: extract -> calculate -> create frames -> send results).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ProgramError
+from repro.common.errors import ProgramError, SerializationError
 from repro.common.ids import FileHandle, GlobalAddress
 from repro.core.context import Effect, ExecutionContext
 from repro.core.frames import Microframe
+from repro.serde import wire_copy
+
+
+def _snapshot(args: List[Any]) -> List[Any]:
+    """A copy of an argument list that shares nothing a microthread can
+    change in place: what the frame would hold had it crossed the wire
+    (scalars and addresses shared, containers rebuilt), and a deep copy
+    for values that never could."""
+    try:
+        return wire_copy(args)
+    except SerializationError:
+        return copy.deepcopy(args)
+
+
+class Suspended(BaseException):
+    """Raised out of a microthread whose operation awaits a reply.  Not
+    an ``Exception``: user code that guards an operation with ``except
+    Exception`` must not swallow it."""
+
+
+class _Failed:
+    """A logged operation that raised (unknown address, stale handle): a
+    repeat raises the same error at the same place."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
 
 
 class SimExecutionContext(ExecutionContext):
+    """One run of one execution.  ``prior`` is the run it repeats (log,
+    snapshot, clock and flags are shared); ``live=False`` makes it a
+    replay that may not go past the end of the log."""
+
     def __init__(self, frame: Microframe, site,  # noqa: ANN001
-                 thread_table: Dict[str, Tuple[int, int]]) -> None:
+                 thread_table: Dict[str, Tuple[int, int]],
+                 entry: Callable[..., Any],
+                 prior: Optional["SimExecutionContext"] = None,
+                 live: bool = True) -> None:
         super().__init__(frame, thread_table, site.site_id,
-                         site.kernel.now, seed=site.config.seed)
+                         site.kernel.now if prior is None else prior.now,
+                         seed=site.config.seed)
         self._site = site
+        self._entry = entry
         self.effects: List[Effect] = []
-        #: modelled seconds spent waiting on remote memory / files
-        self.wait_time = 0.0
+        self._cursor = 0
+        self._live = live
+        #: set by the processing manager: called (with this context) when
+        #: the reply an abandoned run was waiting for has been logged
+        self.on_reply: Optional[Callable[["SimExecutionContext"], None]] = None
+        #: when this run was abandoned (None: it was not)
+        self._suspended_at: Optional[float] = None
+        if prior is None:
+            #: primitive-op results in call order
+            self.oplog: List[Any] = []
+            #: the arguments as they were before any run touched them
+            #: (microthreads mutate mutable ones — the primes pipeline
+            #: threads one state dict through its collect chain)
+            self.args_snapshot: List[Any] = _snapshot(self._args)
+            #: seconds spent suspended on remote memory / files
+            self.wait_time = 0.0
+            #: picked for duplicate execution (SDC defense)
+            self.replicated = False
+        else:
+            self.oplog = prior.oplog
+            self.args_snapshot = prior.args_snapshot
+            self._args = _snapshot(prior.args_snapshot)
+            self.wait_time = prior.wait_time
+            self.replicated = prior.replicated
+
+    @property
+    def failed_op(self) -> bool:
+        """The newest logged operation is an error (a dead site's
+        silence, an unknown address) the next run will raise."""
+        return bool(self.oplog) and type(self.oplog[-1]) is _Failed
+
+    def run(self) -> None:
+        """Call the microthread; raises what it raises, or
+        :class:`Suspended` — also when a bare ``except`` in it swallowed
+        that: a run that was abandoned has no result."""
+        self._entry(self, *self._args)
+        if self._suspended_at is not None:
+            raise Suspended
+
+    def again(self, live: bool = True) -> "SimExecutionContext":
+        """The context of this execution's next run — or, with
+        ``live=False``, of a shadow's replay of it."""
+        return SimExecutionContext(self._frame, self._site,
+                                   self._thread_table, self._entry,
+                                   prior=self, live=live)
 
     # ------------------------------------------------------------------
     def _emit(self, effect: Effect) -> None:
         self.effects.append(effect)
 
+    def _op(self, ask: Callable[..., None], *args: Any) -> Any:
+        """Answer one primitive: from the log, or by ``ask(*args, cb)``."""
+        if self._suspended_at is not None:
+            raise Suspended  # swallowed once; the run stays abandoned
+        index = self._cursor
+        self._cursor = index + 1
+        log = self.oplog
+        if index == len(log):
+            if not self._live:
+                raise ProgramError(
+                    "shadow execution diverged: more primitive ops than "
+                    "the primary recorded")
+            ask(*args, self._answer)
+            if index == len(log):
+                # not answered here and now: it is a message in flight
+                self._suspended_at = self._site.kernel.now
+                raise Suspended
+        result = log[index]
+        if type(result) is _Failed:
+            raise result.error
+        return result
+
+    def _answer(self, value: Any = None,
+                error: Optional[Exception] = None) -> None:
+        self.oplog.append(value if error is None else _Failed(error))
+        if self._suspended_at is not None:
+            self.wait_time += self._site.kernel.now - self._suspended_at
+            self.on_reply(self)
+
+    # -- primitives: the live kernel's calls, one log ----------------------
+    def _new_address(self, cb) -> None:  # noqa: ANN001
+        cb(self._site.attraction_memory.alloc_address())
+
+    def _new_object(self, value: Any, cb) -> None:  # noqa: ANN001
+        cb(self._site.attraction_memory.alloc_object(value))
+
     def _op_alloc_frame_address(self) -> GlobalAddress:
-        return self._site.attraction_memory.alloc_address()
+        return self._op(self._new_address)
 
     def _op_malloc(self, value: Any) -> GlobalAddress:
-        return self._site.attraction_memory.alloc_object(value)
+        return self._op(self._new_object, value)
 
     def _op_read(self, address: GlobalAddress) -> Any:
-        value, latency = self._site.attraction_memory.sim_read(address)
-        self.wait_time += latency
-        return value
+        return self._op(self._site.attraction_memory.live_read, address)
 
-    # -- files (cluster-wide VFS; remote handles charge a round trip) ----
     def _op_file_open(self, path: str, mode: str) -> FileHandle:
-        handle, latency = self._site.io_manager.sim_open(path, mode)
-        self.wait_time += latency
-        return handle
+        return self._op(self._site.io_manager.live_open, path, mode)
 
     def _op_file_read(self, handle: FileHandle, size: int) -> bytes:
-        data, latency = self._site.io_manager.sim_read(handle, size)
-        self.wait_time += latency
-        return data
+        return self._op(self._site.io_manager.live_read, handle, size)
 
     def _op_file_write(self, handle: FileHandle, data: bytes) -> int:
-        written, latency = self._site.io_manager.sim_write(handle, data)
-        self.wait_time += latency
-        return written
+        return self._op(self._site.io_manager.live_write, handle, data)
 
     def _op_file_seek(self, handle: FileHandle, offset: int) -> None:
-        latency = self._site.io_manager.sim_seek(handle, offset)
-        self.wait_time += latency
+        self._op(self._site.io_manager.live_seek, handle, offset)
 
     def _op_file_close(self, handle: FileHandle) -> None:
-        self._site.io_manager.sim_close(handle)
-
-
-class RecordingSimContext(SimExecutionContext):
-    """Primary-execution context for a *replicated* microthread.
-
-    Every primitive-op result (allocated addresses, memory reads, file
-    I/O) is appended to ``oplog`` in call order, so a shadow re-execution
-    can replay the exact same inputs without touching cluster state — the
-    dynamic-dependency problem that makes naive replication unsound:
-    a second live execution would allocate fresh addresses and observe
-    later memory states, and its effects would never compare equal.
-
-    ``args_snapshot`` is a deep copy of the frame's parameters taken
-    *before* the primary runs: microthreads freely mutate mutable
-    arguments (the primes pipeline threads one state dict through its
-    collect chain), so a shadow fed the live objects would observe the
-    primary's mutations instead of the original inputs.
-    """
-
-    def __init__(self, frame: Microframe, site,  # noqa: ANN001
-                 thread_table: Dict[str, Tuple[int, int]]) -> None:
-        super().__init__(frame, site, thread_table)
-        self.oplog: List[Any] = []
-        self.args_snapshot: List[Any] = copy.deepcopy(frame.arguments())
-        #: the compiled microthread, stashed so the verify path can hand
-        #: the same entry point to shadow re-executions
-        self.compiled: Any = None
-
-    def _record(self, value: Any) -> Any:
-        self.oplog.append(value)
-        return value
-
-    def _op_alloc_frame_address(self) -> GlobalAddress:
-        return self._record(super()._op_alloc_frame_address())
-
-    def _op_malloc(self, value: Any) -> GlobalAddress:
-        return self._record(super()._op_malloc(value))
-
-    def _op_read(self, address: GlobalAddress) -> Any:
-        return self._record(super()._op_read(address))
-
-    def _op_file_open(self, path: str, mode: str) -> FileHandle:
-        return self._record(super()._op_file_open(path, mode))
-
-    def _op_file_read(self, handle: FileHandle, size: int) -> bytes:
-        return self._record(super()._op_file_read(handle, size))
-
-    def _op_file_write(self, handle: FileHandle, data: bytes) -> int:
-        return self._record(super()._op_file_write(handle, data))
-
-
-class ReplaySimContext(SimExecutionContext):
-    """Shadow-execution context: primitive ops replay the primary's oplog.
-
-    The shadow observes byte-for-byte the primary's inputs (same
-    addresses, same read values, same per-execution RNG seed — the seed
-    is derived from the frame id and the cluster-wide config seed, so it
-    is site-independent) and touches no cluster state of its own.  Its
-    buffered effects are therefore directly comparable to the primary's:
-    any divergence is corruption of one of the two executions, not
-    environmental drift.
-    """
-
-    def __init__(self, frame: Microframe, site,  # noqa: ANN001
-                 thread_table: Dict[str, Tuple[int, int]],
-                 oplog: List[Any], started_at: float) -> None:
-        super().__init__(frame, site, thread_table)
-        # observe the primary's clock, not the shadow site's
-        self._now = started_at
-        self._oplog = oplog
-        self._cursor = 0
-
-    def _replay(self) -> Any:
-        if self._cursor >= len(self._oplog):
-            raise ProgramError(
-                "shadow execution diverged: more primitive ops than the "
-                "primary recorded")
-        value = self._oplog[self._cursor]
-        self._cursor += 1
-        return value
-
-    def _op_alloc_frame_address(self) -> GlobalAddress:
-        return self._replay()
-
-    def _op_malloc(self, value: Any) -> GlobalAddress:
-        return self._replay()
-
-    def _op_read(self, address: GlobalAddress) -> Any:
-        return self._replay()
-
-    def _op_file_open(self, path: str, mode: str) -> FileHandle:
-        return self._replay()
-
-    def _op_file_read(self, handle: FileHandle, size: int) -> bytes:
-        return self._replay()
-
-    def _op_file_write(self, handle: FileHandle, data: bytes) -> int:
-        return self._replay()
-
-    def _op_file_seek(self, handle: FileHandle, offset: int) -> None:
-        return None
-
-    def _op_file_close(self, handle: FileHandle) -> None:
-        return None
+        self._op(self._site.io_manager.live_close, handle)

@@ -4,12 +4,15 @@ Execution timeline for one microframe (see DESIGN.md, "Sim execution
 semantics"):
 
 1. the microthread function runs *now* (real Python, instantaneous in
-   virtual time), producing: charged work W, accumulated memory wait T_w,
-   and a buffered effect list;
-2. the site waits T_w with the CPU *free* (this is what latency hiding
-   overlaps — other in-flight frames compute meanwhile);
-3. the CPU is occupied for W/speed seconds (FCFS with everything else on
-   this site);
+   virtual time), producing charged work W and a buffered effect list;
+2. if an operation needs another site (a remote read, a rerouted file
+   access) the run is abandoned with the request on the wire, the slot
+   counts as ``waiting`` with the CPU *free* (this is what latency hiding
+   overlaps — other in-flight frames compute meanwhile), and the reply
+   re-runs the frame from its argument snapshot, every earlier answer
+   replayed from the log — as often as it has remote operations;
+3. the CPU is occupied for W/speed seconds (shared with everything else
+   on this site);
 4. at completion the effects dispatch: frames register, results travel,
    output flows, the frame is consumed.
 
@@ -20,15 +23,13 @@ flight, so very large ``max_parallel`` degrades — reproducing the paper's
 
 from __future__ import annotations
 
-import copy
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.ids import ManagerId
 from repro.core.frames import Microframe
 from repro.core.threads import CompiledMicrothread
-from repro.proc.sim_context import (RecordingSimContext, ReplaySimContext,
-                                    SimExecutionContext)
+from repro.proc.sim_context import SimExecutionContext, Suspended
 from repro.sched.policies import replicate_chosen
 from repro.site.manager_base import Manager
 from repro.trace.causal import exec_node
@@ -133,19 +134,28 @@ class SimProcessingManager(Manager):
     def _execute(self, frame: Microframe,
                  compiled: CompiledMicrothread) -> None:
         info = self.site.program_manager.get(frame.program)
+        ctx = SimExecutionContext(frame, self.site, info.thread_table(),
+                                  compiled.entry)
         if (self._replicate_frac > 0.0
                 and replicate_chosen(frame.frame_id.pack(),
                                      self._replicate_frac)):
-            # replicated execution: record primitive-op results so a
-            # shadow can replay the same inputs (see sim_context)
-            ctx: SimExecutionContext = RecordingSimContext(
-                frame, self.site, info.thread_table())
-            ctx.compiled = compiled
+            # its verdict waits for a shadow's replay of the same log
+            ctx.replicated = True
             self.stats.inc("sdc_replicated")
-        else:
-            ctx = SimExecutionContext(frame, self.site, info.thread_table())
+        self._run(frame, compiled, ctx, self.site.epoch)
+
+    def _run(self, frame: Microframe, compiled: CompiledMicrothread,
+             ctx: SimExecutionContext, epoch: int) -> None:
         try:
-            compiled.entry(ctx, *frame.arguments())
+            ctx.run()
+        except Suspended:
+            # its request is on the wire and the CPU is free — admit
+            # another microthread to hide the latency (§4)
+            ctx.on_reply = lambda run: self._resume(frame, compiled, run,
+                                                    epoch)
+            self.waiting += 1
+            self.kick()
+            return
         except Exception:  # noqa: BLE001 — user code may raise anything
             self.stats.inc("microthread_errors")
             failure = traceback.format_exc(limit=3)
@@ -169,22 +179,29 @@ class SimProcessingManager(Manager):
             self.kernel.cpu_charge(self.cost.context_switch_cost
                                    * (self.in_flight - 1))
             self.stats.inc("context_switches")
-
-        epoch = self.site.epoch
-        if ctx.wait_time > 0.0:
-            # CPU free during the memory wait — admit another microthread to
-            # hide the latency (§4)
-            self.waiting += 1
-            self.kernel.call_later(ctx.wait_time, self._wait_over,
-                                   frame, ctx, compute, epoch)
-            self.kick()
-        else:
-            self._compute_phase(frame, ctx, compute, epoch)
-
-    def _wait_over(self, frame: Microframe, ctx: SimExecutionContext,
-                   compute: float, epoch: int) -> None:
-        self.waiting = max(0, self.waiting - 1)
         self._compute_phase(frame, ctx, compute, epoch)
+
+    def _resume(self, frame: Microframe, compiled: CompiledMicrothread,
+                ctx: SimExecutionContext, epoch: int) -> None:
+        """The reply a suspended execution waited for is in its log."""
+        self.waiting = max(0, self.waiting - 1)
+        if self.site.stopped:
+            return  # a dead site commits nothing
+        if epoch != self.site.epoch or (ctx.failed_op
+                                        and self._recovery_pending()):
+            # suspended across a recovery — or failed on a site whose
+            # crash the coming recovery rolls back: either way the
+            # restored frame runs again, this one is not resumed
+            self._discard_stale(frame)
+            return
+        self._run(frame, compiled, ctx.again(), epoch)
+
+    def _recovery_pending(self) -> bool:
+        """A site of this view crashed and its rollback has not reached
+        us yet (RECOVER_BEGIN names the heir)."""
+        return self.site.crash_manager.enabled and any(
+            not record.alive and not record.left and record.heir is None
+            for record in self.site.cluster_manager.sites.values())
 
     def _compute_phase(self, frame: Microframe, ctx: SimExecutionContext,
                        compute: float, epoch: int) -> None:
@@ -213,7 +230,7 @@ class SimProcessingManager(Manager):
             if self._sdc_corrupter.corrupt_effects(self._sdc_index,
                                                    ctx.effects):
                 ctx.sdc_tainted = True
-        if isinstance(ctx, RecordingSimContext):
+        if ctx.replicated:
             self._start_verify(frame, ctx, epoch)
             return
         self._commit_causal(frame, ctx, ctx.effects,
@@ -300,17 +317,13 @@ class SimProcessingManager(Manager):
         self.kernel.call_later(latency, self._shadow_begin,
                                buddy, frame, ctx, epoch)
 
-    def _run_replay(self, host_site, frame: Microframe,  # noqa: ANN001
-                    ctx: SimExecutionContext) -> Optional[list]:
-        """Re-execute the microthread over the primary's recorded inputs."""
-        info = self.site.program_manager.get(frame.program)
-        replay = ReplaySimContext(frame, host_site, info.thread_table(),
-                                  ctx.oplog, ctx.now)
+    def _run_replay(self, ctx: SimExecutionContext) -> Optional[list]:
+        """Re-execute the microthread over the primary's recorded inputs:
+        a fresh copy of its argument snapshot, its log, its clock and RNG
+        seed, and no cluster state touched."""
+        replay = ctx.again(live=False)
         try:
-            # each replay gets its own pristine copy of the arguments —
-            # the primary (and any earlier replay) mutates mutable ones
-            ctx.compiled.entry(replay,
-                               *copy.deepcopy(ctx.args_snapshot))
+            replay.run()
         except Exception:  # noqa: BLE001 — a diverging replay is itself SDC
             self.stats.inc("sdc_shadow_errors")
             return None
@@ -321,7 +334,7 @@ class SimProcessingManager(Manager):
         if self.site.stopped:
             return
         self.stats.inc("sdc_shadow_execs")
-        effects = self._run_replay(self.site, frame, ctx)
+        effects = self._run_replay(ctx)
         tainted = False
         if effects is not None and self._sdc_corrupter is not None:
             tainted = self._sdc_corrupter.corrupt_effects(self._sdc_index,
@@ -334,7 +347,7 @@ class SimProcessingManager(Manager):
             return
         if buddy.stopped or not buddy.running:
             return  # buddy died before the work arrived; the timeout commits
-        effects = self._run_replay(buddy, frame, ctx)
+        effects = self._run_replay(ctx)
         bpm = buddy.processing_manager
         bpm.stats.inc("sdc_shadow_execs")
         compute = bpm.cost.work_seconds(ctx.charged_work,
@@ -454,7 +467,7 @@ class SimProcessingManager(Manager):
             self._resolve(frame, ctx, epoch, effects_shadow, tainted_shadow,
                           None, False)
             return
-        effects = self._run_replay(referee, frame, ctx)
+        effects = self._run_replay(ctx)
         rpm = referee.processing_manager
         rpm.stats.inc("sdc_shadow_execs")
         compute = rpm.cost.work_seconds(ctx.charged_work,

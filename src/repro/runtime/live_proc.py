@@ -184,7 +184,7 @@ class LiveProcessingManager(Manager):
             frame, compiled, ctx, epoch = job
             error: Optional[str] = None
             try:
-                compiled.entry(ctx, *frame.arguments())
+                compiled.entry(ctx, *ctx._args)
             except Exception:  # noqa: BLE001 — user code
                 error = traceback.format_exc(limit=3)
             self.kernel.post(self._complete, frame, ctx, epoch, error)

@@ -1,18 +1,18 @@
 """The simulation kernel: one per simulated site, over a shared SimNetwork.
 
-:class:`SharedSimState` also carries the two deliberate sim-only shortcuts
-documented in DESIGN.md: the global object directory the attraction memory
-resolves reads against (values as of execution start, latency charged), and
-the cluster-wide virtual filesystem behind the I/O manager.
+:class:`SharedSimState` is what the sites of one run have in common: the
+event engine, the network, and a registry of the running sites for the
+facade.  It holds no program state — memory objects and files live in
+the managers of the site that owns them and move by messages only.  (The
+SDC defense still places its shadow runs through ``sites``; see ROADMAP.)
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.errors import SerializationError
-from repro.common.ids import GlobalAddress
 from repro.messages import SnapshotEnvelope
 from repro.net.simnet import SimNetwork
 from repro.sim.engine import Event, Simulator
@@ -25,14 +25,7 @@ class SharedSimState:
     def __init__(self, sim: Simulator, network: SimNetwork) -> None:
         self.sim = sim
         self.network = network
-        #: global-object oracle: packed address -> (owner, value, version).
-        #: Sim-only shortcut for the attraction-memory *read* path; the
-        #: migration/ownership bookkeeping, the DIR_UPDATE traffic to the
-        #: sharded directory, and the latency costs are all real.
-        self.objects: Dict[int, Tuple[int, Any, int]] = {}
-        #: cluster-wide virtual filesystem: path -> bytearray
-        self.vfs: Dict[str, bytearray] = {}
-        #: logical site id -> SDVMSite, for facade inspection only
+        #: logical site id -> SDVMSite, for facade inspection
         self.sites: Dict[int, Any] = {}
 
     def alive_peers(self, *exclude: int) -> list:

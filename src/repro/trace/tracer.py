@@ -83,7 +83,7 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "site_sleep": (),
     "site_wake": (),
     # attraction memory
-    "mem_migrate_in": ("addr", "owner"),
+    "mem_migrated": ("addr", "owner"),
     "frame_adopted": ("frame", "src"),
     # program lifecycle (program manager)
     "program_register": ("program",),

@@ -40,11 +40,13 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 #: journal fingerprints of every replication-off corpus plan: the
 #: defense layer must be invisible (bit-for-bit) whenever
-#: ``replicate_frac == 0``.  All ten were re-pinned when checkpoint
-#: shards became opaque bytes (PR 22): every plan checkpoints, a blob
-#: frames a few bytes differently from the dict it replaced, and message
-#: delay follows size.  ``repro chaos corpus --twice --fingerprints``
-#: prints this map as JSON.
+#: ``replicate_frac == 0``.  All were re-pinned when checkpoint shards
+#: became opaque bytes (PR 22).  PR 23 moved only the plans whose
+#: workload touches memory — ``dir_shard_crash`` and ``homesite_crash``
+#: now send the MEM_READ + MEM_READ_REPLY of every migration (and the
+#: trace kind is ``mem_migrated``), ``memory_partition`` is new — and
+#: the eight ``primes`` plans kept theirs: the common path did not move.
+#: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
         "a7eca8411964431a313b54e5512efb22c20d062ead4dd944eb328de79f7fbb19",
@@ -53,13 +55,15 @@ PINNED_FINGERPRINTS = {
     "crash_during_wave.json":
         "8d265ed225b456b310ad1b423d72fe30adbb0a6855ffbcaa6b691fb6285955ab",
     "dir_shard_crash.json":
-        "f25a8c2b02866e1765bfbeb57f2d71a3e568f65d0cad2260ed2cf78e662919d0",
+        "671ca6ddb6c467ec639b6986fba8df3738333d487226cf0a91e9c386123f38d5",
     "duplicate_delivery.json":
         "844f1aac1b7b1bee1226d42f136f15c5ea4d1458e84253569181546468c35a06",
     "homesite_crash.json":
-        "7932f0849cfbc9f5634bf57eb29f9d3febc17d96aac25f2d04f780d370afac44",
+        "b3f23b75b6eb8162cc489fe3e05ffdd22329d348520ab863e14da34bb90e995d",
     "lossy_recovery.json":
         "df79a333a1dcb9cb4dc7fa11c9bf3b474c6fb31f983baacada0dc03db7a89dc7",
+    "memory_partition.json":
+        "6f95c6f6f5d1ab3761b47cfc96dc54efc1f13e341c0bd21825236cf2e829f852",
     "partition_then_heal.json":
         "4668bf16108d27573d560c3db5c85e5b11fc0cad356c5bb9a98b91e832f342cc",
     "steal_batch_reorder.json":
@@ -213,7 +217,8 @@ class TestCorpus:
                 "coordinator_crash.json", "partition_then_heal.json",
                 "duplicate_delivery.json", "lossy_recovery.json",
                 "steal_batch_reorder.json", "dir_shard_crash.json",
-                "homesite_crash.json", "sdc_detected.json"} <= names
+                "homesite_crash.json", "sdc_detected.json",
+                "memory_partition.json"} <= names
         # the undefended twin fails by design, so it lives in a
         # subdirectory the corpus glob (and ``chaos corpus``) skip
         assert os.path.exists(os.path.join(
@@ -240,6 +245,37 @@ class TestCorpus:
         result = corpus_result(path)
         assert result.fingerprint == PINNED_FINGERPRINTS[
             os.path.basename(path)]
+
+    def test_partition_holds_back_ownership_replies(self):
+        """Chaos reaches memory: the window of ``memory_partition`` opens
+        with site 2's MEM_READs answered and the replies — each carrying
+        an object's ownership — still on the wire.  They land after the
+        heal and are adopted; nothing is lost, nothing forks."""
+        result = corpus_result(os.path.join(CORPUS_DIR,
+                                            "memory_partition.json"))
+        plan = corpus_plan("memory_partition")
+        window = plan.faults[0]
+        held = [e for e in result.cluster.tracer.events
+                if e.kind == "mem_migrated" and e.site == 2
+                and window.end <= e.ts < window.end + 5e-4]
+        assert len(held) == 4
+        stats = result.cluster.total_stats()
+        assert stats.get("migrations_in").count \
+            == stats.get("reads_served").count > len(held)
+
+    def test_dropped_ownership_reply_loses_the_object(self):
+        """Known gap, committed as an expected failure: a *dropped*
+        ownership-carrying MEM_READ_REPLY is not re-sent (the shipper let
+        the object go), so the reader's retries end in MemoryFault."""
+        path = os.path.join(CORPUS_DIR, "expected_fail",
+                            "memory_reply_drop.json")
+        with open(path, encoding="utf-8") as fh:
+            assert "ROADMAP item 2" in json.load(fh)["reason"]
+        result = run_plan(FaultPlan.load(path))
+        assert not result.ok
+        failed, = [v for v in result.violations
+                   if v.invariant == "completion"]
+        assert "MemoryFault" in str(failed)
 
     def test_replay_is_bit_deterministic(self):
         first, second = verify_determinism(corpus_plan("crash_during_wave"))
@@ -443,22 +479,53 @@ class TestSilentDataCorruption:
 
     def test_record_replay_contexts_round_trip(self):
         """A shadow fed the primary's oplog + argument snapshot observes
-        identical primitive-op results and argument values."""
-        from repro.proc.sim_context import ReplaySimContext
-        oplog = ["addr-1", 42, b"data"]
-
-        class _Frame:
-            def arguments(self):
-                return [1, {"x": 2}]
-        replay = ReplaySimContext.__new__(ReplaySimContext)
-        replay._oplog = list(oplog)
-        replay._cursor = 0
-        assert replay._op_alloc_frame_address() == "addr-1"
-        assert replay._op_read("anything") == 42
-        assert replay._op_file_read("h", 10) == b"data"
+        identical primitive-op results and argument values, touches no
+        cluster state, and may not ask for more than was recorded."""
         from repro.common.errors import ProgramError
-        with pytest.raises(ProgramError):
-            replay._replay()
+        from repro.core.program import ProgramBuilder
+        from repro.proc.sim_context import SimExecutionContext
+        from repro.site.simcluster import SimCluster
+
+        prog = ProgramBuilder("rr")
+
+        @prog.microthread(creates=("main",))
+        def main(ctx, state, extra):
+            state["x"] += 1  # the primary mutates its argument in place
+            addr = ctx.malloc(state["x"])
+            ctx.send_result(ctx.create_frame("main"), 0,
+                            (addr, ctx.read(addr), ctx.now, ctx.rng.random()))
+            for _ in range(extra):
+                ctx.malloc(0)
+
+        from repro.common.ids import make_program_id
+        from repro.core.frames import Microframe
+        cluster = SimCluster(nsites=1)
+        cluster.sim.run(until=0.1)
+        site = cluster.sites[0]
+        pid = make_program_id(site.site_id, 7)
+        table = site.program_manager.register_local(
+            prog.build(), pid).thread_table()
+        frame = Microframe(site.attraction_memory.alloc_address(), 0, pid, 2)
+        frame.apply_parameter(0, {"x": 2})
+        frame.apply_parameter(1, 0)
+        primary = SimExecutionContext(frame, site, table, main)
+        primary.run()
+        assert frame.arguments()[0] == {"x": 3}
+        assert primary.args_snapshot[0] == {"x": 2}
+        assert len(primary.oplog) == 3  # malloc, read, frame address
+        allocated = site.attraction_memory.stats.get("objects_allocated").count
+
+        cluster.sim.run(until=0.5)  # the shadow runs later, elsewhere
+        shadow = primary.again(live=False)
+        shadow.run()
+        assert repr(shadow.effects) == repr(primary.effects)
+        assert site.attraction_memory.stats.get(
+            "objects_allocated").count == allocated
+        # one op more than the primary recorded: the replay has diverged
+        greedy = primary.again(live=False)
+        greedy._args[1] = 1
+        with pytest.raises(ProgramError, match="diverged"):
+            greedy.run()
 
 
 def _dispatched_at(site):

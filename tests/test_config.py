@@ -150,3 +150,20 @@ def test_every_config_field_has_a_reader():
               if name not in own_reads
               and not re.search(rf"\.{name}\b", source)]
     assert unread == []
+
+
+def test_one_memory_and_file_protocol():
+    """The sim runs the message protocol it measures.  No cluster-wide
+    object or file oracle, and no sim twin of a call or kernel-mode branch
+    in the memory and I/O managers: a sim microthread that misses restarts
+    on the reply (proc/sim_context.py) instead."""
+    root = pathlib.Path(repro.__file__).parent
+    offences = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        patterns = [r"shared\.objects", r"shared\.vfs"]
+        if path.parent.name in ("memory", "io"):
+            patterns += [r"def sim_", r"kernel\.mode"]
+        offences += [f"{path.relative_to(root)}: {pattern}"
+                     for pattern in patterns if re.search(pattern, text)]
+    assert offences == []

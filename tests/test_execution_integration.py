@@ -199,22 +199,22 @@ class TestIO:
         assert handle.output() == ["sum computed"]
 
     def test_file_roundtrip(self, fast_config):
+        """The reader gets the *handle*: a file resides on the site that
+        opened it, wherever the reader runs its access is rerouted there."""
         prog = ProgramBuilder("files")
 
         @prog.microthread(creates=("reader",))
         def main(ctx):
             ctx.charge(1)
-            handle = ctx.open_file("data.txt", "w")
+            handle = ctx.open_file("data.txt", "rw")
             ctx.file_write(handle, b"file contents")
-            ctx.file_close(handle)
             reader = ctx.create_frame("reader")
-            ctx.send_result(reader, 0, 0)
+            ctx.send_result(reader, 0, handle)
 
         @prog.microthread
-        def reader(ctx, _ignored):
+        def reader(ctx, handle):
             ctx.charge(1)
-            handle = ctx.open_file("data.txt", "r")
-            data = ctx.file_read(handle)
+            data = ctx.file_read(handle, -1, offset=0)
             ctx.file_close(handle)
             ctx.exit_program(data)
 

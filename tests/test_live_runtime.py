@@ -422,11 +422,63 @@ def scripted_hops(cluster, on_site, settle):
     return steps, on_site(a, lambda: a.attraction_memory.dir_owner(addr))
 
 
+#: everything a program's memory and file accesses put on the wire
+PROTOCOL_TYPES = MEMORY_TYPES + (
+    "MEM_NOT_FOUND", "MEM_WRITE", "IO_FILE_READ", "IO_FILE_READ_REPLY",
+    "IO_FILE_WRITE", "IO_FILE_WRITE_ACK", "IO_FILE_CLOSE")
+
+
+def pin_placement(cluster, where):
+    """Run every microthread on the site its *name* maps to.
+
+    A live cluster places frames by who asks first, which no two runs
+    repeat, so the differential programs are placed by hand instead: the
+    config lets no site give work away, and each site's scheduler intake
+    sends a frame that belongs elsewhere straight there (one
+    FRAME_TRANSFER, like a proactive push).  Placement is then a function
+    of the program alone — the same under both kernels — and so is every
+    message its memory and file accesses cause."""
+    from repro.common.ids import ManagerId
+    from repro.messages import MsgType, SDMessage
+
+    ids = [site.site_id for site in cluster.sites]
+    for site in cluster.sites:
+        sched = site.scheduling_manager
+
+        def enqueue(frame, site=site, sched=sched,
+                    here=sched.enqueue_executable):
+            table = site.program_manager.get(frame.program).thread_table()
+            name = next(name for name, (thread_id, _n) in table.items()
+                        if thread_id == frame.thread_id)
+            target = ids[where[name]]
+            if target == site.site_id:
+                here(frame)
+                return
+            site.message_manager.send(SDMessage(
+                type=MsgType.FRAME_TRANSFER,
+                src_site=site.site_id, src_manager=ManagerId.SCHEDULING,
+                dst_site=target, dst_manager=ManagerId.ATTRACTION_MEMORY,
+                payload={"frames": [frame.to_wire()],
+                         "program_infos": sched._program_infos([frame]),
+                         "epoch": site.epoch}))
+
+        sched.enqueue_executable = enqueue
+
+
 class TestSimLiveDifferential:
-    """The two kernels run one memory protocol: the same script sends the
-    same messages under both."""
+    """The two kernels run one memory and file protocol: the same script,
+    and the same programs placed the same way, send the same messages
+    under both and compute the same result."""
 
     CONFIG = SDVMConfig(cost=CostModel(compile_fixed_cost=1e-4), trace=True)
+
+    #: nothing is given away or pushed (placement is pinned by name), and
+    #: one microthread at a time per site as in the benchmark's twin
+    PINNED = SDVMConfig(
+        cost=CostModel(compile_fixed_cost=1e-4), trace=True,
+        scheduling=SchedulingConfig(ready_target=1, keep_local_min=10**9,
+                                    push_enabled=False))
+    SITES = [SiteConfig(name=f"site{i}", max_parallel=1) for i in range(3)]
 
     def sim_run(self):
         from repro.site.simcluster import SimCluster
@@ -470,6 +522,91 @@ class TestSimLiveDifferential:
             {"MEM_READ": 4, "MEM_READ_REPLY": 3, "MEM_LOCATION": 1,
              "DIR_UPDATE": 1, "DIR_ACK": 1},
         ]
+
+    # -- whole programs ----------------------------------------------------
+    @staticmethod
+    def protocol_counts(cluster):
+        messages = cluster.cluster_report().message_breakdown
+        return {t: int(messages[t]["count"]) for t in PROTOCOL_TYPES
+                if t in messages}
+
+    def on_sim(self, program, args, where):
+        from repro.site.simcluster import SimCluster
+        cluster = SimCluster(site_configs=self.SITES, config=self.PINNED)
+        cluster.sim.run(until=0.2)
+        pin_placement(cluster, where)
+        handle = cluster.submit(program, args=args, at=0.25)
+        cluster.run()
+        cluster.sim.run(until=cluster.sim.now + 0.2)  # trailing DIR_ACKs
+        return handle.result, self.protocol_counts(cluster)
+
+    def on_live(self, program, args, where):
+        with LiveCluster(site_configs=self.SITES,
+                         config=self.PINNED) as cluster:
+            pin_placement(cluster, where)
+            result = cluster.run(program, args=args, timeout=30)
+            deadline = time.monotonic() + 10.0
+            while True:  # a DIR_ACK may trail the result
+                counts = self.protocol_counts(cluster)
+                if counts.get("DIR_ACK", 0) == counts.get("DIR_UPDATE", 0):
+                    return result, counts
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+
+    def both(self, program, args, where):
+        sim_result, sim_counts = self.on_sim(program, args, where)
+        live_result, live_counts = self.on_live(program, args, where)
+        assert sim_result == live_result
+        assert sim_counts == live_counts
+        return sim_result, sim_counts
+
+    def test_memstress(self):
+        """Allocated at the submit site, touched on another: every read is
+        a first hop away from home — two messages, recorded by the shipper;
+        every write-back finds its object where the read brought it."""
+        from repro.apps import build_memstress_program, memstress_expected
+        result, counts = self.both(
+            build_memstress_program(), (12, 1.0),
+            {"main": 0, "collect": 0, "touch": 1})
+        assert result == memstress_expected(12)
+        assert counts == {"MEM_READ": 12, "MEM_READ_REPLY": 12}
+
+    def test_memscatter(self):
+        """Allocated where the seeds ran, touched on a third site."""
+        from repro.apps import memstress_expected
+        from repro.apps.memstress import build_memscatter_program
+        result, counts = self.both(
+            build_memscatter_program(), (12, 1.0),
+            {"main": 0, "collect": 0, "seed": 1, "touch": 2})
+        assert result == memstress_expected(12)
+        assert counts == {"MEM_READ": 12, "MEM_READ_REPLY": 12}
+
+    def test_malloc_program(self):
+        """Each object hops twice: home -> child's site (recorded by the
+        homesite as it ships), then -> check's site by way of the
+        directory (redirect, fetch, DIR_UPDATE + DIR_ACK).  The child's
+        write finds the object local."""
+        n = 5
+        result, counts = self.both(
+            malloc_program(), (n, 100),
+            {"main": 0, "collect": 0, "child": 1, "check": 2})
+        *children, own = result
+        assert own == [100 + i for i in range(n)]
+        child_site = children[0][0]
+        assert children == [(child_site, 100 + i, 2 * (100 + i))
+                            for i in range(n)]
+        assert counts == {"MEM_READ": 3 * n, "MEM_READ_REPLY": 2 * n,
+                          "MEM_LOCATION": n, "DIR_UPDATE": n, "DIR_ACK": n}
+
+    def test_file_program(self):
+        """The file resides where ``main`` opened it; the reader's seek,
+        read and close are rerouted there."""
+        result, counts = self.both(file_program(), (),
+                                   {"main": 0, "reader": 1})
+        assert result == b"cluster file"
+        assert counts == {
+            "IO_FILE_WRITE": 1, "IO_FILE_WRITE_ACK": 1,  # the seek
+            "IO_FILE_READ": 1, "IO_FILE_READ_REPLY": 1, "IO_FILE_CLOSE": 1}
 
 
 @pytest.mark.slow

@@ -164,35 +164,46 @@ class TestFramesAndResults:
         assert not a.attraction_memory._pending_results
 
 
+def read(cluster, site, addr, settle=0.3):
+    """``live_read`` on ``site``; returns the (value, error) pairs its
+    callback got at once and after the cluster settled."""
+    got = []
+    site.attraction_memory.live_read(
+        addr, lambda value=None, error=None: got.append((value, error)))
+    at_once = list(got)
+    cluster.sim.run(until=cluster.sim.now + settle)
+    return at_once, got
+
+
 class TestObjects:
     def test_alloc_and_local_read(self, pair):
-        _cluster, a, _b = pair
+        cluster, a, _b = pair
         addr = a.attraction_memory.alloc_object({"k": 1})
-        value, latency = a.attraction_memory.sim_read(addr)
-        assert value == {"k": 1}
-        assert latency == 0.0
+        at_once, _got = read(cluster, a, addr)
+        # a local hit answers inside the call: nothing to wait for
+        assert at_once == [({"k": 1}, None)]
+        assert a.attraction_memory.stats.get("reads_local").count == 1
 
     def test_remote_read_migrates_and_charges_latency(self, pair):
         cluster, a, b = pair
         addr = a.attraction_memory.alloc_object([1, 2, 3])
-        value, latency = b.attraction_memory.sim_read(addr)
-        assert value == [1, 2, 3]
-        assert latency > 0.0
-        # ownership moved to b; the directory shard learns of it once the
-        # DIR_UPDATE message lands
+        at_once, got = read(cluster, b, addr)
+        # the answer is a message away, and the wait is its flight
+        assert at_once == []
+        assert got == [([1, 2, 3], None)]
+        # ownership moved to b, recorded by the homesite as it shipped
         assert addr in b.attraction_memory.objects
         assert addr not in a.attraction_memory.objects
-        cluster.sim.run(until=0.5)
         assert dir_shard_of(cluster, addr).attraction_memory.dir_owner(
             addr) == b.site_id
         # second read is local
-        _value, second = b.attraction_memory.sim_read(addr)
-        assert second == 0.0
+        at_once, _got = read(cluster, b, addr)
+        assert at_once == [([1, 2, 3], None)]
 
-    def test_sim_twin_sends_what_the_message_protocol_sends(self, fast_config):
-        """``_migrate_in`` records a hop where ``_on_mem_read`` would: at
-        the owner when the owner is the directory site (no message), by
-        one DIR_UPDATE to the homesite otherwise."""
+    def test_hops_send_what_the_protocol_says(self, fast_config):
+        """The owner records a hop when it is the directory site (no
+        message beyond the read and its reply); any other hop costs one
+        DIR_UPDATE to the homesite and its DIR_ACK."""
         cluster = SimCluster(nsites=3, config=fast_config)
         cluster.sim.run(until=0.2)
         a, b, c = cluster.sites
@@ -203,34 +214,73 @@ class TestObjects:
 
         before = sent()
         addr = a.attraction_memory.alloc_object("v")
-        b.attraction_memory.sim_read(addr)
-        # recorded at the homesite as the object left, nothing sent
+        read(cluster, b, addr)
+        # recorded at the homesite as the object left: MEM_READ + REPLY
         assert a.attraction_memory.dir_owner(addr) == b.site_id
-        cluster.sim.run(until=0.4)
-        assert sent() == before
-        c.attraction_memory.sim_read(addr)
-        cluster.sim.run(until=0.6)
-        assert sent() - before == 2  # DIR_UPDATE + DIR_ACK
+        assert sent() - before == 2
+        read(cluster, c, addr)
+        # MEM_READ to the homesite, MEM_LOCATION, MEM_READ to b, REPLY,
+        # DIR_UPDATE + DIR_ACK
+        assert sent() - before == 8
         assert c.attraction_memory.stats.get("dir_updates_sent").count == 1
         assert a.attraction_memory.dir_owner(addr) == c.site_id
-        a.attraction_memory.sim_read(addr)  # home again: a local write
-        cluster.sim.run(until=0.8)
-        assert sent() - before == 2
+        read(cluster, a, addr)  # home again: the directory is a local write
+        assert sent() - before == 10
         assert a.attraction_memory.dir_owner(addr) == a.site_id
 
     def test_unknown_address_faults(self, pair):
-        _cluster, a, _b = pair
-        with pytest.raises(MemoryFault):
-            a.attraction_memory.sim_read(GlobalAddress(0, 987654))
+        cluster, a, _b = pair
+        _at_once, got = read(cluster, a, GlobalAddress(0, 987654))
+        (value, error), = got
+        assert value is None and isinstance(error, MemoryFault)
 
-    def test_write_migrates_ownership(self, pair):
-        _cluster, a, b = pair
+    def test_remote_write_reaches_the_owner(self, pair):
+        cluster, a, b = pair
         addr = a.attraction_memory.alloc_object(1)
-        latency = b.attraction_memory.sim_write(addr, 2)
-        assert latency > 0.0
-        assert b.attraction_memory.objects[addr] == 2
-        value, _lat = b.attraction_memory.sim_read(addr)
-        assert value == 2
+        b.attraction_memory.apply_write(addr, 2)
+        cluster.sim.run(until=cluster.sim.now + 0.3)
+        # the value travelled; the object stayed where it was
+        assert a.attraction_memory.objects[addr] == 2
+        assert addr not in b.attraction_memory.objects
+        assert read(cluster, b, addr)[1] == [(2, None)]
+
+    def test_dead_owner_faults_without_crash_management(self, pair):
+        """Nothing answers for a dead site's memory: with no checkpoint
+        to roll back to, a read of its object is a MemoryFault."""
+        cluster, a, b = pair
+        addr = a.attraction_memory.alloc_object("gone with its owner")
+        a.crash()
+        _at_once, got = read(cluster, b, addr, settle=20.0)
+        (value, error), = got
+        assert value is None and isinstance(error, MemoryFault)
+
+    def test_stale_ownership_reply_does_not_fork_the_object(self, pair):
+        """A MEM_READ_REPLY shipped before a rollback lands after it: the
+        checkpoint has restored the object at its old owner, so adopting
+        the straggler would put one address on two sites."""
+        cluster, a, b = pair
+        addr = a.attraction_memory.alloc_object("v")
+        checkpoint = a.attraction_memory.export_checkpoint()
+        got = []
+        b.attraction_memory.live_read(
+            addr, lambda value=None, error=None: got.append((value, error)))
+        # run until a has shipped the object and the reply is in flight
+        while addr in a.attraction_memory.objects:
+            cluster.sim.step()
+        assert not got
+        for site in (a, b):  # the rollback, as RECOVER_BEGIN/STATE do it
+            site.epoch += 1
+            site.reset_program_state()
+        a.attraction_memory.adopt_state(checkpoint)
+        cluster.sim.run(until=cluster.sim.now + 0.1)
+        holders = [s.site_id for s in (a, b)
+                   if addr in s.attraction_memory.objects]
+        assert len(holders) == 1  # single_owner (the parent: a and b)
+        assert b.attraction_memory.stats.get(
+            "stale_read_replies_dropped").count == 1
+        # the read itself re-resolved and was answered by the restored owner
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        assert got == [("v", None)]
 
 
 class TestLiveProtocolHandlers:

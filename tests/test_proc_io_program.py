@@ -138,40 +138,73 @@ class TestProcessing:
                                                                 rel=0.05)
 
 
+def file_call(cluster, call, *args):
+    """One ``IOManager.live_*`` call settled: its value, or raises its
+    error — the calls a sim microthread's file operations go through."""
+    got = []
+    call(*args, lambda value=None, error=None: got.append((value, error)))
+    cluster.sim.run(until=cluster.sim.now + 0.1)
+    (value, error), = got
+    if error is not None:
+        raise error
+    return value
+
+
 class TestIOManager:
     def test_file_modes_enforced(self, fast_config):
         cluster = SimCluster(nsites=1, config=fast_config)
         cluster.sim.run(until=0.1)
         io = cluster.sites[0].io_manager
         with pytest.raises(ProgramError):
-            io.sim_open("missing.txt", "r")
-        handle, _lat = io.sim_open("new.txt", "w")
+            file_call(cluster, io.live_open, "missing.txt", "r")
+        handle = file_call(cluster, io.live_open, "new.txt", "w")
         with pytest.raises(ProgramError):
-            io.sim_read(handle, -1)  # write-only
-        io.sim_close(handle)
+            file_call(cluster, io.live_read, handle, -1)  # write-only
+        file_call(cluster, io.live_close, handle)
         with pytest.raises(ProgramError):
-            io.sim_open("x", "x+")
+            file_call(cluster, io.live_open, "x", "x+")
 
     def test_append_mode(self, fast_config):
         cluster = SimCluster(nsites=1, config=fast_config)
         cluster.sim.run(until=0.1)
         io = cluster.sites[0].io_manager
-        h1, _ = io.sim_open("log", "w")
-        io.sim_write(h1, b"first")
-        io.sim_close(h1)
-        h2, _ = io.sim_open("log", "a")
-        io.sim_write(h2, b"|second")
-        io.sim_close(h2)
-        h3, _ = io.sim_open("log", "r")
-        data, _ = io.sim_read(h3, -1)
-        assert data == b"first|second"
+        h1 = file_call(cluster, io.live_open, "log", "w")
+        assert file_call(cluster, io.live_write, h1, b"first") == 5
+        file_call(cluster, io.live_close, h1)
+        h2 = file_call(cluster, io.live_open, "log", "a")
+        file_call(cluster, io.live_write, h2, b"|second")
+        file_call(cluster, io.live_close, h2)
+        h3 = file_call(cluster, io.live_open, "log", "r")
+        assert file_call(cluster, io.live_read, h3, -1) == b"first|second"
 
     def test_stale_handle_rejected(self, fast_config):
-        cluster = SimCluster(nsites=1, config=fast_config)
-        cluster.sim.run(until=0.1)
-        io = cluster.sites[0].io_manager
-        with pytest.raises(ProgramError):
-            io.sim_read(FileHandle(cluster.sites[0].site_id, 999), 1)
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        # asked of the site that minted it, and rerouted there from another
+        for io in (a.io_manager, b.io_manager):
+            with pytest.raises(ProgramError, match="stale|fh"):
+                file_call(cluster, io.live_read, FileHandle(a.site_id, 999), 1)
+
+    def test_remote_handle_is_rerouted_to_its_site(self, fast_config):
+        """Files reside on the site that opened them (§4): another site
+        reads, seeks and writes through the handle, by messages."""
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b = (site.io_manager for site in cluster.sites)
+        handle = file_call(cluster, a.live_open, "shared", "rw")
+        file_call(cluster, a.live_write, handle, b"cluster file")
+        file_call(cluster, b.live_seek, handle, 8)
+        assert file_call(cluster, b.live_read, handle, -1) == b"file"
+        assert file_call(cluster, b.live_write, handle, b"!") == 1
+        file_call(cluster, b.live_seek, handle, 0)
+        assert file_call(cluster, a.live_read, handle, -1) == b"cluster file!"
+        # the path namespace is the opening site's own
+        with pytest.raises(ProgramError, match="not found"):
+            file_call(cluster, b.live_open, "shared", "r")
+        file_call(cluster, b.live_close, handle)
+        cluster.sim.run(until=cluster.sim.now + 0.1)
+        assert a.status()["open_handles"] == 0
 
     def test_input_without_provider_fails_program(self, fast_config):
         prog = ProgramBuilder("ask")
@@ -223,3 +256,177 @@ class TestSiteManagerStatus:
         handle = cluster.submit(simple_program(), args=(1,))
         cluster.run()
         assert cluster.sites[0].site_manager.current_load() == 0.0
+
+
+def two_reads_program():
+    """One microthread: mutates its dict argument, reads ``first``,
+    allocates, writes a file, reads ``second`` — every kind of logged
+    operation on both sides of a wait."""
+    prog = ProgramBuilder("two_reads")
+
+    @prog.microthread
+    def main(ctx, state, first, second):
+        ctx.charge(5)
+        state["runs"] += 1
+        state["seen"].append("start")
+        one = ctx.read(first)
+        kept = ctx.malloc(one)
+        handle = ctx.open_file("log", "a")
+        ctx.file_write(handle, b"x")
+        ctx.file_close(handle)
+        two = ctx.read(second)
+        ctx.exit_program((state, one, two, ctx.read(kept), ctx.now,
+                          ctx.rng.random()))
+
+    return prog.build()
+
+
+class TestRestartableExecution:
+    """A sim microthread that misses is abandoned and re-run on the reply
+    (proc/sim_context.py): same result as one that never missed."""
+
+    def run_two_reads(self, fast_config, owner_index):
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        memory = cluster.sites[owner_index].attraction_memory
+        first, second = memory.alloc_object(11), memory.alloc_object(22)
+        handle = cluster.submit(
+            two_reads_program(), site_index=1, at=0.25,
+            args=({"runs": 0, "seen": []}, first, second))
+        cluster.run()
+        return cluster, handle
+
+    def test_restart_equals_a_run_that_never_missed(self, fast_config,
+                                                    monkeypatch):
+        """A microthread that mutates a dict argument before its first
+        remote read has the effects of one whose reads hit locally."""
+        from repro.proc.sim_context import SimExecutionContext
+        runs = []
+        real_run = SimExecutionContext.run
+        monkeypatch.setattr(SimExecutionContext, "run",
+                            lambda ctx: (runs.append(ctx), real_run(ctx))[1])
+        _cluster, local = self.run_two_reads(fast_config, 1)
+        local_runs, runs[:] = list(runs), []
+        cluster, remote = self.run_two_reads(fast_config, 0)
+        remote_runs = runs
+        state, one, two, kept, _now, draw = remote.result
+        assert state == {"runs": 1, "seen": ["start"]}
+        assert (one, two, kept) == (11, 22, 11)
+        assert remote.result[:4] == local.result[:4]
+        assert 0.0 <= draw < 1.0
+        # k remote operations: k + 1 runs in host time ...
+        assert len(local_runs) == 1 and len(remote_runs) == 3
+        # ... observing one clock and one RNG seed, once in virtual time
+        assert len({(ctx.now, ctx._rng_seed) for ctx in remote_runs}) == 1
+        site = cluster.sites[1]
+        stats = site.processing_manager.stats
+        assert stats.get("executions").count == 1
+        assert stats.get("wait_seconds").total > 0.0
+        assert site.processing_manager.waiting == 0
+        # logged, not repeated: one allocation, one byte in the file
+        assert site.attraction_memory.stats.get(
+            "objects_allocated").count == 1
+        assert bytes(site.io_manager._live_store["log"]) == b"x"
+
+    def suspended_reader(self, config):
+        """Site b with one execution suspended on a read of a's object."""
+        prog = ProgramBuilder("reader")
+
+        @prog.microthread
+        def main(ctx, addr):
+            ctx.exit_program(ctx.read(addr))
+
+        cluster = SimCluster(nsites=2, config=config)
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        addr = a.attraction_memory.alloc_object("v")
+        handle = cluster.submit(prog.build(), args=(addr,), site_index=1,
+                                at=0.25)
+        while b.processing_manager.waiting == 0:
+            assert cluster.sim.step()
+        return cluster, a, b, addr, handle
+
+    def test_suspended_across_a_recovery_is_discarded(self, fast_config):
+        cluster, _a, b, _addr, handle = self.suspended_reader(fast_config)
+        b.epoch += 1  # what RECOVER_BEGIN does before it resets the state
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+        pm = b.processing_manager
+        assert pm.stats.get("stale_epoch_discarded").count == 1
+        assert pm.stats.get("executions").count == 0
+        assert (pm.in_flight, pm.waiting) == (0, 0)
+        assert not handle.done  # the restored frame would run again
+
+    def test_no_pause_ack_with_a_read_outstanding(self, fast_config):
+        """A suspended execution is in flight: the checkpoint wave's line
+        is cut only after its reply has landed and it has committed."""
+        cluster, a, b, _addr, handle = self.suspended_reader(
+            fast_config.with_(trace=True))
+        assert b.processing_manager.in_flight == 1
+        b.crash_manager._on_pause(1, a.site_id)
+        assert b.paused and b.crash_manager._pending_ack == (1, a.site_id)
+        acks = lambda: cluster.cluster_report().message_breakdown.get(  # noqa: E731
+            "CHECKPOINT_ACK", {"count": 0})["count"]
+        assert acks() == 0
+        while not handle.done:
+            assert b.crash_manager._pending_ack is not None
+            assert cluster.sim.step()
+        assert b.processing_manager.in_flight == 0
+        assert b.crash_manager._pending_ack is None
+        assert acks() == 1
+
+    def dead_owner_read(self, config):
+        cluster, a, b, addr, handle = self.suspended_reader(config)
+        # finish the read, take the object back home, and let a die with it
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        assert handle.result == "v"
+        a.attraction_memory.live_read(addr, lambda value=None, error=None: None)
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        assert addr in a.attraction_memory.objects
+        a.crash()
+        b.cluster_manager.note_record_dead(a.site_id)  # b has heard
+        again = cluster.submit(handle.program, args=(addr,), site_index=1)
+        cluster.run(until=cluster.sim.now + 30.0, raise_on_failure=False)
+        return b, again
+
+    def test_dead_owner_read_fails_without_crash_management(self,
+                                                            fast_config):
+        """Nothing answers for a dead site's memory any more."""
+        b, again = self.dead_owner_read(fast_config)
+        assert again.failed and "MemoryFault" in again.failure
+        assert b.processing_manager.stats.get(
+            "microthread_errors").count == 1
+
+    def test_dead_owner_read_is_discarded_while_recovery_is_pending(
+            self, fast_config):
+        """With crash management on, the rollback that is coming restores
+        both the object and the frame: a dead site's silence is not the
+        program's error."""
+        from repro.common.config import CheckpointConfig
+        b, again = self.dead_owner_read(fast_config.with_(
+            checkpoint=CheckpointConfig(enabled=True, interval=1000.0)))
+        pm = b.processing_manager
+        assert pm.stats.get("microthread_errors").count == 0
+        assert pm.stats.get("stale_epoch_discarded").count == 1
+        assert (pm.in_flight, pm.waiting) == (0, 0)
+        assert not again.done
+
+    def test_a_bare_except_cannot_swallow_the_suspension(self, fast_config):
+        """``Suspended`` is not an ``Exception``, and a microthread that
+        catches everything still does not finish on an abandoned run."""
+        prog = ProgramBuilder("greedy")
+
+        @prog.microthread
+        def main(ctx, addr):
+            try:
+                value = ctx.read(addr)
+            except:  # noqa: E722 — the point of the test
+                value = "swallowed"
+            ctx.exit_program(value)
+
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        addr = cluster.sites[0].attraction_memory.alloc_object("v")
+        handle = cluster.submit(prog.build(), args=(addr,), site_index=1,
+                                at=0.25)
+        cluster.run()
+        assert handle.result == "v"

@@ -104,9 +104,10 @@ class TestMemoryProtocolPrices:
         assert derived["msgs_per_exec"] == pytest.approx(
             derived["messages_sent"] / derived["executions"])
 
-    def test_memstress_pays_for_neither(self, fast_config):
+    def test_memstress_pays_two_messages_a_read(self, fast_config):
         """Every memstress object is read once, away from its homesite:
-        the homesite records each hop as the object leaves."""
+        the homesite records each hop as the object leaves, so a read
+        costs its MEM_READ and MEM_READ_REPLY and an allocation nothing."""
         from repro.apps import build_memstress_program, memstress_expected
         cluster = SimCluster(nsites=3, config=fast_config)
         handle = cluster.submit(build_memstress_program(), args=(16, 50.0))
@@ -117,7 +118,7 @@ class TestMemoryProtocolPrices:
         assert stats.get("migrations_in").count > 0
         derived = self.derived(cluster)
         assert derived["dir_updates_per_alloc"] == 0.0
-        assert derived["msgs_per_remote_read"] == 0.0
+        assert derived["msgs_per_remote_read"] == 2.0
 
     def test_a_wandering_object_is_priced_per_hop(self, fast_config):
         """One object read from b, c and back home over the message
