@@ -7,8 +7,9 @@ committed SDC corpus plans:
 1. **Defended** (``sdc_detected.json``: corruption window + full
    replication): the run must complete with the correct result, every
    injected corruption of a replicated thread must produce exactly one
-   ``sdc_mismatch`` detection and one ``sdc_resolved`` tie-break, and no
-   tainted effect may reach a commit.
+   ``sdc_mismatch`` detection and one ``sdc_resolved`` tie-break, no
+   tainted effect may reach a commit, and every replay was asked for by
+   a ``REPLICATE`` message the cluster report counts.
 2. **Health plane**: the same plan re-run with the metrics sampler on
    must trip the ``sdc_mismatch`` health detector (and only because of
    real mismatches).
@@ -59,8 +60,21 @@ def main() -> int:
         print(f"FAIL: {tainted} tainted effect(s) committed under full "
               f"replication")
         return 1
+    # every replay was asked for by a message the report can see: one
+    # REPLICATE per replicated execution, one more per tie-break
+    stats = result.cluster.total_stats()
+    asked = int(stats.get("sdc_replicated").count
+                + stats.get("sdc_mismatches").count)
+    breakdown = result.cluster.cluster_report().message_breakdown
+    sent = {kind: breakdown.get(kind, {"count": 0, "bytes": 0})
+            for kind in ("REPLICATE", "VERDICT")}
+    if sent["REPLICATE"]["count"] != asked or sent["VERDICT"]["bytes"] == 0:
+        print(f"FAIL: {asked} replays asked for, the wire shows {sent}")
+        return 1
     print(f"defended: ok — {corruptions} corruption(s), each detected "
-          f"and resolved, 0 tainted commits")
+          f"and resolved, 0 tainted commits; {asked} REPLICATE "
+          f"({sent['REPLICATE']['bytes']} B), {sent['VERDICT']['count']} "
+          f"VERDICT ({sent['VERDICT']['bytes']} B) on the wire")
 
     # 2. health plane: the sdc_mismatch detector must see the mismatches
     telemetry = TelemetryConfig(metrics_enabled=True, metrics_interval=0.05,

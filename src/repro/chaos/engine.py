@@ -256,18 +256,24 @@ class ChaosController:
     def corrupts_wire(self) -> bool:
         return bool(self._corrupt_params)
 
+    #: message type -> the payload key whose first numeric leaf is
+    #: flipped: the dataflow write that fills a waiting microframe's
+    #: parameter slot, a replicated execution's shipped arguments, and
+    #: the effects its replay answers with
+    _WIRE_KEYS = {"APPLY_RESULT": "value", "REPLICATE": "args",
+                  "VERDICT": "effects"}
+
     def corrupt_wire(self, src: int, dst: int,
                      data: bytes) -> Optional[bytes]:
-        """Maybe bit-flip a microframe parameter in flight.
+        """Maybe bit-flip a value in flight.
 
-        Targets APPLY_RESULT payloads (the dataflow write that fills a
-        waiting microframe's parameter slot) inside *plaintext* security
-        envelopes; sealed envelopes pass untouched — a flipped bit there
-        trips the MAC, which is a loud failure, not a silent one.
-        Returns the re-wrapped envelope bytes, or None when the message
-        is left alone.
+        Targets the payloads named in ``_WIRE_KEYS`` inside *plaintext*
+        security envelopes; sealed envelopes pass untouched — a flipped
+        bit there trips the MAC, which is a loud failure, not a silent
+        one.  Returns the re-wrapped envelope bytes, or None when the
+        message is left alone.
         """
-        from repro.messages.message import MsgType, SDMessage
+        from repro.messages.message import SDMessage
         now = self.cluster.sim.now
         for fault in self._corrupt_params:
             if not fault.start <= now < fault.end:
@@ -281,15 +287,16 @@ class ChaosController:
                 return None
             header, body = data[:3 + addr_len], data[3 + addr_len:]
             msg = SDMessage.decode(body)
-            if msg.type != MsgType.APPLY_RESULT:
+            key = self._WIRE_KEYS.get(msg.type.name)
+            if key is None:
                 return None
             if fault.prob < 1.0 and self.rng.random() >= fault.prob:
                 return None
-            flipped, did = self._flip_value(msg.payload.get("value"),
+            flipped, did = self._flip_value(msg.payload.get(key),
                                             fault.flips)
             if not did:
                 return None
-            msg.payload["value"] = flipped
+            msg.payload[key] = flipped
             self._trace("corrupt_param", dst)
             return header + msg.encode()
         return None

@@ -93,8 +93,9 @@ class CorruptFault:
     ``mode`` selects the injection point: ``"result"`` bit-flips a value
     a microthread produced, at the completion-time hook in
     ``proc/sim_manager.py`` (before the microframe's effects dispatch);
-    ``"param"`` bit-flips a microframe parameter *in flight* by mangling
-    an APPLY_RESULT payload inside ``SimNetwork.send``.  ``site`` is the
+    ``"param"`` bit-flips a value *in flight* by mangling the payload of
+    an APPLY_RESULT (a microframe parameter), a REPLICATE or a VERDICT
+    inside ``SimNetwork.send``.  ``site`` is the
     executing site (result mode) or the message destination (param mode);
     -1 matches any site.  ``prob`` is the per-result / per-message
     corruption probability, ``flips`` the number of bits flipped.

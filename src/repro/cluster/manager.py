@@ -8,12 +8,11 @@ exchanges heartbeats for crash detection.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.common.errors import ClusterError
 from repro.common.ids import GlobalAddress, ManagerId
-from repro.memory.directory import ShardMap
 from repro.messages import MsgType, SDMessage, make_reply
 from repro.cluster.id_allocation import (
     CentralAllocator,
@@ -42,9 +41,6 @@ class ClusterManager(Manager):
         self.on_site_joined: List[Callable[[int], None]] = []
         #: callbacks fired when a site crashes or signs off: fn(logical_id)
         self.on_site_departed: List[Callable[[int], None]] = []
-        #: consistent-hash ring over the alive members: the directory of
-        #: addresses whose homesite is gone (see :meth:`dir_site_for`)
-        self.shard_map = ShardMap()
         #: incrementally maintained membership caches — rebuilt only on
         #: join/departure, never per message or per gossip tick
         self._sorted_alive_peers: List[int] = []
@@ -100,7 +96,6 @@ class ClusterManager(Manager):
         )
         self._by_physical.setdefault(
             self.sites[self.local_id].physical, self.sites[self.local_id])
-        self.shard_map.add_site(self.local_id)
 
     #: how long a joiner waits for its SIGN_ON_ACK before resending
     SIGN_ON_RETRY = 0.25
@@ -189,14 +184,19 @@ class ClusterManager(Manager):
         """Directory site for ``addr``: its homesite — or the heir that
         inherited the homesite's address space by sign-off or recovery —
         while that site is alive in this view; an orphan (homesite
-        crashed, no heir) hashes onto the ring of alive members.  Falls
-        back to this site while the ring is empty (pre-sign-on window)."""
+        crashed, no heir yet) is answered for by the heir rule's
+        candidate: the lowest alive id above the homesite, wrapping, this
+        site included."""
         home = self.effective_site(addr.site)
         record = self.sites.get(home)
         if record is not None and record.alive:
             return home
-        shard = self.shard_map.shard_for(addr)
-        return self.local_id if shard is None else shard
+        peers = self._sorted_alive_peers
+        if not peers:
+            return self.local_id
+        above = peers[bisect_right(peers, home) % len(peers)]
+        return min(above, self.local_id,
+                   key=lambda site: (site <= home, site))
 
     #: bounded candidate window for victim/push selection: clusters at or
     #: below this size keep the full scan (bit-identical behaviour);
@@ -375,32 +375,30 @@ class ClusterManager(Manager):
             if was_alive and not existing.alive:
                 # merge_newer can learn of a death via gossiped records,
                 # which bypasses mark_dead/_on_sign_off — the membership
-                # caches and the shard ring must still be told
+                # caches must still be told
                 self._note_departed(existing.logical)
 
     def _note_joined(self, logical: int) -> None:
-        """A peer became a live member: update the incremental caches,
-        extend the directory ring, and fire the join hooks."""
+        """A peer became a live member: update the incremental caches and
+        fire the join hooks."""
         index = bisect_left(self._sorted_alive_peers, logical)
         if (index >= len(self._sorted_alive_peers)
                 or self._sorted_alive_peers[index] != logical):
             insort(self._sorted_alive_peers, logical)
         self._alive_records = None
-        self.shard_map.add_site(logical)
         for callback in self.on_site_joined:
             callback(logical)
 
     def _note_departed(self, logical: int) -> None:
-        """A live member crashed or signed off: shrink the caches and the
-        directory ring, then fire the departure hooks (scheduler state
-        cleanup, directory rebalancing)."""
+        """A live member crashed or signed off: shrink the caches, then
+        fire the departure hooks (scheduler state cleanup, directory
+        rebalancing)."""
         index = bisect_left(self._sorted_alive_peers, logical)
         if (index < len(self._sorted_alive_peers)
                 and self._sorted_alive_peers[index] == logical):
             self._sorted_alive_peers.pop(index)
         self._alive_records = None
         self._hot_peers.pop(logical, None)
-        self.shard_map.remove_site(logical)
         for callback in self.on_site_departed:
             callback(logical)
 
@@ -651,7 +649,7 @@ class ClusterManager(Manager):
             if tr is not None and not left:
                 tr.emit(self.kernel.now, self.local_id, "site_dead",
                         logical)
-            # caches, shard ring, and departure hooks first: recovery and
+            # caches and departure hooks first: recovery and
             # directory rebalancing below must see the new membership
             self._note_departed(logical)
             self.site.crash_manager.on_site_dead(logical, orderly=left)
@@ -661,8 +659,8 @@ class ClusterManager(Manager):
         """Record a death learned from a recovery wave, *without* invoking
         the crash manager — the coordinator that sent RECOVER_BEGIN is
         already handling it, and starting a competing recovery here would
-        interleave epochs.  Caches, the shard ring, and departure hooks
-        still fire so directory/scheduler state converges."""
+        interleave epochs.  Caches and departure hooks still fire so
+        directory/scheduler state converges."""
         record = self.sites.get(logical)
         if record is not None:
             was_alive = record.alive
@@ -684,10 +682,7 @@ class ClusterManager(Manager):
         pool = sorted(reliable if reliable else [r.logical for r in peers])
         if not pool:
             return None
-        for logical in pool:
-            if logical > self.local_id:
-                return logical
-        return pool[0]
+        return pool[bisect_right(pool, self.local_id) % len(pool)]
 
     def broadcast_sign_off(self, heir: int) -> None:
         for peer in self.alive_peers():

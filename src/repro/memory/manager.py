@@ -5,10 +5,9 @@ address contains the id of the site it was created on, and that
 *homesite* — or the heir that inherited its address space, by an
 orderly sign-off or as the coordinator of its crash recovery — is the
 one place the cluster asks "who owns this object right now?" for as long
-as it lives (:meth:`ClusterManager.dir_site_for`).  Only an *orphan*, an
-address whose homesite crashed and has no heir, falls back to a
-consistent-hash ring over the alive members
-(:mod:`repro.memory.directory`).
+as it lives (:meth:`ClusterManager.dir_site_for`).  An *orphan*, an
+address whose homesite crashed and has no heir yet, is answered for by
+the site the heir rule points at: the lowest alive id above the homesite.
 
 Who records which hop of an object's life:
 
@@ -26,7 +25,7 @@ Who records which hop of an object's life:
   (re-resolving the directory site) so a crashed directory never
   swallows an update.
 * **membership change** — an owner republishes exactly the objects whose
-  directory site moved (homesite departed, orphan's ring shard moved).
+  directory site moved (homesite departed, orphan's stand-in departed).
 
 Remote reads do at most one directory hop and then a direct owner fetch;
 nothing on the lookup path broadcasts or scales with the cluster size.
@@ -97,7 +96,7 @@ class AttractionMemory(Manager):
         #: us the object) — what a membership change compares against
         self._published_at: Dict[GlobalAddress, int] = {}
         #: directory entries this site is responsible for (addresses
-        #: homed here or inherited, orphans whose ring shard we are):
+        #: homed here or inherited, orphans we stand in for):
         #: address -> (owner, version, epoch)
         self.dir_entries: Dict[GlobalAddress, Tuple[int, int, int]] = {}
         # membership churn can move an address's directory site:
@@ -212,7 +211,7 @@ class AttractionMemory(Manager):
             del self._pending_programs[addr]
 
     # ------------------------------------------------------------------
-    # the ownership directory (homesite first, ring for orphans)
+    # the ownership directory (homesite first, heir rule for orphans)
 
     def dir_owner(self, addr: GlobalAddress) -> Optional[int]:
         """This directory's view of who owns ``addr`` (None: no entry)."""
@@ -303,7 +302,7 @@ class AttractionMemory(Manager):
     def _on_membership_change(self, _logical: int) -> None:
         """A site joined or departed: republish ownership of the objects
         whose directory site moved (their homesite departed; an orphan's
-        ring shard moved) and hand off directory entries this site no
+        stand-in changed) and hand off directory entries this site no
         longer covers.  O(owned + entries) look-ups per membership change
         — never per access — messages only for what moved, and a no-op
         on empty sites, so the bootstrap join storm costs nothing."""

@@ -23,6 +23,10 @@ class MsgType(enum.IntEnum):
     HELP_REPLY = 11            # an executable/ready frame, if one was spared
     CANT_HELP = 12             # "my queues are empty, too"
 
+    # -- replicated execution (SDC defense, §4 processing manager)
+    REPLICATE = 15             # an execution's recorded inputs, to repeat
+    VERDICT = 16               # the effects the repeat produced
+
     # -- code distribution (§3.4, §4 code manager)
     CODE_REQUEST = 20          # need microthread (thread id, platform id)
     CODE_REPLY_BINARY = 21     # platform-matching binary

@@ -16,9 +16,13 @@ operations runs *k + 1* times in host time and once in virtual time; its
 wait is the flight of its messages.
 
 The same log is what a silent-data-corruption shadow replays: a context
-built with ``live=False`` over a finished execution answers only from
-the log, observes the primary's clock and RNG seed, touches no cluster
-state, and fails if the microthread asks for more than was recorded.
+built with ``live=False`` answers only from the log, observes the
+primary's clock, site id and RNG seed, touches no cluster state, and
+fails if the microthread asks for more than was recorded.  A finished
+execution's :meth:`~SimExecutionContext.record` is everything such a
+replay needs, in wire types — the payload of ``REPLICATE`` — and
+:meth:`~SimExecutionContext.shadow` builds the replay from it on a site
+that holds nothing else of the execution.
 Side effects are buffered and dispatched at the execution's simulated
 completion (§3.2: extract -> calculate -> create frames -> send results).
 """
@@ -28,7 +32,8 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ProgramError, SerializationError
+from repro.common import errors
+from repro.common.errors import ProgramError, SDVMError, SerializationError
 from repro.common.ids import FileHandle, GlobalAddress
 from repro.core.context import Effect, ExecutionContext
 from repro.core.frames import Microframe
@@ -61,6 +66,16 @@ class _Failed:
     def __init__(self, error: Exception) -> None:
         self.error = error
 
+    def to_wire(self) -> Tuple[str, str]:
+        return type(self.error).__name__, str(self.error)
+
+    @classmethod
+    def from_wire(cls, name: str, text: str) -> "_Failed":
+        kind = getattr(errors, name, None)
+        if not (isinstance(kind, type) and issubclass(kind, SDVMError)):
+            kind = SDVMError
+        return cls(kind(text))
+
 
 class SimExecutionContext(ExecutionContext):
     """One run of one execution.  ``prior`` is the run it repeats (log,
@@ -85,13 +100,18 @@ class SimExecutionContext(ExecutionContext):
         self.on_reply: Optional[Callable[["SimExecutionContext"], None]] = None
         #: when this run was abandoned (None: it was not)
         self._suspended_at: Optional[float] = None
+        #: the chaos engine flipped a bit in this run's effects (ground
+        #: truth for the invariant audit; set at completion)
+        self.sdc_tainted = False
         if prior is None:
             #: primitive-op results in call order
             self.oplog: List[Any] = []
             #: the arguments as they were before any run touched them
             #: (microthreads mutate mutable ones — the primes pipeline
-            #: threads one state dict through its collect chain)
-            self.args_snapshot: List[Any] = _snapshot(self._args)
+            #: threads one state dict through its collect chain); a replay
+            #: runs once and has nothing to go back to
+            self.args_snapshot: List[Any] = (_snapshot(self._args) if live
+                                             else self._args)
             #: seconds spent suspended on remote memory / files
             self.wait_time = 0.0
             #: picked for duplicate execution (SDC defense)
@@ -123,6 +143,41 @@ class SimExecutionContext(ExecutionContext):
         return SimExecutionContext(self._frame, self._site,
                                    self._thread_table, self._entry,
                                    prior=self, live=live)
+
+    def record(self) -> Dict[str, Any]:
+        """What another site needs to repeat this finished execution, in
+        wire types: the ``REPLICATE`` payload.  A log entry travels as
+        ``(value,)``, one that raised as ``(error class, text)``."""
+        frame = self._frame
+        return {
+            "frame": frame.frame_id,
+            "program": frame.program,
+            "thread": frame.thread_id,
+            "targets": frame.targets,
+            "args": self.args_snapshot,
+            "oplog": [entry.to_wire() if type(entry) is _Failed else (entry,)
+                      for entry in self.oplog],
+            "now": self._now,
+            "work": self._charged,
+        }
+
+    @classmethod
+    def shadow(cls, record: Dict[str, Any], primary: int, site,  # noqa: ANN001
+               thread_table: Dict[str, Tuple[int, int]],
+               entry: Callable[..., Any]) -> "SimExecutionContext":
+        """The replay of site ``primary``'s :meth:`record` on ``site``."""
+        args = record["args"]
+        frame = Microframe(record["frame"], record["thread"],
+                           record["program"], len(args), record["targets"])
+        for slot, value in enumerate(args):
+            frame.apply_parameter(slot, value)
+        replay = cls(frame, site, thread_table, entry, live=False)
+        replay._site_id = primary
+        replay._now = record["now"]
+        replay.oplog = [logged[0] if len(logged) == 1
+                        else _Failed.from_wire(*logged)
+                        for logged in record["oplog"]]
+        return replay
 
     # ------------------------------------------------------------------
     def _emit(self, effect: Effect) -> None:

@@ -14,7 +14,9 @@ semantics"):
 3. the CPU is occupied for W/speed seconds (shared with everything else
    on this site);
 4. at completion the effects dispatch: frames register, results travel,
-   output flows, the frame is consumed.
+   output flows, the frame is consumed — for an execution picked for
+   replication, once another site has repeated it from its recorded
+   inputs (REPLICATE) and answered with the same effects (VERDICT).
 
 A context-switch cost is charged whenever more than one execution is in
 flight, so very large ``max_parallel`` degrades — reproducing the paper's
@@ -24,18 +26,21 @@ flight, so very large ``max_parallel`` degrades — reproducing the paper's
 from __future__ import annotations
 
 import traceback
-from typing import Dict, Optional
+from typing import Optional
 
+from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
+from repro.core.context import Effect, EffectKind
 from repro.core.frames import Microframe
 from repro.core.threads import CompiledMicrothread
+from repro.messages import MsgType, SDMessage, make_reply
 from repro.proc.sim_context import SimExecutionContext, Suspended
 from repro.sched.policies import replicate_chosen
 from repro.site.manager_base import Manager
 from repro.trace.causal import exec_node
 
-#: how long a primary waits for its cross-site shadow's verdict before
-#: committing its own result anyway (covers shadow-site death)
+#: how long a primary waits for a VERDICT before its own result stands
+#: (the buddy died, or chaos ate the REPLICATE or the answer)
 REPLICATE_TIMEOUT = 0.25
 
 
@@ -47,6 +52,20 @@ def effects_key(effects: list) -> str:
     is plain values, addresses, and tuples with deterministic reprs.
     """
     return repr([(e.kind.value, sorted(e.data.items())) for e in effects])
+
+
+class _Verify:
+    """A finished primary execution, held back until replays have spoken."""
+
+    __slots__ = ("frame", "ctx", "epoch", "shadow")
+
+    def __init__(self, frame: Microframe, ctx: SimExecutionContext,
+                 epoch: int) -> None:
+        self.frame = frame
+        self.ctx = ctx
+        self.epoch = epoch
+        #: (effects, tainted) of the first replay, once it has disagreed
+        self.shadow: Optional[tuple] = None
 
 
 class SimProcessingManager(Manager):
@@ -63,8 +82,6 @@ class SimProcessingManager(Manager):
         #: fraction of microthreads executed twice (SDC defense); cached
         #: so the replication-off hot path costs one float compare
         self._replicate_frac = site.config.scheduling.replicate_frac
-        #: frame key -> pending-verify timeout event (cross-site shadows)
-        self._pending_verify: Dict[int, object] = {}
         #: chaos-engine result-corruption hook (None outside corrupt plans)
         self._sdc_corrupter = None
         self._sdc_index = -1
@@ -217,24 +234,14 @@ class SimProcessingManager(Manager):
             return
         if epoch != self.site.epoch:
             # execution straddled a recovery; its effects are rolled back
-            self.stats.inc("stale_epoch_discarded")
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "exec_end",
-                        frame.frame_id.pack(), 0.0)
-            self._finish_slot(frame)
+            self._discard_stale(frame)
             return
         if self._sdc_corrupter is not None:
-            # injected silent corruption lands here — after compute, before
-            # anything dispatches — on replicated and plain threads alike
-            if self._sdc_corrupter.corrupt_effects(self._sdc_index,
-                                                   ctx.effects):
-                ctx.sdc_tainted = True
+            ctx.sdc_tainted = self._corrupt(ctx.effects)
         if ctx.replicated:
             self._start_verify(frame, ctx, epoch)
             return
-        self._commit_causal(frame, ctx, ctx.effects,
-                            getattr(ctx, "sdc_tainted", False))
+        self._commit_causal(frame, ctx, ctx.effects, ctx.sdc_tainted)
 
     def _commit_causal(self, frame: Microframe, ctx: SimExecutionContext,
                        effects: list, tainted: bool) -> None:
@@ -287,41 +294,56 @@ class SimProcessingManager(Manager):
     # replicated execution — the silent-data-corruption defense.
     #
     # The primary's completion does not dispatch: the slot is held while a
-    # shadow re-execution (on a different site when the cluster has one)
-    # replays the recorded inputs and the two effect lists are compared.
-    # Match -> commit; mismatch -> quarantine both, trace sdc_mismatch,
-    # freeze the flight recorder, and re-execute on a third site to break
-    # the tie.  A timeout commits the primary result if the shadow's
-    # verdict is lost (buddy crash / partition), so replication can delay
-    # a commit but never wedge a program.
+    # buddy site — picked from this site's own membership view — repeats
+    # the execution from its shipped record (REPLICATE) and answers with
+    # the effects it got (VERDICT).  Match -> commit; mismatch ->
+    # quarantine both, trace sdc_mismatch, freeze the flight recorder, and
+    # send the same record to a third site to break the tie.  An answer
+    # that does not come within REPLICATE_TIMEOUT (buddy crash, partition,
+    # a dropped message) leaves the primary's word standing, so replication
+    # can delay a commit but never wedge a program.
 
     def _start_verify(self, frame: Microframe, ctx: SimExecutionContext,
                       epoch: int) -> None:
-        shared = getattr(self.kernel, "shared", None)
-        peers = (shared.alive_peers(self.local_id)
-                 if shared is not None else [])
+        peers = self.site.cluster_manager.sorted_alive_ids()
         key = frame.frame_id.pack()
-        if not peers:
-            # sole site: replicate in time instead of space — a second
-            # execution on our own CPU, behind whatever else is queued
-            self._pending_verify[key] = None
-            compute = self.cost.work_seconds(ctx.charged_work,
-                                             self.site.site_config.speed)
-            self.kernel.cpu.run(compute, self._local_shadow_done,
-                                frame, ctx, epoch)
-            return
-        buddy = shared.sites[peers[key % len(peers)]]
-        latency = shared.network.config.latency
-        self._pending_verify[key] = self.kernel.call_later(
-            REPLICATE_TIMEOUT, self._verify_timeout, frame, ctx, epoch)
-        self.kernel.call_later(latency, self._shadow_begin,
-                               buddy, frame, ctx, epoch)
+        self._ask(_Verify(frame, ctx, epoch),
+                  peers[key % len(peers)] if peers else self.local_id)
 
-    def _run_replay(self, ctx: SimExecutionContext) -> Optional[list]:
-        """Re-execute the microthread over the primary's recorded inputs:
-        a fresh copy of its argument snapshot, its log, its clock and RNG
-        seed, and no cluster state touched."""
-        replay = ctx.again(live=False)
+    def _ask(self, verify: _Verify, target: int) -> None:
+        """Get one more opinion on ``verify``: from ``target``, or — there
+        is no other site, it cannot be reached, or the record holds a value
+        the wire cannot carry — from this site's own CPU, behind whatever
+        else is queued: replication in time instead of space."""
+        if target != self.local_id:
+            msg = SDMessage(
+                type=MsgType.REPLICATE,
+                src_site=self.local_id, src_manager=ManagerId.PROCESSING,
+                dst_site=target, dst_manager=ManagerId.PROCESSING,
+                program=verify.frame.program, payload=verify.ctx.record())
+            try:
+                if self.site.message_manager.request(
+                        msg, lambda reply: self._on_verdict(verify, reply),
+                        timeout=REPLICATE_TIMEOUT,
+                        on_timeout=lambda: self._opinion(verify, None, False,
+                                                         target)):
+                    return
+            except SerializationError:
+                pass
+        compute = self.cost.work_seconds(verify.ctx.charged_work,
+                                         self.site.site_config.speed)
+        self.kernel.cpu.run(compute, self._local_shadow, verify)
+
+    def _local_shadow(self, verify: _Verify) -> None:
+        if self.site.stopped:
+            return
+        effects = self._run_replay(verify.ctx.again(live=False))
+        self._opinion(verify, effects, self._corrupt(effects), self.local_id)
+
+    def _run_replay(self, replay: SimExecutionContext) -> Optional[list]:
+        """Run a replay context: the microthread over recorded arguments,
+        log, clock and RNG seed, no cluster state touched."""
+        self.stats.inc("sdc_shadow_execs")
         try:
             replay.run()
         except Exception:  # noqa: BLE001 — a diverging replay is itself SDC
@@ -329,49 +351,71 @@ class SimProcessingManager(Manager):
             return None
         return replay.effects
 
-    def _local_shadow_done(self, frame: Microframe, ctx: SimExecutionContext,
-                           epoch: int) -> None:
+    def _corrupt(self, effects: Optional[list]) -> bool:
+        """Injected silent corruption lands on a completing execution —
+        after compute, before anything dispatches or is sent — on this
+        site's primaries, shadows and plain threads alike."""
+        return (effects is not None and self._sdc_corrupter is not None
+                and self._sdc_corrupter.corrupt_effects(self._sdc_index,
+                                                        effects))
+
+    # -- the buddy's side ----------------------------------------------------
+    def handle(self, msg: SDMessage) -> None:
+        if msg.type == MsgType.REPLICATE:
+            self._on_replicate(msg)
+        elif msg.type == MsgType.VERDICT:
+            # its request is settled: a duplicate, or later than the timeout
+            self.stats.inc("sdc_stale_verdicts")
+        else:
+            super().handle(msg)
+
+    def _on_replicate(self, msg: SDMessage) -> None:
+        """Another site's execution to repeat: the code comes from this
+        site's code manager (fetched if it never ran the thread), every
+        input from the message."""
+        record = msg.payload
+        self.site.code_manager.get(
+            record["program"], record["thread"],
+            lambda compiled: self._replay_shipped(msg, compiled))
+
+    def _replay_shipped(self, msg: SDMessage,
+                        compiled: Optional[CompiledMicrothread]) -> None:
         if self.site.stopped:
             return
-        self.stats.inc("sdc_shadow_execs")
-        effects = self._run_replay(ctx)
-        tainted = False
-        if effects is not None and self._sdc_corrupter is not None:
-            tainted = self._sdc_corrupter.corrupt_effects(self._sdc_index,
-                                                          effects)
-        self._verdict(frame, ctx, epoch, effects, tainted, None)
+        record = msg.payload
+        programs = self.site.program_manager
+        effects = None
+        if compiled is not None and programs.knows(record["program"]):
+            effects = self._run_replay(SimExecutionContext.shadow(
+                record, msg.src_site, self.site,
+                programs.get(record["program"]).thread_table(),
+                compiled.entry))
+        compute = self.cost.work_seconds(record["work"],
+                                         self.site.site_config.speed)
+        self.kernel.cpu.run(compute, self._send_verdict, msg, effects)
 
-    def _shadow_begin(self, buddy, frame: Microframe,  # noqa: ANN001
-                      ctx: SimExecutionContext, epoch: int) -> None:
-        if self.site.stopped or epoch != self.site.epoch:
-            return
-        if buddy.stopped or not buddy.running:
-            return  # buddy died before the work arrived; the timeout commits
-        effects = self._run_replay(ctx)
-        bpm = buddy.processing_manager
-        bpm.stats.inc("sdc_shadow_execs")
-        compute = bpm.cost.work_seconds(ctx.charged_work,
-                                        buddy.site_config.speed)
-        buddy.kernel.cpu.run(compute, self._shadow_done,
-                             buddy, frame, ctx, epoch, effects)
-
-    def _shadow_done(self, buddy, frame: Microframe,  # noqa: ANN001
-                     ctx: SimExecutionContext, epoch: int,
-                     effects: Optional[list]) -> None:
+    def _send_verdict(self, msg: SDMessage, effects: Optional[list]) -> None:
         if self.site.stopped:
             return
-        if buddy.stopped:
-            return  # the verdict died with the buddy; the timeout commits
-        tainted = False
-        bpm = buddy.processing_manager
-        if effects is not None and bpm._sdc_corrupter is not None:
-            # the shadow completes *on the buddy*: an in-window corruption
-            # of that site flips the shadow's copy, not the primary's
-            tainted = bpm._sdc_corrupter.corrupt_effects(bpm._sdc_index,
-                                                         effects)
-        latency = self.kernel.shared.network.config.latency
-        self.kernel.call_later(latency, self._verdict,
-                               frame, ctx, epoch, effects, tainted, buddy)
+        verdict = make_reply(msg, MsgType.VERDICT, {
+            "tainted": self._corrupt(effects),
+            "effects": effects and [(e.kind.value, e.data) for e in effects]})
+        try:
+            self.site.message_manager.send(verdict)
+        except SerializationError:
+            verdict.payload["effects"] = None  # unshippable: no opinion
+            self.site.message_manager.send(verdict)
+
+    # -- back on the primary -------------------------------------------------
+    def _on_verdict(self, verify: _Verify, msg: SDMessage) -> None:
+        effects = msg.payload["effects"]
+        if effects is not None:
+            try:
+                effects = [Effect(EffectKind(kind), data)
+                           for kind, data in effects]
+            except (TypeError, ValueError):
+                effects = None  # mangled beyond comparing: no opinion
+        self._opinion(verify, effects, msg.payload["tainted"], msg.src_site)
 
     def _discard_stale(self, frame: Microframe) -> None:
         self.stats.inc("stale_epoch_discarded")
@@ -381,150 +425,68 @@ class SimProcessingManager(Manager):
                     frame.frame_id.pack(), 0.0)
         self._finish_slot(frame)
 
-    def _verdict(self, frame: Microframe, ctx: SimExecutionContext,
-                 epoch: int, effects: Optional[list], tainted_shadow: bool,
-                 buddy) -> None:  # noqa: ANN001
+    def _opinion(self, verify: _Verify, effects: Optional[list],
+                 tainted: bool, source: int) -> None:
+        """Site ``source``'s replay produced ``effects`` — None: it failed,
+        or its answer did not come in time."""
         if self.site.stopped:
             return
-        key = frame.frame_id.pack()
-        if key not in self._pending_verify:
-            return  # the timeout already committed the primary result
-        timer = self._pending_verify.pop(key)
-        if timer is not None:
-            self.kernel.cancel(timer)
-        if epoch != self.site.epoch:
+        frame, ctx = verify.frame, verify.ctx
+        if verify.epoch != self.site.epoch:
+            # the execution (and this answer) is from before a rollback
             self._discard_stale(frame)
             return
-        tainted_primary = getattr(ctx, "sdc_tainted", False)
         if effects is None:
-            # the replay itself failed: fall back to the primary result
             self.stats.inc("sdc_shadow_timeouts")
-            self._commit_causal(frame, ctx, ctx.effects, tainted_primary)
+        if verify.shadow is not None:
+            self._resolve(verify, effects, tainted)
             return
-        if effects_key(ctx.effects) == effects_key(effects):
-            self.stats.inc("sdc_verified")
-            self._commit_causal(frame, ctx, ctx.effects, tainted_primary)
+        if effects is None or effects_key(ctx.effects) == effects_key(effects):
+            # agreed — or no second opinion to be had: commit the primary's
+            # result rather than wedging the program
+            if effects is not None:
+                self.stats.inc("sdc_verified")
+            self._commit_causal(frame, ctx, ctx.effects, ctx.sdc_tainted)
             return
         # mismatch: one of the two executions is lying.  Quarantine both
         # results (neither dispatches), raise the structured alarm, freeze
         # the flight recorder at the moment of detection, and break the
         # tie with a third execution
         self.stats.inc("sdc_mismatches")
-        buddy_id = buddy.site_id if buddy is not None else self.local_id
         tr = self.tracer
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "sdc_mismatch",
-                    frame.frame_id.pack(), buddy_id)
+                    frame.frame_id.pack(), source)
         recorder = self.site.tracer
         if recorder is not None and hasattr(recorder, "dump_all"):
             recorder.dump_all(self.kernel.now, "sdc_mismatch")
-        self._tie_break(frame, ctx, epoch, effects, tainted_shadow, buddy)
+        verify.shadow = (effects, tainted)
+        # a site that ran neither quarantined execution, if we know one
+        others = [peer for peer in self.site.cluster_manager.sorted_alive_ids()
+                  if peer != source] or [source]
+        self._ask(verify, others[frame.frame_id.pack() % len(others)])
 
-    def _verify_timeout(self, frame: Microframe, ctx: SimExecutionContext,
-                        epoch: int) -> None:
-        if self.site.stopped:
-            return
-        key = frame.frame_id.pack()
-        if self._pending_verify.pop(key, None) is None:
-            return  # verdict already arrived
-        if epoch != self.site.epoch:
-            self._discard_stale(frame)
-            return
-        # the shadow's verdict is lost (buddy crash, partition): commit
-        # the primary's result rather than wedging the program
-        self.stats.inc("sdc_shadow_timeouts")
-        self._commit_causal(frame, ctx, ctx.effects,
-                            getattr(ctx, "sdc_tainted", False))
-
-    def _tie_break(self, frame: Microframe, ctx: SimExecutionContext,
-                   epoch: int, effects_shadow: list, tainted_shadow: bool,
-                   buddy) -> None:  # noqa: ANN001
-        shared = getattr(self.kernel, "shared", None)
-        exclude = [self.local_id]
-        if buddy is not None:
-            exclude.append(buddy.site_id)
-        peers = shared.alive_peers(*exclude) if shared is not None else []
-        key = frame.frame_id.pack()
-        if peers:
-            # a site that ran neither quarantined execution
-            referee = shared.sites[peers[key % len(peers)]]
-        elif buddy is not None and not buddy.stopped:
-            referee = buddy
-        else:
-            referee = self.site
-        latency = (shared.network.config.latency
-                   if shared is not None else 0.0)
-        self.kernel.call_later(latency, self._referee_begin, referee,
-                               frame, ctx, epoch, effects_shadow,
-                               tainted_shadow)
-
-    def _referee_begin(self, referee, frame: Microframe,  # noqa: ANN001
-                       ctx: SimExecutionContext, epoch: int,
-                       effects_shadow: list, tainted_shadow: bool) -> None:
-        if self.site.stopped:
-            return
-        if referee.stopped:
-            self._resolve(frame, ctx, epoch, effects_shadow, tainted_shadow,
-                          None, False)
-            return
-        effects = self._run_replay(ctx)
-        rpm = referee.processing_manager
-        rpm.stats.inc("sdc_shadow_execs")
-        compute = rpm.cost.work_seconds(ctx.charged_work,
-                                        referee.site_config.speed)
-        referee.kernel.cpu.run(compute, self._referee_done, referee,
-                               frame, ctx, epoch, effects_shadow,
-                               tainted_shadow, effects)
-
-    def _referee_done(self, referee, frame: Microframe,  # noqa: ANN001
-                      ctx: SimExecutionContext, epoch: int,
-                      effects_shadow: list, tainted_shadow: bool,
-                      effects: Optional[list]) -> None:
-        if self.site.stopped:
-            return
-        tainted = False
-        if referee.stopped:
-            effects = None
-        elif effects is not None:
-            rpm = referee.processing_manager
-            if rpm._sdc_corrupter is not None:
-                tainted = rpm._sdc_corrupter.corrupt_effects(rpm._sdc_index,
-                                                             effects)
-        latency = self.kernel.shared.network.config.latency
-        self.kernel.call_later(latency, self._resolve, frame, ctx, epoch,
-                               effects_shadow, tainted_shadow, effects,
-                               tainted)
-
-    def _resolve(self, frame: Microframe, ctx: SimExecutionContext,
-                 epoch: int, effects_shadow: list, tainted_shadow: bool,
-                 effects_ref: Optional[list], tainted_ref: bool) -> None:
-        if self.site.stopped:
-            return
-        if epoch != self.site.epoch:
-            self._discard_stale(frame)
-            return
-        tainted_primary = getattr(ctx, "sdc_tainted", False)
-        if effects_ref is None:
-            # no third opinion available; the primary's word stands
-            chosen, tainted, winner = ctx.effects, tainted_primary, "primary"
-        else:
+    def _resolve(self, verify: _Verify, effects_ref: Optional[list],
+                 tainted_ref: bool) -> None:
+        ctx = verify.ctx
+        effects_shadow, tainted_shadow = verify.shadow
+        chosen, tainted, winner = ctx.effects, ctx.sdc_tainted, "primary"
+        if effects_ref is not None:
             key_ref = effects_key(effects_ref)
-            if key_ref == effects_key(ctx.effects):
-                chosen, tainted, winner = (ctx.effects, tainted_primary,
-                                           "primary")
-            elif key_ref == effects_key(effects_shadow):
+            if key_ref == effects_key(effects_shadow):
                 chosen, tainted, winner = (effects_shadow, tainted_shadow,
                                            "shadow")
-            else:
+            elif key_ref != effects_key(ctx.effects):
                 # all three disagree: trust the referee, which ran outside
                 # both quarantined executions
                 chosen, tainted, winner = effects_ref, tainted_ref, "referee"
+        # (no third opinion available: the primary's word stands)
         self.stats.inc("sdc_resolved")
         tr = self.tracer
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "sdc_resolved",
-                    frame.frame_id.pack(), winner)
-        self._commit_causal(frame, ctx, chosen, tainted)
+                    verify.frame.frame_id.pack(), winner)
+        self._commit_causal(verify.frame, ctx, chosen, tainted)
 
     def _finish_slot(self, frame: Microframe) -> None:
         self.in_flight = max(0, self.in_flight - 1)

@@ -16,7 +16,7 @@ building and running simulated clusters.
 
 from repro.site.kernel import Kernel, CpuModel
 from repro.site.daemon import SDVMSite
-from repro.site.sim_kernel import SimKernel, SharedSimState
+from repro.site.sim_kernel import SimKernel
 from repro.site.simcluster import SimCluster, ProgramHandle
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "CpuModel",
     "SDVMSite",
     "SimKernel",
-    "SharedSimState",
     "SimCluster",
     "ProgramHandle",
 ]

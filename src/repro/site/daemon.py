@@ -136,9 +136,6 @@ class SDVMSite:
 
     def _start(self) -> None:
         self.running = True
-        shared = getattr(self.kernel, "shared", None)
-        if shared is not None:
-            shared.sites[self.site_id] = self
         for manager in self.managers.values():
             manager.on_start()
 
@@ -150,9 +147,6 @@ class SDVMSite:
         self.stopped = True
         for manager in self.managers.values():
             manager.on_stop()
-        shared = getattr(self.kernel, "shared", None)
-        if shared is not None:
-            shared.sites.pop(self.site_id, None)
         self.kernel.shutdown()
 
     def crash(self) -> None:
@@ -164,9 +158,6 @@ class SDVMSite:
         recorder = self.tracer
         if recorder is not None and hasattr(recorder, "record_crash"):
             recorder.record_crash(self.site_id, self.kernel.now, "crash")
-        shared = getattr(self.kernel, "shared", None)
-        if shared is not None:
-            shared.sites.pop(self.site_id, None)
         self.kernel.shutdown()
 
     def sign_off(self) -> bool:

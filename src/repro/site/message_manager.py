@@ -190,11 +190,14 @@ class MessageManager(Manager):
             handle = self.kernel.call_later(timeout, self._timed_out, seq,
                                             on_timeout)
         self._pending[seq] = _Pending(on_reply, handle)
-        ok = self.send(msg)
+        try:
+            ok = self.send(msg)
+        except SerializationError:
+            self._drop_pending(seq)  # never sent: no reply, no timeout
+            raise
         if not ok:
             self._drop_pending(seq)
-            return False
-        return True
+        return ok
 
     def _timed_out(self, seq: int,
                    on_timeout: Optional[Callable[[], None]]) -> None:

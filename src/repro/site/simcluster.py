@@ -21,7 +21,7 @@ from repro.net.topology import Topology
 from repro.program.manager import ProgramInfo
 from repro.sim.engine import Simulator
 from repro.site.daemon import SDVMSite
-from repro.site.sim_kernel import SharedSimState, SimKernel
+from repro.site.sim_kernel import SimKernel
 
 
 @dataclass
@@ -76,7 +76,6 @@ class SimCluster:
         self.config = config or SDVMConfig()
         self.sim = Simulator(seed=self.config.seed)
         self.network = SimNetwork(self.sim, self.config.network, topology)
-        self.shared = SharedSimState(self.sim, self.network)
         #: one structured tracer shared by every site (config.trace)
         self.tracer = None
         if self.config.trace:
@@ -131,7 +130,8 @@ class SimCluster:
 
     # ------------------------------------------------------------------
     def _build_site(self, site_config: SiteConfig) -> SDVMSite:
-        kernel = SimKernel(self.shared, physical=self._next_physical,
+        kernel = SimKernel(self.sim, self.network,
+                           physical=self._next_physical,
                            speed=site_config.speed, seed=self.config.seed,
                            tracer=self._kernel_tracer)
         self._next_physical += 1

@@ -46,12 +46,19 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: now send the MEM_READ + MEM_READ_REPLY of every migration (and the
 #: trace kind is ``mem_migrated``), ``memory_partition`` is new — and
 #: the eight ``primes`` plans kept theirs: the common path did not move.
+#: PR 24 (SDC replays became REPLICATE / VERDICT messages) moved none by
+#: itself; three moved with its satellites: ``crash_during_recovery`` and
+#: ``lossy_recovery`` were re-timed into the run (crash at 0.3 s instead
+#: of 1.0 / 0.8 s, after primes had exited at 0.51 s), and in
+#: ``homesite_crash`` the orphans of dead homesite 3 are published to
+#: site 0 (lowest alive id above, wrapping) where the deleted hash ring
+#: sent one of them to site 2 — every per-type message count is unchanged.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
         "a7eca8411964431a313b54e5512efb22c20d062ead4dd944eb328de79f7fbb19",
     "crash_during_recovery.json":
-        "63ebf194bba35f16f114ccad5b2ecb1021097c171c19ed78cf9dcf1f680b45fa",
+        "010e7afb698c6f15b34aa1b73817981e2ae9533e538b57428a73cf48db21900a",
     "crash_during_wave.json":
         "8d265ed225b456b310ad1b423d72fe30adbb0a6855ffbcaa6b691fb6285955ab",
     "dir_shard_crash.json":
@@ -59,9 +66,9 @@ PINNED_FINGERPRINTS = {
     "duplicate_delivery.json":
         "844f1aac1b7b1bee1226d42f136f15c5ea4d1458e84253569181546468c35a06",
     "homesite_crash.json":
-        "b3f23b75b6eb8162cc489fe3e05ffdd22329d348520ab863e14da34bb90e995d",
+        "a6dfb7cb3ebabd64cb3051218213a32e72eee6b6b8fdbce8d7ee5b00b3fb6923",
     "lossy_recovery.json":
-        "df79a333a1dcb9cb4dc7fa11c9bf3b474c6fb31f983baacada0dc03db7a89dc7",
+        "c94aebb7a6780bb64255800ffbf10491e49b80ed19217484d6c31595f63c5afe",
     "memory_partition.json":
         "6f95c6f6f5d1ab3761b47cfc96dc54efc1f13e341c0bd21825236cf2e829f852",
     "partition_then_heal.json":
@@ -218,7 +225,8 @@ class TestCorpus:
                 "duplicate_delivery.json", "lossy_recovery.json",
                 "steal_batch_reorder.json", "dir_shard_crash.json",
                 "homesite_crash.json", "sdc_detected.json",
-                "memory_partition.json"} <= names
+                "memory_partition.json",
+                "sdc_replicate_corrupt.json"} <= names
         # the undefended twin fails by design, so it lives in a
         # subdirectory the corpus glob (and ``chaos corpus``) skip
         assert os.path.exists(os.path.join(
@@ -245,6 +253,18 @@ class TestCorpus:
         result = corpus_result(path)
         assert result.fingerprint == PINNED_FINGERPRINTS[
             os.path.basename(path)]
+
+    @pytest.mark.parametrize(
+        "path", CORPUS, ids=[os.path.basename(p) for p in CORPUS])
+    def test_crashes_and_link_windows_hit_a_running_program(self, path):
+        """A crash or a link window that opens after the program has
+        exited recovers (or mangles) a cluster with nothing to lose."""
+        result = corpus_result(path)
+        finished = result.cluster.handles[0].finish_time
+        starts = [fault.at if isinstance(fault, CrashFault) else fault.start
+                  for fault in result.plan.faults
+                  if isinstance(fault, (CrashFault, LinkFault))]
+        assert all(start < finished for start in starts), (starts, finished)
 
     def test_partition_holds_back_ownership_replies(self):
         """Chaos reaches memory: the window of ``memory_partition`` opens
@@ -303,9 +323,13 @@ class TestCorpus:
         assert stats.get("recover_retries").count > 0
         # a shard is serialised when it is cut and parsed when it is
         # adopted: replicas, the recovery and its retries add to neither
+        # (four sites cut wave 1, the three survivors every later one)
         assert stats.get("replicas_adopted").count > 0
+        shards_cut = sum(e.fields[1] for e in result.cluster.tracer.events
+                         if e.kind == "wave_commit")
+        assert shards_cut > 4 * 1
         assert calls["dumps"] == stats.get("shards_serialized").count \
-            == 4 * stats.get("checkpoints_committed").count
+            == shards_cut
         assert calls["loads"] == 4 * stats.get("recoveries").count
 
     def test_crash_during_recovery_queues_second_crash(self):
@@ -386,10 +410,10 @@ class TestCorpus:
     def test_homesite_crash_orphans_stay_reachable(self):
         """Crash a site that *created* objects after some have migrated
         away (memscatter allocates all over the cluster; memstress only
-        at the submit site, which must stay up).  The owners push the
-        orphaned addresses onto the ring the moment they learn of the
-        death; rollback recovery then makes the coordinator the dead
-        site's heir and rehomes them there.  Every survivor must agree
+        at the submit site, which must stay up).  The owners publish the
+        orphaned addresses to the heir rule's site the moment they learn
+        of the death; rollback recovery then makes the coordinator the
+        dead site's heir and rehomes them there.  Every survivor must agree
         on that, and the heir's entry must name the true holder."""
         result = corpus_result(
             os.path.join(CORPUS_DIR, "homesite_crash.json"))
@@ -408,11 +432,15 @@ class TestCorpus:
                     for site in survivors} == {heir}
             assert cluster.site_by_logical(heir).attraction_memory \
                 .dir_owner(addr) == holder.site_id
-        # the ring took them first: before the recovery wave installed
-        # the heir, an owner published an orphan to a shard that is not it
-        assert [e for e in cluster.tracer.events
-                if e.kind == "msg_send" and e.fields[0] == "DIR_UPDATE"
-                and e.fields[1] != heir]
+        # the orphan rule took them first: an owner published in the very
+        # event that told it of the death, before RECOVER_BEGIN named the
+        # heir — to the lowest alive id above the dead site, wrapping
+        events = cluster.tracer.events
+        noticed = {(e.site, e.ts) for e in events if e.kind == "site_dead"}
+        early = [e for e in events
+                 if e.kind == "msg_send" and e.fields[0] == "DIR_UPDATE"
+                 and (e.site, e.ts) in noticed]
+        assert early and {e.fields[1] for e in early} == {0}
 
     def test_duplicate_delivery_does_not_double_commit(self):
         result = run_plan(corpus_plan("duplicate_delivery"))
@@ -438,6 +466,30 @@ class TestSilentDataCorruption:
         assert kinds.get("sdc_mismatch") == corruptions
         assert kinds.get("sdc_resolved") == corruptions
         assert kinds.get("sdc_tainted_commit", 0) == 0
+
+    def test_corrupted_replicate_is_outvoted(self):
+        """Chaos reaches replication: every REPLICATE mangled on its way
+        into site 3 makes that buddy replay other arguments, the primary
+        sees one mismatch, asks a third site — whose copy arrived clean —
+        and its own word stands."""
+        result = corpus_result(
+            os.path.join(CORPUS_DIR, "sdc_replicate_corrupt.json"))
+        assert result.ok, [str(v) for v in result.violations]
+        events = result.cluster.tracer.events
+        mangled = sum(1 for e in events if e.kind == "chaos_fault"
+                      and e.fields[0] == "corrupt_param")
+        assert mangled > 0
+        mismatches = [e for e in events if e.kind == "sdc_mismatch"]
+        assert len(mismatches) == mangled
+        assert {e.fields[1] for e in mismatches} == {3}
+        winners = [e.fields[1] for e in events if e.kind == "sdc_resolved"]
+        assert winners == ["primary"] * mangled
+        assert result.cluster.tracer.kinds().get("sdc_tainted_commit", 0) == 0
+        replicates = result.cluster.cluster_report().message_breakdown[
+            "REPLICATE"]["count"]
+        stats = result.cluster.total_stats()
+        assert replicates == (stats.get("sdc_replicated").count
+                              + stats.get("sdc_mismatches").count)
 
     def test_undefended_plan_is_flagged_by_the_invariant(self):
         """Replication off: the same corruption window silently commits

@@ -154,14 +154,21 @@ def test_every_config_field_has_a_reader():
 
 def test_one_memory_and_file_protocol():
     """The sim runs the message protocol it measures.  No cluster-wide
-    object or file oracle, and no sim twin of a call or kernel-mode branch
-    in the memory and I/O managers: a sim microthread that misses restarts
-    on the reply (proc/sim_context.py) instead."""
+    object, file or site oracle, and no sim twin of a call or kernel-mode
+    branch in the memory and I/O managers: a sim microthread that misses
+    restarts on the reply (proc/sim_context.py), an SDC shadow is asked
+    for by REPLICATE and answers by VERDICT (proc/sim_manager.py), and
+    only the chaos engine's ``sdc_arm`` reaches into a processing
+    manager's corruption hook.  The hash ring is gone for good."""
     root = pathlib.Path(repro.__file__).parent
     offences = []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text()
-        patterns = [r"shared\.objects", r"shared\.vfs"]
+        patterns = [r"shared\.objects", r"shared\.vfs", r"SharedSimState",
+                    r"kernel\.shared", r"\.shared\.sites",
+                    r"memory\.directory", r"processing_manager\._sdc"]
+        if path.relative_to(root).as_posix() != "chaos/engine.py":
+            patterns.append(r"processing_manager\.sdc")
         if path.parent.name in ("memory", "io"):
             patterns += [r"def sim_", r"kernel\.mode"]
         offences += [f"{path.relative_to(root)}: {pattern}"

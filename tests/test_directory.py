@@ -1,11 +1,10 @@
-"""Tests for the attraction-memory directory: homesite first, ring for
-orphans.
+"""Tests for the attraction-memory directory: homesite first, the heir
+rule (lowest alive id above, wrapping) for orphans.
 
-Covers the ShardMap itself (determinism, stability under membership
-churn), what each hop of an object's life costs in messages and who
+Covers what each hop of an object's life costs in messages and who
 records it, the DIR_UPDATE protocol (epoch fencing, republishing on join
-and departure), and the regression the ring was built against: losing
-the ownership record when the creating site dies.
+and departure), and the regression the orphan rule was built against:
+losing the ownership record when the creating site dies.
 """
 
 from __future__ import annotations
@@ -14,61 +13,8 @@ import pytest
 
 from repro.common.errors import MemoryFault
 from repro.common.ids import GlobalAddress, ManagerId
-from repro.memory.directory import ShardMap
 from repro.messages import MsgType, SDMessage
 from repro.site.simcluster import SimCluster
-
-
-# ---------------------------------------------------------------------------
-# ShardMap unit tests
-
-def _addrs(n, site=0):
-    return [GlobalAddress(site, i + 1) for i in range(n)]
-
-
-class TestShardMap:
-    def test_deterministic_and_order_independent(self):
-        a = ShardMap([0, 1, 2, 3])
-        b = ShardMap([3, 1, 0, 2])
-        for addr in _addrs(200):
-            assert a.shard_for(addr) == b.shard_for(addr)
-
-    def test_covers_all_members(self):
-        smap = ShardMap(range(8))
-        hit = {smap.shard_for(addr) for addr in _addrs(2000)}
-        assert hit == set(range(8))
-
-    def test_empty_map_has_no_shard(self):
-        assert ShardMap().shard_for(GlobalAddress(0, 1)) is None
-
-    def test_join_moves_bounded_fraction(self):
-        """Adding one site to 16 must remap roughly 1/17 of the keys,
-        not reshuffle the world — the consistent-hashing property."""
-        before = ShardMap(range(16))
-        addrs = _addrs(3000)
-        old = {addr: before.shard_for(addr) for addr in addrs}
-        before.add_site(16)
-        moved = sum(1 for addr in addrs if before.shard_for(addr) != old[addr])
-        assert 0 < moved < len(addrs) * 0.25
-
-    def test_leave_only_remaps_departed_sites_keys(self):
-        smap = ShardMap(range(16))
-        addrs = _addrs(3000)
-        old = {addr: smap.shard_for(addr) for addr in addrs}
-        smap.remove_site(5)
-        for addr in addrs:
-            new = smap.shard_for(addr)
-            assert new != 5
-            if old[addr] != 5:
-                assert new == old[addr]
-
-    def test_add_remove_round_trip_restores_mapping(self):
-        smap = ShardMap(range(8))
-        addrs = _addrs(500)
-        old = {addr: smap.shard_for(addr) for addr in addrs}
-        smap.add_site(99)
-        smap.remove_site(99)
-        assert all(smap.shard_for(addr) == old[addr] for addr in addrs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +99,9 @@ class TestDirUpdate:
         assert mem.dir_owner(addr) == b.site_id
 
     def test_departure_rehomes_directory_entries(self, trio):
-        """When a homesite dies, the survivors agree on a ring shard for
-        its orphaned addresses and the owner republishes there, so reads
-        keep resolving."""
+        """When a homesite dies, the survivors agree on who answers for
+        its orphaned addresses — the lowest alive id above it — and the
+        owner republishes there, so reads keep resolving."""
         cluster, a, b, c = trio
         addr = a.attraction_memory.alloc_object("v")
         cluster.sim.run(until=0.4)
@@ -171,7 +117,7 @@ class TestDirUpdate:
         cluster.sim.run(until=1.2)
         shard = _dir_shard(cluster, addr, view=b)
         assert shard is _dir_shard(cluster, addr, view=c)
-        assert shard in (b, c)
+        assert shard is b
         assert shard.attraction_memory.dir_owner(addr) == b.site_id
 
 
@@ -328,7 +274,7 @@ class TestMembershipChange:
 
 
 class TestDeadCreatorRegression:
-    """The bug the sharded directory replaces: the per-creator ``home_dir``
+    """The bug the orphan rule guards against: the per-creator ``home_dir``
     lost ownership updates when the creating site died, so a third site
     could never find a migrated object again."""
 

@@ -430,3 +430,150 @@ class TestRestartableExecution:
                                 at=0.25)
         cluster.run()
         assert handle.result == "v"
+
+
+def doubling_program():
+    prog = ProgramBuilder("double")
+
+    @prog.microthread
+    def main(ctx, x):
+        ctx.charge(200)
+        ctx.exit_program(x * 2)
+
+    return prog.build()
+
+
+class TestReplicatedExecution:
+    """The SDC defense between sites is two messages: REPLICATE ships a
+    finished execution's recorded inputs to a buddy, VERDICT brings the
+    effects of its replay back (proc/sim_manager.py)."""
+
+    def start(self, fast_config, arg=21, topology=None, at=0.25):
+        """Two sites, everything replicated, one execution on site b —
+        whose only possible buddy is a."""
+        import dataclasses
+        config = fast_config.with_(trace=True, scheduling=dataclasses.replace(
+            fast_config.scheduling, replicate_frac=1.0))
+        cluster = SimCluster(nsites=2, config=config, topology=topology)
+        cluster.sim.run(until=0.2)
+        handle = cluster.submit(doubling_program(), args=(arg,),
+                                site_index=1, at=at)
+        a, b = cluster.sites
+        return cluster, a, b, handle
+
+    def mangle(self, cluster, **link):
+        """Every message on the matching links, from now on."""
+        from repro.chaos import FaultPlan, LinkFault
+        cluster.apply_chaos(FaultPlan(nsites=2, faults=[LinkFault(
+            start=cluster.sim.now, end=cluster.sim.now + 10.0, **link)]))
+
+    def count(self, site, name):
+        return site.processing_manager.stats.get(name).count
+
+    def sent(self, cluster, kind):
+        return cluster.cluster_report().message_breakdown.get(
+            kind, {"count": 0})["count"]
+
+    def test_buddy_that_never_ran_the_thread_fetches_the_code(
+            self, fast_config):
+        cluster, a, b, handle = self.start(fast_config)
+        cluster.run()
+        assert handle.result == 42
+        assert self.count(b, "executions") == 1
+        assert self.count(b, "sdc_verified") == 1
+        # a replayed from the message alone, with code it had to get
+        assert self.count(a, "executions") == 0
+        assert self.count(a, "sdc_shadow_execs") == 1
+        assert a.code_manager.stats.get("requests_sent").count >= 1
+        assert (self.sent(cluster, "REPLICATE"),
+                self.sent(cluster, "VERDICT")) == (1, 1)
+
+    @pytest.mark.parametrize("lost, src, dst", [("REPLICATE", 1, 0),
+                                                ("VERDICT", 0, 1)])
+    def test_lost_message_commits_the_primary_after_the_timeout(
+            self, fast_config, lost, src, dst):
+        from repro.proc.sim_manager import REPLICATE_TIMEOUT
+        cluster, a, b, handle = self.start(fast_config)
+        if lost == "REPLICATE":
+            self.mangle(cluster, src=src, dst=dst, drop=1.0)
+        else:
+            # a has the code and is replaying before its answers are lost
+            while self.count(a, "sdc_shadow_execs") == 0:
+                assert cluster.sim.step()
+            self.mangle(cluster, src=src, dst=dst, drop=1.0)
+        cluster.run()
+        assert handle.result == 42
+        assert self.count(b, "sdc_shadow_timeouts") == 1
+        assert self.count(b, "sdc_verified") == 0
+        assert self.count(b, "executions") == 1
+        assert handle.duration >= REPLICATE_TIMEOUT
+        assert self.sent(cluster, lost) == 1
+        assert cluster.network_stats().get("chaos_dropped").count >= 1
+
+    def test_duplicated_verdict_commits_once(self, fast_config):
+        cluster, a, b, handle = self.start(fast_config)
+        self.mangle(cluster, src=0, dst=1, dup=1.0)
+        cluster.run()
+        cluster.sim.run(until=cluster.sim.now + 0.1)
+        assert handle.result == 42
+        assert self.count(b, "executions") == 1
+        assert self.count(b, "sdc_verified") == 1
+        assert self.count(b, "sdc_stale_verdicts") == 1
+        assert b.processing_manager.in_flight == 0
+
+    def test_verdict_after_the_timeout_commits_nothing_more(self,
+                                                            fast_config):
+        from repro.proc.sim_manager import REPLICATE_TIMEOUT
+        cluster, a, b, handle = self.start(fast_config)
+        self.mangle(cluster, src=0, dst=1, delay=2 * REPLICATE_TIMEOUT)
+        cluster.run()
+        assert handle.result == 42 and self.count(b, "executions") == 1
+        assert self.count(b, "sdc_shadow_timeouts") == 1
+        cluster.sim.run(until=cluster.sim.now + 4 * REPLICATE_TIMEOUT)
+        assert self.sent(cluster, "VERDICT") == 1
+        assert self.count(b, "sdc_stale_verdicts") == 1
+        assert self.count(b, "executions") == 1
+        assert self.count(b, "sdc_verified") == 0
+
+    def test_verdict_from_before_a_rollback_is_discarded(self, fast_config):
+        cluster, a, b, handle = self.start(fast_config)
+        while self.sent(cluster, "REPLICATE") == 0:
+            assert cluster.sim.step()
+        b.epoch += 1  # what RECOVER_BEGIN does before it resets the state
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+        assert self.sent(cluster, "VERDICT") == 1
+        assert self.count(b, "stale_epoch_discarded") == 1
+        assert self.count(b, "executions") == 0
+        assert self.count(b, "sdc_verified") == 0
+        assert b.processing_manager.in_flight == 0
+        assert not handle.done  # the restored frame would run again
+
+    def test_shadow_round_trip_pays_the_topology_path(self, fast_config):
+        from repro.net.topology import Topology
+        hop = 5e-3  # the flat NetworkConfig.latency is 120 µs
+        topology = Topology()
+        topology.add_link(0, 1, hop)
+        cluster, a, b, handle = self.start(fast_config, topology=topology,
+                                           at=0.4)
+        cluster.run()
+        assert handle.result == 42
+        events = cluster.tracer.events
+        asked = next(e.ts for e in events if e.kind == "msg_send"
+                     and e.fields[0] == "REPLICATE")
+        committed = next(e.ts for e in events if e.kind == "exec_end"
+                         and e.site == b.site_id)
+        assert committed - asked >= 2 * hop
+        assert self.count(b, "sdc_verified") == 1
+
+    def test_argument_the_wire_cannot_carry_is_shadowed_locally(
+            self, fast_config):
+        """``complex`` is outside the codec's type set: the record cannot
+        be shipped, so the second execution happens here, in time."""
+        cluster, a, b, handle = self.start(fast_config, arg=3 + 4j)
+        cluster.run()
+        assert handle.result == 6 + 8j
+        assert self.sent(cluster, "REPLICATE") == 0
+        assert self.count(a, "sdc_shadow_execs") == 0
+        assert self.count(b, "sdc_shadow_execs") == 1
+        assert self.count(b, "sdc_verified") == 1
+        assert not b.message_manager._pending
