@@ -10,13 +10,70 @@ policy knobs here (``SchedulingConfig``) so the bench in
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Iterable
 
 from repro.common.errors import SchedulingError
 from repro.core.frames import Microframe
 
 
-def pop_frame(queue: Deque[Microframe], policy: str,
+class FrameQueue(deque):
+    """A deque of microframes that counts its hinted frames.
+
+    ``critical`` is the number of critical-path frames queued, ``hinted``
+    the number that are critical or carry a positive priority.  A frame's
+    hints never change once it is built, so the counts follow from the
+    mutators alone and the scheduler's hint checks cost O(1) instead of a
+    walk of the queue.  Only the mutators overridden here keep the counts
+    exact; the others (``insert``, ``remove``, ``extendleft``, item
+    assignment) must not be used on a frame queue.
+    """
+
+    __slots__ = ("critical", "hinted")
+
+    def __init__(self, frames: Iterable[Microframe] = ()) -> None:
+        super().__init__()
+        self.critical = self.hinted = 0
+        self.extend(frames)
+
+    def _count(self, frame: Microframe, delta: int) -> None:
+        if frame.critical:
+            self.critical += delta
+            self.hinted += delta
+        elif frame.priority > 0.0:
+            self.hinted += delta
+
+    def append(self, frame: Microframe) -> None:
+        super().append(frame)
+        self._count(frame, 1)
+
+    def appendleft(self, frame: Microframe) -> None:
+        super().appendleft(frame)
+        self._count(frame, 1)
+
+    def extend(self, frames: Iterable[Microframe]) -> None:
+        for frame in frames:
+            self.append(frame)
+
+    def pop(self) -> Microframe:
+        frame = super().pop()
+        self._count(frame, -1)
+        return frame
+
+    def popleft(self) -> Microframe:
+        frame = super().popleft()
+        self._count(frame, -1)
+        return frame
+
+    def __delitem__(self, index: int) -> None:
+        self._count(self[index], -1)
+        super().__delitem__(index)
+
+    def clear(self) -> None:
+        super().clear()
+        self.critical = self.hinted = 0
+
+
+def pop_frame(queue: FrameQueue, policy: str,
               use_hints: bool) -> Microframe:
     """Take the next frame for *local* consumption.
 
@@ -25,7 +82,7 @@ def pop_frame(queue: Deque[Microframe], policy: str,
     """
     if not queue:
         raise SchedulingError("pop from empty frame queue")
-    if policy == "priority" or (use_hints and _has_hints(queue)):
+    if policy == "priority" or (use_hints and queue.hinted):
         best_index = 0
         best_key = _hint_key(queue[0])
         for index in range(1, len(queue)):
@@ -43,7 +100,7 @@ def pop_frame(queue: Deque[Microframe], policy: str,
     raise SchedulingError(f"unknown local policy {policy!r}")
 
 
-def take_for_help(queue: Deque[Microframe], policy: str) -> Microframe:
+def take_for_help(queue: FrameQueue, policy: str) -> Microframe:
     """Take a frame to give away on a help request (LIFO per the paper)."""
     if not queue:
         raise SchedulingError("take_for_help from empty queue")
@@ -54,7 +111,7 @@ def take_for_help(queue: Deque[Microframe], policy: str) -> Microframe:
     raise SchedulingError(f"unknown help reply policy {policy!r}")
 
 
-def take_batch_for_help(queue: Deque[Microframe], policy: str,
+def take_batch_for_help(queue: FrameQueue, policy: str,
                         count: int) -> list:
     """Take up to ``count`` frames to give away in one batched HELP_REPLY
     (steal-half: the caller sizes ``count`` from its spare depth)."""
@@ -66,7 +123,7 @@ def take_batch_for_help(queue: Deque[Microframe], policy: str,
     return out
 
 
-def take_push_batch(queue: Deque[Microframe], policy: str,
+def take_push_batch(queue: FrameQueue, policy: str,
                     count: int) -> list:
     """Take up to ``count`` *non-critical* frames for a proactive push.
 
@@ -111,10 +168,6 @@ def replicate_chosen(frame_key: int, frac: float) -> bool:
         return True
     hashed = (frame_key * _REPLICATE_HASH) & 0xFFFFFFFF
     return hashed < frac * 4294967296.0
-
-
-def _has_hints(queue: Deque[Microframe]) -> bool:
-    return any(f.critical or f.priority > 0.0 for f in queue)
 
 
 def _hint_key(frame: Microframe) -> tuple:
