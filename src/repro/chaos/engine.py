@@ -59,7 +59,7 @@ class ChaosController:
         self._partitions: List[PartitionFault] = []
         self._links: List[LinkFault] = []
         self._corrupt_results: List[CorruptFault] = []
-        self._corrupt_params: List[CorruptFault] = []
+        self._corrupt_wire: List[CorruptFault] = []
         self._installed = False
 
     # ------------------------------------------------------------------
@@ -87,13 +87,13 @@ class ChaosController:
                 if fault.mode == "result":
                     self._corrupt_results.append(fault)
                 else:
-                    self._corrupt_params.append(fault)
+                    self._corrupt_wire.append(fault)
             else:
                 raise SDVMError(f"unhandled fault {fault!r}")
         if self._corrupt_results:
             for index, site in enumerate(self.cluster.sites):
                 site.processing_manager.sdc_arm(self, index)
-        if self._partitions or self._links or self._corrupt_params:
+        if self._partitions or self._links or self._corrupt_wire:
             # with neither partitions nor links armed, filter_send returns
             # None without an RNG draw, so param-only plans leave the
             # delivery schedule untouched
@@ -254,28 +254,29 @@ class ChaosController:
 
     @property
     def corrupts_wire(self) -> bool:
-        return bool(self._corrupt_params)
+        return bool(self._corrupt_wire)
 
-    #: message type -> the payload key whose first numeric leaf is
-    #: flipped: the dataflow write that fills a waiting microframe's
-    #: parameter slot, a replicated execution's shipped arguments, and
-    #: the effects its replay answers with
-    _WIRE_KEYS = {"APPLY_RESULT": "value", "REPLICATE": "args",
-                  "VERDICT": "effects"}
+    #: wire mode -> message type -> the payload key whose first numeric
+    #: leaf is flipped: ``"param"`` hits the dataflow write that fills a
+    #: waiting microframe's parameter slot, ``"replicate"`` a replicated
+    #: execution's shipped arguments and the effects its replay answers
+    #: with
+    _WIRE_KEYS = {"param": {"APPLY_RESULT": "value"},
+                  "replicate": {"REPLICATE": "args", "VERDICT": "effects"}}
 
     def corrupt_wire(self, src: int, dst: int,
                      data: bytes) -> Optional[bytes]:
         """Maybe bit-flip a value in flight.
 
-        Targets the payloads named in ``_WIRE_KEYS`` inside *plaintext*
-        security envelopes; sealed envelopes pass untouched — a flipped
-        bit there trips the MAC, which is a loud failure, not a silent
-        one.  Returns the re-wrapped envelope bytes, or None when the
-        message is left alone.
+        Targets the payloads ``_WIRE_KEYS`` names for the fault's mode
+        inside *plaintext* security envelopes; sealed envelopes pass
+        untouched — a flipped bit there trips the MAC, which is a loud
+        failure, not a silent one.  Returns the re-wrapped envelope
+        bytes, or None when the message is left alone.
         """
         from repro.messages.message import SDMessage
         now = self.cluster.sim.now
-        for fault in self._corrupt_params:
+        for fault in self._corrupt_wire:
             if not fault.start <= now < fault.end:
                 continue
             if fault.site >= 0 and self._phys[fault.site] != dst:
@@ -287,9 +288,9 @@ class ChaosController:
                 return None
             header, body = data[:3 + addr_len], data[3 + addr_len:]
             msg = SDMessage.decode(body)
-            key = self._WIRE_KEYS.get(msg.type.name)
+            key = self._WIRE_KEYS[fault.mode].get(msg.type.name)
             if key is None:
-                return None
+                continue
             if fault.prob < 1.0 and self.rng.random() >= fault.prob:
                 return None
             flipped, did = self._flip_value(msg.payload.get(key),
@@ -297,6 +298,6 @@ class ChaosController:
             if not did:
                 return None
             msg.payload[key] = flipped
-            self._trace("corrupt_param", dst)
+            self._trace("corrupt_" + fault.mode, dst)
             return header + msg.encode()
         return None

@@ -92,13 +92,19 @@ class CorruptFault:
 
     ``mode`` selects the injection point: ``"result"`` bit-flips a value
     a microthread produced, at the completion-time hook in
-    ``proc/sim_manager.py`` (before the microframe's effects dispatch);
-    ``"param"`` bit-flips a value *in flight* by mangling the payload of
-    an APPLY_RESULT (a microframe parameter), a REPLICATE or a VERDICT
-    inside ``SimNetwork.send``.  ``site`` is the
-    executing site (result mode) or the message destination (param mode);
-    -1 matches any site.  ``prob`` is the per-result / per-message
-    corruption probability, ``flips`` the number of bits flipped.
+    ``proc/sim_manager.py`` (before the microframe's effects dispatch).
+    The two wire modes bit-flip a value *in flight* inside
+    ``SimNetwork.send``: ``"param"`` the payload of an APPLY_RESULT (a
+    microframe parameter), ``"replicate"`` that of a REPLICATE (the
+    arguments a buddy replays) or a VERDICT (the effects it answers
+    with).  Replicated execution defends against ``"result"`` and
+    ``"replicate"`` corruption only: a buddy replays the inputs the
+    primary received, so a parameter flipped on its way in is repeated
+    faithfully and commits — ``"param"`` corruption is undefended.
+    ``site`` is the executing site (result mode) or the message
+    destination (wire modes); -1 matches any site.  ``prob`` is the
+    per-result / per-message corruption probability, ``flips`` the
+    number of bits flipped.
     """
 
     start: float
@@ -131,10 +137,10 @@ def _validate_fault(f: Fault) -> None:
             f"{f.kind} fault window must have start < end, got "
             f"[{start}, {end})")
     if isinstance(f, CorruptFault):
-        if f.mode not in ("result", "param"):
+        if f.mode not in ("result", "param", "replicate"):
             raise SDVMError(
-                f"corrupt fault mode must be 'result' or 'param', "
-                f"got {f.mode!r}")
+                f"corrupt fault mode must be 'result', 'param' or "
+                f"'replicate', got {f.mode!r}")
         if not 0.0 < f.prob <= 1.0:
             raise SDVMError(
                 f"corrupt fault prob must be in (0, 1], got {f.prob}")

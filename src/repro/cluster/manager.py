@@ -290,8 +290,8 @@ class ClusterManager(Manager):
             record.load += nframes
             self._note_hot(record)
 
-    def note_load(self, logical: int, load: float,
-                  queue: Optional[float] = None) -> None:
+    def note_load(self, logical: int, load: int,
+                  queue: Optional[int] = None) -> None:
         record = self.sites.get(logical)
         if record is not None:
             record.load = load
@@ -335,17 +335,17 @@ class ClusterManager(Manager):
         if record is not None:
             record.last_seen = self.kernel.now
 
-    def local_record_wire(self) -> dict:
-        """Self-description piggybacked on help requests so unknown peers
-        learn about us ("propagated to the other sites ... by and by")."""
+    def local_record_wire(self) -> list:
+        """Self-description piggybacked on a help request to a peer we
+        have never heard from, so it can resolve us and answer ("propagated
+        to the other sites ... by and by").  A peer that has sent us a
+        message has resolved our id already and gets no record."""
         record = self.sites.get(self.local_id)
         if record is None:
             raise ClusterError("site has no local record yet")
-        record.load = self.site.site_manager.current_load()
-        record.queue = float(self.site.scheduling_manager.stealable_depth())
         return record.to_wire()
 
-    def learn_record(self, wire: dict) -> None:
+    def learn_record(self, wire: list) -> None:
         self._merge_record(SiteRecord.from_wire(wire))
 
     def _merge_record(self, incoming: SiteRecord) -> None:
@@ -455,24 +455,12 @@ class ClusterManager(Manager):
         self.stats.inc("sign_ons_served")
         self._announce(record)
 
-    #: membership-list size above which SIGN_ON_ACK switches from the
-    #: historical per-record dict encoding to the compact positional one.
-    #: The ACK carries all n known records, so a 1024-site join wave used
-    #: to ship ~12 repeated key strings per record per joiner; below the
-    #: threshold the wire bytes stay byte-for-byte historical (bench
-    #: baselines at 64 sites and under do not move)
-    ACK_COMPACT_THRESHOLD = 128
-
     def _send_ack(self, record: SiteRecord, grant_block: bool = False) -> None:
-        payload = {"your_id": record.logical}
-        if len(self.sites) > self.ACK_COMPACT_THRESHOLD:
-            payload["sites_packed"] = [r.to_wire_compact()
-                                       for r in self.sites.values()]
-        else:
-            # key insertion order preserved: small-cluster ACK bytes stay
-            # identical to the historical encoding
-            payload["sites"] = [r.to_wire() for r in self.sites.values()]
-        payload["programs"] = self.site.program_manager.known_programs_wire()
+        payload = {
+            "your_id": record.logical,
+            "sites": [r.to_wire() for r in self.sites.values()],
+            "programs": self.site.program_manager.known_programs_wire(),
+        }
         if grant_block and isinstance(self.allocator, ContingentAllocator):
             try:
                 low, high = self.allocator.grant_block()
@@ -528,8 +516,6 @@ class ClusterManager(Manager):
         self._add_self_record()
         for wire in msg.payload.get("sites", []):
             self.learn_record(wire)
-        for packed in msg.payload.get("sites_packed", []):
-            self._merge_record(SiteRecord.from_wire_compact(packed))
         block = msg.payload.get("id_block")
         if block and isinstance(self.allocator, ContingentAllocator):
             self.allocator.receive_block(block[0], block[1])
@@ -705,14 +691,12 @@ class ClusterManager(Manager):
     def _heartbeat_tick(self) -> None:
         if not self.site.running:
             return
-        load = self.site.site_manager.current_load()
-        queue = float(self.site.scheduling_manager.stealable_depth())
+        # the figures ride in the envelope; the heartbeat itself is news
         for logical in self._heartbeat_targets():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.HEARTBEAT,
                 src_site=self.local_id, src_manager=ManagerId.CLUSTER,
                 dst_site=logical, dst_manager=ManagerId.CLUSTER,
-                payload={"load": load, "queue": queue},
             ))
         self._check_liveness()
         self._schedule_heartbeat()
@@ -729,8 +713,8 @@ class ClusterManager(Manager):
         return [ids[(start + i) % len(ids)] for i in range(fanout)]
 
     def _on_heartbeat(self, msg: SDMessage) -> None:
-        self.note_load(msg.src_site, msg.payload.get("load", 0.0),
-                       queue=msg.payload.get("queue"))
+        """Nothing left to do: the message manager noted the envelope's
+        figures, and with them ``last_seen``, before dispatching here."""
 
     def _check_liveness(self) -> None:
         timeout = self.config.cluster.heartbeat_timeout

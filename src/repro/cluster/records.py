@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-#: bit positions of the compact-encoding flags word (see
-#: :meth:`SiteRecord.to_wire_compact`)
+#: bit positions of the wire form's flags word (see
+#: :meth:`SiteRecord.to_wire`)
 _F_ALIVE = 1
 _F_LEFT = 2
 _F_CODE_DIST = 4
@@ -32,12 +32,14 @@ class SiteRecord:
     #: from coordinator/heir/snapshot-keeper duties
     reliable: bool = True
     #: last load figure heard from this site (executable+ready+in-flight)
-    load: float = 0.0
+    load: int = 0
     #: last *stealable* queue depth heard (scheduler executable+ready) —
     #: what victim selection and proactive push actually key on
-    queue: float = 0.0
+    queue: int = 0
     #: local time the load/queue figures were last updated (-1 = never
-    #: heard; not sent on the wire — clocks are only comparable locally)
+    #: heard).  None of the three is in the wire forms: the figures travel
+    #: only in a message's envelope, and the receiver sets all three from
+    #: there (a second-hand figure would arrive with no age to judge it by)
     load_at: float = -1.0
     #: when we last heard anything from it (heartbeats or piggybacked)
     last_seen: float = 0.0
@@ -48,63 +50,22 @@ class SiteRecord:
     #: the site that adopted this site's frames/objects after sign-off
     heir: Optional[int] = None
 
-    def to_wire(self) -> dict:
-        return {
-            "logical": self.logical,
-            "physical": self.physical,
-            "platform": self.platform,
-            "speed": self.speed,
-            "name": self.name,
-            "code_distribution": self.code_distribution,
-            "reliable": self.reliable,
-            "load": self.load,
-            "queue": self.queue,
-            "alive": self.alive,
-            "left": self.left,
-            "heir": -1 if self.heir is None else self.heir,
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "SiteRecord":
-        heir = data.get("heir", -1)
-        return cls(
-            logical=data["logical"],
-            physical=data["physical"],
-            platform=data.get("platform", "py-generic"),
-            speed=data.get("speed", 1.0),
-            name=data.get("name", ""),
-            code_distribution=data.get("code_distribution", False),
-            reliable=data.get("reliable", True),
-            load=data.get("load", 0.0),
-            queue=data.get("queue", 0.0),
-            alive=data.get("alive", True),
-            left=data.get("left", False),
-            heir=None if heir < 0 else heir,
-        )
-
-    def to_wire_compact(self) -> list:
-        """Positional membership encoding for bulk transfers.
-
-        A full :meth:`to_wire` dict repeats 12 key strings per record, so
-        a 1024-site SIGN_ON_ACK spends most of its bytes on keys.  The
-        compact form is a 9-element list with the four booleans packed
-        into one flags word; it carries exactly the information
-        :meth:`from_wire` reads, so ``from_wire_compact(to_wire_compact())``
-        round-trips.  Only used above the bulk threshold — small-cluster
-        ACKs keep the historical dict encoding byte-for-byte.
-        """
+    def to_wire(self) -> list:
+        """The record on the wire, positionally: a 7-element list with the
+        four booleans packed into one flags word, so a 1024-site
+        SIGN_ON_ACK does not spend most of its bytes on repeated keys.
+        ``from_wire(to_wire())`` round-trips everything but the locally
+        kept figures (``load``, ``queue``, ``load_at``, ``last_seen``)."""
         flags = ((_F_ALIVE if self.alive else 0)
                  | (_F_LEFT if self.left else 0)
                  | (_F_CODE_DIST if self.code_distribution else 0)
                  | (_F_RELIABLE if self.reliable else 0))
         return [self.logical, self.physical, self.platform, self.speed,
-                self.name, flags, self.load, self.queue,
-                -1 if self.heir is None else self.heir]
+                self.name, flags, -1 if self.heir is None else self.heir]
 
     @classmethod
-    def from_wire_compact(cls, data: list) -> "SiteRecord":
-        (logical, physical, platform, speed, name, flags, load, queue,
-         heir) = data
+    def from_wire(cls, data: list) -> "SiteRecord":
+        logical, physical, platform, speed, name, flags, heir = data
         return cls(
             logical=logical,
             physical=physical,
@@ -113,8 +74,6 @@ class SiteRecord:
             name=name,
             code_distribution=bool(flags & _F_CODE_DIST),
             reliable=bool(flags & _F_RELIABLE),
-            load=load,
-            queue=queue,
             alive=bool(flags & _F_ALIVE),
             left=bool(flags & _F_LEFT),
             heir=None if heir < 0 else heir,

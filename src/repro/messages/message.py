@@ -125,14 +125,17 @@ class SDMessage:
     program: int = -1
     seq: int = -1
     reply_to: int = -1
-    #: sender's load figure, piggybacked on every message so cluster
-    #: managers keep fresh "statistical data about e. g. the other sites'
-    #: load" (§4) without dedicated traffic.  -1 = not supplied.
-    src_load: float = -1.0
+    #: sender's load figure (queued + running frames), piggybacked on
+    #: every message so cluster managers keep fresh "statistical data about
+    #: e. g. the other sites' load" (§4) without dedicated traffic.  The
+    #: only place the figure travels: no payload repeats it.  A frame
+    #: count, so a small varint on the wire.  -1 = not supplied.
+    src_load: int = -1
     #: sender's *stealable* queue depth (executable+ready frames), also
-    #: piggybacked on every message — the scheduler's victim selection and
-    #: proactive push run off this figure.  -1 = not supplied.
-    src_queue: float = -1.0
+    #: piggybacked on every message and nowhere else — the scheduler's
+    #: victim selection and proactive push run off this figure.  -1 = not
+    #: supplied.
+    src_queue: int = -1
     #: causal context, stamped by the sending message manager when tracing
     #: is enabled: ``origin_site`` is the site where this causal chain was
     #: rooted, ``cause_id`` the packed node id of the event that caused the

@@ -439,7 +439,7 @@ class SimProcessingManager(Manager):
         if effects is None:
             self.stats.inc("sdc_shadow_timeouts")
         if verify.shadow is not None:
-            self._resolve(verify, effects, tainted)
+            self._resolve(verify, effects)
             return
         if effects is None or effects_key(ctx.effects) == effects_key(effects):
             # agreed — or no second opinion to be had: commit the primary's
@@ -466,21 +466,18 @@ class SimProcessingManager(Manager):
                   if peer != source] or [source]
         self._ask(verify, others[frame.frame_id.pack() % len(others)])
 
-    def _resolve(self, verify: _Verify, effects_ref: Optional[list],
-                 tainted_ref: bool) -> None:
+    def _resolve(self, verify: _Verify,
+                 effects_ref: Optional[list]) -> None:
         ctx = verify.ctx
         effects_shadow, tainted_shadow = verify.shadow
         chosen, tainted, winner = ctx.effects, ctx.sdc_tainted, "primary"
-        if effects_ref is not None:
-            key_ref = effects_key(effects_ref)
-            if key_ref == effects_key(effects_shadow):
-                chosen, tainted, winner = (effects_shadow, tainted_shadow,
-                                           "shadow")
-            elif key_ref != effects_key(ctx.effects):
-                # all three disagree: trust the referee, which ran outside
-                # both quarantined executions
-                chosen, tainted, winner = effects_ref, tainted_ref, "referee"
-        # (no third opinion available: the primary's word stands)
+        if (effects_ref is not None
+                and effects_key(effects_ref) == effects_key(effects_shadow)):
+            chosen, tainted, winner = effects_shadow, tainted_shadow, "shadow"
+        # otherwise the primary's word stands: the referee agrees with it,
+        # gave no opinion, or all three disagree — at least two faults, and
+        # the primary's answer is the only one that crossed no wire (a
+        # corrupted ingress at the primary flips every verdict it receives)
         self.stats.inc("sdc_resolved")
         tr = self.tracer
         if tr is not None:
@@ -497,8 +494,8 @@ class SimProcessingManager(Manager):
         self.kick()
 
     # ------------------------------------------------------------------
-    def current_load(self) -> float:
-        return float(self.in_flight)
+    def current_load(self) -> int:
+        return self.in_flight
 
     def status(self) -> dict:
         base = super().status()

@@ -256,8 +256,8 @@ class LiveProcessingManager(Manager):
         self.site.crash_manager.maybe_ack_drained()
         self.kick()
 
-    def current_load(self) -> float:
-        return float(self.in_flight)
+    def current_load(self) -> int:
+        return self.in_flight
 
     def status(self) -> dict:
         base = super().status()

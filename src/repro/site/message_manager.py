@@ -49,7 +49,7 @@ class MessageManager(Manager):
         #: with one and the receiver applies it, so the record is kept here
         #: and not by the gossip that reads it (see :meth:`told_other_than`).
         #: Kept only while the gossip tick runs; it prunes what is too old.
-        self._told: Dict[int, Tuple[float, float]] = {}
+        self._told: Dict[int, Tuple[int, float]] = {}
         self._track_told = self.config.scheduling.gossip_interval > 0
 
     # ------------------------------------------------------------------
@@ -64,8 +64,7 @@ class MessageManager(Manager):
         if msg.src_load < 0 and self.site.running:
             msg.src_load = self.site.site_manager.current_load()
         if msg.src_queue < 0 and self.site.running:
-            msg.src_queue = float(
-                self.site.scheduling_manager.stealable_depth())
+            msg.src_queue = self.site.scheduling_manager.stealable_depth()
         # causal stamp (tracing only — the disabled path never writes it):
         # the send inherits whatever causal context this site is currently
         # executing under (an incoming message or a frame execution).
@@ -123,7 +122,7 @@ class MessageManager(Manager):
             self._told[dst] = (msg.src_queue, self.kernel.now)
         return ok
 
-    def told_other_than(self, queue: float, limit: int) -> List[int]:
+    def told_other_than(self, queue: int, limit: int) -> List[int]:
         """At most ``limit`` peers we are in conversation with whose last
         figure from us is not ``queue``, longest-silent first.  Peers with
         no entry hold no figure of ours that could be wrong."""
@@ -138,7 +137,7 @@ class MessageManager(Manager):
         told = self._told
         for known in (list(told) if peer is None else [peer]):
             if known in told:
-                told[known] = (-1.0, told[known][1])
+                told[known] = (-1, told[known][1])
 
     def forget_told(self, peer: int) -> None:
         """``peer`` departed: the conversation is over."""

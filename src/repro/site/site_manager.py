@@ -90,8 +90,9 @@ class SiteManager(Manager):
                 "joules": joules}
 
     # ------------------------------------------------------------------
-    def current_load(self) -> float:
-        """The load figure advertised to other sites: queued + running work."""
+    def current_load(self) -> int:
+        """The load figure advertised to other sites: queued + running
+        frames (the envelope's ``src_load``)."""
         return (self.site.scheduling_manager.queue_depth()
                 + self.site.processing_manager.current_load())
 
@@ -181,10 +182,10 @@ class SiteManager(Manager):
     # ------------------------------------------------------------------
     def handle(self, msg: SDMessage) -> None:
         if msg.type == MsgType.STATUS_REPLY:
-            # unsolicited/late status reply: still useful load information
-            self.site.cluster_manager.note_load(
-                msg.src_site, msg.payload.get("load", 0.0))
-        elif msg.type == MsgType.STATUS_QUERY:
+            # unsolicited/late status reply: its envelope's load figures
+            # were applied before dispatch, and there is nothing else to do
+            return
+        if msg.type == MsgType.STATUS_QUERY:
             self.site.message_manager.send(make_reply(
                 msg, MsgType.STATUS_REPLY,
                 {"load": self.current_load(),

@@ -118,7 +118,7 @@ class TestTraceAndStats:
         # homesite are a MEM_READ and its reply each — what the live
         # kernel pays, because it is the same protocol
         assert derived("memstress", "--sites", "3", "--args", "16", "50") \
-            == {"msgs_per_exec": pytest.approx(57 / 33, abs=1e-3),
+            == {"msgs_per_exec": pytest.approx(58 / 33, abs=1e-3),
                 "dir_updates_per_alloc": 0.0, "msgs_per_remote_read": 2.0}
         assert derived("primes", "--sites", "2",
                        "--args", "10", "4", "200", "2000") \

@@ -52,6 +52,22 @@ class TestSignOn:
         assert beta_seen_by_alpha.speed == 0.5
         assert beta_seen_by_alpha.platform == "py"
 
+    def test_record_wire_form_round_trips_without_figures(self):
+        """One positional wire form at every cluster size; the load
+        figures stay home — the receiver sets them from envelopes."""
+        from repro.cluster.records import SiteRecord
+        record = SiteRecord(logical=5, physical="sim://5", platform="px",
+                            speed=2.0, name="e", code_distribution=True,
+                            reliable=False, load=7, queue=3, load_at=1.5,
+                            alive=False, left=True, heir=2)
+        wire = record.to_wire()
+        # flags: left (2) | code distribution (4); not alive, not reliable
+        assert wire == [5, "sim://5", "px", 2.0, "e", 6, 2]
+        back = SiteRecord.from_wire(wire)
+        assert (back.load, back.queue, back.load_at) == (0, 0, -1.0)
+        back.load, back.queue, back.load_at = 7, 3, 1.5
+        assert back == record
+
 
 class TestIdStrategies:
     @pytest.mark.parametrize("strategy", ["central", "contingent", "modulo"])

@@ -8,11 +8,13 @@ under test and not by a program's queue moving.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.apps import build_treesum_program, treesum_expected
+from repro.apps import (build_primes_program, build_treesum_program,
+                        first_n_primes, treesum_expected)
 from repro.bench import bench_config
 from repro.bench.harness import run_primes, run_treesum
 from repro.chaos import journal_fingerprint
@@ -48,10 +50,10 @@ class Reporter:
             self.run(1e-3)
         self.site = self.cluster.sites[0]
         self.peers = self.cluster.sites[1:]
-        self.figure = (1.0, 0.0)
+        self.figure = (1, 0)
         self.site.site_manager.current_load = lambda: self.figure[0]
         self.site.scheduling_manager.stealable_depth = (
-            lambda: int(self.figure[1]))
+            lambda: self.figure[1])
         # the tick reports only while a program is active
         self.site.program_manager.has_active_programs = lambda: True
         #: (time, peer) of every LOAD_REPORT the reporter sent
@@ -77,8 +79,7 @@ class Reporter:
             self.mm.send(SDMessage(
                 type=MsgType.HEARTBEAT,
                 src_site=self.site.site_id, src_manager=ManagerId.CLUSTER,
-                dst_site=peer.site_id, dst_manager=ManagerId.CLUSTER,
-                payload={"load": self.figure[0], "queue": self.figure[1]}))
+                dst_site=peer.site_id, dst_manager=ManagerId.CLUSTER))
 
     def view(self, peer):
         record = peer.cluster_manager.sites[self.site.site_id]
@@ -93,7 +94,7 @@ class TestConversationScope:
         rep = Reporter(nsites=4)
         partner = rep.peers[0]
         rep.talk_to(partner)
-        for queue in (3.0, 0.0, 5.0, 1.0):
+        for queue in (3, 0, 5, 1):
             rep.figure = (queue + 1, queue)
             rep.run(2 * INTERVAL)
         assert len(rep.reports) == 4
@@ -102,7 +103,7 @@ class TestConversationScope:
     def test_partners_are_corrected_once_oldest_first_under_the_cap(self):
         rep = Reporter(nsites=8)
         rep.talk_to(*rep.peers)
-        rep.figure = (3.0, 2.0)
+        rep.figure = (3, 2)
         fanout = GOSSIP_FANOUT
         rep.run(INTERVAL + WIRE)
         assert sum(rep.view(p) == rep.figure for p in rep.peers) >= fanout
@@ -120,7 +121,7 @@ class TestConversationScope:
     def test_a_load_only_change_sends_nothing(self):
         rep = Reporter(nsites=4)
         rep.talk_to(*rep.peers)
-        rep.figure = (7.0, rep.figure[1])
+        rep.figure = (7, rep.figure[1])
         rep.run(5 * INTERVAL)
         assert rep.reports == []
 
@@ -132,14 +133,14 @@ class TestConversationScope:
         rep.talk_to(peer)
         rep.run(INTERVAL / 2)  # between two ticks
         f1 = rep.figure
-        rep.figure = (5.0, 4.0)
+        rep.figure = (5, 4)
         rep.talk_to(peer)
         rep.figure = f1
         held = set()
         for _ in range(40):
             rep.run((INTERVAL + WIRE) / 20)
             held.add(rep.view(peer))
-        assert (5.0, 4.0) in held
+        assert (5, 4) in held
         assert rep.view(peer) == f1
         assert rep.reported_to() == [peer.site_id]
 
@@ -158,7 +159,7 @@ class TestConversationScope:
         assert sm.stats.get("cant_help_received").count == 1
         assert victim in sm._cooldown
         assert rep.reports == []
-        rep.figure = (4.0, 3.0)
+        rep.figure = (4, 3)
         rep.run(INTERVAL + WIRE)
         assert rep.reported_to() == [thief.site_id]
         assert rep.view(thief) == rep.figure
@@ -171,18 +172,18 @@ class TestConversationScope:
         peer = rep.peers[0]
         rep.talk_to(peer)
         rep.run(CONVERSATION - 2 * INTERVAL)
-        rep.figure = (2.0, 1.0)
+        rep.figure = (2, 1)
         rep.run(2 * INTERVAL)
         assert rep.reported_to() == [peer.site_id]
         # the correction was a message too: the conversation goes on
         rep.run(CONVERSATION - 3 * INTERVAL)
-        rep.figure = (3.0, 2.0)
+        rep.figure = (3, 2)
         rep.run(2 * INTERVAL)
         assert rep.reported_to() == [peer.site_id] * 2
         # silence closes it
         rep.run(CONVERSATION + INTERVAL)
         assert not rep.mm._told
-        rep.figure = (4.0, 3.0)
+        rep.figure = (4, 3)
         rep.run(5 * INTERVAL)
         assert len(rep.reports) == 2
 
@@ -234,7 +235,7 @@ class TestInvalidation:
         gone = rep.peers[0].site_id
         rep.site.cluster_manager.mark_dead(gone, left=False)
         assert gone not in rep.mm._told
-        rep.figure = (2.0, 1.0)
+        rep.figure = (2, 1)
         rep.run(3 * INTERVAL)
         assert gone not in rep.reported_to()
 
@@ -251,7 +252,7 @@ class TestInvalidation:
 
         rep = Reporter(nsites=4)
         victim = rep.peers[2]
-        rep.figure = old = (4.0, 3.0)
+        rep.figure = old = (4, 3)
         rep.talk_to(victim)
         told_at = rep.sim.now
         rep.run(WIRE)
@@ -259,7 +260,7 @@ class TestInvalidation:
         network = rep.cluster.network
         network.chaos = DropLink(int(rep.site.kernel.local_physical()),
                                  int(victim.kernel.local_physical()))
-        rep.figure = (1.0, 0.0)
+        rep.figure = (1, 0)
         rep.run(3 * INTERVAL)
         network.chaos = None
         assert network.stats.get("chaos_dropped").count == 1
@@ -272,6 +273,51 @@ class TestInvalidation:
         # ...until its own staleness horizon expires the figure
         rep.run(2 * INTERVAL + WIRE)
         assert record not in victim.cluster_manager.hot_peers()
+
+
+class TestFiguresRideInTheEnvelope:
+    """The load figures travel once, in the envelope: no payload that used
+    to repeat them still does, and what a receiver records of the sender
+    is what the envelope said."""
+
+    KINDS = frozenset({MsgType.LOAD_REPORT, MsgType.HEARTBEAT,
+                       MsgType.CANT_HELP, MsgType.HELP_REQUEST,
+                       MsgType.HELP_REPLY})
+
+    def test_no_payload_repeats_the_envelope(self):
+        base = gossip_config()
+        # no proactive push: it raises the pusher's record of its target,
+        # which would blur what the envelope alone set
+        config = base.with_(
+            scheduling=replace(base.scheduling, push_enabled=False),
+            cluster=replace(base.cluster, heartbeats_enabled=True,
+                            heartbeat_interval=2e-3, heartbeat_timeout=1.0))
+        cluster = SimCluster(nsites=4, config=config)
+        seen = Counter()
+        for site in cluster.sites:
+            self._watch(site, seen)
+        handle = cluster.submit(build_primes_program(),
+                                args=(25, 6, 400.0, 4000.0))
+        cluster.run(progress_timeout=120.0)
+        assert handle.result == first_n_primes(25)
+        assert set(seen) == self.KINDS
+
+    def _watch(self, site, seen) -> None:
+        mm = site.message_manager
+        dispatch = mm._dispatch_inner
+
+        def checked(msg):
+            dispatch(msg)
+            if (msg.type not in self.KINDS or site.stopped
+                    or msg.src_site == site.site_id):
+                return
+            assert not {"load", "queue"} & set(msg.payload), msg
+            record = site.cluster_manager.sites[msg.src_site]
+            assert (record.load, record.queue, record.load_at) == (
+                msg.src_load, msg.src_queue, site.kernel.now), msg
+            assert type(record.load) is int and type(record.queue) is int
+            seen[msg.type] += 1
+        mm._dispatch_inner = checked
 
 
 class TestToldRecord:

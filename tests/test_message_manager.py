@@ -64,6 +64,7 @@ class TestSendReceive:
         msg = status_msg(a, b)
         a.message_manager.send(msg)
         assert msg.src_load >= 0
+        assert type(msg.src_load) is int and type(msg.src_queue) is int
         cluster.sim.run(until=0.5)
         record = b.cluster_manager.sites[a.site_id]
         assert record.load == msg.src_load

@@ -35,8 +35,23 @@ class TestWire:
         assert decoded.reply_to == -1
 
     def test_src_load_roundtrip(self):
-        msg = sample(src_load=5.5)
-        assert SDMessage.decode(msg.encode()).src_load == 5.5
+        msg = sample(src_load=5)
+        assert SDMessage.decode(msg.encode()).src_load == 5
+
+    def test_header_figures_are_ints(self):
+        """The load and queue figures are frame counts: ints from the
+        sender through the wire to the receiver, a small varint each, and
+        the snapshot a sim wire carries agrees with the parse."""
+        msg = sample(src_load=5, src_queue=3)
+        for got in (SDMessage.decode(msg.encode()), msg.snapshot()):
+            assert (got.src_load, got.src_queue) == (5, 3)
+            assert type(got.src_load) is int and type(got.src_queue) is int
+        unset = sample()
+        assert (unset.src_load, unset.src_queue) == (-1, -1)
+        assert type(unset.src_load) is int and type(unset.src_queue) is int
+        # as float64s the two figures would cost 7 bytes more each
+        as_floats = sample(src_load=5.0, src_queue=3.0)
+        assert as_floats.wire_size() == msg.wire_size() + 14
 
     def test_payload_with_addresses(self):
         msg = sample(payload={"addr": GlobalAddress(3, 9), "slot": 1})

@@ -315,8 +315,8 @@ sd_messages = st.builds(
     program=st.integers(min_value=-1, max_value=2**40),
     seq=st.integers(min_value=-1, max_value=2**40),
     reply_to=st.integers(min_value=-1, max_value=2**40),
-    src_load=st.floats(min_value=-1.0, max_value=1e6),
-    src_queue=st.floats(min_value=-1.0, max_value=1e6),
+    src_load=st.integers(min_value=-1, max_value=10**6),
+    src_queue=st.integers(min_value=-1, max_value=10**6),
     origin_site=_site_ids,
     cause_id=st.integers(min_value=-1, max_value=2**63),
 )
