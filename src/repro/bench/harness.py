@@ -68,8 +68,8 @@ def bench_config(**overrides) -> SDVMConfig:
     """The configuration every benchmark uses unless it sweeps a knob."""
     base = SDVMConfig(
         # gossip_interval: the benchmarks measure work distribution, so
-        # the load-report tick is on (the global default keeps it off to
-        # preserve quiescence for the power/sleep experiments)
+        # load-report corrections are on (the global default keeps them
+        # off for the power/sleep experiments)
         # gossip_staleness: reports go out on change, so this is not a
         # multiple of the interval: it bounds how long a lost report can
         # mislead, and a site keeps correcting a peer for half of it

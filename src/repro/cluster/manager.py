@@ -42,7 +42,7 @@ class ClusterManager(Manager):
         #: callbacks fired when a site crashes or signs off: fn(logical_id)
         self.on_site_departed: List[Callable[[int], None]] = []
         #: incrementally maintained membership caches — rebuilt only on
-        #: join/departure, never per message or per gossip tick
+        #: join/departure, never per message or per gossip flush
         self._sorted_alive_peers: List[int] = []
         self._alive_records: Optional[List[SiteRecord]] = None
         #: rotating window cursor for bounded victim/push sampling
@@ -240,8 +240,12 @@ class ClusterManager(Manager):
         staleness = self.config.scheduling.gossip_staleness
         candidates = [r for r in self.peer_sample()
                       if r.logical not in excluded]
-        fresh = [r for r in candidates
-                 if r.load_at >= 0 and now - r.load_at <= staleness]
+        fresh, unknown = [], []
+        for r in candidates:
+            if r.load_at >= 0 and now - r.load_at <= staleness:
+                fresh.append(r)
+            else:
+                unknown.append(r)
         with_work = [r for r in fresh if r.queue >= self.STEAL_MIN_QUEUE]
         # the hot cache sees every load report, not just the sample
         # window: in a large cluster with few busy sites this is what
@@ -258,7 +262,6 @@ class ClusterManager(Manager):
             return self.kernel.rng.choice(top).logical
         if not candidates:
             return None
-        unknown = [r for r in candidates if r not in fresh]
         if unknown:
             return self.kernel.rng.choice(unknown).logical
         busy = [r for r in fresh if r.load >= 2]

@@ -145,13 +145,15 @@ class SchedulingConfig:
     #: max frames handed over per HELP_REPLY or proactive push (the
     #: steal-half batch is capped here)
     steal_batch_max: int = 4
-    #: period of the LOAD_REPORT gossip tick (0 disables it; the load/queue
-    #: figures piggybacked on regular traffic are always on).  The tick is
-    #: a timer and a rate limit, not a heartbeat: each one corrects at most
-    #: ``GOSSIP_FANOUT`` (sched/manager.py) peers, and only peers this site is
-    #: in conversation with (it sent them a message within half of
-    #: ``gossip_staleness``) whose last stealable-queue figure from us is
-    #: out of date.  Peers it has not talked to get nothing
+    #: the longest a LOAD_REPORT correction waits (0 disables them; the
+    #: load/queue figures piggybacked on regular traffic are always on).
+    #: Not a period: a flush is armed only when a peer this site is in
+    #: conversation with (it sent them a message within half of
+    #: ``gossip_staleness``) may hold an out-of-date stealable-queue figure,
+    #: and fires at the next multiple of this interval after the site's
+    #: start.  Each flush corrects at most ``GOSSIP_FANOUT``
+    #: (sched/manager.py) such peers.  Peers it has not talked to get
+    #: nothing, and an idle site with nothing to correct runs no timer
     gossip_interval: float = 0.0
     #: how long a first-hand load/queue figure stays valid for victim
     #: selection and push targeting.  Half of it is how long a sender

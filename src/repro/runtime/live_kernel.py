@@ -202,6 +202,11 @@ class LiveKernel(Kernel):
         self._timer_wakeup.set()
         return handle
 
+    def call_at(self, when: float, fn: Callable[..., None],
+                *args: Any) -> _TimerHandle:
+        # a time already past fires at once (call_later clamps at 0)
+        return self.call_later(when - time.monotonic(), fn, *args)
+
     def cancel(self, handle: Any) -> None:
         if isinstance(handle, _TimerHandle):
             handle.cancelled = True

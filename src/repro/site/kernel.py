@@ -44,6 +44,13 @@ class Kernel(abc.ABC):
         handle."""
 
     @abc.abstractmethod
+    def call_at(self, when: float, fn: Callable[..., None],
+                *args: Any) -> Any:
+        """Run ``fn(*args)`` at time ``when`` (on the clock of :attr:`now`);
+        returns a :meth:`call_later` handle.  Exact where ``call_later(when
+        - now)`` would round: a sim event fires at ``when`` itself."""
+
+    @abc.abstractmethod
     def cancel(self, handle: Any) -> None:
         """Cancel a :meth:`call_later` handle (idempotent)."""
 

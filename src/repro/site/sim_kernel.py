@@ -49,6 +49,10 @@ class SimKernel(Kernel):
                    *args: Any) -> Event:
         return self.sim.schedule(delay, fn, *args)
 
+    def call_at(self, when: float, fn: Callable[..., None],
+                *args: Any) -> Event:
+        return self.sim.schedule_at(when, fn, *args)
+
     def cancel(self, handle: Any) -> None:
         if isinstance(handle, Event):
             handle.cancel()

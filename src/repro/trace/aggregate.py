@@ -170,6 +170,9 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         "help_timeouts": merged.get("help_timeouts").count,
         "frames_pushed": merged.get("frames_pushed").count,
         "gossip_sent": merged.get("gossip_sent").count,
+        # flushes armed by a changed figure; one corrects up to three
+        # partners, one that finds every partner told sends nothing
+        "gossip_flushes": merged.get("gossip_flushes").count,
         # the trade conversation-scoped load reports make: fewer reports
         # per useful execution, paid for in blind probes that come back
         # as CANT_HELP

@@ -85,6 +85,16 @@ class TestTimers:
         assert done.wait(2.0)
         assert order == ["early", "late"]
 
+    def test_call_at_fires_at_the_instant_and_at_once_when_past(self, kernel):
+        order = []
+        done = threading.Event()
+        at = kernel.now + 0.05
+        kernel.call_at(at, lambda: (order.append(kernel.now >= at),
+                                    done.set()))
+        kernel.call_at(kernel.now - 1.0, order.append, "past")
+        assert done.wait(2.0)
+        assert order == ["past", True]
+
     def test_now_is_monotonic(self, kernel):
         a = kernel.now
         time.sleep(0.01)

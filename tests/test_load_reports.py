@@ -1,9 +1,10 @@
 """Load reports follow conversations.
 
 A site corrects the stealable-queue figure of the peers it has lately sent
-a message to, and of nobody else.  One *reporter* site has its figure
-pinned by the test, so every LOAD_REPORT it sends is caused by the rule
-under test and not by a program's queue moving.
+a message to, and of nobody else, and only when the figure changed.  One
+*reporter* site has its figure pinned by the test, so every LOAD_REPORT it
+sends is caused by the rule under test and not by a program's queue
+moving.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.bench.harness import run_primes, run_treesum
 from repro.chaos import journal_fingerprint
 from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage
-from repro.sched.manager import GOSSIP_FANOUT
+from repro.sched.manager import GOSSIP_FANOUT, SchedulingManager
 from repro.site.simcluster import SimCluster
 
 INTERVAL = 1e-3
@@ -38,9 +39,32 @@ def gossip_config():
         gossip_staleness=STALENESS))
 
 
+def flush_instants(until: float, start: float = 0.0):
+    """The instants a periodic tick started at ``start`` would have fired
+    at: ``start + INTERVAL``, then ``INTERVAL`` added up one at a time."""
+    at, instants = start + INTERVAL, []
+    while at <= until:
+        instants.append(at)
+        at += INTERVAL
+    return instants
+
+
+def scheduler_events(sim):
+    """Record every event the sim runs on behalf of a scheduling
+    manager (the gossip flush, the help retry)."""
+    seen = []
+
+    def hook(event):
+        if isinstance(getattr(event.fn, "__self__", None),
+                      SchedulingManager):
+            seen.append((event.time, event.fn.__name__))
+    sim.trace_hook = hook
+    return seen
+
+
 class Reporter:
-    """Site 0 of a formed cluster, with a pinned figure, a send log, and
-    no conversation open."""
+    """Site 0 of a formed cluster (it started at 0.0), with a pinned
+    figure, a send log, and no conversation open."""
 
     def __init__(self, nsites: int) -> None:
         self.cluster = SimCluster(nsites=nsites, config=gossip_config())
@@ -68,10 +92,22 @@ class Reporter:
         self.mm.send = logged_send
         # the join wave was a conversation with everyone: let it close
         self.run(CONVERSATION + 2 * INTERVAL)
-        assert not self.mm._told and not self.reports
+        assert self.all_expired() and not self.reports
 
     def run(self, seconds: float) -> None:
         self.sim.run(until=self.sim.now + seconds)
+
+    def set_figure(self, load: int, queue: int) -> None:
+        """Pin a new figure and arm a flush, as a real queue change does."""
+        self.figure = (load, queue)
+        self.site.scheduling_manager.arm_gossip()
+
+    def all_expired(self) -> bool:
+        """No conversation is open: whatever the record still holds is
+        older than a conversation and is pruned, not corrected."""
+        now = self.sim.now
+        return all(now - at > CONVERSATION
+                   for _q, at in self.mm._told.values())
 
     def talk_to(self, *peers) -> None:
         """Ordinary traffic: any message opens a conversation."""
@@ -95,7 +131,7 @@ class TestConversationScope:
         partner = rep.peers[0]
         rep.talk_to(partner)
         for queue in (3, 0, 5, 1):
-            rep.figure = (queue + 1, queue)
+            rep.set_figure(queue + 1, queue)
             rep.run(2 * INTERVAL)
         assert len(rep.reports) == 4
         assert set(rep.reported_to()) == {partner.site_id}
@@ -103,14 +139,14 @@ class TestConversationScope:
     def test_partners_are_corrected_once_oldest_first_under_the_cap(self):
         rep = Reporter(nsites=8)
         rep.talk_to(*rep.peers)
-        rep.figure = (3, 2)
+        rep.set_figure(3, 2)
         fanout = GOSSIP_FANOUT
         rep.run(INTERVAL + WIRE)
         assert sum(rep.view(p) == rep.figure for p in rep.peers) >= fanout
         rounds = -(-len(rep.peers) // fanout)
         rep.run((rounds - 1) * INTERVAL)
         assert all(rep.view(p) == rep.figure for p in rep.peers)
-        # longest-silent first, at most the fanout per tick...
+        # longest-silent first, at most the fanout per flush...
         assert rep.reported_to() == [p.site_id for p in rep.peers]
         ticks = [at for at, _peer in rep.reports]
         assert all(ticks.count(at) <= fanout for at in ticks)
@@ -121,21 +157,22 @@ class TestConversationScope:
     def test_a_load_only_change_sends_nothing(self):
         rep = Reporter(nsites=4)
         rep.talk_to(*rep.peers)
-        rep.figure = (7, rep.figure[1])
+        rep.set_figure(7, rep.figure[1])
         rep.run(5 * INTERVAL)
         assert rep.reports == []
 
     def test_figure_piggybacked_between_ticks_is_reported_over(self):
         """f1 told, f2 rides on ordinary traffic, back to f1 by the next
-        tick: a record of LOAD_REPORTs alone would see no news."""
+        flush instant (a tick of the old clock): a record of LOAD_REPORTs
+        alone would see no news."""
         rep = Reporter(nsites=4)
         peer = rep.peers[0]
         rep.talk_to(peer)
-        rep.run(INTERVAL / 2)  # between two ticks
+        rep.run(INTERVAL / 2)  # between two flush instants
         f1 = rep.figure
-        rep.figure = (5, 4)
+        rep.set_figure(5, 4)
         rep.talk_to(peer)
-        rep.figure = f1
+        rep.set_figure(*f1)
         held = set()
         for _ in range(40):
             rep.run((INTERVAL + WIRE) / 20)
@@ -159,7 +196,7 @@ class TestConversationScope:
         assert sm.stats.get("cant_help_received").count == 1
         assert victim in sm._cooldown
         assert rep.reports == []
-        rep.figure = (4, 3)
+        rep.set_figure(4, 3)
         rep.run(INTERVAL + WIRE)
         assert rep.reported_to() == [thief.site_id]
         assert rep.view(thief) == rep.figure
@@ -172,18 +209,18 @@ class TestConversationScope:
         peer = rep.peers[0]
         rep.talk_to(peer)
         rep.run(CONVERSATION - 2 * INTERVAL)
-        rep.figure = (2, 1)
+        rep.set_figure(2, 1)
         rep.run(2 * INTERVAL)
         assert rep.reported_to() == [peer.site_id]
         # the correction was a message too: the conversation goes on
         rep.run(CONVERSATION - 3 * INTERVAL)
-        rep.figure = (3, 2)
+        rep.set_figure(3, 2)
         rep.run(2 * INTERVAL)
         assert rep.reported_to() == [peer.site_id] * 2
         # silence closes it
         rep.run(CONVERSATION + INTERVAL)
-        assert not rep.mm._told
-        rep.figure = (4, 3)
+        assert rep.all_expired()
+        rep.set_figure(4, 3)
         rep.run(5 * INTERVAL)
         assert len(rep.reports) == 2
 
@@ -216,6 +253,7 @@ class TestInvalidation:
         rep = Reporter(nsites=4)
         self.push_from(rep.peers[1], rep)
         rep.run(2 * WIRE + 3 * INTERVAL)
+        # the receipt marked an expired entry; the flush it armed pruned it
         assert rep.reports == [] and not rep.mm._told
 
     def test_rollback_marks_every_partner_and_no_stranger(self):
@@ -235,7 +273,7 @@ class TestInvalidation:
         gone = rep.peers[0].site_id
         rep.site.cluster_manager.mark_dead(gone, left=False)
         assert gone not in rep.mm._told
-        rep.figure = (2, 1)
+        rep.set_figure(2, 1)
         rep.run(3 * INTERVAL)
         assert gone not in rep.reported_to()
 
@@ -252,7 +290,8 @@ class TestInvalidation:
 
         rep = Reporter(nsites=4)
         victim = rep.peers[2]
-        rep.figure = old = (4, 3)
+        old = (4, 3)
+        rep.set_figure(*old)
         rep.talk_to(victim)
         told_at = rep.sim.now
         rep.run(WIRE)
@@ -260,7 +299,7 @@ class TestInvalidation:
         network = rep.cluster.network
         network.chaos = DropLink(int(rep.site.kernel.local_physical()),
                                  int(victim.kernel.local_physical()))
-        rep.figure = (1, 0)
+        rep.set_figure(1, 0)
         rep.run(3 * INTERVAL)
         network.chaos = None
         assert network.stats.get("chaos_dropped").count == 1
@@ -322,22 +361,22 @@ class TestFiguresRideInTheEnvelope:
 
 class TestToldRecord:
     def test_record_is_bounded_by_traffic_not_membership(self):
-        """On 64 sites every entry is younger than the conversation
-        horizon while the program runs, and the record drains once it is
-        over."""
+        """On 64 sites the record spans at most one conversation of a
+        site's own traffic while the program runs; once it is over every
+        entry expires and no flush stays pending."""
         base = bench_config()
         config = base.with_(scheduling=replace(
             base.scheduling, gossip_interval=1e-2, gossip_staleness=5e-2))
         cluster = SimCluster(nsites=64, config=config)
-        horizon = 5e-2 / 2 + 1e-2  # plus one tick between prunes
+        conversation = 5e-2 / 2
         sizes = []
 
         def sample():
-            now = cluster.sim.now
             for site in cluster.sites:
-                told = site.message_manager._told
-                assert all(now - at <= horizon for _q, at in told.values())
-                sizes.append(len(told))
+                sent = [at for _q, at in
+                        site.message_manager._told.values()]
+                assert not sent or max(sent) - min(sent) <= conversation
+                sizes.append(len(sent))
             if not handle.done:
                 cluster.sim.schedule(5e-3, sample)
 
@@ -347,21 +386,130 @@ class TestToldRecord:
         cluster.run(progress_timeout=600.0)
         assert handle.result == treesum_expected(1024)
         assert sizes and sum(sizes) / len(sizes) < 63 / 3
-        cluster.sim.run(until=cluster.sim.now + 2 * horizon)
-        assert not any(site.message_manager._told
-                       for site in cluster.sites)
+        cluster.sim.run(until=cluster.sim.now + 2 * conversation)
+        now = cluster.sim.now
+        for site in cluster.sites:
+            assert all(now - at > conversation
+                       for _q, at in site.message_manager._told.values())
+            assert site.scheduling_manager._flush_timer is None
 
     def test_gossip_off_keeps_no_record(self):
+        """...and, with no record, never schedules a flush."""
         config = bench_config()
         config = config.with_(scheduling=replace(config.scheduling,
                                                  gossip_interval=0.0))
-        _duration, cluster = run_primes(10, 4, 4, 400.0, 4000.0,
-                                        config=config)
+        cluster = SimCluster(nsites=4, config=config)
+        seen = scheduler_events(cluster.sim)
+        handle = cluster.submit(build_primes_program(),
+                                args=(10, 4, 400.0, 4000.0))
+        cluster.run(progress_timeout=120.0)
+        assert handle.result == first_n_primes(10)
         stats = cluster.total_stats()
         assert stats.get("sent").count > 0
         assert stats.get("gossip_sent").count == 0
+        assert stats.get("gossip_flushes").count == 0
+        assert seen and "_gossip_flush" not in {name for _at, name in seen}
         assert not any(site.message_manager._told
                        for site in cluster.sites)
+
+
+class TestFlushInstants:
+    """A flush is pending only while a partner may hold a wrong figure,
+    and it fires on the instants a periodic tick would have used, so a
+    report goes out exactly when the tick would have sent it."""
+
+    def test_an_idle_cluster_with_open_conversations_runs_no_scheduler_event(
+            self):
+        cluster = SimCluster(nsites=8, config=gossip_config())
+        sim = cluster.sim
+        while any(len(s.cluster_manager.sites) < 8 for s in cluster.sites):
+            sim.run(until=sim.now + 1e-3)
+        sim.run(until=sim.now + 2 * INTERVAL)  # the last join settles
+        for site in cluster.sites:
+            for peer in cluster.sites:
+                if peer is not site:
+                    site.message_manager.send(SDMessage(
+                        type=MsgType.HEARTBEAT,
+                        src_site=site.site_id, src_manager=ManagerId.CLUSTER,
+                        dst_site=peer.site_id,
+                        dst_manager=ManagerId.CLUSTER))
+        assert all(len(site.message_manager._told) == 7
+                   for site in cluster.sites)
+        seen = scheduler_events(sim)
+        sim.run(until=sim.now + 1.0)
+        assert seen == []
+
+    def test_every_wrong_figure_has_a_flush_pending(self):
+        """Between any two events of a real run, a site with no flush
+        pending holds no partner's figure that differs from its queue:
+        every way a figure goes wrong arms one."""
+        cluster = SimCluster(nsites=6, config=gossip_config())
+        checked = []
+
+        def audit(_event):
+            for site in cluster.sites:
+                sched = site.scheduling_manager
+                if not site.running or sched._flush_timer is not None:
+                    continue
+                depth = sched.stealable_depth()
+                told = site.message_manager._told
+                assert all(q == depth for q, _at in told.values()), (
+                    site.site_id, depth, told)
+                checked.append(len(told))
+        cluster.sim.trace_hook = audit
+        handle = cluster.submit(build_primes_program(),
+                                args=(25, 6, 400.0, 4000.0))
+        cluster.run(progress_timeout=120.0)
+        assert handle.result == first_n_primes(25)
+        assert sum(checked) > 0
+        assert cluster.total_stats().get("gossip_sent").count > 0
+
+    def test_reports_go_out_on_the_tick_instants(self):
+        rep = Reporter(nsites=4)
+        rep.talk_to(*rep.peers)
+        expected = []
+        for k, wait in enumerate((0.37, 1.91, 0.05, 2.6)):
+            rep.run(wait * INTERVAL)
+            changed_at = rep.sim.now
+            rep.set_figure(k + 2, k + 1)
+            first = next(at for at in flush_instants(changed_at + INTERVAL)
+                         if at > changed_at)
+            expected += [first] * len(rep.peers)
+            rep.run(INTERVAL)
+        assert [at for at, _peer in rep.reports] == expected
+
+    def test_a_flush_capped_by_the_fanout_comes_back_at_the_next_instant(
+            self):
+        rep = Reporter(nsites=8)
+        rep.talk_to(*rep.peers)
+        stats = rep.site.scheduling_manager.stats
+        before = stats.get("gossip_flushes").count
+        changed_at = rep.sim.now
+        rep.set_figure(3, 2)
+        rep.run(6 * INTERVAL)
+        instants = [at for at in flush_instants(rep.sim.now)
+                    if at > changed_at]
+        assert [at for at, _peer in rep.reports] == (
+            [instants[0]] * GOSSIP_FANOUT + [instants[1]] * GOSSIP_FANOUT
+            + [instants[2]] * (len(rep.peers) - 2 * GOSSIP_FANOUT))
+        # and nothing after the last partner was corrected
+        assert stats.get("gossip_flushes").count - before == 3
+
+    def test_a_change_made_while_paused_is_reported_after_the_unpause(self):
+        rep = Reporter(nsites=4)
+        peer = rep.peers[0]
+        rep.talk_to(peer)
+        rep.site.paused = True
+        rep.set_figure(2, 1)
+        rep.run(3.4 * INTERVAL)
+        assert rep.reports == []
+        resumed_at = rep.sim.now
+        rep.site.paused = False
+        rep.run(2 * INTERVAL)
+        first = next(at for at in flush_instants(rep.sim.now)
+                     if at > resumed_at)
+        assert rep.reports == [(first, peer.site_id)]
+        assert rep.view(peer) == rep.figure
 
 
 def test_same_seed_twice_is_bit_identical():

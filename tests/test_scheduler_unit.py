@@ -372,6 +372,18 @@ class TestVictimSelection:
             record.load_at = -1.0
         assert cm.pick_help_target(()) in {1, 2, 3}
 
+    def test_the_stale_peer_is_found_without_comparing_records(
+            self, cm, monkeypatch):
+        """Staleness is read off the record; no record is compared with
+        another by value (a 15-field dataclass ``__eq__``)."""
+        from repro.cluster.records import SiteRecord
+
+        def no_eq(self, other):
+            raise AssertionError("records compared by value")
+        monkeypatch.setattr(SiteRecord, "__eq__", no_eq)
+        cm.sites[2].load_at = -1.0
+        assert cm.pick_help_target(()) == 2
+
     def test_fresh_busy_peer_beats_nothing(self, cm):
         # queues empty everywhere, but one peer's load says work may
         # surface: probe it rather than backing off
