@@ -66,8 +66,8 @@ sweep-smoke:
 
 # CI smoke for the silent-data-corruption defense: the defended corpus
 # plan completes correctly with exact detect/resolve accounting, the
-# health detector sees the mismatches, and the undefended twin is
-# flagged by the sdc_commit invariant
+# health detector sees the mismatches, the undefended twin is flagged
+# by the sdc_commit invariant, and a live cluster outvotes a corruption
 sdc-smoke:
 	$(PY) benchmarks/smoke_sdc.py
 

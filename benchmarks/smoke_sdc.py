@@ -17,6 +17,9 @@ committed SDC corpus plans:
    corruption, replication off): the invariant audit must flag the run
    with an ``sdc_commit`` violation — corruption reached a committed
    result and the journal proves it.
+4. **Live**: a 2-site ``LiveCluster`` with full replication, one
+   ``send_result`` flipped on one site: detected, outvoted, no tainted
+   commit, the right result.
 
 Exits non-zero on any failure so it can gate CI.
 """
@@ -28,6 +31,62 @@ import sys
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
                       "tests", "chaos_corpus")
+
+
+class _FlipOnce:
+    """Flips the first integer ``send_result`` value site ``index``
+    completes, and nothing after it."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.flipped = 0
+
+    def corrupt_effects(self, index: int, effects) -> bool:  # noqa: ANN001
+        if index != self.index or self.flipped:
+            return False
+        for effect in effects:
+            value = effect.data.get("value")
+            if effect.kind.value == "send_result" and type(value) is int:
+                effect.data["value"] = value ^ (1 << 20)
+                self.flipped += 1
+                return True
+        return False
+
+
+def live_stage() -> int:
+    """The same defense under the live kernel: threads, a real wire."""
+    from repro.apps.treesum import build_treesum_program, treesum_expected
+    from repro.common.config import SchedulingConfig, SDVMConfig
+    from repro.runtime.live_cluster import LiveCluster
+
+    config = SDVMConfig(scheduling=SchedulingConfig(replicate_frac=1.0))
+    program, expected = build_treesum_program(), treesum_expected(32)
+    args = (32, 1.0)
+    with LiveCluster(nsites=2, config=config) as cluster:
+        # a clean run first: both sites hold the code before the flip
+        if cluster.run(program, args=args, timeout=30) != expected:
+            print("FAIL: live — wrong result before any corruption")
+            return 1
+        corrupter = _FlipOnce(1)
+        for index, site in enumerate(cluster.sites):
+            site.kernel.reactor_call(
+                lambda site=site, index=index:
+                site.processing_manager.sdc_arm(corrupter, index))
+        got = cluster.run(program, args=args, timeout=30)
+    stats = cluster.cluster_report().merged
+    mismatches = stats.get("sdc_mismatches").count
+    resolved = stats.get("sdc_resolved").count
+    tainted = stats.get("sdc_tainted_commits").count
+    if (got != expected or corrupter.flipped != 1 or mismatches < 1
+            or resolved != mismatches or tainted != 0):
+        print(f"FAIL: live — result {got!r} (want {expected!r}), "
+              f"{corrupter.flipped} flip(s), {mismatches} mismatch(es), "
+              f"{resolved} resolution(s), {tainted} tainted commit(s)")
+        return 1
+    print(f"live: ok — 1 corruption, {mismatches} mismatch(es), each "
+          f"resolved, 0 tainted commits; "
+          f"{int(stats.get('sdc_verified').count)} executions verified")
+    return 0
 
 
 def main() -> int:
@@ -104,6 +163,10 @@ def main() -> int:
               f"invariant (got: {sorted(invariants)})")
         return 1
     print(f"undefended: flagged as expected ({sorted(invariants)})")
+
+    # 4. live: one manager, so the same defense on threads
+    if live_stage():
+        return 1
 
     print("sdc smoke ok")
     return 0

@@ -33,10 +33,11 @@ from repro.common.config import (
 )
 from repro.common.errors import SDVMError
 from repro.common.ids import FileHandle, GlobalAddress, ManagerId
-from repro.core.context import ExecutionContext
 from repro.core.program import ProgramBuilder, SDVMProgram
 from repro.net.topology import Topology
 from repro.site.daemon import SDVMSite
+# after the daemon: repro.proc's manager imports repro.site, which builds it
+from repro.proc.context import ExecutionContext
 from repro.site.simcluster import ProgramHandle, SimCluster
 
 __version__ = "1.0.0"

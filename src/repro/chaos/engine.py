@@ -219,7 +219,7 @@ class ChaosController:
         return value, False
 
     #: effect-data keys that hold a microthread's produced values, in
-    #: corruption preference order (see core.context.EffectKind)
+    #: corruption preference order (see proc.context.EffectKind)
     _RESULT_KEYS = (("send_result", "value"), ("exit_program", "result"),
                     ("mem_write", "value"))
 

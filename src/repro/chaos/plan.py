@@ -92,7 +92,7 @@ class CorruptFault:
 
     ``mode`` selects the injection point: ``"result"`` bit-flips a value
     a microthread produced, at the completion-time hook in
-    ``proc/sim_manager.py`` (before the microframe's effects dispatch).
+    ``proc/manager.py`` (before the microframe's effects dispatch).
     The two wire modes bit-flip a value *in flight* inside
     ``SimNetwork.send``: ``"param"`` the payload of an APPLY_RESULT (a
     microframe parameter), ``"replicate"`` that of a REPLICATE (the

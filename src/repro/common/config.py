@@ -130,7 +130,7 @@ class LiveTransportConfig:
 class SchedulingConfig:
     """Scheduling-manager policy knobs (§3.3, §4).  Values that held one
     setting everywhere are constants next to their reader (sched/manager.py,
-    cluster/manager.py, proc/sim_manager.py), not fields."""
+    cluster/manager.py, proc/manager.py), not fields."""
 
     #: local execution order.  Paper: FIFO "momentarily" to avoid starvation.
     local_policy: Literal["fifo", "lifo", "priority"] = "fifo"

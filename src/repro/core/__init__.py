@@ -7,12 +7,13 @@
 * :class:`~repro.core.threads.MicrothreadSource` /
   :class:`~repro.core.threads.CompiledMicrothread` — control-flow code
   fragments shipped as source and compiled per "platform" on the fly.
-* :class:`~repro.core.context.ExecutionContext` — the SDVM instruction set
-  visible to a running microthread ("the only interface between the program
-  running on the SDVM and the SDVM itself", §4).
 * :class:`~repro.core.program.ProgramBuilder` /
   :class:`~repro.core.program.SDVMProgram` — how applications are split into
   microthreads and submitted to a cluster.
+
+The SDVM instruction set visible to a running microthread ("the only
+interface between the program running on the SDVM and the SDVM itself",
+§4) is :class:`~repro.proc.context.ExecutionContext`.
 """
 
 from repro.core.frames import Microframe, FrameState, MISSING
@@ -23,7 +24,6 @@ from repro.core.threads import (
     binary_from_compiled,
     compiled_from_binary,
 )
-from repro.core.context import ExecutionContext, Effect, EffectKind
 from repro.core.program import ProgramBuilder, SDVMProgram, microthread_source_from_function
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "compile_microthread",
     "binary_from_compiled",
     "compiled_from_binary",
-    "ExecutionContext",
-    "Effect",
-    "EffectKind",
     "ProgramBuilder",
     "SDVMProgram",
     "microthread_source_from_function",

@@ -32,10 +32,9 @@ nothing on the lookup path broadcasts or scales with the cluster size.
 
 There is one access path, under both kernels: the message protocol
 (MEM_READ / MEM_READ_REPLY / MEM_WRITE / MEM_LOCATION / DIR_UPDATE /
-DIR_ACK) behind :meth:`live_read` and :meth:`apply_write`.  The live
-kernel's context blocks its worker on the callback; the sim kernel's
-abandons the run and repeats it when the callback fires
-(:mod:`repro.proc.sim_context`).  No site ever looks into another
+DIR_ACK) behind :meth:`live_read` and :meth:`apply_write`.  An execution
+that waits for the callback is abandoned and runs again once it has
+fired (:mod:`repro.proc.context`).  No site ever looks into another
 site's memory — a migration is two messages that chaos can delay, drop
 or partition, and a read of a dead owner's object fails.
 

@@ -5,13 +5,16 @@ the processing manager can hide the latency by switching to another
 microthread run in parallel. ... Tests showed that a number of about 5
 microthreads run in (virtual) parallel produce good results."
 
-:class:`~repro.proc.sim_manager.SimProcessingManager` models exactly that:
-up to ``max_parallel`` in-flight executions whose memory-wait phases release
-the modelled CPU; a context-switch cost is charged whenever executions
-interleave.
+One :class:`~repro.proc.manager.ProcessingManager` and one
+:class:`~repro.proc.context.ExecutionContext` serve both kernels: up to
+``max_parallel`` in-flight executions, each a restartable run whose wait
+for data frees the CPU (the modelled one in the sim, a worker thread
+live); a context-switch cost is charged whenever executions interleave.
+The kernel decides only where user code runs
+(:meth:`~repro.site.kernel.Kernel.run_user`).
 """
 
-from repro.proc.sim_manager import SimProcessingManager
-from repro.proc.sim_context import SimExecutionContext
+from repro.proc.context import ExecutionContext
+from repro.proc.manager import ProcessingManager
 
-__all__ = ["SimProcessingManager", "SimExecutionContext"]
+__all__ = ["ProcessingManager", "ExecutionContext"]

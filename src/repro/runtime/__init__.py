@@ -3,9 +3,9 @@
 Implemented in:
 
 * :mod:`repro.runtime.live_kernel` — a reactor-thread kernel satisfying the
-  :class:`~repro.site.kernel.Kernel` contract with wall-clock time;
-* :mod:`repro.runtime.live_proc` — the processing manager running
-  microthreads on worker threads with a blocking execution context;
+  :class:`~repro.site.kernel.Kernel` contract with wall-clock time, whose
+  pooled worker threads run microthreads for the same processing manager
+  and execution context the sim uses (:mod:`repro.proc`);
 * :mod:`repro.runtime.live_cluster` — facade for in-process (thread) live
   clusters over :class:`~repro.net.inproc.InProcTransport` or real TCP;
 * :mod:`repro.runtime.daemon_main` — entry point to run one SDVM site as an

@@ -3,8 +3,10 @@
 Every site daemon is an actor: all manager state is touched only from the
 site's reactor thread.  Socket reader threads and worker threads communicate
 with the managers exclusively by posting closures onto the reactor queue.
-``call_later`` uses one timer thread per site with a heap of deadlines
-(cheaper than a ``threading.Timer`` per timeout).
+Microthread code runs on a pool of persistent ``sdvm-exec-*`` worker
+threads (:meth:`LiveKernel.run_user`).  ``call_later`` uses one timer
+thread per site with a heap of deadlines (cheaper than a
+``threading.Timer`` per timeout).
 """
 
 from __future__ import annotations
@@ -50,7 +52,13 @@ class LiveKernel(Kernel):
         self.started_at = time.monotonic()
         self._stopping = threading.Event()
         self._receiver: Optional[Callable[[bytes], None]] = None
-        self._shutdown_hooks: List[Callable[[], None]] = []
+        self._name = name
+        #: the worker pool (reactor state): jobs (``None`` tells one worker
+        #: to exit), the workers, and the runs whose result is not back yet
+        self._jobs: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
+        self._workers: List[threading.Thread] = []
+        self._user_runs = 0
+        self.workers_started = 0
         self._peer_watcher: Optional[Callable[[str], None]] = None
         self.transport = make_transport(self._on_raw)
         # reliable transports report suspected-dead peers; route those onto
@@ -140,9 +148,10 @@ class LiveKernel(Kernel):
         """Run ``fn`` on the reactor and return its result (blocking).
 
         Used by client threads that need manager state (submit, sign-off,
-        status queries); microthread workers never call it — their blocking
-        operations wait on a callback instead
-        (:meth:`~repro.runtime.live_proc.LiveExecutionContext._await`).
+        status queries).  Microthread workers never block on the reactor:
+        a run whose operation needs it is abandoned with the request left
+        on its context (:attr:`~repro.proc.context.ExecutionContext.request`)
+        and runs again once the reply is logged.
         Calling from the reactor itself runs inline.
         """
         if self.on_reactor():
@@ -218,8 +227,52 @@ class LiveKernel(Kernel):
         pass
 
     def cpu_run(self, seconds: float, fn: Callable[..., None],
-                *args: Any) -> None:
+                *args: Any, overhead: bool = True) -> None:
         fn(*args)
+
+    # ------------------------------------------------------------------
+    # the worker pool
+
+    def run_user(self, work: Callable[[], Any],
+                 done: Callable[[Any], None]) -> None:
+        """Queue ``work`` for a worker, which posts ``done(result)`` back.
+        A job beyond the workers' number starts one, so none waits behind
+        a running microthread: the pool grows to the most runs this site
+        ever had at once (``max_parallel + 1`` without replication)."""
+        if self._stopping.is_set():
+            return  # a stopped site's reactor is only draining its queue
+        self._user_runs += 1
+        if self._user_runs > len(self._workers):
+            worker = threading.Thread(target=self._worker_loop,
+                                      name=f"sdvm-exec-{self._name}",
+                                      daemon=True)
+            self._workers.append(worker)
+            self.workers_started += 1
+            worker.start()
+        self._jobs.put((work, done))
+
+    def _worker_loop(self) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            work, done = job
+            self.post(self._user_ran, done, work())
+
+    def _user_ran(self, done: Callable[[Any], None], result: Any) -> None:
+        self._user_runs -= 1
+        done(result)
+
+    def _stop_workers(self) -> None:
+        """End the pool, and wait briefly so a process that builds many
+        clusters does not pile up idle threads (a worker stuck in user code
+        is abandoned; it is a daemon)."""
+        workers, self._workers = self._workers, []
+        for _ in workers:
+            self._jobs.put(None)
+        deadline = time.monotonic() + 0.5
+        for worker in workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
 
     # ------------------------------------------------------------------
     def transport_send(self, dst_physical: str, data: bytes,
@@ -229,14 +282,11 @@ class LiveKernel(Kernel):
     def local_physical(self) -> str:
         return self.transport.local_address()
 
-    def at_shutdown(self, hook: Callable[[], None]) -> None:
-        """Run ``hook()`` once when the kernel shuts down — for threads
-        that live as long as the site does, however it goes down (stop,
-        sign-off or crash).  Hooks run after the reactor has handled its
-        last item: on the reactor itself, or once it has been joined."""
-        self._shutdown_hooks.append(hook)
-
     def shutdown(self) -> None:
+        """Stop transport, reactor, timer and worker pool — however the
+        site goes down (stop, sign-off or crash).  The pool stops once the
+        reactor has handled its last item: on the reactor itself, or once
+        it has been joined."""
         if self._stopping.is_set():
             return
         self._stopping.set()
@@ -245,5 +295,4 @@ class LiveKernel(Kernel):
         self._timer_wakeup.set()
         if not self.on_reactor():
             self._reactor.join(timeout=2.0)
-        for hook in self._shutdown_hooks:
-            hook()
+        self._stop_workers()

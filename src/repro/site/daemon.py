@@ -13,7 +13,6 @@ from typing import Any, Dict, List, Optional
 from repro.common.config import SDVMConfig, SiteConfig
 from repro.common.errors import ProgramError, SDVMError
 from repro.common.ids import GlobalAddress, ManagerId, NO_SITE, make_program_id
-from repro.core.context import Effect, EffectKind
 from repro.core.frames import Microframe
 from repro.core.program import SDVMProgram
 from repro.messages import SDMessage
@@ -22,6 +21,8 @@ from repro.code.manager import CodeManager
 from repro.crash.manager import CrashManager
 from repro.io.manager import IOManager
 from repro.memory.manager import AttractionMemory
+from repro.proc.context import Effect, EffectKind
+from repro.proc.manager import ProcessingManager
 from repro.program.manager import ProgramManager
 from repro.sched.manager import SchedulingManager
 from repro.site.kernel import Kernel
@@ -81,7 +82,7 @@ class SDVMSite:
         self.code_manager = CodeManager(self)
         self.scheduling_manager = SchedulingManager(self)
         self.io_manager = IOManager(self)
-        self.processing_manager = self._make_processing_manager()
+        self.processing_manager = ProcessingManager(self)
 
         self.managers: Dict[ManagerId, Any] = {
             mgr.manager_id: mgr
@@ -107,13 +108,6 @@ class SDVMSite:
         """Live transport gave up on a physical address (runs on reactor)."""
         if self.running:
             self.cluster_manager.report_transport_suspicion(physical)
-
-    def _make_processing_manager(self):  # noqa: ANN202
-        if self.kernel.mode == "sim":
-            from repro.proc.sim_manager import SimProcessingManager
-            return SimProcessingManager(self)
-        from repro.runtime.live_proc import LiveProcessingManager
-        return LiveProcessingManager(self)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -20,8 +20,8 @@ from repro.common.errors import SDVMError
 class Kernel(abc.ABC):
     """Execution substrate services for one site daemon."""
 
-    #: 'sim' or 'live' — a few components (context, processing manager)
-    #: pick mode-specific strategies
+    #: 'sim' or 'live' — the security manager simulates crypto only in
+    #: the sim
     mode: str = "abstract"
 
     rng: random.Random
@@ -64,8 +64,20 @@ class Kernel(abc.ABC):
 
     @abc.abstractmethod
     def cpu_run(self, seconds: float, fn: Callable[..., None],
-                *args: Any) -> None:
-        """Occupy the CPU for ``seconds``, then run ``fn(*args)``."""
+                *args: Any, overhead: bool = True) -> None:
+        """Occupy the CPU for ``seconds``, then run ``fn(*args)``;
+        ``overhead=False`` bills a microthread's compute phase."""
+
+    @abc.abstractmethod
+    def run_user(self, work: Callable[[], Any],
+                 done: Callable[[Any], None]) -> None:
+        """Run microthread code: ``work()`` where this kernel hosts user
+        code, then ``done(result)`` where manager state may be touched."""
+
+    def on_reactor(self) -> bool:
+        """Whether the calling thread may touch manager state (the sim's
+        one thread always may)."""
+        return True
 
     @abc.abstractmethod
     def transport_send(self, dst_physical: str, data: bytes,

@@ -64,8 +64,13 @@ class SimKernel(Kernel):
         self.cpu.charge(seconds)
 
     def cpu_run(self, seconds: float, fn: Callable[..., None],
-                *args: Any) -> None:
-        self.cpu.run(seconds, fn, *args)
+                *args: Any, overhead: bool = True) -> None:
+        self.cpu.run(seconds, fn, *args, overhead=overhead)
+
+    def run_user(self, work: Callable[[], Any],
+                 done: Callable[[Any], None]) -> None:
+        # a microthread runs at one instant of virtual time: inline, no event
+        done(work())
 
     def transport_send(self, dst_physical: str, data: bytes,
                        msg: Optional[Any] = None) -> bool:

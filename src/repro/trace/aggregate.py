@@ -150,10 +150,10 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         # rewrote (the rest dispatch the sender's snapshot)
         "parsed_per_msg": _rate(merged.get("parsed").count,
                                 merged.get("received").count),
-        # live-kernel thread hand-offs beyond the two every execution pays
-        # (reactor -> worker -> reactor): blocking context operations per
-        # execution, and the share of frames the sending thread wrote
-        # itself instead of handing to a writer thread; both 0 on the sim
+        # suspended runs per execution — each one a re-run, and live two
+        # more thread hand-offs (reactor -> worker -> reactor) — and the
+        # share of frames the sending thread wrote itself instead of
+        # handing to a writer thread (0 on the sim)
         "round_trips_per_exec": _rate(merged.get("ctx_round_trips").total,
                                       merged.get("executions").count),
         "inline_send_frac": _rate(inline_sends,

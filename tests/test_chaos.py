@@ -569,7 +569,7 @@ class TestSilentDataCorruption:
         cluster state, and may not ask for more than was recorded."""
         from repro.common.errors import ProgramError
         from repro.core.program import ProgramBuilder
-        from repro.proc.sim_context import SimExecutionContext
+        from repro.proc.context import ExecutionContext
         from repro.site.simcluster import SimCluster
 
         prog = ProgramBuilder("rr")
@@ -594,7 +594,7 @@ class TestSilentDataCorruption:
         frame = Microframe(site.attraction_memory.alloc_address(), 0, pid, 2)
         frame.apply_parameter(0, {"x": 2})
         frame.apply_parameter(1, 0)
-        primary = SimExecutionContext(frame, site, table, main)
+        primary = ExecutionContext(frame, site, table, main)
         primary.run()
         assert frame.arguments()[0] == {"x": 3}
         assert primary.args_snapshot[0] == {"x": 2}

@@ -155,22 +155,29 @@ def test_every_config_field_has_a_reader():
 def test_one_memory_and_file_protocol():
     """The sim runs the message protocol it measures.  No cluster-wide
     object, file or site oracle, and no sim twin of a call or kernel-mode
-    branch in the memory and I/O managers: a sim microthread that misses
-    restarts on the reply (proc/sim_context.py), an SDC shadow is asked
-    for by REPLICATE and answers by VERDICT (proc/sim_manager.py), and
-    only the chaos engine's ``sdc_arm`` reaches into a processing
-    manager's corruption hook.  The hash ring is gone for good."""
+    branch in the memory and I/O managers: a microthread that waits
+    restarts on the reply (proc/context.py), an SDC shadow is asked for
+    by REPLICATE and answers by VERDICT (proc/manager.py), and only the
+    chaos engine's ``sdc_arm`` reaches into a processing manager's
+    corruption hook.  The hash ring is gone for good, and so is the live
+    kernel's second context and manager: one of each serves both
+    kernels, which differ only in where user code runs."""
     root = pathlib.Path(repro.__file__).parent
     offences = []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text()
         patterns = [r"shared\.objects", r"shared\.vfs", r"SharedSimState",
                     r"kernel\.shared", r"\.shared\.sites",
-                    r"memory\.directory", r"processing_manager\._sdc"]
+                    r"memory\.directory", r"processing_manager\._sdc",
+                    r"LiveExecutionContext", r"OP_TIMEOUT", r"def _await\b",
+                    r"live_proc", r"SimProcessingManager"]
         if path.relative_to(root).as_posix() != "chaos/engine.py":
             patterns.append(r"processing_manager\.sdc")
         if path.parent.name in ("memory", "io"):
             patterns += [r"def sim_", r"kernel\.mode"]
+        if (path.parent.name == "proc"
+                or path.relative_to(root).as_posix() == "site/daemon.py"):
+            patterns.append(r"kernel\.mode")
         offences += [f"{path.relative_to(root)}: {pattern}"
                      for pattern in patterns if re.search(pattern, text)]
     assert offences == []

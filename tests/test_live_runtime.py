@@ -1,9 +1,10 @@
-"""Tests for the live runtime: reactor kernel, threads, sockets,
-blocking contexts, and multiprocess deployment.
+"""Tests for the live runtime: reactor kernel, threads, sockets, the
+processing manager on a worker pool, and multiprocess deployment.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -233,9 +234,10 @@ class TestWorkerPool:
             expected = sum(i * i for i in range(298))
             assert cluster.run(fanout_program(), args=(298,),
                                timeout=30) == expected
-            pm = cluster.sites[0].processing_manager
-            assert pm.stats.get("executions").count == 300
-            started = pm.stats.get("workers_started").count
+            site = cluster.sites[0]
+            assert site.processing_manager.stats.get(
+                "executions").count == 300
+            started = site.kernel.workers_started
             assert 1 <= started <= site_config.max_parallel + 1
             assert len(exec_threads() - leftovers) == started
         # the suite builds dozens of clusters in one process: a pool that
@@ -268,7 +270,7 @@ class TestWorkerPool:
                                timeout=20) == sum(i * i for i in range(20))
             pm = cluster.sites[0].processing_manager
             assert pm.stats.get("microthread_errors").count == 5
-            assert pm.stats.get("workers_started").count <= 2
+            assert cluster.sites[0].kernel.workers_started <= 2
             assert cluster.sites[0].kernel.reactor_call(
                 lambda: pm.in_flight) == 0
 
@@ -381,6 +383,110 @@ class TestHandOffs:
         moved = report.merged.get("migrations_in").count
         assert report.derived["msgs_per_remote_read"] == (2.0 if moved
                                                           else 0.0)
+
+
+class FlipOnce:
+    """A corrupter for ``ProcessingManager.sdc_arm``: flips the first
+    integer ``send_result`` value the site at ``index`` completes — a
+    primary's or a shadow's — and nothing after it."""
+
+    def __init__(self, index):
+        self.index = index
+        self.flipped = 0
+
+    def corrupt_effects(self, index, effects):
+        if index != self.index or self.flipped:
+            return False
+        for effect in effects:
+            value = effect.data.get("value")
+            if effect.kind.value == "send_result" and type(value) is int:
+                effect.data["value"] = value ^ (1 << 20)
+                self.flipped += 1
+                return True
+        return False
+
+
+class TestOneProcessingManager:
+    """The live kernel runs the sim's processing manager and context:
+    replication defends it, and the memory manager alone decides when a
+    read has failed."""
+
+    #: the fastest a read of a dead owner's object may fail: one MEM_READ
+    #: timeout of the memory manager.  An in-process wire refuses a send
+    #: to a closed site at once, so only the retries' back-off is paid
+    DEAD_OWNER_BOUND_S = 2.0
+
+    def test_corruption_is_detected_and_outvoted(self):
+        config = CFG.with_(scheduling=SchedulingConfig(replicate_frac=1.0))
+        expected = sum(i * i for i in range(12))
+        with LiveCluster(nsites=2, config=config) as cluster:
+            # both sites hold the code before anything is corrupted
+            assert cluster.run(fanout_program(), args=(12,),
+                               timeout=20) == expected
+            corrupter = FlipOnce(1)
+            for index, site in enumerate(cluster.sites):
+                site.kernel.reactor_call(
+                    lambda site=site, index=index:
+                    site.processing_manager.sdc_arm(corrupter, index))
+            assert cluster.run(fanout_program(), args=(12,),
+                               timeout=20) == expected
+        stats = cluster.cluster_report().merged
+        assert corrupter.flipped == 1
+        mismatches = stats.get("sdc_mismatches").count
+        assert mismatches >= 1
+        assert stats.get("sdc_resolved").count == mismatches
+        assert stats.get("sdc_tainted_commits").count == 0
+        assert stats.get("sdc_verified").count > 0
+
+    def test_waits_interleaved_on_many_workers(self):
+        """Five slots a site, every touch waiting on its read, and the
+        interpreter switching threads every microsecond: each program is
+        right, each touch waited once, and every slot is given back."""
+        from repro.apps import build_memstress_program, memstress_expected
+
+        sites = [SiteConfig(name=f"site{i}", max_parallel=5)
+                 for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with LiveCluster(site_configs=sites,
+                             config=TestHandOffs.CONFIG) as cluster:
+                for _ in range(10):
+                    assert cluster.run(build_memstress_program(),
+                                       args=(64, 1.0),
+                                       timeout=60) == memstress_expected(64)
+                assert sum(site.kernel.workers_started
+                           for site in cluster.sites) > 2  # > the cores
+                books = [site.kernel.reactor_call(
+                    lambda pm=site.processing_manager: (pm.in_flight,
+                                                        pm.waiting))
+                    for site in cluster.sites]
+        finally:
+            sys.setswitchinterval(interval)
+        assert books == [(0, 0), (0, 0)]
+        assert cluster.cluster_report().merged.get(
+            "ctx_round_trips").total == 10 * 64
+
+    def test_read_of_a_dead_owner_fails_the_program(self):
+        prog = ProgramBuilder("reader")
+
+        @prog.microthread
+        def main(ctx, addr):
+            ctx.exit_program(ctx.read(addr))
+
+        with LiveCluster(nsites=2, config=CFG) as cluster:
+            owner, reader = cluster.sites
+            addr = owner.kernel.reactor_call(
+                lambda: owner.attraction_memory.alloc_object("v"))
+            cluster.crash_site(0)
+            started = time.monotonic()
+            handle = cluster.submit(prog.build(), args=(addr,),
+                                    site_index=1)
+            with pytest.raises(SDVMError, match="MemoryFault"):
+                handle.wait(10 * self.DEAD_OWNER_BOUND_S)
+            assert time.monotonic() - started < self.DEAD_OWNER_BOUND_S
+            assert reader.processing_manager.stats.get(
+                "microthread_errors").count == 1
 
 
 #: the attraction memory's own message types

@@ -283,7 +283,7 @@ def two_reads_program():
 
 class TestRestartableExecution:
     """A sim microthread that misses is abandoned and re-run on the reply
-    (proc/sim_context.py): same result as one that never missed."""
+    (proc/context.py): same result as one that never missed."""
 
     def run_two_reads(self, fast_config, owner_index):
         cluster = SimCluster(nsites=2, config=fast_config)
@@ -300,10 +300,10 @@ class TestRestartableExecution:
                                                     monkeypatch):
         """A microthread that mutates a dict argument before its first
         remote read has the effects of one whose reads hit locally."""
-        from repro.proc.sim_context import SimExecutionContext
+        from repro.proc.context import ExecutionContext
         runs = []
-        real_run = SimExecutionContext.run
-        monkeypatch.setattr(SimExecutionContext, "run",
+        real_run = ExecutionContext.run
+        monkeypatch.setattr(ExecutionContext, "run",
                             lambda ctx: (runs.append(ctx), real_run(ctx))[1])
         _cluster, local = self.run_two_reads(fast_config, 1)
         local_runs, runs[:] = list(runs), []
@@ -446,7 +446,7 @@ def doubling_program():
 class TestReplicatedExecution:
     """The SDC defense between sites is two messages: REPLICATE ships a
     finished execution's recorded inputs to a buddy, VERDICT brings the
-    effects of its replay back (proc/sim_manager.py)."""
+    effects of its replay back (proc/manager.py)."""
 
     def start(self, fast_config, arg=21, topology=None, at=0.25):
         """Two sites, everything replicated, one execution on site b —
@@ -492,7 +492,7 @@ class TestReplicatedExecution:
                                                 ("VERDICT", 0, 1)])
     def test_lost_message_commits_the_primary_after_the_timeout(
             self, fast_config, lost, src, dst):
-        from repro.proc.sim_manager import REPLICATE_TIMEOUT
+        from repro.proc.manager import REPLICATE_TIMEOUT
         cluster, a, b, handle = self.start(fast_config)
         if lost == "REPLICATE":
             self.mangle(cluster, src=src, dst=dst, drop=1.0)
@@ -523,7 +523,7 @@ class TestReplicatedExecution:
 
     def test_verdict_after_the_timeout_commits_nothing_more(self,
                                                             fast_config):
-        from repro.proc.sim_manager import REPLICATE_TIMEOUT
+        from repro.proc.manager import REPLICATE_TIMEOUT
         cluster, a, b, handle = self.start(fast_config)
         self.mangle(cluster, src=0, dst=1, delay=2 * REPLICATE_TIMEOUT)
         cluster.run()
