@@ -1,7 +1,7 @@
 """CI smoke check for the telemetry plane (``make health-smoke``).
 
-Runs one healthy sim workload with the metrics sampler and flight
-recorder armed, then walks the whole pipeline:
+Runs one healthy traced sim workload with the metrics sampler on, then
+walks the whole pipeline:
 
 1. the in-run sampler produced rows for every site and every tick;
 2. the JSONL dump round-trips through the ``sdvm-metrics/1`` validator;
@@ -27,16 +27,13 @@ import tempfile
 def main() -> int:
     from repro.apps import build_primes_program, first_n_primes
     from repro.cli import main as cli_main
-    from repro.common.config import SDVMConfig, TelemetryConfig
+    from repro.common.config import SDVMConfig
     from repro.common.errors import SDVMError
     from repro.site.simcluster import SimCluster
     from repro.trace import MetricsLog, validate_metrics
 
     nsites = 4
-    config = SDVMConfig(
-        telemetry=TelemetryConfig(metrics_enabled=True,
-                                  metrics_interval=0.05,
-                                  flight_recorder=True))
+    config = SDVMConfig(trace=True, metrics_interval=0.05)
     cluster = SimCluster(nsites=nsites, config=config)
     handle = cluster.submit(build_primes_program(),
                             args=(40, 6, 400.0, 4000.0))
@@ -65,6 +62,10 @@ def main() -> int:
         detections = (cluster.health.detections
                       if cluster.health is not None else "no monitor")
         print(f"FAIL: healthy run tripped detectors: {detections}")
+        return 1
+    if cluster.tracer.kinds().get("health") or cluster.tracer.dumps:
+        print("FAIL: a healthy run journaled health events or froze a "
+              "flight dump")
         return 1
     print(cluster.health.render())
 

@@ -12,7 +12,8 @@ committed SDC corpus plans:
    a ``REPLICATE`` message the cluster report counts.
 2. **Health plane**: the same plan re-run with the metrics sampler on
    must trip the ``sdc_mismatch`` health detector (and only because of
-   real mismatches).
+   real mismatches), and the first mismatch freezes a flight dump of
+   every site out of the journal.
 3. **Undefended** (``expected_fail/sdc_undefended.json``: same
    corruption, replication off): the invariant audit must flag the run
    with an ``sdc_commit`` violation — corruption reached a committed
@@ -91,7 +92,6 @@ def live_stage() -> int:
 
 def main() -> int:
     from repro.chaos import FaultPlan, run_plan
-    from repro.common.config import TelemetryConfig
 
     # 1. defended: detect + tie-break, exact accounting
     plan = FaultPlan.load(os.path.join(CORPUS, "sdc_detected.json"))
@@ -136,9 +136,7 @@ def main() -> int:
           f"VERDICT ({sent['VERDICT']['bytes']} B) on the wire")
 
     # 2. health plane: the sdc_mismatch detector must see the mismatches
-    telemetry = TelemetryConfig(metrics_enabled=True, metrics_interval=0.05,
-                                flight_recorder=True)
-    watched = run_plan(plan, telemetry=telemetry)
+    watched = run_plan(plan, metrics_interval=0.05)
     monitor = watched.cluster.health
     if monitor is None:
         print("FAIL: metrics-on run has no health monitor")
@@ -147,8 +145,14 @@ def main() -> int:
     if not fired:
         print("FAIL: health detector missed the replica mismatches")
         return 1
+    dumps = watched.cluster.tracer.dumps
+    if not dumps or any(d["reason"] != "sdc_mismatch"
+                        for d in dumps.values()):
+        print(f"FAIL: the mismatch froze no flight dumps "
+              f"({sorted(dumps)})")
+        return 1
     print(f"health: sdc_mismatch detector fired "
-          f"({len(fired)} episode(s))")
+          f"({len(fired)} episode(s)); {len(dumps)} flight dump(s)")
 
     # 3. undefended: the journal invariant must flag the corrupted commit
     plan = FaultPlan.load(os.path.join(CORPUS, "expected_fail",

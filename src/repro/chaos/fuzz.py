@@ -26,8 +26,7 @@ from repro.apps import (build_memscatter_program, build_memstress_program,
 from repro.chaos.invariants import InvariantChecker, Violation
 from repro.chaos.plan import FaultPlan, random_plan, shrink_plan
 from repro.common.config import (CheckpointConfig, ClusterConfig, CostModel,
-                                 SchedulingConfig, SDVMConfig,
-                                 TelemetryConfig)
+                                 SchedulingConfig, SDVMConfig)
 from repro.common.errors import SDVMError
 from repro.site.simcluster import SimCluster
 
@@ -66,7 +65,8 @@ def chaos_config(plan: FaultPlan) -> SDVMConfig:
     partition windows the generator emits stay far below the heartbeat
     timeout, so a healed partition never escalates to mutual crash
     suspicion.  Tracing is always on — the journal is both the
-    determinism witness and the monotonicity evidence.
+    determinism witness and the monotonicity evidence, and a crashed
+    site's flight dump comes out of it for free.
 
     Plans bigger than the 16-peer sample window switch to ring-successor
     heartbeats (full mesh is O(sites^2) per beat — a 256-site plan would
@@ -75,18 +75,13 @@ def chaos_config(plan: FaultPlan) -> SDVMConfig:
     cache exists to avoid.  Small plans keep the historical config
     bit-for-bit.
 
-    The flight recorder is always armed: ring appends are pure
-    observation (the recorder tees into the same Tracer, so journal
-    fingerprints are unchanged), and a crashed site's final moments are
-    then available in every chaos postmortem for free.  The metrics
-    sampler stays *off* — its timer events would change the replayed
-    event interleaving.
+    The metrics sampler stays *off* — its timer events would change the
+    replayed event interleaving.
     """
     big = plan.nsites > 16
     return SDVMConfig(
         seed=plan.seed,
         trace=True,
-        telemetry=TelemetryConfig(flight_recorder=True),
         cost=CostModel(compile_fixed_cost=1e-4),
         scheduling=SchedulingConfig(ready_target=1, keep_local_min=0,
                                     gossip_interval=1e-2 if big else 0.0,
@@ -143,14 +138,13 @@ def _last_fault_time(plan: FaultPlan) -> float:
 
 def run_plan(plan: FaultPlan,
              progress_timeout: float = 30.0,
-             telemetry: Optional[TelemetryConfig] = None) -> ChaosRunResult:
+             metrics_interval: float = 0.0) -> ChaosRunResult:
     """Execute one fault plan against the standard workload and audit it.
 
-    ``telemetry`` overrides the default chaos telemetry (flight recorder
-    only) — e.g. to turn the metrics sampler on when a test wants the
-    health detectors watching the run.  Note the sampler's timer events
-    shift the interleaving, so fingerprints are only comparable between
-    runs that use the *same* telemetry settings.
+    ``metrics_interval`` above 0 turns the metrics sampler on, e.g. when a
+    test wants the health detectors watching the run.  Note the sampler's
+    timer events shift the interleaving, so fingerprints are only
+    comparable between runs at the *same* interval.
     """
     plan.validate()
     workload = WORKLOADS.get(plan.workload)
@@ -158,9 +152,7 @@ def run_plan(plan: FaultPlan,
         raise SDVMError(f"unknown chaos workload {plan.workload!r} "
                         f"(known: {sorted(WORKLOADS)})")
     build, args, expected = workload
-    config = chaos_config(plan)
-    if telemetry is not None:
-        config = config.with_(telemetry=telemetry)
+    config = chaos_config(plan).with_(metrics_interval=metrics_interval)
     cluster = SimCluster(nsites=plan.nsites, config=config)
     cluster.apply_chaos(plan)
     cluster.submit(build(), args=args, site_index=plan.submit_site)

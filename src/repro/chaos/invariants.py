@@ -66,19 +66,12 @@ class InvariantChecker:
         out.extend(self._check_frame_conservation())
         out.extend(self._check_journal())
         out.extend(self._check_sdc())
-        if out:
-            self._freeze_flight_rings()
+        tracer = self.cluster.tracer
+        if out and tracer is not None:
+            # the postmortem gets every site's last events, not just the
+            # aggregate journal
+            tracer.freeze_all(self.cluster.horizon, "invariant_violation")
         return out
-
-    def _freeze_flight_rings(self) -> None:
-        """On any violation, snapshot every site's flight-recorder ring
-        (telemetry) so the postmortem has the last events per site, not
-        just the aggregate journal.  No-op when the recorder is off."""
-        recorder = getattr(self.cluster, "flight_recorder", None)
-        if recorder is None:
-            return
-        now = getattr(getattr(self.cluster, "sim", None), "now", 0.0)
-        recorder.dump_all(now, "invariant_violation")
 
     # ------------------------------------------------------------------
     def _running_sites(self) -> list:

@@ -42,7 +42,6 @@ from repro.common.config import (
     SchedulingConfig,
     SDVMConfig,
     SecurityConfig,
-    TelemetryConfig,
 )
 from repro.site.simcluster import SimCluster
 
@@ -87,17 +86,13 @@ def _coerce_args(raw: Sequence[str], defaults: tuple) -> tuple:
 
 def _build_config(args: argparse.Namespace,
                   trace: bool = False) -> SDVMConfig:
-    telemetry = TelemetryConfig()
-    if getattr(args, "metrics_json", ""):
-        telemetry = TelemetryConfig(metrics_enabled=True,
-                                    metrics_interval=getattr(
-                                        args, "metrics_interval", 0.05))
+    sampled = getattr(args, "metrics_json", "")
     return SDVMConfig(
         cost=CostModel(compile_fixed_cost=1e-3),
         scheduling=SchedulingConfig(ready_target=1, keep_local_min=0),
         security=SecurityConfig(enabled=getattr(args, "encrypt", False)),
         trace=trace,
-        telemetry=telemetry,
+        metrics_interval=args.metrics_interval if sampled else 0.0,
         seed=args.seed,
     )
 
@@ -567,18 +562,32 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:  # noqa: ANN001
     return 1 if failures else 0
 
 
+def _app_options(profile: bool = False) -> argparse.ArgumentParser:
+    """The options of every sub-command that runs an app.  ``profile``
+    may name a suite instead of an app, and then sizes the cluster for
+    it, so there the app is optional and ``--sites`` has no default."""
+    options = argparse.ArgumentParser(add_help=False)
+    if profile:
+        options.add_argument("app", nargs="?", default="")
+    else:
+        options.add_argument("app")
+    options.add_argument("--sites", type=int, default=None if profile else 4)
+    options.add_argument("--args", nargs="*", default=[],
+                         help="program arguments (see `apps`)")
+    options.add_argument("--seed", type=int, default=0)
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SDVM reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
+    app = [_app_options()]
 
     sub.add_parser("apps", help="list bundled applications")
 
-    run_parser = sub.add_parser("run", help="run an app on a sim cluster")
-    run_parser.add_argument("app")
-    run_parser.add_argument("--sites", type=int, default=4)
-    run_parser.add_argument("--args", nargs="*", default=[],
-                            help="program arguments (see `apps`)")
+    run_parser = sub.add_parser("run", parents=app,
+                                help="run an app on a sim cluster")
     run_parser.add_argument("--trace", action="store_true",
                             help="print an ASCII timeline")
     run_parser.add_argument("--trace-json", metavar="PATH", default="",
@@ -592,47 +601,30 @@ def build_parser() -> argparse.ArgumentParser:
                                  "run and write them as sdvm-metrics/1 JSONL")
     run_parser.add_argument("--metrics-interval", type=float, default=0.05,
                             help="virtual seconds between metric samples")
-    run_parser.add_argument("--seed", type=int, default=0)
 
     trace_parser = sub.add_parser(
-        "trace", help="run an app and export a Chrome/Perfetto trace")
-    trace_parser.add_argument("app")
-    trace_parser.add_argument("--sites", type=int, default=4)
-    trace_parser.add_argument("--args", nargs="*", default=[],
-                              help="program arguments (see `apps`)")
+        "trace", parents=app,
+        help="run an app and export a Chrome/Perfetto trace")
     trace_parser.add_argument("--out", default="sdvm_trace.json",
                               help="output path for the trace JSON")
-    trace_parser.add_argument("--seed", type=int, default=0)
 
     stats_parser = sub.add_parser(
-        "stats", help="run an app and print cluster-wide metrics")
-    stats_parser.add_argument("app")
-    stats_parser.add_argument("--sites", type=int, default=4)
-    stats_parser.add_argument("--args", nargs="*", default=[],
-                              help="program arguments (see `apps`)")
+        "stats", parents=app,
+        help="run an app and print cluster-wide metrics")
     stats_parser.add_argument("--top", type=int, default=24,
                               help="how many counters to print")
-    stats_parser.add_argument("--seed", type=int, default=0)
 
     blame_parser = sub.add_parser(
-        "blame", help="attribute the run's wall time to causes")
-    blame_parser.add_argument("app")
-    blame_parser.add_argument("--sites", type=int, default=4)
-    blame_parser.add_argument("--args", nargs="*", default=[],
-                              help="program arguments (see `apps`)")
+        "blame", parents=app,
+        help="attribute the run's wall time to causes")
     blame_parser.add_argument("--json", metavar="PATH", default="",
                               help="also dump the report as JSON")
-    blame_parser.add_argument("--seed", type=int, default=0)
 
     cp_parser = sub.add_parser(
-        "critical-path", help="print the causal chain that bounded the run")
-    cp_parser.add_argument("app")
-    cp_parser.add_argument("--sites", type=int, default=4)
-    cp_parser.add_argument("--args", nargs="*", default=[],
-                           help="program arguments (see `apps`)")
+        "critical-path", parents=app,
+        help="print the causal chain that bounded the run")
     cp_parser.add_argument("--summary", action="store_true",
                            help="category totals only, no segment list")
-    cp_parser.add_argument("--seed", type=int, default=0)
 
     bench_parser = sub.add_parser(
         "bench", help="run the deterministic benchmark gate suites")
@@ -649,17 +641,14 @@ def build_parser() -> argparse.ArgumentParser:
                               help="committed baseline dir")
 
     profile_parser = sub.add_parser(
-        "profile", help="run an app under cProfile; print hot functions "
-                        "and wall-clock throughput")
-    profile_parser.add_argument("app", nargs="?", default="")
+        "profile", parents=[_app_options(profile=True)],
+        help="run an app under cProfile; print hot functions "
+             "and wall-clock throughput")
     profile_parser.add_argument("--suite", choices=["scaling"], default="",
                                 help="profile a bench-gate workload instead "
                                      "of an app (scaling: treesum under the "
                                      "big-cluster config; --args LEAVES "
                                      "SCALE, --sites defaults to 64)")
-    profile_parser.add_argument("--sites", type=int, default=None)
-    profile_parser.add_argument("--args", nargs="*", default=[],
-                                help="program arguments (see `apps`)")
     profile_parser.add_argument("--sort", default="cumulative",
                                 help="pstats sort key (cumulative, tottime, "
                                      "calls, ...)")
@@ -667,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="how many functions to print")
     profile_parser.add_argument("--out-stats", metavar="PATH", default="",
                                 help="also dump the raw pstats file")
-    profile_parser.add_argument("--seed", type=int, default=0)
 
     chaos_parser = sub.add_parser(
         "chaos", help="deterministic fault injection: replay a plan, "

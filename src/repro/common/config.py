@@ -273,52 +273,6 @@ class PowerConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class TelemetryConfig:
-    """The in-run telemetry plane: snapshot sampler, health detectors,
-    and the crash flight recorder (see DESIGN.md, "Observability").
-
-    Everything here defaults *off*: the sampler schedules timer events, so
-    enabling it changes the simulator's event interleaving — bench
-    baselines are only bit-identical with metrics disabled.  The flight
-    recorder is pure observation (ring appends) and never perturbs a run,
-    but it also defaults off so the seed hot path stays a ``None`` check.
-    """
-
-    #: periodic per-site snapshot sampling (``sdvm-metrics/1`` rows)
-    metrics_enabled: bool = False
-    #: sampling period: virtual seconds under the sim kernel, wall-clock
-    #: seconds under the live kernel
-    metrics_interval: float = 0.05
-    #: keep a bounded ring of recent trace events per site even when full
-    #: tracing is off; dumped on crash or invariant failure
-    flight_recorder: bool = False
-    #: events retained per site in the flight-recorder ring
-    flight_ring_depth: int = 256
-    # --- online health-detector thresholds ---------------------------------
-    #: idle-stall: cluster backlog (queued frames elsewhere) that makes an
-    #: idle site suspicious
-    idle_backlog_min: int = 4
-    #: consecutive sampling intervals a condition must hold before the
-    #: idle-stall / steal-storm / partition detectors fire
-    stall_intervals: int = 3
-    #: wave-stall: fire once an open checkpoint wave's age exceeds this
-    #: many sampling intervals (the PR 7 never-committing-wave bug class)
-    wave_stall_intervals: int = 4
-    #: recovery-wedged: consecutive intervals a site may stay in recovery
-    recovery_wedged_intervals: int = 8
-
-    def __post_init__(self) -> None:
-        if self.metrics_interval <= 0:
-            raise ConfigError("metrics_interval must be positive")
-        if self.flight_ring_depth < 1:
-            raise ConfigError("flight_ring_depth must be >= 1")
-        for name in ("idle_backlog_min", "stall_intervals",
-                     "wave_stall_intervals", "recovery_wedged_intervals"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-
-
-@dataclass(frozen=True, slots=True)
 class SiteConfig:
     """Per-site properties advertised at sign-on (§3.4)."""
 
@@ -359,12 +313,22 @@ class SDVMConfig:
     security: SecurityConfig = field(default_factory=SecurityConfig)
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     power: PowerConfig = field(default_factory=PowerConfig)
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     #: structured cluster-wide tracing: every manager reports typed events
-    #: into one repro.trace.Tracer (Chrome-trace export, metrics reports).
-    #: Off by default — the disabled hot path is a single attribute check.
+    #: into one repro.trace.Tracer (Chrome-trace export, metrics reports,
+    #: flight dumps on a crash).  Off by default — the disabled hot path
+    #: is a single attribute check.
     trace: bool = False
+    #: seconds between per-site snapshot samples (``sdvm-metrics/1`` rows
+    #: fed to the health detectors): virtual seconds under the sim kernel,
+    #: wall clock under the live kernel.  0 turns the sampler off, the
+    #: default: under the sim its timer changes the event interleaving,
+    #: so bench baselines are bit-identical only with it off
+    metrics_interval: float = 0.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.metrics_interval < 0:
+            raise ConfigError("metrics_interval must be >= 0")
 
     def with_(self, **kwargs: object) -> "SDVMConfig":
         """Return a copy with top-level fields replaced."""

@@ -478,17 +478,15 @@ class ProcessingManager(Manager):
             self._commit_causal(frame, ctx, ctx.effects, ctx.sdc_tainted)
             return
         # mismatch: one of the two executions is lying.  Quarantine both
-        # results (neither dispatches), raise the structured alarm, freeze
-        # the flight recorder at the moment of detection, and break the
-        # tie with a third execution
+        # results (neither dispatches), raise the structured alarm, take
+        # the flight dumps at the moment of detection, and break the tie
+        # with a third execution
         self.stats.inc("sdc_mismatches")
         tr = self.tracer
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "sdc_mismatch",
                     frame.frame_id.pack(), source)
-        recorder = self.site.tracer
-        if recorder is not None and hasattr(recorder, "dump_all"):
-            recorder.dump_all(self.kernel.now, "sdc_mismatch")
+            tr.freeze_all(self.kernel.now, "sdc_mismatch")
         verify.shadow = (effects, tainted)
         # a site that ran neither quarantined execution, if we know one
         others = [peer for peer in self.site.cluster_manager.sorted_alive_ids()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.common.config import SDVMConfig, SiteConfig
 from repro.common.errors import SDVMError
@@ -21,6 +21,7 @@ from repro.net.tcp import TcpTransport
 from repro.program.manager import ProgramInfo
 from repro.runtime.live_kernel import LiveKernel
 from repro.site.daemon import SDVMSite
+from repro.site.facade import ClusterFacade
 
 #: default seconds to wait for cluster formation / program completion
 JOIN_TIMEOUT = 10.0
@@ -61,7 +62,7 @@ class LiveHandle:
             lambda: self._frontend.io_manager.output_lines(self.pid))
 
 
-class LiveCluster:
+class LiveCluster(ClusterFacade):
     """Build and drive an in-process live cluster.
 
     ``transport='inproc'`` wires sites with queue loopback (fast, used by
@@ -73,29 +74,13 @@ class LiveCluster:
                  config: Optional[SDVMConfig] = None,
                  site_configs: Optional[Sequence[SiteConfig]] = None,
                  transport: str = "inproc") -> None:
-        self.config = config or SDVMConfig()
+        #: the run's clock: wall seconds from the start of the build to
+        #: the start of shutdown (or to now, while the cluster runs)
+        self._built_at = time.monotonic()
+        self._ended_at: Optional[float] = None
+        super().__init__(config)
         self._hub = InProcHub() if transport == "inproc" else None
-        #: one structured tracer shared by every site (config.trace);
-        #: list appends are atomic under CPython so reactor threads can
-        #: emit concurrently without locking
-        self.tracer = None
-        if self.config.trace:
-            from repro.trace import Tracer
-            self.tracer = Tracer()
-        #: bounded per-site event rings, frozen on crash (telemetry);
-        #: tees into the full tracer when both are on
-        self.flight_recorder = None
-        telemetry = self.config.telemetry
-        if telemetry.flight_recorder:
-            from repro.trace import FlightRecorder
-            self.flight_recorder = FlightRecorder(
-                telemetry.flight_ring_depth, inner=self.tracer)
-        self._kernel_tracer = self.flight_recorder or self.tracer
-        #: in-run telemetry (wall-clock sampler thread + health detectors)
-        self.metrics = None
-        self.health = None
-        self._sampler = None
-        self._sampler_stop: Optional[threading.Event] = None
+        self._sampler_stop = threading.Event()
         self._sampler_thread: Optional[threading.Thread] = None
         self.sites: List[SDVMSite] = []
         self.handles: List[LiveHandle] = []
@@ -111,9 +96,13 @@ class LiveCluster:
         for site in self.sites[1:]:
             site.kernel.reactor_call(  # type: ignore[attr-defined]
                 lambda s=site: s.join(bootstrap_addr))
-        self._wait_formed()
-        if telemetry.metrics_enabled:
-            self._start_sampler(telemetry)
+        self._wait(lambda: all(site.running for site in self.sites),
+                   "cluster did not form in time")
+        if self._build_sampler("live") is not None:
+            self._sampler_thread = threading.Thread(
+                target=self._sample_loop, name="sdvm-metrics-sampler",
+                daemon=True)
+            self._sampler_thread.start()
 
     def _build_site(self, index: int, site_config: SiteConfig,
                     transport: str) -> SDVMSite:
@@ -128,34 +117,26 @@ class LiveCluster:
             raise SDVMError(f"unknown transport {transport!r}")
         kernel = LiveKernel(make_transport, seed=self.config.seed,
                             name=f"{site_config.name or index}",
-                            tracer=self._kernel_tracer)
+                            tracer=self.tracer)
         return SDVMSite(kernel, self.config, site_config)
 
     # ------------------------------------------------------------------
-    # telemetry: a wall-clock sampler thread (the live twin of
+    # the run's clock and the sampler thread (the live twin of
     # SimCluster's virtual-time timer)
 
-    def _start_sampler(self, telemetry) -> None:  # noqa: ANN001
-        from repro.trace import HealthMonitor, MetricsSampler
-        sink = self._kernel_tracer
-        self.health = HealthMonitor(
-            telemetry, emit=sink.emit if sink is not None else None)
-        self._sampler = MetricsSampler(self, telemetry,
-                                       monitor=self.health, mode="live")
-        self.metrics = self._sampler.log
-        self._sampler_stop = threading.Event()
+    @property
+    def horizon(self) -> float:
+        """Wall seconds since the cluster was built, frozen at shutdown."""
+        end = self._ended_at
+        return (time.monotonic() if end is None else end) - self._built_at
 
-        def loop(start: float = time.monotonic()) -> None:
-            # Samples read manager counters from outside the reactor
-            # threads: plain int/float reads, each atomic under CPython.
-            # A row may mix values from adjacent instants — fine for
-            # health monitoring, never used for gated metrics.
-            while not self._sampler_stop.wait(self._sampler.interval):
-                self._sampler.sample_once(time.monotonic() - start)
-
-        self._sampler_thread = threading.Thread(
-            target=loop, name="sdvm-metrics-sampler", daemon=True)
-        self._sampler_thread.start()
+    def _sample_loop(self) -> None:
+        # Samples read manager counters from outside the reactor threads:
+        # plain int/float reads, each atomic under CPython.  A row may mix
+        # values from adjacent instants — fine for health monitoring,
+        # never used for gated metrics.
+        while not self._sampler_stop.wait(self._sampler.interval):
+            self._sampler.sample_once(self.horizon)
 
     def wall_clock_metrics(self) -> dict:
         """Aggregate uptime/throughput over every site's live kernel."""
@@ -169,13 +150,15 @@ class LiveCluster:
             "events_per_sec": events / wall if wall > 0 else 0.0,
         }
 
-    def _wait_formed(self, timeout: float = JOIN_TIMEOUT) -> None:
+    @staticmethod
+    def _wait(done: Callable[[], bool], failure: str,
+              timeout: float = JOIN_TIMEOUT) -> None:
+        """Poll ``done`` until it holds; raise ``failure`` at the timeout."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if all(site.running for site in self.sites):
-                return
+        while not done():
+            if time.monotonic() >= deadline:
+                raise SDVMError(failure)
             time.sleep(0.005)
-        raise SDVMError("cluster did not form in time")
 
     # ------------------------------------------------------------------
     def add_site(self, site_config: Optional[SiteConfig] = None,
@@ -189,12 +172,8 @@ class LiveCluster:
         bootstrap_addr = self.sites[0].kernel.local_physical()
         site.kernel.reactor_call(  # type: ignore[attr-defined]
             lambda: site.join(bootstrap_addr))
-        deadline = time.monotonic() + JOIN_TIMEOUT
-        while time.monotonic() < deadline:
-            if site.running:
-                return site
-            time.sleep(0.005)
-        raise SDVMError("new site did not join in time")
+        self._wait(lambda: site.running, "new site did not join in time")
+        return site
 
     def submit(self, program: SDVMProgram, args: tuple = (),
                site_index: int = 0) -> LiveHandle:
@@ -231,39 +210,23 @@ class LiveCluster:
         """Orderly departure of one site, blocking until it has stopped."""
         site = self.sites[index]
         site.kernel.reactor_call(site.sign_off)  # type: ignore[attr-defined]
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if site.stopped:
-                return
-            time.sleep(0.005)
-        raise SDVMError(f"site {index} did not finish signing off")
+        self._wait(lambda: site.stopped,
+                   f"site {index} did not finish signing off", timeout)
 
     def crash_site(self, index: int) -> None:
         self.sites[index].crash()
 
-    def cluster_report(self):  # noqa: ANN201 — repro.trace.ClusterReport
-        """Cluster-wide merged stats + derived metrics (``repro stats``)."""
-        from repro.trace import aggregate_cluster
-        return aggregate_cluster(self)
-
-    def write_chrome_trace(self, path: str) -> int:
-        """Export the structured trace for chrome://tracing / Perfetto."""
-        if self.tracer is None:
-            raise SDVMError(
-                "tracing is off — build the cluster with "
-                "SDVMConfig(trace=True) to export a Chrome trace")
-        from repro.trace import write_chrome_trace
-        names = {site.site_id: (site.site_config.name
-                                or f"site {site.site_id}")
-                 for site in self.sites if site.site_id >= 0}
-        return write_chrome_trace(self.tracer, path, site_names=names)
-
     def shutdown(self) -> None:
-        """Stop every site (reverse order so heirs outlive leavers)."""
-        if self._sampler_stop is not None:
+        """End the run: one final sample (a run shorter than the sampling
+        interval still gets one row per site), then stop every site
+        (reverse order so heirs outlive leavers)."""
+        if self._ended_at is not None:
+            return
+        self._ended_at = time.monotonic()
+        if self._sampler_thread is not None:
             self._sampler_stop.set()
-            if self._sampler_thread is not None:
-                self._sampler_thread.join(timeout=2.0)
+            self._sampler_thread.join(timeout=2.0)
+            self._sampler.sample_once(self.horizon)
         for site in reversed(self.sites):
             if site.stopped:
                 continue

@@ -12,7 +12,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.common.config import SDVMConfig, SiteConfig
 from repro.common.errors import ProgramError, SDVMError
-from repro.common.ids import GlobalAddress, ManagerId, NO_SITE, make_program_id
+from repro.common.ids import ManagerId, NO_SITE, make_program_id
 from repro.core.frames import Microframe
 from repro.core.program import SDVMProgram
 from repro.messages import SDMessage
@@ -147,11 +147,11 @@ class SDVMSite:
         """Abrupt death: no relocation, no goodbyes (for experiments)."""
         self.running = False
         self.stopped = True
-        # flight recorder (if one is wired in as the tracer): freeze this
-        # site's ring at the instant of death, before teardown noise
-        recorder = self.tracer
-        if recorder is not None and hasattr(recorder, "record_crash"):
-            recorder.record_crash(self.site_id, self.kernel.now, "crash")
+        # flight dump: this site's last events at the instant of death,
+        # before teardown noise
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.freeze(self.site_id, self.kernel.now)
         self.kernel.shutdown()
 
     def sign_off(self) -> bool:

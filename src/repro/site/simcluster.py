@@ -9,8 +9,8 @@ its result to its frontend).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.config import SDVMConfig, SiteConfig
 from repro.common.errors import SDVMError
@@ -21,6 +21,7 @@ from repro.net.topology import Topology
 from repro.program.manager import ProgramInfo
 from repro.sim.engine import Simulator
 from repro.site.daemon import SDVMSite
+from repro.site.facade import ClusterFacade
 from repro.site.sim_kernel import SimKernel
 
 
@@ -57,7 +58,7 @@ class ProgramHandle:
 _JOIN_STAGGER = 1e-4
 
 
-class SimCluster:
+class SimCluster(ClusterFacade):
     """Build, script, and run a simulated SDVM cluster.
 
     >>> cluster = SimCluster(4)            # doctest: +SKIP
@@ -73,30 +74,9 @@ class SimCluster:
                  debug: bool = False) -> None:
         if nsites < 1 and not site_configs:
             raise SDVMError("cluster needs at least one site")
-        self.config = config or SDVMConfig()
+        super().__init__(config)
         self.sim = Simulator(seed=self.config.seed)
         self.network = SimNetwork(self.sim, self.config.network, topology)
-        #: one structured tracer shared by every site (config.trace)
-        self.tracer = None
-        if self.config.trace:
-            from repro.trace import Tracer
-            self.tracer = Tracer()
-        #: bounded per-site rings of recent events, frozen on crash /
-        #: invariant failure (config.telemetry.flight_recorder).  When
-        #: active it becomes the kernels' tracer sink, teeing into the
-        #: full tracer (if any) so journals stay byte-identical.
-        self.flight_recorder = None
-        telemetry = self.config.telemetry
-        if telemetry.flight_recorder:
-            from repro.trace import FlightRecorder
-            self.flight_recorder = FlightRecorder(
-                telemetry.flight_ring_depth, inner=self.tracer)
-        self._kernel_tracer = self.flight_recorder or self.tracer
-        #: in-run telemetry (config.telemetry.metrics_enabled): the
-        #: sdvm-metrics/1 sample log and the online health detectors
-        self.metrics = None
-        self.health = None
-        self._sampler = None
         self.debug = debug
         self._sites: List[SDVMSite] = []
         self._next_physical = 0
@@ -118,22 +98,25 @@ class SimCluster:
             site = self._build_site(site_config)
             self.sim.schedule(index * _JOIN_STAGGER, site.join, "0")
 
-        if telemetry.metrics_enabled:
-            from repro.trace import HealthMonitor, MetricsSampler
-            sink = self._kernel_tracer
-            self.health = HealthMonitor(
-                telemetry, emit=sink.emit if sink is not None else None)
-            self._sampler = MetricsSampler(self, telemetry,
-                                           monitor=self.health)
-            self.metrics = self._sampler.log
-            self._sampler.start_sim()
+        if self._build_sampler("sim") is not None:
+            self.sim.schedule(self._sampler.interval, self._sample_tick)
+
+    def _sample_tick(self) -> None:
+        """The sampler's repeating virtual-time timer."""
+        self._sampler.sample_once(self.sim.now)
+        self.sim.schedule(self._sampler.interval, self._sample_tick)
+
+    @property
+    def horizon(self) -> float:
+        """Virtual seconds simulated so far."""
+        return self.sim.now
 
     # ------------------------------------------------------------------
     def _build_site(self, site_config: SiteConfig) -> SDVMSite:
         kernel = SimKernel(self.sim, self.network,
                            physical=self._next_physical,
                            speed=site_config.speed, seed=self.config.seed,
-                           tracer=self._kernel_tracer)
+                           tracer=self.tracer)
         self._next_physical += 1
         site = SDVMSite(kernel, self.config, site_config, debug=self.debug)
         self._sites.append(site)
@@ -306,14 +289,6 @@ class SimCluster:
     # ------------------------------------------------------------------
     # metrics
 
-    def total_stats(self) -> StatSet:
-        """Merge every manager's counters across all sites."""
-        merged = StatSet()
-        for site in self._sites:
-            for manager in site.managers.values():
-                merged.merge(manager.stats)
-        return merged
-
     def wall_clock_metrics(self) -> Dict[str, float]:
         """Real-time throughput of the finished run (informational only).
 
@@ -335,26 +310,6 @@ class SimCluster:
             "msgs_per_sec": msgs / wall if wall > 0 else 0.0,
         }
 
-    def cluster_report(self):  # noqa: ANN201 — repro.trace.ClusterReport
-        """Cluster-wide merged stats + derived metrics (``repro stats``)."""
-        from repro.trace import aggregate_cluster
-        return aggregate_cluster(self)
-
-    def write_chrome_trace(self, path: str) -> int:
-        """Export the structured trace for chrome://tracing / Perfetto.
-
-        Requires ``SDVMConfig(trace=True)``; returns the event count.
-        """
-        if self.tracer is None:
-            raise SDVMError(
-                "tracing is off — build the cluster with "
-                "SDVMConfig(trace=True) to export a Chrome trace")
-        from repro.trace import write_chrome_trace
-        names = {site.site_id: (site.site_config.name
-                                or f"site {site.site_id}")
-                 for site in self._sites if site.site_id >= 0}
-        return write_chrome_trace(self.tracer, path, site_names=names)
-
     def cpu_report(self) -> Dict[int, dict]:
         """Per-site CPU busy/overhead seconds (sim kernels only)."""
         report = {}
@@ -375,9 +330,3 @@ class SimCluster:
         """Per-site energy usage under the configured PowerConfig (§2.2)."""
         return {index: site.site_manager.energy_report()
                 for index, site in enumerate(self._sites)}
-
-    def accounting_report(self, tariff=None) -> str:  # noqa: ANN001
-        """Cluster invoice (the paper's §6 accounting extension)."""
-        from repro.accounting import ClusterAccountant
-        return ClusterAccountant(tariff).report(
-            [s for s in self._sites if s.site_id >= 0])

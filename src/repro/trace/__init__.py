@@ -1,29 +1,28 @@
-"""Observability tooling: structured tracing, Chrome export, cluster stats.
+"""Observability tooling: one event journal, the reports read from it and
+from the managers' counters, and an in-run health watch.
 
-Three layers, all fed by the same runs:
+* **The journal** — enable ``SDVMConfig(trace=True)`` and every manager
+  reports typed events (frame lifecycle, steals, code fetches, checkpoint
+  waves, messages, membership, power) into one cluster-wide
+  :class:`Tracer`, the only trace sink.  A crash, an SDC mismatch or a
+  failed chaos audit freezes the site's last events out of it as a flight
+  dump (``cluster.tracer.dumps``).
 
-* **Structured tracing** — enable ``SDVMConfig(trace=True)`` and every
-  manager reports typed events (frame lifecycle, steals, code fetches,
-  checkpoint waves, messages, membership, power) into one cluster-wide
-  :class:`Tracer`.  Export it for ``chrome://tracing`` / Perfetto::
+* **Reports** — every cluster facade answers the same ones, from its
+  sites' counters, the journal and the run's horizon::
 
-      from repro.trace import write_chrome_trace
-      write_chrome_trace(cluster.tracer, "run.trace.json")
-
-* **Cluster metrics** — merge every site's per-manager counters into one
-  report with derived metrics (steal success rate, code-cache hit rate,
-  checkpoint-wave cost)::
-
-      from repro.trace import aggregate_cluster
-      print(aggregate_cluster(cluster).render())
-
-* **ASCII timelines** — drawn from the same tracer events::
-
-      from repro.trace import Timeline
+      print(cluster.cluster_report().render())    # merged stats + ratios
+      cluster.write_chrome_trace("run.trace.json")  # chrome://tracing
+      print(blame_cluster(cluster).render())      # where the time went
       print(Timeline.from_cluster(cluster).render(width=72))
 
-CLI surface: ``repro trace <app> -o run.trace.json`` and
-``repro stats <app>``.  Benchmarks dump both artifacts per run when
+* **Health watch** — with ``SDVMConfig(metrics_interval=...)`` the
+  cluster samples every site into an ``sdvm-metrics/1`` log while it
+  runs, and :class:`HealthMonitor` fires detectors on the rows.
+
+CLI surface: ``repro trace``, ``repro stats``, ``repro blame``,
+``repro critical-path``, ``repro run --metrics-json``, ``repro health``
+and ``repro top``.  Benchmarks dump the trace and the report per run when
 ``SDVM_TRACE_DIR`` is set (see :mod:`repro.bench.harness`).
 """
 
@@ -45,7 +44,6 @@ from repro.trace.chrome import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.trace.flight import FlightRecorder
 from repro.trace.health import DETECTORS, Detection, HealthMonitor, analyze_log
 from repro.trace.metrics import (
     METRICS_SCHEMA,
@@ -56,7 +54,7 @@ from repro.trace.metrics import (
     validate_metrics,
 )
 from repro.trace.timeline import Timeline
-from repro.trace.tracer import EVENT_FIELDS, Tracer, TracerEvent
+from repro.trace.tracer import EVENT_FIELDS, FLIGHT_DEPTH, Tracer, TracerEvent
 
 __all__ = [
     "BlameReport",
@@ -66,7 +64,7 @@ __all__ = [
     "DETECTORS",
     "Detection",
     "EVENT_FIELDS",
-    "FlightRecorder",
+    "FLIGHT_DEPTH",
     "HealthMonitor",
     "METRICS_SCHEMA",
     "MetricsLog",

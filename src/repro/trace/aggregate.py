@@ -9,7 +9,8 @@ count/byte breakdown.
 
 Works identically for :class:`~repro.site.simcluster.SimCluster` and
 :class:`~repro.runtime.live_cluster.LiveCluster`: both expose ``.sites``
-(daemons with ``.managers``) and an optional ``.tracer``.
+(daemons with ``.managers``), an optional ``.tracer`` and the run's
+``.horizon`` (:class:`~repro.site.facade.ClusterFacade`).
 """
 
 from __future__ import annotations
@@ -211,12 +212,5 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
 
 def aggregate_cluster(cluster) -> ClusterReport:  # noqa: ANN001
     """Build a report straight from a SimCluster or LiveCluster."""
-    sim = getattr(cluster, "sim", None)
-    horizon = sim.now if sim is not None else 0.0
-    if horizon == 0.0:
-        kernels_now = [site.kernel.now for site in cluster.sites
-                       if site.site_id >= 0]
-        horizon = max(kernels_now) if kernels_now else 0.0
-    return aggregate_sites(cluster.sites,
-                           tracer=getattr(cluster, "tracer", None),
-                           horizon=horizon)
+    return aggregate_sites(cluster.sites, tracer=cluster.tracer,
+                           horizon=cluster.horizon)

@@ -348,20 +348,14 @@ def blame_sites(sites: List, tracer: Tracer,  # noqa: ANN001
 
 def blame_cluster(cluster) -> BlameReport:  # noqa: ANN001
     """Build a blame report straight from a SimCluster or LiveCluster."""
-    tracer = getattr(cluster, "tracer", None)
+    tracer = cluster.tracer
     if tracer is None:
         raise SDVMError(
             "blame analysis needs a trace — build the cluster with "
             "SDVMConfig(trace=True)")
-    sim = getattr(cluster, "sim", None)
-    horizon = sim.now if sim is not None else 0.0
-    if horizon == 0.0:
-        kernels_now = [site.kernel.now for site in cluster.sites
-                       if site.site_id >= 0]
-        horizon = max(kernels_now) if kernels_now else 0.0
-    report = blame_sites(cluster.sites, tracer, horizon)
+    report = blame_sites(cluster.sites, tracer, cluster.horizon)
     names = {}
-    for handle in getattr(cluster, "handles", []):
+    for handle in cluster.handles:
         if handle.pid >= 0:
             names[handle.pid] = handle.program.name
     report.program_names = names

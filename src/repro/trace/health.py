@@ -7,8 +7,7 @@ actually shipped a fix for (or that the chaos fuzzer forces):
   of the cluster holds a queue backlog: work distribution is not reaching
   it (begging storms, gossip staleness, partition residue).
 * **steal_storm** — a site sends many help requests with almost no frames
-  coming back: protocol time burning with no work transfer (the
-  `s8_steal_success_rate ~= 0.07` regime the ROADMAP calls out).
+  coming back: protocol time burning with no work transfer.
 * **wave_stall** — the coordinator's open checkpoint wave is older than k
   sampling intervals.  PR 7's wave-supersede bug (waves silently never
   committing past ~100 sites) sat latent because nothing watched exactly
@@ -20,12 +19,11 @@ actually shipped a fix for (or that the chaos fuzzer forces):
 * **sdc_mismatch** — a replicated microthread's shadow re-execution
   diverged from its primary: silent data corruption (or a
   nondeterministic microthread) caught before commit.  Any non-zero
-  count is anomalous, so this detector has no threshold knob.
+  count is anomalous, so this detector has no threshold.
 
 Detections fire **once per episode** (the condition must clear before the
 same detector re-fires for the same site), are recorded in order, and are
-emitted as structured ``health`` events into whatever trace sink the run
-has (full tracer, flight recorder, or nothing).
+emitted as structured ``health`` events into the run's tracer, if any.
 
 The monitor is pure observation: it never touches the simulator, timers,
 or RNG, so attaching it cannot perturb a run beyond the sampler's timer.
@@ -37,13 +35,23 @@ from collections import Counter as _Counter
 from collections import deque
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
-from repro.common.config import TelemetryConfig
 from repro.common.stats import Histogram
 
 #: every detector the monitor can fire, in report order
 DETECTORS = ("idle_stall", "steal_storm", "wave_stall",
              "recovery_wedged", "partition_suspect", "sdc_mismatch")
 
+#: idle-stall / steal-storm: cluster backlog (queued frames on the other
+#: sites) that makes an idle or begging site suspicious
+IDLE_BACKLOG_MIN = 4
+#: consecutive sampling intervals a condition must hold before the
+#: idle-stall / partition detectors fire (and the steal-storm window)
+STALL_INTERVALS = 3
+#: wave-stall: fire once an open checkpoint wave is older than this many
+#: sampling intervals (the never-committing-wave bug class)
+WAVE_STALL_INTERVALS = 4
+#: recovery-wedged: consecutive intervals a site may stay in recovery
+RECOVERY_WEDGED_INTERVALS = 8
 #: steal-storm: minimum help requests inside the detection window ...
 STEAL_STORM_MIN_HELP = 8
 #: ... combined with a steal success ratio at or below this
@@ -66,13 +74,15 @@ class Detection(NamedTuple):
 class HealthMonitor:
     """Consumes per-tick snapshot rows; accumulates detections.
 
-    ``emit(ts, site, "health", detector, detail)`` is called for every
-    firing when a trace sink is attached (``emit=tracer.emit``).
+    ``interval`` is the sampling period the rows arrive at (the wave-stall
+    threshold is counted in it).  ``emit(ts, site, "health", detector,
+    detail)`` is called for every firing when a tracer is attached
+    (``emit=tracer.emit``).
     """
 
-    def __init__(self, telemetry: Optional[TelemetryConfig] = None,
+    def __init__(self, interval: float,
                  emit: Optional[Callable] = None) -> None:
-        self.config = telemetry or TelemetryConfig()
+        self.interval = interval
         self.emit = emit
         self.detections: List[Detection] = []
         self.ticks_seen = 0
@@ -107,7 +117,6 @@ class HealthMonitor:
     def observe(self, t: float, rows: List[dict]) -> None:
         """Feed one sampling tick (all sites' rows share one ``t``)."""
         self.ticks_seen += 1
-        cfg = self.config
         alive = [row for row in rows if row["alive"]]
         backlog = sum(row["queue"] for row in alive)
         cluster_recv = sum(row["msgs_recv"] for row in alive)
@@ -121,10 +130,10 @@ class HealthMonitor:
                     and row["busy_frac"] < 0.05 and not row["sleeping"]
                     and not row["paused"])
             others_backlog = backlog - row["queue"]
-            if idle and others_backlog >= cfg.idle_backlog_min:
+            if idle and others_backlog >= IDLE_BACKLOG_MIN:
                 streak = self._idle_streak.get(site, 0) + 1
                 self._idle_streak[site] = streak
-                if streak >= cfg.stall_intervals:
+                if streak >= STALL_INTERVALS:
                     self._fire(t, site, "idle_stall",
                                f"idle {streak} intervals, cluster backlog "
                                f"{others_backlog}")
@@ -140,17 +149,17 @@ class HealthMonitor:
             # The storm is begging that stays fruitless while a real
             # backlog sits on other sites: distribution is broken.
             window = self._steal_window.setdefault(
-                site, deque(maxlen=cfg.stall_intervals))
+                site, deque(maxlen=STALL_INTERVALS))
             window.append((row["help_sent"], row["steals_in"],
                            row["busy_frac"]))
             help_sum = sum(w[0] for w in window)
             steal_sum = sum(w[1] for w in window)
             busy_mean = sum(w[2] for w in window) / len(window)
-            storming = (len(window) == cfg.stall_intervals
+            storming = (len(window) == STALL_INTERVALS
                         and help_sum >= STEAL_STORM_MIN_HELP
                         and steal_sum <= STEAL_STORM_MAX_SUCCESS * help_sum
                         and busy_mean < 0.25
-                        and others_backlog >= cfg.idle_backlog_min)
+                        and others_backlog >= IDLE_BACKLOG_MIN)
             if storming:
                 self._fire(t, site, "steal_storm",
                            f"{help_sum} help requests, {steal_sum} "
@@ -163,7 +172,7 @@ class HealthMonitor:
             age = row["wave_age"]
             if age > 0:
                 self.wave_age_hist.observe(age)
-            threshold = cfg.wave_stall_intervals * cfg.metrics_interval
+            threshold = WAVE_STALL_INTERVALS * self.interval
             if age > threshold:
                 self._fire(t, site, "wave_stall",
                            f"open wave age {age:.3f}s > {threshold:.3f}s")
@@ -174,7 +183,7 @@ class HealthMonitor:
             if row["recovering"]:
                 streak = self._wedged_streak.get(site, 0) + 1
                 self._wedged_streak[site] = streak
-                if streak >= cfg.recovery_wedged_intervals:
+                if streak >= RECOVERY_WEDGED_INTERVALS:
                     self._fire(t, site, "recovery_wedged",
                                f"recovering for {streak} intervals")
             else:
@@ -187,7 +196,7 @@ class HealthMonitor:
             if deaf:
                 streak = self._deaf_streak.get(site, 0) + 1
                 self._deaf_streak[site] = streak
-                if streak >= cfg.stall_intervals:
+                if streak >= STALL_INTERVALS:
                     self._fire(t, site, "partition_suspect",
                                f"sent {row['msgs_sent']} msgs, received "
                                f"none for {streak} intervals")
@@ -245,16 +254,10 @@ class HealthMonitor:
         return "\n".join(lines)
 
 
-def analyze_log(log, telemetry: Optional[TelemetryConfig] = None,  # noqa: ANN001
-                ) -> HealthMonitor:
-    """Replay a loaded :class:`MetricsLog` through the detectors offline.
-
-    Used by ``repro health``: thresholds come from ``telemetry`` (defaults
-    apply when None), the sampling interval always from the log header.
-    """
-    base = telemetry or TelemetryConfig()
-    from dataclasses import replace
-    monitor = HealthMonitor(replace(base, metrics_interval=log.interval))
+def analyze_log(log) -> HealthMonitor:  # noqa: ANN001
+    """Replay a loaded :class:`MetricsLog` through the detectors offline
+    (``repro health``), at the sampling interval of the log header."""
+    monitor = HealthMonitor(log.interval)
     for t, rows in log.ticks():
         monitor.observe(t, rows)
     return monitor

@@ -4,14 +4,14 @@ The post-hoc observability stack (Tracer journal, blame, invariants) only
 answers questions after a run ends.  This module samples every site's
 health *while the run is going*: queue depths, ready frames, CPU
 busy fraction, steal and message counters, the age of the open checkpoint
-wave, and directory-shard ownership — one row per (tick, site), written as
-JSONL so the gateway/sweep tooling and the ``repro health`` / ``repro
-top`` CLIs can consume it without the repo on the other end.
+wave, and what each site holds (ownership-directory entries, frames,
+objects) — one row per (tick, site), written as JSONL so the ``repro
+health`` / ``repro top`` CLIs can read it back without the run.
 
 Discipline (same as :class:`repro.trace.Tracer`):
 
 * **Zero cost when disabled.**  Nothing here is constructed unless
-  ``SDVMConfig(telemetry=TelemetryConfig(metrics_enabled=True))``.
+  ``SDVMConfig(metrics_interval=...)`` is above 0.
 * **Pure observation.**  Sampling reads manager state and counters; it
   never mutates a site, charges CPU, or touches an RNG.  The sampler's
   *timer* is the one necessary intrusion: under the sim kernel it
@@ -23,7 +23,7 @@ Discipline (same as :class:`repro.trace.Tracer`):
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.common.errors import SDVMError
 
@@ -51,7 +51,7 @@ SAMPLE_FIELDS: Tuple[str, ...] = (
     "msgs_recv",      # messages received this interval
     "wave_age",       # age of the coordinator's open checkpoint wave (s)
     "committed_wave", # last committed checkpoint wave id
-    "dir_entries",    # directory shard entries owned by this site
+    "dir_entries",    # ownership-directory entries this site keeps
     "frames",         # microframes resident in the attraction memory
     "objects",        # shared objects resident in the attraction memory
     "sdc_mismatches", # replica-divergence detections this interval
@@ -191,30 +191,20 @@ def validate_metrics(header: dict, rows: List[dict]) -> None:
 class MetricsSampler:
     """Collects one row per (tick, site) from a running cluster.
 
-    Drive it either via :meth:`start_sim` (schedules a repeating
-    virtual-time timer on a :class:`SimCluster`'s simulator) or by calling
-    :meth:`sample_once` from an external wall-clock loop (the live
-    cluster's sampler thread).
+    The cluster drives it, calling :meth:`sample_once` every ``interval``:
+    a virtual-time timer under :class:`SimCluster`, a wall-clock thread
+    under :class:`LiveCluster`.
     """
 
-    def __init__(self, cluster, telemetry, monitor=None,  # noqa: ANN001
+    def __init__(self, cluster, interval: float, monitor=None,  # noqa: ANN001
                  mode: str = "sim") -> None:
         self.cluster = cluster
-        self.interval = telemetry.metrics_interval
+        self.interval = interval
         self.monitor = monitor
         self.log = MetricsLog(interval=self.interval, mode=mode,
                               nsites=len(cluster.sites))
         #: site index -> previous cumulative counters (for interval deltas)
         self._prev: Dict[int, Tuple[float, ...]] = {}
-
-    # ------------------------------------------------------------------
-    def start_sim(self) -> None:
-        """Arm the repeating virtual-time tick on the cluster's simulator."""
-        self.cluster.sim.schedule(self.interval, self._sim_tick)
-
-    def _sim_tick(self) -> None:
-        self.sample_once(self.cluster.sim.now)
-        self.cluster.sim.schedule(self.interval, self._sim_tick)
 
     # ------------------------------------------------------------------
     def sample_once(self, now: float) -> List[dict]:

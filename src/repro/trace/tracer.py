@@ -18,6 +18,12 @@ Design constraints (see DESIGN.md, "Observability"):
   virtual seconds under the sim kernel, ``time.monotonic()`` under the live
   kernel.  ``list.append`` is atomic under CPython, so the live kernels'
   reactor threads may share one tracer without a lock.
+
+The journal is also the flight recorder.  When a site crashes, an SDC
+mismatch is detected or the chaos invariants fail, :meth:`Tracer.freeze`
+cuts that site's last :data:`FLIGHT_DEPTH` events out of the journal at
+that instant, so a postmortem has the lead-up without re-running.  A
+freeze only reads the journal: chaos fingerprints never see it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from collections import Counter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import SDVMError
+
+#: how many of a site's most recent events a flight dump keeps
+FLIGHT_DEPTH = 256
 
 #: event kind -> positional field names (the schema).
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
@@ -120,16 +129,52 @@ class Tracer:
     'steal_in'
     """
 
-    __slots__ = ("_raw",)
+    __slots__ = ("_raw", "dumps")
 
     def __init__(self) -> None:
         #: raw (ts, site, kind, fields) tuples, in emission order
         self._raw: List[tuple] = []
+        #: site id -> frozen flight dump ({"site", "reason", "at",
+        #: "events"}); first freeze wins
+        self.dumps: Dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     def emit(self, ts: float, site: int, kind: str, *fields: object) -> None:
         """Record one event.  This is the whole hot path: one append."""
         self._raw.append((ts, site, kind, fields))
+
+    # ------------------------------------------------------------------
+    # flight dumps
+
+    def freeze(self, site: int, at: float,
+               reason: str = "crash") -> Optional[dict]:
+        """Keep ``site``'s last :data:`FLIGHT_DEPTH` events, oldest first.
+
+        Returns the dump, or None if that site already has one — the
+        first freeze is the interesting instant, and a later one would
+        replace the evidence with post-mortem noise.
+        """
+        if site in self.dumps:
+            return None
+        ring: List[tuple] = []
+        for raw in reversed(self._raw):
+            if raw[1] == site:
+                ring.append(raw)
+                if len(ring) == FLIGHT_DEPTH:
+                    break
+        dump = {"site": site, "reason": reason, "at": at,
+                "events": [TracerEvent(*raw).as_dict()
+                           for raw in reversed(ring)]}
+        self.dumps[site] = dump
+        return dump
+
+    def freeze_all(self, at: float, reason: str) -> int:
+        """Freeze every site the journal has heard from (site -1, the
+        cluster-level chaos events, included).  Returns how many new dumps
+        were taken; a site frozen by its crash keeps that dump."""
+        sites = sorted({raw[1] for raw in self._raw})
+        return sum(self.freeze(site, at, reason) is not None
+                   for site in sites)
 
     # ------------------------------------------------------------------
     # read side (exporters, tests)
@@ -145,9 +190,6 @@ class Tracer:
 
     def __iter__(self) -> Iterator[TracerEvent]:
         return iter(self.events)
-
-    def clear(self) -> None:
-        self._raw.clear()
 
     def kinds(self) -> Counter:
         """Histogram of event kinds (quick triage + test assertions)."""

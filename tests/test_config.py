@@ -181,3 +181,19 @@ def test_one_memory_and_file_protocol():
         offences += [f"{path.relative_to(root)}: {pattern}"
                      for pattern in patterns if re.search(pattern, text)]
     assert offences == []
+
+
+def test_one_trace_sink():
+    """The Tracer is the only trace sink: a flight dump is a view of its
+    journal, so no second sink, no tee, and no probe for which sink a
+    kernel holds; the telemetry knobs are one ``metrics_interval`` and
+    constants next to the health detectors."""
+    root = pathlib.Path(repro.__file__).parent
+    patterns = [r"FlightRecorder", r"TelemetryConfig", r"_kernel_tracer",
+                r"hasattr\(recorder"]
+    offences = [f"{path.relative_to(root)}: {pattern}"
+                for path in sorted(root.rglob("*.py"))
+                for pattern in patterns
+                if re.search(pattern, path.read_text())]
+    assert offences == []
+    assert not (root / "trace" / "flight.py").exists()

@@ -1,7 +1,7 @@
 """Tests for the in-run telemetry plane: the metrics sampler and the
-``sdvm-metrics/1`` schema, the online health detectors, the per-site
-flight recorder, wall-clock parity on the live runtime, and the bench
-trace-dir retention helper.
+``sdvm-metrics/1`` schema, the online health detectors, the flight dumps
+the tracer freezes out of its journal, report parity on the live runtime,
+and the bench trace-dir retention helper.
 
 The two acceptance scenarios from the chaos side live here too: a
 partition plan that stalls a checkpoint wave must trip the wave-stall
@@ -11,43 +11,62 @@ crashed site's final events.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import os
+import time
 
 import pytest
 
 from repro.apps import build_primes_program, first_n_primes
 from repro.chaos import FaultPlan, run_plan
-from repro.common.config import SDVMConfig, TelemetryConfig
+from repro.common.config import SDVMConfig
 from repro.common.errors import SDVMError
 from repro.common.stats import Histogram
+from repro.runtime.live_cluster import LiveCluster
 from repro.site.simcluster import SimCluster
 from repro.trace import (
     DETECTORS,
-    FlightRecorder,
+    FLIGHT_DEPTH,
     HealthMonitor,
     METRICS_SCHEMA,
     MetricsLog,
     SAMPLE_FIELDS,
+    Tracer,
+    TracerEvent,
     analyze_log,
+    blame_cluster,
     render_top,
     validate_metrics,
 )
+from repro.trace.health import (
+    IDLE_BACKLOG_MIN,
+    RECOVERY_WEDGED_INTERVALS,
+    STALL_INTERVALS,
+    WAVE_STALL_INTERVALS,
+)
+from tests.test_live_runtime import fanout_program
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 
+#: sha256 of the flight dumps below as the ring-buffer recorder that the
+#: tracer replaced took them (JSON, sorted keys): a freeze must cut the
+#: same events, in the same order, at the same instant
+CRASH_DUMP_SHA256 = (
+    "e663fa0a8381644b8c392b3dc326b0b4bf7f205160784811699a152a0b46734c")
+INVARIANT_DUMPS_SHA256 = (
+    "2caa65c98ee7119aba2e9494c677e130c3e46db3d0b15abb017652d1284d0467")
 
-def telemetry_config(**overrides):
-    base = dict(metrics_enabled=True, metrics_interval=0.05)
-    base.update(overrides)
-    return TelemetryConfig(**base)
+
+def sha256_json(obj):
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def run_primes_cluster(telemetry, nsites=4, seed=0):
+def run_primes_cluster(metrics_interval=0.05, nsites=4, seed=0):
     cluster = SimCluster(
         nsites=nsites,
-        config=SDVMConfig(seed=seed, telemetry=telemetry))
+        config=SDVMConfig(seed=seed, metrics_interval=metrics_interval))
     handle = cluster.submit(build_primes_program(),
                             args=(40, 6, 400.0, 4000.0))
     cluster.run()
@@ -70,7 +89,7 @@ def sample_row(**overrides):
 
 class TestMetricsSampler:
     def test_sim_run_samples_every_site_every_tick(self):
-        cluster = run_primes_cluster(telemetry_config())
+        cluster = run_primes_cluster()
         log = cluster.metrics
         assert log.sites() == [0, 1, 2, 3]
         ticks = list(log.ticks())
@@ -81,7 +100,7 @@ class TestMetricsSampler:
         validate_metrics(log.header(), log.rows)
 
     def test_counters_are_interval_deltas_not_cumulative(self):
-        cluster = run_primes_cluster(telemetry_config())
+        cluster = run_primes_cluster()
         log = cluster.metrics
         # cumulative counters would sum to far more than the run total;
         # deltas reconstruct to at most it (the run ends mid-interval,
@@ -95,10 +114,10 @@ class TestMetricsSampler:
         assert all(0.0 <= row["busy_frac"] <= 1.0 for row in log.rows)
 
     def test_metrics_off_builds_no_telemetry_objects(self):
-        cluster = run_primes_cluster(TelemetryConfig())
+        cluster = run_primes_cluster(metrics_interval=0.0)
         assert cluster.metrics is None
         assert cluster.health is None
-        assert cluster.flight_recorder is None
+        assert cluster.tracer is None
 
     def test_metrics_off_runs_are_bit_identical(self):
         from repro.chaos import journal_fingerprint
@@ -113,21 +132,16 @@ class TestMetricsSampler:
 
     def test_flight_recorder_does_not_change_the_journal(self):
         from repro.chaos import journal_fingerprint
-        prints = []
-        for flight in (False, True):
-            cluster = SimCluster(
-                nsites=4,
-                config=SDVMConfig(trace=True,
-                                  telemetry=TelemetryConfig(
-                                      flight_recorder=flight)))
-            cluster.submit(build_primes_program(),
-                           args=(40, 6, 400.0, 4000.0))
-            cluster.run()
-            prints.append(journal_fingerprint(cluster.tracer))
-        assert prints[0] == prints[1]
+        cluster = SimCluster(nsites=4, config=SDVMConfig(trace=True))
+        cluster.submit(build_primes_program(), args=(40, 6, 400.0, 4000.0))
+        cluster.run()
+        before = journal_fingerprint(cluster.tracer)
+        cluster.tracer.freeze(1, cluster.sim.now)
+        assert cluster.tracer.freeze_all(cluster.sim.now, "test") >= 3
+        assert journal_fingerprint(cluster.tracer) == before
 
     def test_jsonl_round_trip(self, tmp_path):
-        cluster = run_primes_cluster(telemetry_config())
+        cluster = run_primes_cluster()
         path = str(tmp_path / "run.metrics.jsonl")
         count = cluster.metrics.write_jsonl(path)
         reloaded = MetricsLog.load(path)
@@ -235,11 +249,8 @@ class TestHistogramPercentile:
 
 
 class TestHealthDetectors:
-    def monitor(self, **overrides):
-        defaults = dict(metrics_enabled=True, metrics_interval=0.05,
-                        stall_intervals=3, idle_backlog_min=4)
-        defaults.update(overrides)
-        return HealthMonitor(TelemetryConfig(**defaults))
+    def monitor(self):
+        return HealthMonitor(0.05)
 
     def feed(self, monitor, tick_rows, dt=0.05):
         for index, rows in enumerate(tick_rows):
@@ -257,16 +268,22 @@ class TestHealthDetectors:
         monitor = self.monitor()
         idle = lambda: sample_row(site=0, queue=0, in_flight=0,  # noqa: E731
                                   busy_frac=0.0)
-        busy_peer = lambda: sample_row(site=1, queue=9)  # noqa: E731
-        # 5 stalled ticks: fires at the 3rd, not again at the 4th/5th
-        self.feed(monitor, [[idle(), busy_peer()] for _ in range(5)])
+        busy_peer = lambda: sample_row(site=1,  # noqa: E731
+                                       queue=IDLE_BACKLOG_MIN)
+        # one tick short of the streak: quiet
+        self.feed(monitor, [[idle(), busy_peer()]
+                            for _ in range(STALL_INTERVALS - 1)])
+        assert monitor.ok
+        # fires at the streak's last tick, not again on the next two
+        self.feed(monitor, [[idle(), busy_peer()] for _ in range(3)])
         firings = [d for d in monitor.detections
                    if d.detector == "idle_stall"]
         assert len(firings) == 1
         assert firings[0].site == 0
         # clears, then stalls again: a second episode fires
         self.feed(monitor, [[sample_row(site=0, queue=2), busy_peer()]])
-        self.feed(monitor, [[idle(), busy_peer()] for _ in range(3)])
+        self.feed(monitor, [[idle(), busy_peer()]
+                            for _ in range(STALL_INTERVALS)])
         assert len([d for d in monitor.detections
                     if d.detector == "idle_stall"]) == 2
 
@@ -274,7 +291,7 @@ class TestHealthDetectors:
         monitor = self.monitor()
         rows = lambda: [sample_row(site=0, queue=0, in_flight=0,  # noqa: E731
                                    busy_frac=0.0),
-                        sample_row(site=1, queue=1)]
+                        sample_row(site=1, queue=IDLE_BACKLOG_MIN - 1)]
         self.feed(monitor, [rows() for _ in range(6)])
         assert monitor.ok
 
@@ -283,8 +300,10 @@ class TestHealthDetectors:
         beggar = lambda: sample_row(site=0, queue=0, in_flight=0,  # noqa: E731
                                     busy_frac=0.0, help_sent=6,
                                     steals_in=0)
-        hoarder = lambda: sample_row(site=1, queue=20)  # noqa: E731
-        self.feed(monitor, [[beggar(), hoarder()] for _ in range(3)])
+        hoarder = lambda: sample_row(site=1,  # noqa: E731
+                                     queue=IDLE_BACKLOG_MIN)
+        self.feed(monitor, [[beggar(), hoarder()]
+                            for _ in range(STALL_INTERVALS)])
         assert [d.detector for d in monitor.detections
                 if d.site == 0].count("steal_storm") == 1
 
@@ -307,8 +326,10 @@ class TestHealthDetectors:
         assert all(d.detector != "steal_storm" for d in monitor.detections)
 
     def test_wave_stall_fires_and_rearms_after_commit(self):
-        monitor = self.monitor(wave_stall_intervals=4)
-        threshold = 4 * 0.05
+        monitor = self.monitor()
+        threshold = WAVE_STALL_INTERVALS * 0.05
+        self.feed(monitor, [[sample_row(site=0, wave_age=threshold)]])
+        assert monitor.ok  # at the threshold, not over it
         self.feed(monitor, [[sample_row(site=0, wave_age=threshold + 0.01)]])
         self.feed(monitor, [[sample_row(site=0, wave_age=threshold + 0.06)]])
         assert [d.detector for d in monitor.detections] == ["wave_stall"]
@@ -319,9 +340,11 @@ class TestHealthDetectors:
                                                             "wave_stall"]
 
     def test_recovery_wedged_needs_a_long_streak(self):
-        monitor = self.monitor(recovery_wedged_intervals=4)
+        monitor = self.monitor()
         recovering = lambda: sample_row(site=2, recovering=1)  # noqa: E731
-        self.feed(monitor, [[recovering()] for _ in range(3)])
+        assert RECOVERY_WEDGED_INTERVALS == 8
+        self.feed(monitor, [[recovering()]
+                            for _ in range(RECOVERY_WEDGED_INTERVALS - 1)])
         assert monitor.ok
         self.feed(monitor, [[recovering()]])
         assert [d.detector for d in monitor.detections] == [
@@ -331,16 +354,16 @@ class TestHealthDetectors:
         monitor = self.monitor()
         deaf = lambda: sample_row(site=0, msgs_sent=5, msgs_recv=0)  # noqa: E731
         chatty = lambda: sample_row(site=1, msgs_sent=5, msgs_recv=5)  # noqa: E731
-        self.feed(monitor, [[deaf(), chatty()] for _ in range(3)])
+        self.feed(monitor, [[deaf(), chatty()]
+                            for _ in range(STALL_INTERVALS - 1)])
+        assert monitor.ok
+        self.feed(monitor, [[deaf(), chatty()]])
         assert [d.detector for d in monitor.detections] == [
             "partition_suspect"]
 
     def test_detections_emit_health_events_into_the_sink(self):
         events = []
-        monitor = HealthMonitor(
-            TelemetryConfig(metrics_enabled=True, metrics_interval=0.05,
-                            stall_intervals=1, wave_stall_intervals=1),
-            emit=lambda *args: events.append(args))
+        monitor = HealthMonitor(0.05, emit=lambda *args: events.append(args))
         monitor.observe(0.05, [sample_row(site=3, wave_age=1.0)])
         assert len(events) == 1
         ts, site, kind, detector, _detail = events[0]
@@ -358,7 +381,7 @@ class TestHealthDetectors:
 
     def test_analyze_log_uses_the_log_interval(self):
         log = MetricsLog(interval=0.5)
-        threshold = TelemetryConfig().wave_stall_intervals * 0.5
+        threshold = WAVE_STALL_INTERVALS * 0.5
         log.append(sample_row(t=0.5, wave_age=threshold - 0.1))
         monitor = analyze_log(log)
         assert monitor.ok  # under the log-interval threshold
@@ -367,68 +390,58 @@ class TestHealthDetectors:
 
 
 # ---------------------------------------------------------------------------
-# the flight recorder
+# flight dumps: the journal's last events per site
 
 
 class TestFlightRecorder:
     def test_ring_is_bounded_and_ordered(self):
-        recorder = FlightRecorder(ring_depth=4)
-        for i in range(10):
-            recorder.emit(float(i), 0, "msg_send", 1, 0, "STEAL_REQ", i)
-        recent = recorder.recent(0)
-        assert len(recent) == 4
-        assert [event.ts for event in recent] == [6.0, 7.0, 8.0, 9.0]
+        tracer = Tracer()
+        for i in range(FLIGHT_DEPTH + 10):
+            tracer.emit(float(i), 0, "msg_send", "X", 1, 0, i, -1, -1)
+            tracer.emit(float(i), 1, "exec_end", i, 1.0)
+        events = tracer.freeze(0, 1e3)["events"]
+        assert len(events) == FLIGHT_DEPTH
+        assert [e["ts"] for e in events] == [
+            float(i) for i in range(10, FLIGHT_DEPTH + 10)]
+        assert {e["site"] for e in events} == {0}
 
-    def test_tees_to_inner_tracer(self):
-        from repro.trace import Tracer
-        inner = Tracer()
-        recorder = FlightRecorder(ring_depth=2, inner=inner)
-        for i in range(5):
-            recorder.emit(float(i), 1, "exec_begin", i, i, 0)
-        assert len(recorder.recent(1)) == 2
-        assert len(inner) == 5  # the full journal is not ring-bounded
+    def test_journal_is_not_ring_bounded(self):
+        tracer = Tracer()
+        for i in range(FLIGHT_DEPTH + 5):
+            tracer.emit(float(i), 1, "exec_end", i, 1.0)
+        tracer.freeze(1, 1e3)
+        assert len(tracer) == FLIGHT_DEPTH + 5
 
     def test_record_crash_freezes_first_wins(self):
-        recorder = FlightRecorder(ring_depth=8)
-        recorder.emit(1.0, 2, "exec_begin", 7, 7, 0)
-        dump = recorder.record_crash(2, 1.5)
+        tracer = Tracer()
+        tracer.emit(1.0, 2, "exec_end", 7, 1.0)
+        dump = tracer.freeze(2, 1.5)
         assert dump["reason"] == "crash" and dump["at"] == 1.5
-        assert [e["kind"] for e in dump["events"]] == ["exec_begin"]
-        recorder.emit(2.0, 2, "exec_begin", 8, 8, 0)
-        assert recorder.record_crash(2, 2.5, "late") is None
-        assert recorder.dumps[2]["at"] == 1.5  # evidence not overwritten
+        assert [e["kind"] for e in dump["events"]] == ["exec_end"]
+        tracer.emit(2.0, 2, "exec_end", 8, 1.0)
+        assert tracer.freeze(2, 2.5, "late") is None
+        assert tracer.dumps[2]["at"] == 1.5  # evidence not overwritten
+        assert len(tracer.dumps[2]["events"]) == 1
 
     def test_dump_all_skips_already_frozen_sites(self):
-        recorder = FlightRecorder()
-        recorder.emit(0.1, 0, "msg_send", 1, 0, "X", 1)
-        recorder.emit(0.2, 1, "msg_send", 1, 0, "X", 1)
-        recorder.record_crash(0, 0.15)
-        assert recorder.dump_all(0.3, "invariant_violation") == 1
-        assert recorder.dumps[0]["reason"] == "crash"
-        assert recorder.dumps[1]["reason"] == "invariant_violation"
+        tracer = Tracer()
+        tracer.emit(0.1, 0, "exec_end", 1, 1.0)
+        tracer.emit(0.2, 1, "exec_end", 2, 1.0)
+        tracer.emit(0.2, -1, "chaos_fault", "crash", "site 1")
+        tracer.freeze(0, 0.15)
+        assert tracer.freeze_all(0.3, "invariant_violation") == 2
+        assert tracer.dumps[0]["reason"] == "crash"
+        assert tracer.dumps[1]["reason"] == "invariant_violation"
+        assert tracer.dumps[-1]["reason"] == "invariant_violation"
 
     def test_write_dumps_to_disk(self, tmp_path):
-        recorder = FlightRecorder()
-        recorder.emit(0.1, 3, "msg_send", 1, 0, "X", 1)
-        recorder.record_crash(3, 0.2)
-        paths = recorder.write(str(tmp_path))
-        assert [os.path.basename(p) for p in paths] == [
-            "flight_site3.json"]
-        with open(paths[0], encoding="utf-8") as fh:
-            assert json.load(fh)["site"] == 3
-
-    def test_flight_only_mode_keeps_rings_without_full_tracing(self):
-        config = SDVMConfig(  # trace stays off
-            telemetry=TelemetryConfig(flight_recorder=True,
-                                      flight_ring_depth=32))
-        cluster = SimCluster(nsites=2, config=config)
-        cluster.submit(build_primes_program(), args=(20, 4, 400.0, 4000.0))
-        cluster.run()
-        assert cluster.tracer is None
-        recorder = cluster.flight_recorder
-        assert recorder is not None and recorder.sites()
-        assert all(len(recorder.recent(site)) <= 32
-                   for site in recorder.sites())
+        # a dump is plain JSON: written and read back, it is unchanged
+        tracer = Tracer()
+        tracer.emit(0.1, 3, "msg_send", "X", 1, 0, 1, -1, -1)
+        dump = tracer.freeze(3, 0.2)
+        path = tmp_path / "flight_site3.json"
+        path.write_text(json.dumps(dump, indent=2, sort_keys=True))
+        assert json.loads(path.read_text()) == dump
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +451,7 @@ class TestFlightRecorder:
 class TestChaosTelemetry:
     def test_wave_stall_plan_trips_the_detector(self):
         plan = FaultPlan.load(os.path.join(CORPUS_DIR, "wave_stall.json"))
-        result = run_plan(plan, telemetry=TelemetryConfig(
-            metrics_enabled=True, metrics_interval=0.02,
-            flight_recorder=True))
+        result = run_plan(plan, metrics_interval=0.02)
         assert result.ok  # the partition heals; the run itself is clean
         health = result.cluster.health
         stalls = [d for d in health.detections
@@ -453,24 +464,23 @@ class TestChaosTelemetry:
     def test_crash_plan_leaves_a_flight_dump(self):
         plan = FaultPlan.load(
             os.path.join(CORPUS_DIR, "crash_during_wave.json"))
-        result = run_plan(plan)  # chaos_config arms the recorder
+        result = run_plan(plan)  # chaos runs always trace
         assert result.ok
-        recorder = result.cluster.flight_recorder
+        dumps = result.cluster.tracer.dumps
         crashed = plan.faults[0].site
-        dump = recorder.dumps.get(crashed)
+        dump = dumps.get(crashed)
         assert dump is not None and dump["reason"] == "crash"
         assert dump["at"] == pytest.approx(plan.faults[0].at, abs=1e-6)
-        assert dump["events"], "ring was empty at crash time"
+        assert len(dump["events"]) == FLIGHT_DEPTH
         # the evidence is the lead-up, never post-mortem noise
         assert all(event["ts"] <= dump["at"] for event in dump["events"])
         # sites that did not crash are not frozen
-        assert set(recorder.dumps) == {crashed}
+        assert set(dumps) == {crashed}
+        assert sha256_json(dump) == CRASH_DUMP_SHA256
 
     def test_invariant_violation_freezes_every_ring(self):
         from repro.chaos.invariants import InvariantChecker
-        config = SDVMConfig(
-            telemetry=TelemetryConfig(flight_recorder=True))
-        cluster = SimCluster(nsites=2, config=config)
+        cluster = SimCluster(nsites=2, config=SDVMConfig(trace=True))
         handle = cluster.submit(build_primes_program(),
                                 args=(20, 4, 400.0, 4000.0))
         cluster.run()
@@ -480,9 +490,11 @@ class TestChaosTelemetry:
                                    expected_results=[["wrong"]])
         violations = checker.check()
         assert violations
-        assert cluster.flight_recorder.dumps
+        dumps = cluster.tracer.dumps
+        assert sorted(dumps) == [-1, 0, 1]  # -1: before sign-on
         assert all(d["reason"] == "invariant_violation"
-                   for d in cluster.flight_recorder.dumps.values())
+                   and d["at"] == cluster.sim.now for d in dumps.values())
+        assert sha256_json(dumps) == INVARIANT_DUMPS_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +503,7 @@ class TestChaosTelemetry:
 
 class TestLiveTelemetry:
     def test_live_kernel_wall_clock_metrics(self):
-        from repro.runtime.live_cluster import LiveCluster
-        from tests.test_live_runtime import fanout_program
-        config = SDVMConfig(
-            telemetry=TelemetryConfig(metrics_enabled=True,
-                                      metrics_interval=0.01,
-                                      flight_recorder=True))
+        config = SDVMConfig(metrics_interval=0.01)
         with LiveCluster(nsites=2, config=config) as cluster:
             assert cluster.run(fanout_program(), args=(6,)) == sum(
                 i * i for i in range(6))
@@ -504,15 +511,61 @@ class TestLiveTelemetry:
             assert wall["wall_seconds"] > 0
             assert wall["events_executed"] > 0
             assert wall["events_per_sec"] > 0
-            import time
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and not cluster.metrics.rows:
-                time.sleep(0.02)
-            rows = list(cluster.metrics.rows)
-            assert rows, "live sampler thread produced no rows"
-            validate_metrics(cluster.metrics.header(), rows)
-        # shutdown joins the sampler thread
+        # shutdown joins the sampler thread, then takes one last sample
         assert not cluster._sampler_thread.is_alive()
+        rows = list(cluster.metrics.rows)
+        assert rows
+        validate_metrics(cluster.metrics.header(), rows)
+
+    def test_run_shorter_than_the_interval_gets_one_row_per_site(self):
+        config = SDVMConfig(metrics_interval=60.0)
+        with LiveCluster(nsites=2, config=config) as cluster:
+            cluster.run(fanout_program(), args=(6,))
+        rows = cluster.metrics.rows
+        assert sorted(row["site"] for row in rows) == [0, 1]
+        assert all(row["t"] == cluster.horizon for row in rows)
+
+    def test_live_horizon_is_the_time_since_the_build(self):
+        start = time.monotonic()
+        with LiveCluster(nsites=2, config=SDVMConfig(trace=True)) as cluster:
+            cluster.run(fanout_program(), args=(6,))
+        elapsed = time.monotonic() - start
+        horizon = cluster.cluster_report().horizon
+        assert 0.0 < horizon <= elapsed
+        assert cluster.horizon == horizon  # frozen at shutdown
+        assert blame_cluster(cluster).cluster_seconds == pytest.approx(
+            2 * horizon)
+
+    def test_both_facades_expose_the_same_reports(self):
+        reports = ("cluster_report", "write_chrome_trace", "total_stats",
+                   "accounting_report", "wall_clock_metrics", "horizon")
+        for name in reports:
+            assert hasattr(SimCluster, name) and hasattr(LiveCluster, name)
+        # the simulator, its CPU model and its network stay the sim's
+        for name in ("sim", "cpu_report", "network_stats"):
+            assert not hasattr(LiveCluster, name)
+        with LiveCluster(nsites=2) as cluster:
+            cluster.run(fanout_program(), args=(6,))
+        assert not hasattr(cluster, "sim")
+        # main, six workers, collect
+        assert cluster.total_stats().get("executions").count == 8
+        report = cluster.cluster_report()
+        assert report.nsites == 2 and report.derived["executions"] == 8
+        assert "fanout" in cluster.accounting_report()
+
+    def test_traced_live_crash_dump_is_the_sites_journal_tail(self):
+        with LiveCluster(nsites=2, config=SDVMConfig(trace=True)) as cluster:
+            cluster.run(fanout_program(), args=(6,))
+            site_id = cluster.sites[1].site_id
+            cluster.crash_site(1)
+        events = cluster.tracer.dumps[site_id]["events"]
+        assert events and cluster.tracer.dumps[site_id]["reason"] == "crash"
+        # the site's last events in emission order, up to the freeze (its
+        # reactor may still emit while it goes down)
+        journal = [TracerEvent(*raw).as_dict()
+                   for raw in cluster.tracer._raw if raw[1] == site_id]
+        assert any(journal[max(0, k - FLIGHT_DEPTH):k] == events
+                   for k in range(len(events), len(journal) + 1))
 
 
 # ---------------------------------------------------------------------------
