@@ -10,6 +10,7 @@ from repro.apps import (build_primes_program, build_treesum_program,
                         first_n_primes, treesum_expected)
 from repro.common.config import SchedulingConfig, SDVMConfig
 from repro.common.errors import SDVMError
+from repro.site.facade import wall_clock_row
 from repro.site.simcluster import SimCluster
 
 #: set SDVM_BENCH_FULL=1 to run the full Table 1 sweep (p up to 1000);
@@ -144,20 +145,9 @@ def wall_clock_meta(clusters: Sequence[SimCluster]) -> Dict[str, float]:
     ``meta`` block of bench documents (which :func:`compare_metrics` never
     reads) — informational visibility without a flaky gate.
     """
-    wall = sum(c.wall_seconds for c in clusters)
-    events = sum(c.sim.events_executed for c in clusters)
-    msgs = 0
-    for cluster in clusters:
-        stats = cluster.total_stats()
-        msgs += (stats.get("sent").count
-                 + stats.get("local_messages").count)
-    return {
-        "wall_seconds": wall,
-        "events_executed": float(events),
-        "messages": float(msgs),
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "msgs_per_sec": msgs / wall if wall > 0 else 0.0,
-    }
+    rows = [cluster.wall_clock_metrics() for cluster in clusters]
+    return wall_clock_row(*(sum(row[key] for row in rows) for key in
+                            ("wall_seconds", "events_executed", "messages")))
 
 
 # ---------------------------------------------------------------------------

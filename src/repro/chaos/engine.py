@@ -122,10 +122,9 @@ class ChaosController:
 
     def _set_slowdown(self, index: int, factor: float) -> None:
         site = self.cluster.site_by_index(index)
-        cpu = getattr(site.kernel, "cpu", None)
-        if cpu is not None and site.running:
+        if site.running:
             self._trace("slow", f"{index}x{factor}")
-            cpu.slowdown = factor
+            site.kernel.cpu.slowdown = factor
 
     # ------------------------------------------------------------------
     # link mangling (called by SimNetwork.send per message)

@@ -9,10 +9,10 @@ journal for properties that must hold no matter which faults fired:
   (``expect_complete``) additionally demand success and a correct result.
 * **no-site-paused-at-horizon** — checkpoint pauses and recovery pauses
   must all have been released by the time the run settles.
-* **no recovery in flight** — ``_recovering`` cleared, crash queue empty.
+* **no recovery in flight** — ``recovering`` cleared, crash queue empty.
 * **single-owner attraction lines** — COMA ownership migrates, it never
   forks: an address may live in at most one running site's memory.
-* **directory coherence** — a settled directory shard entry may not name
+* **directory coherence** — a settled directory entry may not name
   a live non-owner while some other running site holds the object
   (entries for dropped objects are fine; pointing at the wrong *live*
   copy is how reads go wrong).
@@ -109,7 +109,7 @@ class InvariantChecker:
         out = []
         for site in self._running_sites():
             cm = site.crash_manager
-            if cm._recovering:
+            if cm.recovering:
                 out.append(Violation(
                     "recovery_settled",
                     f"site {site.site_id} still mid-recovery"))
@@ -131,13 +131,13 @@ class InvariantChecker:
                 for addr, sites in owners.items() if len(sites) > 1]
 
     def _check_directory(self) -> List[Violation]:
-        """After the drain has settled every in-flight DIR_UPDATE, a shard
-        entry naming a live site as owner must agree with who actually
-        holds the object.  Entries for objects nobody holds any more are
-        allowed (drops and rollbacks leave tombstone-free garbage);
-        *mismatches* against a live copy are not — they would misroute
-        every future read.  Vacuously true for workloads that never
-        allocate objects (e.g. primes)."""
+        """After the drain has settled every in-flight DIR_UPDATE, a
+        directory entry naming a live site as owner must agree with who
+        actually holds the object.  Entries for objects nobody holds any
+        more are allowed (drops and rollbacks leave tombstone-free
+        garbage); *mismatches* against a live copy are not — they would
+        misroute every future read.  Vacuously true for workloads that
+        never allocate objects (e.g. primes)."""
         holder: Dict[Any, int] = {}
         running = self._running_sites()
         running_ids = {s.site_id for s in running}
@@ -153,8 +153,8 @@ class InvariantChecker:
                         and owner in running_ids):
                     out.append(Violation(
                         "directory",
-                        f"shard {site.site_id} maps {addr} to site "
-                        f"{owner}, but site {held_at} holds it"))
+                        f"site {site.site_id}'s directory maps {addr} to "
+                        f"site {owner}, but site {held_at} holds it"))
         return out
 
     def _check_frame_conservation(self) -> List[Violation]:

@@ -222,13 +222,6 @@ class SecurityConfig:
     enabled: bool = False
     #: pre-shared cluster password used to authenticate first contact
     cluster_password: str = "sdvm"
-    #: sim-kernel-only fast path: charge the exact same simulated byte and
-    #: CPU costs for sealing/opening envelopes, but skip the real keystream
-    #: cipher + MAC work (and the DH shared-secret modpow).  Envelopes keep
-    #: their sealed layout and size, so virtual-time results are identical
-    #: to a real-crypto run at a fraction of the host CPU cost.  The live
-    #: kernel ignores this flag and always runs real crypto.
-    simulate_crypto: bool = False
 
 
 @dataclass(frozen=True, slots=True)

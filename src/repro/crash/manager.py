@@ -39,7 +39,8 @@ class CrashManager(Manager):
         #: to fence stale CHECKPOINT_REPLICA duplicates without rejecting
         #: a successor coordinator's restarted wave numbering
         self.committed_src = -1
-        self._recovering = False
+        #: a recovery is in flight
+        self.recovering = False
         #: crashes observed while a recovery is in flight; drained one at
         #: a time so recoveries never interleave
         self._crash_queue: List[int] = []
@@ -93,7 +94,7 @@ class CrashManager(Manager):
         self._timer = None
         if not self.site.running:
             return
-        if (self.is_coordinator() and not self._recovering
+        if (self.is_coordinator() and not self.recovering
                 and self.site.program_manager.has_active_programs()
                 and not self._wave_blocking()):
             self.start_checkpoint()
@@ -357,7 +358,7 @@ class CrashManager(Manager):
         self.stats.inc("crashes_observed")
         if not self.is_coordinator():
             return
-        if self._recovering:
+        if self.recovering:
             # serialize: starting a second recovery now would interleave
             # RECOVER_BEGIN/STATE/DONE waves, and the first recovery's
             # finish timer would unpause survivors mid-rollback
@@ -387,7 +388,7 @@ class CrashManager(Manager):
         self._start_recovery(dead=logical)
 
     def _start_recovery(self, dead: int) -> None:
-        self._recovering = True
+        self.recovering = True
         self._recover_seq += 1
         self.stats.inc("recoveries")
         alive = [r.logical for r in self.site.cluster_manager.sites.values()
@@ -460,7 +461,7 @@ class CrashManager(Manager):
 
     def _distribute_snapshot(self, dead: int, alive: Set[int],
                              seq: int) -> None:
-        if seq != self._recover_seq or not self._recovering:
+        if seq != self._recover_seq or not self.recovering:
             return  # superseded by a newer recovery
         epoch = self.site.epoch  # our own RECOVER_BEGIN already bumped it
         for shard_site, blob in self.committed.items():
@@ -472,9 +473,9 @@ class CrashManager(Manager):
                                alive, seq)
 
     def _finish_recovery(self, alive: Set[int], seq: int) -> None:
-        if seq != self._recover_seq or not self._recovering:
+        if seq != self._recover_seq or not self.recovering:
             return
-        self._recovering = False
+        self.recovering = False
         self._trace("recovery_done", self.site.epoch)
         for logical in alive:
             self._send_recover(logical, MsgType.RECOVER_DONE,
@@ -483,7 +484,7 @@ class CrashManager(Manager):
 
     def _drain_crash_queue(self) -> None:
         """Start the next queued recovery, if any (serial execution)."""
-        while self._crash_queue and not self._recovering:
+        while self._crash_queue and not self.recovering:
             if not self.site.running or not self.is_coordinator():
                 self._crash_queue.clear()
                 return
@@ -585,6 +586,6 @@ class CrashManager(Manager):
     def status(self) -> dict:
         base = super().status()
         base["committed_wave"] = self.committed_wave
-        base["recovering"] = self._recovering
+        base["recovering"] = self.recovering
         base["queued_crashes"] = len(self._crash_queue)
         return base

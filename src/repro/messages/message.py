@@ -42,10 +42,10 @@ class MsgType(enum.IntEnum):
     MEM_MIGRATE = 34           # move object ownership to requester
     MEM_OBJECT = 35            # object transfer (migration payload)
     MEM_LOCATION = 36          # directory redirect: "object now lives at X"
-    DIR_UPDATE = 37            # owner publishes ownership to the dir shard
+    DIR_UPDATE = 37            # owner publishes ownership to the homesite
     FRAME_TRANSFER = 38        # a microframe migrates (help reply / relocation)
     MEM_NOT_FOUND = 39
-    DIR_ACK = 40               # dir shard acknowledges a DIR_UPDATE
+    DIR_ACK = 40               # directory site acknowledges a DIR_UPDATE
 
     # -- cluster membership (§3.4, §4 cluster manager)
     SIGN_ON = 50               # join request to a known site

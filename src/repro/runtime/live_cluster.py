@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.common.config import SDVMConfig, SiteConfig
 from repro.common.errors import SDVMError
@@ -74,10 +74,8 @@ class LiveCluster(ClusterFacade):
                  config: Optional[SDVMConfig] = None,
                  site_configs: Optional[Sequence[SiteConfig]] = None,
                  transport: str = "inproc") -> None:
-        #: the run's clock: wall seconds from the start of the build to
-        #: the start of shutdown (or to now, while the cluster runs)
-        self._built_at = time.monotonic()
-        self._ended_at: Optional[float] = None
+        #: the run's clock: every kernel counts wall seconds from here
+        self._epoch = time.monotonic()
         super().__init__(config)
         self._hub = InProcHub() if transport == "inproc" else None
         self._sampler_stop = threading.Event()
@@ -117,18 +115,11 @@ class LiveCluster(ClusterFacade):
             raise SDVMError(f"unknown transport {transport!r}")
         kernel = LiveKernel(make_transport, seed=self.config.seed,
                             name=f"{site_config.name or index}",
-                            tracer=self.tracer)
+                            tracer=self.tracer, epoch=self._epoch)
         return SDVMSite(kernel, self.config, site_config)
 
     # ------------------------------------------------------------------
-    # the run's clock and the sampler thread (the live twin of
-    # SimCluster's virtual-time timer)
-
-    @property
-    def horizon(self) -> float:
-        """Wall seconds since the cluster was built, frozen at shutdown."""
-        end = self._ended_at
-        return (time.monotonic() if end is None else end) - self._built_at
+    # the sampler thread (the live twin of SimCluster's virtual-time timer)
 
     def _sample_loop(self) -> None:
         # Samples read manager counters from outside the reactor threads:
@@ -138,17 +129,10 @@ class LiveCluster(ClusterFacade):
         while not self._sampler_stop.wait(self._sampler.interval):
             self._sampler.sample_once(self.horizon)
 
-    def wall_clock_metrics(self) -> dict:
-        """Aggregate uptime/throughput over every site's live kernel."""
-        per_site = [site.kernel.wall_clock_metrics()  # type: ignore[attr-defined]
-                    for site in self.sites]
-        wall = max((m["wall_seconds"] for m in per_site), default=0.0)
-        events = sum(m["events_executed"] for m in per_site)
-        return {
-            "wall_seconds": wall,
-            "events_executed": events,
-            "events_per_sec": events / wall if wall > 0 else 0.0,
-        }
+    def _wall_clock(self) -> Tuple[float, int]:
+        events = sum(site.kernel.events_processed  # type: ignore[attr-defined]
+                     for site in self.sites)
+        return self.horizon, events
 
     @staticmethod
     def _wait(done: Callable[[], bool], failure: str,
@@ -219,10 +203,11 @@ class LiveCluster(ClusterFacade):
     def shutdown(self) -> None:
         """End the run: one final sample (a run shorter than the sampling
         interval still gets one row per site), then stop every site
-        (reverse order so heirs outlive leavers)."""
+        (reverse order so heirs outlive leavers).  The horizon freezes
+        once the last site has stopped: messages still in flight at the
+        call land in the journal before it."""
         if self._ended_at is not None:
             return
-        self._ended_at = time.monotonic()
         if self._sampler_thread is not None:
             self._sampler_stop.set()
             self._sampler_thread.join(timeout=2.0)
@@ -234,6 +219,7 @@ class LiveCluster(ClusterFacade):
                 site.kernel.reactor_call(site.stop, timeout=2.0)  # type: ignore[attr-defined]
             except SDVMError:
                 site.crash()
+        self._ended_at = self.horizon
 
     def __enter__(self) -> "LiveCluster":
         return self

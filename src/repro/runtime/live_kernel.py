@@ -7,6 +7,11 @@ Microthread code runs on a pool of persistent ``sdvm-exec-*`` worker
 threads (:meth:`LiveKernel.run_user`).  ``call_later`` uses one timer
 thread per site with a heap of deadlines (cheaper than a
 ``threading.Timer`` per timeout).
+
+:attr:`LiveKernel.now` is wall seconds since an epoch — the cluster's
+build instant, shared by all its kernels — so journal timestamps, blame
+windows and the run's horizon share one clock.  Timer deadlines stay on
+raw ``time.monotonic()``.
 """
 
 from __future__ import annotations
@@ -32,24 +37,24 @@ class _TimerHandle:
 
 
 class LiveKernel(Kernel):
-    mode = "live"
-
     def __init__(self, make_transport: Callable[[Callable[[bytes], None]],
                                                 Transport],
                  seed: int = 0, name: str = "site",
-                 tracer: Optional[Any] = None) -> None:
+                 tracer: Optional[Any] = None,
+                 epoch: Optional[float] = None) -> None:
         """``make_transport`` builds the endpoint given a receive callback
-        (which may fire on arbitrary threads — it posts to the reactor)."""
+        (which may fire on arbitrary threads — it posts to the reactor).
+        ``epoch`` is the ``time.monotonic()`` instant :attr:`now` counts
+        from; a kernel built alone starts its own."""
         self.rng = random.Random(seed ^ hash(name) & 0xFFFF)
+        self._epoch = time.monotonic() if epoch is None else epoch
         #: shared structured journal; appends are atomic under CPython, so
         #: the per-site reactor threads need no extra locking
         self.tracer = tracer
         self._queue: "queue.SimpleQueue[Optional[Tuple[Callable, tuple]]]" = (
             queue.SimpleQueue())
-        #: wall-clock accounting (parity with SimCluster.wall_clock_metrics):
-        #: reactor items processed since construction, and when we started
+        #: reactor items processed since construction
         self.events_processed = 0
-        self.started_at = time.monotonic()
         self._stopping = threading.Event()
         self._receiver: Optional[Callable[[bytes], None]] = None
         self._name = name
@@ -96,7 +101,6 @@ class LiveKernel(Kernel):
                 traceback.print_exc()
 
     def attach_receiver(self, receiver: Callable[[bytes], None]) -> None:
-        """Daemon wires the message manager's deliver_raw here."""
         self._receiver = receiver
 
     def _on_raw(self, data: bytes) -> None:
@@ -106,8 +110,7 @@ class LiveKernel(Kernel):
             self.post(receiver, data)
 
     def attach_peer_watcher(self, watcher: Callable[[str], None]) -> None:
-        """Daemon wires the cluster manager's transport-suspicion hook here;
-        ``watcher(physical_addr)`` runs on the reactor."""
+        # ``watcher`` runs on the reactor
         self._peer_watcher = watcher
 
     def _on_peer_down(self, physical: str) -> None:
@@ -116,23 +119,7 @@ class LiveKernel(Kernel):
         if watcher is not None and not self._stopping.is_set():
             self.post(watcher, physical)
 
-    def wall_clock_metrics(self) -> dict:
-        """Uptime + reactor throughput (the live twin of
-        :meth:`repro.site.simcluster.SimCluster.wall_clock_metrics`).
-
-        Informational only — wall-clock figures are machine- and
-        load-dependent, so they never participate in gated metrics.
-        """
-        uptime = time.monotonic() - self.started_at
-        events = self.events_processed
-        return {
-            "wall_seconds": uptime,
-            "events_executed": float(events),
-            "events_per_sec": events / uptime if uptime > 0 else 0.0,
-        }
-
     def transport_stats(self) -> dict:
-        """Snapshot of the transport's counters ({} if it keeps none)."""
         stats = getattr(self.transport, "stats", None)
         return stats.as_dict() if stats is not None else {}
 
@@ -198,7 +185,7 @@ class LiveKernel(Kernel):
 
     @property
     def now(self) -> float:
-        return time.monotonic()
+        return time.monotonic() - self._epoch
 
     def call_later(self, delay: float, fn: Callable[..., None],
                    *args: Any) -> _TimerHandle:
@@ -214,7 +201,7 @@ class LiveKernel(Kernel):
     def call_at(self, when: float, fn: Callable[..., None],
                 *args: Any) -> _TimerHandle:
         # a time already past fires at once (call_later clamps at 0)
-        return self.call_later(when - time.monotonic(), fn, *args)
+        return self.call_later(when - self.now, fn, *args)
 
     def cancel(self, handle: Any) -> None:
         if isinstance(handle, _TimerHandle):

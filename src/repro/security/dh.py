@@ -31,21 +31,10 @@ _EXPONENT_BITS = 256  # short exponents are fine for this group size
 
 
 class DHKeyPair:
-    """One side of a Diffie–Hellman exchange.
+    """One side of a Diffie–Hellman exchange."""
 
-    ``simulate=True`` (the sim kernel's ``simulate_crypto`` mode) skips the
-    shared-secret modular exponentiation: the derived "session key" is then
-    a cheap hash of the peer's public value, which is fine because the
-    simulated cipher never uses the key.  The *public* value is still
-    computed for real in both modes — it travels on the wire inside the
-    KEY_EXCHANGE payload, so its exact value (and therefore encoded size)
-    must match a real-crypto run byte for byte.  The RNG draw is likewise
-    identical, keeping the seeded random stream in lockstep.
-    """
-
-    def __init__(self, rng: random.Random, simulate: bool = False) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self._private = rng.getrandbits(_EXPONENT_BITS) | 1
-        self._simulate = simulate
         self.public = pow(DH_GENERATOR, self._private, DH_GROUP_PRIME)
 
     def shared_key(self, peer_public: int,
@@ -53,7 +42,5 @@ class DHKeyPair:
         """Derive the 32-byte session key from the peer's public value."""
         if not 2 <= peer_public <= DH_GROUP_PRIME - 2:
             raise SecurityError("peer public value out of range")
-        if self._simulate:
-            return derive_key(context, b"simulated", peer_public)
         secret = pow(peer_public, self._private, DH_GROUP_PRIME)
         return derive_key(context, secret)

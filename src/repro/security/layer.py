@@ -21,24 +21,10 @@ import struct
 from typing import Dict, Tuple
 
 from repro.common.errors import SecurityError
-from repro.security.cipher import (
-    NONCE_SIZE,
-    TAG_SIZE,
-    derive_key,
-    open_sealed,
-    seal,
-)
+from repro.security.cipher import NONCE_SIZE, derive_key, open_sealed, seal
 
 _PLAIN = 0
 _SEALED = 1
-
-#: fixed placeholder tag used by the sim-only ``simulate`` mode: it keeps
-#: the sealed envelope layout (nonce || tag || body) and size while making
-#: simulated envelopes self-identifying — a *real* sealed envelope reaching
-#: a simulating layer (or vice versa) fails closed instead of decoding
-#: garbage
-_SIM_TAG = b"<sdvm:simulated-crypto-envelope>"
-assert len(_SIM_TAG) == TAG_SIZE
 
 
 class SecurityLayer:
@@ -50,12 +36,9 @@ class SecurityLayer:
     """
 
     def __init__(self, local_addr: str, enabled: bool,
-                 cluster_password: str, simulate: bool = False) -> None:
+                 cluster_password: str) -> None:
         self.local_addr = local_addr
         self.enabled = enabled
-        #: sim-kernel-only: keep envelope sizes/accounting but skip the
-        #: real cipher+MAC work (see SecurityConfig.simulate_crypto)
-        self.simulate = simulate
         self._password = cluster_password
         self._session_keys: Dict[str, bytes] = {}
         #: password-derived initial key per peer, derived once (it sits on
@@ -114,9 +97,6 @@ class SecurityLayer:
         self.messages_sealed += 1
         self.bytes_processed += len(data)
         nonce = self._next_nonce(peer_addr)
-        if self.simulate:
-            # size-identical stand-in for seal(): nonce || tag || body
-            return header + nonce + _SIM_TAG + data
         key = self._pair_key(peer_addr)
         return header + seal(key, data, nonce)
 
@@ -141,14 +121,6 @@ class SecurityLayer:
                 f"sealed message from {sender} but security layer disabled")
         self.messages_opened += 1
         self.bytes_processed += len(body)
-        if self.simulate:
-            if len(body) < NONCE_SIZE + TAG_SIZE:
-                raise SecurityError("sealed envelope too short")
-            if bytes(body[NONCE_SIZE:NONCE_SIZE + TAG_SIZE]) != _SIM_TAG:
-                raise SecurityError(
-                    f"really-sealed envelope from {sender} reached a "
-                    f"simulate_crypto layer")
-            return sender, bytes(body[NONCE_SIZE + TAG_SIZE:])
         try:
             return sender, open_sealed(self._pair_key(sender), body)
         except SecurityError:

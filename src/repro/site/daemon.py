@@ -96,13 +96,9 @@ class SDVMSite:
             )
         }
         # the network manager's receive path: kernel transport -> message mgr
-        attach = getattr(kernel, "attach_receiver", None)
-        if attach is not None:
-            attach(self.message_manager.deliver_raw)
+        kernel.attach_receiver(self.message_manager.deliver_raw)
         # the transport's failure detector: suspected peers -> cluster mgr
-        watch = getattr(kernel, "attach_peer_watcher", None)
-        if watch is not None:
-            watch(self._on_peer_suspected)
+        kernel.attach_peer_watcher(self._on_peer_suspected)
 
     def _on_peer_suspected(self, physical: str) -> None:
         """Live transport gave up on a physical address (runs on reactor)."""

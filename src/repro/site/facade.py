@@ -4,18 +4,37 @@ Both facades build their sites over one kind of kernel and drive them;
 this base builds the telemetry every site reports into (the one
 :class:`~repro.trace.Tracer`, the metrics sampler and the health monitor)
 and answers every report from the sites, the journal and the run's
-:attr:`horizon`, so a report means the same under either kernel.  A
-facade keeps site building, run control, its clock and how it drives the
-sampler: a virtual-time timer in the sim, a thread live.
+:attr:`horizon` — all on the kernels' one clock — so a report means the
+same under either kernel.  A facade keeps site building, run control and
+how it drives the sampler: a virtual-time timer in the sim, a thread live.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import SDVMConfig
 from repro.common.errors import SDVMError
 from repro.common.stats import StatSet
+
+#: the tariff of the accounting extension (§6), in arbitrary currency
+#: units: CPU consumption per work unit, scheduling overhead per
+#: execution, network traffic per byte
+WORK_UNIT_PRICE = 1e-6
+EXECUTION_PRICE = 1e-4
+BYTE_PRICE = 1e-7
+
+
+def wall_clock_row(wall: float, events: float,
+                   msgs: float) -> Dict[str, float]:
+    """Host-time throughput figures of one or more runs."""
+    return {
+        "wall_seconds": wall,
+        "events_executed": float(events),
+        "messages": float(msgs),
+        "events_per_sec": events / wall if wall > 0 else 0.0,
+        "msgs_per_sec": msgs / wall if wall > 0 else 0.0,
+    }
 
 
 class ClusterFacade:
@@ -37,6 +56,8 @@ class ClusterFacade:
         self.metrics = None
         self.health = None
         self._sampler = None
+        #: the horizon frozen when the run ends (a live shutdown)
+        self._ended_at: Optional[float] = None
 
     def _build_sampler(self, mode: str):  # noqa: ANN202 — MetricsSampler
         """Build the sampler and health monitor once the sites exist;
@@ -55,7 +76,14 @@ class ClusterFacade:
 
     @property
     def horizon(self) -> float:
-        """Seconds the run has lasted on the cluster's own clock."""
+        """Seconds the run has lasted on its kernels' clock (virtual in
+        the sim, wall seconds since the build live), frozen at its end."""
+        if self._ended_at is not None:
+            return self._ended_at
+        return self.sites[0].kernel.now
+
+    def _wall_clock(self) -> Tuple[float, int]:
+        """Host seconds the run took and the kernel events it processed."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -68,6 +96,19 @@ class ClusterFacade:
             for manager in site.managers.values():
                 merged.merge(manager.stats)
         return merged
+
+    def wall_clock_metrics(self) -> Dict[str, float]:
+        """Host-time throughput of the run (informational only).
+
+        Wall-clock figures are machine- and load-dependent, so they never
+        participate in gated benchmark metrics — they ride along in the
+        ``meta`` block of ``BENCH_*.json`` artifacts and in ``repro
+        profile`` / ``repro stats`` output.
+        """
+        stats = self.total_stats()
+        return wall_clock_row(*self._wall_clock(),
+                              stats.get("sent").count
+                              + stats.get("local_messages").count)
 
     def cluster_report(self):  # noqa: ANN201 — repro.trace.ClusterReport
         """Cluster-wide merged stats + derived metrics (``repro stats``)."""
@@ -89,8 +130,45 @@ class ClusterFacade:
                  for site in self.sites if site.site_id >= 0}
         return write_chrome_trace(self.tracer, path, site_names=names)
 
-    def accounting_report(self, tariff=None) -> str:  # noqa: ANN001
-        """Cluster invoice (the paper's §6 accounting extension)."""
-        from repro.accounting import ClusterAccountant
-        return ClusterAccountant(tariff).report(
-            [s for s in self.sites if s.site_id >= 0])
+    def energy_report(self) -> Dict[int, dict]:
+        """Per-site energy usage under the configured PowerConfig (§2.2)."""
+        return {index: site.site_manager.energy_report()
+                for index, site in enumerate(self.sites)}
+
+    def invoices(self) -> Dict[int, dict]:
+        """One bill per program (the paper's §6 accounting extension).
+
+        Each site's program manager meters the executions and work it ran
+        for a program; they are priced at the module's tariff.  The
+        cluster's traffic is shared infrastructure, split by work share.
+        """
+        rows: Dict[int, dict] = {}
+        total_work = total_bytes = 0.0
+        for site in self.sites:
+            if site.site_id < 0:
+                continue
+            total_bytes += site.message_manager.stats.get("bytes_sent").total
+            for info in site.program_manager.programs.values():
+                row = rows.setdefault(info.pid, {
+                    "program": info.name, "executions": 0,
+                    "work_units": 0.0, "traffic_cost": 0.0, "cost": 0.0})
+                row["executions"] += info.executions
+                row["work_units"] += info.work_charged
+                row["cost"] += (info.work_charged * WORK_UNIT_PRICE
+                                + info.executions * EXECUTION_PRICE)
+                total_work += info.work_charged
+        if total_work > 0:
+            traffic = total_bytes * BYTE_PRICE
+            for row in rows.values():
+                row["traffic_cost"] = traffic * row["work_units"] / total_work
+                row["cost"] += row["traffic_cost"]
+        return rows
+
+    def accounting_report(self) -> str:
+        """The cluster invoice, one line per program, costliest work first."""
+        lines = ["program                 execs        work     cost"]
+        for row in sorted(self.invoices().values(),
+                          key=lambda row: -row["work_units"]):
+            lines.append(f"{row['program']:20s} {row['executions']:8d} "
+                         f"{row['work_units']:11.0f} {row['cost']:8.4f}")
+        return "\n".join(lines)

@@ -20,10 +20,6 @@ from repro.common.errors import SDVMError
 class Kernel(abc.ABC):
     """Execution substrate services for one site daemon."""
 
-    #: 'sim' or 'live' — the security manager simulates crypto only in
-    #: the sim
-    mode: str = "abstract"
-
     rng: random.Random
 
     #: cluster-wide structured event journal (repro.trace.Tracer), shared
@@ -32,10 +28,15 @@ class Kernel(abc.ABC):
     #: path costs one attribute check and nothing else.
     tracer: Optional[Any] = None
 
+    #: the modelled processor (:class:`CpuModel`) where the kernel models
+    #: one — the sim's; a live kernel's CPU time passes by itself
+    cpu: Optional["CpuModel"] = None
+
     @property
     @abc.abstractmethod
     def now(self) -> float:
-        """Current time (virtual seconds in sim, wall clock in live)."""
+        """Seconds since the run began: virtual in the sim, wall-clock
+        seconds since the cluster's build under the live kernel."""
 
     @abc.abstractmethod
     def call_later(self, delay: float, fn: Callable[..., None],
@@ -78,6 +79,19 @@ class Kernel(abc.ABC):
         """Whether the calling thread may touch manager state (the sim's
         one thread always may)."""
         return True
+
+    @abc.abstractmethod
+    def attach_receiver(self, receiver: Callable[[bytes], None]) -> None:
+        """Deliver every envelope that arrives for this site to
+        ``receiver`` (the message manager's ``deliver_raw``)."""
+
+    def attach_peer_watcher(self, watcher: Callable[[str], None]) -> None:
+        """Call ``watcher(physical_addr)`` when the transport suspects a
+        peer dead; the sim's network has no failure detector."""
+
+    def transport_stats(self) -> dict:
+        """The transport's own counters ({} where it keeps none)."""
+        return {}
 
     @abc.abstractmethod
     def transport_send(self, dst_physical: str, data: bytes,

@@ -102,21 +102,7 @@ class MessageManager(Manager):
             self.stats.inc("unresolvable")
             return False
         msg.dst_site = dst
-        data = msg.encode()
-        cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
-        envelope = self.site.security_manager.protect(physical, data)
-        if self.site.security_manager.enabled:
-            cpu_cost += (self.cost.crypto_fixed_cost
-                         + len(data) * self.cost.crypto_byte_cost)
-        self.kernel.cpu_charge(cpu_cost)
-        self.stats.inc("sent")
-        self.stats.add("bytes_sent", len(envelope))
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "msg_send",
-                    msg.type.name, dst, len(envelope), msg.seq,
-                    msg.cause_id, msg.origin_site)
-        ok = self.kernel.transport_send(physical, envelope, msg)
+        ok = self._transmit(physical, msg)
         if not ok:
             self.stats.inc("send_failed")
         elif self._track_told and msg.src_queue >= 0:
@@ -173,13 +159,14 @@ class MessageManager(Manager):
         cluster" (§6).
         """
         self._assign_seq(msg)
+        return self._transmit(physical, msg)
+
+    def _transmit(self, physical: str, msg: SDMessage) -> bool:
+        """The one path onto the wire: encode, seal, charge the CPU, count,
+        trace, and hand the envelope to the transport."""
         data = msg.encode()
-        cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
         envelope = self.site.security_manager.protect(physical, data)
-        if self.site.security_manager.enabled:
-            cpu_cost += (self.cost.crypto_fixed_cost
-                         + len(data) * self.cost.crypto_byte_cost)
-        self.kernel.cpu_charge(cpu_cost)
+        self.kernel.cpu_charge(self._wire_cost(len(data)))
         self.stats.inc("sent")
         self.stats.add("bytes_sent", len(envelope))
         tr = self.tracer
@@ -188,6 +175,16 @@ class MessageManager(Manager):
                     msg.type.name, msg.dst_site, len(envelope), msg.seq,
                     msg.cause_id, msg.origin_site)
         return self.kernel.transport_send(physical, envelope, msg)
+
+    def _wire_cost(self, nbytes: int) -> float:
+        """CPU seconds one end spends on a message of ``nbytes``: the
+        codec, plus the cipher when security is on."""
+        cost = self.cost
+        seconds = cost.msg_fixed_cost + nbytes * cost.msg_byte_cost
+        if self.site.security_manager.enabled:
+            seconds += (cost.crypto_fixed_cost
+                        + nbytes * cost.crypto_byte_cost)
+        return seconds
 
     def request(self, msg: SDMessage, on_reply: ReplyCallback,
                 timeout: Optional[float] = None,
@@ -248,17 +245,13 @@ class MessageManager(Manager):
                 self.log("malformed message dropped: %s", exc)
                 return
             self.stats.inc("parsed")
-        cpu_cost = self.cost.msg_fixed_cost + len(data) * self.cost.msg_byte_cost
-        if self.site.security_manager.enabled:
-            cpu_cost += (self.cost.crypto_fixed_cost
-                         + len(data) * self.cost.crypto_byte_cost)
         self.stats.inc("received")
         self.stats.add("bytes_received", len(envelope))
         tr = self.tracer
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "msg_recv",
                     msg.type.name, msg.src_site, len(data), msg.seq)
-        self.kernel.cpu_run(cpu_cost, self._dispatch, msg)
+        self.kernel.cpu_run(self._wire_cost(len(data)), self._dispatch, msg)
 
     #: message kinds a departed-but-forwarding site relays to its heir
     _FORWARDABLE = frozenset({
@@ -336,8 +329,6 @@ class MessageManager(Manager):
         base["pending_requests"] = len(self._pending)
         # live transports keep their own counters (queue depth, retries,
         # dead letters); expose them with the messaging stats so the site
-        # manager's STATUS_QUERY reports the full delivery picture
-        transport_stats = getattr(self.kernel, "transport_stats", None)
-        if transport_stats is not None:
-            base["transport"] = transport_stats()
+        # manager's full_status() shows the whole delivery picture
+        base["transport"] = self.kernel.transport_stats()
         return base

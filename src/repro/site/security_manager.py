@@ -21,17 +21,10 @@ class SecurityManager(Manager):
 
     def __init__(self, site) -> None:  # noqa: ANN001
         super().__init__(site)
-        # simulate_crypto is honoured only under the sim kernel: simulated
-        # envelopes carry the sealed layout and sizes but no real cipher
-        # work, so virtual-time results are identical to real crypto.  The
-        # live kernel always runs the real thing.
-        self.simulate = (self.config.security.simulate_crypto
-                         and self.kernel.mode == "sim")
         self.layer = SecurityLayer(
             local_addr=self.kernel.local_physical(),
             enabled=self.config.security.enabled,
             cluster_password=self.config.security.cluster_password,
-            simulate=self.simulate,
         )
         self._pending_dh: Dict[int, DHKeyPair] = {}
 
@@ -51,7 +44,7 @@ class SecurityManager(Manager):
         """Upgrade the password-derived pairwise key to a DH session key."""
         if not self.enabled:
             return
-        pair = DHKeyPair(self.kernel.rng, simulate=self.simulate)
+        pair = DHKeyPair(self.kernel.rng)
         self._pending_dh[peer_logical] = pair
         self.site.message_manager.send(SDMessage(
             type=MsgType.KEY_EXCHANGE_INIT,
@@ -67,7 +60,7 @@ class SecurityManager(Manager):
 
     def handle(self, msg: SDMessage) -> None:
         if msg.type == MsgType.KEY_EXCHANGE_INIT:
-            pair = DHKeyPair(self.kernel.rng, simulate=self.simulate)
+            pair = DHKeyPair(self.kernel.rng)
             key = pair.shared_key(msg.payload["public"])
             peer_physical = self.site.cluster_manager.physical_of(msg.src_site)
             self.site.message_manager.send(make_reply(

@@ -21,8 +21,6 @@ from repro.site.kernel import CpuModel, Kernel
 class SimKernel(Kernel):
     """Kernel backed by the discrete-event simulator."""
 
-    mode = "sim"
-
     def __init__(self, sim: Simulator, network: SimNetwork, physical: int,
                  speed: float, seed: int = 0,
                  tracer: Optional[Any] = None) -> None:
@@ -37,7 +35,6 @@ class SimKernel(Kernel):
 
     # ------------------------------------------------------------------
     def attach_receiver(self, receiver: Callable[[bytes], None]) -> None:
-        """Connect this kernel to the network (done by the daemon)."""
         self._endpoint = self._network.endpoint(self._physical, receiver)
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SDVMConfig, SiteConfig
 from repro.common.errors import SDVMError
@@ -105,11 +105,6 @@ class SimCluster(ClusterFacade):
         """The sampler's repeating virtual-time timer."""
         self._sampler.sample_once(self.sim.now)
         self.sim.schedule(self._sampler.interval, self._sample_tick)
-
-    @property
-    def horizon(self) -> float:
-        """Virtual seconds simulated so far."""
-        return self.sim.now
 
     # ------------------------------------------------------------------
     def _build_site(self, site_config: SiteConfig) -> SDVMSite:
@@ -289,44 +284,20 @@ class SimCluster(ClusterFacade):
     # ------------------------------------------------------------------
     # metrics
 
-    def wall_clock_metrics(self) -> Dict[str, float]:
-        """Real-time throughput of the finished run (informational only).
-
-        Wall-clock figures are machine- and load-dependent, so they never
-        participate in gated benchmark metrics — they ride along in the
-        ``meta`` block of ``BENCH_*.json`` artifacts and in ``repro
-        profile`` output to make performance regressions visible.
-        """
-        wall = self.wall_seconds
-        events = self.sim.events_executed
-        stats = self.total_stats()
-        msgs = (stats.get("sent").count
-                + stats.get("local_messages").count)
-        return {
-            "wall_seconds": wall,
-            "events_executed": float(events),
-            "messages": float(msgs),
-            "events_per_sec": events / wall if wall > 0 else 0.0,
-            "msgs_per_sec": msgs / wall if wall > 0 else 0.0,
-        }
+    def _wall_clock(self) -> Tuple[float, int]:
+        return self.wall_seconds, self.sim.events_executed
 
     def cpu_report(self) -> Dict[int, dict]:
-        """Per-site CPU busy/overhead seconds (sim kernels only)."""
+        """Per-site CPU busy/overhead seconds of the modelled CPUs."""
         report = {}
         for index, site in enumerate(self._sites):
-            cpu = getattr(site.kernel, "cpu", None)
-            if cpu is not None:
-                report[index] = {
-                    "busy": cpu.busy_total,
-                    "overhead": cpu.overhead_total,
-                    "compute": cpu.busy_total - cpu.overhead_total,
-                }
+            cpu = site.kernel.cpu
+            report[index] = {
+                "busy": cpu.busy_total,
+                "overhead": cpu.overhead_total,
+                "compute": cpu.busy_total - cpu.overhead_total,
+            }
         return report
 
     def network_stats(self) -> StatSet:
         return self.network.stats
-
-    def energy_report(self) -> Dict[int, dict]:
-        """Per-site energy usage under the configured PowerConfig (§2.2)."""
-        return {index: site.site_manager.energy_report()
-                for index, site in enumerate(self._sites)}

@@ -78,7 +78,7 @@ class SiteManager(Manager):
         """Per-site energy consumption under the configured wattages."""
         power = self.config.power
         now = self.kernel.now
-        cpu = getattr(self.kernel, "cpu", None)
+        cpu = self.kernel.cpu
         busy = cpu.busy_total if cpu is not None else 0.0
         sleep = self.sleep_seconds
         if self.site.sleeping:

@@ -32,12 +32,7 @@ from repro.trace.aggregate import (
     aggregate_sites,
     site_stats,
 )
-from repro.trace.blame import (
-    BlameReport,
-    blame_cluster,
-    blame_sites,
-    render_critical_path,
-)
+from repro.trace.blame import BlameReport, blame_cluster, render_critical_path
 from repro.trace.causal import CausalGraph, CausalNode, exec_node, msg_node
 from repro.trace.chrome import (
     to_chrome,
@@ -77,7 +72,6 @@ __all__ = [
     "aggregate_sites",
     "analyze_log",
     "blame_cluster",
-    "blame_sites",
     "exec_node",
     "msg_node",
     "render_critical_path",

@@ -114,10 +114,10 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         merged.merge(stats)
         # the transport is not a manager: its counters live on the kernel
         # (live TCP only; the sim and the in-process hub keep none)
-        transport_stats = getattr(site.kernel, "transport_stats", dict)()
+        transport_stats = site.kernel.transport_stats()
         inline_sends += transport_stats.get("inline_sends", 0.0)
         queued_sends += transport_stats.get("frames_enqueued", 0.0)
-        cpu = getattr(site.kernel, "cpu", None)
+        cpu = site.kernel.cpu
         if cpu is not None:
             busy += cpu.busy_total
             busy_sites += 1
@@ -136,8 +136,8 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         # between two sites that are not the directory costs.  A remote
         # read is priced from the serving side, which needs no tracer:
         # every MEM_READ draws exactly one of three replies and every
-        # DIR_UPDATE one DIR_ACK.  (The sim's oracle reads send only the
-        # directory half; the live kernel sends all of it.)
+        # DIR_UPDATE one DIR_ACK — under both kernels, which run the same
+        # memory protocol.
         "dir_updates_per_alloc": _rate(count("dir_updates_sent"),
                                        count("objects_allocated")),
         "msgs_per_remote_read": _rate(

@@ -30,6 +30,10 @@ categories always sum exactly to the horizon per site.  Summed over sites
 they sum to ``nsites * horizon`` — the gap between ideal ``nsites``-fold
 speedup and the measured one decomposes exactly into the six non-compute
 categories (in units of "lost sites": category seconds / horizon).
+
+The live kernel stamps the journal on the same clock as its horizon (wall
+seconds since the build), so a live cluster gets the same report; it
+models no CPU, so its ``compute`` and ``protocol`` read 0.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SDVMError
 from repro.trace.causal import EXEC_TAG, CausalGraph
-from repro.trace.tracer import Tracer
 
 #: attribution categories, in render order
 CATEGORIES = ("compute", "protocol", "steal-wait", "code-fetch",
@@ -243,9 +246,15 @@ def render_critical_path(segments: List[dict],
 # attribution
 
 
-def blame_sites(sites: List, tracer: Tracer,  # noqa: ANN001
-                horizon: float) -> BlameReport:
-    """Attribute ``[0, horizon]`` of every running site to categories."""
+def blame_cluster(cluster) -> BlameReport:  # noqa: ANN001
+    """Attribute ``[0, horizon]`` of every running site of a SimCluster or
+    LiveCluster to categories, from its journal."""
+    tracer = cluster.tracer
+    if tracer is None:
+        raise SDVMError(
+            "blame analysis needs a trace — build the cluster with "
+            "SDVMConfig(trace=True)")
+    horizon = cluster.horizon
     events = tracer.events
     graph = CausalGraph.from_events(events)
 
@@ -284,11 +293,11 @@ def blame_sites(sites: List, tracer: Tracer,  # noqa: ANN001
 
     # -- per-site attribution ------------------------------------------
     per_site: Dict[int, Dict[str, float]] = {}
-    for site in sites:
-        site_id = getattr(site, "site_id", -1)
+    for site in cluster.sites:
+        site_id = site.site_id
         if site_id < 0:
             continue
-        cpu = getattr(site.kernel, "cpu", None)
+        cpu = site.kernel.cpu
         busy = cpu.busy_total if cpu is not None else 0.0
         overhead = cpu.overhead_total if cpu is not None else 0.0
         busy = min(busy, horizon)
@@ -342,21 +351,7 @@ def blame_sites(sites: List, tracer: Tracer,  # noqa: ANN001
         row["span_seconds"] += node.duration
         row["work_units"] += node.work
 
+    names = {handle.pid: handle.program.name
+             for handle in cluster.handles if handle.pid >= 0}
     return BlameReport(per_site, horizon, per_program,
-                       graph.critical_path())
-
-
-def blame_cluster(cluster) -> BlameReport:  # noqa: ANN001
-    """Build a blame report straight from a SimCluster or LiveCluster."""
-    tracer = cluster.tracer
-    if tracer is None:
-        raise SDVMError(
-            "blame analysis needs a trace — build the cluster with "
-            "SDVMConfig(trace=True)")
-    report = blame_sites(cluster.sites, tracer, cluster.horizon)
-    names = {}
-    for handle in cluster.handles:
-        if handle.pid >= 0:
-            names[handle.pid] = handle.program.name
-    report.program_names = names
-    return report
+                       graph.critical_path(), names)

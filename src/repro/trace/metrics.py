@@ -225,7 +225,7 @@ class MetricsSampler:
         mem = site.attraction_memory
         msg_stats = site.message_manager.stats
 
-        cpu = getattr(site.kernel, "cpu", None)
+        cpu = site.kernel.cpu
         busy_total = cpu.busy_total if cpu is not None else 0.0
         help_sent = sched.stats.get("help_sent").count
         steals_in = sched.stats.get("steals_in").count
@@ -247,7 +247,7 @@ class MetricsSampler:
             "site": site.site_id,
             "alive": 1 if site.running else 0,
             "paused": 1 if site.paused else 0,
-            "recovering": 1 if getattr(crash, "_recovering", False) else 0,
+            "recovering": 1 if crash.recovering else 0,
             "sleeping": 1 if site.sleeping else 0,
             "queue": sched.queue_depth(),
             "executable": len(sched.executable),

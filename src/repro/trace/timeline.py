@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.trace.blame import _merge
 from repro.trace.tracer import TracerEvent
 
 #: the tracer event kinds a timeline draws (``frame`` is the first field
@@ -29,10 +30,10 @@ class Timeline:
 
     @classmethod
     def from_cluster(cls, cluster) -> "Timeline":  # noqa: ANN001
-        """The timeline of a SimCluster run with ``SDVMConfig(trace=True)``
-        (empty without it)."""
+        """The timeline of a SimCluster or LiveCluster run with
+        ``SDVMConfig(trace=True)`` (empty without it)."""
         tracer = cluster.tracer
-        return cls([] if tracer is None else tracer.events, cluster.sim.now)
+        return cls([] if tracer is None else tracer.events, cluster.horizon)
 
     # ------------------------------------------------------------------
     def _pair_intervals(self) -> Dict[int, List[Tuple[float, float]]]:
@@ -61,19 +62,8 @@ class Timeline:
         """Fraction of the horizon the site had executions in flight."""
         if self.horizon <= 0.0:
             return 0.0
-        merged = self._merge(self._busy.get(site, []))
+        merged = _merge(self._busy.get(site, []))
         return min(sum(hi - lo for lo, hi in merged) / self.horizon, 1.0)
-
-    @staticmethod
-    def _merge(intervals: List[Tuple[float, float]]
-               ) -> List[Tuple[float, float]]:
-        merged: List[Tuple[float, float]] = []
-        for lo, hi in intervals:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return merged
 
     def steals(self) -> List[TracerEvent]:
         return [e for e in self.events if e.kind == "steal_in"]

@@ -15,8 +15,9 @@ Design constraints (see DESIGN.md, "Observability"):
   never touches the simulator, timers, or any RNG, so enabling tracing
   cannot perturb sim determinism (covered by a test).
 * **Kernel-agnostic.**  Timestamps are whatever ``kernel.now`` yields:
-  virtual seconds under the sim kernel, ``time.monotonic()`` under the live
-  kernel.  ``list.append`` is atomic under CPython, so the live kernels'
+  virtual seconds under the sim kernel, wall seconds since the cluster's
+  build under the live kernel — the clock of the run's horizon either
+  way.  ``list.append`` is atomic under CPython, so the live kernels'
   reactor threads may share one tracer without a lock.
 
 The journal is also the flight recorder.  When a site crashes, an SDC

@@ -349,7 +349,7 @@ class TestCorpus:
         assert calls["loads"] == 4 * stats.get("recoveries").count
 
     def test_crash_during_recovery_queues_second_crash(self):
-        """S1 regression: the second crash lands while ``_recovering`` and
+        """S1 regression: the second crash lands while ``recovering`` and
         must be queued, then recovered serially."""
         result = run_plan(corpus_plan("crash_during_recovery"))
         assert result.ok, [str(v) for v in result.violations]

@@ -154,13 +154,13 @@ def test_every_config_field_has_a_reader():
 
 def test_one_memory_and_file_protocol():
     """The sim runs the message protocol it measures.  No cluster-wide
-    object, file or site oracle, and no sim twin of a call or kernel-mode
-    branch in the memory and I/O managers: a microthread that waits
-    restarts on the reply (proc/context.py), an SDC shadow is asked for
-    by REPLICATE and answers by VERDICT (proc/manager.py), and only the
-    chaos engine's ``sdc_arm`` reaches into a processing manager's
-    corruption hook.  The hash ring is gone for good, and so is the live
-    kernel's second context and manager: one of each serves both
+    object, file or site oracle, and no sim twin of a call in the memory
+    and I/O managers (a kernel has no mode to branch on): a microthread
+    that waits restarts on the reply (proc/context.py), an SDC shadow is
+    asked for by REPLICATE and answers by VERDICT (proc/manager.py), and
+    only the chaos engine's ``sdc_arm`` reaches into a processing
+    manager's corruption hook.  The hash ring is gone for good, and so is
+    the live kernel's second context and manager: one of each serves both
     kernels, which differ only in where user code runs."""
     root = pathlib.Path(repro.__file__).parent
     offences = []
@@ -174,10 +174,7 @@ def test_one_memory_and_file_protocol():
         if path.relative_to(root).as_posix() != "chaos/engine.py":
             patterns.append(r"processing_manager\.sdc")
         if path.parent.name in ("memory", "io"):
-            patterns += [r"def sim_", r"kernel\.mode"]
-        if (path.parent.name == "proc"
-                or path.relative_to(root).as_posix() == "site/daemon.py"):
-            patterns.append(r"kernel\.mode")
+            patterns.append(r"def sim_")
         offences += [f"{path.relative_to(root)}: {pattern}"
                      for pattern in patterns if re.search(pattern, text)]
     assert offences == []
@@ -197,3 +194,22 @@ def test_one_trace_sink():
                 if re.search(pattern, path.read_text())]
     assert offences == []
     assert not (root / "trace" / "flight.py").exists()
+
+
+def test_reports_are_views_that_probe_no_kernel():
+    """Every report is a view of the run: the invoice is the facade's
+    reading of what the program managers metered, not a second
+    accountant; no kernel mode, no sim-only crypto knob; and a report
+    reads what the Kernel contract declares (``cpu``,
+    ``transport_stats()``, the attach hooks) instead of probing for it."""
+    root = pathlib.Path(repro.__file__).parent
+    patterns = [r"repro\.accounting", r"ClusterAccountant",
+                r"simulate_crypto", r"kernel\.mode",
+                r"getattr\(site\.kernel", r"getattr\(self\.kernel",
+                r"_recovering\", False"]
+    offences = [f"{path.relative_to(root)}: {pattern}"
+                for path in sorted(root.rglob("*.py"))
+                for pattern in patterns
+                if re.search(pattern, path.read_text())]
+    assert offences == []
+    assert not (root / "accounting").exists()

@@ -230,7 +230,7 @@ class TestHardening:
         cm = cluster.sites[0].crash_manager
         assert cm.stats.get("crashes_queued").count >= 1
         assert cm.stats.get("recoveries").count >= 2
-        assert not cm._recovering and not cm._crash_queue
+        assert not cm.recovering and not cm._crash_queue
 
     def test_coordinator_crash_successor_recovers_from_replica(self):
         """S2: when the checkpoint coordinator itself dies, the successor

@@ -6,36 +6,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accounting import ClusterAccountant, Tariff
 from repro.common.config import PowerConfig
 from repro.common.errors import ConfigError
 from repro.apps import build_primes_program, first_n_primes
+from repro.site.facade import BYTE_PRICE, EXECUTION_PRICE, WORK_UNIT_PRICE
 from repro.site.simcluster import SimCluster
 
 
 class TestAccounting:
-    def test_tariff_validation(self):
-        with pytest.raises(ConfigError):
-            Tariff(work_unit_price=-1.0)
-
     def test_invoice_totals(self, fast_config):
         cluster = SimCluster(nsites=4, config=fast_config)
         handle = cluster.submit(build_primes_program(),
                                 args=(30, 6, 400.0, 4000.0))
         cluster.run(progress_timeout=120.0)
         assert handle.result == first_n_primes(30)
-        accountant = ClusterAccountant(Tariff(work_unit_price=1.0,
-                                              execution_price=0.0,
-                                              byte_price=0.0))
-        invoices = accountant.collect(cluster.sites)
-        invoice = invoices[handle.pid]
+        row = cluster.invoices()[handle.pid]
         # total work billed equals the work the processing managers did
         total_work = sum(s.processing_manager.work_done
                          for s in cluster.sites)
-        assert invoice.work_units == pytest.approx(total_work)
-        assert invoice.total(accountant.tariff) == pytest.approx(total_work)
-        # billed across the sites that actually executed
-        assert len(invoice.records) >= 2
+        assert row["work_units"] == pytest.approx(total_work)
+        # the only program pays for all of the cluster's traffic
+        bytes_sent = cluster.total_stats().get("bytes_sent").total
+        assert row["cost"] == pytest.approx(
+            total_work * WORK_UNIT_PRICE
+            + row["executions"] * EXECUTION_PRICE
+            + bytes_sent * BYTE_PRICE)
 
     def test_two_programs_billed_separately(self, fast_config):
         cluster = SimCluster(nsites=2, config=fast_config)
@@ -45,22 +40,30 @@ class TestAccounting:
                             args=(10, 4, 400.0, 4000.0), site_index=1,
                             at=0.001)
         cluster.run(progress_timeout=120.0)
-        invoices = ClusterAccountant().collect(cluster.sites)
+        invoices = cluster.invoices()
         assert h1.pid in invoices and h2.pid in invoices
-        assert invoices[h1.pid].work_units > invoices[h2.pid].work_units
+        assert invoices[h1.pid]["work_units"] > invoices[h2.pid]["work_units"]
 
     def test_traffic_apportioned_by_work(self, fast_config):
         cluster = SimCluster(nsites=3, config=fast_config)
-        handle = cluster.submit(build_primes_program(),
-                                args=(20, 5, 400.0, 4000.0))
+        h1 = cluster.submit(build_primes_program(),
+                            args=(20, 5, 400.0, 4000.0))
+        h2 = cluster.submit(build_primes_program(),
+                            args=(10, 4, 400.0, 4000.0), site_index=1,
+                            at=0.001)
         cluster.run(progress_timeout=120.0)
-        tariff = Tariff(work_unit_price=0.0, execution_price=0.0,
-                        byte_price=1.0)
-        invoices = ClusterAccountant(tariff).collect(cluster.sites)
-        bytes_sent = sum(s.message_manager.stats.get("bytes_sent").total
-                         for s in cluster.sites)
-        assert invoices[handle.pid].total(tariff) == pytest.approx(
-            bytes_sent)
+        rows = cluster.invoices()
+        traffic = cluster.total_stats().get("bytes_sent").total * BYTE_PRICE
+        total_work = sum(row["work_units"] for row in rows.values())
+        assert sum(row["traffic_cost"] for row in rows.values()) == (
+            pytest.approx(traffic))
+        for handle in (h1, h2):
+            row = rows[handle.pid]
+            assert row["traffic_cost"] == pytest.approx(
+                traffic * row["work_units"] / total_work)
+            assert row["cost"] == pytest.approx(
+                row["work_units"] * WORK_UNIT_PRICE
+                + row["executions"] * EXECUTION_PRICE + row["traffic_cost"])
 
     def test_report_renders(self, fast_config):
         cluster = SimCluster(nsites=2, config=fast_config)

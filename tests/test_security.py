@@ -230,67 +230,3 @@ class TestSecurityLayer:
         assert a.messages_sealed == 1
         assert b.messages_opened == 1
         assert a.bytes_processed == 3
-
-
-class TestSimulatedCrypto:
-    def make_pair(self, simulate=True):
-        return (SecurityLayer("addr-a", True, "pw", simulate=simulate),
-                SecurityLayer("addr-b", True, "pw", simulate=simulate))
-
-    def test_roundtrip(self):
-        a, b = self.make_pair()
-        sender, body = b.unprotect(a.protect("addr-b", b"payload"))
-        assert (sender, body) == ("addr-a", b"payload")
-
-    def test_envelope_size_identical_to_real_crypto(self):
-        # the whole point of simulate mode: byte accounting must be
-        # indistinguishable from a real-crypto run
-        sim_a, _ = self.make_pair(simulate=True)
-        real_a, _ = self.make_pair(simulate=False)
-        for size in (0, 1, 33, 1000):
-            data = b"x" * size
-            assert (len(sim_a.protect("addr-b", data))
-                    == len(real_a.protect("addr-b", data)))
-
-    def test_mixed_real_and_simulated_fail_closed(self):
-        sim_a, _ = self.make_pair(simulate=True)
-        real_b = SecurityLayer("addr-b", True, "pw", simulate=False)
-        with pytest.raises(SecurityError):
-            real_b.unprotect(sim_a.protect("addr-b", b"x"))
-        sim_b = SecurityLayer("addr-b", True, "pw", simulate=True)
-        real_a = SecurityLayer("addr-a", True, "pw", simulate=False)
-        with pytest.raises(SecurityError):
-            sim_b.unprotect(real_a.protect("addr-b", b"x"))
-
-    def test_simulated_dh_draws_same_rng_and_public(self):
-        # identical RNG stream + identical public value -> identical wire
-        real = DHKeyPair(random.Random(7), simulate=False)
-        sim = DHKeyPair(random.Random(7), simulate=True)
-        assert real.public == sim.public
-
-    def test_simulated_dh_key_agrees_between_peers(self):
-        rng = random.Random(3)
-        a = DHKeyPair(rng, simulate=True)
-        b = DHKeyPair(rng, simulate=True)
-        # simulated "shared" keys are a function of the peer public alone,
-        # so each side derives a valid 32-byte key (never used by a cipher)
-        assert len(a.shared_key(b.public)) == 32
-        assert len(b.shared_key(a.public)) == 32
-
-
-def _encrypted_cluster_run(simulate: bool):
-    from repro.bench.harness import bench_config, run_primes
-    from repro.common.config import SecurityConfig
-    config = bench_config(security=SecurityConfig(
-        enabled=True, simulate_crypto=simulate))
-    duration, cluster = run_primes(15, 4, 2, 400.0, 4000.0, config=config)
-    stats = cluster.total_stats()
-    return duration, stats.get("bytes_sent").total
-
-
-def test_simulate_crypto_preserves_virtual_results():
-    """An encrypted sim run with simulate_crypto on must be bit-identical
-    in virtual time and bytes to one doing real crypto."""
-    real = _encrypted_cluster_run(simulate=False)
-    simulated = _encrypted_cluster_run(simulate=True)
-    assert simulated == real

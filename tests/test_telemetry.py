@@ -32,6 +32,7 @@ from repro.trace import (
     METRICS_SCHEMA,
     MetricsLog,
     SAMPLE_FIELDS,
+    Timeline,
     Tracer,
     TracerEvent,
     analyze_log,
@@ -523,7 +524,10 @@ class TestLiveTelemetry:
             cluster.run(fanout_program(), args=(6,))
         rows = cluster.metrics.rows
         assert sorted(row["site"] for row in rows) == [0, 1]
-        assert all(row["t"] == cluster.horizon for row in rows)
+        # taken while the sites still run; the horizon ends once they stop
+        assert all(row["alive"] == 1 for row in rows)
+        assert len({row["t"] for row in rows}) == 1
+        assert all(0.0 < row["t"] <= cluster.horizon for row in rows)
 
     def test_live_horizon_is_the_time_since_the_build(self):
         start = time.monotonic()
@@ -538,7 +542,8 @@ class TestLiveTelemetry:
 
     def test_both_facades_expose_the_same_reports(self):
         reports = ("cluster_report", "write_chrome_trace", "total_stats",
-                   "accounting_report", "wall_clock_metrics", "horizon")
+                   "accounting_report", "invoices", "energy_report",
+                   "wall_clock_metrics", "horizon")
         for name in reports:
             assert hasattr(SimCluster, name) and hasattr(LiveCluster, name)
         # the simulator, its CPU model and its network stay the sim's
@@ -552,6 +557,7 @@ class TestLiveTelemetry:
         report = cluster.cluster_report()
         assert report.nsites == 2 and report.derived["executions"] == 8
         assert "fanout" in cluster.accounting_report()
+        assert cluster.wall_clock_metrics()["wall_seconds"] == cluster.horizon
 
     def test_traced_live_crash_dump_is_the_sites_journal_tail(self):
         with LiveCluster(nsites=2, config=SDVMConfig(trace=True)) as cluster:
@@ -566,6 +572,52 @@ class TestLiveTelemetry:
                    for raw in cluster.tracer._raw if raw[1] == site_id]
         assert any(journal[max(0, k - FLIGHT_DEPTH):k] == events
                    for k in range(len(events), len(journal) + 1))
+
+
+@pytest.fixture(scope="module")
+def traced_live_primes():
+    """A traced 2-site live primes(10, 4) run, and the monotonic instant
+    before its build."""
+    start = time.monotonic()
+    with LiveCluster(nsites=2, config=SDVMConfig(trace=True)) as cluster:
+        assert cluster.run(build_primes_program(),
+                           args=(10, 4, 400.0, 4000.0)) == first_n_primes(10)
+    return cluster, start
+
+
+class TestLiveReportsShareTheRunsClock:
+    """A live cluster's journal, horizon and reports count the same wall
+    seconds since the build, so the sim's reports mean the same live."""
+
+    def test_every_journal_stamp_lies_inside_the_horizon(
+            self, traced_live_primes):
+        cluster, _start = traced_live_primes
+        horizon = cluster.horizon
+        stamps = [event.ts for event in cluster.tracer.events]
+        assert stamps and all(0.0 <= ts <= horizon for ts in stamps)
+
+    def test_blame_sums_to_the_horizon_with_waits(self, traced_live_primes):
+        cluster, _start = traced_live_primes
+        report = blame_cluster(cluster)
+        assert sum(report.totals.values()) == pytest.approx(
+            2 * cluster.horizon, rel=0.01)
+        # the live kernel models no CPU
+        assert report.totals["compute"] == report.totals["protocol"] == 0.0
+        assert any(report.totals[category] > 0.0 for category in
+                   ("steal-wait", "code-fetch", "message-latency"))
+
+    def test_energy_idle_is_at_most_the_run_so_far(self, traced_live_primes):
+        cluster, start = traced_live_primes
+        energy = cluster.energy_report()
+        elapsed = time.monotonic() - start
+        assert sorted(energy) == [0, 1]
+        assert all(0.0 < row["idle_s"] <= elapsed for row in energy.values())
+
+    def test_timeline_renders(self, traced_live_primes):
+        cluster, _start = traced_live_primes
+        rendered = Timeline.from_cluster(cluster).render(width=40)
+        assert rendered.startswith(f"timeline 0 .. {cluster.horizon:.3f}s")
+        assert "site0" in rendered and "#" in rendered
 
 
 # ---------------------------------------------------------------------------

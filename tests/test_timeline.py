@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from repro.common.config import SDVMConfig
 from repro.site.simcluster import SimCluster
+from repro.trace.blame import _merge
 from repro.trace.timeline import Timeline
 from repro.trace.tracer import TracerEvent
 
@@ -41,7 +42,7 @@ class TestIntervalPairing:
         # two frames in flight at once must not double-count wall time
         events = exec_pair(0, 1, 0.0, 2.0) + exec_pair(0, 2, 1.0, 3.0)
         timeline = Timeline(events, horizon=4.0)
-        assert timeline._merge(timeline._busy[0]) == [(0.0, 3.0)]
+        assert _merge(timeline._busy[0]) == [(0.0, 3.0)]
         assert timeline.busy_fraction(0) == 0.75
 
     def test_busy_fraction_is_capped_at_one(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import build_primes_program, first_n_primes
 from repro.trace import Timeline, TracerEvent
+from repro.trace.blame import _merge
 from repro.site.simcluster import SimCluster
 
 
@@ -78,7 +79,8 @@ class TestTimeline:
         assert "no trace events" in timeline.render()
 
     def test_interval_merge(self):
-        merged = Timeline._merge([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)])
+        # the timeline merges busy intervals with blame's own helper
+        merged = _merge([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)])
         assert merged == [(0.0, 2.0), (3.0, 4.0)]
 
     def test_open_interval_runs_to_horizon(self):
