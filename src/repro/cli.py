@@ -26,7 +26,9 @@ cluster-wide metrics report (derived steal/code-cache/checkpoint ratios).
 ``blame`` attributes every site-second of the run to a category (compute,
 steal-wait, code-fetch, checkpoint-pause, message-latency, idle) from the
 causal trace; ``critical-path`` walks the causal chain that determined
-the end-to-end runtime.  ``bench`` runs the deterministic gate suites,
+the end-to-end runtime.  These four report commands share one handler,
+``cmd_report``: one traced run, one header line, then the command's view
+from ``REPORTS``.  ``bench`` runs the deterministic gate suites,
 writes ``BENCH_<suite>.json`` artifacts, and with ``--check`` diffs them
 against the committed baselines (non-zero exit on regression).
 """
@@ -101,8 +103,8 @@ def _run_app(args: argparse.Namespace, out,  # noqa: ANN001
              trace: bool = False):
     """Build a sim cluster, run the requested app, return (cluster, handle).
 
-    Shared by ``run``, ``trace``, and ``stats``; returns (None, None) after
-    printing a hint when the app name is unknown.
+    Shared by ``run``, ``profile`` and the report commands; returns
+    (None, None) after printing a hint when the app name is unknown.
     """
     if args.app not in APPS:
         print(f"unknown app {args.app!r}; try: {', '.join(APPS)}",
@@ -126,8 +128,7 @@ def cmd_apps(_args: argparse.Namespace, out) -> int:  # noqa: ANN001
 
 
 def cmd_run(args: argparse.Namespace, out) -> int:  # noqa: ANN001
-    cluster, handle = _run_app(args, out,
-                               trace=bool(args.trace or args.trace_json))
+    cluster, handle = _run_app(args, out, trace=args.trace)
     if cluster is None:
         return 2
 
@@ -147,11 +148,6 @@ def cmd_run(args: argparse.Namespace, out) -> int:  # noqa: ANN001
     if args.trace:
         from repro.trace import Timeline
         print(Timeline.from_cluster(cluster).render(width=64), file=out)
-    if args.trace_json:
-        count = cluster.write_chrome_trace(args.trace_json)
-        print(f"wrote {count} trace events to {args.trace_json} "
-              f"(open with chrome://tracing or https://ui.perfetto.dev)",
-              file=out)
     if args.invoice:
         print(cluster.accounting_report(), file=out)
     if args.metrics_json:
@@ -164,44 +160,24 @@ def cmd_run(args: argparse.Namespace, out) -> int:  # noqa: ANN001
     return 0
 
 
-def cmd_trace(args: argparse.Namespace, out) -> int:  # noqa: ANN001
-    """Run an app with structured tracing on and export a Chrome trace."""
-    cluster, handle = _run_app(args, out, trace=True)
-    if cluster is None:
-        return 2
+def _report_trace(args: argparse.Namespace, cluster, out) -> None:  # noqa: ANN001
     count = cluster.write_chrome_trace(args.out)
-    print(f"{args.app}: {handle.duration:.4f}s virtual on {args.sites} "
-          f"site(s)", file=out)
     print(f"wrote {count} trace events to {args.out} "
           f"(open with chrome://tracing or https://ui.perfetto.dev)",
           file=out)
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace, out) -> int:  # noqa: ANN001
-    """Run an app and print the cluster-wide metrics report."""
-    cluster, handle = _run_app(args, out, trace=True)
-    if cluster is None:
-        return 2
-    print(f"{args.app}: {handle.duration:.4f}s virtual on {args.sites} "
-          f"site(s)", file=out)
+def _report_stats(args: argparse.Namespace, cluster, out) -> None:  # noqa: ANN001
     wall = cluster.wall_clock_metrics()
     print(f"wall: {wall['wall_seconds']:.3f}s, "
           f"{wall['events_executed']:.0f} events "
           f"({wall['events_per_sec']:.0f} events/sec)", file=out)
     print(cluster.cluster_report().render(top=args.top), file=out)
-    return 0
 
 
-def cmd_blame(args: argparse.Namespace, out) -> int:  # noqa: ANN001
-    """Run an app traced and print the critical-path blame report."""
-    cluster, handle = _run_app(args, out, trace=True)
-    if cluster is None:
-        return 2
+def _report_blame(args: argparse.Namespace, cluster, out) -> None:  # noqa: ANN001
     from repro.trace import blame_cluster
     report = blame_cluster(cluster)
-    print(f"{args.app}: {handle.duration:.4f}s virtual on {args.sites} "
-          f"site(s)", file=out)
     print(report.render(), file=out)
     if args.json:
         import json
@@ -209,21 +185,34 @@ def cmd_blame(args: argparse.Namespace, out) -> int:  # noqa: ANN001
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote blame report to {args.json}", file=out)
-    return 0
 
 
-def cmd_critical_path(args: argparse.Namespace, out) -> int:  # noqa: ANN001
-    """Run an app traced and print the end-to-end critical path."""
+def _report_critical_path(args: argparse.Namespace, cluster,
+                          out) -> None:  # noqa: ANN001
+    from repro.trace import CausalGraph, render_critical_path
+    segments = CausalGraph.from_tracer(cluster.tracer).critical_path()
+    print(render_critical_path(segments, summary_only=args.summary),
+          file=out)
+
+
+#: the report commands: each runs its app traced, then renders one view
+REPORTS: Dict[str, Callable] = {
+    "trace": _report_trace,
+    "stats": _report_stats,
+    "blame": _report_blame,
+    "critical-path": _report_critical_path,
+}
+
+
+def cmd_report(args: argparse.Namespace, out) -> int:  # noqa: ANN001
+    """Run an app with the tracer on, print one header line, then the
+    report the command names (``REPORTS``)."""
     cluster, handle = _run_app(args, out, trace=True)
     if cluster is None:
         return 2
-    from repro.trace import CausalGraph, render_critical_path
-    graph = CausalGraph.from_tracer(cluster.tracer)
-    segments = graph.critical_path()
     print(f"{args.app}: {handle.duration:.4f}s virtual on {args.sites} "
           f"site(s)", file=out)
-    print(render_critical_path(segments, summary_only=args.summary),
-          file=out)
+    REPORTS[args.command](args, cluster, out)
     return 0
 
 
@@ -249,15 +238,9 @@ def cmd_bench(args: argparse.Namespace, out) -> int:  # noqa: ANN001
     target_dir = args.baselines if args.update_baselines else args.out
     failed = False
     for name in names:
-        result = GATE_SUITES[name]()
-        # suites return (metrics, tolerances) or (metrics, tolerances,
-        # meta); meta carries informational wall-clock figures the
-        # comparator never reads
-        if len(result) == 3:
-            metrics, tolerances, meta = result
-        else:
-            metrics, tolerances = result
-            meta = {}
+        # meta carries informational wall-clock figures the comparator
+        # never reads
+        metrics, tolerances, meta = GATE_SUITES[name]()
         path = write_bench_json(target_dir, name, metrics,
                                 tolerances=tolerances, meta=meta)
         print(f"{name}: {len(metrics)} metrics -> {path}", file=out)
@@ -590,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="run an app on a sim cluster")
     run_parser.add_argument("--trace", action="store_true",
                             help="print an ASCII timeline")
-    run_parser.add_argument("--trace-json", metavar="PATH", default="",
-                            help="also write a Chrome/Perfetto trace file")
     run_parser.add_argument("--invoice", action="store_true",
                             help="print the accounting report")
     run_parser.add_argument("--encrypt", action="store_true",
@@ -754,10 +735,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:  # noqa: ANN001
     handlers: Dict[str, Callable] = {
         "apps": cmd_apps,
         "run": cmd_run,
-        "trace": cmd_trace,
-        "stats": cmd_stats,
-        "blame": cmd_blame,
-        "critical-path": cmd_critical_path,
+        **dict.fromkeys(REPORTS, cmd_report),
         "bench": cmd_bench,
         "profile": cmd_profile,
         "sweep": cmd_sweep,

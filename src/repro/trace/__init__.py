@@ -20,17 +20,19 @@ from the managers' counters, and an in-run health watch.
   cluster samples every site into an ``sdvm-metrics/1`` log while it
   runs, and :class:`HealthMonitor` fires detectors on the rows.
 
-CLI surface: ``repro trace``, ``repro stats``, ``repro blame``,
-``repro critical-path``, ``repro run --metrics-json``, ``repro health``
-and ``repro top``.  Benchmarks dump the trace and the report per run when
-``SDVM_TRACE_DIR`` is set (see :mod:`repro.bench.harness`).
+CLI surface: the report commands ``repro trace`` (Chrome trace),
+``repro stats`` (cluster report), ``repro blame`` and ``repro
+critical-path`` share one handler that runs the app traced; ``repro run
+--trace`` draws the timeline, ``repro run --metrics-json`` writes the
+samples that ``repro health`` and ``repro top`` read.  Benchmarks dump
+the trace and the report per run when ``SDVM_TRACE_DIR`` is set (see
+:mod:`repro.bench.harness`).
 """
 
 from repro.trace.aggregate import (
     ClusterReport,
     aggregate_cluster,
     aggregate_sites,
-    site_stats,
 )
 from repro.trace.blame import BlameReport, blame_cluster, render_critical_path
 from repro.trace.causal import CausalGraph, CausalNode, exec_node, msg_node
@@ -76,7 +78,6 @@ __all__ = [
     "msg_node",
     "render_critical_path",
     "render_top",
-    "site_stats",
     "to_chrome",
     "validate_chrome_trace",
     "write_chrome_trace",

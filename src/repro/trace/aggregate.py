@@ -21,14 +21,6 @@ from repro.common.stats import StatSet
 from repro.trace.tracer import Tracer
 
 
-def site_stats(site) -> StatSet:  # noqa: ANN001
-    """Merge every manager's counters of one site daemon."""
-    merged = StatSet()
-    for manager in site.managers.values():
-        merged.merge(manager.stats)
-    return merged
-
-
 def _rate(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
@@ -109,7 +101,9 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
     busy = busy_sites = 0.0
     inline_sends = queued_sends = 0.0
     for index, site in enumerate(sites):
-        stats = site_stats(site)
+        stats = StatSet()
+        for manager in site.managers.values():
+            stats.merge(manager.stats)
         per_site[getattr(site, "site_id", index)] = stats
         merged.merge(stats)
         # the transport is not a manager: its counters live on the kernel

@@ -24,7 +24,6 @@ deliberately do not bridge.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.trace.tracer import Tracer, TracerEvent
@@ -39,7 +38,6 @@ _GOSSIP_LABELS = frozenset({"LOAD_REPORT", "HEARTBEAT", "CLUSTER_INFO"})
 #: tag bits keeping message and execution node ids disjoint
 MSG_TAG = 1 << 62
 EXEC_TAG = 2 << 62
-_TAG_MASK = 3 << 62
 _SITE_SHIFT = 44
 
 
@@ -51,15 +49,6 @@ def msg_node(site: int, seq: int) -> int:
 def exec_node(packed_frame: int) -> int:
     """Packed node id for the execution of frame ``packed_frame``."""
     return EXEC_TAG | packed_frame
-
-
-def node_kind(node_id: int) -> Optional[str]:
-    tag = node_id & _TAG_MASK
-    if tag == MSG_TAG:
-        return "msg"
-    if tag == EXEC_TAG:
-        return "exec"
-    return None
 
 
 class CausalNode:
@@ -97,7 +86,6 @@ class CausalGraph:
 
     def __init__(self) -> None:
         self.nodes: Dict[int, CausalNode] = {}
-        self._children: Optional[Dict[int, List[int]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -163,19 +151,6 @@ class CausalGraph:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def children(self, node_id: int) -> List[int]:
-        if self._children is None:
-            index: Dict[int, List[int]] = defaultdict(list)
-            for node in self.nodes.values():
-                if node.cause >= 0:
-                    index[node.cause].append(node.node_id)
-            self._children = dict(index)
-        return self._children.get(node_id, [])
-
-    def roots(self) -> List[CausalNode]:
-        return [n for n in self.nodes.values()
-                if n.cause < 0 or n.cause not in self.nodes]
 
     def chain(self, node_id: int) -> List[CausalNode]:
         """Causal ancestry of ``node_id``, root first."""
@@ -251,23 +226,6 @@ class CausalGraph:
                 })
             prev_end = max(node.end, prev_end or node.end)
         return segments
-
-    def frame_span(self, packed_frame: int) -> dict:
-        """End-to-end span of one frame's execution: from the root of its
-        causal chain to its exec_end, with the categorized segments."""
-        nid = exec_node(packed_frame)
-        segments = self.critical_path(nid)
-        node = self.nodes.get(nid)
-        if node is None or not segments:
-            return {"frame": packed_frame, "segments": [],
-                    "start": 0.0, "end": 0.0, "depth": 0}
-        return {
-            "frame": packed_frame,
-            "segments": segments,
-            "start": segments[0]["start"],
-            "end": node.end,
-            "depth": len(self.chain(nid)),
-        }
 
     def __repr__(self) -> str:
         return f"CausalGraph({len(self.nodes)} nodes)"

@@ -135,7 +135,7 @@ def write_chrome_trace(tracer: Tracer, path: str,
 
 
 def validate_chrome_trace(path: str) -> dict:
-    """Validate an exported artifact (the CI smoke check).
+    """Validate an exported artifact (the check the tier-1 tests run).
 
     Checks: parseable JSON, a ``traceEvents`` list, non-negative and
     monotonically non-decreasing timestamps, non-negative durations, and

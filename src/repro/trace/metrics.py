@@ -145,7 +145,7 @@ def validate_metrics(header: dict, rows: List[dict]) -> None:
     """Check one parsed metrics document against ``sdvm-metrics/1``.
 
     Raises :class:`SDVMError` on a schema mismatch — the contract the
-    ``repro health`` / ``repro top`` CLIs and the smoke target rely on.
+    ``repro health`` / ``repro top`` CLIs rely on.
     """
     if not isinstance(header, dict):
         raise SDVMError("metrics header line is not a JSON object")

@@ -21,7 +21,7 @@ class Timeline:
         self.events = sorted((e for e in events if e.kind in _KINDS),
                              key=lambda e: (e.ts, e.site))
         self.horizon = max(horizon, 0.0)
-        #: events pre-bucketed per site, so render()/summary() stay
+        #: events pre-bucketed per site, so render() stays
         #: O(events) instead of rescanning the full list per site
         self._by_site: Dict[int, List[TracerEvent]] = {}
         for event in self.events:
@@ -65,9 +65,6 @@ class Timeline:
         merged = _merge(self._busy.get(site, []))
         return min(sum(hi - lo for lo, hi in merged) / self.horizon, 1.0)
 
-    def steals(self) -> List[TracerEvent]:
-        return [e for e in self.events if e.kind == "steal_in"]
-
     # ------------------------------------------------------------------
     def render(self, width: int = 72) -> str:
         """ASCII Gantt: one lane per site; '#' busy, 's' steal arrival."""
@@ -94,14 +91,4 @@ class Timeline:
             busy_pct = 100.0 * self.busy_fraction(site)
             lines.append(f"site{site:<3d}|{''.join(row)}| "
                          f"{busy_pct:4.0f}%")
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        lines = ["site  busy%  executions  steals_in"]
-        for site in self.sites():
-            events = self._by_site.get(site, ())
-            executions = sum(1 for e in events if e.kind == "exec_end")
-            steals = sum(1 for e in events if e.kind == "steal_in")
-            lines.append(f"{site:4d} {100 * self.busy_fraction(site):5.0f}% "
-                         f"{executions:11d} {steals:10d}")
         return "\n".join(lines)

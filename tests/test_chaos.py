@@ -482,6 +482,26 @@ class TestSilentDataCorruption:
         assert kinds.get("sdc_mismatch") == corruptions
         assert kinds.get("sdc_resolved") == corruptions
         assert kinds.get("sdc_tainted_commit", 0) == 0
+        # every replay was asked for by a message the report can see: one
+        # REPLICATE per replicated execution, one more per tie-break
+        stats = result.cluster.total_stats()
+        breakdown = result.cluster.cluster_report().message_breakdown
+        assert breakdown["REPLICATE"]["count"] == (
+            stats.get("sdc_replicated").count
+            + stats.get("sdc_mismatches").count)
+        assert breakdown["VERDICT"]["bytes"] > 0
+
+    def test_detected_plan_trips_the_health_detector(self):
+        """With the sampler on, the replica mismatches fire the
+        ``sdc_mismatch`` detector, and the first one freezes a flight
+        dump of every site out of the journal."""
+        plan = FaultPlan.load(os.path.join(CORPUS_DIR, "sdc_detected.json"))
+        cluster = run_plan(plan, metrics_interval=0.05).cluster
+        assert any(d.detector == "sdc_mismatch"
+                   for d in cluster.health.detections)
+        dumps = cluster.tracer.dumps
+        assert dumps
+        assert {d["reason"] for d in dumps.values()} == {"sdc_mismatch"}
 
     def test_corrupted_replicate_is_outvoted(self):
         """Chaos reaches replication: a REPLICATE mangled on its way into
@@ -789,8 +809,9 @@ class TestChaosCli:
 
     def test_fuzz_subcommand_green_seed(self):
         out = io.StringIO()
-        assert main(["chaos", "fuzz", "--seeds", "1", "1"], out=out) == 0
+        assert main(["chaos", "fuzz", "--seeds", "1", "6"], out=out) == 0
         assert "ok" in out.getvalue()
+        assert "fuzz: 6 seed(s), 0 failure(s)" in out.getvalue()
 
     def test_fuzz_saves_failing_plan(self, tmp_path):
         """An unsurvivable plan (every site crashes) must be reported,

@@ -84,15 +84,6 @@ class TestTraceAndStats:
         report = validate_chrome_trace(str(out))
         assert report["slices"] > 0
 
-    def test_run_with_trace_json(self, tmp_path):
-        out = tmp_path / "run.trace.json"
-        code, text = run_cli("run", "primes", "--sites", "2",
-                             "--args", "10", "4", "200", "2000",
-                             "--trace-json", str(out))
-        assert code == 0
-        assert out.exists()
-        assert "trace events" in text
-
     def test_stats_prints_cluster_report(self):
         code, text = run_cli("stats", "primes", "--sites", "2",
                              "--args", "10", "4", "200", "2000")
@@ -179,7 +170,7 @@ class TestBenchGate:
     def _patch_fake_suite(self, monkeypatch, metrics):
         import repro.bench
         import repro.bench.suites as suites
-        fake = {"fake": lambda: (dict(metrics), {"loose": 0.5})}
+        fake = {"fake": lambda: (dict(metrics), {"loose": 0.5}, {})}
         monkeypatch.setattr(suites, "GATE_SUITES", fake)
         monkeypatch.setattr(repro.bench, "GATE_SUITES", fake)
 

@@ -111,15 +111,16 @@ class TestSweepCli:
 
     def test_round_trip_ok(self, tmp_path):
         out_path = str(tmp_path / "report.json")
-        code, text = self._main(
-            ["sweep", "--sites", "1,2", "--seeds", "0",
-             "--leaves", "32", "--scale", "200", "--workers", "2",
-             "--selfcheck", "--out", out_path])
-        assert code == 0, text
-        assert "sweep ok" in text
-        report = json.loads(open(out_path, encoding="utf-8").read())
-        assert report["ok"] is True
-        assert len(report["rows"]) == 2
+        for leaves, scale in (("32", "200"), ("64", "500")):
+            code, text = self._main(
+                ["sweep", "--sites", "1,2", "--seeds", "0",
+                 "--leaves", leaves, "--scale", scale, "--workers", "2",
+                 "--selfcheck", "--out", out_path])
+            assert code == 0, text
+            assert "sweep ok" in text
+            report = json.loads(open(out_path, encoding="utf-8").read())
+            assert report["ok"] is True
+            assert len(report["rows"]) == 2
 
     def test_failure_exits_1(self):
         code, text = self._main(

@@ -64,10 +64,11 @@ def sha256_json(obj):
         json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def run_primes_cluster(metrics_interval=0.05, nsites=4, seed=0):
+def run_primes_cluster(metrics_interval=0.05, nsites=4, seed=0, trace=False):
     cluster = SimCluster(
         nsites=nsites,
-        config=SDVMConfig(seed=seed, metrics_interval=metrics_interval))
+        config=SDVMConfig(seed=seed, metrics_interval=metrics_interval,
+                          trace=trace))
     handle = cluster.submit(build_primes_program(),
                             args=(40, 6, 400.0, 4000.0))
     cluster.run()
@@ -99,6 +100,14 @@ class TestMetricsSampler:
             assert len(rows) == 4
             assert all(row["t"] == t for row in rows)
         validate_metrics(log.header(), log.rows)
+
+    def test_a_healthy_run_journals_no_health_event(self):
+        """No detector fires on a healthy traced run, so nothing reaches
+        the journal and no flight dump is frozen."""
+        cluster = run_primes_cluster(trace=True)
+        assert cluster.health.ok, cluster.health.detections
+        assert "health" not in cluster.tracer.kinds()
+        assert cluster.tracer.dumps == {}
 
     def test_counters_are_interval_deltas_not_cumulative(self):
         cluster = run_primes_cluster()
@@ -180,6 +189,8 @@ class TestMetricsValidation:
     def test_rejects_missing_and_extra_row_keys(self):
         row = sample_row()
         del row["queue"]
+        with pytest.raises(SDVMError, match="keys mismatch"):
+            validate_metrics(self.header(), [row])
         row["bogus"] = 1
         with pytest.raises(SDVMError, match="keys mismatch"):
             validate_metrics(self.header(), [row])

@@ -81,12 +81,6 @@ class TestEmptyAndRendering:
         lane = rendered.splitlines()[1]
         assert "#" in lane and "s" in lane
 
-    def test_summary_counts_executions_and_steals(self):
-        events = (exec_pair(0, 1, 0.0, 1.0) + exec_pair(0, 2, 1.0, 2.0))
-        events.append(TracerEvent(0.5, 0, "steal_in", ()))
-        summary = Timeline(events, horizon=2.0).summary()
-        assert summary.splitlines()[1].split() == ["0", "100%", "2", "1"]
-
     def test_from_cluster_without_journal_is_empty(self):
         cluster = SimCluster(nsites=2, config=SDVMConfig(trace=False))
         timeline = Timeline.from_cluster(cluster)

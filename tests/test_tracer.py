@@ -224,7 +224,7 @@ class TestAggregator:
 
 class TestBenchArtifacts:
     def test_trace_dir_smoke(self, monkeypatch, tmp_path):
-        """The CI smoke path: run one benchmark with SDVM_TRACE_DIR set and
+        """The trace-dir path: run one benchmark with SDVM_TRACE_DIR set and
         validate the dumped artifact."""
         from repro.bench import harness
         monkeypatch.setattr(harness, "TRACE_DIR", str(tmp_path))
