@@ -189,8 +189,10 @@ class FuzzFailure:
 
 def fuzz(seeds: Iterable[int], nsites: int = 4, shrink: bool = True,
          report: Optional[Callable[[str], None]] = None,
-         corrupt: bool = False) -> List[FuzzFailure]:
-    """Run one seeded random plan per seed; shrink and collect failures.
+         corrupt: bool = False,
+         workload: str = "primes") -> List[FuzzFailure]:
+    """Run one seeded random plan per seed under ``workload``; shrink and
+    collect failures.
 
     ``corrupt`` adds a silent-data-corruption window to every generated
     plan (with full replication armed), so the sweep also exercises the
@@ -201,13 +203,14 @@ def fuzz(seeds: Iterable[int], nsites: int = 4, shrink: bool = True,
     say = report or (lambda line: None)
     failures: List[FuzzFailure] = []
     for seed in seeds:
-        plan = random_plan(seed, nsites=nsites, corrupt=corrupt)
+        plan = random_plan(seed, nsites=nsites, corrupt=corrupt,
+                           workload=workload)
         result = run_plan(plan)
         if result.ok:
-            say(f"seed {seed}: ok ({len(plan.faults)} faults)")
+            say(f"{workload} seed {seed}: ok ({len(plan.faults)} faults)")
             continue
-        say(f"seed {seed}: {len(result.violations)} violation(s); "
-            f"shrinking...")
+        say(f"{workload} seed {seed}: {len(result.violations)} "
+            f"violation(s); shrinking...")
 
         def still_fails(candidate: FaultPlan) -> bool:
             return not run_plan(candidate).ok

@@ -297,7 +297,8 @@ _MIN_CRASH_WAVES = 3.0
 
 def random_plan(seed: int, nsites: int = 4,
                 ckpt_interval: float = 0.2,
-                corrupt: bool = False) -> FaultPlan:
+                corrupt: bool = False,
+                workload: str = "primes") -> FaultPlan:
     """Generate one seeded random fault plan.
 
     The generator keeps plans *survivable by construction*: the submit
@@ -310,10 +311,15 @@ def random_plan(seed: int, nsites: int = 4,
     window and turns full replication on, so the defense must detect and
     outvote every flip (the corrupt draws happen *after* the base fault
     loop — ``corrupt=False`` plans stay bit-identical per seed).
+
+    ``workload`` names the program the plan runs (a key of
+    ``chaos.fuzz.WORKLOADS``); it draws nothing, so one seed schedules
+    the same faults under every workload.
     """
     rng = random.Random(seed)
     plan = FaultPlan(seed=seed, nsites=nsites, submit_site=0,
-                     ckpt_interval=ckpt_interval, name=f"fuzz-{seed}")
+                     ckpt_interval=ckpt_interval, workload=workload,
+                     name=f"fuzz-{seed}")
     killable = [i for i in range(nsites) if i != plan.submit_site]
     rng.shuffle(killable)
     # keep one non-frontend site untouched as a guaranteed survivor

@@ -483,6 +483,7 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:  # noqa: ANN001
     import os
 
     from repro.chaos import FaultPlan, fuzz, run_plan
+    from repro.chaos.fuzz import WORKLOADS
 
     fingerprints = {}  # of the replication-off plans: the ones tests pin
 
@@ -529,19 +530,31 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:  # noqa: ANN001
 
     # action == "fuzz"
     lo, hi = args.seeds
-    failures = fuzz(range(lo, hi + 1), nsites=args.sites,
-                    shrink=not args.no_shrink, corrupt=args.corrupt,
-                    report=lambda line: print(line, file=out))
-    for failure in failures:
-        if args.save_dir:
-            os.makedirs(args.save_dir, exist_ok=True)
-            path = os.path.join(args.save_dir,
-                                f"fuzz_seed_{failure.seed}.json")
-            failure.shrunk.save(path)
-            print(f"seed {failure.seed}: shrunk plan saved to {path}",
-                  file=out)
-    print(f"fuzz: {hi - lo + 1} seed(s), {len(failures)} failure(s)",
-          file=out)
+    workloads = list(WORKLOADS) if args.workload == "all" \
+        else [args.workload]
+    failures = []
+    for workload in workloads:
+        found = fuzz(range(lo, hi + 1), nsites=args.sites,
+                     shrink=not args.no_shrink, corrupt=args.corrupt,
+                     workload=workload,
+                     report=lambda line: print(line, file=out))
+        for failure in found:
+            if args.save_dir:
+                os.makedirs(args.save_dir, exist_ok=True)
+                path = os.path.join(
+                    args.save_dir,
+                    f"fuzz_{workload}_seed_{failure.seed}.json")
+                failure.shrunk.save(path)
+                print(f"{workload} seed {failure.seed}: shrunk plan saved "
+                      f"to {path}", file=out)
+        if len(workloads) > 1:
+            seeds = ", ".join(str(failure.seed) for failure in found)
+            print(f"fuzz {workload}: {hi - lo + 1} seed(s), "
+                  f"{len(found)} failure(s)"
+                  + (f" (seeds {seeds})" if found else ""), file=out)
+        failures.extend(found)
+    print(f"fuzz: {len(workloads) * (hi - lo + 1)} seed(s), "
+          f"{len(failures)} failure(s)", file=out)
     return 1 if failures else 0
 
 
@@ -562,6 +575,8 @@ def _app_options(profile: bool = False) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.chaos.fuzz import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="SDVM reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -664,6 +679,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "generated fuzz plan")
     chaos_parser.add_argument("--save-dir", default="",
                               help="write shrunk failing plans here")
+    chaos_parser.add_argument("--workload", default="primes",
+                              choices=[*WORKLOADS, "all"],
+                              help="program the `fuzz` plans run (all: "
+                                   "each seed under every workload)")
 
     health_parser = sub.add_parser(
         "health", help="run the stall detectors over a metrics file; "

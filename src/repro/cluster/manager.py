@@ -3,7 +3,9 @@
 Maintains the site list, runs the sign-on/sign-off protocols, allocates
 logical site ids, answers physical-address lookups for the message manager,
 picks help-request targets from statistical load data, and (optionally)
-exchanges heartbeats for crash detection.
+watches its peers for crash detection: any message proves life, a
+HEARTBEAT fills in for a peer that got nothing else, and a site that
+has signed off stops judging.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ class ClusterManager(Manager):
             self.config.cluster.id_allocation,
             self.config.cluster.contingent_size)
         self._heartbeat_timer = None
+        #: when the running heartbeat interval began: a peer sent anything
+        #: after it has had its beat (see _heartbeat_tick)
+        self._beat_from = 0.0
         self._pending_block_request = False
         #: sign-ons queued while waiting for a fresh id block (contingent)
         self._deferred_signons: List[SDMessage] = []
@@ -157,11 +162,16 @@ class ClusterManager(Manager):
             current = record.heir
         return current
 
-    def physical_of(self, logical: int) -> Optional[str]:
+    def record_of(self, logical: int) -> Optional[SiteRecord]:
+        """The record of a resolvable (alive) site, or None."""
         record = self.sites.get(logical)
         if record is None or not record.alive:
             return None
-        return record.physical
+        return record
+
+    def physical_of(self, logical: int) -> Optional[str]:
+        record = self.record_of(logical)
+        return None if record is None else record.physical
 
     def alive_peers(self) -> List[SiteRecord]:
         """Alive peer records, cached between membership changes.
@@ -674,6 +684,10 @@ class ClusterManager(Manager):
         return pool[bisect_right(pool, self.local_id) % len(pool)]
 
     def broadcast_sign_off(self, heir: int) -> None:
+        """Tell every peer we leave, and stop judging them: each drops us
+        from its watch set on this message, and a leaver that drains past
+        ``heartbeat_timeout`` must not declare the live cluster crashed."""
+        self._cancel_heartbeat()
         for peer in self.alive_peers():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.SIGN_OFF,
@@ -688,32 +702,47 @@ class ClusterManager(Manager):
             self._schedule_heartbeat()
 
     def _schedule_heartbeat(self) -> None:
+        self._beat_from = self.kernel.now
         self._heartbeat_timer = self.kernel.call_later(
             self.config.cluster.heartbeat_interval, self._heartbeat_tick)
+
+    def _cancel_heartbeat(self) -> None:
+        if self._heartbeat_timer is not None:
+            self.kernel.cancel(self._heartbeat_timer)
+            self._heartbeat_timer = None
 
     def _heartbeat_tick(self) -> None:
         if not self.site.running:
             return
-        # the figures ride in the envelope; the heartbeat itself is news
-        for logical in self._heartbeat_targets():
+        # any message is a heartbeat (the watcher stamps ``last_seen`` on
+        # each one it gets), so a target written to during the interval
+        # that ends now has had its beat; the figures ride in the envelope.
+        # A live peer may thus hear nothing for almost two intervals, which
+        # ClusterConfig bounds by requiring timeout > 2 * interval
+        since = self._beat_from
+        for record in self._heartbeat_targets():
+            if record.last_sent > since:
+                self.stats.inc("heartbeats_implicit")
+                continue
             self.site.message_manager.send(SDMessage(
                 type=MsgType.HEARTBEAT,
                 src_site=self.local_id, src_manager=ManagerId.CLUSTER,
-                dst_site=logical, dst_manager=ManagerId.CLUSTER,
+                dst_site=record.logical, dst_manager=ManagerId.CLUSTER,
             ))
         self._check_liveness()
         self._schedule_heartbeat()
 
-    def _heartbeat_targets(self) -> List[int]:
+    def _heartbeat_targets(self) -> List[SiteRecord]:
         """Full mesh by default; with ``heartbeat_fanout`` k > 0, the k
         ring successors in sorted-id order (every site is then watched by
         exactly its k predecessors instead of all n-1 peers)."""
         fanout = self.config.cluster.heartbeat_fanout
         ids = self._sorted_alive_peers
         if fanout <= 0 or len(ids) <= fanout:
-            return [r.logical for r in self.alive_peers()]
+            return self.alive_peers()
         start = bisect_left(ids, self.local_id)
-        return [ids[(start + i) % len(ids)] for i in range(fanout)]
+        return [self.sites[ids[(start + i) % len(ids)]]
+                for i in range(fanout)]
 
     def _on_heartbeat(self, msg: SDMessage) -> None:
         """Nothing left to do: the message manager noted the envelope's
@@ -789,9 +818,7 @@ class ClusterManager(Manager):
                 self._broadcast_crash_notice(record.logical)
 
     def on_stop(self) -> None:
-        if self._heartbeat_timer is not None:
-            self.kernel.cancel(self._heartbeat_timer)
-            self._heartbeat_timer = None
+        self._cancel_heartbeat()
         if self._announce_timer is not None:
             self.kernel.cancel(self._announce_timer)
             self._announce_timer = None

@@ -41,8 +41,12 @@ class SiteRecord:
     #: only in a message's envelope, and the receiver sets all three from
     #: there (a second-hand figure would arrive with no age to judge it by)
     load_at: float = -1.0
-    #: when we last heard anything from it (heartbeats or piggybacked)
+    #: when we last heard anything from it (any message proves life)
     last_seen: float = 0.0
+    #: when we last sent it anything (-1 = never): a message is as good
+    #: as a heartbeat, so the heartbeat tick skips a peer written to since
+    #: the previous tick
+    last_sent: float = -1.0
     #: False once the site crashed or signed off
     alive: bool = True
     #: True when the site left in an orderly fashion (vs. crashed)
@@ -55,7 +59,8 @@ class SiteRecord:
         four booleans packed into one flags word, so a 1024-site
         SIGN_ON_ACK does not spend most of its bytes on repeated keys.
         ``from_wire(to_wire())`` round-trips everything but the locally
-        kept figures (``load``, ``queue``, ``load_at``, ``last_seen``)."""
+        kept figures (``load``, ``queue``, ``load_at``, ``last_seen``,
+        ``last_sent``)."""
         flags = ((_F_ALIVE if self.alive else 0)
                  | (_F_LEFT if self.left else 0)
                  | (_F_CODE_DIST if self.code_distribution else 0)

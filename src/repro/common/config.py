@@ -198,7 +198,9 @@ class ClusterConfig:
     #: whether sites exchange heartbeats (required for crash detection;
     #: off by default so idle clusters quiesce and sim runs terminate)
     heartbeats_enabled: bool = False
-    #: heartbeat period and the timeout after which a site is declared crashed
+    #: heartbeat period and the timeout after which a site is declared
+    #: crashed; any message counts as a beat, so a HEARTBEAT goes only to
+    #: a partner sent nothing else during the period
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
     #: heartbeat partners per tick: 0 sends to every alive peer (full
@@ -211,8 +213,11 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.contingent_size < 1:
             raise ConfigError("contingent_size must be >= 1")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ConfigError("heartbeat_timeout must exceed heartbeat_interval")
+        # a skipped beat lets a live peer fall silent for almost two
+        # intervals (see ClusterManager._heartbeat_tick)
+        if self.heartbeat_timeout <= 2 * self.heartbeat_interval:
+            raise ConfigError(
+                "heartbeat_timeout must exceed twice heartbeat_interval")
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,10 +82,12 @@ class MessageManager(Manager):
 
         Messages to a site that has signed off are transparently rerouted to
         its heir (see cluster manager) — the heir adopted the leaver's
-        frames and memory objects.
+        frames and memory objects.  A message that goes out is stamped on
+        the target's record as ``last_sent``, which spares it a heartbeat.
         """
         self._assign_seq(msg)
-        dst = self.site.cluster_manager.effective_site(msg.dst_site)
+        cluster = self.site.cluster_manager
+        dst = cluster.effective_site(msg.dst_site)
         if dst == self.local_id:
             # local loopback: no serialization/network, small dispatch cost
             self.stats.inc("local_messages")
@@ -97,20 +99,23 @@ class MessageManager(Manager):
             self.kernel.cpu_run(self.cost.sched_decision_cost,
                                 self._dispatch, msg)
             return True
-        physical = self.site.cluster_manager.physical_of(dst)
-        if physical is None:
+        record = cluster.record_of(dst)
+        if record is None:
             self.stats.inc("unresolvable")
             return False
         msg.dst_site = dst
-        ok = self._transmit(physical, msg)
+        ok = self._transmit(record.physical, msg)
         if not ok:
             self.stats.inc("send_failed")
-        elif self._track_told and msg.src_queue >= 0:
+            return False
+        # any message is a heartbeat: the next beat to this peer is skipped
+        record.last_sent = self.kernel.now
+        if self._track_told and msg.src_queue >= 0:
             # re-inserted, so the dict stays ordered by send time
             self._told.pop(dst, None)
             self._told[dst] = (msg.src_queue, self.kernel.now)
             self.prune_told()
-        return ok
+        return True
 
     def in_conversation(self) -> bool:
         """Whether any peer holds a figure of ours (possibly expired)."""

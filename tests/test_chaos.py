@@ -65,30 +65,41 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: off at 0.2-0.26 s (its cut at 0.8 s fell on an idle cluster, primes
 #: having exited at 0.52 s), and ``duplicate_delivery`` duplicates from
 #: 0.1 s (its window opened 7 ms before the exit).
+#: All eleven moved when any message became a heartbeat: a site skips the
+#: HEARTBEAT to a peer it wrote to during the interval, so every chaos
+#: trajectory sends fewer messages and shifts.  Two scenario plans were
+#: re-timed so their tests see what they were written for:
+#: ``memory_partition`` cuts site 2 off at 0.4758-0.5358 s (four
+#: ownership replies on the wire again), and ``sdc_replicate_corrupt``
+#: mangles at 0.248-0.2675 s (both the REPLICATE and the VERDICT case).
+#: ``signoff_leaver_silence`` is new: a leaver that drained past the
+#: heartbeat timeout used to declare the live cluster crashed.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "04ff5ca51fe7053d3b65b6c7e793049e3119f184ce92c508aaf491edffce96ff",
+        "28d9e9be245976adab50d8c00fc49f40692b67229636f9ae8fa07d06adf2eaa4",
     "crash_during_recovery.json":
-        "34f949c62c38eff64ec7f633c7aa1e049d680f21ed1071973daf9435b345563d",
+        "60331f03173d1e72a6d7d0e02c8d0a046ea124da198bde2581aa98ffa253a999",
     "crash_during_wave.json":
-        "a96cee905a6c1580fa54e9657ff97c153d189087164e2e7114e88b9efe291f39",
+        "0ad4d52639f269ad735758b25ae5e1c10cea0fa716d3eaed0532f4414e290eb7",
     "dir_shard_crash.json":
-        "47b19d185539cafc2cebaec907d7ec27fc8daddde68f4045c3151ba2bfc6abfa",
+        "169c9b03db73e344a95a372d5c88cd7f667a3cb41d180ad3da73be34765086ac",
     "duplicate_delivery.json":
-        "75f6061df2383c6f7323e0bae9fbf6f145c8ba3cc1cdf6e41c2bf8d584990391",
+        "27b579c8909faf674708334c0220a3acbd853541fecf8506b8c52873873e5f7a",
     "homesite_crash.json":
-        "2550862ea31d38f85d1992df3ad3a5aaea06b543945d92074e2fe8f193c95781",
+        "64a340d8c94a858b78d34156ea798d3cd521ce78d7f8a6baf9b581420d46b39e",
     "lossy_recovery.json":
-        "968ca1ae122cb2449d1b59165a8f113d37b8fd9af671185f97769ace29205104",
+        "3e2bf20f91f874e1c6da225335d49bbbd70be1a86e9ac1d1d2ee5daa98141ca4",
     "memory_partition.json":
-        "f95144494fb340f42481b1bcadc2d510058ad27917b17e1a2b15e3913003be15",
+        "108409dbf6b6f62b557421500c8742c619b243bd09b38a7bf40cd1ebbf4bc440",
     "partition_then_heal.json":
-        "6282a5362e81d00b93690f2751c2db21230b894d8f40c6f1af760cfa868cdcb5",
+        "53582d6249eb52cf85cd03659495055acfc13f7bd58017c6c716bdfd7946d2d9",
+    "signoff_leaver_silence.json":
+        "d8b0ba5bbb6f18391a6ea461b13ab129cae7bb559ce340965b0dff61e9414005",
     "steal_batch_reorder.json":
-        "eaee66e028143997e5030efc89ff13c0e2f6cdad4611674042ea5f951ea1d94f",
+        "cd89b0337dcb24d9bcc700ce79106eb7244821e3ada8e5c35897db8c032de3fd",
     "wave_stall.json":
-        "95ae12bdc95062860e6ac4de3810081a830ecf87f96b660a6f52401fc73ae1e4",
+        "4b42bc038dbbad2b566408d85eb072c33241b85f837fca376dd06d32fc5db841",
 }
 
 _corpus_results = {}
@@ -238,7 +249,8 @@ class TestCorpus:
                 "steal_batch_reorder.json", "dir_shard_crash.json",
                 "homesite_crash.json", "sdc_detected.json",
                 "memory_partition.json",
-                "sdc_replicate_corrupt.json"} <= names
+                "sdc_replicate_corrupt.json",
+                "signoff_leaver_silence.json"} <= names
         # the undefended twin fails by design, so it lives in a
         # subdirectory the corpus glob (and ``chaos corpus``) skip
         assert os.path.exists(os.path.join(
@@ -812,6 +824,33 @@ class TestChaosCli:
         assert main(["chaos", "fuzz", "--seeds", "1", "6"], out=out) == 0
         assert "ok" in out.getvalue()
         assert "fuzz: 6 seed(s), 0 failure(s)" in out.getvalue()
+
+    def test_fuzz_draws_the_workload_into_every_plan(self, monkeypatch):
+        """``--workload all`` runs each seed under every chaos workload,
+        and the seed schedules the same faults under each."""
+        import importlib
+        # the package's ``fuzz`` attribute is the function, not the module
+        fuzz_module = importlib.import_module("repro.chaos.fuzz")
+        ran = []
+
+        def recording(plan, **_kwargs):
+            ran.append(plan)
+            return fuzz_module.ChaosRunResult(plan=plan, violations=[],
+                                              fingerprint="")
+
+        monkeypatch.setattr(fuzz_module, "run_plan", recording)
+        out = io.StringIO()
+        assert main(["chaos", "fuzz", "--seeds", "3", "4",
+                     "--workload", "all"], out=out) == 0
+        workloads = list(fuzz_module.WORKLOADS)
+        assert [plan.workload for plan in ran] \
+            == [w for w in workloads for _seed in (3, 4)]
+        assert {plan.seed: plan.faults for plan in ran} \
+            == {seed: random_plan(seed).faults for seed in (3, 4)}
+        text = out.getvalue()
+        assert "memscatter seed 3: ok" in text
+        assert "fuzz treesum: 2 seed(s), 0 failure(s)" in text
+        assert text.rstrip().endswith("fuzz: 8 seed(s), 0 failure(s)")
 
     def test_fuzz_saves_failing_plan(self, tmp_path):
         """An unsurvivable plan (every site crashes) must be reported,

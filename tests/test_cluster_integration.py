@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import ClusterConfig, SDVMConfig, SiteConfig
+from repro.core.program import ProgramBuilder
 from repro.site.simcluster import SimCluster
 
 
@@ -173,7 +174,54 @@ class TestLookups:
         assert manager.pick_help_target(exclude={other}) is None
 
 
+def slow_fanout_program():
+    """``n`` workers charging ``units`` each (6e5 units = 0.6 s)."""
+    prog = ProgramBuilder("slowfan")
+
+    @prog.microthread(creates=("worker", "collect"))
+    def main(ctx, n, units):
+        collector = ctx.create_frame("collect", nparams=n)
+        for i in range(n):
+            w = ctx.create_frame("worker", targets=[(collector, i)])
+            ctx.send_result(w, 0, units)
+
+    @prog.microthread
+    def worker(ctx, units):
+        ctx.charge(units)
+        ctx.send_to_targets(1)
+
+    @prog.microthread
+    def collect(ctx, *values):
+        ctx.exit_program(sum(values))
+
+    return prog.build()
+
+
 class TestHeartbeats:
+    def test_a_leaver_that_drains_past_the_timeout_suspects_no_one(self):
+        """Once SIGN_OFF is out, every peer drops the leaver from its
+        watch set and stops writing to it.  A leaver that kept judging
+        them while it drained, settled and forwarded heard nothing for
+        longer than the timeout and declared the live cluster crashed."""
+        config = SDVMConfig(trace=True, cluster=ClusterConfig(
+            heartbeats_enabled=True, heartbeat_interval=0.05,
+            heartbeat_timeout=0.25))
+        cluster = SimCluster(nsites=3, config=config)
+        # every worker computes 0.6 s, longer than the heartbeat timeout
+        handle = cluster.submit(slow_fanout_program(), args=(6, 6e5))
+        cluster.sim.run(until=0.3)
+        leaver = cluster.sites[2]
+        assert leaver.processing_manager.in_flight > 0
+        leaver.sign_off()
+        cluster.sim.run(until=0.3 + 0.25 + 2 * 0.05)
+        assert not leaver.stopped  # still draining
+        cluster.run(raise_on_failure=False)
+        assert leaver.stopped and not handle.failed
+        assert handle.result == 6
+        assert [site.cluster_manager.stats.get("crashes_detected").count
+                for site in cluster.sites] == [0, 0, 0]
+        assert cluster.tracer.kinds().get("site_dead", 0) == 0
+
     def test_crash_detected_via_heartbeat_timeout(self):
         config = SDVMConfig(cluster=ClusterConfig(
             heartbeats_enabled=True, heartbeat_interval=0.05,

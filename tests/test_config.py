@@ -66,6 +66,12 @@ class TestClusterConfig:
     def test_timeout_must_exceed_interval(self):
         with pytest.raises(ConfigError):
             ClusterConfig(heartbeat_interval=1.0, heartbeat_timeout=0.5)
+        # twice the interval: a live peer may send nothing for almost two
+        for timeout in (1.5, 2.0):
+            with pytest.raises(ConfigError):
+                ClusterConfig(heartbeat_interval=1.0,
+                              heartbeat_timeout=timeout)
+        ClusterConfig(heartbeat_interval=1.0, heartbeat_timeout=2.5)
 
     def test_contingent_size(self):
         with pytest.raises(ConfigError):

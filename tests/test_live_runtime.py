@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from repro.common.config import (CheckpointConfig, CostModel,
-                                 SchedulingConfig, SDVMConfig,
+from repro.common.config import (CheckpointConfig, ClusterConfig,
+                                 CostModel, SchedulingConfig, SDVMConfig,
                                  SecurityConfig, SiteConfig)
 from repro.common.errors import SDVMError
 from repro.core.program import ProgramBuilder
@@ -325,6 +325,122 @@ class TestCheckpointPlane:
             assert (2 * stats.get("checkpoints_committed").count
                     <= stats.get("shards_serialized").count
                     <= 2 * stats.get("waves_started").count)
+
+
+def spinning_fanout_program():
+    """``n`` workers that each spin ``rounds`` times: the sandbox has no
+    clock to sleep on, so the tests time the loop (see ``spin_rounds``)."""
+    prog = ProgramBuilder("spinning")
+
+    @prog.microthread(creates=("worker", "collect"))
+    def main(ctx, n, rounds):
+        collector = ctx.create_frame("collect", nparams=n)
+        for i in range(n):
+            w = ctx.create_frame("worker", targets=[(collector, i)])
+            ctx.send_result(w, 0, rounds)
+
+    @prog.microthread
+    def worker(ctx, rounds):
+        for _ in range(rounds):
+            pass
+        ctx.send_to_targets(1)
+
+    @prog.microthread
+    def collect(ctx, *values):
+        ctx.exit_program(sum(values))
+
+    return prog.build()
+
+
+def spin_rounds(seconds):
+    """Rounds of the workers' loop that take at least ``seconds`` here:
+    timed at the fastest of five samples, so a sample slowed by a busy
+    host cannot shorten the loop."""
+    fastest = float("inf")
+    for _ in range(5):
+        began = time.perf_counter()
+        for _ in range(100_000):
+            pass
+        fastest = min(fastest, time.perf_counter() - began)
+    return int(100_000 * seconds / fastest) + 1
+
+
+class TestClusterHeartbeats:
+    """Cluster heartbeats under the live kernel: any message is a beat, a
+    crashed site is found by its silence, and a leaver judges no one."""
+
+    # wide enough that a busy host's scheduling jitter stays small
+    # against one interval
+    INTERVAL, TIMEOUT = 0.2, 0.8
+    CONFIG = CFG.with_(cluster=ClusterConfig(heartbeats_enabled=True,
+                                             heartbeat_interval=INTERVAL,
+                                             heartbeat_timeout=TIMEOUT))
+
+    @staticmethod
+    def crashes_detected(cluster):
+        return sum(site.cluster_manager.stats.get("crashes_detected").count
+                   for site in cluster.sites)
+
+    def test_crash_is_detected_within_timeout_and_two_intervals(self):
+        # the journal stamps each detection on the survivor's own clock,
+        # which every kernel of the cluster shares
+        config = self.CONFIG.with_(trace=True)
+        with LiveCluster(nsites=3, config=config) as cluster:
+            assert cluster.run(fanout_program(), args=(8,),
+                               timeout=15) == sum(i * i for i in range(8))
+            victim = cluster.sites[2].site_id
+            records = [site.cluster_manager.sites[victim]
+                       for site in cluster.sites[:2]]
+            crashed_at = cluster.horizon
+            cluster.crash_site(2)
+            deadline = time.monotonic() + 10.0
+            while (any(record.alive for record in records)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert not any(record.alive for record in records)
+            assert not any(record.left for record in records)
+            detected = [event.ts
+                        for event in cluster.tracer.select("site_dead")
+                        if event.fields == (victim,)]
+            assert len(detected) == 2
+            bound = self.TIMEOUT + 2 * self.INTERVAL
+            assert max(detected) - crashed_at <= bound, \
+                (crashed_at, detected)
+
+    def test_a_leaver_that_drains_past_the_timeout_suspects_no_one(self):
+        # one worker thread a site, so the spinning workers leave the
+        # reactors the interpreter lock often enough to beat on time
+        sites = [SiteConfig(max_parallel=1) for _ in range(3)]
+        with LiveCluster(site_configs=sites, config=self.CONFIG) as cluster:
+            leaver = cluster.sites[2]
+            handle = cluster.submit(spinning_fanout_program(),
+                                    args=(4, spin_rounds(2 * self.TIMEOUT)))
+            deadline = time.monotonic() + 10.0
+            while not leaver.kernel.reactor_call(
+                    lambda: leaver.processing_manager.in_flight):
+                assert time.monotonic() < deadline, "site 2 got no work"
+                time.sleep(0.005)
+            began = time.monotonic()
+            cluster.sign_off_site(2)
+            # the leaver drained past the heartbeat timeout
+            assert time.monotonic() - began > self.TIMEOUT
+            assert handle.wait(30) == 4
+            time.sleep(self.TIMEOUT + 2 * self.INTERVAL)
+            assert self.crashes_detected(cluster) == 0
+            for site in cluster.sites[:2]:
+                assert site.cluster_manager.sites[leaver.site_id].left
+                assert len(site.cluster_manager.alive_peers()) == 1
+
+    def test_a_busy_run_beats_implicitly(self):
+        sites = [SiteConfig(max_parallel=1) for _ in range(3)]
+        with LiveCluster(site_configs=sites, config=self.CONFIG) as cluster:
+            # several intervals of stealing and results, all ways round
+            assert cluster.run(spinning_fanout_program(),
+                               args=(30, spin_rounds(self.INTERVAL / 2)),
+                               timeout=30) == 30
+            stats = cluster.total_stats()
+            assert stats.get("heartbeats_implicit").count > 0
+            assert self.crashes_detected(cluster) == 0
 
 
 class TestHandOffs:

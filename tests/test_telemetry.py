@@ -52,9 +52,11 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 
 #: sha256 of the flight dumps below as the ring-buffer recorder that the
 #: tracer replaced took them (JSON, sorted keys): a freeze must cut the
-#: same events, in the same order, at the same instant
+#: same events, in the same order, at the same instant.  The crash dump
+#: was re-pinned when any message became a heartbeat: ``crash_during_wave``
+#: skips the HEARTBEATs its traffic made redundant, so its lead-up differs
 CRASH_DUMP_SHA256 = (
-    "e663fa0a8381644b8c392b3dc326b0b4bf7f205160784811699a152a0b46734c")
+    "fd1250cde17a755ee05f66121c666c2b8fbdd9e6d78c3ea222aebd14ccc199a9")
 INVARIANT_DUMPS_SHA256 = (
     "2caa65c98ee7119aba2e9494c677e130c3e46db3d0b15abb017652d1284d0467")
 
