@@ -135,37 +135,33 @@ class Microframe:
     # ------------------------------------------------------------------
     # wire representation (frames migrate between sites)
 
-    def to_wire(self) -> dict:
-        return {
-            "id": self.frame_id,
-            "thread": self.thread_id,
-            "program": self.program,
-            "n": len(self.params),
-            # (slot, value) pairs for the filled slots only
-            "filled": [(i, v) for i, v in enumerate(self.params)
-                       if v is not MISSING],
-            "targets": [(addr, slot) for addr, slot in self.targets],
-            "priority": self.priority,
-            "critical": self.critical,
-            "created_at": self.created_at,
-        }
+    def to_wire(self) -> list:
+        """The frame on the wire, positionally: ``[id, thread, program, n,
+        filled, targets, priority, critical, created_at]``, where ``filled``
+        holds (slot, value) pairs for the filled slots only.  Frames fill
+        checkpoint shards and steal replies, so repeating nine keys in
+        every one would cost more bytes than the fields themselves."""
+        return [self.frame_id, self.thread_id, self.program, len(self.params),
+                [(i, v) for i, v in enumerate(self.params)
+                 if v is not MISSING],
+                [(addr, slot) for addr, slot in self.targets],
+                self.priority, self.critical, self.created_at]
 
     @classmethod
-    def from_wire(cls, data: dict) -> "Microframe":
+    def from_wire(cls, data: list) -> "Microframe":
+        if type(data) is not list:
+            raise SerializationError(
+                f"malformed microframe on wire: {type(data).__name__}")
         try:
-            frame = cls(
-                frame_id=data["id"],
-                thread_id=data["thread"],
-                program=data["program"],
-                nparams=data["n"],
-                targets=[(addr, slot) for addr, slot in data["targets"]],
-                priority=data["priority"],
-                critical=data["critical"],
-                created_at=data["created_at"],
-            )
-            for slot, value in data["filled"]:
+            (frame_id, thread_id, program, nparams, filled, targets,
+             priority, critical, created_at) = data
+            frame = cls(frame_id, thread_id, program, nparams,
+                        targets=[(addr, slot) for addr, slot in targets],
+                        priority=priority, critical=critical,
+                        created_at=created_at)
+            for slot, value in filled:
                 frame.apply_parameter(slot, value)
-        except (KeyError, TypeError) as exc:
+        except (TypeError, ValueError, FrameStateError) as exc:
             raise SerializationError(f"malformed microframe on wire: {exc}") from exc
         return frame
 

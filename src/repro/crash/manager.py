@@ -8,7 +8,8 @@ its retries) carry the same value; only ``_on_recover_state`` parses it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.common.errors import SDVMError, SerializationError
 from repro.common.ids import ManagerId
@@ -17,8 +18,13 @@ from repro.serde import dumps, loads
 from repro.site.manager_base import Manager
 
 #: attempts per RECOVER_BEGIN/STATE/DONE before giving up on a target;
-#: each attempt waits one settle delay for the RECOVER_ACK
+#: each attempt waits one settle delay for the RECOVER_ACK (a
+#: RECOVER_STATE also twice its shard's transfer time)
 _RECOVER_RETRIES = 5
+
+
+def _nothing() -> None:
+    pass
 
 
 class CrashManager(Manager):
@@ -47,6 +53,10 @@ class CrashManager(Manager):
         #: bumped per recovery — fences the settle-delay continuation
         #: timers of an older recovery
         self._recover_seq = 0
+        #: what the current recovery's RECOVER_DONE waits for: the shards
+        #: whose RECOVER_STATE is not yet settled, and None until the
+        #: settle delay has passed
+        self._recovery_waits: Set[Optional[int]] = set()
         #: (epoch, shard) pairs already adopted (duplicate-delivery fence)
         self._recover_shards_applied: Set[tuple] = set()
         #: (wave, coordinator) while waiting for local executions to drain
@@ -406,37 +416,49 @@ class CrashManager(Manager):
                                self._recover_seq)
 
     def _send_recover(self, logical: int, mtype: MsgType, payload: dict,
-                      attempt: int = 0) -> None:
+                      attempt: int = 0,
+                      settled: Callable[[], None] = _nothing) -> None:
         """Send recovery control with ack+retry.
 
         A single dropped RECOVER_DONE would leave a survivor paused
         forever, so each send expects a RECOVER_ACK within one settle
         delay and is re-sent up to ``_RECOVER_RETRIES`` times; retries to
-        a target that has since been marked dead are suppressed.
+        a target that has since been marked dead are suppressed.  A
+        RECOVER_STATE also waits twice its shard's transfer time, so a
+        large shard is not resent while its first copy is on the wire.
+        ``settled`` runs once the send is over: handled here, acked, out
+        of retries, or addressed to a site that is gone.
         """
         if logical == self.local_id:
             self._handle_ctrl(mtype, dict(payload), self.local_id)
+            settled()
             return
         if not self.site.running:
             return
         record = self.site.cluster_manager.sites.get(logical)
         if record is None or not record.alive:
+            settled()
             return
+        timeout = self._settle_delay()
         if mtype == MsgType.RECOVER_STATE:
-            self.stats.add("snapshot_bytes", len(payload["state"]))
+            nbytes = len(payload["state"])
+            self.stats.add("snapshot_bytes", nbytes)
+            timeout += 2.0 * nbytes / self.config.network.bandwidth
         def on_timeout() -> None:
             if attempt + 1 >= _RECOVER_RETRIES:
                 self.stats.inc("recover_retries_exhausted")
                 self.log("giving up on %s to site %d after %d attempts",
                          mtype.name, logical, attempt + 1)
+                settled()
                 return
             self.stats.inc("recover_retries")
-            self._send_recover(logical, mtype, payload, attempt + 1)
+            self._send_recover(logical, mtype, payload, attempt + 1, settled)
 
-        self.site.message_manager.request(
-            self._msg(logical, mtype, dict(payload)),
-            on_reply=lambda reply: None,
-            timeout=self._settle_delay(), on_timeout=on_timeout)
+        if not self.site.message_manager.request(
+                self._msg(logical, mtype, dict(payload)),
+                on_reply=lambda reply: settled(),
+                timeout=timeout, on_timeout=on_timeout):
+            settled()
 
     def _on_recover_begin(self, payload: dict) -> bool:
         epoch = payload["epoch"]
@@ -464,16 +486,27 @@ class CrashManager(Manager):
         if seq != self._recover_seq or not self.recovering:
             return  # superseded by a newer recovery
         epoch = self.site.epoch  # our own RECOVER_BEGIN already bumped it
+        # RECOVER_DONE waits for every shard to settle, not only for the
+        # settle delay: a survivor that resumed before its retried (and
+        # larger) RECOVER_STATE landed would run without its shard
+        self._recovery_waits = {None, *self.committed}
         for shard_site, blob in self.committed.items():
             target = shard_site if shard_site in alive else self.local_id
             self._send_recover(target, MsgType.RECOVER_STATE,
                                {"state": blob, "epoch": epoch,
-                                "shard": shard_site})
-        self.kernel.call_later(self._settle_delay(), self._finish_recovery,
-                               alive, seq)
+                                "shard": shard_site},
+                               settled=partial(self._recovery_step_done,
+                                               shard_site, alive, seq))
+        self.kernel.call_later(self._settle_delay(), self._recovery_step_done,
+                               None, alive, seq)
 
-    def _finish_recovery(self, alive: Set[int], seq: int) -> None:
+    def _recovery_step_done(self, step: Optional[int], alive: Set[int],
+                            seq: int) -> None:
+        """One of ``_recovery_waits`` is over; finish once none is left."""
         if seq != self._recover_seq or not self.recovering:
+            return
+        self._recovery_waits.discard(step)
+        if self._recovery_waits:
             return
         self.recovering = False
         self._trace("recovery_done", self.site.epoch)

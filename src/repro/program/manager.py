@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ProgramError
+from repro.common.errors import ProgramError, SerializationError
 from repro.common.ids import ManagerId
 from repro.core.program import SDVMProgram
 from repro.messages import MsgType, SDMessage
@@ -50,31 +50,34 @@ class ProgramInfo:
                 for name, (tid, nparams, _w, _c) in self.threads.items()}
         return table
 
-    def to_wire(self) -> dict:
-        return {
-            "pid": self.pid,
-            "name": self.name,
-            "entry": self.entry,
-            "code_home": self.code_home,
-            "frontend": self.frontend,
-            "threads": [(name, tid, nparams, work, tuple(creates))
-                        for name, (tid, nparams, work, creates)
-                        in self.threads.items()],
-            "terminated": self.terminated,
-        }
+    def to_wire(self) -> list:
+        """The program on the wire, positionally: ``[pid, name, entry,
+        code_home, frontend, threads, terminated]``, with ``threads`` a list
+        of (name, tid, nparams, work_hint, creates) tuples.  Every steal
+        reply and checkpoint shard carries the infos of its programs."""
+        return [self.pid, self.name, self.entry, self.code_home,
+                self.frontend,
+                [(name, tid, nparams, work, tuple(creates))
+                 for name, (tid, nparams, work, creates)
+                 in self.threads.items()],
+                self.terminated]
 
     @classmethod
-    def from_wire(cls, data: dict) -> "ProgramInfo":
-        return cls(
-            pid=data["pid"],
-            name=data["name"],
-            entry=data["entry"],
-            code_home=data["code_home"],
-            frontend=data["frontend"],
-            threads={name: (tid, nparams, work, tuple(creates))
-                     for name, tid, nparams, work, creates in data["threads"]},
-            terminated=data.get("terminated", False),
-        )
+    def from_wire(cls, data: list) -> "ProgramInfo":
+        if type(data) is not list:
+            raise SerializationError(
+                f"malformed program info on wire: {type(data).__name__}")
+        try:
+            pid, name, entry, code_home, frontend, threads, terminated = data
+            return cls(pid=pid, name=name, entry=entry, code_home=code_home,
+                       frontend=frontend,
+                       threads={tname: (tid, nparams, work, tuple(creates))
+                                for tname, tid, nparams, work, creates
+                                in threads},
+                       terminated=terminated)
+        except (TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"malformed program info on wire: {exc}") from exc
 
 
 class ProgramManager(Manager):
@@ -126,7 +129,7 @@ class ProgramManager(Manager):
         targets = list(self.site.cluster_manager.sorted_alive_ids())
         self._relay_registration(info.to_wire(), targets, info.pid)
 
-    def _relay_registration(self, wire: dict, targets: list,
+    def _relay_registration(self, wire: list, targets: list,
                             pid: int) -> None:
         """Fan a PROGRAM_REGISTER out as a relay tree of arity 8.
 
@@ -161,7 +164,7 @@ class ProgramManager(Manager):
                 payload=payload,
             ))
 
-    def learn_program_wire(self, wire: dict) -> ProgramInfo:
+    def learn_program_wire(self, wire: list) -> ProgramInfo:
         """Adopt program knowledge from any message carrying it ("the list
         is updated with every access to another site resulting in a
         microframe belonging to a new program", §4)."""

@@ -36,6 +36,13 @@ class _TimerHandle:
         self.cancelled = False
 
 
+def _fire(handle: _TimerHandle, fn: Callable[..., None], args: tuple) -> None:
+    """Run a due timer on the reactor, unless it was cancelled after the
+    timer thread queued it: a cancelled timer never runs, as in the sim."""
+    if not handle.cancelled:
+        fn(*args)
+
+
 class LiveKernel(Kernel):
     def __init__(self, make_transport: Callable[[Callable[[bytes], None]],
                                                 Transport],
@@ -176,7 +183,7 @@ class LiveKernel(Kernel):
                         continue
                     if deadline <= now:
                         heapq.heappop(self._timer_heap)
-                        self.post(fn, *args)
+                        self.post(_fire, handle, fn, args)
                         continue
                     wait = deadline - now
                     break

@@ -506,7 +506,7 @@ class SchedulingManager(Manager):
             self.stats.inc("steals_out")
         self.stats.observe("steal_batch", float(len(frames)))
 
-    def _program_infos(self, frames: List[Microframe]) -> List[dict]:
+    def _program_infos(self, frames: List[Microframe]) -> List[list]:
         pm = self.site.program_manager
         return [pm.get(pid).to_wire()
                 for pid in sorted({f.program for f in frames})

@@ -74,32 +74,38 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: mangles at 0.248-0.2675 s (both the REPLICATE and the VERDICT case).
 #: ``signoff_leaver_silence`` is new: a leaver that drained past the
 #: heartbeat timeout used to declare the live cluster crashed.
+#: All twelve moved when frames and program infos went positional on the
+#: wire: steal replies and checkpoint shards shrank, and bytes feed transit
+#: time.  ``recover_done_overtakes_state`` is new: RECOVER_DONE used to
+#: leave before a retried RECOVER_STATE had landed.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "28d9e9be245976adab50d8c00fc49f40692b67229636f9ae8fa07d06adf2eaa4",
+        "7196ee7338c6dfe2d25bef6075633a68b9e4898c2da263597a0d705672ba9826",
     "crash_during_recovery.json":
-        "60331f03173d1e72a6d7d0e02c8d0a046ea124da198bde2581aa98ffa253a999",
+        "6b6921f6982b55c2a52efbe4b7367b3e63e878f0494efc1ac818c7ec05369701",
     "crash_during_wave.json":
-        "0ad4d52639f269ad735758b25ae5e1c10cea0fa716d3eaed0532f4414e290eb7",
+        "1c90920fe8c38471ea2eb2d6c800ffbd0aa1e370b61a4486082528d587bc7311",
     "dir_shard_crash.json":
-        "169c9b03db73e344a95a372d5c88cd7f667a3cb41d180ad3da73be34765086ac",
+        "dfb6547f51d653c58e92b0b6f09b8ba2415757bee050f911a525a5a723dafcde",
     "duplicate_delivery.json":
-        "27b579c8909faf674708334c0220a3acbd853541fecf8506b8c52873873e5f7a",
+        "c92d6f5c11d045e0a3ba82115e83b1abbdd6f84bcc21f1b4103c4fcb722eed78",
     "homesite_crash.json":
-        "64a340d8c94a858b78d34156ea798d3cd521ce78d7f8a6baf9b581420d46b39e",
+        "aaeea208f863957d37d944bc959d77e4f85beb0781226eacf965631b4269947c",
     "lossy_recovery.json":
-        "3e2bf20f91f874e1c6da225335d49bbbd70be1a86e9ac1d1d2ee5daa98141ca4",
+        "bbf7cf3e0847ab83ea3d896e69114c2d2f9c2007cc39b87123574f4de6068f5a",
     "memory_partition.json":
-        "108409dbf6b6f62b557421500c8742c619b243bd09b38a7bf40cd1ebbf4bc440",
+        "8d947e7a88b8eb90e93b96a6411f648be74ed3595c68d98e82070e20a58c6fa5",
     "partition_then_heal.json":
-        "53582d6249eb52cf85cd03659495055acfc13f7bd58017c6c716bdfd7946d2d9",
+        "1dff026de6ab2f66d99c5c3d30d5b1c99a4b4d4c0d75909ede1e5a7b8f50de27",
+    "recover_done_overtakes_state.json":
+        "88ce9e9cfe690ef53df8eea27eef1d3c0f341ce688a4df501b46ce6c581ec0a0",
     "signoff_leaver_silence.json":
-        "d8b0ba5bbb6f18391a6ea461b13ab129cae7bb559ce340965b0dff61e9414005",
+        "2ec8782e27e229d71b6c0ac3a7c37a4c3b9f0f211198665691204fa0f067c3ca",
     "steal_batch_reorder.json":
-        "cd89b0337dcb24d9bcc700ce79106eb7244821e3ada8e5c35897db8c032de3fd",
+        "809d1e856e6ab6884c05fe0001728c2586ba44e89c118154355cdf9682768d50",
     "wave_stall.json":
-        "4b42bc038dbbad2b566408d85eb072c33241b85f837fca376dd06d32fc5db841",
+        "4fbac60b4fa954f256d19994f945b8a91d3488ba1358d08617428fc90acb340d",
 }
 
 _corpus_results = {}
@@ -250,7 +256,8 @@ class TestCorpus:
                 "homesite_crash.json", "sdc_detected.json",
                 "memory_partition.json",
                 "sdc_replicate_corrupt.json",
-                "signoff_leaver_silence.json"} <= names
+                "signoff_leaver_silence.json",
+                "recover_done_overtakes_state.json"} <= names
         # the undefended twin fails by design, so it lives in a
         # subdirectory the corpus glob (and ``chaos corpus``) skip
         assert os.path.exists(os.path.join(

@@ -16,7 +16,7 @@ from repro.common.config import (
 from repro.apps import build_primes_program, first_n_primes
 from repro.common.errors import SerializationError
 from repro.common.ids import GlobalAddress
-from repro.core.frames import Microframe
+from repro.core.frames import MISSING, Microframe
 from repro.crash.manager import CrashManager
 from repro.messages import MsgType, SDMessage
 from repro.serde import dumps, loads
@@ -232,6 +232,55 @@ class TestHardening:
         assert cm.stats.get("recoveries").count >= 2
         assert not cm.recovering and not cm._crash_queue
 
+    def test_no_survivor_resumes_before_it_adopted_its_shard(
+            self, monkeypatch):
+        """RECOVER_DONE used to leave one settle delay after the shards,
+        acked or not.  With a survivor's RECOVER_STATE dropped twice, the
+        small DONE overtook the retried STATE: the survivor (and the
+        coordinator) resumed before the survivor held its shard."""
+        cluster = SimCluster(nsites=4, config=config(ckpt_interval=0.1))
+        handle = cluster.submit(build_primes_program(),
+                                args=(40, 6, 2000.0, 20000.0))
+        coordinator, lossy = cluster.sites[0], cluster.sites[1]
+        send, dropped = coordinator.message_manager.send, []
+
+        def drop_twice(msg):
+            if (msg.type is MsgType.RECOVER_STATE
+                    and msg.dst_site == lossy.site_id and len(dropped) < 2):
+                dropped.append(cluster.sim.now)
+                return True  # lost on the wire: no ack comes back
+            return send(msg)
+
+        monkeypatch.setattr(coordinator.message_manager, "send", drop_twice)
+        events = []
+        for site in cluster.sites[:3]:
+            def adopt(state, site=site, real=site.attraction_memory.adopt_state):
+                events.append((site.site_id, "adopt"))
+                return real(state)
+
+            def done(payload, site=site,
+                     real=site.crash_manager._on_recover_done):
+                was_paused = site.paused
+                ack = real(payload)
+                if was_paused and not site.paused:
+                    events.append((site.site_id, "resume"))
+                return ack
+
+            monkeypatch.setattr(site.attraction_memory, "adopt_state", adopt)
+            monkeypatch.setattr(site.crash_manager, "_on_recover_done", done)
+        cluster.crash_site(3, at=0.5)
+        cluster.run(progress_timeout=180.0)
+        assert handle.result == first_n_primes(40)
+        assert len(dropped) == 2
+        assert coordinator.crash_manager.stats.get(
+            "recover_retries").count >= 2
+        # the first recovery: every survivor adopts, then anyone resumes
+        first_resume = events.index(
+            next(e for e in events if e[1] == "resume"))
+        adopted = {site for site, kind in events[:first_resume]
+                   if kind == "adopt"}
+        assert adopted == {site.site_id for site in cluster.sites[:3]}
+
     def test_coordinator_crash_successor_recovers_from_replica(self):
         """S2: when the checkpoint coordinator itself dies, the successor
         used to find no committed snapshot and declare the program lost.
@@ -288,10 +337,11 @@ class TestHardening:
         cluster.sim.run(until=0.3)
         assert cm.committed_wave == 7
         shard = loads(cm.committed[site.site_id])
-        (shard_frame,) = [f for f in shard["frames"]
-                          if f["id"] == frame.frame_id]
-        assert [list(pair) for pair in shard_frame["filled"]] == [
-            [0, {"results": [1]}]]
+        (shard_frame,) = [f for f in map(Microframe.from_wire,
+                                         shard["frames"])
+                          if f.frame_id == frame.frame_id]
+        assert [[i, v] for i, v in enumerate(shard_frame.params)
+                if v is not MISSING] == [[0, {"results": [1]}]]
 
     def test_local_adoption_does_not_alias_the_committed_shard(self):
         """The coordinator adopts its own shard (and a dead site's) without

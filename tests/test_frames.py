@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import FrameStateError
-from repro.common.ids import GlobalAddress
+from repro.common.errors import FrameStateError, SerializationError
+from repro.common.ids import GlobalAddress, make_program_id
 from repro.core.frames import MISSING, FrameState, Microframe
+from repro.serde import dumps, loads
 
 
 def make(nparams=2, targets=()):
@@ -92,17 +93,61 @@ class TestWire:
         assert clone.critical
 
     def test_roundtrip_survives_codec(self):
-        from repro.serde import dumps, loads
         frame = make(nparams=2)
         frame.apply_parameter(0, "x")
         clone = Microframe.from_wire(loads(dumps(frame.to_wire())))
         assert clone.params[0] == "x"
         assert clone.missing_count == 1
 
+    def test_every_field_survives_the_codec(self):
+        frame = Microframe(GlobalAddress(3, 41), thread_id=2, program=1 << 20,
+                           nparams=4, targets=[(GlobalAddress(1, 5), 0),
+                                               (GlobalAddress(2, 6), 3)],
+                           priority=-2.5, critical=True, created_at=0.123456789)
+        frame.apply_parameter(1, {"nested": [1, 2]})
+        frame.apply_parameter(3, None)
+        clone = Microframe.from_wire(loads(dumps(frame.to_wire())))
+        assert (clone.frame_id, clone.thread_id, clone.program) == (
+            GlobalAddress(3, 41), 2, 1 << 20)
+        assert clone.params == [MISSING, {"nested": [1, 2]}, MISSING, None]
+        assert clone.missing_count == 2
+        assert clone.state is FrameState.INCOMPLETE
+        assert clone.targets == [(GlobalAddress(1, 5), 0),
+                                 (GlobalAddress(2, 6), 3)]
+        assert (clone.priority, clone.critical, clone.created_at) == (
+            -2.5, True, 0.123456789)
+
+    def test_wire_form_is_a_positional_list(self):
+        frame = make(nparams=2, targets=[(GlobalAddress(2, 2), 1)])
+        frame.apply_parameter(0, "x")
+        assert frame.to_wire() == [GlobalAddress(1, 7), 3, 9, 2, [(0, "x")],
+                                   [(GlobalAddress(2, 2), 1)], 0.0, False,
+                                   0.0]
+
+    def test_treesum_node_frame_fits_in_56_bytes(self):
+        """A ``node`` frame of treesum as it waits in a 32-site cluster's
+        attraction memory: three empty slots and one target in its merge
+        frame.  With keys on the wire it took 126 B."""
+        frame = Microframe(GlobalAddress(17, 3000), thread_id=1,
+                           program=make_program_id(0, 1), nparams=3,
+                           targets=[(GlobalAddress(17, 2999), 1)],
+                           created_at=0.5512345678901)
+        assert len(dumps(frame.to_wire())) <= 56
+
     def test_malformed_wire_rejected(self):
-        from repro.common.errors import SerializationError
-        with pytest.raises(SerializationError):
-            Microframe.from_wire({"id": GlobalAddress(0, 1)})
+        good = [GlobalAddress(0, 1), 3, 9, 2, [], [], 0.0, False, 0.0]
+        for wire in (
+                good[:1], good + [1],                      # arity
+                {"id": GlobalAddress(0, 1)}, tuple(good), "not a frame",
+                good[:4] + [[(0,)]] + good[5:],            # (slot, value)
+                good[:4] + [[5]] + good[5:],
+                good[:4] + [[(2, "x")]] + good[5:],        # no slot 2
+                good[:4] + [[(0, "x"), (0, "y")]] + good[5:],
+                good[:3] + [-1] + good[4:],
+                good[:5] + [[(GlobalAddress(0, 2),)]] + good[6:]):
+            with pytest.raises(SerializationError):
+                Microframe.from_wire(wire)
+        assert Microframe.from_wire(good).nparams == 2
 
 
 @settings(max_examples=100)

@@ -77,6 +77,23 @@ class TestTimers:
         kernel.cancel(handle)
         assert not fired.wait(0.2)
 
+    def test_cancel_after_the_timer_fell_due_prevents_firing(self, kernel):
+        """A timer that fell due while the reactor was busy is already
+        queued behind the busy item; cancelling it from there must still
+        stop it (a sign-off cancels the heartbeat timer this way)."""
+        fired, busy = [], threading.Event()
+
+        def hold_the_reactor():
+            busy.set()
+            time.sleep(0.1)  # the timer falls due and is queued meanwhile
+            kernel.cancel(handle)
+
+        handle = kernel.call_later(0.02, fired.append, "tick")
+        kernel.post(hold_the_reactor)
+        assert busy.wait(2.0)
+        kernel.reactor_call(lambda: None)  # every queued item has run
+        assert fired == []
+
     def test_timers_fire_in_order(self, kernel):
         order = []
         done = threading.Event()

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ProgramError
+from repro.common.errors import ProgramError, SerializationError
 from repro.common.ids import FileHandle, make_program_id, program_origin_site
 from repro.core.program import ProgramBuilder
+from repro.program.manager import ProgramInfo
+from repro.serde import dumps, loads
 from repro.site.simcluster import SimCluster
 
 
@@ -81,7 +83,6 @@ class TestProgramManager:
             site.program_manager.register_local(simple_program("b"), pid)
 
     def test_wire_roundtrip(self, fast_config):
-        from repro.program.manager import ProgramInfo
         cluster = SimCluster(nsites=1, config=fast_config)
         cluster.sim.run(until=0.1)
         site = cluster.sites[0]
@@ -90,6 +91,30 @@ class TestProgramManager:
         clone = ProgramInfo.from_wire(info.to_wire())
         assert clone.pid == info.pid
         assert clone.thread_table() == info.thread_table()
+
+    def test_every_wire_field_survives_the_codec(self):
+        info = ProgramInfo(pid=make_program_id(3, 7), name="p", entry="main",
+                           code_home=3, frontend=1,
+                           threads={"main": (0, 2, 20.0, ("leaf",)),
+                                    "leaf": (1, 1, 0.5, ())},
+                           terminated=True)
+        wire = info.to_wire()
+        assert type(wire) is list and len(wire) == 7
+        clone = ProgramInfo.from_wire(loads(dumps(wire)))
+        assert clone == info
+
+    def test_malformed_wire_rejected(self):
+        good = [1, "p", "main", 0, 0, [("main", 0, 1, 2.0, ())], False]
+        for wire in (
+                good[:6], good + [0],                      # arity
+                {"pid": 1}, tuple(good), None,
+                good[:5] + [[("main", 0, 1, 2.0)]] + good[6:],   # thread
+                good[:5] + [[("main", 0, 1, 2.0, None)]] + good[6:],
+                good[:5] + [5] + good[6:]):
+            with pytest.raises(SerializationError):
+                ProgramInfo.from_wire(wire)
+        assert ProgramInfo.from_wire(good).threads == {
+            "main": (0, 1, 2.0, ())}
 
 
 class TestProcessing:

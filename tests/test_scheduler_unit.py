@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import SchedulingError
 from repro.common.ids import GlobalAddress
 from repro.core.frames import Microframe
+from repro.program.manager import ProgramInfo
 from repro.sched.policies import (FrameQueue, pop_frame,
                                   take_batch_for_help, take_for_help,
                                   take_push_batch)
@@ -467,7 +468,8 @@ class TestStealBatching:
         assert replies[0].type is MsgType.HELP_REPLY
         assert len(replies[0].payload["frames"]) == 3
         # program info rides along so the thief can adopt immediately
-        pids = [w["pid"] for w in replies[0].payload["program_infos"]]
+        pids = [ProgramInfo.from_wire(w).pid
+                for w in replies[0].payload["program_infos"]]
         assert handle.pid in pids
 
 

@@ -54,11 +54,13 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 #: tracer replaced took them (JSON, sorted keys): a freeze must cut the
 #: same events, in the same order, at the same instant.  The crash dump
 #: was re-pinned when any message became a heartbeat: ``crash_during_wave``
-#: skips the HEARTBEATs its traffic made redundant, so its lead-up differs
+#: skips the HEARTBEATs its traffic made redundant, so its lead-up differs.
+#: Both were re-pinned when frames and program infos went positional on
+#: the wire: the journal's message events carry each envelope's size
 CRASH_DUMP_SHA256 = (
-    "fd1250cde17a755ee05f66121c666c2b8fbdd9e6d78c3ea222aebd14ccc199a9")
+    "dd3334adc958afc5f15a6811c6ab66051a1f6db325492116e1c3dcb197cf3518")
 INVARIANT_DUMPS_SHA256 = (
-    "2caa65c98ee7119aba2e9494c677e130c3e46db3d0b15abb017652d1284d0467")
+    "ca4d4055bc4e27b429a4339161cc98147e6d169d38cd63d3451cb27bc1ee2090")
 
 
 def sha256_json(obj):
