@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test bench bench-gate perf-selfcheck size
+.PHONY: verify test bench bench-gate perf-selfcheck size coverage
 
 # default CI entry point: unit tests (pytest is the one check runner) +
 # benchmark gate + benchmark self-check + the size of the system
@@ -31,3 +31,10 @@ size:
 	@$(PY) -c "import dataclasses as d, repro.common.config as c; \
 	print('config_fields', sum(len(d.fields(v)) for v in vars(c).values() \
 	if isinstance(v, type) and d.is_dataclass(v)))"
+
+# the line ledger of ROADMAP item 15: tier-1 under the stdlib tracer of
+# tests/linecov.py, then the unreached lines inside functions of src/repro
+# (apps/ excluded) and every function never entered.  Not part of verify:
+# tracing makes tier-1 several times slower (~7 min on 2 cores)
+coverage:
+	$(PY) -m pytest -q -p tests.linecov

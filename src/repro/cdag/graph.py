@@ -172,16 +172,3 @@ class CDAG:
         return sorted((n.name for n in self.nodes.values()
                        if n.on_critical_path),
                       key=lambda name: -self.nodes[name].downstream_work)
-
-    def to_networkx(self):  # noqa: ANN201 — optional convenience
-        """Export to a networkx DiGraph (for notebooks / validation)."""
-        import networkx as nx
-        graph = nx.DiGraph()
-        for name, node in self.nodes.items():
-            graph.add_node(name, work=node.work,
-                           downstream=node.downstream_work,
-                           critical=node.on_critical_path)
-        for name, node in self.nodes.items():
-            for target in node.creates:
-                graph.add_edge(name, target)
-        return graph

@@ -26,7 +26,6 @@ from repro.common.errors import (
     ClusterError,
     MemoryFault,
     SecurityError,
-    CrashError,
     ProgramError,
     ConfigError,
 )
@@ -40,7 +39,7 @@ from repro.common.config import (
     ClusterConfig,
     SDVMConfig,
 )
-from repro.common.stats import Counter, StatSet, Timer
+from repro.common.stats import Counter, StatSet
 
 __all__ = [
     "SiteId",
@@ -60,7 +59,6 @@ __all__ = [
     "ClusterError",
     "MemoryFault",
     "SecurityError",
-    "CrashError",
     "ProgramError",
     "ConfigError",
     "SiteConfig",
@@ -73,5 +71,4 @@ __all__ = [
     "SDVMConfig",
     "Counter",
     "StatSet",
-    "Timer",
 ]

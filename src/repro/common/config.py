@@ -90,8 +90,8 @@ class LiveTransportConfig:
     The sim kernel models the network with :class:`NetworkConfig`; this class
     instead configures the real-socket path: per-peer send queues drained by
     a writer thread, reconnect with exponential backoff, dead-letter
-    accounting once the retry budget is spent, and an optional keepalive
-    failure detector that reports suspected-dead peers to the crash manager.
+    accounting once the retry budget is spent, and suspicion of a peer whose
+    deliveries keep failing, reported to the crash manager.
     """
 
     #: seconds to wait for one TCP connect attempt
@@ -103,10 +103,6 @@ class LiveTransportConfig:
     #: first retry delay; doubles each attempt up to ``backoff_max``
     backoff_initial: float = 0.05
     backoff_max: float = 1.0
-    #: seconds between keepalive frames to every known peer
-    #: (0 disables the transport-level failure detector, matching the
-    #: cluster-level default: idle clusters quiesce)
-    heartbeat_interval: float = 0.0
     #: consecutive failed delivery attempts before a peer is suspected dead
     heartbeat_misses: int = 3
 
@@ -120,8 +116,6 @@ class LiveTransportConfig:
         if self.backoff_initial <= 0 or self.backoff_max < self.backoff_initial:
             raise ConfigError(
                 "need 0 < backoff_initial <= backoff_max")
-        if self.heartbeat_interval < 0:
-            raise ConfigError("heartbeat_interval must be >= 0")
         if self.heartbeat_misses < 1:
             raise ConfigError("heartbeat_misses must be >= 1")
 

@@ -39,10 +39,6 @@ class SecurityError(SDVMError):
     """Decryption/authentication failure or key exchange problem."""
 
 
-class CrashError(SDVMError):
-    """Unrecoverable failure during crash detection or recovery."""
-
-
 class ProgramError(SDVMError):
     """Error raised by or about a user program (microthread exception...)."""
 

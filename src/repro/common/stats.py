@@ -8,7 +8,6 @@ them to report message counts, migrations, steals, and busy time.
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -135,33 +134,6 @@ class Histogram:
     def __repr__(self) -> str:
         return (f"Histogram(n={self.count} p50={self.p50:g} "
                 f"p95={self.p95:g} max={self.max:g})")
-
-
-@dataclass(slots=True)
-class Timer:
-    """Accumulates busy intervals on a (simulated or real) clock."""
-
-    busy: float = 0.0
-    _started_at: float = math.nan
-
-    def start(self, now: float) -> None:
-        if not math.isnan(self._started_at):
-            raise RuntimeError("Timer already running")
-        self._started_at = now
-
-    def stop(self, now: float) -> float:
-        if math.isnan(self._started_at):
-            raise RuntimeError("Timer not running")
-        delta = now - self._started_at
-        if delta < 0:
-            raise ValueError("clock went backwards")
-        self.busy += delta
-        self._started_at = math.nan
-        return delta
-
-    @property
-    def running(self) -> bool:
-        return not math.isnan(self._started_at)
 
 
 class StatSet:

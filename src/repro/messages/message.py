@@ -39,7 +39,6 @@ class MsgType(enum.IntEnum):
     MEM_READ = 31              # request a memory object's value
     MEM_READ_REPLY = 32
     MEM_WRITE = 33             # update a memory object
-    MEM_MIGRATE = 34           # move object ownership to requester
     MEM_OBJECT = 35            # object transfer (migration payload)
     MEM_LOCATION = 36          # directory redirect: "object now lives at X"
     DIR_UPDATE = 37            # owner publishes ownership to the homesite
@@ -65,7 +64,6 @@ class MsgType(enum.IntEnum):
     # -- input/output (§4 I/O manager)
     IO_OUTPUT = 70             # console output -> frontend
     IO_FILE_OPEN = 71
-    IO_FILE_OPEN_REPLY = 72
     IO_FILE_READ = 73
     IO_FILE_READ_REPLY = 74
     IO_FILE_WRITE = 75

@@ -28,10 +28,10 @@ Reliability model (see ``LiveTransportConfig``):
   peer is dropped into the ``dead_letters`` counter and the peer is
   reported via :attr:`on_peer_down` — the live kernel forwards this to the
   cluster manager, which feeds the crash manager's recovery path.
-* An optional **keepalive heartbeat** (zero-length frames, filtered out on
-  the receive side) keeps the failure detector running even when the
-  cluster is idle, so real socket death is noticed within
-  ``heartbeat_interval`` plus a few backoffs.
+* The transport suspects a peer after ``heartbeat_misses`` failed
+  delivery attempts.  It sends nothing of its own: on an idle cluster the
+  cluster heartbeat (``ClusterConfig.heartbeats_enabled``) is the traffic
+  that notices a dead peer.
 
 Physical addresses are ``"host:port"`` strings.
 """
@@ -48,10 +48,6 @@ from repro.common.config import LiveTransportConfig
 from repro.common.errors import AddressError, SerializationError
 from repro.common.stats import StatSet
 from repro.serde.framing import FrameDecoder, frame
-
-#: wire representation of a keepalive: an empty frame (no SDMessage is ever
-#: zero bytes, so receivers can filter these without parsing)
-_KEEPALIVE = frame(b"")
 
 #: per-call non-blocking flag for the fast path (the sockets themselves
 #: stay blocking for the writer's ``sendall``); 0 where the platform has
@@ -135,12 +131,6 @@ class TcpTransport:
             target=self._accept_loop, name=f"sdvm-accept-{self._addr}",
             daemon=True)
         self._accept_thread.start()
-        self._heartbeat_thread: Optional[threading.Thread] = None
-        if cfg.heartbeat_interval > 0:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name=f"sdvm-keepalive-{self._addr}", daemon=True)
-            self._heartbeat_thread.start()
 
     # ------------------------------------------------------------------
     def local_address(self) -> str:
@@ -175,9 +165,6 @@ class TcpTransport:
                 if not data:
                     return
                 for payload in decoder.feed(data):
-                    if not payload:
-                        self.stats.inc("keepalives_received")
-                        continue
                     self.stats.inc("frames_received")
                     self._receiver(payload)
         except OSError:
@@ -402,24 +389,6 @@ class TcpTransport:
                     pass
 
     # ------------------------------------------------------------------
-    # keepalive failure detector
-
-    def _heartbeat_loop(self) -> None:
-        while not self._closed.wait(self._config.heartbeat_interval):
-            with self._peers_lock:
-                peers = list(self._peers.values())
-            for peer in peers:
-                with peer.cond:
-                    # a suspected peer is not pinged again — the next
-                    # application send re-arms the detector; a backlogged
-                    # queue already keeps the writer probing
-                    if peer.suspected or peer.queue:
-                        continue
-                    peer.queue.append(_KEEPALIVE)
-                    peer.cond.notify()
-                self.stats.inc("keepalives_sent")
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
         if self._closed.is_set():
             return
@@ -444,6 +413,3 @@ class TcpTransport:
         for peer in peers:
             if peer.writer is not None and peer.writer is not current:
                 peer.writer.join(timeout=0.5)
-        if (self._heartbeat_thread is not None
-                and self._heartbeat_thread is not current):
-            self._heartbeat_thread.join(timeout=0.5)

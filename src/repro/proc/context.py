@@ -197,18 +197,6 @@ class ExecutionContext:
         """Time at execution start (simulated or wall-clock)."""
         return self._now
 
-    def get_parameter(self, index: int) -> Any:
-        """Extract parameter ``index`` from the microframe (§3.2 step 1)."""
-        args = self._args
-        if not 0 <= index < len(args):
-            raise ProgramError(
-                f"parameter index {index} out of range 0..{len(args) - 1}")
-        return args[index]
-
-    @property
-    def parameters(self) -> List[Any]:
-        return list(self._args)
-
     def targets(self) -> List[Tuple[GlobalAddress, int]]:
         """This frame's stored result-target addresses (Fig. 2)."""
         return list(self._frame.targets)

@@ -16,8 +16,7 @@ Design goals:
   LAN.
 * **Fast**: the codec sits on the sim kernel's hottest path (every remote
   message encodes and decodes through it), so tag bytes are precomputed
-  ints, single-byte varints are inlined, :func:`measured_size` computes an
-  encoding's size without materializing bytes, :func:`loads` accepts
+  ints, single-byte varints and zigzag are inlined, :func:`loads` accepts
   ``memoryview``/``bytearray`` without copying the buffer, and
   :func:`wire_copy` builds what a decode would return without any bytes.
 
@@ -104,23 +103,6 @@ def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
         if shift > 70:
             raise SerializationError("varint too long")
-
-
-def uvarint_size(value: int) -> int:
-    """Encoded length in bytes of ``value`` as an unsigned varint."""
-    if value < 0:
-        raise SerializationError(f"uvarint cannot encode negative value {value}")
-    if value < 0x80:
-        return 1
-    return (value.bit_length() + 6) // 7
-
-
-def zigzag(value: int) -> int:
-    """Map a signed 64-bit int onto an unsigned one (small |x| -> small)."""
-    if not _MIN_SMALL_INT <= value <= _MAX_SMALL_INT:
-        raise SerializationError(
-            f"zigzag is defined for 64-bit signed ints, got {value}")
-    return (value << 1) ^ (value >> 63)
 
 
 # ---------------------------------------------------------------------------
@@ -277,64 +259,6 @@ def dumps(value: Any) -> bytes:
     out = bytearray()
     _encode(out, value)
     return bytes(out)
-
-
-def measured_size(value: Any) -> int:
-    """Exact size in bytes of ``dumps(value)`` — without building the bytes.
-
-    Sizes drive the simulated bandwidth/CPU cost models, so they are asked
-    for far more often than actual encodings are sent; this walks the value
-    and sums field widths instead of materializing (and discarding) the
-    whole byte string.  Invariant: ``measured_size(x) == len(dumps(x))``
-    for every encodable ``x``, and the same :class:`SerializationError` is
-    raised for anything unencodable.
-    """
-    t = type(value)
-    if value is None or t is bool:
-        return 1
-    if t is int:
-        if _MIN_SMALL_INT <= value <= _MAX_SMALL_INT:
-            zz = (((value << 1) ^ (value >> 63)) & ((1 << 70) - 1)
-                  if value < 0 else value << 1)
-            return 1 + (1 if zz < 0x80 else (zz.bit_length() + 6) // 7)
-        mag_int = -value if value < 0 else value
-        mag_len = (mag_int.bit_length() + 7) // 8
-        return 2 + uvarint_size(mag_len) + mag_len
-    if t is float:
-        return 9
-    if t is str:
-        raw_len = len(value) if value.isascii() else len(value.encode("utf-8"))
-        return 1 + uvarint_size(raw_len) + raw_len
-    if t is bytes or t is bytearray or t is memoryview:
-        raw_len = len(value)
-        return 1 + uvarint_size(raw_len) + raw_len
-    if t is list or t is tuple:
-        total = 1 + uvarint_size(len(value))
-        for item in value:
-            total += measured_size(item)
-        return total
-    if t is dict:
-        total = 1 + uvarint_size(len(value))
-        for key, val in value.items():
-            total += measured_size(key) + measured_size(val)
-        return total
-    if t is set or t is frozenset:
-        # size is order-independent: no need to sort like the encoder does
-        total = 1 + uvarint_size(len(value))
-        for item in value:
-            total += measured_size(item)
-        return total
-    if t is GlobalAddress:
-        return 1 + uvarint_size(value.pack())
-    if t is FileHandle:
-        return 1 + uvarint_size(value.site) + uvarint_size(value.local)
-    raise SerializationError(
-        f"type {t.__name__!r} is not serializable on the SDVM wire")
-
-
-def encoded_size(value: Any) -> int:
-    """Size in bytes of the encoding (drives the simulated bandwidth model)."""
-    return measured_size(value)
 
 
 # ---------------------------------------------------------------------------

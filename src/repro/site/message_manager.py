@@ -261,9 +261,9 @@ class MessageManager(Manager):
     #: message kinds a departed-but-forwarding site relays to its heir
     _FORWARDABLE = frozenset({
         MsgType.APPLY_RESULT, MsgType.FRAME_TRANSFER, MsgType.MEM_READ,
-        MsgType.MEM_WRITE, MsgType.MEM_MIGRATE, MsgType.MEM_OBJECT,
-        MsgType.DIR_UPDATE, MsgType.CODE_REQUEST,
-        MsgType.CODE_PUSH_BINARY, MsgType.HELP_REQUEST, MsgType.SIGN_ON,
+        MsgType.MEM_WRITE, MsgType.MEM_OBJECT, MsgType.DIR_UPDATE,
+        MsgType.CODE_REQUEST, MsgType.CODE_PUSH_BINARY,
+        MsgType.HELP_REQUEST, MsgType.SIGN_ON,
         MsgType.PROGRAM_REGISTER, MsgType.IO_OUTPUT,
     })
 

@@ -101,12 +101,6 @@ class MetricsLog:
         if group:
             yield group[0]["t"], group
 
-    def series(self, site: int, key: str) -> List[Tuple[float, float]]:
-        if key not in SAMPLE_FIELDS:
-            raise SDVMError(f"unknown metrics field {key!r}")
-        return [(row["t"], row[key]) for row in self.rows
-                if row["site"] == site]
-
     # ------------------------------------------------------------------
     # JSONL round-trip
 

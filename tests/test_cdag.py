@@ -78,12 +78,6 @@ class TestGraph:
         assert cdag.node("main").downstream_work == pytest.approx(14.0)
         assert cdag.node("step").on_critical_path
 
-    def test_networkx_export(self):
-        graph = CDAG.from_program(diamond_program()).to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
-        assert graph.nodes["slow"]["critical"]
-
     def test_unknown_node_rejected(self):
         cdag = CDAG.from_program(diamond_program())
         from repro.common.errors import ProgramError

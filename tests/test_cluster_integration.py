@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.config import ClusterConfig, SDVMConfig, SiteConfig
 from repro.core.program import ProgramBuilder
+from repro.messages import MsgType
 from repro.site.simcluster import SimCluster
 
 
@@ -79,11 +80,30 @@ class TestIdStrategies:
         assert len(set(ids)) == 8
 
     def test_contingent_block_exhaustion_triggers_refill(self):
-        # tiny blocks force ID_BLOCK_REQUEST round trips
-        cluster = build(9, id_allocation="contingent", contingent_size=2)
-        ids = [s.site_id for s in cluster.sites]
-        assert -1 not in ids
-        assert len(set(ids)) == 9
+        # tiny blocks: a non-root site that serves more sign-ons than its
+        # block holds must fetch a fresh one from the root (the root
+        # refills its own block without a message)
+        config = SDVMConfig(cluster=ClusterConfig(
+            id_allocation="contingent", contingent_size=2))
+        cluster = SimCluster(nsites=2, config=config)
+        cluster.sim.run(until=0.5)
+        server = cluster.sites[1]
+        sent = []
+        send = server.message_manager.send
+
+        def spy(msg):
+            sent.append(msg.type)
+            return send(msg)
+        server.message_manager.send = spy
+        joiners = [cluster.add_site(via_index=1) for _ in range(4)]
+        cluster.sim.run(until=1.5)
+        assert all(joiner.running for joiner in joiners)
+        served = server.cluster_manager.stats.get("sign_ons_served").count
+        assert served == 4  # two more than its block
+        assert sent.count(MsgType.ID_BLOCK_REQUEST) == 1
+        # site 1 holds [3, 5); the refill granted it [5, 7)
+        assert [s.site_id for s in cluster.sites] == [0, 1, 3, 4, 5, 6]
+        assert server.cluster_manager.allocator.remaining == 0
 
     def test_modulo_ids_in_residue_classes(self):
         cluster = build(5, id_allocation="modulo")

@@ -44,6 +44,45 @@ def _mem_stat(site, name):
     return site.attraction_memory.stats.get(name).count
 
 
+def _drop_dir_updates(site, count):
+    """Lose the first ``count`` DIR_UPDATEs ``site`` puts on the wire;
+    returns the list of their addresses, filled as they are dropped."""
+    dropped = []
+    send = site.kernel.transport_send
+
+    def lossy(physical, data, msg=None):
+        if (msg is not None and msg.type is MsgType.DIR_UPDATE
+                and len(dropped) < count):
+            dropped.append(msg.payload["addr"])
+            return True  # accepted by the transport, lost on the wire
+        return send(physical, data, msg)
+    site.kernel.transport_send = lossy
+    return dropped
+
+
+def _moved_from_a_to_b(cluster, a, b, value):
+    """An object homed on ``a`` and moved to ``b`` by a read; ``a``, its
+    directory, recorded the hop as it shipped the object."""
+    addr = a.attraction_memory.alloc_object(value)
+    b.attraction_memory.live_read(addr, lambda v, e=None: None)
+    cluster.sim.run(until=0.4)
+    assert addr in b.attraction_memory.objects
+    return addr
+
+
+def _third_site_hop(cluster, a, b, c, lost):
+    """The object of :func:`_moved_from_a_to_b` moves on to ``c``, whose
+    DIR_UPDATE to ``a`` is lost ``lost`` times."""
+    addr = _moved_from_a_to_b(cluster, a, b, "v")
+    dropped = _drop_dir_updates(c, lost)
+    got = []
+    c.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
+    cluster.sim.run(until=2.0)
+    assert got == ["v"]
+    assert dropped == [addr] * lost
+    return addr
+
+
 class TestDirUpdate:
     def test_alloc_seeds_directory_shard(self, trio):
         cluster, a, _b, _c = trio
@@ -97,6 +136,26 @@ class TestDirUpdate:
         assert mem.dir_owner(addr) == c.site_id
         mem._apply_dir_entry(addr, b.site_id, 6, 0)
         assert mem.dir_owner(addr) == b.site_id
+
+    def test_lost_dir_update_is_retried(self, trio):
+        cluster, a, b, c = trio
+        addr = _third_site_hop(cluster, a, b, c, lost=1)
+        assert _mem_stat(c, "dir_update_retries") == 1
+        assert _mem_stat(c, "dir_updates_sent") == 2
+        assert _mem_stat(c, "dir_updates_abandoned") == 0
+        assert _mem_stat(a, "dir_updates_applied") == 1
+        assert a.attraction_memory.dir_owner(addr) == c.site_id
+
+    def test_dir_update_abandoned_after_its_retry_budget(self, trio):
+        cluster, a, b, c = trio
+        budget = c.attraction_memory._DIR_RETRIES
+        addr = _third_site_hop(cluster, a, b, c, lost=budget)
+        assert _mem_stat(c, "dir_updates_sent") == budget
+        assert _mem_stat(c, "dir_update_retries") == budget - 1
+        assert _mem_stat(c, "dir_updates_abandoned") == 1
+        assert _mem_stat(a, "dir_updates_applied") == 0
+        # nothing reached the directory: it still names the previous hop
+        assert a.attraction_memory.dir_owner(addr) == b.site_id
 
     def test_departure_rehomes_directory_entries(self, trio):
         """When a homesite dies, the survivors agree on who answers for
@@ -215,6 +274,35 @@ class TestHomesiteDirectory:
         cluster.sim.run(until=1.2)
         assert got == [("v", None)]
         assert heir.attraction_memory.dir_owner(addr) == d.site_id
+
+
+class TestRemoteWrite:
+    """A write from a site that does not hold the object goes to the
+    directory site, which forwards it to the owner."""
+
+    def test_directory_forwards_write_to_owner(self, trio):
+        cluster, a, b, c = trio
+        addr = _moved_from_a_to_b(cluster, a, b, "old")
+        c.attraction_memory.apply_write(addr, "new")
+        cluster.sim.run(until=0.8)
+        assert _mem_stat(c, "writes_sent") == 1
+        assert _mem_stat(a, "writes_served") == 0
+        assert _mem_stat(b, "writes_served") == 1
+        assert b.attraction_memory.objects[addr] == "new"
+        assert addr not in c.attraction_memory.objects
+
+    def test_write_past_its_hop_budget_is_dropped(self, trio):
+        cluster, a, b, c = trio
+        addr = _moved_from_a_to_b(cluster, a, b, "old")
+        c.message_manager.send(SDMessage(
+            type=MsgType.MEM_WRITE,
+            src_site=c.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
+            dst_site=a.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            payload={"addr": addr, "value": "new", "hops": 3}))
+        cluster.sim.run(until=0.8)
+        assert _mem_stat(a, "writes_undeliverable") == 1
+        assert _mem_stat(b, "writes_served") == 0
+        assert b.attraction_memory.objects[addr] == "old"
 
 
 class TestMembershipChange:

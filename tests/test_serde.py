@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from repro.common.errors import SerializationError
 from repro.common.ids import FileHandle, GlobalAddress, ManagerId
 from repro.messages import MsgType, SDMessage
-from repro.serde import dumps, encoded_size, loads, measured_size, wire_copy
-from repro.serde.codec import (MAX_DECODE_DEPTH, read_uvarint, write_uvarint,
-                               zigzag)
+from repro.serde import dumps, loads, wire_copy
+from repro.serde.codec import MAX_DECODE_DEPTH, read_uvarint, write_uvarint
 
 
 class TestScalars:
@@ -127,11 +126,6 @@ class TestVarint:
     def test_truncated_varint(self):
         with pytest.raises(SerializationError):
             read_uvarint(b"\x80", 0)
-
-
-def test_encoded_size_matches():
-    value = {"key": [1, 2, 3], "other": "text"}
-    assert encoded_size(value) == len(dumps(value))
 
 
 # ---------------------------------------------------------------------------
@@ -355,40 +349,10 @@ class TestMessageSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# size accounting, input safety, and robustness against corrupt wire data
-
-
-class TestMeasuredSize:
-    @pytest.mark.parametrize("value", [
-        None, True, 0, -1, 127, 128, 2**62, -(2**63), 2**100, -(2**100),
-        1.5, float("nan"), "", "ascii", "üñïçödé", b"", b"\x00" * 200,
-        [], [1, [2, [3]]], (1, "a"), {}, {"k": [1.5, None]},
-        {(1, 2): b"x"}, set(), {1, "a", 2.5},
-        GlobalAddress(17, 123456), FileHandle(3, 99),
-    ])
-    def test_matches_dumps(self, value):
-        assert measured_size(value) == len(dumps(value))
-
-    def test_rejects_like_dumps(self):
-        with pytest.raises(SerializationError):
-            measured_size(object())
-
-    @settings(max_examples=200)
-    @given(wire_values)
-    def test_matches_dumps_property(self, value):
-        assert measured_size(value) == len(dumps(value))
+# input safety and robustness against corrupt wire data
 
 
 class TestInputSafety:
-    def test_zigzag_out_of_range_raises(self):
-        # a silent wrong value here would corrupt wire sizes undetected
-        with pytest.raises(SerializationError):
-            zigzag(2**63)
-        with pytest.raises(SerializationError):
-            zigzag(-(2**63) - 1)
-        assert zigzag(2**63 - 1) == (2**64 - 2)
-        assert zigzag(-(2**63)) == (2**64 - 1)
-
     def test_decode_depth_guard(self):
         # deeper than MAX_DECODE_DEPTH must fail with SerializationError,
         # not blow the interpreter's recursion limit

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.stats import Counter, Gauge, Histogram, StatSet, Timer
+from repro.common.stats import Counter, Gauge, Histogram, StatSet
 
 
 class TestCounter:
@@ -189,31 +189,3 @@ class TestHistogram:
         s = StatSet(locked=True)
         s.observe("lat", 0.5)
         assert s.hist("lat").count == 1
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        t.start(1.0)
-        assert t.running
-        assert t.stop(3.0) == 2.0
-        t.start(5.0)
-        t.stop(6.0)
-        assert t.busy == 3.0
-
-    def test_double_start_rejected(self):
-        t = Timer()
-        t.start(0.0)
-        with pytest.raises(RuntimeError):
-            t.start(1.0)
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop(1.0)
-
-    def test_backwards_clock_rejected(self):
-        t = Timer()
-        t.start(5.0)
-        with pytest.raises(ValueError):
-            t.stop(1.0)
-

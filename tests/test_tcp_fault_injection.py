@@ -2,9 +2,9 @@
 
 A small TCP proxy (drop/partition on command) plus direct socket abuse
 exercise the failure modes the reliable messaging layer exists for:
-concurrent writers, peer restarts, partitions, corrupt streams, idle-peer
-death, and shutdown leaks.  Every test runs under a hard watchdog so a hung
-socket fails CI instead of wedging it.
+concurrent writers, peer restarts, partitions, corrupt streams, empty
+frames, idle-peer death, and shutdown leaks.  Every test runs under a hard
+watchdog so a hung socket fails CI instead of wedging it.
 """
 
 from __future__ import annotations
@@ -311,49 +311,41 @@ def test_partition_dead_letters_then_recovers_after_heal():
 
 
 # ----------------------------------------------------------------------
-# keepalive failure detector: idle peers still get death noticed
+# empty frame: the transport passes it on, the site rejects and carries on
 
 
-def test_heartbeat_suspects_idle_dead_peer():
-    config = LiveTransportConfig(
-        connect_timeout=0.5, retry_budget=3, backoff_initial=0.02,
-        backoff_max=0.05, heartbeat_interval=0.05, heartbeat_misses=2)
-    sink = Collector()
-    server = TcpTransport(sink, config=FAST)
-    down = threading.Event()
-    client = TcpTransport(lambda d: None, config=config)
-    client.on_peer_down = lambda addr: down.set()
-    try:
-        assert client.send(server.local_address(), b"hello")
-        _wait_until(lambda: sink.snapshot() == [b"hello"], message="hello")
-        _wait_until(lambda: client.stats.get("keepalives_sent").count >= 1,
-                    message="keepalives flowing")
-        assert server.stats.get("corrupt_stream").count == 0
-        server.close()
-        # no application traffic: only keepalives can notice the death
-        assert down.wait(10.0), "failure detector never fired"
-        assert client.stats.get("peers_suspected").count >= 1
-    finally:
-        client.close()
-        server.close()
+def test_empty_frame_rejected_by_live_site_and_next_message_arrives():
+    from repro.common.ids import ManagerId
+    from repro.messages import MsgType, SDMessage
+    from repro.runtime.live_cluster import LiveCluster
 
+    config = SDVMConfig(live_transport=FAST)
+    with LiveCluster(nsites=2, config=config, transport="tcp") as cluster:
+        receiver, sender = cluster.sites
+        mm = receiver.message_manager
 
-def test_keepalives_filtered_from_receiver():
-    config = LiveTransportConfig(
-        connect_timeout=0.5, retry_budget=3, backoff_initial=0.02,
-        backoff_max=0.05, heartbeat_interval=0.03, heartbeat_misses=2)
-    sink = Collector()
-    server = TcpTransport(sink, config=FAST)
-    client = TcpTransport(lambda d: None, config=config)
-    try:
-        assert client.send(server.local_address(), b"real")
-        _wait_until(
-            lambda: server.stats.get("keepalives_received").count >= 3,
-            message="keepalives received")
-        assert sink.snapshot() == [b"real"]  # pings never reach the app
-    finally:
-        client.close()
-        server.close()
+        def counts() -> Tuple[int, int]:
+            return receiver.kernel.reactor_call(
+                lambda: (mm.stats.get("rejected_envelopes").count,
+                         mm.stats.get("received").count))
+
+        rejected, received = counts()
+        assert rejected == 0
+
+        def send_both() -> None:
+            # one connection, so the empty frame arrives first
+            assert sender.kernel.transport_send(
+                receiver.kernel.local_physical(), b"")
+            assert sender.message_manager.send(SDMessage(
+                type=MsgType.HEARTBEAT, src_site=sender.site_id,
+                src_manager=ManagerId.CLUSTER, dst_site=receiver.site_id,
+                dst_manager=ManagerId.CLUSTER))
+
+        sender.kernel.reactor_call(send_both)
+        _wait_until(lambda: counts() == (1, received + 1),
+                    message="empty frame rejected, heartbeat received")
+        log = "\n".join(receiver.log_lines)
+        assert "envelope too short" in log
 
 
 # ----------------------------------------------------------------------
@@ -435,14 +427,19 @@ def test_send_queue_backpressure():
 
 
 def test_live_cluster_transport_death_reaches_crash_manager():
-    from repro.common.config import CostModel
+    from repro.common.config import ClusterConfig, CostModel
     from repro.runtime.live_cluster import LiveCluster
 
     config = SDVMConfig(
         cost=CostModel(compile_fixed_cost=1e-4),
         live_transport=LiveTransportConfig(
             connect_timeout=0.5, retry_budget=4, backoff_initial=0.02,
-            backoff_max=0.1, heartbeat_interval=0.05, heartbeat_misses=2))
+            backoff_max=0.1, heartbeat_misses=2),
+        # the idle traffic that meets the dead socket; the timeout is far
+        # beyond the test's wait, so the transport must be the detector
+        cluster=ClusterConfig(heartbeats_enabled=True,
+                              heartbeat_interval=0.05,
+                              heartbeat_timeout=30.0))
     with LiveCluster(nsites=2, config=config, transport="tcp") as cluster:
         survivor, victim = cluster.sites
         victim_id = victim.site_id
