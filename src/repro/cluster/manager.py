@@ -131,8 +131,7 @@ class ClusterManager(Manager):
         cfg = self.site.site_config
         msg = SDMessage(
             type=MsgType.SIGN_ON,
-            src_site=-1, src_manager=ManagerId.CLUSTER,
-            dst_site=-1, dst_manager=ManagerId.CLUSTER,
+            src_site=-1, dst_site=-1,
             payload={
                 "physical": self.kernel.local_physical(),
                 "platform": cfg.platform,
@@ -485,8 +484,7 @@ class ClusterManager(Manager):
                 pass
         ack = SDMessage(
             type=MsgType.SIGN_ON_ACK,
-            src_site=self.local_id, src_manager=ManagerId.CLUSTER,
-            dst_site=record.logical, dst_manager=ManagerId.CLUSTER,
+            src_site=self.local_id, dst_site=record.logical,
             payload=payload,
         )
         self.site.message_manager.send_physical(record.physical, ack)
@@ -514,8 +512,7 @@ class ClusterManager(Manager):
             raise ClusterError("id allocation forwarding loop")
         forward = SDMessage(
             type=MsgType.SIGN_ON,
-            src_site=self.local_id, src_manager=ManagerId.CLUSTER,
-            dst_site=target, dst_manager=ManagerId.CLUSTER,
+            src_site=self.local_id, dst_site=target,
             payload=dict(msg.payload),
         )
         self.site.message_manager.send(forward)
@@ -569,8 +566,7 @@ class ClusterManager(Manager):
         for peer in self.alive_peers():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.CLUSTER_INFO,
-                src_site=self.local_id, src_manager=ManagerId.CLUSTER,
-                dst_site=peer.logical, dst_manager=ManagerId.CLUSTER,
+                src_site=self.local_id, dst_site=peer.logical,
                 payload=payload,
             ))
 
@@ -581,8 +577,7 @@ class ClusterManager(Manager):
         self._pending_block_request = True
         sent = self.site.message_manager.send(SDMessage(
             type=MsgType.ID_BLOCK_REQUEST,
-            src_site=self.local_id, src_manager=ManagerId.CLUSTER,
-            dst_site=0, dst_manager=ManagerId.CLUSTER,
+            src_site=self.local_id, dst_site=0,
         ))
         if not sent:
             # the block server is not reachable (yet); retry shortly so
@@ -691,8 +686,7 @@ class ClusterManager(Manager):
         for peer in self.alive_peers():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.SIGN_OFF,
-                src_site=self.local_id, src_manager=ManagerId.CLUSTER,
-                dst_site=peer.logical, dst_manager=ManagerId.CLUSTER,
+                src_site=self.local_id, dst_site=peer.logical,
                 payload={"leaver": self.local_id, "heir": heir},
             ))
 
@@ -726,8 +720,7 @@ class ClusterManager(Manager):
                 continue
             self.site.message_manager.send(SDMessage(
                 type=MsgType.HEARTBEAT,
-                src_site=self.local_id, src_manager=ManagerId.CLUSTER,
-                dst_site=record.logical, dst_manager=ManagerId.CLUSTER,
+                src_site=self.local_id, dst_site=record.logical,
             ))
         self._check_liveness()
         self._schedule_heartbeat()
@@ -794,10 +787,7 @@ class ClusterManager(Manager):
         for peer in self.alive_peers():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.CRASH_NOTICE,
-                src_site=self.local_id,
-                src_manager=ManagerId.CLUSTER,
-                dst_site=peer.logical,
-                dst_manager=ManagerId.CLUSTER,
+                src_site=self.local_id, dst_site=peer.logical,
                 payload={"site": logical},
             ))
 

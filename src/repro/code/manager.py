@@ -318,8 +318,7 @@ class CodeManager(Manager):
         for target in targets:
             self.site.message_manager.send(SDMessage(
                 type=MsgType.CODE_PUSH_BINARY,
-                src_site=self.local_id, src_manager=ManagerId.CODE,
-                dst_site=target, dst_manager=ManagerId.CODE,
+                src_site=self.local_id, dst_site=target,
                 program=compiled.program,
                 payload={
                     "pid": compiled.program,
@@ -349,8 +348,7 @@ class CodeManager(Manager):
             return
         msg = SDMessage(
             type=MsgType.CODE_REQUEST,
-            src_site=self.local_id, src_manager=ManagerId.CODE,
-            dst_site=target, dst_manager=ManagerId.CODE,
+            src_site=self.local_id, dst_site=target,
             program=pid,
             payload={"pid": pid, "tid": tid, "platform": self.platform,
                      "binary_only": binary_only},

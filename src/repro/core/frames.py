@@ -53,7 +53,7 @@ class Microframe:
     __slots__ = (
         "frame_id", "thread_id", "program", "params", "missing_count",
         "targets", "priority", "critical", "state", "created_at",
-        "cause_node", "cause_origin",
+        "cause_node",
     )
 
     def __init__(self, frame_id: GlobalAddress, thread_id: int, program: int,
@@ -78,11 +78,10 @@ class Microframe:
         self.state = FrameState.INCOMPLETE if nparams else FrameState.EXECUTABLE
         self.created_at = created_at
         #: causal stamp (tracing only): packed node id of the event that made
-        #: this frame executable on the *current* site, and the site rooting
-        #: that chain.  Deliberately not serialized — a migrating frame is
-        #: re-stamped on arrival from the delivering message's context.
+        #: this frame executable on the *current* site.  Deliberately not
+        #: serialized — a migrating frame is re-stamped on arrival from the
+        #: delivering message's context.
         self.cause_node = -1
-        self.cause_origin = -1
 
     # ------------------------------------------------------------------
     @property

@@ -161,8 +161,7 @@ class CrashManager(Manager):
 
     def _msg(self, logical: int, mtype: MsgType, payload: dict) -> SDMessage:
         return SDMessage(type=mtype, src_site=self.local_id,
-                         src_manager=ManagerId.CRASH, dst_site=logical,
-                         dst_manager=ManagerId.CRASH, payload=payload)
+                         dst_site=logical, payload=payload)
 
     def _send_ctrl(self, logical: int, mtype: MsgType,
                    payload: dict) -> None:

@@ -43,8 +43,7 @@ class IOManager(Manager):
             return
         self.site.message_manager.send(SDMessage(
             type=MsgType.IO_OUTPUT,
-            src_site=self.local_id, src_manager=ManagerId.IO,
-            dst_site=frontend, dst_manager=ManagerId.IO,
+            src_site=self.local_id, dst_site=frontend,
             program=program,
             payload={"text": text},
         ))
@@ -72,8 +71,7 @@ class IOManager(Manager):
             return
         self.site.message_manager.send(SDMessage(
             type=MsgType.IO_FILE_OPEN,  # reuse of channel below; see handle()
-            src_site=self.local_id, src_manager=ManagerId.IO,
-            dst_site=frontend, dst_manager=ManagerId.IO,
+            src_site=self.local_id, dst_site=frontend,
             program=program,
             payload={"kind": "input", "prompt": prompt,
                      "addr": target, "slot": slot},
@@ -140,8 +138,7 @@ class IOManager(Manager):
         target = self.site.cluster_manager.effective_site(handle.site)
         msg = SDMessage(
             type=msg_type,
-            src_site=self.local_id, src_manager=ManagerId.IO,
-            dst_site=target, dst_manager=ManagerId.IO,
+            src_site=self.local_id, dst_site=target,
             payload=payload,
         )
 
@@ -200,8 +197,7 @@ class IOManager(Manager):
         target = self.site.cluster_manager.effective_site(handle.site)
         self.site.message_manager.send(SDMessage(
             type=MsgType.IO_FILE_CLOSE,
-            src_site=self.local_id, src_manager=ManagerId.IO,
-            dst_site=target, dst_manager=ManagerId.IO,
+            src_site=self.local_id, dst_site=target,
             payload={"handle": handle},
         ))
         cb(None)

@@ -145,8 +145,7 @@ class AttractionMemory(Manager):
             return
         sent = self.site.message_manager.send(SDMessage(
             type=MsgType.APPLY_RESULT,
-            src_site=self.local_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=target, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=self.local_id, dst_site=target,
             program=program,
             payload={"addr": addr, "slot": slot, "value": value,
                      "epoch": self.site.epoch},
@@ -259,8 +258,7 @@ class AttractionMemory(Manager):
                          on_timeout=None) -> None:  # noqa: ANN001
         msg = SDMessage(
             type=MsgType.DIR_UPDATE,
-            src_site=self.local_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=target, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=self.local_id, dst_site=target,
             payload={"addr": addr, "owner": owner, "version": version,
                      "epoch": self.site.epoch if epoch is None else epoch},
         )
@@ -386,8 +384,7 @@ class AttractionMemory(Manager):
             return
         msg = SDMessage(
             type=MsgType.MEM_READ,
-            src_site=self.local_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=target, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=self.local_id, dst_site=target,
             payload={"addr": addr, "migrate": True},
         )
         self.stats.inc("reads_remote")
@@ -461,8 +458,7 @@ class AttractionMemory(Manager):
         target = self.site.cluster_manager.dir_site_for(addr)
         self.site.message_manager.send(SDMessage(
             type=MsgType.MEM_WRITE,
-            src_site=self.local_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=target, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=self.local_id, dst_site=target,
             payload={"addr": addr, "value": value},
         ))
         self.stats.inc("writes_sent")
@@ -584,9 +580,7 @@ class AttractionMemory(Manager):
         payload["hops"] = hops + 1
         self.site.message_manager.send(SDMessage(
             type=MsgType.MEM_WRITE,
-            src_site=self.local_id,
-            src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=owner, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=self.local_id, dst_site=owner,
             program=msg.program,
             payload=payload,
         ))
@@ -642,8 +636,7 @@ class AttractionMemory(Manager):
     def send_state_to_heir(self, heir: int) -> None:
         self.site.message_manager.send(SDMessage(
             type=MsgType.MEM_OBJECT,
-            src_site=self.local_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=heir, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=self.local_id, dst_site=heir,
             payload={"state": self.export_state(), "from": self.local_id},
         ))
 

@@ -2,10 +2,12 @@
 
 "All communication is done between managers only, so a message contains the
 source's and the target's site ids and manager ids apart from other
-administrational information and the payload data itself."
+administrational information and the payload data itself."  Here the
+type names the manager at both ends (:data:`MANAGER_OF`), not the wire.
 """
 
-from repro.messages.message import (MsgType, SDMessage, SnapshotEnvelope,
-                                    make_reply)
+from repro.messages.message import (MANAGER_OF, MsgType, SDMessage,
+                                    SnapshotEnvelope, make_reply)
 
-__all__ = ["SDMessage", "MsgType", "SnapshotEnvelope", "make_reply"]
+__all__ = ["MANAGER_OF", "SDMessage", "MsgType", "SnapshotEnvelope",
+           "make_reply"]

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
-from repro.serde import dumps, loads, wire_copy
+from repro.serde import dumps_record, loads_record, wire_copy
 
 
 class MsgType(enum.IntEnum):
@@ -92,16 +91,34 @@ class MsgType(enum.IntEnum):
     SHUTDOWN = 97
 
 
-#: fixed-width causal stamp: cause_id+1 as unsigned 64-bit (packed node
-#: ids use the two top tag bits, so +1 keeps -1 encodable), origin_site
-#: as signed 64-bit
-_STAMP = struct.Struct(">Qq")
+#: the manager that owns each message type, one row per manager: the type
+#: names the manager at both ends, so no envelope carries a manager id
+_OWNED_BY = {
+    ManagerId.SCHEDULING: "HELP_REQUEST HELP_REPLY CANT_HELP LOAD_REPORT",
+    ManagerId.PROCESSING: "REPLICATE VERDICT",
+    ManagerId.CODE: "CODE_REQUEST CODE_REPLY_BINARY CODE_REPLY_SOURCE "
+                    "CODE_PUSH_BINARY CODE_NOT_FOUND",
+    ManagerId.ATTRACTION_MEMORY: "APPLY_RESULT MEM_READ MEM_READ_REPLY "
+        "MEM_WRITE MEM_OBJECT MEM_LOCATION DIR_UPDATE FRAME_TRANSFER "
+        "MEM_NOT_FOUND DIR_ACK",
+    ManagerId.CLUSTER: "SIGN_ON SIGN_ON_ACK SIGN_OFF CLUSTER_INFO HEARTBEAT "
+                       "ID_BLOCK_REQUEST ID_BLOCK_REPLY CRASH_NOTICE",
+    ManagerId.PROGRAM: "PROGRAM_REGISTER PROGRAM_TERMINATED PROGRAM_RESULT",
+    ManagerId.IO: "IO_OUTPUT IO_FILE_OPEN IO_FILE_READ IO_FILE_READ_REPLY "
+                  "IO_FILE_WRITE IO_FILE_WRITE_ACK IO_FILE_CLOSE",
+    ManagerId.CRASH: "CHECKPOINT_BEGIN CHECKPOINT_STATE CHECKPOINT_ACK "
+        "CHECKPOINT_COMMIT CHECKPOINT_REPLICA RECOVER_BEGIN RECOVER_STATE "
+        "RECOVER_DONE RECOVER_ACK",
+    ManagerId.SECURITY: "KEY_EXCHANGE_INIT KEY_EXCHANGE_REPLY",
+    ManagerId.SITE: "STATUS_QUERY STATUS_REPLY SHUTDOWN",
+}
+MANAGER_OF: Dict[MsgType, ManagerId] = {
+    MsgType[name]: manager for manager, names in _OWNED_BY.items()
+    for name in names.split()}
 
-# value -> member maps for decode: a plain dict lookup per field instead of
-# the enum class's __call__ machinery (three conversions per received
-# message adds up on the sim's hot path)
+# value -> member map for decode: a plain dict lookup instead of the enum
+# class's __call__ machinery (decode runs once per received message)
 _MSG_BY_VALUE = MsgType._value2member_map_
-_MGR_BY_VALUE = ManagerId._value2member_map_
 
 
 @dataclass(slots=True)
@@ -111,14 +128,13 @@ class SDMessage:
     ``payload`` must contain only codec-serializable values (see
     :mod:`repro.serde.codec`); this is enforced at encode time.
     ``seq`` is assigned by the sending message manager; ``reply_to``
-    correlates request/response pairs.
+    correlates request/response pairs.  Source and target manager are the
+    type's owner (:data:`MANAGER_OF`).
     """
 
     type: MsgType
     src_site: int
-    src_manager: ManagerId
     dst_site: int
-    dst_manager: ManagerId
     payload: Dict[str, Any] = field(default_factory=dict)
     program: int = -1
     seq: int = -1
@@ -134,12 +150,6 @@ class SDMessage:
     #: victim selection and proactive push run off this figure.  -1 = not
     #: supplied.
     src_queue: int = -1
-    #: causal context, stamped by the sending message manager when tracing
-    #: is enabled: ``origin_site`` is the site where this causal chain was
-    #: rooted, ``cause_id`` the packed node id of the event that caused the
-    #: send (see :mod:`repro.trace.causal`).  -1 = unstamped / chain root.
-    origin_site: int = -1
-    cause_id: int = -1
     #: cached wire encoding (encode-once: messages are immutable once the
     #: message manager hands them to the transport, so ``wire_size()`` and
     #: ``send`` share one serialization).  Never set by ``decode`` — a
@@ -149,56 +159,34 @@ class SDMessage:
                                    compare=False)
 
     def encode(self) -> bytes:
-        """Serialize to wire bytes (header tuple + payload dict).
+        """Serialize to wire bytes: one codec record (tag ``R``, see
+        :func:`repro.serde.dumps_record`), whose eight untagged zigzag
+        varints are type, src_site, dst_site, program, seq, reply_to,
+        src_load and src_queue, followed by the payload dict's count and
+        pairs.
 
         Encode-once: the first call caches the envelope and every later
         call returns the same ``bytes`` object.  Mutating the message after
         the first ``encode()`` does not change its wire form — senders must
         fully assemble a message before handing it to the message manager.
-
-        The causal stamp travels as a fixed-width 16-byte blob (not
-        varints): its value changes between traced and untraced runs, and
-        a value-dependent size would feed back into the simulated byte
-        costs — enabling tracing must not perturb timing.
+        A header figure that is not an ``int`` and a payload that is not
+        a dict raise :class:`SerializationError`.
         """
         wire = self._wire
         if wire is None:
-            wire = self._wire = dumps((
-                int(self.type),
-                self.src_site,
-                int(self.src_manager),
-                self.dst_site,
-                int(self.dst_manager),
-                self.program,
-                self.seq,
-                self.reply_to,
-                self.src_load,
-                self.src_queue,
-                _STAMP.pack(self.cause_id + 1, self.origin_site),
-                self.payload,
-            ))
+            wire = self._wire = dumps_record((
+                int(self.type), self.src_site, self.dst_site, self.program,
+                self.seq, self.reply_to, self.src_load, self.src_queue,
+            ), self.payload)
         return wire
 
     @classmethod
     def decode(cls, data: bytes) -> "SDMessage":
-        obj = loads(data)
-        if not isinstance(obj, tuple) or len(obj) != 12:
-            raise SerializationError("malformed SDMessage envelope")
-        (mtype, src_site, src_mgr, dst_site, dst_mgr,
-         program, seq, reply_to, src_load, src_queue, stamp, payload) = obj
-        if not isinstance(stamp, bytes) or len(stamp) != _STAMP.size:
-            raise SerializationError("malformed SDMessage causal stamp")
-        cause_plus_one, origin_site = _STAMP.unpack(stamp)
-        cause_id = cause_plus_one - 1
-        try:
-            msg_type = _MSG_BY_VALUE[mtype]
-            src_manager = _MGR_BY_VALUE[src_mgr]
-            dst_manager = _MGR_BY_VALUE[dst_mgr]
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(
-                f"unknown enum value on wire: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise SerializationError("SDMessage payload must be a dict")
+        (mtype, src_site, dst_site, program, seq, reply_to, src_load,
+         src_queue, payload) = loads_record(data)
+        msg_type = _MSG_BY_VALUE.get(mtype)
+        if msg_type is None:
+            raise SerializationError(f"unknown message type {mtype} on wire")
         # direct slot assignment instead of the dataclass __init__ — decode
         # runs once per received message and the kwargs machinery is
         # measurable there.  Every slot must be set, including the wire
@@ -206,17 +194,13 @@ class SDMessage:
         msg = cls.__new__(cls)
         msg.type = msg_type
         msg.src_site = src_site
-        msg.src_manager = src_manager
         msg.dst_site = dst_site
-        msg.dst_manager = dst_manager
         msg.payload = payload
         msg.program = program
         msg.seq = seq
         msg.reply_to = reply_to
         msg.src_load = src_load
         msg.src_queue = src_queue
-        msg.origin_site = origin_site
-        msg.cause_id = cause_id
         msg._wire = None
         return msg
 
@@ -224,34 +208,24 @@ class SDMessage:
         """What ``SDMessage.decode(self.encode())`` builds, without the
         bytes: a private copy whose payload shares no mutable container
         with this message (see :func:`repro.serde.wire_copy`), the wire
-        cache cold.  Raises the :class:`SerializationError` that decode
-        would, so a caller can fall back to the bytes.
+        cache cold.  Raises the :class:`SerializationError` that encode or
+        decode would, so a caller can fall back to the bytes.
         """
-        payload = self.payload
-        if type(payload) is not dict:
-            raise SerializationError("SDMessage payload must be a dict")
-        try:
-            msg_type = _MSG_BY_VALUE[self.type]
-            src_manager = _MGR_BY_VALUE[self.src_manager]
-            dst_manager = _MGR_BY_VALUE[self.dst_manager]
-        except (KeyError, TypeError) as exc:
+        self.encode()  # checks header and payload; cached after a send
+        msg_type = _MSG_BY_VALUE.get(self.type)
+        if msg_type is None:
             raise SerializationError(
-                f"unknown enum value on wire: {exc}") from exc
+                f"unknown message type {self.type} on wire")
         msg = SDMessage.__new__(SDMessage)
         msg.type = msg_type
         msg.src_site = self.src_site
-        msg.src_manager = src_manager
         msg.dst_site = self.dst_site
-        msg.dst_manager = dst_manager
-        # the payload sits one container deep, inside the envelope tuple
-        msg.payload = wire_copy(payload, 1)
+        msg.payload = wire_copy(self.payload)
         msg.program = self.program
         msg.seq = self.seq
         msg.reply_to = self.reply_to
         msg.src_load = self.src_load
         msg.src_queue = self.src_queue
-        msg.origin_site = self.origin_site
-        msg.cause_id = self.cause_id
         msg._wire = None
         return msg
 
@@ -274,9 +248,9 @@ class SDMessage:
         return len(self.encode())
 
     def __repr__(self) -> str:
-        return (f"SDMessage({self.type.name} {self.src_site}/"
-                f"{self.src_manager.name} -> {self.dst_site}/"
-                f"{self.dst_manager.name} seq={self.seq})")
+        return (f"SDMessage({self.type.name} {self.src_site} -> "
+                f"{self.dst_site}/{MANAGER_OF[self.type].name} "
+                f"seq={self.seq})")
 
 
 class SnapshotEnvelope(bytes):
@@ -305,13 +279,10 @@ class SnapshotEnvelope(bytes):
 
 def make_reply(request: SDMessage, msg_type: MsgType,
                payload: Optional[Dict[str, Any]] = None) -> SDMessage:
-    """Build a response addressed back at the requesting manager."""
+    """Build a response addressed back at the requesting site."""
     return SDMessage(
         type=msg_type,
-        src_site=request.dst_site,
-        src_manager=request.dst_manager,
-        dst_site=request.src_site,
-        dst_manager=request.src_manager,
+        src_site=request.dst_site, dst_site=request.src_site,
         payload=payload or {},
         program=request.program,
         reply_to=request.seq,

@@ -157,7 +157,7 @@ class ProcessingManager(Manager):
         if tr is not None:
             tr.emit(self.kernel.now, self.local_id, "exec_begin",
                     frame.frame_id.pack(), compiled.name,
-                    frame.cause_node, frame.cause_origin)
+                    frame.cause_node)
         self._execute(frame, compiled)
 
     # ------------------------------------------------------------------
@@ -269,14 +269,12 @@ class ProcessingManager(Manager):
         # child frames, the kick that refills the slot — is caused by this
         # execution's node in the causal DAG
         site = self.site
-        prev_node, prev_origin = site.cause_node, site.cause_origin
+        prev_node = site.cause_node
         site.cause_node = exec_node(frame.frame_id.pack())
-        site.cause_origin = (frame.cause_origin
-                             if frame.cause_origin >= 0 else self.local_id)
         try:
             self._commit(frame, ctx, effects, tainted)
         finally:
-            site.cause_node, site.cause_origin = prev_node, prev_origin
+            site.cause_node = prev_node
 
     def _commit(self, frame: Microframe, ctx: ExecutionContext,
                 effects: list, tainted: bool = False) -> None:
@@ -334,8 +332,7 @@ class ProcessingManager(Manager):
         if target != self.local_id:
             msg = SDMessage(
                 type=MsgType.REPLICATE,
-                src_site=self.local_id, src_manager=ManagerId.PROCESSING,
-                dst_site=target, dst_manager=ManagerId.PROCESSING,
+                src_site=self.local_id, dst_site=target,
                 program=verify.frame.program, payload=verify.ctx.record())
             try:
                 if self.site.message_manager.request(

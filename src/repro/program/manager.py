@@ -158,8 +158,7 @@ class ProgramManager(Manager):
                 payload["relay"] = chunk[1:]
             self.site.message_manager.send(SDMessage(
                 type=MsgType.PROGRAM_REGISTER,
-                src_site=self.local_id, src_manager=ManagerId.PROGRAM,
-                dst_site=chunk[0], dst_manager=ManagerId.PROGRAM,
+                src_site=self.local_id, dst_site=chunk[0],
                 program=pid,
                 payload=payload,
             ))
@@ -234,8 +233,7 @@ class ProgramManager(Manager):
         for peer in self.site.cluster_manager.alive_peers():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.PROGRAM_TERMINATED,
-                src_site=self.local_id, src_manager=ManagerId.PROGRAM,
-                dst_site=peer.logical, dst_manager=ManagerId.PROGRAM,
+                src_site=self.local_id, dst_site=peer.logical,
                 program=pid,
                 payload={"pid": pid},
             ))
@@ -244,8 +242,7 @@ class ProgramManager(Manager):
         else:
             self.site.message_manager.send(SDMessage(
                 type=MsgType.PROGRAM_RESULT,
-                src_site=self.local_id, src_manager=ManagerId.PROGRAM,
-                dst_site=info.frontend, dst_manager=ManagerId.PROGRAM,
+                src_site=self.local_id, dst_site=info.frontend,
                 program=pid,
                 payload={"pid": pid, "result": result,
                          "failed": failed, "failure": failure},

@@ -74,8 +74,10 @@ def spawn_workers(count: int, bootstrap_addr: str, config: SDVMConfig,
 
 def stop_workers(processes: List[multiprocessing.Process],
                  timeout: float = 2.0) -> None:
-    """Terminate worker processes (the crash-style exit; for an orderly
-    departure send them a SHUTDOWN message via the cluster first)."""
+    """Terminate worker processes (the crash-style exit).  For an orderly
+    one, a cluster site's reactor first sends each a ``SDMessage(type=
+    MsgType.SHUTDOWN, src_site=..., dst_site=worker_id)``: it signs off
+    to an heir, stops, and its process exits by itself."""
     for process in processes:
         process.terminate()
     for process in processes:

@@ -85,7 +85,6 @@ class SchedulingManager(Manager):
             # frame's HELP_REPLY, or the parent execution) — remember it so
             # exec_begin can link the execution into the DAG.
             frame.cause_node = self.site.cause_node
-            frame.cause_origin = self.site.cause_origin
             tr.emit(self.kernel.now, self.local_id, "frame_enqueued",
                     frame.frame_id.pack(), frame.program)
         self._fill_ready()
@@ -228,8 +227,7 @@ class SchedulingManager(Manager):
             payload["record"] = cm.local_record_wire()
         msg = SDMessage(
             type=MsgType.HELP_REQUEST,
-            src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=target, dst_manager=ManagerId.SCHEDULING,
+            src_site=self.local_id, dst_site=target,
             payload=payload,
         )
         self.stats.inc("help_sent")
@@ -383,9 +381,8 @@ class SchedulingManager(Manager):
         from ``msg.src_site`` when an empty victim forwarded the request."""
         return self.site.message_manager.send(SDMessage(
             type=mtype,
-            src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
+            src_site=self.local_id,
             dst_site=int(msg.payload.get("thief", msg.src_site)),
-            dst_manager=ManagerId.SCHEDULING,
             payload=payload,
             reply_to=int(msg.payload.get("rseq", msg.seq))))
 
@@ -440,8 +437,7 @@ class SchedulingManager(Manager):
             tr.emit(now, self.local_id, "help_forward", thief, best.logical)
         return self.site.message_manager.send(SDMessage(
             type=MsgType.HELP_REQUEST,
-            src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=best.logical, dst_manager=ManagerId.SCHEDULING,
+            src_site=self.local_id, dst_site=best.logical,
             payload=payload))
 
     def _on_help_request(self, msg: SDMessage) -> None:
@@ -586,8 +582,7 @@ class SchedulingManager(Manager):
             for peer in peers[:GOSSIP_FANOUT]:
                 mm.send(SDMessage(
                     type=MsgType.LOAD_REPORT,
-                    src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
-                    dst_site=peer, dst_manager=ManagerId.SCHEDULING,
+                    src_site=self.local_id, dst_site=peer,
                 ))
                 self.stats.inc("gossip_sent")
             if len(peers) <= GOSSIP_FANOUT:
@@ -623,8 +618,7 @@ class SchedulingManager(Manager):
                         target, frame.frame_id.pack())
         self.site.message_manager.send(SDMessage(
             type=MsgType.FRAME_TRANSFER,
-            src_site=self.local_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=target, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=self.local_id, dst_site=target,
             payload={
                 "frames": [frame.to_wire() for frame in frames],
                 "program_infos": self._program_infos(frames),

@@ -38,6 +38,7 @@ M     varint count + key/value pairs  (dict)
 E     varint count + items            (set)
 A     packed GlobalAddress varint
 H     FileHandle: two varints
+R     record: 8 zigzag varints + count + key/value pairs  (a message)
 ====  =======================================================
 """
 
@@ -67,6 +68,10 @@ _TAG_DICT = ord("M")
 _TAG_SET = ord("E")
 _TAG_ADDR = ord("A")
 _TAG_HANDLE = ord("H")
+_TAG_RECORD = ord("R")
+
+#: how many untagged ints lead a record (the SDMessage header)
+RECORD_INTS = 8
 
 #: decoder recursion ceiling — a hostile deeply-nested payload must surface
 #: as :class:`SerializationError` (which the message manager drops cleanly),
@@ -339,10 +344,15 @@ def _decode(data: _Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
                 item, pos = _decode(data, pos, child_depth)
                 append(item)
         return (tuple(items) if tag == _TAG_TUPLE else items), pos
-    if tag == _TAG_DICT:
+    if tag == _TAG_DICT or tag == _TAG_RECORD:
         if depth >= MAX_DECODE_DEPTH:
             raise SerializationError(
                 f"payload nested deeper than {MAX_DECODE_DEPTH}")
+        if tag == _TAG_RECORD:  # eight untagged ints, then a dict's body
+            ints = []
+            for _ in range(RECORD_INTS):
+                raw, pos = read_uvarint(data, pos)
+                ints.append((raw >> 1) ^ -(raw & 1))
         if pos >= size:
             raise SerializationError("truncated varint")
         count = data[pos]
@@ -374,7 +384,7 @@ def _decode(data: _Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
         except TypeError as exc:
             raise SerializationError(
                 f"unhashable dict key on wire: {exc}") from exc
-        return result, pos
+        return ((*ints, result) if tag == _TAG_RECORD else result), pos
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_TRUE:
@@ -439,6 +449,38 @@ def loads(data: _Buffer) -> Any:
         raise SerializationError(
             f"{len(data) - pos} trailing bytes after value")
     return value
+
+
+def dumps_record(ints: Tuple[int, ...], payload: Dict[Any, Any]) -> bytes:
+    """A record: tag ``R``, the :data:`RECORD_INTS` ``ints`` as untagged
+    zigzag varints, then ``payload``, a dict, without its own tag.  An int
+    that is not an ``int`` within 64 signed bits, the wrong number of them
+    or a payload that is not a dict raises :class:`SerializationError`."""
+    if len(ints) != RECORD_INTS or type(payload) is not dict:
+        raise SerializationError(f"a record is {RECORD_INTS} ints and a dict")
+    out = bytearray((_TAG_RECORD,))
+    for num in ints:
+        if (type(num) is not int
+                or not _MIN_SMALL_INT <= num <= _MAX_SMALL_INT):
+            raise SerializationError(f"record figure {num!r} is not an int64")
+        zz = num << 1 if num >= 0 else ~(num << 1)
+        if zz < 0x80:
+            out.append(zz)
+        else:
+            write_uvarint(out, zz)
+    mark = len(out)
+    _encode(out, payload)
+    del out[mark]  # the record's tag stands in for the dict's
+    return bytes(out)
+
+
+def loads_record(data: _Buffer) -> Tuple[Any, ...]:
+    """The ints and payload :func:`dumps_record` wrote, as one tuple (what
+    :func:`loads` returns for a record); anything else raises
+    :class:`SerializationError`."""
+    if not data or data[0] != _TAG_RECORD:
+        raise SerializationError("not a record")
+    return loads(data)
 
 
 # ---------------------------------------------------------------------------

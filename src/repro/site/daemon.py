@@ -15,7 +15,7 @@ from repro.common.errors import ProgramError, SDVMError
 from repro.common.ids import ManagerId, NO_SITE, make_program_id
 from repro.core.frames import Microframe
 from repro.core.program import SDVMProgram
-from repro.messages import SDMessage
+from repro.messages import MANAGER_OF, SDMessage
 from repro.cluster.manager import ClusterManager
 from repro.code.manager import CodeManager
 from repro.crash.manager import CrashManager
@@ -62,11 +62,10 @@ class SDVMSite:
         #: this reference at construction and guard every emission
         self.tracer = kernel.tracer
         #: causal context (tracing only): packed node id of the message or
-        #: execution this site is currently handling, and the site that
-        #: rooted the chain.  Written exclusively by the message manager's
-        #: dispatch and the processing managers' completion path; -1 = root.
+        #: execution this site is currently handling.  Written exclusively
+        #: by the message manager's dispatch and the processing manager's
+        #: completion path; -1 = root.
         self.cause_node = -1
-        self.cause_origin = -1
         self._next_program_serial = 0
 
         # communication layer
@@ -164,10 +163,9 @@ class SDVMSite:
             # wake-on-message (§2.2: sleeping sites reactivate on demand)
             self.site_manager.wake()
         self.cluster_manager.observe(msg.src_site)
-        manager = self.managers.get(msg.dst_manager)
+        manager = self.managers.get(MANAGER_OF.get(msg.type))
         if manager is None:
-            self.log("message for unknown manager %s dropped",
-                     msg.dst_manager)
+            self.log("message of unowned type %s dropped", msg.type)
             return
         manager.handle(msg)
 

@@ -68,14 +68,6 @@ class MessageManager(Manager):
             msg.src_load = self.site.site_manager.current_load()
         if msg.src_queue < 0 and self.site.running:
             msg.src_queue = self.site.scheduling_manager.stealable_depth()
-        # causal stamp (tracing only — the disabled path never writes it):
-        # the send inherits whatever causal context this site is currently
-        # executing under (an incoming message or a frame execution).
-        if self.tracer is not None and msg.cause_id < 0:
-            site = self.site
-            msg.cause_id = site.cause_node
-            msg.origin_site = (site.cause_origin if site.cause_origin >= 0
-                               else self.local_id)
 
     def send(self, msg: SDMessage) -> bool:
         """Send ``msg``; returns False if the target cannot be resolved.
@@ -94,8 +86,11 @@ class MessageManager(Manager):
             msg.dst_site = dst
             tr = self.tracer
             if tr is not None:
+                # the journal, not the message, carries the cause: the
+                # context this site is executing under (an incoming
+                # message or a frame execution)
                 tr.emit(self.kernel.now, self.local_id, "msg_local",
-                        msg.type.name, msg.seq, msg.cause_id, msg.origin_site)
+                        msg.type.name, msg.seq, self.site.cause_node)
             self.kernel.cpu_run(self.cost.sched_decision_cost,
                                 self._dispatch, msg)
             return True
@@ -167,19 +162,26 @@ class MessageManager(Manager):
         return self._transmit(physical, msg)
 
     def _transmit(self, physical: str, msg: SDMessage) -> bool:
-        """The one path onto the wire: encode, seal, charge the CPU, count,
-        trace, and hand the envelope to the transport."""
+        """The one path onto the wire: seal and count (:meth:`_seal`),
+        journal the send under the site's causal context, and hand the
+        envelope to the transport."""
+        envelope = self._seal(physical, msg)
+        tr = self.tracer
+        if tr is not None:
+            tr.emit(self.kernel.now, self.local_id, "msg_send",
+                    msg.type.name, msg.dst_site, len(envelope), msg.seq,
+                    self.site.cause_node)
+        return self.kernel.transport_send(physical, envelope, msg)
+
+    def _seal(self, physical: str, msg: SDMessage) -> bytes:
+        """Encode and seal ``msg``, charge the CPU and count the bytes:
+        what every envelope this site puts on the wire pays."""
         data = msg.encode()
         envelope = self.site.security_manager.protect(physical, data)
         self.kernel.cpu_charge(self._wire_cost(len(data)))
         self.stats.inc("sent")
         self.stats.add("bytes_sent", len(envelope))
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "msg_send",
-                    msg.type.name, msg.dst_site, len(envelope), msg.seq,
-                    msg.cause_id, msg.origin_site)
-        return self.kernel.transport_send(physical, envelope, msg)
+        return envelope
 
     def _wire_cost(self, nbytes: int) -> float:
         """CPU seconds one end spends on a message of ``nbytes``: the
@@ -269,7 +271,9 @@ class MessageManager(Manager):
 
     def _forward_to_heir(self, msg: SDMessage, heir: int) -> None:
         """Relay a straggler to the heir without reassigning src/seq, so
-        request/reply correlation still works end-to-end."""
+        request/reply correlation still works end-to-end.  Counted and
+        charged like any send, but not journaled: this site and the
+        original sender's ``seq`` would name the wrong causal node."""
         target = self.site.cluster_manager.effective_site(heir)
         physical = self.site.cluster_manager.physical_of(target)
         if physical is None:
@@ -277,7 +281,7 @@ class MessageManager(Manager):
             return
         msg.dst_site = target
         msg.invalidate_wire()  # re-addressed: must re-encode, not replay
-        envelope = self.site.security_manager.protect(physical, msg.encode())
+        envelope = self._seal(physical, msg)
         self.stats.inc("forwarded_to_heir")
         self.kernel.transport_send(physical, envelope)
 
@@ -290,15 +294,13 @@ class MessageManager(Manager):
         # enqueues) is caused by this message.  Restored on exit so nested
         # loopback dispatches under the sim kernel unwind correctly.
         site = self.site
-        prev_node, prev_origin = site.cause_node, site.cause_origin
+        prev_node = site.cause_node
         if msg.src_site >= 0 and msg.seq >= 0:
             site.cause_node = msg_node(msg.src_site, msg.seq)
-            site.cause_origin = (msg.origin_site if msg.origin_site >= 0
-                                 else msg.src_site)
         try:
             self._dispatch_inner(msg)
         finally:
-            site.cause_node, site.cause_origin = prev_node, prev_origin
+            site.cause_node = prev_node
 
     def _dispatch_inner(self, msg: SDMessage) -> None:
         if self.site.stopped:

@@ -48,8 +48,7 @@ class SecurityManager(Manager):
         self._pending_dh[peer_logical] = pair
         self.site.message_manager.send(SDMessage(
             type=MsgType.KEY_EXCHANGE_INIT,
-            src_site=self.local_id, src_manager=ManagerId.SECURITY,
-            dst_site=peer_logical, dst_manager=ManagerId.SECURITY,
+            src_site=self.local_id, dst_site=peer_logical,
             payload={"public": pair.public},
         ))
         self.stats.inc("dh_initiated")

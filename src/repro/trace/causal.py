@@ -1,15 +1,17 @@
 """Causal DAG over the structured trace journal.
 
-Every inter-site interaction carries a causal stamp: an :class:`SDMessage`
-is stamped ``(origin_site, cause_id)`` at send time with the context of
-whatever the sending site was handling, and each handler runs under the
-context of the message (or execution) that invoked it.  The journal's
+The journal carries the cause, not the wire.  Each handler runs under the
+context of the message (or execution) that invoked it; a receiver names
+that context from the sender site and ``seq`` every envelope carries
+anyway, and the sender journals its own context as the ``cause`` of each
+``msg_send``/``msg_local``.  No :class:`SDMessage` carries a causal stamp,
+so an envelope is the same bytes with tracing on or off.  The journal's
 ``msg_send``/``msg_local``/``exec_begin`` events therefore encode a
 cross-site DAG: *this send happened because that message arrived*, *this
 execution ran because that result applied its last parameter*.
 
 This module turns the journal back into that graph.  Node ids pack into
-single ints so the stamps are cheap to carry and byte-identical across
+single ints so they are cheap to journal and byte-identical across
 repeated deterministic sim runs:
 
 * message node — ``MSG_TAG | sender_site << 44 | seq`` (a site's sequence
@@ -55,17 +57,16 @@ class CausalNode:
     """One DAG node: a message in flight or a microframe execution."""
 
     __slots__ = ("node_id", "kind", "site", "start", "end", "cause",
-                 "origin", "label", "dst", "work", "nbytes", "local")
+                 "label", "dst", "work", "nbytes", "local")
 
     def __init__(self, node_id: int, kind: str, site: int, start: float,
-                 cause: int, origin: int, label: str) -> None:
+                 cause: int, label: str) -> None:
         self.node_id = node_id
         self.kind = kind            # "msg" | "exec"
         self.site = site            # sender / executing site
         self.start = start          # send time / exec_begin time
         self.end = start            # recv time / exec_end time
         self.cause = cause          # causal parent node id, -1 = root
-        self.origin = origin        # site rooting the chain, -1 = unknown
         self.label = label          # message type name / thread name
         self.dst = site             # receiving site (msg nodes)
         self.work = 0.0             # charged work (exec nodes)
@@ -103,12 +104,11 @@ class CausalGraph:
         for event in events:
             kind = event.kind
             if kind == "msg_send":
-                mtype, dst, nbytes, seq, cause, origin = event.fields
+                mtype, dst, nbytes, seq, cause = event.fields
                 if event.site < 0 or seq < 0:
                     continue  # pre-sign-on traffic has no site identity
                 node = CausalNode(msg_node(event.site, seq), "msg",
-                                  event.site, event.ts, cause, origin,
-                                  str(mtype))
+                                  event.site, event.ts, cause, str(mtype))
                 node.dst = dst
                 node.nbytes = nbytes
                 nodes[node.node_id] = node
@@ -125,18 +125,17 @@ class CausalGraph:
                 else:
                     early_recv[(src, seq)] = event.ts
             elif kind == "msg_local":
-                mtype, seq, cause, origin = event.fields
+                mtype, seq, cause = event.fields
                 if event.site < 0 or seq < 0:
                     continue
                 node = CausalNode(msg_node(event.site, seq), "msg",
-                                  event.site, event.ts, cause, origin,
-                                  str(mtype))
+                                  event.site, event.ts, cause, str(mtype))
                 node.local = True
                 nodes[node.node_id] = node
             elif kind == "exec_begin":
-                frame, thread, cause, origin = event.fields
+                frame, thread, cause = event.fields
                 node = CausalNode(exec_node(frame), "exec", event.site,
-                                  event.ts, cause, origin, str(thread))
+                                  event.ts, cause, str(thread))
                 nodes[node.node_id] = node
             elif kind == "exec_end":
                 frame, work = event.fields

@@ -41,10 +41,10 @@ FLIGHT_DEPTH = 256
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # frame lifecycle (scheduling + processing managers).  ``cause`` is the
     # packed causal node id of whatever made the frame executable (see
-    # :mod:`repro.trace.causal`); ``origin`` is the site where that causal
-    # chain was rooted.  -1 = chain root (e.g. the frontend submit).
+    # :mod:`repro.trace.causal`); -1 = chain root (e.g. the frontend
+    # submit).
     "frame_enqueued": ("frame", "program"),
-    "exec_begin": ("frame", "thread", "cause", "origin"),
+    "exec_begin": ("frame", "thread", "cause"),
     "exec_end": ("frame", "work"),
     # work stealing (scheduling manager)
     "help_request": ("target",),
@@ -79,12 +79,14 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # offending site; ``detector`` is one of health.DETECTORS
     "health": ("detector", "detail"),
     # messaging (message manager).  ``seq`` + the sender site identify one
-    # physical message on both ends; ``cause``/``origin`` carry the causal
-    # stamp assigned at send time.  Loopback (same-site) deliveries emit
-    # "msg_local" instead of a send/recv pair so network counters stay pure.
-    "msg_send": ("msg_type", "dst", "nbytes", "seq", "cause", "origin"),
+    # physical message on both ends; ``cause`` is the sender's causal
+    # context at send time, which only the journal carries (the receiver
+    # derives its own from sender + seq).  Loopback (same-site) deliveries
+    # emit "msg_local" instead of a send/recv pair so network counters stay
+    # pure.
+    "msg_send": ("msg_type", "dst", "nbytes", "seq", "cause"),
     "msg_recv": ("msg_type", "src", "nbytes", "seq"),
-    "msg_local": ("msg_type", "seq", "cause", "origin"),
+    "msg_local": ("msg_type", "seq", "cause"),
     # membership + power (cluster + site managers)
     "site_join": ("logical",),
     "site_leave": ("leaver", "heir"),

@@ -54,12 +54,12 @@ class TestCausalGraphUnits:
         tr = Tracer()
         # root execution on site 0 -> message to site 1 -> execution there
         f0, f1 = (0 << 40) | 1, (1 << 40) | 1
-        tr.emit(0.0, 0, "exec_begin", f0, "root", -1, -1)
+        tr.emit(0.0, 0, "exec_begin", f0, "root", -1)
         tr.emit(1.0, 0, "exec_end", f0, 100.0)
         tr.emit(1.0, 0, "msg_send", "APPLY_RESULT", 1, 64, 5,
-                exec_node(f0), 0)
+                exec_node(f0))
         tr.emit(1.5, 1, "msg_recv", "APPLY_RESULT", 0, 64, 5)
-        tr.emit(2.0, 1, "exec_begin", f1, "child", msg_node(0, 5), 0)
+        tr.emit(2.0, 1, "exec_begin", f1, "child", msg_node(0, 5))
         tr.emit(3.0, 1, "exec_end", f1, 200.0)
         return tr, f0, f1
 
@@ -105,14 +105,14 @@ class TestCausalGraphUnits:
     def test_recv_before_send_in_stream_still_pairs(self):
         tr = Tracer()
         tr.emit(1.0, 1, "msg_recv", "HELP_REPLY", 0, 32, 9)
-        tr.emit(1.0, 0, "msg_send", "HELP_REPLY", 1, 32, 9, -1, -1)
+        tr.emit(1.0, 0, "msg_send", "HELP_REPLY", 1, 32, 9, -1)
         node = CausalGraph.from_tracer(tr).nodes[msg_node(0, 9)]
         assert node.end == 1.0
 
     def test_presignon_traffic_skipped(self):
         tr = Tracer()
-        tr.emit(0.0, -1, "msg_send", "SIGN_ON", 0, 48, 3, -1, -1)
-        tr.emit(0.0, 2, "msg_send", "SIGN_ON", 0, 48, -1, -1, -1)
+        tr.emit(0.0, -1, "msg_send", "SIGN_ON", 0, 48, 3, -1)
+        tr.emit(0.0, 2, "msg_send", "SIGN_ON", 0, 48, -1, -1)
         assert len(CausalGraph.from_tracer(tr)) == 0
 
     def test_empty_graph_guards(self):
@@ -124,8 +124,8 @@ class TestCausalGraphUnits:
     def test_cycle_guard(self):
         # corrupt stamps forming a 2-cycle must not hang chain()
         tr = Tracer()
-        tr.emit(0.0, 0, "msg_local", "IO_OUTPUT", 1, msg_node(0, 2), 0)
-        tr.emit(0.1, 0, "msg_local", "IO_OUTPUT", 2, msg_node(0, 1), 0)
+        tr.emit(0.0, 0, "msg_local", "IO_OUTPUT", 1, msg_node(0, 2))
+        tr.emit(0.1, 0, "msg_local", "IO_OUTPUT", 2, msg_node(0, 1))
         graph = CausalGraph.from_tracer(tr)
         assert len(graph.chain(msg_node(0, 1))) == 2
 
@@ -201,41 +201,43 @@ class TestCausalDeterminism:
         cluster.run(progress_timeout=120.0)
         for site in cluster.sites:
             assert site.cause_node == -1
-            assert site.cause_origin == -1
 
 
 class TestMessageStamp:
-    def test_wire_size_independent_of_stamp(self):
-        from repro.common.ids import ManagerId
-        from repro.messages import MsgType, SDMessage
+    """The causal stamp rides the journal, not the wire."""
 
-        def msg(**kw):
-            return SDMessage(type=MsgType.HEARTBEAT, src_site=0,
-                             src_manager=ManagerId.CLUSTER, dst_site=1,
-                             dst_manager=ManagerId.CLUSTER, seq=12, **kw)
+    def test_wire_size_independent_of_stamp(self, fast_config):
+        from repro.messages import SDMessage
+        assert not {"cause_id", "origin_site", "cause_node"} & set(
+            SDMessage.__slots__)
+        sent = {}
+        for trace in (False, True):
+            cluster = SimCluster(nsites=3,
+                                 config=fast_config.with_(trace=trace))
+            cluster.submit(build_primes_program(),
+                           args=(10, 4, 200.0, 2000.0))
+            cluster.run(progress_timeout=120.0)
+            stats = cluster.total_stats()
+            sent[trace] = (stats.get("sent").total,
+                           stats.get("bytes_sent").total)
+        assert sent[False][0] > 0
+        assert sent[False] == sent[True]
 
-        plain = msg().wire_size()
-        stamped = msg(cause_id=exec_node((3 << 40) | 77),
-                      origin_site=3).wire_size()
-        assert plain == stamped
-
-    def test_stamp_roundtrip(self):
-        from repro.common.ids import ManagerId
-        from repro.messages import MsgType, SDMessage
-        original = SDMessage(
-            type=MsgType.APPLY_RESULT, src_site=2,
-            src_manager=ManagerId.ATTRACTION_MEMORY, dst_site=5,
-            dst_manager=ManagerId.ATTRACTION_MEMORY, seq=9,
-            cause_id=msg_node(2, 8), origin_site=7)
-        decoded = SDMessage.decode(original.encode())
-        assert decoded.cause_id == msg_node(2, 8)
-        assert decoded.origin_site == 7
-        unstamped = SDMessage.decode(SDMessage(
-            type=MsgType.HEARTBEAT, src_site=0,
-            src_manager=ManagerId.CLUSTER, dst_site=1,
-            dst_manager=ManagerId.CLUSTER).encode())
-        assert unstamped.cause_id == -1
-        assert unstamped.origin_site == -1
+    def test_stamp_roundtrip(self, traced_cluster):
+        """Every journaled cause of a send names what its sender was
+        handling: an execution on that site, or a message it received."""
+        graph = CausalGraph.from_tracer(traced_cluster.tracer)
+        caused = 0
+        for node in graph.nodes.values():
+            if node.kind != "msg" or node.cause < 0:
+                continue
+            cause = graph.nodes[node.cause]
+            if cause.kind == "exec":
+                assert cause.site == node.site
+            else:
+                assert cause.dst == node.site
+            caused += 1
+        assert caused > 0
 
 
 class TestAggregateGuards:

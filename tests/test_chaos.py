@@ -81,31 +81,31 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "7196ee7338c6dfe2d25bef6075633a68b9e4898c2da263597a0d705672ba9826",
+        "6adad815a96fd075c04e9f0f437f922b6c81d1b22ffc1eb52d631211a019209c",
     "crash_during_recovery.json":
-        "6b6921f6982b55c2a52efbe4b7367b3e63e878f0494efc1ac818c7ec05369701",
+        "9191b7a0fc7b69d7398725275c2e72df3b0d19c2c0670d6ea2f5e9f4d12e92c5",
     "crash_during_wave.json":
-        "1c90920fe8c38471ea2eb2d6c800ffbd0aa1e370b61a4486082528d587bc7311",
+        "fdc467959b2fabce8d7051d4d6456eec1a34033a538d76680adb2d87b4ddff1a",
     "dir_shard_crash.json":
-        "dfb6547f51d653c58e92b0b6f09b8ba2415757bee050f911a525a5a723dafcde",
+        "682c93b21a4310135ce35dae43e18a2b28db1a83a468260c5384af97ac9ecc4f",
     "duplicate_delivery.json":
-        "c92d6f5c11d045e0a3ba82115e83b1abbdd6f84bcc21f1b4103c4fcb722eed78",
+        "31a196f8defa53512e07655a117b54109442ffb0bc6b6fd983e3acc3cc6252df",
     "homesite_crash.json":
-        "aaeea208f863957d37d944bc959d77e4f85beb0781226eacf965631b4269947c",
+        "22f1d7af589c6792ec5083cecfa5571b3f8a16cb91c63ce13244e86d9f5f4432",
     "lossy_recovery.json":
-        "bbf7cf3e0847ab83ea3d896e69114c2d2f9c2007cc39b87123574f4de6068f5a",
+        "9fd05252520dd247acf947298cbcd39e26576ca81cf8504bd3963f3a92275735",
     "memory_partition.json":
-        "8d947e7a88b8eb90e93b96a6411f648be74ed3595c68d98e82070e20a58c6fa5",
+        "eda3459ea2dd0aedde81345a5bce5d49938c24161e2df624908b58b01c6de8fe",
     "partition_then_heal.json":
-        "1dff026de6ab2f66d99c5c3d30d5b1c99a4b4d4c0d75909ede1e5a7b8f50de27",
+        "fdb00e64efd57b5a1aa0e25f7242666d1228e0a23e1a26b6add069659fbd5642",
     "recover_done_overtakes_state.json":
-        "88ce9e9cfe690ef53df8eea27eef1d3c0f341ce688a4df501b46ce6c581ec0a0",
+        "90e6e311657a9efc06fb291fad01a34f5a1680d741d3547d2ce824c3279df033",
     "signoff_leaver_silence.json":
-        "2ec8782e27e229d71b6c0ac3a7c37a4c3b9f0f211198665691204fa0f067c3ca",
+        "b9438208274aa312daf307e5b96f1bd34adb2ccd6a84ea4ad84e863833ac522f",
     "steal_batch_reorder.json":
-        "809d1e856e6ab6884c05fe0001728c2586ba44e89c118154355cdf9682768d50",
+        "bf25466b93b3d3a8167d0fbe86293b1f04a2f8798b3a85c2f8ea7ffa73365177",
     "wave_stall.json":
-        "4fbac60b4fa954f256d19994f945b8a91d3488ba1358d08617428fc90acb340d",
+        "12671ec4da2acbfe89335e3a26c3b4639e433e9a136aef09889fab771d86bd58",
 }
 
 _corpus_results = {}
@@ -660,12 +660,11 @@ def _dispatched_at(site):
 
 
 def _apply_result(src, dst, value):
-    from repro.common.ids import GlobalAddress, ManagerId
+    from repro.common.ids import GlobalAddress
     from repro.messages import MsgType, SDMessage
     return SDMessage(
         type=MsgType.APPLY_RESULT,
-        src_site=src.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-        dst_site=dst.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+        src_site=src.site_id, dst_site=dst.site_id,
         payload={"addr": GlobalAddress(dst.site_id, 1), "slot": 0,
                  "value": value})
 

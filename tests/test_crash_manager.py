@@ -214,18 +214,33 @@ class TestHardening:
     pinned down by the chaos fuzzer; the corpus plans in
     ``tests/chaos_corpus/`` replay the same bugs end to end)."""
 
-    def test_second_crash_during_recovery_is_queued_and_drained(self):
+    def test_second_crash_during_recovery_is_queued_and_drained(
+            self, monkeypatch):
         """S1: a crash detected while a recovery is in flight used to
         start an overlapping recovery that clobbered the first one's
         state distribution.  It must be queued and handled serially."""
         cluster = SimCluster(nsites=4, config=config(ckpt_interval=0.1))
         handle = cluster.submit(build_primes_program(),
                                 args=(40, 6, 2000.0, 20000.0))
-        # both failures land inside one liveness check tick, so the
-        # second is observed while the first recovery is still running
+        coordinator, second = cluster.sites[0], cluster.sites[2]
+        start = coordinator.crash_manager._start_recovery
+        started = []
+
+        def start_then_lose_another(dead):
+            start(dead)
+            if not started:
+                # the second death is observed inside the first recovery,
+                # whatever the message sizes make the detector's timing
+                started.append(dead)
+                second.crash()
+                coordinator.cluster_manager.mark_dead(second.site_id,
+                                                      left=False)
+
+        monkeypatch.setattr(coordinator.crash_manager, "_start_recovery",
+                            start_then_lose_another)
         cluster.crash_site(3, at=0.5)
-        cluster.crash_site(2, at=0.5001)
         cluster.run(progress_timeout=180.0)
+        assert started == [cluster.sites[3].site_id]
         assert handle.result == first_n_primes(40)
         cm = cluster.sites[0].crash_manager
         assert cm.stats.get("crashes_queued").count >= 1
@@ -496,8 +511,8 @@ class TestShardBlobs:
     def test_shard_nesting_does_not_count_against_the_envelope(self):
         """A shard is parsed on its own, so a value may nest as deep inside
         one as it may anywhere else; as a subtree of the envelope it lost
-        five levels to the containers around it."""
-        depth = MAX_DECODE_DEPTH - 5
+        four levels to the containers around it."""
+        depth = MAX_DECODE_DEPTH - 4
         deep = []
         for _ in range(depth):
             deep = [deep]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import MemoryFault
-from repro.common.ids import GlobalAddress, ManagerId
+from repro.common.ids import GlobalAddress
 from repro.messages import MsgType, SDMessage
 from repro.site.simcluster import SimCluster
 
@@ -112,8 +112,7 @@ class TestDirUpdate:
         shard.epoch = 3  # as if a rollback recovery happened here
         stale = SDMessage(
             type=MsgType.DIR_UPDATE,
-            src_site=b.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=shard.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=b.site_id, dst_site=shard.site_id,
             payload={"addr": addr, "owner": b.site_id,
                      "version": 99, "epoch": 2},
         )
@@ -244,8 +243,7 @@ class TestHomesiteDirectory:
         del a.attraction_memory.objects[addr]  # shipped the old way
         a.message_manager.send(SDMessage(
             type=MsgType.MEM_READ_REPLY,
-            src_site=a.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=c.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=a.site_id, dst_site=c.site_id,
             payload={"addr": addr, "value": "v", "owned": True,
                      "version": 0}))
         cluster.sim.run(until=0.4)
@@ -296,8 +294,7 @@ class TestRemoteWrite:
         addr = _moved_from_a_to_b(cluster, a, b, "old")
         c.message_manager.send(SDMessage(
             type=MsgType.MEM_WRITE,
-            src_site=c.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=a.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=c.site_id, dst_site=a.site_id,
             payload={"addr": addr, "value": "new", "hops": 3}))
         cluster.sim.run(until=0.8)
         assert _mem_stat(a, "writes_undeliverable") == 1

@@ -242,6 +242,41 @@ class TestIO:
         cluster.run()
         assert handle.result == 42
 
+    def test_remote_input_reaches_the_frontend(self, fast_config):
+        """Microthreads stolen away from the frontend ask for input: each
+        IO_FILE_OPEN reaches the frontend's I/O manager, and its answer
+        fills the collector's slot."""
+        prog = ProgramBuilder("ask_far")
+
+        @prog.microthread(creates=("ask", "collect"))
+        def main(ctx, n):
+            ctx.charge(5)
+            collector = ctx.create_frame("collect", nparams=n)
+            for i in range(n):
+                ask = ctx.create_frame("ask")
+                ctx.send_result(ask, 0, collector)
+                ctx.send_result(ask, 1, i)
+
+        @prog.microthread
+        def ask(ctx, collector, i):
+            ctx.charge(100)
+            ctx.request_input(str(i), collector, i)
+
+        @prog.microthread
+        def collect(ctx, *values):
+            ctx.exit_program(sum(values))
+
+        cluster = SimCluster(nsites=4, config=fast_config.with_(trace=True))
+        frontend = cluster.sites[0]
+        frontend.io_manager.input_provider = lambda pid, prompt: 2 * int(
+            prompt)
+        handle = cluster.submit(prog.build(), args=(16,))
+        cluster.run()
+        assert handle.result == sum(2 * i for i in range(16))
+        assert frontend.io_manager.stats.get("inputs_answered").count == 16
+        sent = cluster.cluster_report().message_breakdown
+        assert sent["IO_FILE_OPEN"]["count"] >= 1
+
 
 class TestMultiProgram:
     def test_two_programs_interleave(self, fast_config):

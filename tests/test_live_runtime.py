@@ -660,7 +660,6 @@ def pin_placement(cluster, where):
     FRAME_TRANSFER, like a proactive push).  Placement is then a function
     of the program alone — the same under both kernels — and so is every
     message its memory and file accesses cause."""
-    from repro.common.ids import ManagerId
     from repro.messages import MsgType, SDMessage
 
     ids = [site.site_id for site in cluster.sites]
@@ -678,8 +677,7 @@ def pin_placement(cluster, where):
                 return
             site.message_manager.send(SDMessage(
                 type=MsgType.FRAME_TRANSFER,
-                src_site=site.site_id, src_manager=ManagerId.SCHEDULING,
-                dst_site=target, dst_manager=ManagerId.ATTRACTION_MEMORY,
+                src_site=site.site_id, dst_site=target,
                 payload={"frames": [frame.to_wire()],
                          "program_infos": sched._program_infos([frame]),
                          "epoch": site.epoch}))

@@ -19,7 +19,6 @@ from repro.apps import (build_primes_program, build_treesum_program,
 from repro.bench import bench_config
 from repro.bench.harness import run_primes, run_treesum
 from repro.chaos import journal_fingerprint
-from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage
 from repro.sched.manager import GOSSIP_FANOUT, SchedulingManager
 from repro.site.simcluster import SimCluster
@@ -114,8 +113,7 @@ class Reporter:
         for peer in peers:
             self.mm.send(SDMessage(
                 type=MsgType.HEARTBEAT,
-                src_site=self.site.site_id, src_manager=ManagerId.CLUSTER,
-                dst_site=peer.site_id, dst_manager=ManagerId.CLUSTER))
+                src_site=self.site.site_id, dst_site=peer.site_id))
 
     def view(self, peer):
         record = peer.cluster_manager.sites[self.site.site_id]
@@ -231,9 +229,7 @@ class TestInvalidation:
         pusher.cluster_manager.note_pushed(rep.site.site_id, 2)
         pusher.message_manager.send(SDMessage(
             type=MsgType.FRAME_TRANSFER,
-            src_site=pusher.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=rep.site.site_id,
-            dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=pusher.site_id, dst_site=rep.site.site_id,
             payload={"frames": []}))
 
     def test_push_receipt_marks_the_pushers_figure_unknown(self):
@@ -430,9 +426,7 @@ class TestFlushInstants:
                 if peer is not site:
                     site.message_manager.send(SDMessage(
                         type=MsgType.HEARTBEAT,
-                        src_site=site.site_id, src_manager=ManagerId.CLUSTER,
-                        dst_site=peer.site_id,
-                        dst_manager=ManagerId.CLUSTER))
+                        src_site=site.site_id, dst_site=peer.site_id))
         assert all(len(site.message_manager._told) == 7
                    for site in cluster.sites)
         seen = scheduler_events(sim)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import MemoryFault
-from repro.common.ids import GlobalAddress, ManagerId
+from repro.common.ids import GlobalAddress
 from repro.core.frames import Microframe
 from repro.messages import MsgType, SDMessage
 from repro.site.simcluster import SimCluster
@@ -326,8 +326,7 @@ class TestLiveProtocolHandlers:
         frame.apply_parameter(0, 5)
         msg = SDMessage(
             type=MsgType.FRAME_TRANSFER,
-            src_site=a.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=b.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=a.site_id, dst_site=b.site_id,
             program=pid,
             payload={"frame": frame.to_wire(),
                      "program_info": a.program_manager.get(pid).to_wire()},

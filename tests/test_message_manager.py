@@ -7,7 +7,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import SDVMConfig
-from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage, make_reply
 from repro.site.simcluster import SimCluster
 
@@ -22,8 +21,7 @@ def pair(fast_config):
 def status_msg(src, dst):
     return SDMessage(
         type=MsgType.STATUS_QUERY,
-        src_site=src.site_id, src_manager=ManagerId.SITE,
-        dst_site=dst.site_id, dst_manager=ManagerId.SITE,
+        src_site=src.site_id, dst_site=dst.site_id,
     )
 
 
@@ -235,8 +233,7 @@ class TestForwardingMode:
         b.forward_to = c.site_id
         msg = SDMessage(
             type=MsgType.APPLY_RESULT,
-            src_site=a.site_id, src_manager=ManagerId.ATTRACTION_MEMORY,
-            dst_site=b.site_id, dst_manager=ManagerId.ATTRACTION_MEMORY,
+            src_site=a.site_id, dst_site=b.site_id,
             program=-1,
             payload={"addr": GlobalAddress(b.site_id, 1), "slot": 0,
                      "value": 42},
@@ -249,6 +246,25 @@ class TestForwardingMode:
         received = c.message_manager.stats.get("received").count
         assert received >= 1
 
+    def test_forwarded_envelope_is_counted(self, fast_config):
+        """The zombie puts the relayed envelope on the wire again, so it
+        counts it as sent: cluster-wide, every byte received was sent."""
+        from repro.common.ids import GlobalAddress
+        cluster = SimCluster(nsites=3, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b, c = cluster.sites
+        b.forward_to = c.site_id
+        a.message_manager.send(SDMessage(
+            type=MsgType.APPLY_RESULT, src_site=a.site_id,
+            dst_site=b.site_id,
+            payload={"addr": GlobalAddress(b.site_id, 1), "slot": 0,
+                     "value": 42}))
+        cluster.sim.run(until=0.5)
+        assert b.message_manager.stats.get("forwarded_to_heir").count == 1
+        stats = cluster.total_stats()
+        assert stats.get("bytes_sent").total == \
+            stats.get("bytes_received").total
+
     def test_zombie_drops_heartbeats(self, fast_config):
         cluster = SimCluster(nsites=2, config=fast_config)
         cluster.sim.run(until=0.2)
@@ -256,8 +272,7 @@ class TestForwardingMode:
         b.forward_to = a.site_id
         hb = SDMessage(
             type=MsgType.HEARTBEAT,
-            src_site=a.site_id, src_manager=ManagerId.CLUSTER,
-            dst_site=b.site_id, dst_manager=ManagerId.CLUSTER,
+            src_site=a.site_id, dst_site=b.site_id,
             payload={"load": 0.0},
         )
         a.message_manager.send(hb)

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.config import SDVMConfig
 from repro.common.errors import SerializationError
 from repro.common.ids import GlobalAddress, ManagerId
-from repro.messages import MsgType, SDMessage, make_reply
+from repro.messages import MANAGER_OF, MsgType, SDMessage, make_reply
+from repro.serde import dumps, dumps_record, loads
+from repro.site.simcluster import SimCluster
 
 
 def sample(**kwargs) -> SDMessage:
     base = dict(
         type=MsgType.HELP_REQUEST,
-        src_site=1, src_manager=ManagerId.SCHEDULING,
-        dst_site=2, dst_manager=ManagerId.SCHEDULING,
+        src_site=1, dst_site=2,
         payload={"load": 3.0},
         program=42, seq=7,
     )
@@ -27,7 +31,7 @@ class TestWire:
         decoded = SDMessage.decode(msg.encode())
         assert decoded.type is MsgType.HELP_REQUEST
         assert decoded.src_site == 1
-        assert decoded.src_manager is ManagerId.SCHEDULING
+        assert MANAGER_OF[decoded.type] is ManagerId.SCHEDULING
         assert decoded.dst_site == 2
         assert decoded.payload == {"load": 3.0}
         assert decoded.program == 42
@@ -49,9 +53,9 @@ class TestWire:
         unset = sample()
         assert (unset.src_load, unset.src_queue) == (-1, -1)
         assert type(unset.src_load) is int and type(unset.src_queue) is int
-        # as float64s the two figures would cost 7 bytes more each
-        as_floats = sample(src_load=5.0, src_queue=3.0)
-        assert as_floats.wire_size() == msg.wire_size() + 14
+        # a float figure is refused, not sent as a float64 7 bytes longer
+        with pytest.raises(SerializationError):
+            sample(src_load=5.0, src_queue=3.0).encode()
 
     def test_payload_with_addresses(self):
         msg = sample(payload={"addr": GlobalAddress(3, 9), "slot": 1})
@@ -71,22 +75,91 @@ class TestWire:
             SDMessage.decode(b"definitely not a message")
 
     def test_wrong_shape_rejected(self):
-        from repro.serde import dumps
         with pytest.raises(SerializationError):
             SDMessage.decode(dumps((1, 2, 3)))
 
     def test_unknown_enum_rejected(self):
-        from repro.serde import dumps
-        bad = dumps((9999, 1, 1, 2, 2, -1, 0, -1, -1.0, {}))
+        bad = dumps_record((9999, 1, 2, -1, 0, -1, -1, -1), {})
         with pytest.raises(SerializationError):
             SDMessage.decode(bad)
 
     def test_non_dict_payload_rejected(self):
-        from repro.serde import dumps
-        bad = dumps((int(MsgType.HEARTBEAT), 1, 7, 2, 7, -1, 0, -1, -1.0,
-                     [1, 2]))
+        # a record's payload is a dict by its grammar, so the nearest a
+        # wire gets is the same fields as a plain tuple ending in a list
+        header = (int(MsgType.HEARTBEAT), 1, 2, -1, 0, -1, -1, -1)
         with pytest.raises(SerializationError):
-            SDMessage.decode(bad)
+            SDMessage.decode(dumps((*header, [1, 2])))
+        with pytest.raises(SerializationError):
+            SDMessage.decode(dumps((*header, {})))
+        with pytest.raises(SerializationError):
+            sample(payload=[1, 2]).encode()
+
+
+class TestHeader:
+    """The envelope is one codec record: tag ``R``, eight untagged zigzag
+    varints — type, src_site, dst_site, program, seq, reply_to, src_load,
+    src_queue — then the payload dict's count and pairs."""
+
+    def test_header_is_eight_varints_then_the_payload(self):
+        msg = sample(type=MsgType.CANT_HELP, src_site=1, dst_site=2,
+                     payload={}, program=-1, seq=7, src_load=0, src_queue=0)
+        assert msg.encode() == b"R" + bytes([24, 2, 4, 1, 14, 1, 0, 0, 0])
+
+    def test_plain_loads_reads_the_envelope(self):
+        """Any codec reader can open an envelope: ``loads`` returns the
+        eight figures and the payload as one tuple."""
+        msg = sample(payload={"load": 3.0})
+        assert loads(msg.encode()) == (
+            int(MsgType.HELP_REQUEST), 1, 2, 42, 7, -1, -1, -1, {"load": 3.0})
+
+    def test_truncated_header_rejected(self):
+        wire = sample().encode()
+        for cut in range(len(wire)):
+            with pytest.raises(SerializationError):
+                SDMessage.decode(wire[:cut])
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(SerializationError):
+            SDMessage.decode(sample().encode() + b"\x00")
+
+    @pytest.mark.parametrize("field", [
+        "src_site", "dst_site", "program", "seq", "reply_to", "src_load",
+        "src_queue"])
+    def test_float_header_figure_rejected_at_encode(self, field):
+        with pytest.raises(SerializationError):
+            sample(**{field: 1.0}).encode()
+
+    def test_header_figure_past_64_bits_rejected_at_encode(self):
+        with pytest.raises(SerializationError):
+            sample(seq=1 << 63).encode()
+        assert SDMessage.decode(sample(seq=(1 << 63) - 1).encode()).seq \
+            == (1 << 63) - 1
+
+    @settings(max_examples=300)
+    @given(st.binary(max_size=64))
+    def test_random_bytes_raise_only_serialization_errors(self, data):
+        try:
+            SDMessage.decode(data)
+        except SerializationError:
+            pass
+
+    def test_cant_help_fits_in_16_bytes(self):
+        """A CANT_HELP between sites below 64 with a ``seq`` below 2**13:
+        eight header figures and an empty payload.  With the tagged
+        12-tuple and the causal stamp it took 43 B."""
+        msg = SDMessage(type=MsgType.CANT_HELP, src_site=63, dst_site=62,
+                        seq=(1 << 13) - 1, reply_to=(1 << 13) - 1,
+                        src_load=40, src_queue=30)
+        assert msg.wire_size() <= 16
+
+
+class TestManagerTable:
+    def test_every_type_has_an_owner_every_site_has(self):
+        cluster = SimCluster(nsites=1, config=SDVMConfig())
+        managers = cluster.sites[0].managers
+        assert set(MANAGER_OF) == set(MsgType)
+        for msg_type, manager in MANAGER_OF.items():
+            assert managers[manager].manager_id is manager, msg_type
 
 
 class TestEncodeOnce:
@@ -132,7 +205,7 @@ class TestReply:
         request = sample()
         reply = make_reply(request, MsgType.CANT_HELP, {"load": 0.0})
         assert reply.dst_site == request.src_site
-        assert reply.dst_manager is request.src_manager
+        assert MANAGER_OF[reply.type] is MANAGER_OF[request.type]
         assert reply.src_site == request.dst_site
         assert reply.reply_to == request.seq
         assert reply.program == request.program

@@ -166,7 +166,6 @@ class TestLateHelpReply:
     to a live in-flight request may)."""
 
     def _late_reply(self, mtype, thief, victim, pid):
-        from repro.common.ids import ManagerId
         from repro.messages import MsgType, SDMessage
         payload = {}
         if mtype is MsgType.HELP_REPLY:
@@ -175,8 +174,7 @@ class TestLateHelpReply:
             payload["frames"] = [frame.to_wire()]
         return SDMessage(
             type=mtype,
-            src_site=victim.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=thief.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=victim.site_id, dst_site=thief.site_id,
             payload=payload)
 
     def test_late_reply_adopts_but_keeps_backoff(self, running_pair):
@@ -207,7 +205,6 @@ class TestLateHelpReply:
         assert sm.stats.get("steal_grants").count == grants
 
     def test_live_reply_resets_backoff_and_cooldown(self, running_pair):
-        from repro.common.ids import ManagerId
         from repro.messages import MsgType, SDMessage
         from repro.sched.manager import _HelpRequest
         _cluster, thief, victim, handle = running_pair
@@ -224,8 +221,7 @@ class TestLateHelpReply:
 
         sm._on_help_reply(SDMessage(
             type=MsgType.HELP_REPLY,
-            src_site=victim.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=thief.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=victim.site_id, dst_site=thief.site_id,
             reply_to=4242,
             payload={"frames": [frame.to_wire()]}))
 
@@ -410,7 +406,6 @@ class TestStealBatching:
                 program=pid, nparams=0))
 
     def test_steal_half_bounded_by_want(self, running_pair):
-        from repro.common.ids import ManagerId
         from repro.messages import MsgType, SDMessage
         _cluster, victim, thief, handle = running_pair
         sm = victim.scheduling_manager
@@ -420,8 +415,7 @@ class TestStealBatching:
         outs = sm.stats.get("steals_out").count
         sm._on_help_request(SDMessage(
             type=MsgType.HELP_REQUEST, seq=777,
-            src_site=thief.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=victim.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=thief.site_id, dst_site=victim.site_id,
             payload={"want": 3}))
         # min(want=3, steal_batch_max=4, half of 12) = 3 frames granted
         assert sm.stats.get("steals_out").count == outs + 3
@@ -431,7 +425,6 @@ class TestStealBatching:
                    for name, _hist in sm.stats.hist_items())
 
     def test_steal_half_never_takes_more_than_half(self, running_pair):
-        from repro.common.ids import ManagerId
         from repro.messages import MsgType, SDMessage
         _cluster, victim, thief, handle = running_pair
         sm = victim.scheduling_manager
@@ -441,8 +434,7 @@ class TestStealBatching:
         outs = sm.stats.get("steals_out").count
         sm._on_help_request(SDMessage(
             type=MsgType.HELP_REQUEST, seq=778,
-            src_site=thief.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=victim.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=thief.site_id, dst_site=victim.site_id,
             payload={"want": 4}))
         # min(want=4, batch_max=4, (3+1)//2=2) = 2: over half stays home
         assert sm.stats.get("steals_out").count == outs + 2
@@ -454,13 +446,11 @@ class TestStealBatching:
         sm.executable.clear()
         sm.ready.clear()
         self._queue_frames(sm, handle.pid, 12)
-        from repro.common.ids import ManagerId
         from repro.messages import MsgType, SDMessage
         replies = []
         thief.message_manager.request(SDMessage(
             type=MsgType.HELP_REQUEST,
-            src_site=thief.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=victim.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=thief.site_id, dst_site=victim.site_id,
             payload={"want": 3},
         ), replies.append)
         cluster.sim.run(until=0.2)
@@ -641,12 +631,10 @@ class TestHelpProtocol:
         a, b = cluster.sites
         # b asks a (empty queue, high keep_local_min): must refuse
         from repro.messages import MsgType, SDMessage
-        from repro.common.ids import ManagerId
         replies = []
         b.message_manager.request(SDMessage(
             type=MsgType.HELP_REQUEST,
-            src_site=b.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=a.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=b.site_id, dst_site=a.site_id,
             payload={},
         ), replies.append)
         cluster.sim.run(until=0.5)
@@ -659,12 +647,10 @@ class TestHelpProtocol:
         a, b = cluster.sites
         a.paused = True
         from repro.messages import MsgType, SDMessage
-        from repro.common.ids import ManagerId
         replies = []
         b.message_manager.request(SDMessage(
             type=MsgType.HELP_REQUEST,
-            src_site=b.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=a.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=b.site_id, dst_site=a.site_id,
             payload={},
         ), replies.append)
         cluster.sim.run(until=0.5)
@@ -731,7 +717,6 @@ class TestHelpRecordOnlyToStrangers:
 
     def test_victim_that_learns_the_thief_from_the_record_grants(
             self, running_pair):
-        from repro.common.ids import ManagerId
         from repro.messages import MsgType, SDMessage
         cluster, thief, victim, handle = running_pair
         # the victim forgets the thief: the request is all it will know
@@ -748,8 +733,7 @@ class TestHelpRecordOnlyToStrangers:
         replies = []
         msg = SDMessage(
             type=MsgType.HELP_REQUEST,
-            src_site=thief.site_id, src_manager=ManagerId.SCHEDULING,
-            dst_site=victim.site_id, dst_manager=ManagerId.SCHEDULING,
+            src_site=thief.site_id, dst_site=victim.site_id,
             payload={"record": thief.cluster_manager.local_record_wire(),
                      "want": 2})
         thief.message_manager.request(msg, replies.append)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.common.ids import FileHandle, GlobalAddress, ManagerId
+from repro.common.ids import FileHandle, GlobalAddress
 from repro.messages import MsgType, SDMessage
-from repro.serde import dumps, loads, wire_copy
+from repro.serde import dumps, dumps_record, loads, loads_record, wire_copy
 from repro.serde.codec import MAX_DECODE_DEPTH, read_uvarint, write_uvarint
 
 
@@ -77,6 +77,21 @@ class TestDomainTypes:
         value = {"chain": [GlobalAddress(0, 1), GlobalAddress(2, 3)],
                  "fh": FileHandle(1, 1)}
         assert loads(dumps(value)) == value
+
+    def test_record(self):
+        """A record costs what its dict would: the dict's tag becomes the
+        record's, and the eight ints go untagged."""
+        ints, payload = (1, -1, 300, 0, 5, -300, 7, 8), {"k": [1, 2]}
+        data = dumps_record(ints, payload)
+        assert len(data) == len(dumps(payload)) + 8 + 2
+        assert loads_record(data) == loads(data) == (*ints, payload)
+        for bad in (dumps(payload), dumps((*ints, payload)), data + b"\x00"):
+            with pytest.raises(SerializationError):
+                loads_record(bad)
+        for ints, payload in (((1,) * 7, {}), ((1,) * 8, [1]),
+                              ((1,) * 7 + (True,), {})):
+            with pytest.raises(SerializationError):
+                dumps_record(ints, payload)
 
 
 class TestErrors:
@@ -303,16 +318,13 @@ _site_ids = st.integers(min_value=-1, max_value=2**20)
 sd_messages = st.builds(
     SDMessage,
     type=st.sampled_from(list(MsgType)),
-    src_site=_site_ids, src_manager=st.sampled_from(list(ManagerId)),
-    dst_site=_site_ids, dst_manager=st.sampled_from(list(ManagerId)),
+    src_site=_site_ids, dst_site=_site_ids,
     payload=st.dictionaries(st.text(max_size=8), copy_values, max_size=4),
     program=st.integers(min_value=-1, max_value=2**40),
     seq=st.integers(min_value=-1, max_value=2**40),
     reply_to=st.integers(min_value=-1, max_value=2**40),
     src_load=st.integers(min_value=-1, max_value=10**6),
     src_queue=st.integers(min_value=-1, max_value=10**6),
-    origin_site=_site_ids,
-    cause_id=st.integers(min_value=-1, max_value=2**63),
 )
 
 _FIELDS = [name for name in SDMessage.__slots__ if name != "_wire"]
@@ -329,18 +341,15 @@ class TestMessageSnapshot:
         assert not mutable_ids(snap.payload) & mutable_ids(msg.payload)
 
     def test_enum_fields_come_back_as_members(self):
-        msg = SDMessage(type=10, src_site=0, src_manager=1, dst_site=1,
-                        dst_manager=1)
+        msg = SDMessage(type=10, src_site=0, dst_site=1)
         snap = msg.snapshot()
         assert snap.type is MsgType.HELP_REQUEST
-        assert snap.src_manager is SDMessage.decode(msg.encode()).src_manager
+        assert snap.type is SDMessage.decode(msg.encode()).type
 
     @pytest.mark.parametrize("field, value", [
-        ("type", 9999), ("dst_manager", 9999), ("payload", [1, 2])])
+        ("type", 9999), ("src_load", 1.5), ("payload", [1, 2])])
     def test_what_decode_rejects_snapshot_rejects(self, field, value):
-        msg = SDMessage(type=MsgType.HEARTBEAT, src_site=0,
-                        src_manager=ManagerId.CLUSTER, dst_site=1,
-                        dst_manager=ManagerId.CLUSTER)
+        msg = SDMessage(type=MsgType.HEARTBEAT, src_site=0, dst_site=1)
         setattr(msg, field, value)
         with pytest.raises(SerializationError):
             SDMessage.decode(msg.encode())

@@ -315,7 +315,6 @@ def test_partition_dead_letters_then_recovers_after_heal():
 
 
 def test_empty_frame_rejected_by_live_site_and_next_message_arrives():
-    from repro.common.ids import ManagerId
     from repro.messages import MsgType, SDMessage
     from repro.runtime.live_cluster import LiveCluster
 
@@ -338,8 +337,7 @@ def test_empty_frame_rejected_by_live_site_and_next_message_arrives():
                 receiver.kernel.local_physical(), b"")
             assert sender.message_manager.send(SDMessage(
                 type=MsgType.HEARTBEAT, src_site=sender.site_id,
-                src_manager=ManagerId.CLUSTER, dst_site=receiver.site_id,
-                dst_manager=ManagerId.CLUSTER))
+                dst_site=receiver.site_id))
 
         sender.kernel.reactor_call(send_both)
         _wait_until(lambda: counts() == (1, received + 1),

@@ -56,11 +56,14 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 #: was re-pinned when any message became a heartbeat: ``crash_during_wave``
 #: skips the HEARTBEATs its traffic made redundant, so its lead-up differs.
 #: Both were re-pinned when frames and program infos went positional on
-#: the wire: the journal's message events carry each envelope's size
+#: the wire: the journal's message events carry each envelope's size.
+#: And again when the envelope became an eight-varint header without the
+#: causal stamp: sizes shrank, and the message and execution events lost
+#: their ``origin`` field
 CRASH_DUMP_SHA256 = (
-    "dd3334adc958afc5f15a6811c6ab66051a1f6db325492116e1c3dcb197cf3518")
+    "f57cf99677f0d0cd1c928656734d3bfcb6c3156ba5b75268388fd33502937a9c")
 INVARIANT_DUMPS_SHA256 = (
-    "ca4d4055bc4e27b429a4339161cc98147e6d169d38cd63d3451cb27bc1ee2090")
+    "09b794c4c17c6d4430c9660ec9fd64712766fa05248b2f8364080eb99995a2ee")
 
 
 def sha256_json(obj):
