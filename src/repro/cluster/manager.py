@@ -417,22 +417,6 @@ class ClusterManager(Manager):
     # ------------------------------------------------------------------
     # message handling
 
-    def handle(self, msg: SDMessage) -> None:
-        handler = {
-            MsgType.SIGN_ON: self._on_sign_on,
-            MsgType.SIGN_ON_ACK: self._on_sign_on_ack,
-            MsgType.SIGN_OFF: self._on_sign_off,
-            MsgType.CLUSTER_INFO: self._on_cluster_info,
-            MsgType.HEARTBEAT: self._on_heartbeat,
-            MsgType.ID_BLOCK_REQUEST: self._on_id_block_request,
-            MsgType.ID_BLOCK_REPLY: self._on_id_block_reply,
-            MsgType.CRASH_NOTICE: self._on_crash_notice,
-        }.get(msg.type)
-        if handler is None:
-            super().handle(msg)
-            return
-        handler(msg)
-
     # -- sign-on ---------------------------------------------------------
     def _on_sign_on(self, msg: SDMessage) -> None:
         if not self.site.running:

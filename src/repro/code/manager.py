@@ -398,40 +398,34 @@ class CodeManager(Manager):
             self.log("unexpected code reply %s", msg.type.name)
             self._finish(key, None)
 
+    # a reply that arrived after its request timed out is still useful
+    _on_code_reply_binary = _on_code_reply_source = _on_code_not_found = (
+        _on_code_reply)
+
     # ------------------------------------------------------------------
     # serving other sites
 
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.CODE_REQUEST:
-            self._on_code_request(msg)
-        elif msg.type == MsgType.CODE_PUSH_BINARY:
-            payload = msg.payload
-            key = (payload["pid"], payload["tid"])
-            self._binaries[(payload["pid"], payload["tid"],
-                            payload["platform"])] = payload["binary"]
-            self.stats.inc("binaries_stored")
-            if payload["platform"] == self.platform:
-                # only a binary we can run ends the wait: a peer on another
-                # platform pushes its own, and disarming the fallback for
-                # that would park a deferred local demand for ever
-                self._awaiting_push.discard(key)
-                timer = self._push_fallbacks.pop(key, None)
-                if timer is not None:
-                    self.kernel.cancel(timer)
-            if key in self._pending and key not in self._compiled:
-                # a demand parked on this push (or a remote fetch raced
-                # it): resolve the waiters straight from the fresh binary
-                compiled = self._adopt_stored_binary(*key)
-                if compiled is not None:
-                    self._finish(key, compiled)
-            self._serve_parked(payload["pid"], payload["tid"])
-        elif msg.type in (MsgType.CODE_REPLY_BINARY,
-                          MsgType.CODE_REPLY_SOURCE,
-                          MsgType.CODE_NOT_FOUND):
-            # reply that arrived after its request timed out — still useful
-            self._on_code_reply(msg)
-        else:
-            super().handle(msg)
+    def _on_code_push_binary(self, msg: SDMessage) -> None:
+        payload = msg.payload
+        key = (payload["pid"], payload["tid"])
+        self._binaries[(payload["pid"], payload["tid"],
+                        payload["platform"])] = payload["binary"]
+        self.stats.inc("binaries_stored")
+        if payload["platform"] == self.platform:
+            # only a binary we can run ends the wait: a peer on another
+            # platform pushes its own, and disarming the fallback for
+            # that would park a deferred local demand for ever
+            self._awaiting_push.discard(key)
+            timer = self._push_fallbacks.pop(key, None)
+            if timer is not None:
+                self.kernel.cancel(timer)
+        if key in self._pending and key not in self._compiled:
+            # a demand parked on this push (or a remote fetch raced
+            # it): resolve the waiters straight from the fresh binary
+            compiled = self._adopt_stored_binary(*key)
+            if compiled is not None:
+                self._finish(key, compiled)
+        self._serve_parked(payload["pid"], payload["tid"])
 
     def _on_code_request(self, msg: SDMessage) -> None:
         pid = msg.payload["pid"]

@@ -11,9 +11,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.common.errors import SDVMError, SerializationError
+from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
-from repro.messages import MsgType, SDMessage, make_reply
+from repro.messages import HANDLER_OF, MsgType, SDMessage, make_reply
 from repro.serde import dumps, loads
 from repro.site.manager_base import Manager
 
@@ -25,6 +25,17 @@ _RECOVER_RETRIES = 5
 
 def _nothing() -> None:
     pass
+
+
+def _acked(handler: Callable[["CrashManager", SDMessage], bool]):
+    """RECOVER_BEGIN / STATE / DONE carry an ack+retry contract: a peer's
+    copy is acked unless its handler returns False (not ready yet; the
+    sender's retry comes back)."""
+    def on_message(self: "CrashManager", msg: SDMessage) -> None:
+        if handler(self, msg) is not False and msg.src_site != self.local_id:
+            self.site.message_manager.send(
+                make_reply(msg, MsgType.RECOVER_ACK, {}))
+    return on_message
 
 
 class CrashManager(Manager):
@@ -166,12 +177,24 @@ class CrashManager(Manager):
     def _send_ctrl(self, logical: int, mtype: MsgType,
                    payload: dict) -> None:
         if logical == self.local_id:
-            self._handle_ctrl(mtype, dict(payload), self.local_id)
+            self._deliver_here(mtype, payload)
         else:
             self.site.message_manager.send(self._msg(logical, mtype, payload))
 
+    def _deliver_here(self, mtype: MsgType, payload: dict) -> None:
+        """Control addressed to this site: its handler, called at once
+        rather than through the message manager's loopback."""
+        getattr(self, HANDLER_OF[mtype])(
+            self._msg(self.local_id, mtype, dict(payload)))
+
     # ------------------------------------------------------------------
     # participant side
+
+    def _on_checkpoint_begin(self, msg: SDMessage) -> None:
+        if msg.payload["phase"] == "pause":
+            self._on_pause(msg.payload["wave"], msg.src_site)
+        else:
+            self._on_snapshot_request(msg.payload["wave"], msg.src_site)
 
     def _on_pause(self, wave: int, coordinator: int) -> None:
         if wave <= self._finished_waves.get(coordinator, -1):
@@ -206,13 +229,14 @@ class CrashManager(Manager):
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_STATE,
                         {"wave": wave, "state": blob, "site": self.local_id})
 
-    def _on_commit(self, wave: int, src: int, aborted: bool = False) -> None:
+    def _on_checkpoint_commit(self, msg: SDMessage) -> None:
+        wave, src = msg.payload["wave"], msg.src_site
         if wave >= 0:
             self._finished_waves[src] = max(
                 self._finished_waves.get(src, -1), wave)
         self.site.paused = False
         self._pending_ack = None
-        if aborted:
+        if msg.payload.get("aborted", False):
             self.stats.inc("waves_aborted_observed")
         else:
             self.stats.inc("waves_committed")
@@ -222,7 +246,8 @@ class CrashManager(Manager):
     # ------------------------------------------------------------------
     # coordinator collection
 
-    def _on_ack(self, wave: int, src: int) -> None:
+    def _on_checkpoint_ack(self, msg: SDMessage) -> None:
+        wave, src = msg.payload["wave"], msg.src_site
         if wave != self._wave or src not in self._acks_pending:
             # stale wave, or a duplicate delivery of an ack already
             # counted — re-entering the empty-set branch would launch a
@@ -240,7 +265,9 @@ class CrashManager(Manager):
             self._send_ctrl(logical, MsgType.CHECKPOINT_BEGIN,
                             {"wave": wave, "phase": "snapshot"})
 
-    def _on_state(self, wave: int, src: int, blob: bytes) -> None:
+    def _on_checkpoint_state(self, msg: SDMessage) -> None:
+        wave, src = msg.payload["wave"], msg.payload["site"]
+        blob = msg.payload["state"]
         if wave != self._wave or src not in self._states_pending:
             # stale wave, or a duplicated snapshot arriving after the wave
             # committed — without this fence the duplicate re-commits the
@@ -293,7 +320,8 @@ class CrashManager(Manager):
             self._send_ctrl(logical, MsgType.CHECKPOINT_REPLICA,
                             {"wave": wave, "shards": shards})
 
-    def _on_replica(self, wave: int, shards: list, src: int) -> None:
+    def _on_checkpoint_replica(self, msg: SDMessage) -> None:
+        wave, src = msg.payload["wave"], msg.src_site
         if src == self.committed_src and wave <= self.committed_wave:
             # duplicate or out-of-order copy from the same coordinator; a
             # *new* coordinator restarts wave numbering, so only same-src
@@ -301,7 +329,8 @@ class CrashManager(Manager):
             self.stats.inc("stale_replicas_ignored")
             return
         try:
-            committed = {int(shard_site): blob for shard_site, blob in shards}
+            committed = {int(shard_site): blob
+                         for shard_site, blob in msg.payload["shards"]}
             if any(type(blob) is not bytes for blob in committed.values()):
                 raise TypeError("a shard is not bytes")
         except (TypeError, ValueError) as exc:
@@ -429,7 +458,7 @@ class CrashManager(Manager):
         of retries, or addressed to a site that is gone.
         """
         if logical == self.local_id:
-            self._handle_ctrl(mtype, dict(payload), self.local_id)
+            self._deliver_here(mtype, payload)
             settled()
             return
         if not self.site.running:
@@ -459,7 +488,9 @@ class CrashManager(Manager):
                 timeout=timeout, on_timeout=on_timeout):
             settled()
 
-    def _on_recover_begin(self, payload: dict) -> bool:
+    @_acked
+    def _on_recover_begin(self, msg: SDMessage) -> bool:
+        payload = msg.payload
         epoch = payload["epoch"]
         if epoch <= self.site.epoch:
             # duplicate delivery or a retry of a recovery we already
@@ -522,7 +553,9 @@ class CrashManager(Manager):
                 return
             self._handle_crash(self._crash_queue.pop(0))
 
-    def _on_recover_state(self, payload: dict) -> bool:
+    @_acked
+    def _on_recover_state(self, msg: SDMessage) -> bool:
+        payload = msg.payload
         epoch = payload.get("epoch", self.site.epoch)
         if epoch > self.site.epoch:
             # our RECOVER_BEGIN is still in flight (lost or delayed) —
@@ -551,7 +584,9 @@ class CrashManager(Manager):
         self.site.attraction_memory.adopt_state(state)
         return True
 
-    def _on_recover_done(self, payload: dict) -> bool:
+    @_acked
+    def _on_recover_done(self, msg: SDMessage) -> bool:
+        payload = msg.payload
         epoch = payload.get("epoch", self.site.epoch)
         if epoch > self.site.epoch:
             self.stats.inc("early_recover_done")
@@ -566,49 +601,6 @@ class CrashManager(Manager):
         self.site.processing_manager.kick()
         self.site.scheduling_manager.kick()
         return True
-
-    # ------------------------------------------------------------------
-    #: control kinds that carry an ack+retry contract
-    _RECOVER_CTRL = frozenset({MsgType.RECOVER_BEGIN, MsgType.RECOVER_STATE,
-                               MsgType.RECOVER_DONE})
-
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.RECOVER_ACK:
-            # unsolicited ack (its request timed out first): the retry is
-            # already in flight and will be deduped on arrival
-            self.stats.inc("late_recover_acks")
-            return
-        ack = self._handle_ctrl(msg.type, msg.payload, msg.src_site)
-        if (msg.type in self._RECOVER_CTRL and ack is not False
-                and msg.src_site != self.local_id):
-            self.site.message_manager.send(
-                make_reply(msg, MsgType.RECOVER_ACK, {}))
-
-    def _handle_ctrl(self, mtype: MsgType, payload: dict,
-                     src: int) -> Optional[bool]:
-        if mtype == MsgType.CHECKPOINT_BEGIN:
-            if payload["phase"] == "pause":
-                self._on_pause(payload["wave"], src)
-            else:
-                self._on_snapshot_request(payload["wave"], src)
-        elif mtype == MsgType.CHECKPOINT_ACK:
-            self._on_ack(payload["wave"], src)
-        elif mtype == MsgType.CHECKPOINT_STATE:
-            self._on_state(payload["wave"], payload["site"],
-                           payload["state"])
-        elif mtype == MsgType.CHECKPOINT_COMMIT:
-            self._on_commit(payload["wave"], src,
-                            payload.get("aborted", False))
-        elif mtype == MsgType.CHECKPOINT_REPLICA:
-            self._on_replica(payload["wave"], payload["shards"], src)
-        elif mtype == MsgType.RECOVER_BEGIN:
-            return self._on_recover_begin(payload)
-        elif mtype == MsgType.RECOVER_STATE:
-            return self._on_recover_state(payload)
-        elif mtype == MsgType.RECOVER_DONE:
-            return self._on_recover_done(payload)
-        else:
-            raise SDVMError(f"CrashManager received unexpected {mtype.name}")
 
     def on_stop(self) -> None:
         if self._timer is not None:

@@ -70,7 +70,7 @@ class IOManager(Manager):
             self._answer_input(program, prompt, target, slot)
             return
         self.site.message_manager.send(SDMessage(
-            type=MsgType.IO_FILE_OPEN,  # reuse of channel below; see handle()
+            type=MsgType.IO_FILE_OPEN,  # see _on_io_file_open
             src_site=self.local_id, dst_site=frontend,
             program=program,
             payload={"kind": "input", "prompt": prompt,
@@ -203,44 +203,43 @@ class IOManager(Manager):
         cb(None)
 
     # ------------------------------------------------------------------
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.IO_OUTPUT:
-            self._record_output(msg.program, msg.payload["text"])
-        elif (msg.type == MsgType.IO_FILE_OPEN
-              and msg.payload.get("kind") == "input"):
-            self._answer_input(msg.program, msg.payload["prompt"],
-                               msg.payload["addr"], msg.payload["slot"])
-        elif msg.type == MsgType.IO_FILE_READ:
-            handle = msg.payload["handle"]
-            try:
-                data = self._live_read_local(handle, msg.payload["size"])
-                payload = {"data": data}
-            except (ProgramError, KeyError) as exc:
-                payload = {"error": str(exc)}
-            self.site.message_manager.send(make_reply(
-                msg, MsgType.IO_FILE_READ_REPLY, payload))
-        elif msg.type == MsgType.IO_FILE_WRITE:
-            handle = msg.payload["handle"]
-            try:
-                if "seek" in msg.payload:
-                    if handle not in self._local_handles:
-                        raise ProgramError(f"stale file handle {handle}")
-                    self._positions[handle] = max(0, msg.payload["seek"])
-                    payload = {"written": 0}
-                else:
-                    written = self._live_write_local(handle,
-                                                     msg.payload["data"])
-                    payload = {"written": written}
-            except (ProgramError, KeyError) as exc:
-                payload = {"error": str(exc)}
-            self.site.message_manager.send(make_reply(
-                msg, MsgType.IO_FILE_WRITE_ACK, payload))
-        elif msg.type == MsgType.IO_FILE_CLOSE:
-            handle = msg.payload["handle"]
-            self._local_handles.pop(handle, None)
-            self._positions.pop(handle, None)
-        else:
-            super().handle(msg)
+    def _on_io_output(self, msg: SDMessage) -> None:
+        self._record_output(msg.program, msg.payload["text"])
+
+    def _on_io_file_open(self, msg: SDMessage) -> None:
+        # the one remote open: a frontend input request (request_input)
+        self._answer_input(msg.program, msg.payload["prompt"],
+                           msg.payload["addr"], msg.payload["slot"])
+
+    def _on_io_file_read(self, msg: SDMessage) -> None:
+        try:
+            payload = {"data": self._live_read_local(msg.payload["handle"],
+                                                     msg.payload["size"])}
+        except (ProgramError, KeyError) as exc:
+            payload = {"error": str(exc)}
+        self.site.message_manager.send(make_reply(
+            msg, MsgType.IO_FILE_READ_REPLY, payload))
+
+    def _on_io_file_write(self, msg: SDMessage) -> None:
+        handle = msg.payload["handle"]
+        try:
+            if "seek" in msg.payload:
+                if handle not in self._local_handles:
+                    raise ProgramError(f"stale file handle {handle}")
+                self._positions[handle] = max(0, msg.payload["seek"])
+                payload = {"written": 0}
+            else:
+                payload = {"written": self._live_write_local(
+                    handle, msg.payload["data"])}
+        except (ProgramError, KeyError) as exc:
+            payload = {"error": str(exc)}
+        self.site.message_manager.send(make_reply(
+            msg, MsgType.IO_FILE_WRITE_ACK, payload))
+
+    def _on_io_file_close(self, msg: SDMessage) -> None:
+        handle = msg.payload["handle"]
+        self._local_handles.pop(handle, None)
+        self._positions.pop(handle, None)
 
     def status(self) -> dict:
         base = super().status()

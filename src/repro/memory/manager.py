@@ -428,6 +428,10 @@ class AttractionMemory(Manager):
                 reply.src_site, payload.get("recorded", False))
         return True
 
+    # a late reply after a timed-out read: if it shipped ownership, adopt
+    # the object — dropping it would lose data
+    _on_mem_read_reply = _adopt_shipped
+
     def _adopt_remote_object(self, addr: GlobalAddress, value: Any,
                              version: int, src: int,
                              recorded: bool = False) -> None:
@@ -463,39 +467,17 @@ class AttractionMemory(Manager):
         ))
         self.stats.inc("writes_sent")
 
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.APPLY_RESULT:
-            payload = msg.payload
-            if self._stale_epoch(payload):
-                # in-flight result from a rolled-back epoch: the replay
-                # re-produces it, and applying the stale copy would
-                # contaminate a restored frame with pre-recovery state
-                # (e.g. frame addresses that will never be allocated again)
-                self.stats.inc("stale_results_dropped")
-                return
-            self._apply_local(payload["addr"], payload["slot"],
-                              payload["value"], msg.program)
-        elif msg.type == MsgType.FRAME_TRANSFER:
-            self._on_frame_transfer(msg)
-        elif msg.type == MsgType.MEM_READ:
-            self._on_mem_read(msg)
-        elif msg.type == MsgType.MEM_WRITE:
-            self._on_mem_write(msg)
-        elif msg.type == MsgType.DIR_UPDATE:
-            self._on_dir_update(msg)
-        elif msg.type == MsgType.DIR_ACK:
-            # late ack after a timed-out update: the retry re-published
-            self.stats.inc("late_dir_acks")
-        elif msg.type == MsgType.MEM_READ_REPLY:
-            # late reply after a timed-out read: if it shipped ownership,
-            # adopt the object — dropping it would lose data
-            self._adopt_shipped(msg)
-        elif msg.type in (MsgType.MEM_LOCATION, MsgType.MEM_NOT_FOUND):
-            self.stats.inc("late_replies_ignored")
-        elif msg.type == MsgType.MEM_OBJECT:
-            self._on_bulk_adopt(msg)
-        else:
-            super().handle(msg)
+    def _on_apply_result(self, msg: SDMessage) -> None:
+        payload = msg.payload
+        if self._stale_epoch(payload):
+            # in-flight result from a rolled-back epoch: the replay
+            # re-produces it, and applying the stale copy would
+            # contaminate a restored frame with pre-recovery state
+            # (e.g. frame addresses that will never be allocated again)
+            self.stats.inc("stale_results_dropped")
+            return
+        self._apply_local(payload["addr"], payload["slot"],
+                          payload["value"], msg.program)
 
     def _stale_epoch(self, payload: dict) -> bool:
         """True when a dataflow payload was stamped before the last rollback
@@ -640,7 +622,7 @@ class AttractionMemory(Manager):
             payload={"state": self.export_state(), "from": self.local_id},
         ))
 
-    def _on_bulk_adopt(self, msg: SDMessage) -> None:
+    def _on_mem_object(self, msg: SDMessage) -> None:
         self.adopt_state(msg.payload["state"])
         self.stats.inc("relocations_adopted")
 

@@ -3,11 +3,13 @@
 "All communication is done between managers only, so a message contains the
 source's and the target's site ids and manager ids apart from other
 administrational information and the payload data itself."  Here the
-type names the manager at both ends (:data:`MANAGER_OF`), not the wire.
+type names the manager at both ends (:data:`MANAGER_OF`), not the wire,
+and the manager's method that handles it (:data:`HANDLER_OF`,
+``_on_<type>``): the site routes a message by its type alone.
 """
 
-from repro.messages.message import (MANAGER_OF, MsgType, SDMessage,
-                                    SnapshotEnvelope, make_reply)
+from repro.messages.message import (HANDLER_OF, MANAGER_OF, MsgType,
+                                    SDMessage, SnapshotEnvelope, make_reply)
 
-__all__ = ["MANAGER_OF", "SDMessage", "MsgType", "SnapshotEnvelope",
-           "make_reply"]
+__all__ = ["HANDLER_OF", "MANAGER_OF", "SDMessage", "MsgType",
+           "SnapshotEnvelope", "make_reply"]

@@ -115,6 +115,12 @@ _OWNED_BY = {
 MANAGER_OF: Dict[MsgType, ManagerId] = {
     MsgType[name]: manager for manager, names in _OWNED_BY.items()
     for name in names.split()}
+#: the owner's method that handles each type: ``_on_`` and the type's name
+#: in lower case (``_on_help_request``), as ``ast.NodeVisitor`` names its
+#: ``visit_<Class>``.  A type whose owner has no such method is a reply
+#: only its request reads; a late copy of one is dropped at the site
+HANDLER_OF: Dict[MsgType, str] = {
+    mtype: "_on_" + mtype.name.lower() for mtype in MsgType}
 
 # value -> member map for decode: a plain dict lookup instead of the enum
 # class's __call__ machinery (decode runs once per received message)
@@ -129,7 +135,8 @@ class SDMessage:
     :mod:`repro.serde.codec`); this is enforced at encode time.
     ``seq`` is assigned by the sending message manager; ``reply_to``
     correlates request/response pairs.  Source and target manager are the
-    type's owner (:data:`MANAGER_OF`).
+    type's owner (:data:`MANAGER_OF`), the handler its method
+    :data:`HANDLER_OF`.
     """
 
     type: MsgType

@@ -336,7 +336,7 @@ class ProcessingManager(Manager):
                 program=verify.frame.program, payload=verify.ctx.record())
             try:
                 if self.site.message_manager.request(
-                        msg, lambda reply: self._on_verdict(verify, reply),
+                        msg, lambda reply: self._verdict_in(verify, reply),
                         timeout=REPLICATE_TIMEOUT,
                         on_timeout=lambda: self._opinion(verify, None, False,
                                                          target)):
@@ -383,15 +383,6 @@ class ProcessingManager(Manager):
                                                         effects))
 
     # -- the buddy's side ----------------------------------------------------
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.REPLICATE:
-            self._on_replicate(msg)
-        elif msg.type == MsgType.VERDICT:
-            # its request is settled: a duplicate, or later than the timeout
-            self.stats.inc("sdc_stale_verdicts")
-        else:
-            super().handle(msg)
-
     def _on_replicate(self, msg: SDMessage) -> None:
         """Another site's execution to repeat: the code comes from this
         site's code manager (fetched if it never ran the thread), every
@@ -433,7 +424,11 @@ class ProcessingManager(Manager):
             self.site.message_manager.send(verdict)
 
     # -- back on the primary -------------------------------------------------
-    def _on_verdict(self, verify: _Verify, msg: SDMessage) -> None:
+    def _on_verdict(self, msg: SDMessage) -> None:
+        # its request is settled: a duplicate, or later than the timeout
+        self.stats.inc("sdc_stale_verdicts")
+
+    def _verdict_in(self, verify: _Verify, msg: SDMessage) -> None:
         effects = msg.payload["effects"]
         if effects is not None:
             try:

@@ -261,35 +261,34 @@ class ProgramManager(Manager):
             callback(info.pid, info)
 
     # ------------------------------------------------------------------
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.PROGRAM_REGISTER:
-            info = self.learn_program_wire(msg.payload["info"])
-            relay = msg.payload.get("relay")
-            if relay:
-                cm = self.site.cluster_manager
-                live = [t for t in relay
-                        if cm.physical_of(cm.effective_site(t)) is not None]
-                self._relay_registration(msg.payload["info"], live, info.pid)
-            if not info.terminated:
-                # a new program means new work somewhere: wake the
-                # (possibly dormant) scheduler to go steal some
-                self.site.scheduling_manager.kick()
-        elif msg.type == MsgType.PROGRAM_TERMINATED:
-            info = self.programs.get(msg.payload["pid"])
-            if info is not None and not info.terminated:
-                self._terminate(info)
-        elif msg.type == MsgType.PROGRAM_RESULT:
-            info = self.programs.get(msg.payload["pid"])
-            if info is None:
-                return
-            if not info.terminated:
-                self._terminate(info)
-            info.result = msg.payload.get("result")
-            info.failed = msg.payload.get("failed", False)
-            info.failure = msg.payload.get("failure", "")
-            self._finish(info)
-        else:
-            super().handle(msg)
+    def _on_program_register(self, msg: SDMessage) -> None:
+        info = self.learn_program_wire(msg.payload["info"])
+        relay = msg.payload.get("relay")
+        if relay:
+            cm = self.site.cluster_manager
+            live = [t for t in relay
+                    if cm.physical_of(cm.effective_site(t)) is not None]
+            self._relay_registration(msg.payload["info"], live, info.pid)
+        if not info.terminated:
+            # a new program means new work somewhere: wake the
+            # (possibly dormant) scheduler to go steal some
+            self.site.scheduling_manager.kick()
+
+    def _on_program_terminated(self, msg: SDMessage) -> None:
+        info = self.programs.get(msg.payload["pid"])
+        if info is not None and not info.terminated:
+            self._terminate(info)
+
+    def _on_program_result(self, msg: SDMessage) -> None:
+        info = self.programs.get(msg.payload["pid"])
+        if info is None:
+            return
+        if not info.terminated:
+            self._terminate(info)
+        info.result = msg.payload.get("result")
+        info.failed = msg.payload.get("failed", False)
+        info.failure = msg.payload.get("failure", "")
+        self._finish(info)
 
     def on_start(self) -> None:
         """PROGRAM_REGISTER can land while our own sign-on is still in

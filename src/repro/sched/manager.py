@@ -235,7 +235,7 @@ class SchedulingManager(Manager):
         if tr is not None:
             tr.emit(now, self.local_id, "help_request", target)
         ok = self.site.message_manager.request(
-            msg, self._on_help_reply, timeout=HELP_TIMEOUT,
+            msg, self._help_answered, timeout=HELP_TIMEOUT,
             on_timeout=lambda: self._help_timed_out(msg.seq))
         if ok:
             self._inflight_helps[msg.seq] = _HelpRequest(target, now)
@@ -254,7 +254,7 @@ class SchedulingManager(Manager):
                                   + self._help_backoff * HELP_RETRY_INTERVAL)
         self._schedule_retry()
 
-    def _on_help_reply(self, msg: SDMessage) -> None:
+    def _help_answered(self, msg: SDMessage) -> None:
         request = self._inflight_helps.pop(msg.reply_to, None)
         if request is not None:
             self.stats.observe("help_latency",
@@ -271,16 +271,25 @@ class SchedulingManager(Manager):
         self.stats.inc("steal_grants")
         self._adopt_steal(msg, live=request is not None)
 
+    def _on_help_reply(self, msg: SDMessage) -> None:
+        """A reply whose request timed out still carries stolen frames, so
+        adopt and count them — but the request already fed the
+        backoff/cooldown failure path when it timed out, so the reply must
+        NOT reset that state (live=False).  A late CANT_HELP has no
+        handler: the site drops it."""
+        self.stats.inc("late_steal_grants")
+        self._adopt_steal(msg, live=False)
+
     def _adopt_steal(self, msg: SDMessage, live: bool) -> None:
         """Account for stolen frames arriving via (batched) HELP_REPLY.
 
-        Shared by the correlated reply path and the late-reply path in
-        :meth:`handle`, so both count ``steals_in``, journal the steals,
-        and enqueue every frame.  Only a *live* reply — one correlated to
-        a request still in flight — may reset the help backoff and take
-        the victim off cooldown: a late reply's request already timed out
-        and fed the congestion state, and wiping that state here would
-        erase backoff mid-congestion.
+        Shared by the correlated reply path and the late-reply path
+        (:meth:`_on_help_reply`), so both count ``steals_in``, journal the
+        steals, and enqueue every frame.  Only a *live* reply — one
+        correlated to a request still in flight — may reset the help
+        backoff and take the victim off cooldown: a late reply's request
+        already timed out and fed the congestion state, and wiping that
+        state here would erase backoff mid-congestion.
         """
         if msg.payload.get("epoch", self.site.epoch) < self.site.epoch:
             # the victim granted these frames before the last rollback
@@ -358,22 +367,6 @@ class SchedulingManager(Manager):
 
     # ------------------------------------------------------------------
     # serving help requests from other sites
-
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.HELP_REQUEST:
-            self._on_help_request(msg)
-        elif msg.type in (MsgType.HELP_REPLY, MsgType.CANT_HELP):
-            # late reply whose request timed out: a HELP_REPLY still carries
-            # stolen frames, so adopt and count them — but the request
-            # already fed the backoff/cooldown failure path when it timed
-            # out, so the reply must NOT reset that state (live=False)
-            if msg.type == MsgType.HELP_REPLY:
-                self.stats.inc("late_steal_grants")
-                self._adopt_steal(msg, live=False)
-        elif msg.type == MsgType.LOAD_REPORT:
-            self._on_load_report(msg)
-        else:
-            super().handle(msg)
 
     def _reply_help(self, msg: SDMessage, mtype: MsgType,
                     payload: dict) -> bool:

@@ -15,7 +15,7 @@ from repro.common.errors import ProgramError, SDVMError
 from repro.common.ids import ManagerId, NO_SITE, make_program_id
 from repro.core.frames import Microframe
 from repro.core.program import SDVMProgram
-from repro.messages import MANAGER_OF, SDMessage
+from repro.messages import HANDLER_OF, MANAGER_OF, SDMessage
 from repro.cluster.manager import ClusterManager
 from repro.code.manager import CodeManager
 from repro.crash.manager import CrashManager
@@ -163,11 +163,15 @@ class SDVMSite:
             # wake-on-message (§2.2: sleeping sites reactivate on demand)
             self.site_manager.wake()
         self.cluster_manager.observe(msg.src_site)
-        manager = self.managers.get(MANAGER_OF.get(msg.type))
-        if manager is None:
-            self.log("message of unowned type %s dropped", msg.type)
+        # type -> manager -> ``_on_<type>``, looked up per message so a
+        # handler patched onto one manager instance takes effect
+        handler = getattr(self.managers.get(MANAGER_OF.get(msg.type)),
+                          HANDLER_OF[msg.type], None)
+        if handler is None:
+            # a reply only its request reads, arriving late or twice
+            self.log("message %s without handler dropped", msg.type.name)
             return
-        manager.handle(msg)
+        handler(msg)
 
     # ------------------------------------------------------------------
     # program submission (facade entry point)

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.common.errors import SDVMError
 from repro.common.ids import ManagerId
 from repro.common.stats import StatSet
-from repro.messages import SDMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.site.daemon import SDVMSite
@@ -16,10 +14,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class Manager:
     """One functional module of the site daemon (paper Fig. 3).
 
-    Managers hold per-site state, react to :class:`SDMessage` deliveries via
-    :meth:`handle`, and talk to sibling managers through direct references
-    on ``self.site`` — exactly the paper's structure where only *inter-site*
-    communication goes through the message manager.
+    Managers hold per-site state, react to :class:`~repro.messages.SDMessage` deliveries,
+    and talk to sibling managers through direct references on
+    ``self.site`` — exactly the paper's structure where only *inter-site*
+    communication goes through the message manager.  A message reaches
+    the method its type names (:data:`repro.messages.HANDLER_OF`):
+    ``_on_help_request`` on the manager that owns HELP_REQUEST.  A type
+    whose owner has no such method is dropped by the site.
     """
 
     manager_id: ManagerId
@@ -56,11 +57,6 @@ class Manager:
 
     def on_stop(self) -> None:
         """Called during orderly shutdown."""
-
-    # messaging ------------------------------------------------------------
-    def handle(self, msg: SDMessage) -> None:
-        raise SDVMError(
-            f"{type(self).__name__} received unexpected {msg.type.name}")
 
     def status(self) -> dict:
         """Manager-specific status snapshot (site manager queries, §4)."""

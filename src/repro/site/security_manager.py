@@ -57,39 +57,31 @@ class SecurityManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "key_exchange",
                     peer_logical, "init")
 
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.KEY_EXCHANGE_INIT:
-            pair = DHKeyPair(self.kernel.rng)
-            key = pair.shared_key(msg.payload["public"])
-            peer_physical = self.site.cluster_manager.physical_of(msg.src_site)
-            self.site.message_manager.send(make_reply(
-                msg, MsgType.KEY_EXCHANGE_REPLY,
-                {"public": pair.public}))
-            # install only after the reply is sealed under the old key
-            if peer_physical is not None:
-                self.layer.install_session_key(peer_physical, key)
-                self.stats.inc("dh_completed")
-                tr = self.tracer
-                if tr is not None:
-                    tr.emit(self.kernel.now, self.local_id, "key_exchange",
-                            msg.src_site, "complete")
-        elif msg.type == MsgType.KEY_EXCHANGE_REPLY:
-            pair = self._pending_dh.pop(msg.src_site, None)
-            if pair is None:
-                self.log("unsolicited KEY_EXCHANGE_REPLY from %d",
-                         msg.src_site)
-                return
-            key = pair.shared_key(msg.payload["public"])
-            peer_physical = self.site.cluster_manager.physical_of(msg.src_site)
-            if peer_physical is not None:
-                self.layer.install_session_key(peer_physical, key)
-                self.stats.inc("dh_completed")
-                tr = self.tracer
-                if tr is not None:
-                    tr.emit(self.kernel.now, self.local_id, "key_exchange",
-                            msg.src_site, "complete")
-        else:
-            super().handle(msg)
+    def _on_key_exchange_init(self, msg: SDMessage) -> None:
+        pair = DHKeyPair(self.kernel.rng)
+        key = pair.shared_key(msg.payload["public"])
+        # install only after the reply is sealed under the old key
+        self.site.message_manager.send(make_reply(
+            msg, MsgType.KEY_EXCHANGE_REPLY, {"public": pair.public}))
+        self._install(msg.src_site, key)
+
+    def _on_key_exchange_reply(self, msg: SDMessage) -> None:
+        pair = self._pending_dh.pop(msg.src_site, None)
+        if pair is None:
+            self.log("unsolicited KEY_EXCHANGE_REPLY from %d", msg.src_site)
+            return
+        self._install(msg.src_site, pair.shared_key(msg.payload["public"]))
+
+    def _install(self, peer_logical: int, key: bytes) -> None:
+        peer_physical = self.site.cluster_manager.physical_of(peer_logical)
+        if peer_physical is None:
+            return
+        self.layer.install_session_key(peer_physical, key)
+        self.stats.inc("dh_completed")
+        tr = self.tracer
+        if tr is not None:
+            tr.emit(self.kernel.now, self.local_id, "key_exchange",
+                    peer_logical, "complete")
 
     def status(self) -> dict:
         base = super().status()

@@ -180,18 +180,12 @@ class SiteManager(Manager):
             self._sleep_timer = None
 
     # ------------------------------------------------------------------
-    def handle(self, msg: SDMessage) -> None:
-        if msg.type == MsgType.STATUS_REPLY:
-            # unsolicited/late status reply: its envelope's load figures
-            # were applied before dispatch, and there is nothing else to do
-            return
-        if msg.type == MsgType.STATUS_QUERY:
-            self.site.message_manager.send(make_reply(
-                msg, MsgType.STATUS_REPLY,
-                {"load": self.current_load(),
-                 "site_id": self.local_id,
-                 "queue_depth": self.site.scheduling_manager.queue_depth()}))
-        elif msg.type == MsgType.SHUTDOWN:
-            self.sign_off()
-        else:
-            super().handle(msg)
+    def _on_status_query(self, msg: SDMessage) -> None:
+        self.site.message_manager.send(make_reply(
+            msg, MsgType.STATUS_REPLY,
+            {"load": self.current_load(),
+             "site_id": self.local_id,
+             "queue_depth": self.site.scheduling_manager.queue_depth()}))
+
+    def _on_shutdown(self, msg: SDMessage) -> None:
+        self.sign_off()

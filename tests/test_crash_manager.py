@@ -35,6 +35,11 @@ def config(ckpt_interval=0.1, heartbeats=True):
     )
 
 
+def ctrl(mtype, src, **payload):
+    """Crash control from site ``src``, as its ``_on_<type>`` gets it."""
+    return SDMessage(type=mtype, src_site=src, dst_site=-1, payload=payload)
+
+
 class TestCheckpointWaves:
     def test_coordinator_is_lowest_alive(self):
         cluster = SimCluster(nsites=3, config=config())
@@ -99,7 +104,8 @@ class TestWaveAbort:
         alive = [r.logical for r in
                  coordinator.cluster_manager.sites.values() if r.alive]
         for logical in alive:
-            cm._on_ack(wave, logical)
+            cm._on_checkpoint_ack(ctrl(MsgType.CHECKPOINT_ACK, logical,
+                                       wave=wave))
         assert not cm._acks_pending
         assert cm._states_pending  # snapshot phase still outstanding
         return cluster, cm, wave
@@ -114,7 +120,9 @@ class TestWaveAbort:
         assert cm.stats.get("waves_aborted").count == 1
         assert not cm._acks_pending and not cm._states_pending
         # a stale CHECKPOINT_STATE from the aborted wave is fenced out
-        cm._on_state(wave, victim_logical, dumps({"stale": True}))
+        cm._on_checkpoint_state(ctrl(
+            MsgType.CHECKPOINT_STATE, victim_logical, wave=wave,
+            site=victim_logical, state=dumps({"stale": True})))
         assert cm.committed_wave == -1
         assert cm._collected == {}
         # without a committed checkpoint there is no recovery wave, so the
@@ -149,9 +157,12 @@ class TestWaveAbort:
                  coordinator.cluster_manager.sites.values() if r.alive]
         assert victim.site_id not in alive
         for logical in alive:
-            cm._on_ack(wave2, logical)
+            cm._on_checkpoint_ack(ctrl(MsgType.CHECKPOINT_ACK, logical,
+                                       wave=wave2))
         for logical in alive:
-            cm._on_state(wave2, logical, dumps({"site": logical}))
+            cm._on_checkpoint_state(ctrl(
+                MsgType.CHECKPOINT_STATE, logical, wave=wave2, site=logical,
+                state=dumps({"site": logical})))
         assert cm.committed_wave == wave2
         assert set(cm.committed) == set(alive)
         assert cm.stats.get("checkpoints_committed").count == 1
@@ -214,6 +225,30 @@ class TestHardening:
     pinned down by the chaos fuzzer; the corpus plans in
     ``tests/chaos_corpus/`` replay the same bugs end to end)."""
 
+    def test_recover_control_ahead_of_its_epoch_is_not_acked(
+            self, monkeypatch):
+        """A RECOVER_DONE that overtook its RECOVER_BEGIN withholds the
+        ack, so the coordinator's retry comes back once this site has
+        entered the epoch; one of the current epoch is acked."""
+        cluster = SimCluster(nsites=2, config=config(heartbeats=False))
+        cluster.sim.run(until=0.2)
+        coordinator, site = cluster.sites
+        sent = []
+        monkeypatch.setattr(site.message_manager, "send", sent.append)
+
+        def done(seq, epoch):
+            site.route(SDMessage(type=MsgType.RECOVER_DONE,
+                                 src_site=coordinator.site_id,
+                                 dst_site=site.site_id, seq=seq,
+                                 payload={"epoch": epoch}))
+
+        done(1, site.epoch + 1)
+        assert sent == []
+        assert site.crash_manager.stats.get("early_recover_done").count == 1
+        done(2, site.epoch)
+        assert [(m.type, m.reply_to) for m in sent] == [
+            (MsgType.RECOVER_ACK, 2)]
+
     def test_second_crash_during_recovery_is_queued_and_drained(
             self, monkeypatch):
         """S1: a crash detected while a recovery is in flight used to
@@ -273,13 +308,12 @@ class TestHardening:
                 events.append((site.site_id, "adopt"))
                 return real(state)
 
-            def done(payload, site=site,
+            def done(msg, site=site,
                      real=site.crash_manager._on_recover_done):
                 was_paused = site.paused
-                ack = real(payload)
+                real(msg)
                 if was_paused and not site.paused:
                     events.append((site.site_id, "resume"))
-                return ack
 
             monkeypatch.setattr(site.attraction_memory, "adopt_state", adopt)
             monkeypatch.setattr(site.crash_manager, "_on_recover_done", done)
@@ -324,8 +358,10 @@ class TestHardening:
         assert cm.committed_wave >= 1
         committed_before = cm.stats.get("checkpoints_committed").count
         wave_before = cm.committed_wave
-        cm._on_state(cm._wave, cluster.sites[1].site_id,
-                     dumps({"dup": True}))
+        src = cluster.sites[1].site_id
+        cm._on_checkpoint_state(ctrl(MsgType.CHECKPOINT_STATE, src,
+                                     wave=cm._wave, site=src,
+                                     state=dumps({"dup": True})))
         assert cm.stats.get("checkpoints_committed").count == committed_before
         assert cm.committed_wave == wave_before
 
@@ -392,7 +428,8 @@ class TestHardening:
         cm = cluster.sites[0].crash_manager
         assert cm.committed_wave >= 1
         states_before = set(cm._states_pending)
-        cm._on_ack(cm._wave, cluster.sites[1].site_id)
+        cm._on_checkpoint_ack(ctrl(MsgType.CHECKPOINT_ACK,
+                                   cluster.sites[1].site_id, wave=cm._wave))
         assert set(cm._states_pending) == states_before
 
     def test_stale_replica_from_old_coordinator_is_ignored(self):
@@ -405,7 +442,9 @@ class TestHardening:
         assert backup.committed_wave >= 1
         wave_before = backup.committed_wave
         src = backup.committed_src
-        backup._on_replica(wave_before - 1, [[0, dumps({"stale": True})]], src)
+        backup._on_checkpoint_replica(ctrl(
+            MsgType.CHECKPOINT_REPLICA, src, wave=wave_before - 1,
+            shards=[[0, dumps({"stale": True})]]))
         assert backup.committed_wave == wave_before
         assert backup.stats.get("stale_replicas_ignored").count >= 1
 
@@ -417,13 +456,13 @@ class TestShardBlobs:
     def test_serialised_once_and_byte_equal_on_every_keeper(
             self, monkeypatch):
         states = []
-        on_state = CrashManager._on_state
+        on_state = CrashManager._on_checkpoint_state
 
-        def counted(cm, wave, src, blob):
-            states.append(src)
-            on_state(cm, wave, src, blob)
+        def counted(cm, msg):
+            states.append(msg.payload["site"])
+            on_state(cm, msg)
 
-        monkeypatch.setattr(CrashManager, "_on_state", counted)
+        monkeypatch.setattr(CrashManager, "_on_checkpoint_state", counted)
         cfg = config(heartbeats=False).with_(
             checkpoint=CheckpointConfig(enabled=True, interval=0.1,
                                         replicas=2))

@@ -221,6 +221,34 @@ class TestIO:
         _cluster, handle = run_program(prog, nsites=2, config=fast_config)
         assert handle.result == b"file contents"
 
+    def test_duplicated_file_replies_do_not_abort_the_run(self, fast_config):
+        """A duplicated IO_FILE_WRITE_ACK / IO_FILE_READ_REPLY finds its
+        request already answered: the copy is an orphan reply, dropped at
+        the site, and the program still returns what it read."""
+        from repro.chaos import FaultPlan, LinkFault
+        prog = ProgramBuilder("files_dup")
+
+        @prog.microthread(creates=("reader",))
+        def main(ctx, n):
+            ctx.charge(1)
+            handle = ctx.open_file("data.txt", "rw")
+            ctx.file_write(handle, b"file contents")
+            for _ in range(n):
+                ctx.send_result(ctx.create_frame("reader"), 0, handle)
+
+        @prog.microthread
+        def reader(ctx, handle):
+            ctx.charge(20000)
+            ctx.exit_program(ctx.file_read(handle, -1, offset=0))
+
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.apply_chaos(FaultPlan(nsites=2, faults=[
+            LinkFault(start=0, end=100, dup=1.0)]))
+        handle = cluster.submit(prog.build(), args=(8,))
+        cluster.run()
+        assert handle.result == b"file contents"
+        assert cluster.total_stats().get("orphan_replies").count > 0
+
     def test_frontend_input(self, fast_config):
         prog = ProgramBuilder("ask")
 

@@ -300,7 +300,8 @@ class TestLiveKernelTimeoutPaths:
         """Make ``site`` drop STATUS_QUERYs so no reply can race the
         timeout timer."""
         site.kernel.reactor_call(
-            lambda: setattr(site.site_manager, "handle", lambda msg: None))
+            lambda: setattr(site.site_manager, "_on_status_query",
+                            lambda msg: None))
 
     @staticmethod
     def _await(predicate, timeout=5.0):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.common.config import SDVMConfig
 from repro.common.errors import SerializationError
 from repro.common.ids import GlobalAddress, ManagerId
-from repro.messages import MANAGER_OF, MsgType, SDMessage, make_reply
+from repro.messages import (HANDLER_OF, MANAGER_OF, MsgType, SDMessage,
+                            make_reply)
 from repro.serde import dumps, dumps_record, loads
 from repro.site.simcluster import SimCluster
 
@@ -153,6 +158,13 @@ class TestHeader:
         assert msg.wire_size() <= 16
 
 
+#: replies only their request reads: a late or duplicated copy is dropped
+#: by the site (the message manager counts it in ``orphan_replies``)
+REPLY_ONLY = {MsgType.CANT_HELP, MsgType.MEM_LOCATION, MsgType.MEM_NOT_FOUND,
+              MsgType.DIR_ACK, MsgType.RECOVER_ACK, MsgType.STATUS_REPLY,
+              MsgType.IO_FILE_READ_REPLY, MsgType.IO_FILE_WRITE_ACK}
+
+
 class TestManagerTable:
     def test_every_type_has_an_owner_every_site_has(self):
         cluster = SimCluster(nsites=1, config=SDVMConfig())
@@ -160,6 +172,33 @@ class TestManagerTable:
         assert set(MANAGER_OF) == set(MsgType)
         for msg_type, manager in MANAGER_OF.items():
             assert managers[manager].manager_id is manager, msg_type
+
+    def test_every_other_type_has_its_handler_on_its_owner(self):
+        managers = SimCluster(nsites=1, config=SDVMConfig()).sites[0].managers
+        assert set(HANDLER_OF) == set(MsgType)
+        for msg_type in MsgType:
+            handler = getattr(managers[MANAGER_OF[msg_type]],
+                              HANDLER_OF[msg_type], None)
+            assert (handler is None) is (msg_type in REPLY_ONLY), msg_type
+            assert handler is None or callable(handler), msg_type
+
+    def test_no_manager_dispatches_by_hand(self):
+        src = pathlib.Path(repro.__file__).parent
+        handles = [f"{path.relative_to(src)}:{node.lineno}"
+                   for path in sorted(src.rglob("*.py"))
+                   for cls in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(cls, ast.ClassDef)
+                   for node in cls.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "handle"]
+        assert handles == []
+
+    def test_a_reply_without_handler_is_dropped(self):
+        site = SimCluster(nsites=1, config=SDVMConfig()).sites[0]
+        site.route(SDMessage(type=MsgType.IO_FILE_WRITE_ACK, src_site=0,
+                             dst_site=0, reply_to=5))
+        assert site.log_lines[-1].endswith(
+            "message IO_FILE_WRITE_ACK without handler dropped")
 
 
 class TestEncodeOnce:

@@ -188,8 +188,8 @@ class TestLateHelpReply:
         grants = sm.stats.get("steal_grants").count
         late = sm.stats.get("late_steal_grants").count
 
-        sm.handle(self._late_reply(MsgType.HELP_REPLY, thief, victim,
-                                   handle.pid))
+        thief.route(self._late_reply(MsgType.HELP_REPLY, thief, victim,
+                                     handle.pid))
 
         # the frame is adopted and fully accounted...
         assert sm.stats.get("steals_in").count == steals + 1
@@ -219,7 +219,7 @@ class TestLateHelpReply:
         steals = sm.stats.get("steals_in").count
         grants = sm.stats.get("steal_grants").count
 
-        sm._on_help_reply(SDMessage(
+        sm._help_answered(SDMessage(
             type=MsgType.HELP_REPLY,
             src_site=victim.site_id, dst_site=thief.site_id,
             reply_to=4242,
@@ -240,8 +240,8 @@ class TestLateHelpReply:
         sm = thief.scheduling_manager
         sm._cooldown[victim.site_id] = until = sm.kernel.now + 100.0
         steals = sm.stats.get("steals_in").count
-        sm.handle(self._late_reply(MsgType.CANT_HELP, thief, victim,
-                                   handle.pid))
+        thief.route(self._late_reply(MsgType.CANT_HELP, thief, victim,
+                                     handle.pid))
         assert sm.stats.get("steals_in").count == steals
         assert sm._cooldown[victim.site_id] == until
 
