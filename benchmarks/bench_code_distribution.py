@@ -37,7 +37,7 @@ def run_cluster(platforms):
     assert handle.result == first_n_primes(P)
     stats = cluster.total_stats()
     return (handle.duration,
-            stats.get("compiles").count,
+            stats.get("code_compile").count,
             stats.get("binaries_received").count,
             stats.get("sources_received").count)
 

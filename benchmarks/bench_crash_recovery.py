@@ -43,7 +43,7 @@ def run_case(interval: float, crash: bool) -> float:
     assert handle.result == first_n_primes(P)
     if crash:
         coordinator = cluster.sites[0]
-        assert coordinator.crash_manager.stats.get("recoveries").count >= 1
+        assert coordinator.crash_manager.stats.get("recovery_begin").count >= 1
     return handle.duration
 
 

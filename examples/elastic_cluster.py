@@ -62,8 +62,8 @@ def main() -> None:
     coordinator = cluster.sites[0]
     cm = coordinator.crash_manager
     print(f"checkpoint waves committed: "
-          f"{cm.stats.get('checkpoints_committed').count}, "
-          f"recoveries: {cm.stats.get('recoveries').count}")
+          f"{cm.stats.get('wave_commit').count}, "
+          f"recoveries: {cm.stats.get('recovery_begin').count}")
     print(f"newcomer executed "
           f"{newcomer.processing_manager.stats.get('executions').count} "
           f"microthreads before the run ended")

@@ -49,7 +49,7 @@ def main() -> None:
           f"WAN-coupled cluster in {handle.duration * 1e3:.1f} ms\n")
 
     stats = cluster.total_stats()
-    print(f"code movement: {stats.get('compiles').count} on-the-fly "
+    print(f"code movement: {stats.get('code_compile').count} on-the-fly "
           f"compiles, {stats.get('binaries_received').count} binaries "
           f"shipped, {stats.get('sources_received').count} sources shipped")
     print(f"binaries pushed back to distribution sites: "
@@ -59,11 +59,11 @@ def main() -> None:
           f"{'work done':>10s}")
     for site_config, site in zip(site_configs, cluster.sites):
         execs = site.processing_manager.stats.get("executions").count
-        work = site.processing_manager.work_done
+        work = site.processing_manager.stats.get("work_units").total
         print(f"{site_config.name:10s} {site_config.platform:10s} "
               f"{site_config.speed:5.1f} {execs:11d} {work:10.0f}")
-    fast = cluster.sites[0].processing_manager.work_done
-    slow = cluster.sites[1].processing_manager.work_done
+    fast, slow = (site.processing_manager.stats.get("work_units").total
+                  for site in cluster.sites[:2])
     print(f"\nload balancing followed speed: the 2x site did "
           f"{fast / max(slow, 1):.1f}x the work of the 0.5x site")
 

@@ -122,7 +122,6 @@ class ClusterManager(Manager):
     def _retry_sign_on(self, bootstrap_physical: str) -> None:
         if self.site.running or self.site.stopped:
             return
-        self.stats.inc("sign_on_retries")
         self._send_sign_on(bootstrap_physical)
         self.kernel.call_later(self.SIGN_ON_RETRY, self._retry_sign_on,
                                bootstrap_physical)
@@ -375,10 +374,7 @@ class ClusterManager(Manager):
             self.sites[incoming.logical] = incoming
             self._by_physical.setdefault(incoming.physical, incoming)
             incoming.last_seen = self.kernel.now
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "site_join",
-                        incoming.logical)
+            self.note("site_join", incoming.logical)
             if incoming.alive:
                 self._note_joined(incoming.logical)
         else:
@@ -422,7 +418,6 @@ class ClusterManager(Manager):
         if not self.site.running:
             # we are still signing on ourselves and know nobody to forward
             # to; the joiner's retry will find us ready
-            self.stats.inc("sign_ons_ignored_prestart")
             return
         # duplicate sign-on (the joiner retried): resend the original ACK.
         # O(1) via the physical index — a 1024-site join wave used to
@@ -430,7 +425,6 @@ class ClusterManager(Manager):
         record = self._by_physical.get(msg.payload["physical"])
         if record is not None and record.logical != self.local_id:
             self._send_ack(record)
-            self.stats.inc("duplicate_sign_ons")
             return
         if not self.allocator.can_allocate():
             self._forward_or_defer_sign_on(msg)
@@ -606,11 +600,7 @@ class ClusterManager(Manager):
             record.heir = heir
             if was_alive:
                 self._note_departed(leaver)
-        self.stats.inc("sign_offs_seen")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "site_leave",
-                    leaver, heir)
+        self.note("site_leave", leaver, heir)
 
     def _on_crash_notice(self, msg: SDMessage) -> None:
         dead = msg.payload["site"]
@@ -623,10 +613,8 @@ class ClusterManager(Manager):
             record.alive = False
             record.left = left
             record.heir = heir
-            tr = self.tracer
-            if tr is not None and not left:
-                tr.emit(self.kernel.now, self.local_id, "site_dead",
-                        logical)
+            if not left:
+                self.note("site_dead", logical)
             # caches and departure hooks first: recovery and
             # directory rebalancing below must see the new membership
             self._note_departed(logical)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import CodeError
 from repro.common.ids import ManagerId
@@ -42,9 +42,9 @@ class CodeManager(Manager):
         self._binaries: Dict[Tuple[int, int, str], bytes] = {}
         self._compiled: Dict[Key, CompiledMicrothread] = {}
         self._pending: Dict[Key, List[CodeCallback]] = {}
-        #: send time of each in-flight remote fetch (latency stats + the
-        #: code_fetch_done trace event that closes the blame window)
-        self._inflight_remote: Dict[Key, float] = {}
+        #: in-flight remote fetches (each closes with the code_fetch_done
+        #: event that ends the blame window)
+        self._inflight_remote: Set[Key] = set()
         #: binary-only CODE_REQUESTs we cannot serve yet, parked until the
         #: compile owner's CODE_PUSH_BINARY arrives (or we compile locally)
         self._parked: Dict[Tuple[int, int, str], List[SDMessage]] = {}
@@ -93,22 +93,15 @@ class CodeManager(Manager):
         """
         key = (pid, tid)
         compiled = self._compiled.get(key)
-        tr = self.tracer
         if compiled is not None:
-            self.stats.inc("hits")
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "code_hit",
-                        pid, tid)
+            self.note("code_hit", pid, tid)
             callback(compiled)
             return
         compiled = self._adopt_stored_binary(pid, tid)
         if compiled is not None:
             # a compile owner's pushed binary beats compiling our source
             # copy: reconstitution is free, an on-the-fly compile is not
-            self.stats.inc("binary_hits")
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "code_hit",
-                        pid, tid)
+            self.note("code_binary_hit", pid, tid)
             callback(compiled)
             return
         self.stats.inc("misses")
@@ -203,7 +196,6 @@ class CodeManager(Manager):
                 if key in self._compiled or key in self._pending:
                     continue
                 if name == info.entry:
-                    self.stats.inc("prefetches")
                     self.stats.inc("compile_duties")
                     self.get(info.pid, tid, _discard_prefetch)
                 else:
@@ -221,7 +213,6 @@ class CodeManager(Manager):
             key = (info.pid, tid)
             if key in self._compiled or key in self._pending:
                 continue
-            self.stats.inc("prefetches")
             if duty:
                 self.stats.inc("compile_duties")
                 self.get(info.pid, tid, _discard_prefetch)
@@ -260,13 +251,9 @@ class CodeManager(Manager):
 
     def _finish(self, key: Key,
                 compiled: Optional[CompiledMicrothread]) -> None:
-        sent_at = self._inflight_remote.pop(key, None)
-        if sent_at is not None:
-            self.stats.observe("fetch_latency", self.kernel.now - sent_at)
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "code_fetch_done",
-                        key[0], key[1], compiled is not None)
+        if key in self._inflight_remote:
+            self._inflight_remote.remove(key)
+            self.note("code_fetch_done", key[0], key[1], compiled is not None)
         callbacks = self._pending.pop(key, [])
         for callback in callbacks:
             callback(compiled)
@@ -278,12 +265,7 @@ class CodeManager(Manager):
         """Compile from source, charging the modelled compile cost first."""
         cost = (self.cost.compile_fixed_cost
                 + src.source_size() * self.cost.compile_byte_cost)
-        self.stats.inc("compiles")
-        self.stats.add("compile_seconds", cost)
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "code_compile",
-                    src.program, src.thread_id, cost)
+        self.note("code_compile", src.program, src.thread_id, cost)
         self.kernel.cpu_run(cost, self._do_compile, src)
 
     def _do_compile(self, src: MicrothreadSource) -> None:
@@ -292,7 +274,6 @@ class CodeManager(Manager):
             compiled = compile_microthread(src, self.platform)
         except CodeError as exc:
             self.log("compile of %s failed: %s", src.name, exc)
-            self.stats.inc("compile_failures")
             self._finish(key, None)
             return
         self._compiled[key] = compiled
@@ -353,12 +334,8 @@ class CodeManager(Manager):
             payload={"pid": pid, "tid": tid, "platform": self.platform,
                      "binary_only": binary_only},
         )
-        self.stats.inc("requests_sent")
-        self._inflight_remote[key] = self.kernel.now
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "code_fetch",
-                    pid, tid, target)
+        self._inflight_remote.add(key)
+        self.note("code_fetch", pid, tid, target)
         # a parked binary-only fetch gives up quickly: if no compile owner
         # delivers, a later demand re-requests normally and gets source
         timeout = (max(0.5, 4 * self.cost.compile_fixed_cost)
@@ -392,7 +369,6 @@ class CodeManager(Manager):
             self.stats.inc("sources_received")
             self._compile_local(src)
         elif msg.type == MsgType.CODE_NOT_FOUND:
-            self.stats.inc("not_found")
             self._finish(key, None)
         else:
             self.log("unexpected code reply %s", msg.type.name)
@@ -448,7 +424,6 @@ class CodeManager(Manager):
                         "binary": blob,
                         "meta": meta_src.to_wire(),
                     }))
-                self.stats.inc("binaries_served")
                 return
         # 2) a binary-only request (cluster-wide compile dedup): park it
         # until the compile owner's CODE_PUSH_BINARY lands here, instead
@@ -456,7 +431,6 @@ class CodeManager(Manager):
         # identical compiles; the requester's timeout bounds the wait
         if msg.payload.get("binary_only") and src is not None:
             self._parked.setdefault((pid, tid, platform), []).append(msg)
-            self.stats.inc("requests_parked")
             return
         # 3) source, for the requester to compile on the fly
         if src is not None:
@@ -465,11 +439,9 @@ class CodeManager(Manager):
                     "pid": pid, "tid": tid,
                     "source": src.to_wire(),
                 }))
-            self.stats.inc("sources_served")
             return
         self.site.message_manager.send(make_reply(
             msg, MsgType.CODE_NOT_FOUND, {"pid": pid, "tid": tid}))
-        self.stats.inc("not_found_served")
 
     def _serve_parked(self, pid: int, tid: int) -> None:
         """Answer binary-only requests parked for ``(pid, tid)`` now that a
@@ -494,7 +466,6 @@ class CodeManager(Manager):
                         "binary": blob,
                         "meta": meta_src.to_wire(),
                     }))
-                self.stats.inc("binaries_served")
 
     def _meta_only_source(self, pid: int,
                           tid: int) -> Optional[MicrothreadSource]:

@@ -9,7 +9,7 @@ its retries) carry the same value; only ``_on_recover_state`` parses it.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
@@ -160,15 +160,10 @@ class CrashManager(Manager):
         self._states_pending = set(alive)
         self._collected = {}
         self._wave_started_at = self.kernel.now
-        self.stats.inc("waves_started")
-        self._trace("wave_begin", self._wave, len(alive))
+        self.note("wave_begin", self._wave, len(alive))
         for logical in alive:
             self._send_ctrl(logical, MsgType.CHECKPOINT_BEGIN,
                             {"wave": self._wave, "phase": "pause"})
-
-    def _trace(self, kind: str, *fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.kernel.now, self.local_id, kind, *fields)
 
     def _msg(self, logical: int, mtype: MsgType, payload: dict) -> SDMessage:
         return SDMessage(type=mtype, src_site=self.local_id,
@@ -201,7 +196,6 @@ class CrashManager(Manager):
             # the wave already committed or aborted — its COMMIT overtook
             # this pause (message delay scales with size, and a commit is
             # smaller than a pause); obeying it now would pause us forever
-            self.stats.inc("stale_pauses_ignored")
             return
         self.site.paused = True
         self._pending_ack = (wave, coordinator)
@@ -281,10 +275,9 @@ class CrashManager(Manager):
             self.committed_wave = wave
             self.committed = dict(self._collected)
             self.committed_src = self.local_id
-            self.stats.inc("checkpoints_committed")
             self.stats.add("wave_seconds",
                            self.kernel.now - self._wave_started_at)
-            self._trace("wave_commit", wave, len(self.committed))
+            self.note("wave_commit", wave, len(self.committed))
             for logical in list(self.committed):
                 self._send_ctrl(logical, MsgType.CHECKPOINT_COMMIT,
                                 {"wave": wave})
@@ -361,8 +354,7 @@ class CrashManager(Manager):
             return None
         aborted = self._wave
         self.log("aborting checkpoint wave %d: %s", aborted, reason)
-        self.stats.inc("waves_aborted")
-        self._trace("wave_abort", aborted, reason)
+        self.note("wave_abort", aborted, reason)
         self._wave += 1
         self._acks_pending = set()
         self._states_pending = set()
@@ -428,13 +420,12 @@ class CrashManager(Manager):
     def _start_recovery(self, dead: int) -> None:
         self.recovering = True
         self._recover_seq += 1
-        self.stats.inc("recoveries")
         alive = [r.logical for r in self.site.cluster_manager.sites.values()
                  if r.alive]
         # compute the new epoch once — handling our own RECOVER_BEGIN below
         # bumps self.site.epoch, so an inline read would skew later sends
         new_epoch = self.site.epoch + 1
-        self._trace("recovery_begin", new_epoch, dead)
+        self.note("recovery_begin", new_epoch, dead)
         for logical in alive:
             self._send_recover(logical, MsgType.RECOVER_BEGIN,
                                {"epoch": new_epoch, "dead": dead,
@@ -474,7 +465,6 @@ class CrashManager(Manager):
             timeout += 2.0 * nbytes / self.config.network.bandwidth
         def on_timeout() -> None:
             if attempt + 1 >= _RECOVER_RETRIES:
-                self.stats.inc("recover_retries_exhausted")
                 self.log("giving up on %s to site %d after %d attempts",
                          mtype.name, logical, attempt + 1)
                 settled()
@@ -495,7 +485,6 @@ class CrashManager(Manager):
         if epoch <= self.site.epoch:
             # duplicate delivery or a retry of a recovery we already
             # entered — re-applying would wipe restored state
-            self.stats.inc("stale_recover_begin")
             return True
         self.site.epoch = epoch
         self.site.paused = True
@@ -539,7 +528,7 @@ class CrashManager(Manager):
         if self._recovery_waits:
             return
         self.recovering = False
-        self._trace("recovery_done", self.site.epoch)
+        self.note("recovery_done", self.site.epoch)
         for logical in alive:
             self._send_recover(logical, MsgType.RECOVER_DONE,
                                {"epoch": self.site.epoch})
@@ -561,14 +550,11 @@ class CrashManager(Manager):
             # our RECOVER_BEGIN is still in flight (lost or delayed) —
             # withhold the ack so the coordinator keeps retrying until we
             # have actually entered the new epoch
-            self.stats.inc("early_recover_state")
             return False
         if epoch < self.site.epoch:
-            self.stats.inc("stale_recover_state")
             return True
         key = (epoch, payload.get("shard", -1))
         if key in self._recover_shards_applied:
-            self.stats.inc("duplicate_recover_state")
             return True
         self._recover_shards_applied.add(key)
         # parsed in full before anything is adopted; an unreadable shard is
@@ -594,7 +580,6 @@ class CrashManager(Manager):
         if epoch < self.site.epoch:
             # DONE of an older recovery arriving late — unpausing now
             # would resume us in the middle of the newer one
-            self.stats.inc("stale_recover_done")
             return True
         self.site.paused = False
         self.stats.inc("recoveries_completed")

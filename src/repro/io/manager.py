@@ -47,14 +47,10 @@ class IOManager(Manager):
             program=program,
             payload={"text": text},
         ))
-        self.stats.inc("outputs_forwarded")
 
     def _record_output(self, program: int, text: str) -> None:
         self.outputs.setdefault(program, []).append((self.kernel.now, text))
-        self.stats.inc("outputs_recorded")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "io_output", program)
+        self.note("io_output", program)
 
     def output_lines(self, program: int) -> List[str]:
         return [text for _t, text in self.outputs.get(program, [])]
@@ -107,10 +103,7 @@ class IOManager(Manager):
         self._local_handles[handle] = (path, mode)
         self._positions[handle] = (len(self._live_store[path])
                                    if mode == "a" else 0)
-        self.stats.inc("files_opened")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "file_open", path, mode)
+        self.note("file_open", path, mode)
         cb(handle)
 
     def _live_read_local(self, handle: FileHandle, size: int) -> bytes:
@@ -191,7 +184,6 @@ class IOManager(Manager):
         if handle in self._local_handles:
             self._local_handles.pop(handle, None)
             self._positions.pop(handle, None)
-            self.stats.inc("files_closed")
             cb(None)
             return
         target = self.site.cluster_manager.effective_site(handle.site)

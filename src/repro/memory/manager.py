@@ -119,7 +119,6 @@ class AttractionMemory(Manager):
     def register_frame(self, frame: Microframe) -> None:
         """Adopt a newly created (or migrated-in) microframe."""
         self.kernel.cpu_charge(self.cost.frame_alloc_cost)
-        self.stats.inc("frames_registered")
         pending = self._pending_results.pop(frame.frame_id, None)
         self._pending_programs.pop(frame.frame_id, None)
         if pending is not None:
@@ -192,9 +191,7 @@ class AttractionMemory(Manager):
             # producers re-send results a restored consumer already holds
             # (at-least-once).  Slots are single-producer, so a duplicate
             # always carries the same value and is safe to drop.
-            self.stats.inc("duplicate_results_dropped")
             return
-        self.stats.inc("results_applied")
         if became_executable:
             del self.frames[addr]
             self.site.scheduling_manager.enqueue_executable(frame)
@@ -372,7 +369,6 @@ class AttractionMemory(Manager):
         if attempt >= self._READ_ATTEMPTS:
             cb(None, MemoryFault(f"read of unknown address {addr}"))
             return
-        self.stats.inc("dir_miss_retries")
         delay = 4.0 * self.config.network.latency * (attempt + 1)
         self.kernel.call_later(
             delay, lambda: self.live_read(addr, cb, _attempt=attempt + 1))
@@ -442,11 +438,7 @@ class AttractionMemory(Manager):
         guesses what the shipper's membership view made of the address."""
         self.objects[addr] = value
         self._versions[addr] = version + 1
-        self.stats.inc("migrations_in")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "mem_migrated",
-                    addr.pack(), src)
+        self.note("migrations_in", addr.pack(), src)
         if recorded:
             self._published_at[addr] = src
         else:
@@ -457,7 +449,6 @@ class AttractionMemory(Manager):
         towards its owner by way of the directory site."""
         if addr in self.objects:
             self.objects[addr] = value
-            self.stats.inc("writes_local")
             return
         target = self.site.cluster_manager.dir_site_for(addr)
         self.site.message_manager.send(SDMessage(
@@ -474,7 +465,6 @@ class AttractionMemory(Manager):
             # re-produces it, and applying the stale copy would
             # contaminate a restored frame with pre-recovery state
             # (e.g. frame addresses that will never be allocated again)
-            self.stats.inc("stale_results_dropped")
             return
         self._apply_local(payload["addr"], payload["slot"],
                           payload["value"], msg.program)
@@ -492,7 +482,6 @@ class AttractionMemory(Manager):
         # it no longer holds the figure we last sent it — stale push or not
         self.site.message_manager.mark_told(msg.src_site)
         if self._stale_epoch(msg.payload):
-            self.stats.inc("stale_frames_dropped")
             return
         for info_wire in msg.payload.get("program_infos", ()):
             self.site.program_manager.learn_program_wire(info_wire)
@@ -504,13 +493,9 @@ class AttractionMemory(Manager):
         wires = msg.payload.get("frames")
         if wires is None:
             wires = [msg.payload["frame"]]
-        tr = self.tracer
         for wire in wires:
             frame = Microframe.from_wire(wire)
-            self.stats.inc("frames_adopted")
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "frame_adopted",
-                        frame.frame_id.pack(), msg.src_site)
+            self.note("frame_adopted", frame.frame_id.pack(), msg.src_site)
             self.register_frame(frame)
 
     def _on_mem_read(self, msg: SDMessage) -> None:
@@ -624,7 +609,6 @@ class AttractionMemory(Manager):
 
     def _on_mem_object(self, msg: SDMessage) -> None:
         self.adopt_state(msg.payload["state"])
-        self.stats.inc("relocations_adopted")
 
     def adopt_state(self, state: dict) -> None:
         """Adopt a departed/recovered site's frames, objects, directory.

@@ -112,7 +112,6 @@ class SimNetwork:
 
         delay = self.transit_delay(src, dst, size)
         if delay == float("inf"):
-            self.stats.inc("unroutable")
             return False
 
         if cfg.transport == "udp":

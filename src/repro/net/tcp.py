@@ -165,7 +165,6 @@ class TcpTransport:
                 if not data:
                     return
                 for payload in decoder.feed(data):
-                    self.stats.inc("frames_received")
                     self._receiver(payload)
         except OSError:
             return

@@ -90,8 +90,6 @@ class ProcessingManager(Manager):
         #: executions currently in their memory-wait phase
         self.waiting = 0
         self._outstanding_requests = 0
-        #: total work units executed (for accounting / benchmarks)
-        self.work_done = 0.0
         #: fraction of microthreads executed twice (SDC defense); cached
         #: so the replication-off hot path costs one float compare
         self._replicate_frac = site.config.scheduling.replicate_frac
@@ -153,11 +151,8 @@ class ProcessingManager(Manager):
             return
         self.site.site_manager.note_activity()
         self.in_flight += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "exec_begin",
-                    frame.frame_id.pack(), compiled.name,
-                    frame.cause_node)
+        self.note("exec_begin", frame.frame_id.pack(), compiled.name,
+                  frame.cause_node)
         self._execute(frame, compiled)
 
     # ------------------------------------------------------------------
@@ -197,10 +192,7 @@ class ProcessingManager(Manager):
             self.stats.inc("microthread_errors")
             failure = "".join(traceback.format_exception(raised, limit=3))
             self.log("microthread %s raised:\n%s", compiled.name, failure)
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "exec_end",
-                        frame.frame_id.pack(), 0.0)
+            self.note("exec_end", frame.frame_id.pack(), 0.0)
             self._finish_slot(frame)
             self.site.program_manager.local_exit(
                 frame.program, None, failed=True, failure=failure)
@@ -215,7 +207,6 @@ class ProcessingManager(Manager):
             # cost scales with how many threads are co-resident
             self.kernel.cpu_charge(self.cost.context_switch_cost
                                    * (self.in_flight - 1))
-            self.stats.inc("context_switches")
         self.kernel.cpu_run(compute, self._complete, frame, ctx, epoch,
                             overhead=False)
 
@@ -282,11 +273,7 @@ class ProcessingManager(Manager):
             # ground-truth marker for the invariant checker: a corrupted
             # result is entering the committed state ("no corrupted result
             # reaches a committed checkpoint" audits for exactly this)
-            self.stats.inc("sdc_tainted_commits")
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "sdc_tainted_commit",
-                        frame.frame_id.pack())
+            self.note("sdc_tainted_commit", frame.frame_id.pack())
         self.site.dispatch_effects(frame, effects)
         frame.consume()
         # all accounting happens at completion, in lockstep with the
@@ -295,11 +282,7 @@ class ProcessingManager(Manager):
         self.stats.inc("executions")
         self.stats.add("work_units", ctx.charged_work)
         self.stats.add("wait_seconds", ctx.wait_time)
-        self.work_done += ctx.charged_work
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "exec_end",
-                    frame.frame_id.pack(), ctx.charged_work)
+        self.note("exec_end", frame.frame_id.pack(), ctx.charged_work)
         self.site.program_manager.record_execution(frame.program,
                                                    ctx.charged_work)
         self._finish_slot(frame)
@@ -369,7 +352,6 @@ class ProcessingManager(Manager):
                   raised: Optional[BaseException]) -> None:
         if raised is not None:
             # a diverging replay is itself SDC
-            self.stats.inc("sdc_shadow_errors")
             done(None)
             return
         done(replay.effects)
@@ -440,10 +422,7 @@ class ProcessingManager(Manager):
 
     def _discard_stale(self, frame: Microframe) -> None:
         self.stats.inc("stale_epoch_discarded")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "exec_end",
-                    frame.frame_id.pack(), 0.0)
+        self.note("exec_end", frame.frame_id.pack(), 0.0)
         self._finish_slot(frame)
 
     def _opinion(self, verify: _Verify, effects: Optional[list],
@@ -473,12 +452,9 @@ class ProcessingManager(Manager):
         # results (neither dispatches), raise the structured alarm, take
         # the flight dumps at the moment of detection, and break the tie
         # with a third execution
-        self.stats.inc("sdc_mismatches")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "sdc_mismatch",
-                    frame.frame_id.pack(), source)
-            tr.freeze_all(self.kernel.now, "sdc_mismatch")
+        self.note("sdc_mismatch", frame.frame_id.pack(), source)
+        if self.tracer is not None:
+            self.tracer.freeze_all(self.kernel.now, "sdc_mismatch")
         verify.shadow = (effects, tainted)
         # a site that ran neither quarantined execution, if we know one
         others = [peer for peer in self.site.cluster_manager.sorted_alive_ids()
@@ -497,11 +473,7 @@ class ProcessingManager(Manager):
         # gave no opinion, or all three disagree — at least two faults, and
         # the primary's answer is the only one that crossed no wire (a
         # corrupted ingress at the primary flips every verdict it receives)
-        self.stats.inc("sdc_resolved")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "sdc_resolved",
-                    verify.frame.frame_id.pack(), winner)
+        self.note("sdc_resolved", verify.frame.frame_id.pack(), winner)
         self._commit_causal(verify.frame, ctx, chosen, tainted)
 
     def _finish_slot(self, frame: Microframe) -> None:
@@ -519,5 +491,4 @@ class ProcessingManager(Manager):
     def status(self) -> dict:
         base = super().status()
         base["in_flight"] = self.in_flight
-        base["work_done"] = self.work_done
         return base

@@ -109,9 +109,7 @@ class ProgramManager(Manager):
             started_at=self.kernel.now,
         )
         self.programs[pid] = info
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "program_register", pid)
+        self.note("program_register", pid)
         # the starting site is implicitly a code distribution site (§4)
         for src in bound.threads.values():
             self.site.code_manager.store_source(src)
@@ -226,10 +224,7 @@ class ProgramManager(Manager):
         info.result = result
         info.failed = failed
         info.failure = failure
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "program_exit",
-                    pid, failed)
+        self.note("program_exit", pid, failed)
         for peer in self.site.cluster_manager.alive_peers():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.PROGRAM_TERMINATED,

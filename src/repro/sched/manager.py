@@ -8,7 +8,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 from repro.common.ids import GlobalAddress, ManagerId
 from repro.core.frames import FrameState, Microframe
 from repro.core.threads import CompiledMicrothread
-from repro.messages import MsgType, SDMessage, make_reply
+from repro.messages import MsgType, SDMessage
 from repro.sched.policies import (FrameQueue, pop_frame,
                                   take_batch_for_help, take_push_batch)
 from repro.site.manager_base import Manager
@@ -77,16 +77,12 @@ class SchedulingManager(Manager):
         self.kernel.cpu_charge(self.cost.sched_decision_cost)
         self.executable.append(frame)
         self.arm_gossip()
-        self.stats.inc("frames_enqueued")
-        tr = self.tracer
-        if tr is not None:
-            # the frame becomes executable under the current causal context
-            # (the message that delivered its last parameter, the stolen
-            # frame's HELP_REPLY, or the parent execution) — remember it so
-            # exec_begin can link the execution into the DAG.
-            frame.cause_node = self.site.cause_node
-            tr.emit(self.kernel.now, self.local_id, "frame_enqueued",
-                    frame.frame_id.pack(), frame.program)
+        # the frame becomes executable under the current causal context
+        # (the message that delivered its last parameter, the stolen frame's
+        # HELP_REPLY, or the parent execution; -1 when tracing is off) —
+        # remember it so exec_begin can link the execution into the DAG
+        frame.cause_node = self.site.cause_node
+        self.note("frame_enqueued", frame.frame_id.pack(), frame.program)
         self._fill_ready()
         self._maybe_push()
 
@@ -130,13 +126,11 @@ class SchedulingManager(Manager):
             retries = self._code_retries.get(frame.frame_id, 0)
             if retries < 3:
                 self._code_retries[frame.frame_id] = retries + 1
-                self.stats.inc("code_retries")
                 self.executable.append(frame)
                 self.arm_gossip()
                 self._fill_ready()
                 return
             self._code_retries.pop(frame.frame_id, None)
-            self.stats.inc("code_unavailable")
             self.site.program_manager.local_exit(
                 frame.program, None, failed=True,
                 failure=f"code for thread {frame.thread_id} unavailable")
@@ -145,7 +139,6 @@ class SchedulingManager(Manager):
         frame.state = FrameState.READY
         self.ready.append((frame, compiled))
         self.arm_gossip()
-        self.stats.inc("frames_readied")
         self._serve()
         self._fill_ready()
 
@@ -174,7 +167,6 @@ class SchedulingManager(Manager):
             elif (self.config.scheduling.use_hints and frame.critical
                   and pm.can_overcommit()):
                 # critical-path frames jump the queue into an extra slot
-                self.stats.inc("critical_overcommits")
                 requested = False
             else:
                 break
@@ -230,10 +222,7 @@ class SchedulingManager(Manager):
             src_site=self.local_id, dst_site=target,
             payload=payload,
         )
-        self.stats.inc("help_sent")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(now, self.local_id, "help_request", target)
+        self.note("help_sent", target)
         ok = self.site.message_manager.request(
             msg, self._help_answered, timeout=HELP_TIMEOUT,
             on_timeout=lambda: self._help_timed_out(msg.seq))
@@ -296,19 +285,14 @@ class SchedulingManager(Manager):
             # recovery: the checkpoint restored its own copies, so adopting
             # this stale batch would duplicate pre-recovery work — and a
             # stale frame's parameters may reference rolled-back addresses
-            self.stats.inc("stale_steals_dropped")
             return
         for info_wire in msg.payload.get("program_infos", ()):
             self.site.program_manager.learn_program_wire(info_wire)
-        tr = self.tracer
         self._adopting = True
         try:
             for wire in msg.payload["frames"]:
                 frame = Microframe.from_wire(wire)
-                self.stats.inc("steals_in")
-                if tr is not None:
-                    tr.emit(self.kernel.now, self.local_id, "steal_in",
-                            msg.src_site, frame.frame_id.pack())
+                self.note("steals_in", msg.src_site, frame.frame_id.pack())
                 self.enqueue_executable(frame)
         finally:
             self._adopting = False
@@ -381,11 +365,7 @@ class SchedulingManager(Manager):
 
     def _cant_help(self, msg: SDMessage) -> None:
         self._reply_help(msg, MsgType.CANT_HELP, {})
-        self.stats.inc("cant_help_sent")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "cant_help",
-                    int(msg.payload.get("thief", msg.src_site)))
+        self.note("cant_help", int(msg.payload.get("thief", msg.src_site)))
 
     def _forward_help(self, msg: SDMessage) -> bool:
         """Refer an unhelpable thief onward instead of bouncing it.
@@ -424,10 +404,7 @@ class SchedulingManager(Manager):
         payload["rseq"] = int(msg.payload.get("rseq", msg.seq))
         # a stranger's record is for the first victim only
         payload.pop("record", None)
-        self.stats.inc("helps_forwarded")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(now, self.local_id, "help_forward", thief, best.logical)
+        self.note("help_forward", thief, best.logical)
         return self.site.message_manager.send(SDMessage(
             type=MsgType.HELP_REQUEST,
             src_site=self.local_id, dst_site=best.logical,
@@ -472,12 +449,6 @@ class SchedulingManager(Manager):
             self._cant_help(msg)
             return
         self.arm_gossip()
-        thief = int(msg.payload.get("thief", msg.src_site))
-        tr = self.tracer
-        if tr is not None:
-            for frame in frames:
-                tr.emit(self.kernel.now, self.local_id, "steal_out",
-                        thief, frame.frame_id.pack())
         payload = {
             "frames": [frame.to_wire() for frame in frames],
             "program_infos": self._program_infos(frames),
@@ -491,8 +462,9 @@ class SchedulingManager(Manager):
                 self.executable.append(frame)
             self._fill_ready()
             return
-        for _ in frames:
-            self.stats.inc("steals_out")
+        thief = int(msg.payload.get("thief", msg.src_site))
+        for frame in frames:
+            self.note("steal_out", thief, frame.frame_id.pack())
         self.stats.observe("steal_batch", float(len(frames)))
 
     def _program_infos(self, frames: List[Microframe]) -> List[list]:
@@ -505,7 +477,6 @@ class SchedulingManager(Manager):
     # load gossip + proactive push
 
     def _on_load_report(self, msg: SDMessage) -> None:
-        self.stats.inc("gossip_received")
         if not self._pm_hungry:
             # we have work: maybe shed some surplus onto an idle peer
             self._maybe_push()
@@ -603,12 +574,8 @@ class SchedulingManager(Manager):
         if not frames:
             return
         self.arm_gossip()
-        tr = self.tracer
         for frame in frames:
-            self.stats.inc("frames_pushed")
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "push_out",
-                        target, frame.frame_id.pack())
+            self.note("frames_pushed", target, frame.frame_id.pack())
         self.site.message_manager.send(SDMessage(
             type=MsgType.FRAME_TRANSFER,
             src_site=self.local_id, dst_site=target,

@@ -59,7 +59,7 @@ class SDVMSite:
         self.debug = debug
         self.log_lines: List[str] = []
         #: cluster-wide structured tracer (config.trace); managers cache
-        #: this reference at construction and guard every emission
+        #: this reference at construction (``Manager.note`` journals to it)
         self.tracer = kernel.tracer
         #: causal context (tracing only): packed node id of the message or
         #: execution this site is currently handling.  Written exclusively

@@ -21,6 +21,11 @@ class Manager:
     the method its type names (:data:`repro.messages.HANDLER_OF`):
     ``_on_help_request`` on the manager that owns HELP_REQUEST.  A type
     whose owner has no such method is dropped by the site.
+
+    A fact a manager records goes through :meth:`note`: one name, both the
+    counter every run keeps and, when tracing is on, the journal event
+    (:data:`repro.trace.tracer.EVENT_FIELDS`).  A plain ``stats.inc`` is
+    for a fact the journal has no kind for.
     """
 
     manager_id: ManagerId
@@ -29,9 +34,7 @@ class Manager:
         self.site = site
         self.kernel = site.kernel
         self.stats = StatSet()
-        #: structured tracer, or None when tracing is off.  Emission sites
-        #: follow the pattern ``tr = self.tracer`` / ``if tr is not None:``
-        #: so the disabled hot path never builds an event.
+        #: structured tracer, or None when tracing is off (see :meth:`note`)
         self.tracer = site.tracer
         #: cost model, bound once — a site's config is fixed at construction,
         #: and ``self.cost.x`` sits on per-message hot paths where a property
@@ -50,6 +53,14 @@ class Manager:
     @property
     def log(self):  # noqa: ANN201
         return self.site.log
+
+    def note(self, kind: str, *fields: object) -> None:
+        """Count one ``kind`` fact and, when tracing, journal it with
+        ``fields`` (the schema's positional fields of ``kind``)."""
+        self.stats.inc(kind)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(self.kernel.now, self.site.site_id, kind, *fields)
 
     # lifecycle ------------------------------------------------------------
     def on_start(self) -> None:

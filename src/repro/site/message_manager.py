@@ -101,7 +101,6 @@ class MessageManager(Manager):
         msg.dst_site = dst
         ok = self._transmit(record.physical, msg)
         if not ok:
-            self.stats.inc("send_failed")
             return False
         # any message is a heartbeat: the next beat to this peer is skipped
         record.last_sent = self.kernel.now
@@ -277,7 +276,6 @@ class MessageManager(Manager):
         target = self.site.cluster_manager.effective_site(heir)
         physical = self.site.cluster_manager.physical_of(target)
         if physical is None:
-            self.stats.inc("forward_failed")
             return
         msg.dst_site = target
         msg.invalidate_wire()  # re-addressed: must re-encode, not replay

@@ -51,11 +51,7 @@ class SecurityManager(Manager):
             src_site=self.local_id, dst_site=peer_logical,
             payload={"public": pair.public},
         ))
-        self.stats.inc("dh_initiated")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "key_exchange",
-                    peer_logical, "init")
+        self.note("key_exchange", peer_logical, "init")
 
     def _on_key_exchange_init(self, msg: SDMessage) -> None:
         pair = DHKeyPair(self.kernel.rng)
@@ -77,11 +73,7 @@ class SecurityManager(Manager):
         if peer_physical is None:
             return
         self.layer.install_session_key(peer_physical, key)
-        self.stats.inc("dh_completed")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "key_exchange",
-                    peer_logical, "complete")
+        self.note("key_exchange", peer_logical, "complete")
 
     def status(self) -> dict:
         base = super().status()

@@ -44,10 +44,7 @@ class SiteManager(Manager):
             return
         self.site.sleeping = False
         self.sleep_seconds += self.kernel.now - self._sleep_started
-        self.stats.inc("wakeups")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "site_wake")
+        self.note("site_wake")
         self.site.scheduling_manager.kick()
         self.site.processing_manager.kick()
 
@@ -66,10 +63,7 @@ class SiteManager(Manager):
                 and idle_for >= power.sleep_after):
             self.site.sleeping = True
             self._sleep_started = self.kernel.now
-            self.stats.inc("sleeps")
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.kernel.now, self.local_id, "site_sleep")
+            self.note("site_sleep")
             self.log("out of work for %.3fs; entering sleep state",
                      idle_for)
         self._schedule_sleep_check()
@@ -137,15 +131,12 @@ class SiteManager(Manager):
             return False
         self.log("signing off; heir is site %d", heir)
         self.site.leaving = True
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.kernel.now, self.local_id, "sign_off", heir)
+        self.note("sign_off", heir)
         # 1) announce, so peers route new traffic to the heir
         self.site.cluster_manager.broadcast_sign_off(heir)
         # 2) stop taking new work (pause refuses help + PM intake) and
         #    let in-flight executions drain
         self.site.paused = True
-        self.stats.inc("sign_offs")
         self._drain_then_export(heir)
         return True
 

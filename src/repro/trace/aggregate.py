@@ -176,17 +176,17 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         "help_refusal_rate": _rate(merged.get("cant_help_received").count,
                                    merged.get("help_sent").count),
         "code_hit_rate": _rate(
-            merged.get("hits").count,
-            merged.get("hits").count + merged.get("misses").count),
-        "checkpoint_waves": merged.get("checkpoints_committed").count,
+            merged.get("code_hit").count,
+            merged.get("code_hit").count + merged.get("misses").count),
+        "checkpoint_waves": merged.get("wave_commit").count,
         "wave_mean_seconds": merged.get("wave_seconds").mean,
-        "recoveries": merged.get("recoveries").count,
+        "recoveries": merged.get("recovery_begin").count,
         # the serialised shards inside CHECKPOINT_STATE, CHECKPOINT_REPLICA
         # and RECOVER_STATE (retries included) that went onto the wire
         "snapshot_bytes_frac": _rate(merged.get("snapshot_bytes").total,
                                      merged.get("bytes_sent").total),
         "snapshot_bytes_per_wave": _rate(merged.get("snapshot_bytes").total,
-                                         count("checkpoints_committed")),
+                                         count("wave_commit")),
     }
     if busy_sites and horizon > 0:
         derived["busy_fraction_mean"] = busy / (busy_sites * horizon)

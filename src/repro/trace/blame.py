@@ -265,7 +265,7 @@ def blame_cluster(cluster) -> BlameReport:  # noqa: ANN001
     wave_begin: Dict[int, float] = {}
     pause_windows: List[Interval] = []
     for event in events:
-        if event.kind == "help_request":
+        if event.kind == "help_sent":
             help_starts.setdefault(event.site, []).append(event.ts)
         elif event.kind == "code_fetch":
             fetch_starts.setdefault(event.site, []).append(event.ts)

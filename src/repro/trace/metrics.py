@@ -229,7 +229,7 @@ class MetricsSampler:
                 + msg_stats.get("local_messages").count)
         recv = (msg_stats.get("received").count
                 + msg_stats.get("local_messages").count)
-        sdc_mismatches = proc.stats.get("sdc_mismatches").count
+        sdc_mismatches = proc.stats.get("sdc_mismatch").count
 
         prev = self._prev.get(index, (busy_total, 0, 0, 0, 0, 0, 0, 0))
         self._prev[index] = (busy_total, help_sent, steals_in, steal_grants,

@@ -9,7 +9,7 @@ from repro.trace.tracer import TracerEvent
 
 #: the tracer event kinds a timeline draws (``frame`` is the first field
 #: of both exec kinds)
-_KINDS = ("exec_begin", "exec_end", "steal_in")
+_KINDS = ("exec_begin", "exec_end", "steals_in")
 
 
 class Timeline:
@@ -84,7 +84,7 @@ class Timeline:
                 for column in range(a, b + 1):
                     row[column] = "#"
             for event in self._by_site.get(site, ()):
-                if event.kind == "steal_in":
+                if event.kind == "steals_in":
                     column = min(int(event.ts * scale), width - 1)
                     if row[column] == " ":
                         row[column] = "s"

@@ -1,16 +1,18 @@
 """The structured event journal every manager reports into.
 
 One :class:`Tracer` is shared by every site of a cluster run (sim or live).
-Managers emit *typed* events — the schema in :data:`EVENT_FIELDS` names the
-positional fields of each kind — and the exporters under
+Managers record *typed* events through ``Manager.note`` — the schema in
+:data:`EVENT_FIELDS` names the positional fields of each kind, and the kind
+is also the name of the counter ``note`` bumps on every run, traced or
+not — and the exporters under
 :mod:`repro.trace.chrome` and :mod:`repro.trace.aggregate` consume them.
 
 Design constraints (see DESIGN.md, "Observability"):
 
-* **Zero cost when disabled.**  The tracer is ``None`` unless
-  ``SDVMConfig(trace=True)``; every call site guards with
-  ``tr = self.tracer`` / ``if tr is not None`` so the disabled hot path is a
-  single attribute read — no dict or tuple is ever built.
+* **Cheap when disabled.**  The tracer is ``None`` unless
+  ``SDVMConfig(trace=True)``; ``Manager.note`` then only bumps its counter,
+  and the message manager's three direct ``emit`` sites guard with
+  ``if tr is not None`` so a message builds no event.
 * **Pure observation.**  :meth:`Tracer.emit` only appends to a list; it
   never touches the simulator, timers, or any RNG, so enabling tracing
   cannot perturb sim determinism (covered by a test).
@@ -46,15 +48,19 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "frame_enqueued": ("frame", "program"),
     "exec_begin": ("frame", "thread", "cause"),
     "exec_end": ("frame", "work"),
-    # work stealing (scheduling manager)
-    "help_request": ("target",),
+    # work stealing (scheduling manager).  ``help_sent``, ``steals_in`` and
+    # ``frames_pushed`` are the counter names the benchmark reads;
+    # ``steal_out`` is noted once its HELP_REPLY has left
+    "help_sent": ("target",),
     "steal_out": ("thief", "frame"),
-    "steal_in": ("victim", "frame"),
+    "steals_in": ("victim", "frame"),
     "cant_help": ("requester",),
     "help_forward": ("thief", "target"),
-    "push_out": ("target", "frame"),
-    # code distribution (code manager)
+    "frames_pushed": ("target", "frame"),
+    # code distribution (code manager).  ``code_binary_hit`` adopts a pushed
+    # binary; the code hit rate counts ``code_hit`` (a compiled copy) only
     "code_hit": ("program", "thread"),
+    "code_binary_hit": ("program", "thread"),
     "code_fetch": ("program", "thread", "home"),
     "code_fetch_done": ("program", "thread", "ok"),
     "code_compile": ("program", "thread", "seconds"),
@@ -83,7 +89,8 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # context at send time, which only the journal carries (the receiver
     # derives its own from sender + seq).  Loopback (same-site) deliveries
     # emit "msg_local" instead of a send/recv pair so network counters stay
-    # pure.
+    # pure.  These three, ``chaos_fault`` and ``health`` have no same-named
+    # counter (the message manager counts ``sent`` / ``received`` / ...).
     "msg_send": ("msg_type", "dst", "nbytes", "seq", "cause"),
     "msg_recv": ("msg_type", "src", "nbytes", "seq"),
     "msg_local": ("msg_type", "seq", "cause"),
@@ -94,8 +101,8 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "sign_off": ("heir",),
     "site_sleep": (),
     "site_wake": (),
-    # attraction memory
-    "mem_migrated": ("addr", "owner"),
+    # attraction memory (``migrations_in``: the benchmark's counter name)
+    "migrations_in": ("addr", "owner"),
     "frame_adopted": ("frame", "src"),
     # program lifecycle (program manager)
     "program_register": ("program",),
@@ -127,9 +134,9 @@ class Tracer:
     """Append-only, cluster-wide structured event journal.
 
     >>> tracer = Tracer()
-    >>> tracer.emit(0.5, 2, "steal_in", 1, 0x20001)
+    >>> tracer.emit(0.5, 2, "steals_in", 1, 0x20001)
     >>> tracer.events[0].kind
-    'steal_in'
+    'steals_in'
     """
 
     __slots__ = ("_raw", "dumps")

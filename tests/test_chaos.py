@@ -78,34 +78,42 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: wire: steal replies and checkpoint shards shrank, and bytes feed transit
 #: time.  ``recover_done_overtakes_state`` is new: RECOVER_DONE used to
 #: leave before a retried RECOVER_STATE had landed.
+#: All thirteen moved when a manager began to record each fact under one
+#: name (``Manager.note``): four kinds took the name of the counter the
+#: benchmark reads (``help_request`` -> ``help_sent``, ``steal_in`` ->
+#: ``steals_in``, ``push_out`` -> ``frames_pushed``, ``mem_migrated`` ->
+#: ``migrations_in``), a pushed binary's hit is ``code_binary_hit``, and
+#: ``steal_out`` is journaled after its HELP_REPLY left instead of before.
+#: With those five kinds mapped back, every plan's sorted journal equals
+#: the one before, entry for entry.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "6adad815a96fd075c04e9f0f437f922b6c81d1b22ffc1eb52d631211a019209c",
+        "f0d6cc39aed32bceac3fb69c09bbbd7a53e335551738b16428104441af451ff3",
     "crash_during_recovery.json":
-        "9191b7a0fc7b69d7398725275c2e72df3b0d19c2c0670d6ea2f5e9f4d12e92c5",
+        "018e9df5b731f2e85c9074cbf545f8ffdab5491a5a4ec986f1e58b6e9080c720",
     "crash_during_wave.json":
-        "fdc467959b2fabce8d7051d4d6456eec1a34033a538d76680adb2d87b4ddff1a",
+        "e73698eaf4810bca57f4ba88d185818f0228bbe8b6abe9bda0ae8d163f87c5e8",
     "dir_shard_crash.json":
-        "682c93b21a4310135ce35dae43e18a2b28db1a83a468260c5384af97ac9ecc4f",
+        "fa77a001d424993df3fc91190683649530845c2b8d18a4c29023ee35fe71e28a",
     "duplicate_delivery.json":
-        "31a196f8defa53512e07655a117b54109442ffb0bc6b6fd983e3acc3cc6252df",
+        "40f6da7c428bf27f56915993f1260827077dd265bbfa1fdb41a9d48564457957",
     "homesite_crash.json":
-        "22f1d7af589c6792ec5083cecfa5571b3f8a16cb91c63ce13244e86d9f5f4432",
+        "20d97c37e8820b3a5b5e3c208e6a297f29db8a6355b5ff7f6a7be3f2fca71812",
     "lossy_recovery.json":
-        "9fd05252520dd247acf947298cbcd39e26576ca81cf8504bd3963f3a92275735",
+        "cc12897a36c2850b611de6841df2ec056c6152c051ca828e4fcf94a23634395f",
     "memory_partition.json":
-        "eda3459ea2dd0aedde81345a5bce5d49938c24161e2df624908b58b01c6de8fe",
+        "e9839cc1742c065e3b6bda9597a15b587492937e4583384f31a1069b702028f6",
     "partition_then_heal.json":
-        "fdb00e64efd57b5a1aa0e25f7242666d1228e0a23e1a26b6add069659fbd5642",
+        "400d67a79c23d8a83536ea56c97b61b5914ac5c6a8145ce69debad4f536262a3",
     "recover_done_overtakes_state.json":
-        "90e6e311657a9efc06fb291fad01a34f5a1680d741d3547d2ce824c3279df033",
+        "880b48a96f767d9e9ca00dbe4ee9b5def00e4f4d39bea999470c1e30d6eb6468",
     "signoff_leaver_silence.json":
-        "b9438208274aa312daf307e5b96f1bd34adb2ccd6a84ea4ad84e863833ac522f",
+        "b489bdbbe58629b8cbf4e90a7f0d467230afba8d0364048f01c29b42d9a6a489",
     "steal_batch_reorder.json":
-        "bf25466b93b3d3a8167d0fbe86293b1f04a2f8798b3a85c2f8ea7ffa73365177",
+        "fd2600c56c2cc22406d4d01ad9352af7613b58fe1561bc6baa4c0ff1cbb6fd5c",
     "wave_stall.json":
-        "12671ec4da2acbfe89335e3a26c3b4639e433e9a136aef09889fab771d86bd58",
+        "f1899c4a31c60271029687b0b562a13f8d0e7f28ca83bf9fff43c49d1847042f",
 }
 
 _corpus_results = {}
@@ -311,7 +319,7 @@ class TestCorpus:
         plan = corpus_plan("memory_partition")
         window = plan.faults[0]
         held = [e for e in result.cluster.tracer.events
-                if e.kind == "mem_migrated" and e.site == 2
+                if e.kind == "migrations_in" and e.site == 2
                 and window.end <= e.ts < window.end + 5e-4]
         assert len(held) == 4
         stats = result.cluster.total_stats()
@@ -365,7 +373,7 @@ class TestCorpus:
         assert shards_cut > 4 * 1
         assert calls["dumps"] == stats.get("shards_serialized").count \
             == shards_cut
-        assert calls["loads"] == 4 * stats.get("recoveries").count
+        assert calls["loads"] == 4 * stats.get("recovery_begin").count
 
     def test_crash_during_recovery_queues_second_crash(self):
         """S1 regression: the second crash lands while ``recovering`` and
@@ -374,7 +382,7 @@ class TestCorpus:
         assert result.ok, [str(v) for v in result.violations]
         stats = result.cluster.total_stats()
         assert stats.get("crashes_queued").count >= 1
-        assert stats.get("recoveries").count >= 2
+        assert stats.get("recovery_begin").count >= 2
 
     def test_two_recoveries_from_one_wave_restore_the_same_state(
             self, monkeypatch):
@@ -507,7 +515,7 @@ class TestSilentDataCorruption:
         breakdown = result.cluster.cluster_report().message_breakdown
         assert breakdown["REPLICATE"]["count"] == (
             stats.get("sdc_replicated").count
-            + stats.get("sdc_mismatches").count)
+            + stats.get("sdc_mismatch").count)
         assert breakdown["VERDICT"]["bytes"] > 0
 
     def test_detected_plan_trips_the_health_detector(self):
@@ -549,7 +557,7 @@ class TestSilentDataCorruption:
             "REPLICATE"]["count"]
         stats = result.cluster.total_stats()
         assert replicates == (stats.get("sdc_replicated").count
-                              + stats.get("sdc_mismatches").count)
+                              + stats.get("sdc_mismatch").count)
 
     def test_replicate_corruption_is_defended_on_every_seed(self):
         """The plan tests the defense, not one lucky trajectory: a
@@ -890,6 +898,6 @@ class TestBigClusterChaos:
         stats = result.cluster.total_stats()
         # exactly the injected crash recovered — no cascading false
         # suspicions inflating the count
-        assert stats.get("recoveries").count == 1
+        assert stats.get("recovery_begin").count == 1
         # waves commit at scale despite O(sites) collection time
-        assert stats.get("checkpoints_committed").count >= 1
+        assert stats.get("wave_commit").count >= 1

@@ -229,7 +229,7 @@ class TestShutdown:
             type=MsgType.SHUTDOWN, src_site=sender.site_id,
             dst_site=leaver.site_id))
         cluster.sim.run(until=0.5)
-        assert leaver.site_manager.stats.get("sign_offs").count == 1
+        assert leaver.site_manager.stats.get("sign_off").count == 1
         assert leaver.stopped
         record = sender.cluster_manager.sites[leaver.site_id]
         assert record.left and not record.alive

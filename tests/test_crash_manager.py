@@ -117,7 +117,7 @@ class TestWaveAbort:
         victim.crash()
         cluster.sites[0].cluster_manager.mark_dead(victim_logical,
                                                    left=False)
-        assert cm.stats.get("waves_aborted").count == 1
+        assert cm.stats.get("wave_abort").count == 1
         assert not cm._acks_pending and not cm._states_pending
         # a stale CHECKPOINT_STATE from the aborted wave is fenced out
         cm._on_checkpoint_state(ctrl(
@@ -143,7 +143,7 @@ class TestWaveAbort:
         cluster.sim.run(until=0.5)
         cm = cluster.sites[0].crash_manager
         assert not cm._abort_wave("nothing in flight")
-        assert cm.stats.get("waves_aborted").count == 0
+        assert cm.stats.get("wave_abort").count == 0
 
     def test_next_wave_commits_after_abort(self):
         cluster, cm, _wave = self._mid_wave_cluster()
@@ -165,7 +165,7 @@ class TestWaveAbort:
                 state=dumps({"site": logical})))
         assert cm.committed_wave == wave2
         assert set(cm.committed) == set(alive)
-        assert cm.stats.get("checkpoints_committed").count == 1
+        assert cm.stats.get("wave_commit").count == 1
 
 
 class TestRecovery:
@@ -187,7 +187,7 @@ class TestRecovery:
         cluster.run(progress_timeout=180.0)
         assert handle.result == first_n_primes(40)
         assert cluster.sites[0].crash_manager.stats.get(
-            "recoveries").count >= 2
+            "recovery_begin").count >= 2
 
     def test_crash_of_non_coordinator_site_detected_by_all(self):
         cluster = SimCluster(nsites=3, config=config())
@@ -279,7 +279,7 @@ class TestHardening:
         assert handle.result == first_n_primes(40)
         cm = cluster.sites[0].crash_manager
         assert cm.stats.get("crashes_queued").count >= 1
-        assert cm.stats.get("recoveries").count >= 2
+        assert cm.stats.get("recovery_begin").count >= 2
         assert not cm.recovering and not cm._crash_queue
 
     def test_no_survivor_resumes_before_it_adopted_its_shard(
@@ -356,13 +356,13 @@ class TestHardening:
         cluster.sim.run(until=0.35)
         cm = cluster.sites[0].crash_manager
         assert cm.committed_wave >= 1
-        committed_before = cm.stats.get("checkpoints_committed").count
+        committed_before = cm.stats.get("wave_commit").count
         wave_before = cm.committed_wave
         src = cluster.sites[1].site_id
         cm._on_checkpoint_state(ctrl(MsgType.CHECKPOINT_STATE, src,
                                      wave=cm._wave, site=src,
                                      state=dumps({"dup": True})))
-        assert cm.stats.get("checkpoints_committed").count == committed_before
+        assert cm.stats.get("wave_commit").count == committed_before
         assert cm.committed_wave == wave_before
 
     @pytest.mark.parametrize("owner", [0, 1],
@@ -473,7 +473,7 @@ class TestShardBlobs:
         cluster.sim.run(until=cluster.sim.now + 0.1)  # the last replicas
         assert handle.result == first_n_primes(60)
         stats = cluster.total_stats()
-        waves = stats.get("checkpoints_committed").count
+        waves = stats.get("wave_commit").count
         assert waves >= 2
         assert stats.get("shards_serialized").count == len(states) == 8 * waves
         assert stats.get("replicas_adopted").count == 2 * waves

@@ -121,7 +121,7 @@ class TestCrashRecovery:
         cluster.run(progress_timeout=60.0)
         assert handle.result == EXPECTED
         coordinator = cluster.sites[0]
-        assert coordinator.crash_manager.stats.get("recoveries").count >= 1
+        assert coordinator.crash_manager.stats.get("recovery_begin").count >= 1
 
     def test_crash_without_checkpoint_fails_program(self):
         config = SDVMConfig(

@@ -364,7 +364,7 @@ class TestHeterogeneous:
         assert handle.result == sum(i * i for i in range(16))
         stats = cluster.total_stats()
         assert stats.get("sources_received").count > 0   # source shipped
-        assert stats.get("compiles").count >= 2          # compiled twice
+        assert stats.get("code_compile").count >= 2          # compiled twice
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("app, nsites", [
@@ -415,5 +415,8 @@ class TestHeterogeneous:
         assert handle.result == sum(i * i for i in range(16))
         stats = cluster.total_stats()
         assert stats.get("binaries_received").count > 0
+        # a compile owner pushes its binary, and it is adopted, not compiled
+        assert stats.get("binaries_pushed").count >= 1
+        assert stats.get("code_binary_hit").count >= 1
         duties = stats.get("compile_duties").count
         assert stats.get("sources_received").count <= duties

@@ -22,7 +22,7 @@ class TestAccounting:
         assert handle.result == first_n_primes(30)
         row = cluster.invoices()[handle.pid]
         # total work billed equals the work the processing managers did
-        total_work = sum(s.processing_manager.work_done
+        total_work = sum(s.processing_manager.stats.get("work_units").total
                          for s in cluster.sites)
         assert row["work_units"] == pytest.approx(total_work)
         # the only program pays for all of the cluster's traffic
@@ -97,7 +97,7 @@ class TestPowerManagement:
         cluster.run(progress_timeout=120.0)
         assert handle.result == first_n_primes(30)
         # the submitting site woke, and at least one peer was woken to help
-        wakeups = sum(s.site_manager.stats.get("wakeups").count
+        wakeups = sum(s.site_manager.stats.get("site_wake").count
                       for s in cluster.sites)
         assert wakeups >= 2
 

@@ -322,9 +322,9 @@ class TestCheckpointPlane:
             assert all(type(blob) is bytes for blob in shards.values())
             assert copy == shards
             stats = cluster.cluster_report().merged
-            assert (2 * stats.get("checkpoints_committed").count
+            assert (2 * stats.get("wave_commit").count
                     <= stats.get("shards_serialized").count
-                    <= 2 * stats.get("waves_started").count)
+                    <= 2 * stats.get("wave_begin").count)
 
 
 def spinning_fanout_program():
@@ -548,10 +548,10 @@ class TestOneProcessingManager:
                                timeout=20) == expected
         stats = cluster.cluster_report().merged
         assert corrupter.flipped == 1
-        mismatches = stats.get("sdc_mismatches").count
+        mismatches = stats.get("sdc_mismatch").count
         assert mismatches >= 1
         assert stats.get("sdc_resolved").count == mismatches
-        assert stats.get("sdc_tainted_commits").count == 0
+        assert stats.get("sdc_tainted_commit").count == 0
         assert stats.get("sdc_verified").count > 0
 
     def test_waits_interleaved_on_many_workers(self):

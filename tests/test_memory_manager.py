@@ -333,7 +333,7 @@ class TestLiveProtocolHandlers:
         )
         a.message_manager.send(msg)
         cluster.sim.run(until=0.5)
-        assert b.attraction_memory.stats.get("frames_adopted").count == 1
+        assert b.attraction_memory.stats.get("frame_adopted").count == 1
         assert b.program_manager.knows(pid)
 
 

@@ -129,7 +129,7 @@ class TestProcessing:
         handle = cluster.submit(simple_program(), args=(1,))
         cluster.run()
         pm = cluster.sites[0].processing_manager
-        assert pm.work_done == 10.0
+        assert pm.stats.get("work_units").total == 10.0
         assert pm.stats.get("executions").count == 1
         assert pm.in_flight == 0
 
@@ -509,7 +509,7 @@ class TestReplicatedExecution:
         # a replayed from the message alone, with code it had to get
         assert self.count(a, "executions") == 0
         assert self.count(a, "sdc_shadow_execs") == 1
-        assert a.code_manager.stats.get("requests_sent").count >= 1
+        assert a.code_manager.stats.get("code_fetch").count >= 1
         assert (self.sent(cluster, "REPLICATE"),
                 self.sent(cluster, "VERDICT")) == (1, 1)
 

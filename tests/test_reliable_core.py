@@ -70,7 +70,7 @@ class TestReliableCore:
         cluster.run(progress_timeout=120.0)
         assert handle.result == first_n_primes(40)
         core = cluster.sites[0]
-        assert core.crash_manager.stats.get("recoveries").count >= 1
+        assert core.crash_manager.stats.get("recovery_begin").count >= 1
         # the dead unsafe site's address space is inherited by the core
         dead_id = cluster.sites[3].site_id
         record = core.cluster_manager.sites[dead_id]

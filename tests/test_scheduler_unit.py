@@ -184,7 +184,7 @@ class TestLateHelpReply:
         sm._cooldown[victim.site_id] = until = sm.kernel.now + 100.0
         sm._help_backoff = 4.0
         steals = sm.stats.get("steals_in").count
-        enqueued = sm.stats.get("frames_enqueued").count
+        enqueued = sm.stats.get("frame_enqueued").count
         grants = sm.stats.get("steal_grants").count
         late = sm.stats.get("late_steal_grants").count
 
@@ -193,10 +193,10 @@ class TestLateHelpReply:
 
         # the frame is adopted and fully accounted...
         assert sm.stats.get("steals_in").count == steals + 1
-        assert sm.stats.get("frames_enqueued").count == enqueued + 1
+        assert sm.stats.get("frame_enqueued").count == enqueued + 1
         assert sm.stats.get("late_steal_grants").count == late + 1
         assert any(e.fields[0] == victim.site_id
-                   for e in thief.tracer.select("steal_in", thief.site_id))
+                   for e in thief.tracer.select("steals_in", thief.site_id))
         # ...but the fence holds: a reply to a dead request must not wipe
         # congestion state mid-congestion
         assert sm._help_backoff == 4.0
@@ -412,13 +412,13 @@ class TestStealBatching:
         sm.executable.clear()
         sm.ready.clear()
         self._queue_frames(sm, handle.pid, 12)
-        outs = sm.stats.get("steals_out").count
+        outs = sm.stats.get("steal_out").count
         sm._on_help_request(SDMessage(
             type=MsgType.HELP_REQUEST, seq=777,
             src_site=thief.site_id, dst_site=victim.site_id,
             payload={"want": 3}))
         # min(want=3, steal_batch_max=4, half of 12) = 3 frames granted
-        assert sm.stats.get("steals_out").count == outs + 3
+        assert sm.stats.get("steal_out").count == outs + 3
         assert len(sm.executable) == 9
         # batch sizes are tracked as a histogram, not a counter
         assert any(name == "steal_batch"
@@ -431,13 +431,13 @@ class TestStealBatching:
         sm.executable.clear()
         sm.ready.clear()
         self._queue_frames(sm, handle.pid, 3)
-        outs = sm.stats.get("steals_out").count
+        outs = sm.stats.get("steal_out").count
         sm._on_help_request(SDMessage(
             type=MsgType.HELP_REQUEST, seq=778,
             src_site=thief.site_id, dst_site=victim.site_id,
             payload={"want": 4}))
         # min(want=4, batch_max=4, (3+1)//2=2) = 2: over half stays home
-        assert sm.stats.get("steals_out").count == outs + 2
+        assert sm.stats.get("steal_out").count == outs + 2
         assert len(sm.executable) == 1
 
     def test_batched_reply_lands_every_frame(self, running_pair):
@@ -482,10 +482,10 @@ class TestProactivePush:
         assert sm.stats.get("frames_pushed").count == 3
         assert len(sm.executable) == 2
         assert any(e.fields[0] == peer.site_id
-                   for e in pusher.tracer.select("push_out", pusher.site_id))
+                   for e in pusher.tracer.select("frames_pushed", pusher.site_id))
         # the peer adopts the batch once the transfer is delivered
         cluster.sim.run(until=0.2)
-        adopted = peer.attraction_memory.stats.get("frames_adopted").count
+        adopted = peer.attraction_memory.stats.get("frame_adopted").count
         assert adopted >= 3
 
     def test_no_push_without_fresh_idle_view(self, running_pair):
@@ -666,7 +666,7 @@ class TestHelpProtocol:
         cluster.run(progress_timeout=120.0)
         assert handle.result == first_n_primes(40)
         stats = cluster.total_stats()
-        out = stats.get("steals_out").count
+        out = stats.get("steal_out").count
         received = stats.get("steals_in").count
         assert out >= received
         # conservation, outflow form: every enqueued frame ends in exactly
@@ -684,7 +684,7 @@ class TestHelpProtocol:
                            for s in cluster.sites)
                      + sum(s.processing_manager.in_flight
                            for s in cluster.sites))
-        assert stats.get("frames_enqueued").count == accounted
+        assert stats.get("frame_enqueued").count == accounted
 
 
 class TestHelpRecordOnlyToStrangers:
@@ -744,6 +744,35 @@ class TestHelpRecordOnlyToStrangers:
         learned = cm.sites[thief.site_id]
         assert (learned.load, learned.queue) == (msg.src_load, msg.src_queue)
         assert learned.load_at >= 0
+
+    def test_undeliverable_grant_keeps_its_frames_and_journals_no_steal(
+            self, running_pair):
+        """A grant to a thief the victim cannot resolve never leaves: the
+        frames stay queued, and neither ``steal_out`` nor the journal says
+        they were stolen."""
+        from repro.messages import MsgType, SDMessage
+        cluster, thief, victim, handle = running_pair
+        cm = victim.cluster_manager
+        forgotten = cm.sites.pop(thief.site_id)
+        del cm._by_physical[forgotten.physical]
+        cm._sorted_alive_peers.remove(thief.site_id)
+        cm._hot_peers.pop(thief.site_id, None)
+        cm._alive_records = None
+        sm = victim.scheduling_manager
+        sm.executable.clear()
+        sm.ready.clear()
+        TestStealBatching()._queue_frames(sm, handle.pid, 6, start=9500)
+        queued = {frame.frame_id for frame in sm.executable}
+        outs = sm.stats.get("steal_out").count
+        journaled = len(cluster.tracer.select("steal_out"))
+        sm._on_help_request(SDMessage(
+            type=MsgType.HELP_REQUEST, seq=779,
+            src_site=thief.site_id, dst_site=victim.site_id,
+            payload={"want": 2}))
+        assert sm.stats.get("grants_undeliverable").count == 1
+        assert queued <= {frame.frame_id for frame in sm.snapshot_frames()}
+        assert sm.stats.get("steal_out").count == outs
+        assert len(cluster.tracer.select("steal_out")) == journaled
 
 
 class TestHotPeerCache:

@@ -76,7 +76,7 @@ class TestEmptyAndRendering:
 
     def test_render_marks_busy_and_steals(self):
         events = exec_pair(0, 1, 0.0, 1.0)
-        events.append(TracerEvent(1.5, 0, "steal_in", ()))
+        events.append(TracerEvent(1.5, 0, "steals_in", ()))
         rendered = Timeline(events, horizon=2.0).render(width=8)
         lane = rendered.splitlines()[1]
         assert "#" in lane and "s" in lane

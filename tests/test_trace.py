@@ -53,7 +53,7 @@ class TestTimeline:
 
     def test_steals_visible(self, traced_cluster):
         timeline = Timeline.from_cluster(traced_cluster)
-        assert any(e.kind == "steal_in" for e in timeline.events)
+        assert any(e.kind == "steals_in" for e in timeline.events)
 
     def test_render_shape(self, traced_cluster):
         timeline = Timeline.from_cluster(traced_cluster)

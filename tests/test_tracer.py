@@ -4,6 +4,8 @@ cluster-wide metrics aggregator."""
 from __future__ import annotations
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -35,14 +37,14 @@ def traced_run(fast_config):
 class TestTracerUnit:
     def test_emit_and_read_back(self):
         tracer = Tracer()
-        tracer.emit(0.5, 2, "steal_in", 1, 0x20001)
-        tracer.emit(0.2, 0, "help_request", 2)
+        tracer.emit(0.5, 2, "steals_in", 1, 0x20001)
+        tracer.emit(0.2, 0, "help_sent", 2)
         assert len(tracer) == 2
         # the events property sorts the cluster-wide stream by (ts, site)
-        assert [e.kind for e in tracer.events] == ["help_request", "steal_in"]
+        assert [e.kind for e in tracer.events] == ["help_sent", "steals_in"]
         event = tracer.events[1]
         assert isinstance(event, TracerEvent)
-        assert event.as_dict() == {"ts": 0.5, "site": 2, "kind": "steal_in",
+        assert event.as_dict() == {"ts": 0.5, "site": 2, "kind": "steals_in",
                                    "victim": 1, "frame": 0x20001}
 
     def test_select_and_kinds(self):
@@ -63,7 +65,7 @@ class TestTracerUnit:
 
     def test_validate_rejects_arity_mismatch(self):
         tracer = Tracer()
-        tracer.emit(0.0, 0, "steal_in", 1)  # schema wants (victim, frame)
+        tracer.emit(0.0, 0, "steals_in", 1)  # schema wants (victim, frame)
         with pytest.raises(SDVMError, match="fields"):
             tracer.validate()
 
@@ -104,7 +106,7 @@ class TestClusterTracing:
         tracer.validate()
         kinds = tracer.kinds()
         for expected in ("frame_enqueued", "exec_begin", "exec_end",
-                         "help_request", "steal_in", "steal_out",
+                         "help_sent", "steals_in", "steal_out",
                          "code_hit", "code_compile", "msg_send", "msg_recv",
                          "site_join", "program_register", "program_exit",
                          "io_output"):
@@ -244,3 +246,83 @@ class TestBenchArtifacts:
         assert cluster.tracer is None
         assert harness.dump_trace_artifact(cluster, "nope") is None
         assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# one ledger: a fact is counted and journaled by one call under one name
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+#: kinds emitted straight to the tracer, without a same-named counter
+_DIRECT_KINDS = ("chaos_fault", "health")
+_BUMP = re.compile(
+    r'(?:stats\.(?:inc|add|observe|set_gauge)|\.note)\(\s*"([a-z_0-9]+)"')
+
+
+def _ledger_runs():
+    from repro.apps import build_memstress_program
+    from repro.chaos import FaultPlan, run_plan
+    from repro.common.config import SDVMConfig
+    corpus = pathlib.Path(__file__).resolve().parent / "chaos_corpus"
+    runs = {}
+    for name, program, args in (
+            ("primes", build_primes_program(), (25, 6, 400.0, 4000.0)),
+            ("memstress", build_memstress_program(), (32, 50.0))):
+        cluster = SimCluster(nsites=3, config=SDVMConfig(trace=True))
+        cluster.submit(program, args=args)
+        cluster.run(progress_timeout=120.0)
+        runs[name] = cluster
+    for plan in ("crash_during_wave", "sdc_detected"):
+        result = run_plan(FaultPlan.load(str(corpus / f"{plan}.json")))
+        assert result.ok, result.violations
+        runs[plan] = result.cluster
+    return runs
+
+
+class TestOneLedger:
+    def test_every_journaled_kind_equals_its_counter(self):
+        for name, cluster in _ledger_runs().items():
+            stats = cluster.total_stats()
+            kinds = cluster.tracer.kinds()
+            noted = [kind for kind in kinds
+                     if not kind.startswith("msg_")
+                     and kind not in _DIRECT_KINDS]
+            assert "exec_end" in noted, name
+            for kind in noted:
+                assert stats.get(kind).count == kinds[kind], (name, kind)
+
+    def test_managers_record_facts_only_through_note(self):
+        emits = {}
+        bumped_kinds = []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            text = path.read_text()
+            count = len(re.findall(r"\.emit\(", text))
+            if count and not rel.startswith(("trace/", "chaos/")):
+                emits[rel] = count
+            bumped_kinds += [
+                (rel, name) for name in re.findall(
+                    r'stats\.(?:inc|add)\(\s*"([a-z_0-9]+)"', text)
+                if name in EVENT_FIELDS]
+        # Manager.note's one emit, and msg_send / msg_recv / msg_local
+        assert emits == {"site/manager_base.py": 1,
+                         "site/message_manager.py": 3}
+        assert bumped_kinds == []
+
+    def test_every_counter_has_a_reader(self):
+        bumped = set()
+        for path in SRC.rglob("*.py"):
+            bumped.update(_BUMP.findall(path.read_text()))
+        repo = SRC.parent.parent
+        readers = [*(repo / "tests").rglob("*.py"),
+                   *(repo / "benchmarks").rglob("*.py"),
+                   *(SRC / "trace").rglob("*.py"),
+                   *(SRC / "bench").rglob("*.py"),
+                   SRC / "cli.py", SRC / "site" / "facade.py"]
+        text = "\n".join(line for path in readers
+                         for line in path.read_text().splitlines()
+                         if not _BUMP.search(line))
+        unread = sorted(
+            name for name in bumped
+            if not re.search(rf"\b{name}(_peak|_p50|_p95|_max|_mean)?\b",
+                             text))
+        assert unread == []
