@@ -34,6 +34,9 @@ from typing import Dict, List, Optional
 from repro.chaos.plan import (CorruptFault, CrashFault, FaultPlan, LinkFault,
                               PartitionFault, SignOffFault, SlowFault)
 from repro.common.errors import SDVMError
+from repro.common.ids import ManagerId
+from repro.messages import MESSAGE_TABLE, SDMessage
+from repro.security.layer import is_sealed
 
 #: mixed into the plan seed so the injection stream is decorrelated from
 #: any other consumer of the same seed
@@ -255,38 +258,37 @@ class ChaosController:
     def corrupts_wire(self) -> bool:
         return bool(self._corrupt_wire)
 
-    #: wire mode -> message type -> the payload key whose first numeric
-    #: leaf is flipped: ``"param"`` hits the dataflow write that fills a
-    #: waiting microframe's parameter slot, ``"replicate"`` a replicated
+    #: wire mode -> message type -> the payload field whose first numeric
+    #: leaf is flipped: the data field of each row the mode's manager
+    #: owns.  ``"param"`` hits the dataflow write that fills a waiting
+    #: microframe's parameter slot, ``"replicate"`` a replicated
     #: execution's shipped arguments and the effects its replay answers
     #: with
-    _WIRE_KEYS = {"param": {"APPLY_RESULT": "value"},
-                  "replicate": {"REPLICATE": "args", "VERDICT": "effects"}}
+    _WIRE_KEYS = {mode: {row.type.name: row.data
+                         for row in MESSAGE_TABLE.values()
+                         if row.owner is owner and row.data}
+                  for mode, owner in (("param", ManagerId.ATTRACTION_MEMORY),
+                                      ("replicate", ManagerId.PROCESSING))}
 
     def corrupt_wire(self, src: int, dst: int,
                      data: bytes) -> Optional[bytes]:
         """Maybe bit-flip a value in flight.
 
         Targets the payloads ``_WIRE_KEYS`` names for the fault's mode
-        inside *plaintext* security envelopes; sealed envelopes pass
-        untouched — a flipped bit there trips the MAC, which is a loud
-        failure, not a silent one.  Returns the re-wrapped envelope
-        bytes, or None when the message is left alone.
+        inside *plaintext* envelopes, which are the message's record
+        itself; sealed envelopes pass untouched — a flipped bit there
+        trips the MAC, which is a loud failure, not a silent one.  Returns
+        the re-encoded envelope, or None when the message is left alone.
         """
-        from repro.messages.message import SDMessage
         now = self.cluster.sim.now
         for fault in self._corrupt_wire:
             if not fault.start <= now < fault.end:
                 continue
             if fault.site >= 0 and self._phys[fault.site] != dst:
                 continue
-            if len(data) < 3:
+            if is_sealed(data):  # the MAC would catch the flip
                 return None
-            flag, addr_len = struct.unpack_from(">BH", data, 0)
-            if flag != 0:  # sealed envelope: the MAC would catch the flip
-                return None
-            header, body = data[:3 + addr_len], data[3 + addr_len:]
-            msg = SDMessage.decode(body)
+            msg = SDMessage.decode(data)
             key = self._WIRE_KEYS[fault.mode].get(msg.type.name)
             if key is None:
                 continue
@@ -298,5 +300,5 @@ class ChaosController:
                 return None
             msg.payload[key] = flipped
             self._trace("corrupt_" + fault.mode, dst)
-            return header + msg.encode()
+            return msg.encode()
         return None

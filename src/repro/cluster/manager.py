@@ -433,11 +433,11 @@ class ClusterManager(Manager):
         record = SiteRecord(
             logical=new_id,
             physical=msg.payload["physical"],
-            platform=msg.payload.get("platform", "py-generic"),
-            speed=msg.payload.get("speed", 1.0),
-            name=msg.payload.get("name", ""),
-            code_distribution=msg.payload.get("code_distribution", False),
-            reliable=msg.payload.get("reliable", True),
+            platform=msg.payload["platform"],
+            speed=msg.payload["speed"],
+            name=msg.payload["name"],
+            code_distribution=msg.payload["code_distribution"],
+            reliable=msg.payload["reliable"],
             last_seen=self.kernel.now,
         )
         self._merge_record(record)
@@ -502,13 +502,13 @@ class ClusterManager(Manager):
         new_id = msg.payload["your_id"]
         self._adopt_local_id(new_id)
         self._add_self_record()
-        for wire in msg.payload.get("sites", []):
+        for wire in msg.payload["sites"]:
             self.learn_record(wire)
         block = msg.payload.get("id_block")
         if block and isinstance(self.allocator, ContingentAllocator):
             self.allocator.receive_block(block[0], block[1])
         self.site.program_manager.learn_programs_wire(
-            msg.payload.get("programs", []))
+            msg.payload["programs"])
         self.stats.inc("joined")
         self.site.on_joined()
 
@@ -586,7 +586,7 @@ class ClusterManager(Manager):
 
     # -- membership updates ------------------------------------------------
     def _on_cluster_info(self, msg: SDMessage) -> None:
-        for wire in msg.payload.get("sites", []):
+        for wire in msg.payload["sites"]:
             self.learn_record(wire)
 
     def _on_sign_off(self, msg: SDMessage) -> None:

@@ -429,7 +429,7 @@ class CodeManager(Manager):
         # until the compile owner's CODE_PUSH_BINARY lands here, instead
         # of handing out source and triggering a thundering herd of
         # identical compiles; the requester's timeout bounds the wait
-        if msg.payload.get("binary_only") and src is not None:
+        if msg.payload["binary_only"] and src is not None:
             self._parked.setdefault((pid, tid, platform), []).append(msg)
             return
         # 3) source, for the requester to compile on the fly

@@ -509,8 +509,13 @@ class CrashManager(Manager):
         # settle delay: a survivor that resumed before its retried (and
         # larger) RECOVER_STATE landed would run without its shard
         self._recovery_waits = {None, *self.committed}
+        # a shard goes where its site's addresses route: the site, the heir
+        # of a site that signed off since the wave, else this coordinator
+        cluster = self.site.cluster_manager
         for shard_site, blob in self.committed.items():
-            target = shard_site if shard_site in alive else self.local_id
+            target = cluster.effective_site(shard_site)
+            if target not in alive:
+                target = self.local_id
             self._send_recover(target, MsgType.RECOVER_STATE,
                                {"state": blob, "epoch": epoch,
                                 "shard": shard_site},
@@ -545,7 +550,7 @@ class CrashManager(Manager):
     @_acked
     def _on_recover_state(self, msg: SDMessage) -> bool:
         payload = msg.payload
-        epoch = payload.get("epoch", self.site.epoch)
+        epoch = payload["epoch"]
         if epoch > self.site.epoch:
             # our RECOVER_BEGIN is still in flight (lost or delayed) —
             # withhold the ack so the coordinator keeps retrying until we
@@ -553,13 +558,13 @@ class CrashManager(Manager):
             return False
         if epoch < self.site.epoch:
             return True
-        key = (epoch, payload.get("shard", -1))
+        key = (epoch, payload["shard"])
         if key in self._recover_shards_applied:
             return True
         self._recover_shards_applied.add(key)
         # parsed in full before anything is adopted; an unreadable shard is
         # acked all the same — a retry would resend the same bytes
-        blob = payload.get("state")
+        blob = payload["state"]
         try:
             state = loads(blob) if type(blob) is bytes else None
             if type(state) is not dict:
@@ -572,8 +577,7 @@ class CrashManager(Manager):
 
     @_acked
     def _on_recover_done(self, msg: SDMessage) -> bool:
-        payload = msg.payload
-        epoch = payload.get("epoch", self.site.epoch)
+        epoch = msg.payload["epoch"]
         if epoch > self.site.epoch:
             self.stats.inc("early_recover_done")
             return False

@@ -69,8 +69,7 @@ class IOManager(Manager):
             type=MsgType.IO_FILE_OPEN,  # see _on_io_file_open
             src_site=self.local_id, dst_site=frontend,
             program=program,
-            payload={"kind": "input", "prompt": prompt,
-                     "addr": target, "slot": slot},
+            payload={"prompt": prompt, "addr": target, "slot": slot},
         ))
 
     def _answer_input(self, program: int, prompt: str,

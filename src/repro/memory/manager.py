@@ -273,8 +273,7 @@ class AttractionMemory(Manager):
             self.stats.inc("stale_dir_updates_dropped")
         else:
             self._apply_dir_entry(payload["addr"], payload["owner"],
-                                  payload.get("version", 0),
-                                  payload.get("epoch", self.site.epoch))
+                                  payload["version"], payload["epoch"])
             self.stats.inc("dir_updates_applied")
         # always ack — even a fenced update must stop the sender's retries
         self.site.message_manager.send(make_reply(
@@ -418,9 +417,9 @@ class AttractionMemory(Manager):
         if self._stale_epoch(payload):
             self.stats.inc("stale_read_replies_dropped")
             return False
-        if payload.get("owned"):
+        if payload["owned"]:
             self._adopt_remote_object(
-                payload["addr"], payload["value"], payload.get("version", 0),
+                payload["addr"], payload["value"], payload["version"],
                 reply.src_site, payload.get("recorded", False))
         return True
 
@@ -473,9 +472,8 @@ class AttractionMemory(Manager):
         """True when a dataflow payload was stamped before the last rollback
         recovery.  Stale deliveries are dropped — the checkpoint already
         restored their content, and the replay re-sends anything in flight.
-        Unstamped payloads (relocation, pre-epoch senders) pass through.
         """
-        return payload.get("epoch", self.site.epoch) < self.site.epoch
+        return payload["epoch"] < self.site.epoch
 
     def _on_frame_transfer(self, msg: SDMessage) -> None:
         # the pusher's note_pushed raised its own record of our load, so
@@ -483,24 +481,16 @@ class AttractionMemory(Manager):
         self.site.message_manager.mark_told(msg.src_site)
         if self._stale_epoch(msg.payload):
             return
-        for info_wire in msg.payload.get("program_infos", ()):
+        for info_wire in msg.payload["program_infos"]:
             self.site.program_manager.learn_program_wire(info_wire)
-        info_wire = msg.payload.get("program_info")
-        if info_wire is not None:
-            self.site.program_manager.learn_program_wire(info_wire)
-        # proactive pushes batch several frames into one transfer;
-        # relocation (sign-off) still sends one frame per message
-        wires = msg.payload.get("frames")
-        if wires is None:
-            wires = [msg.payload["frame"]]
-        for wire in wires:
+        for wire in msg.payload["frames"]:
             frame = Microframe.from_wire(wire)
             self.note("frame_adopted", frame.frame_id.pack(), msg.src_site)
             self.register_frame(frame)
 
     def _on_mem_read(self, msg: SDMessage) -> None:
         addr = msg.payload["addr"]
-        migrate = msg.payload.get("migrate", True)
+        migrate = msg.payload["migrate"]
         if addr in self.objects:
             reply = {"addr": addr, "value": self.objects[addr],
                      "owned": migrate, "epoch": self.site.epoch,
@@ -604,7 +594,7 @@ class AttractionMemory(Manager):
         self.site.message_manager.send(SDMessage(
             type=MsgType.MEM_OBJECT,
             src_site=self.local_id, dst_site=heir,
-            payload={"state": self.export_state(), "from": self.local_id},
+            payload={"state": self.export_state()},
         ))
 
     def _on_mem_object(self, msg: SDMessage) -> None:

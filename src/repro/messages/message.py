@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
@@ -91,30 +91,120 @@ class MsgType(enum.IntEnum):
     SHUTDOWN = 97
 
 
-#: the manager that owns each message type, one row per manager: the type
-#: names the manager at both ends, so no envelope carries a manager id
-_OWNED_BY = {
-    ManagerId.SCHEDULING: "HELP_REQUEST HELP_REPLY CANT_HELP LOAD_REPORT",
-    ManagerId.PROCESSING: "REPLICATE VERDICT",
-    ManagerId.CODE: "CODE_REQUEST CODE_REPLY_BINARY CODE_REPLY_SOURCE "
-                    "CODE_PUSH_BINARY CODE_NOT_FOUND",
-    ManagerId.ATTRACTION_MEMORY: "APPLY_RESULT MEM_READ MEM_READ_REPLY "
-        "MEM_WRITE MEM_OBJECT MEM_LOCATION DIR_UPDATE FRAME_TRANSFER "
-        "MEM_NOT_FOUND DIR_ACK",
-    ManagerId.CLUSTER: "SIGN_ON SIGN_ON_ACK SIGN_OFF CLUSTER_INFO HEARTBEAT "
-                       "ID_BLOCK_REQUEST ID_BLOCK_REPLY CRASH_NOTICE",
-    ManagerId.PROGRAM: "PROGRAM_REGISTER PROGRAM_TERMINATED PROGRAM_RESULT",
-    ManagerId.IO: "IO_OUTPUT IO_FILE_OPEN IO_FILE_READ IO_FILE_READ_REPLY "
-                  "IO_FILE_WRITE IO_FILE_WRITE_ACK IO_FILE_CLOSE",
-    ManagerId.CRASH: "CHECKPOINT_BEGIN CHECKPOINT_STATE CHECKPOINT_ACK "
-        "CHECKPOINT_COMMIT CHECKPOINT_REPLICA RECOVER_BEGIN RECOVER_STATE "
-        "RECOVER_DONE RECOVER_ACK",
-    ManagerId.SECURITY: "KEY_EXCHANGE_INIT KEY_EXCHANGE_REPLY",
-    ManagerId.SITE: "STATUS_QUERY STATUS_REPLY SHUTDOWN",
-}
-MANAGER_OF: Dict[MsgType, ManagerId] = {
-    MsgType[name]: manager for manager, names in _OWNED_BY.items()
-    for name in names.split()}
+class Row(NamedTuple):
+    """One message type's row of :data:`MESSAGE_TABLE`."""
+
+    type: MsgType
+    #: the manager that sends and handles the type: the type names it at
+    #: both ends, so no envelope carries a manager id
+    owner: ManagerId
+    #: the payload's field names in wire order.  The wire carries a
+    #: presence mask (bit i: ``fields[i]`` is there) and the present values
+    #: in this order; the names stay in memory
+    fields: Tuple[str, ...]
+    #: the mask bits every message of the type sets: the fields each
+    #: sender fills in
+    required: int
+    #: a departed site that is still forwarding relays the type to its heir
+    forwardable: bool
+    #: the field that carries a computation's values — what silent data
+    #: corruption in flight hits (``ChaosController._WIRE_KEYS``), or None
+    data: Optional[str]
+
+
+def _row(mtype: MsgType, owner: ManagerId, fields: str = "",
+         forward: bool = False, data: Optional[str] = None) -> Row:
+    """A row from its fields in wire order, each optional one marked with
+    a trailing ``?``."""
+    names = fields.split()
+    return Row(mtype, owner, tuple(name.rstrip("?") for name in names),
+               sum(1 << bit for bit, name in enumerate(names)
+                   if not name.endswith("?")),
+               forward, data)
+
+
+_T, _M = MsgType, ManagerId
+#: the message table: one row per type, the route-table idiom.
+#: ``msg.payload`` is a dict by field name in memory; only
+#: :meth:`SDMessage.encode` and :meth:`SDMessage.decode` read the table, to
+#: put the values on the wire by position and to refuse a field its row
+#: does not name.  A field is required when every sender fills it in
+MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
+    # -- scheduling / work stealing
+    _row(_T.HELP_REQUEST, _M.SCHEDULING, "want record? hops? thief? rseq?",
+         forward=True),
+    _row(_T.HELP_REPLY, _M.SCHEDULING, "frames program_infos epoch"),
+    _row(_T.CANT_HELP, _M.SCHEDULING),
+    _row(_T.LOAD_REPORT, _M.SCHEDULING),
+    # -- replicated execution
+    _row(_T.REPLICATE, _M.PROCESSING,
+         "frame program thread targets args oplog now work", data="args"),
+    _row(_T.VERDICT, _M.PROCESSING, "tainted effects", data="effects"),
+    # -- code distribution
+    _row(_T.CODE_REQUEST, _M.CODE, "pid tid platform binary_only",
+         forward=True),
+    _row(_T.CODE_REPLY_BINARY, _M.CODE, "pid tid binary meta"),
+    _row(_T.CODE_REPLY_SOURCE, _M.CODE, "pid tid source"),
+    _row(_T.CODE_PUSH_BINARY, _M.CODE, "pid tid platform binary",
+         forward=True),
+    _row(_T.CODE_NOT_FOUND, _M.CODE, "pid tid"),
+    # -- attraction memory
+    _row(_T.APPLY_RESULT, _M.ATTRACTION_MEMORY, "addr slot value epoch",
+         forward=True, data="value"),
+    _row(_T.MEM_READ, _M.ATTRACTION_MEMORY, "addr migrate", forward=True),
+    _row(_T.MEM_READ_REPLY, _M.ATTRACTION_MEMORY,
+         "addr value owned epoch version recorded?"),
+    _row(_T.MEM_WRITE, _M.ATTRACTION_MEMORY, "addr value hops?",
+         forward=True),
+    _row(_T.MEM_OBJECT, _M.ATTRACTION_MEMORY, "state", forward=True),
+    _row(_T.MEM_LOCATION, _M.ATTRACTION_MEMORY, "addr owner"),
+    _row(_T.DIR_UPDATE, _M.ATTRACTION_MEMORY, "addr owner version epoch",
+         forward=True),
+    _row(_T.FRAME_TRANSFER, _M.ATTRACTION_MEMORY,
+         "frames program_infos epoch", forward=True),
+    _row(_T.MEM_NOT_FOUND, _M.ATTRACTION_MEMORY, "addr"),
+    _row(_T.DIR_ACK, _M.ATTRACTION_MEMORY, "addr"),
+    # -- cluster membership
+    _row(_T.SIGN_ON, _M.CLUSTER,
+         "physical platform speed name code_distribution reliable",
+         forward=True),
+    _row(_T.SIGN_ON_ACK, _M.CLUSTER, "your_id sites programs id_block?"),
+    _row(_T.SIGN_OFF, _M.CLUSTER, "leaver heir"),
+    _row(_T.CLUSTER_INFO, _M.CLUSTER, "sites"),
+    _row(_T.HEARTBEAT, _M.CLUSTER),
+    _row(_T.ID_BLOCK_REQUEST, _M.CLUSTER),
+    _row(_T.ID_BLOCK_REPLY, _M.CLUSTER, "id_block"),
+    _row(_T.CRASH_NOTICE, _M.CLUSTER, "site"),
+    # -- program management
+    _row(_T.PROGRAM_REGISTER, _M.PROGRAM, "info relay?", forward=True),
+    _row(_T.PROGRAM_TERMINATED, _M.PROGRAM, "pid"),
+    _row(_T.PROGRAM_RESULT, _M.PROGRAM, "pid result failed failure"),
+    # -- input/output
+    _row(_T.IO_OUTPUT, _M.IO, "text", forward=True),
+    _row(_T.IO_FILE_OPEN, _M.IO, "prompt addr slot"),
+    _row(_T.IO_FILE_READ, _M.IO, "handle size"),
+    _row(_T.IO_FILE_READ_REPLY, _M.IO, "data? error?"),
+    _row(_T.IO_FILE_WRITE, _M.IO, "handle data? seek?"),
+    _row(_T.IO_FILE_WRITE_ACK, _M.IO, "written? error?"),
+    _row(_T.IO_FILE_CLOSE, _M.IO, "handle"),
+    # -- crash management
+    _row(_T.CHECKPOINT_BEGIN, _M.CRASH, "wave phase"),
+    _row(_T.CHECKPOINT_STATE, _M.CRASH, "wave state site"),
+    _row(_T.CHECKPOINT_ACK, _M.CRASH, "wave"),
+    _row(_T.CHECKPOINT_COMMIT, _M.CRASH, "wave aborted?"),
+    _row(_T.CHECKPOINT_REPLICA, _M.CRASH, "wave shards"),
+    _row(_T.RECOVER_BEGIN, _M.CRASH, "epoch dead heir"),
+    _row(_T.RECOVER_STATE, _M.CRASH, "state epoch shard"),
+    _row(_T.RECOVER_DONE, _M.CRASH, "epoch"),
+    _row(_T.RECOVER_ACK, _M.CRASH),
+    # -- security
+    _row(_T.KEY_EXCHANGE_INIT, _M.SECURITY, "public"),
+    _row(_T.KEY_EXCHANGE_REPLY, _M.SECURITY, "public"),
+    # -- site maintenance
+    _row(_T.STATUS_QUERY, _M.SITE),
+    _row(_T.STATUS_REPLY, _M.SITE, "load site_id queue_depth"),
+    _row(_T.SHUTDOWN, _M.SITE),
+)}
 #: the owner's method that handles each type: ``_on_`` and the type's name
 #: in lower case (``_on_help_request``), as ``ast.NodeVisitor`` names its
 #: ``visit_<Class>``.  A type whose owner has no such method is a reply
@@ -122,9 +212,11 @@ MANAGER_OF: Dict[MsgType, ManagerId] = {
 HANDLER_OF: Dict[MsgType, str] = {
     mtype: "_on_" + mtype.name.lower() for mtype in MsgType}
 
-# value -> member map for decode: a plain dict lookup instead of the enum
-# class's __call__ machinery (decode runs once per received message)
-_MSG_BY_VALUE = MsgType._value2member_map_
+
+def _payload_error(row: Row, problem: str) -> SerializationError:
+    return SerializationError(
+        f"{row.type.name} payload {problem} (fields: "
+        f"{' '.join(row.fields) or 'none'})")
 
 
 @dataclass(slots=True)
@@ -135,8 +227,8 @@ class SDMessage:
     :mod:`repro.serde.codec`); this is enforced at encode time.
     ``seq`` is assigned by the sending message manager; ``reply_to``
     correlates request/response pairs.  Source and target manager are the
-    type's owner (:data:`MANAGER_OF`), the handler its method
-    :data:`HANDLER_OF`.
+    type's owner (its :data:`MESSAGE_TABLE` row), the handler its method
+    :data:`HANDLER_OF`; the row also names the payload's fields.
     """
 
     type: MsgType
@@ -169,40 +261,72 @@ class SDMessage:
         """Serialize to wire bytes: one codec record (tag ``R``, see
         :func:`repro.serde.dumps_record`), whose eight untagged zigzag
         varints are type, src_site, dst_site, program, seq, reply_to,
-        src_load and src_queue, followed by the payload dict's count and
-        pairs.
+        src_load and src_queue, followed by the presence mask of the
+        type's row (:data:`MESSAGE_TABLE`) and the present payload values
+        in row order.  No field name goes on the wire.
 
         Encode-once: the first call caches the envelope and every later
         call returns the same ``bytes`` object.  Mutating the message after
         the first ``encode()`` does not change its wire form — senders must
         fully assemble a message before handing it to the message manager.
-        A header figure that is not an ``int`` and a payload that is not
-        a dict raise :class:`SerializationError`.
+        A type without a row, a header figure that is not an ``int``, a
+        payload that is not a dict, a payload key the row does not name
+        and a missing required field raise :class:`SerializationError`.
         """
         wire = self._wire
         if wire is None:
+            row = MESSAGE_TABLE.get(self.type)
+            if row is None:
+                raise SerializationError(f"unknown message type {self.type}")
+            payload = self.payload
+            if type(payload) is not dict:
+                raise _payload_error(row, "is not a dict")
+            mask = 0
+            values: List[Any] = []
+            for bit, name in enumerate(row.fields):
+                if name in payload:
+                    mask |= 1 << bit
+                    values.append(payload[name])
+            if len(values) != len(payload):
+                unknown = [key for key in payload if key not in row.fields]
+                raise _payload_error(row, f"has no field {unknown[0]!r}")
+            if mask & row.required != row.required:
+                raise _payload_error(row, "lacks a required field")
             wire = self._wire = dumps_record((
                 int(self.type), self.src_site, self.dst_site, self.program,
                 self.seq, self.reply_to, self.src_load, self.src_queue,
-            ), self.payload)
+            ), mask, values)
         return wire
 
     @classmethod
     def decode(cls, data: bytes) -> "SDMessage":
+        """The message :meth:`encode` wrote.  Anything else — an unknown
+        type, a truncated record, a mask bit beyond the type's row or a
+        required field the mask leaves out — raises
+        :class:`SerializationError`, so no handler sees a payload its row
+        does not promise."""
         (mtype, src_site, dst_site, program, seq, reply_to, src_load,
-         src_queue, payload) = loads_record(data)
-        msg_type = _MSG_BY_VALUE.get(mtype)
-        if msg_type is None:
+         src_queue, mask, values) = loads_record(data)
+        row = MESSAGE_TABLE.get(mtype)
+        if row is None:
             raise SerializationError(f"unknown message type {mtype} on wire")
+        fields = row.fields
+        if mask >> len(fields):
+            raise _payload_error(row, f"mask {mask:#x} is beyond its row")
+        if mask & row.required != row.required:
+            raise _payload_error(row, "lacks a required field")
+        if len(values) != len(fields):
+            fields = [name for bit, name in enumerate(fields)
+                      if mask >> bit & 1]
         # direct slot assignment instead of the dataclass __init__ — decode
         # runs once per received message and the kwargs machinery is
         # measurable there.  Every slot must be set, including the wire
         # cache (deliberately left cold, see the field comment).
         msg = cls.__new__(cls)
-        msg.type = msg_type
+        msg.type = row.type
         msg.src_site = src_site
         msg.dst_site = dst_site
-        msg.payload = payload
+        msg.payload = dict(zip(fields, values))
         msg.program = program
         msg.seq = seq
         msg.reply_to = reply_to
@@ -213,21 +337,22 @@ class SDMessage:
 
     def snapshot(self) -> "SDMessage":
         """What ``SDMessage.decode(self.encode())`` builds, without the
-        bytes: a private copy whose payload shares no mutable container
-        with this message (see :func:`repro.serde.wire_copy`), the wire
-        cache cold.  Raises the :class:`SerializationError` that encode or
-        decode would, so a caller can fall back to the bytes.
+        bytes: a private copy whose payload, in row order, shares no
+        mutable container with this message (see
+        :func:`repro.serde.wire_copy`), the wire cache cold.  Raises the
+        :class:`SerializationError` that encode or decode would, so a
+        caller can fall back to the bytes.
         """
         self.encode()  # checks header and payload; cached after a send
-        msg_type = _MSG_BY_VALUE.get(self.type)
-        if msg_type is None:
-            raise SerializationError(
-                f"unknown message type {self.type} on wire")
+        row = MESSAGE_TABLE[self.type]
+        payload = self.payload
         msg = SDMessage.__new__(SDMessage)
-        msg.type = msg_type
+        msg.type = row.type
         msg.src_site = self.src_site
         msg.dst_site = self.dst_site
-        msg.payload = wire_copy(self.payload)
+        # depth 1: a value sits inside the record, as it does on the wire
+        msg.payload = {name: wire_copy(payload[name], 1)
+                       for name in row.fields if name in payload}
         msg.program = self.program
         msg.seq = self.seq
         msg.reply_to = self.reply_to
@@ -256,7 +381,7 @@ class SDMessage:
 
     def __repr__(self) -> str:
         return (f"SDMessage({self.type.name} {self.src_site} -> "
-                f"{self.dst_site}/{MANAGER_OF[self.type].name} "
+                f"{self.dst_site}/{MESSAGE_TABLE[self.type].owner.name} "
                 f"seq={self.seq})")
 
 

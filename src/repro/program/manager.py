@@ -280,9 +280,9 @@ class ProgramManager(Manager):
             return
         if not info.terminated:
             self._terminate(info)
-        info.result = msg.payload.get("result")
-        info.failed = msg.payload.get("failed", False)
-        info.failure = msg.payload.get("failure", "")
+        info.result = msg.payload["result"]
+        info.failed = msg.payload["failed"]
+        info.failure = msg.payload["failure"]
         self._finish(info)
 
     def on_start(self) -> None:

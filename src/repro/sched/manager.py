@@ -280,13 +280,13 @@ class SchedulingManager(Manager):
         already timed out and fed the congestion state, and wiping that
         state here would erase backoff mid-congestion.
         """
-        if msg.payload.get("epoch", self.site.epoch) < self.site.epoch:
+        if msg.payload["epoch"] < self.site.epoch:
             # the victim granted these frames before the last rollback
             # recovery: the checkpoint restored its own copies, so adopting
             # this stale batch would duplicate pre-recovery work — and a
             # stale frame's parameters may reference rolled-back addresses
             return
-        for info_wire in msg.payload.get("program_infos", ()):
+        for info_wire in msg.payload["program_infos"]:
             self.site.program_manager.learn_program_wire(info_wire)
         self._adopting = True
         try:
@@ -434,7 +434,7 @@ class SchedulingManager(Manager):
         cfg = self.config.scheduling
         avail = (len(self.executable) + len(self.ready)
                  - cfg.keep_local_min)
-        want = int(msg.payload.get("want", 1))
+        want = int(msg.payload["want"])
         count = max(1, min(want, cfg.steal_batch_max, (avail + 1) // 2))
         frames = take_batch_for_help(self.executable, cfg.help_reply_policy,
                                      count)

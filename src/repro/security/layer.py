@@ -9,10 +9,13 @@ exchange (KEY_EXCHANGE_INIT/REPLY messages, handled by the site wiring) can
 later rotate a pair onto a fresh session key.
 
 When disabled ("if an insular cluster ... is used, the security manager can
-be disabled in favor of a performance gain", §4), envelopes pass through
-unmodified except for a one-byte marker, and mixed clusters fail closed: a
-sealed envelope arriving at a disabled layer raises
-:class:`~repro.common.errors.SecurityError`.
+be disabled in favor of a performance gain", §4), the envelope is the
+message's codec record itself, unmodified: no header and no copy.  A
+sealed envelope starts with the one-byte marker :data:`_SEALED`, which no
+record does (a record starts with its tag ``R``), so mixed clusters fail
+closed both ways: a sealed envelope arriving at a disabled layer raises
+:class:`~repro.common.errors.SecurityError`, and so does anything but a
+sealed envelope arriving at an enabled one.
 """
 
 from __future__ import annotations
@@ -23,16 +26,22 @@ from typing import Dict, Tuple
 from repro.common.errors import SecurityError
 from repro.security.cipher import NONCE_SIZE, derive_key, open_sealed, seal
 
-_PLAIN = 0
+#: the first byte of a sealed envelope; a plaintext one is a codec record
 _SEALED = 1
+
+
+def is_sealed(envelope: bytes) -> bool:
+    """Whether ``envelope`` is sealed rather than a plaintext record."""
+    return len(envelope) > 0 and envelope[0] == _SEALED
 
 
 class SecurityLayer:
     """Encrypt/decrypt byte envelopes for one site.
 
-    The envelope carries the sender's physical address in clear (the
+    A sealed envelope carries the sender's physical address in clear (the
     receiver needs it to select the pairwise key before it can decrypt
-    anything): ``flag(1) || addr_len(2) || addr || body``.
+    anything): ``_SEALED(1) || addr_len(2) || addr || body``.  A plaintext
+    envelope is ``data`` as the message manager encoded it.
     """
 
     def __init__(self, local_addr: str, enabled: bool,
@@ -48,11 +57,10 @@ class SecurityLayer:
         #: still be in flight when the new key installs (rollover grace)
         self._previous_keys: Dict[str, bytes] = {}
         self._nonce_counters: Dict[str, int] = {}
-        #: envelope header is identical for every message this site sends;
-        #: build it once (protect() sits on the per-message hot path)
+        #: sealed-envelope header is identical for every message this site
+        #: sends; build it once (protect() sits on the per-message hot path)
         addr = local_addr.encode("utf-8")
-        self._header = struct.pack(">BH", _SEALED if enabled else _PLAIN,
-                                   len(addr)) + addr
+        self._header = struct.pack(">BH", _SEALED, len(addr)) + addr
         #: nonce pad depends only on the local address; cache it instead of
         #: re-deriving a key per message
         self._nonce_pad = derive_key(b"nonce", addr)[:NONCE_SIZE - 8]
@@ -90,35 +98,35 @@ class SecurityLayer:
 
     # ------------------------------------------------------------------
     def protect(self, peer_addr: str, data: bytes) -> bytes:
-        """Wrap outgoing ``data`` for transmission to ``peer_addr``."""
-        header = self._header
+        """Wrap outgoing ``data`` for transmission to ``peer_addr``: sealed
+        when the layer is enabled, ``data`` itself when it is not."""
         if not self.enabled:
-            return header + data
+            return data
         self.messages_sealed += 1
         self.bytes_processed += len(data)
         nonce = self._next_nonce(peer_addr)
         key = self._pair_key(peer_addr)
-        return header + seal(key, data, nonce)
+        return self._header + seal(key, data, nonce)
 
     def unprotect(self, envelope: bytes) -> Tuple[str, bytes]:
-        """Unwrap an incoming envelope; returns (sender_addr, payload)."""
+        """Unwrap an incoming envelope; returns (sender_addr, payload).  A
+        plaintext envelope names no sender: its address reads ``""``."""
+        if not envelope:
+            raise SecurityError("envelope too short")
+        if not is_sealed(envelope):
+            if self.enabled:
+                raise SecurityError("plaintext envelope rejected: security on")
+            return "", envelope
         if len(envelope) < 3:
             raise SecurityError("envelope too short")
-        flag, addr_len = struct.unpack_from(">BH", envelope, 0)
+        (addr_len,) = struct.unpack_from(">H", envelope, 1)
         if len(envelope) < 3 + addr_len:
             raise SecurityError("envelope truncated in sender address")
-        sender = envelope[3:3 + addr_len].decode("utf-8")
-        body = envelope[3 + addr_len:]
-        if flag == _PLAIN:
-            if self.enabled:
-                raise SecurityError(
-                    f"plaintext message from {sender} rejected: security on")
-            return sender, body
-        if flag != _SEALED:
-            raise SecurityError(f"unknown envelope flag {flag}")
+        sender = envelope[3:3 + addr_len].decode("utf-8", "replace")
         if not self.enabled:
             raise SecurityError(
                 f"sealed message from {sender} but security layer disabled")
+        body = envelope[3 + addr_len:]
         self.messages_opened += 1
         self.bytes_processed += len(body)
         try:

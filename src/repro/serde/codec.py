@@ -38,7 +38,7 @@ M     varint count + key/value pairs  (dict)
 E     varint count + items            (set)
 A     packed GlobalAddress varint
 H     FileHandle: two varints
-R     record: 8 zigzag varints + count + key/value pairs  (a message)
+R     record: 8 zigzag varints + mask varint + one value per set bit
 ====  =======================================================
 """
 
@@ -70,7 +70,9 @@ _TAG_ADDR = ord("A")
 _TAG_HANDLE = ord("H")
 _TAG_RECORD = ord("R")
 
-#: how many untagged ints lead a record (the SDMessage header)
+#: how many untagged ints lead a record (the SDMessage header); a
+#: presence mask follows them, then one value for each bit it sets, in bit
+#: order (the message table names the fields, the record does not)
 RECORD_INTS = 8
 
 #: decoder recursion ceiling — a hostile deeply-nested payload must surface
@@ -344,15 +346,10 @@ def _decode(data: _Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
                 item, pos = _decode(data, pos, child_depth)
                 append(item)
         return (tuple(items) if tag == _TAG_TUPLE else items), pos
-    if tag == _TAG_DICT or tag == _TAG_RECORD:
+    if tag == _TAG_DICT:
         if depth >= MAX_DECODE_DEPTH:
             raise SerializationError(
                 f"payload nested deeper than {MAX_DECODE_DEPTH}")
-        if tag == _TAG_RECORD:  # eight untagged ints, then a dict's body
-            ints = []
-            for _ in range(RECORD_INTS):
-                raw, pos = read_uvarint(data, pos)
-                ints.append((raw >> 1) ^ -(raw & 1))
         if pos >= size:
             raise SerializationError("truncated varint")
         count = data[pos]
@@ -384,7 +381,38 @@ def _decode(data: _Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
         except TypeError as exc:
             raise SerializationError(
                 f"unhashable dict key on wire: {exc}") from exc
-        return ((*ints, result) if tag == _TAG_RECORD else result), pos
+        return result, pos
+    if tag == _TAG_RECORD:
+        # eight untagged ints, the presence mask, one value per set bit
+        if depth >= MAX_DECODE_DEPTH:
+            raise SerializationError(
+                f"payload nested deeper than {MAX_DECODE_DEPTH}")
+        record: List[Any] = []
+        append = record.append
+        for _ in range(RECORD_INTS):
+            raw, pos = read_uvarint(data, pos)
+            append((raw >> 1) ^ -(raw & 1))
+        mask, pos = read_uvarint(data, pos)  # unsigned: no zigzag
+        append(mask)
+        values: List[Any] = []
+        push = values.append
+        child_depth = depth + 1
+        for _ in range(mask.bit_count()):
+            if pos < size and data[pos] == _TAG_INT:
+                ipos = pos + 1
+                if ipos >= size:
+                    raise SerializationError("truncated varint")
+                raw = data[ipos]
+                if raw < 0x80:
+                    pos = ipos + 1
+                else:
+                    raw, pos = read_uvarint(data, ipos)
+                push((raw >> 1) ^ -(raw & 1))
+            else:
+                val, pos = _decode(data, pos, child_depth)
+                push(val)
+        append(tuple(values))
+        return tuple(record), pos
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_TRUE:
@@ -451,13 +479,18 @@ def loads(data: _Buffer) -> Any:
     return value
 
 
-def dumps_record(ints: Tuple[int, ...], payload: Dict[Any, Any]) -> bytes:
+def dumps_record(ints: Tuple[int, ...], mask: int,
+                 values: List[Any]) -> bytes:
     """A record: tag ``R``, the :data:`RECORD_INTS` ``ints`` as untagged
-    zigzag varints, then ``payload``, a dict, without its own tag.  An int
-    that is not an ``int`` within 64 signed bits, the wrong number of them
-    or a payload that is not a dict raises :class:`SerializationError`."""
-    if len(ints) != RECORD_INTS or type(payload) is not dict:
-        raise SerializationError(f"a record is {RECORD_INTS} ints and a dict")
+    zigzag varints, ``mask`` as an unsigned varint, then ``values``, one
+    for each bit the mask sets.  Which field a bit stands for is the
+    caller's table, not the record's.  An int that is not an ``int``
+    within 64 signed bits, the wrong number of them, or a mask whose set
+    bits do not count the values raises :class:`SerializationError`."""
+    if (len(ints) != RECORD_INTS or type(mask) is not int or mask < 0
+            or mask.bit_count() != len(values)):
+        raise SerializationError(
+            f"a record is {RECORD_INTS} ints, a mask and a value per bit")
     out = bytearray((_TAG_RECORD,))
     for num in ints:
         if (type(num) is not int
@@ -468,16 +501,27 @@ def dumps_record(ints: Tuple[int, ...], payload: Dict[Any, Any]) -> bytes:
             out.append(zz)
         else:
             write_uvarint(out, zz)
-    mark = len(out)
-    _encode(out, payload)
-    del out[mark]  # the record's tag stands in for the dict's
+    if mask < 0x80:
+        out.append(mask)
+    else:
+        write_uvarint(out, mask)
+    for value in values:
+        if type(value) is int and _MIN_SMALL_INT <= value <= _MAX_SMALL_INT:
+            out.append(_TAG_INT)
+            zz = value << 1 if value >= 0 else ~(value << 1)
+            if zz < 0x80:
+                out.append(zz)
+            else:
+                write_uvarint(out, zz)
+        else:
+            _encode(out, value)
     return bytes(out)
 
 
 def loads_record(data: _Buffer) -> Tuple[Any, ...]:
-    """The ints and payload :func:`dumps_record` wrote, as one tuple (what
-    :func:`loads` returns for a record); anything else raises
-    :class:`SerializationError`."""
+    """What :func:`dumps_record` wrote, as one tuple: the ints, the mask
+    and the tuple of values (what :func:`loads` returns for a record);
+    anything else raises :class:`SerializationError`."""
     if not data or data[0] != _TAG_RECORD:
         raise SerializationError("not a record")
     return loads(data)

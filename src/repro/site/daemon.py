@@ -15,7 +15,7 @@ from repro.common.errors import ProgramError, SDVMError
 from repro.common.ids import ManagerId, NO_SITE, make_program_id
 from repro.core.frames import Microframe
 from repro.core.program import SDVMProgram
-from repro.messages import HANDLER_OF, MANAGER_OF, SDMessage
+from repro.messages import HANDLER_OF, MESSAGE_TABLE, SDMessage
 from repro.cluster.manager import ClusterManager
 from repro.code.manager import CodeManager
 from repro.crash.manager import CrashManager
@@ -165,7 +165,7 @@ class SDVMSite:
         self.cluster_manager.observe(msg.src_site)
         # type -> manager -> ``_on_<type>``, looked up per message so a
         # handler patched onto one manager instance takes effect
-        handler = getattr(self.managers.get(MANAGER_OF.get(msg.type)),
+        handler = getattr(self.managers.get(MESSAGE_TABLE[msg.type].owner),
                           HANDLER_OF[msg.type], None)
         if handler is None:
             # a reply only its request reads, arriving late or twice

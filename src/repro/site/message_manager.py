@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SecurityError, SerializationError
 from repro.common.ids import ManagerId
-from repro.messages import MsgType, SDMessage, SnapshotEnvelope
+from repro.messages import MESSAGE_TABLE, SDMessage, SnapshotEnvelope
 from repro.site.manager_base import Manager
 from repro.trace.causal import msg_node
 
@@ -260,13 +260,8 @@ class MessageManager(Manager):
         self.kernel.cpu_run(self._wire_cost(len(data)), self._dispatch, msg)
 
     #: message kinds a departed-but-forwarding site relays to its heir
-    _FORWARDABLE = frozenset({
-        MsgType.APPLY_RESULT, MsgType.FRAME_TRANSFER, MsgType.MEM_READ,
-        MsgType.MEM_WRITE, MsgType.MEM_OBJECT, MsgType.DIR_UPDATE,
-        MsgType.CODE_REQUEST, MsgType.CODE_PUSH_BINARY,
-        MsgType.HELP_REQUEST, MsgType.SIGN_ON,
-        MsgType.PROGRAM_REGISTER, MsgType.IO_OUTPUT,
-    })
+    _FORWARDABLE = frozenset(
+        row.type for row in MESSAGE_TABLE.values() if row.forwardable)
 
     def _forward_to_heir(self, msg: SDMessage, heir: int) -> None:
         """Relay a straggler to the heir without reassigning src/seq, so

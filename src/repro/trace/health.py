@@ -205,7 +205,7 @@ class HealthMonitor:
                 self._clear(site, "partition_suspect")
 
             # sdc_mismatch: replica divergence — one is already too many
-            mismatches = row.get("sdc_mismatches", 0)
+            mismatches = row.get("sdc_mismatch", 0)
             if mismatches > 0:
                 self._fire(t, site, "sdc_mismatch",
                            f"{mismatches} replica mismatch(es) this "

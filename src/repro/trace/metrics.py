@@ -46,7 +46,7 @@ SAMPLE_FIELDS: Tuple[str, ...] = (
     "help_sent",      # help requests sent this interval
     "steals_in",      # frames stolen in this interval
     "steal_grants",   # frames granted to thieves this interval
-    "cant_help",      # CANT_HELP replies received this interval
+    "cant_help_received",  # CANT_HELP replies received this interval
     "msgs_sent",      # messages sent this interval (incl. loopback)
     "msgs_recv",      # messages received this interval
     "wave_age",       # age of the coordinator's open checkpoint wave (s)
@@ -54,7 +54,17 @@ SAMPLE_FIELDS: Tuple[str, ...] = (
     "dir_entries",    # ownership-directory entries this site keeps
     "frames",         # microframes resident in the attraction memory
     "objects",        # shared objects resident in the attraction memory
-    "sdc_mismatches", # replica-divergence detections this interval
+    "sdc_mismatch",   # replica-divergence detections this interval
+)
+
+#: the manager counters a row reports as their count this interval, each
+#: under the counter's own name
+INTERVAL_COUNTERS: Tuple[Tuple[str, str], ...] = (
+    ("scheduling_manager", "help_sent"),
+    ("scheduling_manager", "steals_in"),
+    ("scheduling_manager", "steal_grants"),
+    ("scheduling_manager", "cant_help_received"),
+    ("processing_manager", "sdc_mismatch"),
 )
 
 #: row fields that are flags/counts and must be non-negative integers
@@ -197,8 +207,9 @@ class MetricsSampler:
         self.monitor = monitor
         self.log = MetricsLog(interval=self.interval, mode=mode,
                               nsites=len(cluster.sites))
-        #: site index -> previous cumulative counters (for interval deltas)
-        self._prev: Dict[int, Tuple[float, ...]] = {}
+        #: site index -> the cumulative figures of its previous sample, by
+        #: row field (for interval deltas)
+        self._prev: Dict[int, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def sample_once(self, now: float) -> List[dict]:
@@ -220,23 +231,21 @@ class MetricsSampler:
         msg_stats = site.message_manager.stats
 
         cpu = site.kernel.cpu
-        busy_total = cpu.busy_total if cpu is not None else 0.0
-        help_sent = sched.stats.get("help_sent").count
-        steals_in = sched.stats.get("steals_in").count
-        steal_grants = sched.stats.get("steal_grants").count
-        cant_help = sched.stats.get("cant_help_received").count
-        sent = (msg_stats.get("sent").count
-                + msg_stats.get("local_messages").count)
-        recv = (msg_stats.get("received").count
-                + msg_stats.get("local_messages").count)
-        sdc_mismatches = proc.stats.get("sdc_mismatch").count
-
-        prev = self._prev.get(index, (busy_total, 0, 0, 0, 0, 0, 0, 0))
-        self._prev[index] = (busy_total, help_sent, steals_in, steal_grants,
-                             cant_help, sent, recv, sdc_mismatches)
-        busy_frac = max(0.0, min((busy_total - prev[0]) / self.interval, 1.0))
-
-        return {
+        local = msg_stats.get("local_messages").count
+        totals = {counter: getattr(site, manager).stats.get(counter).count
+                  for manager, counter in INTERVAL_COUNTERS}
+        totals["msgs_sent"] = msg_stats.get("sent").count + local
+        totals["msgs_recv"] = msg_stats.get("received").count + local
+        totals["busy_frac"] = cpu.busy_total if cpu is not None else 0.0
+        prev = self._prev.get(index)
+        if prev is None:
+            prev = dict.fromkeys(totals, 0)
+            prev["busy_frac"] = totals["busy_frac"]
+        self._prev[index] = totals
+        row = {name: total - prev[name] for name, total in totals.items()}
+        row["busy_frac"] = max(0.0, min(row["busy_frac"] / self.interval,
+                                        1.0))
+        row.update({
             "t": now,
             "site": site.site_id,
             "alive": 1 if site.running else 0,
@@ -247,20 +256,13 @@ class MetricsSampler:
             "executable": len(sched.executable),
             "ready": len(sched.ready),
             "in_flight": proc.in_flight,
-            "busy_frac": busy_frac,
-            "help_sent": help_sent - prev[1],
-            "steals_in": steals_in - prev[2],
-            "steal_grants": steal_grants - prev[3],
-            "cant_help": cant_help - prev[4],
-            "msgs_sent": sent - prev[5],
-            "msgs_recv": recv - prev[6],
             "wave_age": crash.open_wave_age(now),
             "committed_wave": crash.committed_wave,
             "dir_entries": len(mem.dir_entries),
             "frames": len(mem.frames),
             "objects": len(mem.objects),
-            "sdc_mismatches": int(sdc_mismatches - prev[7]),
-        }
+        })
+        return {name: row[name] for name in SAMPLE_FIELDS}
 
 
 # ---------------------------------------------------------------------------

@@ -89,31 +89,31 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "f0d6cc39aed32bceac3fb69c09bbbd7a53e335551738b16428104441af451ff3",
+        "79f6f1fc855604ed67b12fad7dcc61e58208183f022e69351d60683ded3b970d",
     "crash_during_recovery.json":
-        "018e9df5b731f2e85c9074cbf545f8ffdab5491a5a4ec986f1e58b6e9080c720",
+        "d3893a98b3b4f77b6c014ab555c99c87f7e3e141ddb31df86fbdf091394cc213",
     "crash_during_wave.json":
-        "e73698eaf4810bca57f4ba88d185818f0228bbe8b6abe9bda0ae8d163f87c5e8",
+        "a417554defc6e4a210f662e9be0f0ef67cfec601e9855638c9bc14b1918e4f63",
     "dir_shard_crash.json":
-        "fa77a001d424993df3fc91190683649530845c2b8d18a4c29023ee35fe71e28a",
+        "fae6db7b15066492e2236af75e12622420c1ce7af80dccfb111d0a7fe174f506",
     "duplicate_delivery.json":
-        "40f6da7c428bf27f56915993f1260827077dd265bbfa1fdb41a9d48564457957",
+        "9b4a7e0c40df76a22d6fcacf1ff963709fb6b409aa28278380c13d4f86ee20a5",
     "homesite_crash.json":
-        "20d97c37e8820b3a5b5e3c208e6a297f29db8a6355b5ff7f6a7be3f2fca71812",
+        "3fdf5bd2791bc3b84ab8e1320c2e5b7f4c22b55aabac73b875035e37a751bb74",
     "lossy_recovery.json":
-        "cc12897a36c2850b611de6841df2ec056c6152c051ca828e4fcf94a23634395f",
+        "b4fd4b141586f28bdc06be14244c3a8b82de9f4318fd589a49b867179a424701",
     "memory_partition.json":
-        "e9839cc1742c065e3b6bda9597a15b587492937e4583384f31a1069b702028f6",
+        "aa445b620e8dc3a90188f3271559a35e35b155415b8237d055f46a979affd1b7",
     "partition_then_heal.json":
-        "400d67a79c23d8a83536ea56c97b61b5914ac5c6a8145ce69debad4f536262a3",
+        "6e7aa96a1f07cfaa6ff2cf6cd36a98dacc7c5892b1a4ce611dfa268a80a1baa4",
     "recover_done_overtakes_state.json":
-        "880b48a96f767d9e9ca00dbe4ee9b5def00e4f4d39bea999470c1e30d6eb6468",
+        "3f5f8beebb5b174de2efcf4898d3530bab3a809cf7831d54edc3f763c7a0b0ef",
     "signoff_leaver_silence.json":
-        "b489bdbbe58629b8cbf4e90a7f0d467230afba8d0364048f01c29b42d9a6a489",
+        "b97ea75a5d282d1f6c7193fde3b66793b735f69fc0a5a5b4838d12bb44b27fd3",
     "steal_batch_reorder.json":
-        "fd2600c56c2cc22406d4d01ad9352af7613b58fe1561bc6baa4c0ff1cbb6fd5c",
+        "5bb794aeaf580787c6d24c90f68c3fd600a929d4fc4daea73b7a466afd46108a",
     "wave_stall.json":
-        "f1899c4a31c60271029687b0b562a13f8d0e7f28ca83bf9fff43c49d1847042f",
+        "e3b029683f155ed06102fed9f6a276c6db6009fc42dee8add7830e18cfc60f20",
 }
 
 _corpus_results = {}
@@ -674,7 +674,7 @@ def _apply_result(src, dst, value):
         type=MsgType.APPLY_RESULT,
         src_site=src.site_id, dst_site=dst.site_id,
         payload={"addr": GlobalAddress(dst.site_id, 1), "slot": 0,
-                 "value": value})
+                 "value": value, "epoch": dst.epoch})
 
 
 def _report_without_parse_counters(cluster):
@@ -781,6 +781,18 @@ class TestInjection:
         kinds = [e.fields[0] for e in result.cluster.tracer.events
                  if e.kind == "chaos_fault"]
         assert "crash" in kinds
+
+    def test_rollback_past_a_sign_off_restores_the_leaver_on_its_heir(self):
+        """Fuzz seed 98 on ``treesum``: a site signs off before a crash
+        is detected, so the recovery rolls back to a wave the leaver was
+        part of.  The leaver's shard must land on its heir, where its
+        addresses route; adopted by the coordinator instead, its frames
+        never got their parameters and the program never finished."""
+        plan = random_plan(98, nsites=4, workload="treesum")
+        assert sorted(f.kind for f in plan.faults) == ["crash", "sign_off"]
+        result = run_plan(plan)
+        assert result.ok, [str(v) for v in result.violations]
+        assert result.cluster.tracer.kinds().get("recovery_done", 0) >= 1
 
     def test_controller_rejects_site_count_mismatch(self):
         from repro.chaos import chaos_config

@@ -245,7 +245,7 @@ class TestHomesiteDirectory:
             type=MsgType.MEM_READ_REPLY,
             src_site=a.site_id, dst_site=c.site_id,
             payload={"addr": addr, "value": "v", "owned": True,
-                     "version": 0}))
+                     "epoch": c.epoch, "version": 0}))
         cluster.sim.run(until=0.4)
         assert addr in c.attraction_memory.objects
         assert _mem_stat(c, "dir_updates_sent") == 1

@@ -230,7 +230,8 @@ class TestInvalidation:
         pusher.message_manager.send(SDMessage(
             type=MsgType.FRAME_TRANSFER,
             src_site=pusher.site_id, dst_site=rep.site.site_id,
-            payload={"frames": []}))
+            payload={"frames": [], "program_infos": [],
+                     "epoch": pusher.epoch}))
 
     def test_push_receipt_marks_the_pushers_figure_unknown(self):
         """A pusher raises its own record of the target (note_pushed), so

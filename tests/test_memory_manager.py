@@ -328,8 +328,9 @@ class TestLiveProtocolHandlers:
             type=MsgType.FRAME_TRANSFER,
             src_site=a.site_id, dst_site=b.site_id,
             program=pid,
-            payload={"frame": frame.to_wire(),
-                     "program_info": a.program_manager.get(pid).to_wire()},
+            payload={"frames": [frame.to_wire()],
+                     "program_infos": [a.program_manager.get(pid).to_wire()],
+                     "epoch": a.epoch},
         )
         a.message_manager.send(msg)
         cluster.sim.run(until=0.5)

@@ -104,7 +104,10 @@ class TestSendReceive:
 
 
 def data_msg(src, dst, payload):
+    """A message whose row has two optional fields, ``data`` and
+    ``error``, which may hold any value."""
     msg = status_msg(src, dst)
+    msg.type = MsgType.IO_FILE_READ_REPLY
     msg.payload = payload
     return msg
 
@@ -132,27 +135,27 @@ class TestSnapshotDelivery:
     def test_sender_mutation_after_send_is_invisible(self, pair):
         cluster, a, b = pair
         got = capture_dispatched(b)
-        msg = data_msg(a, b, {"items": [1], "deep": {"k": [2]}})
+        msg = data_msg(a, b, {"data": [1], "error": {"k": [2]}})
         a.message_manager.send(msg)
-        msg.payload["items"].append(99)
-        msg.payload["deep"]["k"].clear()
+        msg.payload["data"].append(99)
+        msg.payload["error"]["k"].clear()
         msg.payload["late"] = True
         cluster.sim.run(until=0.5)
         (delivered,) = got
         assert delivered is not msg
-        assert delivered.payload == {"items": [1], "deep": {"k": [2]}}
+        assert delivered.payload == {"data": [1], "error": {"k": [2]}}
         assert (delivered.type, delivered.seq, delivered.src_site) == (
             msg.type, msg.seq, a.site_id)
 
     def test_receiver_mutation_is_invisible_to_sender(self, pair):
         cluster, a, b = pair
         got = capture_dispatched(b)
-        msg = data_msg(a, b, {"items": [1], "deep": {"k": [2]}})
+        msg = data_msg(a, b, {"data": [1], "error": {"k": [2]}})
         a.message_manager.send(msg)
         cluster.sim.run(until=0.5)
-        got[0].payload["items"].append(99)
-        got[0].payload["deep"]["k"] = None
-        assert msg.payload == {"items": [1], "deep": {"k": [2]}}
+        got[0].payload["data"].append(99)
+        got[0].payload["error"]["k"] = None
+        assert msg.payload == {"data": [1], "error": {"k": [2]}}
 
     def test_nothing_is_parsed_on_a_fault_free_wire(self, pair):
         cluster, a, b = pair
@@ -171,9 +174,9 @@ class TestSnapshotDelivery:
                                                            bytes(data))
         got = capture_dispatched(b)
         before = b.message_manager.stats.get("parsed").count
-        a.message_manager.send(data_msg(a, b, {"items": [1]}))
+        a.message_manager.send(data_msg(a, b, {"data": [1]}))
         cluster.sim.run(until=0.5)
-        assert [m.payload for m in got] == [{"items": [1]}]
+        assert [m.payload for m in got] == [{"data": [1]}]
         assert b.message_manager.stats.get("parsed").count == before + 1
 
     def test_second_delivery_of_one_envelope_is_parsed(self, pair):
@@ -186,12 +189,12 @@ class TestSnapshotDelivery:
 
         cluster.network.send = twice
         got = capture_dispatched(b)
-        a.message_manager.send(data_msg(a, b, {"items": [1]}))
+        a.message_manager.send(data_msg(a, b, {"data": [1]}))
         cluster.sim.run(until=0.5)
         first, second = got
-        assert first.payload == second.payload == {"items": [1]}
+        assert first.payload == second.payload == {"data": [1]}
         assert first.payload is not second.payload
-        assert first.payload["items"] is not second.payload["items"]
+        assert first.payload["data"] is not second.payload["data"]
         assert b.message_manager.stats.get("parsed").count == 1
 
     def test_what_a_parse_would_drop_is_still_dropped(self, pair):
@@ -201,7 +204,7 @@ class TestSnapshotDelivery:
         cluster, a, b = pair
         got = capture_dispatched(b)
         assert a.message_manager.send(
-            data_msg(a, b, {"v": nested(MAX_DECODE_DEPTH)}))
+            data_msg(a, b, {"data": nested(MAX_DECODE_DEPTH)}))
         cluster.sim.run(until=0.5)
         assert got == []
         assert b.message_manager.stats.get("malformed").count == 1
@@ -236,7 +239,7 @@ class TestForwardingMode:
             src_site=a.site_id, dst_site=b.site_id,
             program=-1,
             payload={"addr": GlobalAddress(b.site_id, 1), "slot": 0,
-                     "value": 42},
+                     "value": 42, "epoch": b.epoch},
         )
         a.message_manager.send(msg)
         cluster.sim.run(until=0.5)
@@ -258,7 +261,7 @@ class TestForwardingMode:
             type=MsgType.APPLY_RESULT, src_site=a.site_id,
             dst_site=b.site_id,
             payload={"addr": GlobalAddress(b.site_id, 1), "slot": 0,
-                     "value": 42}))
+                     "value": 42, "epoch": b.epoch}))
         cluster.sim.run(until=0.5)
         assert b.message_manager.stats.get("forwarded_to_heir").count == 1
         stats = cluster.total_stats()
@@ -273,7 +276,6 @@ class TestForwardingMode:
         hb = SDMessage(
             type=MsgType.HEARTBEAT,
             src_site=a.site_id, dst_site=b.site_id,
-            payload={"load": 0.0},
         )
         a.message_manager.send(hb)
         cluster.sim.run(until=0.5)
@@ -340,7 +342,8 @@ class TestLiveKernelTimeoutPaths:
                     "request_timeouts").count) == 1)
             # now hand-deliver the reply the swallowed query never produced
             late = make_reply(msg, MsgType.STATUS_REPLY,
-                              {"load": 0.0, "site_id": b.site_id})
+                              {"load": 0, "site_id": b.site_id,
+                               "queue_depth": 0})
             b.kernel.reactor_call(lambda: b.message_manager.send(late))
             assert self._await(lambda: a.kernel.reactor_call(
                 lambda: a.message_manager.stats.get(
@@ -376,8 +379,7 @@ class TestSecurityIntegration:
         cluster.network.send = spy
         cluster.sim.run(until=0.2)
         a, b = cluster.sites
-        msg = status_msg(a, b)
-        msg.payload["secret_marker"] = "VERY-SECRET-TOKEN"
+        msg = data_msg(a, b, {"data": "VERY-SECRET-TOKEN"})
         a.message_manager.send(msg)
         cluster.sim.run(until=0.5)
         assert seen

@@ -13,7 +13,7 @@ import repro
 from repro.common.config import SDVMConfig
 from repro.common.errors import SerializationError
 from repro.common.ids import GlobalAddress, ManagerId
-from repro.messages import (HANDLER_OF, MANAGER_OF, MsgType, SDMessage,
+from repro.messages import (HANDLER_OF, MESSAGE_TABLE, MsgType, SDMessage,
                             make_reply)
 from repro.serde import dumps, dumps_record, loads
 from repro.site.simcluster import SimCluster
@@ -23,7 +23,7 @@ def sample(**kwargs) -> SDMessage:
     base = dict(
         type=MsgType.HELP_REQUEST,
         src_site=1, dst_site=2,
-        payload={"load": 3.0},
+        payload={"want": 3},
         program=42, seq=7,
     )
     base.update(kwargs)
@@ -36,9 +36,9 @@ class TestWire:
         decoded = SDMessage.decode(msg.encode())
         assert decoded.type is MsgType.HELP_REQUEST
         assert decoded.src_site == 1
-        assert MANAGER_OF[decoded.type] is ManagerId.SCHEDULING
+        assert MESSAGE_TABLE[decoded.type].owner is ManagerId.SCHEDULING
         assert decoded.dst_site == 2
-        assert decoded.payload == {"load": 3.0}
+        assert decoded.payload == {"want": 3}
         assert decoded.program == 42
         assert decoded.seq == 7
         assert decoded.reply_to == -1
@@ -63,14 +63,20 @@ class TestWire:
             sample(src_load=5.0, src_queue=3.0).encode()
 
     def test_payload_with_addresses(self):
-        msg = sample(payload={"addr": GlobalAddress(3, 9), "slot": 1})
+        msg = sample(type=MsgType.APPLY_RESULT,
+                     payload={"addr": GlobalAddress(3, 9), "slot": 1,
+                              "value": None, "epoch": 0})
         decoded = SDMessage.decode(msg.encode())
         assert decoded.payload["addr"] == GlobalAddress(3, 9)
 
     def test_every_msg_type_roundtrips(self):
         for msg_type in MsgType:
-            msg = sample(type=msg_type)
-            assert SDMessage.decode(msg.encode()).type is msg_type
+            payload = {name: [bit] for bit, name
+                       in enumerate(MESSAGE_TABLE[msg_type].fields)}
+            decoded = SDMessage.decode(
+                sample(type=msg_type, payload=payload).encode())
+            assert decoded.type is msg_type
+            assert decoded.payload == payload
 
     def test_wire_size_positive(self):
         assert sample().wire_size() > 0
@@ -84,16 +90,16 @@ class TestWire:
             SDMessage.decode(dumps((1, 2, 3)))
 
     def test_unknown_enum_rejected(self):
-        bad = dumps_record((9999, 1, 2, -1, 0, -1, -1, -1), {})
+        bad = dumps_record((9999, 1, 2, -1, 0, -1, -1, -1), 0, [])
         with pytest.raises(SerializationError):
             SDMessage.decode(bad)
 
     def test_non_dict_payload_rejected(self):
-        # a record's payload is a dict by its grammar, so the nearest a
-        # wire gets is the same fields as a plain tuple ending in a list
+        # a record's payload is a mask and values by its grammar, so the
+        # nearest a wire gets is the same fields as a plain tuple
         header = (int(MsgType.HEARTBEAT), 1, 2, -1, 0, -1, -1, -1)
         with pytest.raises(SerializationError):
-            SDMessage.decode(dumps((*header, [1, 2])))
+            SDMessage.decode(dumps((*header, 0, ())))
         with pytest.raises(SerializationError):
             SDMessage.decode(dumps((*header, {})))
         with pytest.raises(SerializationError):
@@ -103,7 +109,8 @@ class TestWire:
 class TestHeader:
     """The envelope is one codec record: tag ``R``, eight untagged zigzag
     varints — type, src_site, dst_site, program, seq, reply_to, src_load,
-    src_queue — then the payload dict's count and pairs."""
+    src_queue — then the presence mask and the present payload values in
+    the order of the type's row."""
 
     def test_header_is_eight_varints_then_the_payload(self):
         msg = sample(type=MsgType.CANT_HELP, src_site=1, dst_site=2,
@@ -111,11 +118,12 @@ class TestHeader:
         assert msg.encode() == b"R" + bytes([24, 2, 4, 1, 14, 1, 0, 0, 0])
 
     def test_plain_loads_reads_the_envelope(self):
-        """Any codec reader can open an envelope: ``loads`` returns the
-        eight figures and the payload as one tuple."""
-        msg = sample(payload={"load": 3.0})
+        """Any codec reader can open an envelope without the table:
+        ``loads`` returns the eight figures, the mask and the values."""
+        msg = sample(payload={"rseq": 9, "want": 3})
         assert loads(msg.encode()) == (
-            int(MsgType.HELP_REQUEST), 1, 2, 42, 7, -1, -1, -1, {"load": 3.0})
+            int(MsgType.HELP_REQUEST), 1, 2, 42, 7, -1, -1, -1, 0b10001,
+            (3, 9))
 
     def test_truncated_header_rejected(self):
         wire = sample().encode()
@@ -169,15 +177,16 @@ class TestManagerTable:
     def test_every_type_has_an_owner_every_site_has(self):
         cluster = SimCluster(nsites=1, config=SDVMConfig())
         managers = cluster.sites[0].managers
-        assert set(MANAGER_OF) == set(MsgType)
-        for msg_type, manager in MANAGER_OF.items():
-            assert managers[manager].manager_id is manager, msg_type
+        assert set(MESSAGE_TABLE) == set(MsgType)
+        for msg_type, row in MESSAGE_TABLE.items():
+            assert row.type is msg_type
+            assert managers[row.owner].manager_id is row.owner, msg_type
 
     def test_every_other_type_has_its_handler_on_its_owner(self):
         managers = SimCluster(nsites=1, config=SDVMConfig()).sites[0].managers
         assert set(HANDLER_OF) == set(MsgType)
         for msg_type in MsgType:
-            handler = getattr(managers[MANAGER_OF[msg_type]],
+            handler = getattr(managers[MESSAGE_TABLE[msg_type].owner],
                               HANDLER_OF[msg_type], None)
             assert (handler is None) is (msg_type in REPLY_ONLY), msg_type
             assert handler is None or callable(handler), msg_type
@@ -201,6 +210,156 @@ class TestManagerTable:
             "message IO_FILE_WRITE_ACK without handler dropped")
 
 
+def _literal_payloads(root):
+    """Every payload written as a dict literal in ``root``: the type and
+    the string keys of ``SDMessage(type=MsgType.X, payload={...})`` and of
+    any call that passes ``MsgType.X`` followed by a dict literal
+    (``make_reply(m, MsgType.X, {...})``, ``_send_ctrl(_, MsgType.X,
+    {...})``, ...), with the place it was found."""
+    def msg_type(node):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "MsgType"):
+            return MsgType[node.attr]
+        return None
+
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            pairs = list(zip(node.args, node.args[1:]))
+            kwargs = {kw.arg: kw.value for kw in node.keywords}
+            if "type" in kwargs and "payload" in kwargs:
+                pairs.append((kwargs["type"], kwargs["payload"]))
+            for type_node, payload in pairs:
+                mtype = msg_type(type_node)
+                if mtype is not None and isinstance(payload, ast.Dict):
+                    keys = [key.value for key in payload.keys
+                            if isinstance(key, ast.Constant)]
+                    found.append((mtype, keys,
+                                  f"{path.relative_to(root)}:{node.lineno}"))
+    return found
+
+
+class TestMessageTable:
+    """One row per type names its owner, its payload fields in wire order
+    (which of them every sender fills in), whether a departed site relays
+    it and which field carries computed data."""
+
+    def test_every_literal_payload_key_is_in_its_row(self):
+        found = _literal_payloads(pathlib.Path(repro.__file__).parent)
+        assert len(found) >= 40  # the scan sees the senders
+        strays = [f"{where}: {mtype.name} {key!r}"
+                  for mtype, keys, where in found for key in keys
+                  if key not in MESSAGE_TABLE[mtype].fields]
+        assert strays == []
+
+    def test_derived_sets_read_the_table(self):
+        from repro.chaos.engine import ChaosController
+        from repro.site.message_manager import MessageManager
+        assert MessageManager._FORWARDABLE == {
+            MsgType.APPLY_RESULT, MsgType.FRAME_TRANSFER, MsgType.MEM_READ,
+            MsgType.MEM_WRITE, MsgType.MEM_OBJECT, MsgType.DIR_UPDATE,
+            MsgType.CODE_REQUEST, MsgType.CODE_PUSH_BINARY,
+            MsgType.HELP_REQUEST, MsgType.SIGN_ON,
+            MsgType.PROGRAM_REGISTER, MsgType.IO_OUTPUT}
+        assert ChaosController._WIRE_KEYS == {
+            "param": {"APPLY_RESULT": "value"},
+            "replicate": {"REPLICATE": "args", "VERDICT": "effects"}}
+
+    def test_no_name_on_the_wire(self):
+        msg = sample(type=MsgType.APPLY_RESULT, payload={
+            "addr": GlobalAddress(1, 2), "slot": 0, "value": 7, "epoch": 0})
+        wire = msg.encode()
+        assert not any(name.encode() in wire
+                       for name in ("addr", "slot", "value", "epoch"))
+
+    def test_absent_is_not_none(self):
+        """The mask tells a field that is absent from one that is None."""
+        for payload in ({"data": None}, {"error": None}, {}):
+            msg = sample(type=MsgType.IO_FILE_READ_REPLY, payload=payload)
+            assert SDMessage.decode(msg.encode()).payload == payload
+
+    def test_a_key_outside_the_row_is_refused_at_encode(self):
+        with pytest.raises(SerializationError, match="'load'"):
+            sample(payload={"want": 1, "load": 3.0}).encode()
+        with pytest.raises(SerializationError, match="required"):
+            sample(payload={"record": []}).encode()
+
+    def test_a_request_that_cannot_encode_leaves_nothing_pending(self):
+        cluster = SimCluster(nsites=2, config=SDVMConfig())
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        msg = SDMessage(type=MsgType.STATUS_QUERY, src_site=a.site_id,
+                        dst_site=b.site_id, payload={"deep": True})
+        with pytest.raises(SerializationError):
+            a.message_manager.request(msg, lambda reply: None, timeout=1.0)
+        assert a.message_manager._pending == {}
+
+
+def _full_payload(row):
+    return {name: bit for bit, name in enumerate(row.fields)}
+
+
+def _malformed(row):
+    """Records of ``row``'s type that no sender writes: every cut of a
+    whole one, one with a mask bit beyond the row and one without each
+    required field."""
+    header = (int(row.type), 1, 0, -1, 5, -1, 0, 0)
+    whole = SDMessage(type=row.type, src_site=1, dst_site=0,
+                      payload=_full_payload(row), seq=5).encode()
+    yield from (whole[:cut] for cut in range(1, len(whole)))
+    full = (1 << len(row.fields)) - 1
+    yield dumps_record(header, (full << 1) | 1,
+                       list(range(len(row.fields) + 1)))
+    for bit in range(len(row.fields)):
+        if row.required >> bit & 1:
+            yield dumps_record(header, full & ~(1 << bit),
+                               list(range(len(row.fields) - 1)))
+
+
+@pytest.fixture(scope="module")
+def receiver():
+    cluster = SimCluster(nsites=1, config=SDVMConfig())
+    cluster.sim.run(until=0.05)
+    return cluster, cluster.sites[0]
+
+
+class TestMalformedPayloads:
+    """What a decode refuses is counted ``malformed`` by the message
+    manager; no handler ever sees a payload its row does not promise."""
+
+    @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda t: t.name)
+    def test_every_type_is_counted_malformed_and_never_handled(
+            self, receiver, mtype, monkeypatch):
+        cluster, site = receiver
+        routed = []
+        monkeypatch.setattr(site, "route", routed.append)
+        stats = site.message_manager.stats
+        before = (stats.get("malformed").count, stats.get("received").count)
+        envelopes = list(_malformed(MESSAGE_TABLE[mtype]))
+        for envelope in envelopes:
+            site.message_manager.deliver_raw(envelope)
+        cluster.sim.run(until=cluster.sim.now + 0.01)
+        assert (stats.get("malformed").count,
+                stats.get("received").count) == (
+            before[0] + len(envelopes), before[1])
+        assert routed == []
+
+    def test_the_whole_record_is_handled(self, receiver, monkeypatch):
+        """The control: the uncut record of each type reaches the site."""
+        cluster, site = receiver
+        routed = []
+        monkeypatch.setattr(site, "route", routed.append)
+        for row in MESSAGE_TABLE.values():
+            site.message_manager.deliver_raw(SDMessage(
+                type=row.type, src_site=1, dst_site=0,
+                payload=_full_payload(row)).encode())
+        cluster.sim.run(until=cluster.sim.now + 0.01)
+        assert sorted(msg.type for msg in routed) == sorted(MsgType)
+
+
 class TestEncodeOnce:
     def test_encode_returns_same_object(self):
         msg = sample()
@@ -210,16 +369,16 @@ class TestEncodeOnce:
         msg = sample()
         assert msg.wire_size() == len(msg.encode())
         # in either probe order
-        other = sample(payload={"big": list(range(100))})
+        other = sample(payload={"want": 1, "record": list(range(100))})
         assert len(other.encode()) == other.wire_size()
 
     def test_mutation_after_encode_does_not_change_wire(self):
-        msg = sample(payload={"load": 3.0})
+        msg = sample(payload={"want": 3})
         wire = msg.encode()
-        msg.payload["load"] = 99.0
+        msg.payload["want"] = 99
         msg.dst_site = 5
         assert msg.encode() is wire
-        assert SDMessage.decode(msg.encode()).payload == {"load": 3.0}
+        assert SDMessage.decode(msg.encode()).payload == {"want": 3}
 
     def test_invalidate_wire_re_encodes(self):
         msg = sample()
@@ -242,9 +401,10 @@ class TestEncodeOnce:
 class TestReply:
     def test_make_reply_swaps_endpoints(self):
         request = sample()
-        reply = make_reply(request, MsgType.CANT_HELP, {"load": 0.0})
+        reply = make_reply(request, MsgType.CANT_HELP, {})
         assert reply.dst_site == request.src_site
-        assert MANAGER_OF[reply.type] is MANAGER_OF[request.type]
+        assert (MESSAGE_TABLE[reply.type].owner
+                is MESSAGE_TABLE[request.type].owner)
         assert reply.src_site == request.dst_site
         assert reply.reply_to == request.seq
         assert reply.program == request.program

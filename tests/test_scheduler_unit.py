@@ -171,7 +171,8 @@ class TestLateHelpReply:
         if mtype is MsgType.HELP_REPLY:
             frame = Microframe(GlobalAddress(victim.site_id, 7777),
                                thread_id=0, program=pid, nparams=0)
-            payload["frames"] = [frame.to_wire()]
+            payload.update(frames=[frame.to_wire()], program_infos=[],
+                           epoch=victim.epoch)
         return SDMessage(
             type=mtype,
             src_site=victim.site_id, dst_site=thief.site_id,
@@ -223,7 +224,8 @@ class TestLateHelpReply:
             type=MsgType.HELP_REPLY,
             src_site=victim.site_id, dst_site=thief.site_id,
             reply_to=4242,
-            payload={"frames": [frame.to_wire()]}))
+            payload={"frames": [frame.to_wire()], "program_infos": [],
+                     "epoch": victim.epoch}))
 
         assert sm.stats.get("steals_in").count == steals + 1
         assert sm.stats.get("steal_grants").count == grants + 1
@@ -635,7 +637,7 @@ class TestHelpProtocol:
         b.message_manager.request(SDMessage(
             type=MsgType.HELP_REQUEST,
             src_site=b.site_id, dst_site=a.site_id,
-            payload={},
+            payload={"want": 1},
         ), replies.append)
         cluster.sim.run(until=0.5)
         assert len(replies) == 1
@@ -651,7 +653,7 @@ class TestHelpProtocol:
         b.message_manager.request(SDMessage(
             type=MsgType.HELP_REQUEST,
             src_site=b.site_id, dst_site=a.site_id,
-            payload={},
+            payload={"want": 1},
         ), replies.append)
         cluster.sim.run(until=0.5)
         assert replies[0].type is MsgType.CANT_HELP

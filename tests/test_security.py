@@ -176,9 +176,11 @@ class TestSecurityLayer:
         assert body == b"payload"
 
     def test_roundtrip_disabled(self):
+        """A plaintext envelope is the data itself, so it names no
+        sender."""
         a, b = self.make_pair(enabled=False)
         sender, body = b.unprotect(a.protect("addr-b", b"payload"))
-        assert (sender, body) == ("addr-a", b"payload")
+        assert (sender, body) == ("", b"payload")
 
     def test_disabled_payload_visible(self):
         a, _b = self.make_pair(enabled=False)
@@ -230,3 +232,80 @@ class TestSecurityLayer:
         assert a.messages_sealed == 1
         assert b.messages_opened == 1
         assert a.bytes_processed == 3
+
+
+def _record() -> bytes:
+    from repro.common.ids import GlobalAddress
+    from repro.messages import MsgType, SDMessage
+    return SDMessage(type=MsgType.APPLY_RESULT, src_site=1, dst_site=2,
+                     payload={"addr": GlobalAddress(2, 1), "slot": 0,
+                              "value": 1000, "epoch": 0}).encode()
+
+
+class TestPlaintextEnvelope:
+    """With the layer disabled the envelope is the message's record, byte
+    for byte: no marker, no sender address, no copy.  A record starts with
+    its tag ``R`` and a sealed envelope with the marker ``0x01``, so either
+    layer still refuses the other's envelope."""
+
+    def test_disabled_envelope_is_the_record(self):
+        data = _record()
+        assert SecurityLayer("addr-a", False, "pw").protect(
+            "addr-b", data) is data
+        assert data[:1] == b"R"
+        assert SecurityLayer("addr-a", True, "pw").protect(
+            "addr-b", data)[:1] == b"\x01"
+
+    def test_a_cluster_puts_the_encoded_message_on_the_wire(self):
+        from repro.common.config import SDVMConfig
+        from repro.messages import MsgType, SDMessage
+        from repro.site.simcluster import SimCluster
+        cluster = SimCluster(nsites=2, config=SDVMConfig())
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        seen = []
+        send = cluster.network.send
+        cluster.network.send = lambda src, dst, data: (
+            seen.append(bytes(data)), send(src, dst, data))[1]
+        msg = SDMessage(type=MsgType.STATUS_QUERY, src_site=a.site_id,
+                        dst_site=b.site_id)
+        a.message_manager.send(msg)
+        assert seen == [msg.encode()]
+        assert (a.message_manager.stats.get("bytes_sent").total
+                >= len(msg.encode()))
+
+    def test_sealed_record_into_a_disabled_layer_raises(self):
+        sealed = SecurityLayer("addr-a", True, "pw").protect("addr-b",
+                                                            _record())
+        with pytest.raises(SecurityError, match="disabled"):
+            SecurityLayer("addr-b", False, "pw").unprotect(sealed)
+
+    def test_plaintext_record_into_an_enabled_layer_is_rejected(self):
+        plain = SecurityLayer("addr-a", False, "pw").protect("addr-b",
+                                                            _record())
+        with pytest.raises(SecurityError, match="plaintext"):
+            SecurityLayer("addr-b", True, "pw").unprotect(plain)
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_an_empty_envelope_is_refused(self, enabled):
+        with pytest.raises(SecurityError, match="too short"):
+            SecurityLayer("addr-b", enabled, "pw").unprotect(b"")
+
+    def test_wire_corruption_flips_a_plaintext_record_only(self):
+        """The chaos engine decodes the record itself and re-encodes it
+        flipped; a sealed envelope it leaves to the MAC."""
+        from repro.chaos import chaos_config
+        from repro.chaos.plan import CorruptFault, FaultPlan
+        from repro.messages import SDMessage
+        from repro.site.simcluster import SimCluster
+        plan = FaultPlan(seed=21, nsites=2, faults=[
+            CorruptFault(start=0.0, end=1.0, mode="param")])
+        cluster = SimCluster(nsites=2, config=chaos_config(plan))
+        cluster.apply_chaos(plan)
+        chaos = cluster.network.chaos
+        data = _record()
+        flipped = chaos.corrupt_wire(0, 1, data)
+        assert flipped is not None and flipped[:1] == b"R"
+        assert SDMessage.decode(flipped).payload["value"] != 1000
+        sealed = SecurityLayer("addr-a", True, "pw").protect("addr-b", data)
+        assert chaos.corrupt_wire(0, 1, sealed) is None

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
 from repro.common.ids import FileHandle, GlobalAddress
-from repro.messages import MsgType, SDMessage
+from repro.messages import MESSAGE_TABLE, MsgType, SDMessage
 from repro.serde import dumps, dumps_record, loads, loads_record, wire_copy
 from repro.serde.codec import MAX_DECODE_DEPTH, read_uvarint, write_uvarint
 
@@ -79,19 +79,21 @@ class TestDomainTypes:
         assert loads(dumps(value)) == value
 
     def test_record(self):
-        """A record costs what its dict would: the dict's tag becomes the
-        record's, and the eight ints go untagged."""
-        ints, payload = (1, -1, 300, 0, 5, -300, 7, 8), {"k": [1, 2]}
-        data = dumps_record(ints, payload)
-        assert len(data) == len(dumps(payload)) + 8 + 2
-        assert loads_record(data) == loads(data) == (*ints, payload)
-        for bad in (dumps(payload), dumps((*ints, payload)), data + b"\x00"):
+        """A record is its tag, the eight ints untagged, the presence mask
+        and one tagged value per set bit: no field names, no count."""
+        ints, mask, values = (1, -1, 300, 0, 5, -300, 7, 8), 0b101, [[1, 2], 3]
+        data = dumps_record(ints, mask, values)
+        assert len(data) == 1 + 10 + 1 + len(dumps([1, 2])) + len(dumps(3))
+        assert loads_record(data) == loads(data) == (*ints, mask, ([1, 2], 3))
+        for bad in (dumps(values), dumps((*ints, mask, values)),
+                    data + b"\x00", data[:-1]):
             with pytest.raises(SerializationError):
                 loads_record(bad)
-        for ints, payload in (((1,) * 7, {}), ((1,) * 8, [1]),
-                              ((1,) * 7 + (True,), {})):
+        for ints, mask, values in (((1,) * 7, 0, []), ((1,) * 8, 1, []),
+                                   ((1,) * 8, 0b11, [1]), ((1,) * 8, -1, []),
+                                   ((1,) * 7 + (True,), 0, [])):
             with pytest.raises(SerializationError):
-                dumps_record(ints, payload)
+                dumps_record(ints, mask, values)
 
 
 class TestErrors:
@@ -315,11 +317,25 @@ class TestWireCopy:
 
 
 _site_ids = st.integers(min_value=-1, max_value=2**20)
+
+
+@st.composite
+def _typed_payloads(draw):
+    """A type and a payload its row accepts: every required field, some
+    of the optional ones, in any order and with any value."""
+    row = draw(st.sampled_from(list(MESSAGE_TABLE.values())))
+    names = [name for bit, name in enumerate(row.fields)
+             if row.required >> bit & 1 or draw(st.booleans())]
+    names = draw(st.permutations(names))
+    return row.type, {name: draw(copy_values) for name in names}
+
+
+_typed = _typed_payloads()
 sd_messages = st.builds(
-    SDMessage,
-    type=st.sampled_from(list(MsgType)),
+    lambda typed, **fields: SDMessage(type=typed[0], payload=typed[1],
+                                      **fields),
+    _typed,
     src_site=_site_ids, dst_site=_site_ids,
-    payload=st.dictionaries(st.text(max_size=8), copy_values, max_size=4),
     program=st.integers(min_value=-1, max_value=2**40),
     seq=st.integers(min_value=-1, max_value=2**40),
     reply_to=st.integers(min_value=-1, max_value=2**40),
@@ -341,7 +357,7 @@ class TestMessageSnapshot:
         assert not mutable_ids(snap.payload) & mutable_ids(msg.payload)
 
     def test_enum_fields_come_back_as_members(self):
-        msg = SDMessage(type=10, src_site=0, dst_site=1)
+        msg = SDMessage(type=10, src_site=0, dst_site=1, payload={"want": 1})
         snap = msg.snapshot()
         assert snap.type is MsgType.HELP_REQUEST
         assert snap.type is SDMessage.decode(msg.encode()).type

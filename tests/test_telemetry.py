@@ -64,9 +64,9 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 #: (``Manager.note``); with the kinds mapped back its events sort equal
 #: to the old dump's.  The invariant dumps hold none of those kinds
 CRASH_DUMP_SHA256 = (
-    "d6070a7766b184ee789989a30118db5aa78da9469b00ae99b11a7ff473542724")
+    "816ed8f76baeb08e181e6ab65d035beb4bcecf480bd576062d4207630b982e82")
 INVARIANT_DUMPS_SHA256 = (
-    "09b794c4c17c6d4430c9660ec9fd64712766fa05248b2f8364080eb99995a2ee")
+    "f7823ec0119b41f4f8b25806a5c8aa8372bbe9cce09a735eb3504503c6747ce4")
 
 
 def sha256_json(obj):
