@@ -11,7 +11,7 @@ has signed off stops judging.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.common.errors import ClusterError
 from repro.common.ids import GlobalAddress, ManagerId
@@ -23,6 +23,7 @@ from repro.cluster.id_allocation import (
     make_allocator,
 )
 from repro.cluster.records import SiteRecord
+from repro.serde import Encoded
 from repro.site.manager_base import Manager
 
 
@@ -346,7 +347,7 @@ class ClusterManager(Manager):
         if record is not None:
             record.last_seen = self.kernel.now
 
-    def local_record_wire(self) -> list:
+    def local_record_wire(self) -> Encoded:
         """Self-description piggybacked on a help request to a peer we
         have never heard from, so it can resolve us and answer ("propagated
         to the other sites ... by and by").  A peer that has sent us a
@@ -356,8 +357,27 @@ class ClusterManager(Manager):
             raise ClusterError("site has no local record yet")
         return record.to_wire()
 
-    def learn_record(self, wire: list) -> None:
-        self._merge_record(SiteRecord.from_wire(wire))
+    def learn_records(self, wires: Iterable[Sequence]) -> None:
+        """Learn the site records ``wires`` carry, in order: the one loop
+        of SIGN_ON_ACK, CLUSTER_INFO and a stranger's HELP_REQUEST.  This
+        site's own record, and a record known here whose wire form equals
+        the incoming one, are passed over before a :class:`SiteRecord` is
+        built — merging either would change nothing — so a join wave pays
+        only for news."""
+        sites = self.sites
+        local_id = self.local_id
+        physical = self.kernel.local_physical()
+        now = self.kernel.now
+        for wire in wires:
+            logical = wire[0]
+            if logical == local_id:
+                continue
+            existing = sites.get(logical)
+            if existing is None:
+                if wire[1] != physical:
+                    self._add_record(SiteRecord.from_wire(wire), now)
+            elif existing.to_wire() != wire:
+                self._merge_record(SiteRecord.from_wire(wire))
 
     def _merge_record(self, incoming: SiteRecord) -> None:
         if incoming.logical == self.local_id:
@@ -368,23 +388,28 @@ class ClusterManager(Manager):
             # adopting ourselves as a peer would shift our heartbeat ring
             # and cascade false crash detections
             return
-        self.allocator.note_seen(incoming.logical)
         existing = self.sites.get(incoming.logical)
         if existing is None:
-            self.sites[incoming.logical] = incoming
-            self._by_physical.setdefault(incoming.physical, incoming)
-            incoming.last_seen = self.kernel.now
-            self.note("site_join", incoming.logical)
-            if incoming.alive:
-                self._note_joined(incoming.logical)
-        else:
-            was_alive = existing.alive
-            existing.merge_newer(incoming)
-            if was_alive and not existing.alive:
-                # merge_newer can learn of a death via gossiped records,
-                # which bypasses mark_dead/_on_sign_off — the membership
-                # caches must still be told
-                self._note_departed(existing.logical)
+            self._add_record(incoming, self.kernel.now)
+            return
+        was_alive = existing.alive
+        existing.merge_newer(incoming)
+        if was_alive and not existing.alive:
+            # merge_newer can learn of a death via gossiped records,
+            # which bypasses mark_dead/_on_sign_off — the membership
+            # caches must still be told
+            self._note_departed(existing.logical)
+
+    def _add_record(self, record: SiteRecord, now: float) -> None:
+        """A site this one did not know: list it, fire the join hooks."""
+        logical = record.logical
+        self.allocator.note_seen(logical)
+        self.sites[logical] = record
+        self._by_physical.setdefault(record.physical, record)
+        record.last_seen = now
+        self.note("site_join", logical)
+        if record.alive:
+            self._note_joined(logical)
 
     def _note_joined(self, logical: int) -> None:
         """A peer became a live member: update the incremental caches and
@@ -502,8 +527,7 @@ class ClusterManager(Manager):
         new_id = msg.payload["your_id"]
         self._adopt_local_id(new_id)
         self._add_self_record()
-        for wire in msg.payload["sites"]:
-            self.learn_record(wire)
+        self.learn_records(msg.payload["sites"])
         block = msg.payload.get("id_block")
         if block and isinstance(self.allocator, ContingentAllocator):
             self.allocator.receive_block(block[0], block[1])
@@ -586,8 +610,7 @@ class ClusterManager(Manager):
 
     # -- membership updates ------------------------------------------------
     def _on_cluster_info(self, msg: SDMessage) -> None:
-        for wire in msg.payload["sites"]:
-            self.learn_record(wire)
+        self.learn_records(msg.payload["sites"])
 
     def _on_sign_off(self, msg: SDMessage) -> None:
         leaver = msg.payload["leaver"]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
+
+from repro.serde import Encoded
 
 #: bit positions of the wire form's flags word (see
 #: :meth:`SiteRecord.to_wire`)
@@ -31,6 +33,13 @@ class SiteRecord:
     #: member of the reliable core (§2.2); unreliable sites are excluded
     #: from coordinator/heir/snapshot-keeper duties
     reliable: bool = True
+    #: False once the site crashed or signed off
+    alive: bool = True
+    #: True when the site left in an orderly fashion (vs. crashed)
+    left: bool = False
+    #: the site that adopted this site's frames/objects after sign-off
+    heir: Optional[int] = None
+    # -- the fields above travel (:meth:`to_wire`), those below stay home
     #: last load figure heard from this site (executable+ready+in-flight)
     load: int = 0
     #: last *stealable* queue depth heard (scheduler executable+ready) —
@@ -47,17 +56,16 @@ class SiteRecord:
     #: as a heartbeat, so the heartbeat tick skips a peer written to since
     #: the previous tick
     last_sent: float = -1.0
-    #: False once the site crashed or signed off
-    alive: bool = True
-    #: True when the site left in an orderly fashion (vs. crashed)
-    left: bool = False
-    #: the site that adopted this site's frames/objects after sign-off
-    heir: Optional[int] = None
+    #: the wire form last handed out, re-encoded when it no longer matches
+    _wire: Optional[Encoded] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
-    def to_wire(self) -> list:
-        """The record on the wire, positionally: a 7-element list with the
-        four booleans packed into one flags word, so a 1024-site
-        SIGN_ON_ACK does not spend most of its bytes on repeated keys.
+    def to_wire(self) -> Encoded:
+        """The record on the wire, positionally: a 7-tuple with the four
+        booleans packed into one flags word, so a 1024-site SIGN_ON_ACK
+        does not spend most of its bytes on repeated keys.  Encoded once
+        per change (:class:`~repro.serde.Encoded`): every SIGN_ON_ACK and
+        CLUSTER_INFO that carries the record copies the same bytes.
         ``from_wire(to_wire())`` round-trips everything but the locally
         kept figures (``load``, ``queue``, ``load_at``, ``last_seen``,
         ``last_sent``)."""
@@ -65,24 +73,27 @@ class SiteRecord:
                  | (_F_LEFT if self.left else 0)
                  | (_F_CODE_DIST if self.code_distribution else 0)
                  | (_F_RELIABLE if self.reliable else 0))
-        return [self.logical, self.physical, self.platform, self.speed,
-                self.name, flags, -1 if self.heir is None else self.heir]
+        plain = (self.logical, self.physical, self.platform, self.speed,
+                 self.name, flags, -1 if self.heir is None else self.heir)
+        wire = self._wire
+        if wire != plain:
+            wire = self._wire = Encoded(plain)
+        return wire
 
     @classmethod
-    def from_wire(cls, data: list) -> "SiteRecord":
+    def from_wire(cls, data: Sequence) -> "SiteRecord":
+        """The record ``data`` describes.  An :class:`Encoded` ``data`` (a
+        record shared in process) becomes its wire form, so passing the
+        record on encodes nothing."""
         logical, physical, platform, speed, name, flags, heir = data
-        return cls(
-            logical=logical,
-            physical=physical,
-            platform=platform,
-            speed=speed,
-            name=name,
-            code_distribution=bool(flags & _F_CODE_DIST),
-            reliable=bool(flags & _F_RELIABLE),
-            alive=bool(flags & _F_ALIVE),
-            left=bool(flags & _F_LEFT),
-            heir=None if heir < 0 else heir,
-        )
+        # positional: the wire fields lead the dataclass
+        record = cls(logical, physical, platform, speed, name,
+                     flags & _F_CODE_DIST != 0, flags & _F_RELIABLE != 0,
+                     flags & _F_ALIVE != 0, flags & _F_LEFT != 0,
+                     None if heir < 0 else heir)
+        if type(data) is Encoded:
+            record._wire = data
+        return record
 
     def merge_newer(self, other: "SiteRecord") -> None:
         """Adopt fields from a record that carries newer information.

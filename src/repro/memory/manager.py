@@ -299,6 +299,8 @@ class AttractionMemory(Manager):
         longer covers.  O(owned + entries) look-ups per membership change
         — never per access — messages only for what moved, and a no-op
         on empty sites, so the bootstrap join storm costs nothing."""
+        if not self.objects and not self.dir_entries:
+            return
         cm = self.site.cluster_manager
         for addr in list(self.objects):
             if cm.dir_site_for(addr) != self._published_at.get(addr):

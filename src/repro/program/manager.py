@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProgramError, SerializationError
 from repro.common.ids import ManagerId
 from repro.core.program import SDVMProgram
 from repro.messages import MsgType, SDMessage
+from repro.serde import Encoded
 from repro.site.manager_base import Manager
 
 
@@ -41,6 +42,9 @@ class ProgramInfo:
     #: registration, and the table is needed once per execution
     _thread_table: Optional[Dict[str, Tuple[int, int]]] = field(
         default=None, init=False, repr=False, compare=False)
+    #: the wire form last handed out, re-encoded when it no longer matches
+    _wire: Optional[Encoded] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def thread_table(self) -> Dict[str, Tuple[int, int]]:
         table = self._thread_table
@@ -50,26 +54,35 @@ class ProgramInfo:
                 for name, (tid, nparams, _w, _c) in self.threads.items()}
         return table
 
-    def to_wire(self) -> list:
-        """The program on the wire, positionally: ``[pid, name, entry,
-        code_home, frontend, threads, terminated]``, with ``threads`` a list
-        of (name, tid, nparams, work_hint, creates) tuples.  Every steal
-        reply and checkpoint shard carries the infos of its programs."""
-        return [self.pid, self.name, self.entry, self.code_home,
-                self.frontend,
-                [(name, tid, nparams, work, tuple(creates))
-                 for name, (tid, nparams, work, creates)
-                 in self.threads.items()],
-                self.terminated]
+    def to_wire(self) -> Encoded:
+        """The program on the wire, positionally: ``(pid, name, entry,
+        code_home, frontend, threads, terminated)``, with ``threads`` a
+        tuple of (name, tid, nparams, work_hint, creates) tuples.  Every
+        steal reply and checkpoint shard carries the infos of its programs,
+        so the tuple is encoded once per change
+        (:class:`~repro.serde.Encoded`)."""
+        wire = self._wire
+        plain = (self.pid, self.name, self.entry, self.code_home,
+                 self.frontend,
+                 tuple((name, tid, nparams, work, tuple(creates))
+                       for name, (tid, nparams, work, creates)
+                       in self.threads.items()),
+                 self.terminated)
+        if wire != plain:
+            wire = self._wire = Encoded(plain)
+        return wire
 
     @classmethod
-    def from_wire(cls, data: list) -> "ProgramInfo":
-        if type(data) is not list:
+    def from_wire(cls, data: Sequence) -> "ProgramInfo":
+        """The program ``data`` describes; anything but the tuple
+        :meth:`to_wire` hands out raises :class:`SerializationError`.  An
+        :class:`Encoded` ``data`` becomes the info's wire form."""
+        if not isinstance(data, tuple):
             raise SerializationError(
                 f"malformed program info on wire: {type(data).__name__}")
         try:
             pid, name, entry, code_home, frontend, threads, terminated = data
-            return cls(pid=pid, name=name, entry=entry, code_home=code_home,
+            info = cls(pid=pid, name=name, entry=entry, code_home=code_home,
                        frontend=frontend,
                        threads={tname: (tid, nparams, work, tuple(creates))
                                 for tname, tid, nparams, work, creates
@@ -78,6 +91,9 @@ class ProgramInfo:
         except (TypeError, ValueError) as exc:
             raise SerializationError(
                 f"malformed program info on wire: {exc}") from exc
+        if type(data) is Encoded:
+            info._wire = data
+        return info
 
 
 class ProgramManager(Manager):

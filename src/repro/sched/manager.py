@@ -416,7 +416,7 @@ class SchedulingManager(Manager):
             # a thief we did not know: its envelope figures found no record
             # to land on when the message manager applied them
             cm = self.site.cluster_manager
-            cm.learn_record(record)
+            cm.learn_records((record,))
             cm.note_load(msg.src_site, msg.src_load, queue=msg.src_queue)
         if (self.site.paused or self.stealable_depth()
                 <= self.config.scheduling.keep_local_min):

@@ -11,9 +11,9 @@ streams.  This package implements that substrate from scratch:
   transports (TCP), with incremental feed/decode for real sockets.
 """
 
-from repro.serde.codec import (dumps, dumps_record, loads, loads_record,
-                               wire_copy)
+from repro.serde.codec import (Encoded, dumps, dumps_record, loads,
+                               loads_record, wire_copy)
 from repro.serde.framing import frame, FrameDecoder, MAX_FRAME_SIZE
 
-__all__ = ["dumps", "dumps_record", "loads", "loads_record", "wire_copy",
-           "frame", "FrameDecoder", "MAX_FRAME_SIZE"]
+__all__ = ["Encoded", "dumps", "dumps_record", "loads", "loads_record",
+           "wire_copy", "frame", "FrameDecoder", "MAX_FRAME_SIZE"]

@@ -40,6 +40,9 @@ A     packed GlobalAddress varint
 H     FileHandle: two varints
 R     record: 8 zigzag varints + mask varint + one value per set bit
 ====  =======================================================
+
+An :class:`Encoded` tuple has no tag of its own: it is written as the
+plain tuple it holds, from bytes encoded once when it was built.
 """
 
 from __future__ import annotations
@@ -204,6 +207,8 @@ def _encode(out: bytearray, value: Any) -> None:
                 else:
                     write_uvarint(out, length)
                 out += item
+            elif ti is Encoded:
+                out += item.wire
             else:
                 _encode(out, item)
     elif t is dict:
@@ -252,6 +257,8 @@ def _encode(out: bytearray, value: Any) -> None:
         out.append(_TAG_HANDLE)
         write_uvarint(out, value.site)
         write_uvarint(out, value.local)
+    elif t is Encoded:
+        out += value.wire
     else:
         raise SerializationError(
             f"type {t.__name__!r} is not serializable on the SDVM wire")
@@ -266,6 +273,39 @@ def dumps(value: Any) -> bytes:
     out = bytearray()
     _encode(out, value)
     return bytes(out)
+
+
+#: what an :class:`Encoded` tuple may hold besides tuples of the same
+_FROZEN = frozenset({type(None), bool, int, float, str, bytes,
+                     GlobalAddress, FileHandle})
+
+
+def _frozen(value: tuple) -> bool:
+    """Whether ``value`` holds only immutable values, however deep."""
+    return all(type(item) in _FROZEN
+               or (isinstance(item, tuple) and _frozen(item))
+               for item in value)
+
+
+class Encoded(tuple):
+    """A tuple of immutable values that carries its own encoding.
+
+    For a value that many messages carry (a site record, a program info):
+    its owner builds it once per change, :func:`_encode` copies ``wire``
+    in verbatim, :func:`wire_copy` shares the tuple as it shares a
+    ``str``, and a real wire decodes it to the plain tuple, of which
+    ``wire`` is the ``dumps``.  Anything but scalars and tuples of them
+    inside raises :class:`SerializationError`, so the bytes cannot go
+    stale."""
+
+    def __new__(cls, items: Any) -> "Encoded":
+        plain = tuple(items)
+        if not _frozen(plain):
+            raise SerializationError(
+                "an Encoded tuple holds only scalars and tuples")
+        self = super().__new__(cls, plain)
+        self.wire = dumps(plain)
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +572,7 @@ def loads_record(data: _Buffer) -> Tuple[Any, ...]:
 
 #: what a decode hands back equal to the object that was encoded and
 #: immutable besides, so a copy may share it with the original
-_SHARED = frozenset({type(None), bool, int, float, str, bytes,
-                     GlobalAddress, FileHandle})
+_SHARED = _FROZEN | {Encoded}
 _CONTAINERS = frozenset({dict, list, tuple, set, frozenset})
 
 
@@ -544,7 +583,9 @@ def wire_copy(value: Any, depth: int = 0) -> Any:
     are shared, every dict/list/tuple is rebuilt, ``frozenset`` becomes
     ``set`` and ``bytearray``/``memoryview`` become ``bytes`` exactly as a
     trip over the wire would turn them, so the result shares no mutable
-    container with ``value``.  Containers are filled in the order the
+    container with ``value``.  An :class:`Encoded` tuple is shared too: it
+    is immutable, and equal to the plain tuple a decode returns.
+    Containers are filled in the order the
     decoder fills them (sets in the encoder's canonical order), so a copy
     iterates like the decoded value does.  Raises the same
     :class:`SerializationError` the round trip would: for a type outside

@@ -7,6 +7,7 @@ import pytest
 from repro.common.config import ClusterConfig, SDVMConfig, SiteConfig
 from repro.core.program import ProgramBuilder
 from repro.messages import MsgType
+from repro.serde import Encoded
 from repro.site.simcluster import SimCluster
 
 
@@ -64,11 +65,55 @@ class TestSignOn:
                             alive=False, left=True, heir=2)
         wire = record.to_wire()
         # flags: left (2) | code distribution (4); not alive, not reliable
-        assert wire == [5, "sim://5", "px", 2.0, "e", 6, 2]
+        assert type(wire) is Encoded
+        assert wire == (5, "sim://5", "px", 2.0, "e", 6, 2)
         back = SiteRecord.from_wire(wire)
         assert (back.load, back.queue, back.load_at) == (0, 0, -1.0)
         back.load, back.queue, back.load_at = 7, 3, 1.5
         assert back == record
+
+    def test_a_record_is_encoded_once_per_change(self):
+        """The wire form is handed out again until a wire field changes;
+        the figures kept at home do not count as a change."""
+        from repro.cluster.records import SiteRecord
+        from repro.serde import dumps
+        record = SiteRecord(logical=3, physical="sim://3")
+        wire = record.to_wire()
+        record.load, record.queue, record.last_seen = 4, 2, 9.0
+        assert record.to_wire() is wire
+        record.alive, record.heir = False, 1
+        dead = record.to_wire()
+        assert dead is not wire and dead.wire != wire.wire
+        assert dead.wire == dumps(tuple(dead)) and dead[5] & 1 == 0
+        # a record learned from a shared wire form hands that form on
+        assert SiteRecord.from_wire(dead).to_wire() is dead
+
+    def test_formation_encodes_each_record_once_per_change(self, monkeypatch):
+        """The guard against a per-peer re-encode: while 64 sites form,
+        no record object builds the same wire form twice, and a record
+        passed on in process is not encoded again."""
+        from repro.cluster.records import SiteRecord
+        encodes = {}
+        keep = []
+        to_wire = SiteRecord.to_wire
+
+        def counted(record):
+            before = record._wire
+            wire = to_wire(record)
+            if wire is not before:
+                keep.append(record)  # no id is reused while we count
+                key = (id(record), tuple(wire))
+                encodes[key] = encodes.get(key, 0) + 1
+            return wire
+
+        monkeypatch.setattr(SiteRecord, "to_wire", counted)
+        cluster = SimCluster(nsites=64, config=SDVMConfig())
+        while not all(len(site.cluster_manager.sites) == 64
+                      for site in cluster.sites):
+            assert cluster.sim.step()
+        assert max(encodes.values()) == 1
+        # each record is encoded where it was made, then shared
+        assert len(encodes) <= 2 * 64
 
 
 class TestIdStrategies:

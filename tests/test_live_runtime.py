@@ -223,6 +223,33 @@ class TestTcp:
                          transport="tcp") as cluster:
             assert cluster.run(memory_program(), timeout=20) == 99
 
+    def test_sign_on_learns_every_record_and_program(self):
+        """Records and program infos go out pre-encoded and arrive over
+        sockets as plain tuples: a late joiner learns every site and the
+        finished program from its SIGN_ON_ACK, the others learn it from
+        CLUSTER_INFO."""
+        with LiveCluster(nsites=3, config=CFG,
+                         transport="tcp") as cluster:
+            handle = cluster.submit(fanout_program(), args=(4,))
+            assert handle.wait(30) == sum(i * i for i in range(4))
+            late = cluster.add_site(transport="tcp")
+
+            def view(site):  # noqa: ANN001, ANN202
+                return site.kernel.reactor_call(lambda: (
+                    {r.logical: (r.physical, r.name, r.alive)
+                     for r in site.cluster_manager.sites.values()},
+                    {pid: (info.name, info.terminated)
+                     for pid, info in site.program_manager.programs.items()}))
+
+            want = {site.site_id: (site.kernel.local_physical(),
+                                   site.site_config.name, True)
+                    for site in cluster.sites}
+            deadline = time.monotonic() + 10
+            while any(view(site)[0] != want for site in cluster.sites):
+                assert time.monotonic() < deadline, "membership did not converge"
+                time.sleep(0.01)
+            assert view(late)[1] == {handle.pid: ("fanout", True)}
+
 
 class TestWorkerPool:
     """Microthreads run on a bounded pool of persistent workers."""

@@ -10,7 +10,7 @@ from repro.common.errors import ProgramError, SerializationError
 from repro.common.ids import FileHandle, make_program_id, program_origin_site
 from repro.core.program import ProgramBuilder
 from repro.program.manager import ProgramInfo
-from repro.serde import dumps, loads
+from repro.serde import Encoded, dumps, loads
 from repro.site.simcluster import SimCluster
 
 
@@ -99,18 +99,30 @@ class TestProgramManager:
                                     "leaf": (1, 1, 0.5, ())},
                            terminated=True)
         wire = info.to_wire()
-        assert type(wire) is list and len(wire) == 7
+        assert type(wire) is Encoded and len(wire) == 7
         clone = ProgramInfo.from_wire(loads(dumps(wire)))
         assert clone == info
 
+    def test_wire_form_is_encoded_once_per_change(self):
+        info = ProgramInfo(pid=make_program_id(3, 8), name="p", entry="main",
+                           code_home=3, frontend=3,
+                           threads={"main": (0, 1, 1.0, ())})
+        wire = info.to_wire()
+        info.executions, info.work_charged = 5, 2.5  # kept at home
+        assert info.to_wire() is wire
+        info.terminated = True
+        done = info.to_wire()
+        assert done is not wire and done.wire == dumps(tuple(done))
+        assert ProgramInfo.from_wire(done).to_wire() is done
+
     def test_malformed_wire_rejected(self):
-        good = [1, "p", "main", 0, 0, [("main", 0, 1, 2.0, ())], False]
+        good = (1, "p", "main", 0, 0, (("main", 0, 1, 2.0, ()),), False)
         for wire in (
-                good[:6], good + [0],                      # arity
-                {"pid": 1}, tuple(good), None,
-                good[:5] + [[("main", 0, 1, 2.0)]] + good[6:],   # thread
-                good[:5] + [[("main", 0, 1, 2.0, None)]] + good[6:],
-                good[:5] + [5] + good[6:]):
+                good[:6], good + (0,),                     # arity
+                {"pid": 1}, list(good), None,
+                good[:5] + ((("main", 0, 1, 2.0),),) + good[6:],  # thread
+                good[:5] + ((("main", 0, 1, 2.0, None),),) + good[6:],
+                good[:5] + (5,) + good[6:]):
             with pytest.raises(SerializationError):
                 ProgramInfo.from_wire(wire)
         assert ProgramInfo.from_wire(good).threads == {

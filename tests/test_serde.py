@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from repro.common.errors import SerializationError
 from repro.common.ids import FileHandle, GlobalAddress
 from repro.messages import MESSAGE_TABLE, MsgType, SDMessage
-from repro.serde import dumps, dumps_record, loads, loads_record, wire_copy
+from repro.serde import (Encoded, dumps, dumps_record, loads, loads_record,
+                         wire_copy)
 from repro.serde.codec import MAX_DECODE_DEPTH, read_uvarint, write_uvarint
 
 
@@ -371,6 +372,58 @@ class TestMessageSnapshot:
             SDMessage.decode(msg.encode())
         with pytest.raises(SerializationError):
             msg.snapshot()
+
+
+_frozen_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.binary(max_size=8), st.floats(allow_nan=False),
+    st.builds(GlobalAddress, st.integers(0, 2**20), st.integers(0, 2**30)))
+frozen_tuples = st.recursive(
+    st.lists(_frozen_leaves, max_size=6).map(tuple),
+    lambda inner: st.lists(st.one_of(_frozen_leaves, inner),
+                           max_size=4).map(tuple),
+    max_leaves=20)
+
+
+class TestEncoded:
+    """A value many messages carry is encoded once and its bytes copied."""
+
+    @settings(max_examples=150)
+    @given(frozen_tuples)
+    def test_bytes_are_dumps_of_the_plain_tuple(self, plain):
+        value = Encoded(plain)
+        assert value == plain and value.wire == dumps(plain)
+        assert dumps(value) == dumps(plain)
+        assert dumps([value, 1]) == dumps([plain, 1])
+        assert (dumps_record((0,) * 8, 1, [value])
+                == dumps_record((0,) * 8, 1, [plain]))
+
+    @settings(max_examples=100)
+    @given(frozen_tuples)
+    def test_a_real_wire_decodes_the_plain_tuple(self, plain):
+        decoded = loads(dumps({"v": Encoded(plain)}))["v"]
+        assert type(decoded) is tuple
+        assert_same_shape(decoded, loads(dumps(plain)))
+
+    def test_wire_copy_shares_it(self):
+        value = Encoded((1, "sim://1", (2.0, None)))
+        assert wire_copy(value) is value
+        copied = wire_copy([value, {"k": value}])
+        assert copied[0] is value and copied[1]["k"] is value
+        msg = SDMessage(type=MsgType.CLUSTER_INFO, src_site=0, dst_site=1,
+                        payload={"sites": [value]})
+        assert msg.snapshot().payload["sites"][0] is value
+
+    @pytest.mark.parametrize("plain", [
+        ([1],), ({"k": 1},), ({1},), (1, (2, [3])), (bytearray(b"x"),)],
+        ids=["list", "dict", "set", "nested-list", "bytearray"])
+    def test_mutable_contents_are_refused(self, plain):
+        with pytest.raises(SerializationError):
+            Encoded(plain)
+
+    def test_outside_the_type_set_is_refused(self):
+        with pytest.raises(SerializationError):
+            Encoded((object(),))
 
 
 # ---------------------------------------------------------------------------
