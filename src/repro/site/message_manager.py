@@ -7,6 +7,8 @@ the bytes to the security layer for sealing, and passes the envelope to the
 network manager (the kernel transport).  Incoming path is the mirror image,
 except that an envelope which never left the process may carry the message
 it encodes (:class:`~repro.messages.SnapshotEnvelope`) and is then not parsed.
+With security disabled the record is the envelope: neither path enters the
+security layer, except to reject a sealed envelope.
 
 It also implements request/reply correlation (``reply_to``) with optional
 timeouts, which every higher protocol (help requests, code fetches, memory
@@ -21,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.common.errors import SecurityError, SerializationError
 from repro.common.ids import ManagerId
 from repro.messages import MESSAGE_TABLE, SDMessage, SnapshotEnvelope
+from repro.security.layer import is_sealed
 from repro.site.manager_base import Manager
 from repro.trace.causal import msg_node
 
@@ -54,6 +57,9 @@ class MessageManager(Manager):
         self._track_told = self.config.scheduling.gossip_interval > 0
         #: a conversation closes this long after our last message
         self._conversation = self.config.scheduling.gossip_staleness / 2
+        #: whether envelopes are sealed; when not, nothing passes through
+        #: the security manager but a sealed envelope to reject
+        self._secure = site.security_manager.enabled
 
     # ------------------------------------------------------------------
     # sending
@@ -176,7 +182,8 @@ class MessageManager(Manager):
         """Encode and seal ``msg``, charge the CPU and count the bytes:
         what every envelope this site puts on the wire pays."""
         data = msg.encode()
-        envelope = self.site.security_manager.protect(physical, data)
+        envelope = (self.site.security_manager.protect(physical, data)
+                    if self._secure else data)
         self.kernel.cpu_charge(self._wire_cost(len(data)))
         self.stats.inc("sent")
         self.stats.add("bytes_sent", len(envelope))
@@ -187,7 +194,7 @@ class MessageManager(Manager):
         codec, plus the cipher when security is on."""
         cost = self.cost
         seconds = cost.msg_fixed_cost + nbytes * cost.msg_byte_cost
-        if self.site.security_manager.enabled:
+        if self._secure:
             seconds += (cost.crypto_fixed_cost
                         + nbytes * cost.crypto_byte_cost)
         return seconds
@@ -231,16 +238,21 @@ class MessageManager(Manager):
     def deliver_raw(self, envelope: bytes) -> None:
         """Entry point for the network manager: unseal, decode, dispatch.
 
-        Every envelope is unsealed; the parse is skipped only for one that
-        still carries the snapshot its sender took (nothing on the wire
-        replaced the bytes, and no earlier delivery took the snapshot).
+        With security on every envelope is unsealed; with it off, only an
+        empty or a sealed one goes to the security manager, to be rejected.
+        The parse is skipped only for an envelope that still carries the
+        snapshot its sender took (nothing on the wire replaced the bytes,
+        and no earlier delivery took the snapshot).
         """
-        try:
-            _sender, data = self.site.security_manager.unprotect(envelope)
-        except SecurityError as exc:
-            self.stats.inc("rejected_envelopes")
-            self.log("security rejected envelope: %s", exc)
-            return
+        data = envelope
+        if self._secure or not envelope or is_sealed(envelope):
+            try:
+                _sender, data = self.site.security_manager.unprotect(
+                    envelope)
+            except SecurityError as exc:
+                self.stats.inc("rejected_envelopes")
+                self.log("security rejected envelope: %s", exc)
+                return
         msg = (envelope.take() if type(envelope) is SnapshotEnvelope
                else None)
         if msg is None:

@@ -1,8 +1,9 @@
 """Site-level security manager: envelope sealing + DH session-key rotation.
 
 "The security manager is placed between the message manager and the network
-manager" (§4) — the message manager calls :meth:`protect`/:meth:`unprotect`
-on every remote send/receive.
+manager" (§4) — with security enabled, the message manager calls
+:meth:`protect`/:meth:`unprotect` on every remote send/receive; disabled,
+only to reject an envelope that arrives sealed.
 """
 
 from __future__ import annotations

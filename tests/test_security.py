@@ -309,3 +309,47 @@ class TestPlaintextEnvelope:
         assert SDMessage.decode(flipped).payload["value"] != 1000
         sealed = SecurityLayer("addr-a", True, "pw").protect("addr-b", data)
         assert chaos.corrupt_wire(0, 1, sealed) is None
+
+    def test_a_disabled_site_keeps_the_security_manager_off_the_path(self):
+        """With security off a message goes out and comes in without a
+        call into the security manager."""
+        from repro.common.config import SDVMConfig
+        from repro.messages import MsgType, SDMessage
+        from repro.site.simcluster import SimCluster
+        cluster = SimCluster(nsites=2, config=SDVMConfig())
+        cluster.sim.run(until=0.2)
+        calls = []
+        for site in cluster.sites:
+            sm = site.security_manager
+            sm.protect = lambda *args: calls.append("protect")
+            sm.unprotect = lambda *args: calls.append("unprotect")
+        a, b = cluster.sites
+        received = b.message_manager.stats.get("received").count
+        a.message_manager.send(SDMessage(
+            type=MsgType.STATUS_QUERY, src_site=a.site_id,
+            dst_site=b.site_id))
+        cluster.sim.run(until=0.4)
+        assert b.message_manager.stats.get("received").count > received
+        assert calls == []
+
+    @pytest.mark.parametrize("envelope, reason", [
+        (b"", "too short"), (b"\x01", "too short"),
+        (b"\x01\x00\x09a", "truncated"), (None, "disabled")],
+        ids=["empty", "marker-only", "truncated", "sealed"])
+    def test_a_disabled_site_rejects_and_counts_a_sealed_envelope(
+            self, envelope, reason):
+        from repro.common.config import SDVMConfig
+        from repro.site.simcluster import SimCluster
+        cluster = SimCluster(nsites=2, config=SDVMConfig())
+        cluster.sim.run(until=0.2)
+        b = cluster.sites[1]
+        if envelope is None:
+            envelope = SecurityLayer("addr-a", True, "pw").protect(
+                "addr-b", _record())
+        mm = b.message_manager
+        received = mm.stats.get("received").count
+        mm.deliver_raw(envelope)
+        assert mm.stats.get("rejected_envelopes").count == 1
+        assert mm.stats.get("received").count == received
+        assert reason in b.log_lines[-1]
+        assert b.log_lines[-1].count("security rejected envelope") == 1
