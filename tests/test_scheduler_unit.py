@@ -688,6 +688,27 @@ class TestHelpProtocol:
                            for s in cluster.sites))
         assert stats.get("frame_enqueued").count == accounted
 
+    def test_help_latency_times_every_correlated_answer(self, fast_config):
+        """Each answer that meets its request in flight — a HELP_REPLY or
+        a CANT_HELP — adds one sample to the scheduler's ``help_latency``,
+        the time from the request to its answer."""
+        from repro.apps import build_primes_program, first_n_primes
+        cluster = SimCluster(nsites=4, config=fast_config)
+        handle = cluster.submit(build_primes_program(),
+                                args=(40, 8, 400.0, 4000.0))
+        cluster.run(progress_timeout=120.0)
+        assert handle.result == first_n_primes(40)
+        timed = 0
+        for site in cluster.sites:
+            stats = site.scheduling_manager.stats
+            latency = stats.hist("help_latency")
+            answers = (stats.get("steal_grants").count
+                       + stats.get("cant_help_received").count)
+            assert latency.count == answers, site.site_id
+            assert latency.count == 0 or 0 < latency.percentile(50)
+            timed += latency.count
+        assert timed > 0
+
 
 class TestHelpRecordOnlyToStrangers:
     """A help request carries the thief's SiteRecord only to a victim it
