@@ -221,7 +221,7 @@ class CrashManager(Manager):
         if coordinator != self.local_id:
             self.stats.add("snapshot_bytes", len(blob))
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_STATE,
-                        {"wave": wave, "state": blob, "site": self.local_id})
+                        {"wave": wave, "state": blob})
 
     def _on_checkpoint_commit(self, msg: SDMessage) -> None:
         wave, src = msg.payload["wave"], msg.src_site
@@ -260,7 +260,7 @@ class CrashManager(Manager):
                             {"wave": wave, "phase": "snapshot"})
 
     def _on_checkpoint_state(self, msg: SDMessage) -> None:
-        wave, src = msg.payload["wave"], msg.payload["site"]
+        wave, src = msg.payload["wave"], msg.src_site
         blob = msg.payload["state"]
         if wave != self._wave or src not in self._states_pending:
             # stale wave, or a duplicated snapshot arriving after the wave

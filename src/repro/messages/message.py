@@ -138,7 +138,7 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     _row(_T.LOAD_REPORT, _M.SCHEDULING),
     # -- replicated execution
     _row(_T.REPLICATE, _M.PROCESSING,
-         "frame program thread targets args oplog now work", data="args"),
+         "frame thread targets args oplog now work", data="args"),
     _row(_T.VERDICT, _M.PROCESSING, "tainted effects", data="effects"),
     # -- code distribution
     _row(_T.CODE_REQUEST, _M.CODE, "pid tid platform binary_only",
@@ -189,7 +189,7 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     _row(_T.IO_FILE_CLOSE, _M.IO, "handle"),
     # -- crash management
     _row(_T.CHECKPOINT_BEGIN, _M.CRASH, "wave phase"),
-    _row(_T.CHECKPOINT_STATE, _M.CRASH, "wave state site"),
+    _row(_T.CHECKPOINT_STATE, _M.CRASH, "wave state"),
     _row(_T.CHECKPOINT_ACK, _M.CRASH, "wave"),
     _row(_T.CHECKPOINT_COMMIT, _M.CRASH, "wave aborted?"),
     _row(_T.CHECKPOINT_REPLICA, _M.CRASH, "wave shards"),

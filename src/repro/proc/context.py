@@ -385,12 +385,12 @@ class ExecutionContext:
 
     def record(self) -> Dict[str, Any]:
         """What another site needs to repeat this finished execution, in
-        wire types: the ``REPLICATE`` payload.  A log entry travels as
-        ``(value,)``, one that raised as ``(error class, text)``."""
+        wire types: the ``REPLICATE`` payload (the program is the
+        envelope's).  A log entry travels as ``(value,)``, one that raised
+        as ``(error class, text)``."""
         frame = self._frame
         return {
             "frame": frame.frame_id,
-            "program": frame.program,
             "thread": frame.thread_id,
             "targets": frame.targets,
             "args": self.args_snapshot,
@@ -401,13 +401,15 @@ class ExecutionContext:
         }
 
     @classmethod
-    def shadow(cls, record: Dict[str, Any], primary: int, site,  # noqa: ANN001
+    def shadow(cls, record: Dict[str, Any], program: int,
+               primary: int, site,  # noqa: ANN001
                thread_table: Dict[str, Tuple[int, int]],
                entry: Callable[..., Any]) -> "ExecutionContext":
-        """The replay of site ``primary``'s :meth:`record` on ``site``."""
+        """The replay of site ``primary``'s :meth:`record` of an execution
+        of ``program`` on ``site``."""
         args = record["args"]
-        frame = Microframe(record["frame"], record["thread"],
-                           record["program"], len(args), record["targets"])
+        frame = Microframe(record["frame"], record["thread"], program,
+                           len(args), record["targets"])
         for slot, value in enumerate(args):
             frame.apply_parameter(slot, value)
         replay = cls(frame, site, thread_table, entry, live=False)

@@ -369,23 +369,21 @@ class ProcessingManager(Manager):
         """Another site's execution to repeat: the code comes from this
         site's code manager (fetched if it never ran the thread), every
         input from the message."""
-        record = msg.payload
         self.site.code_manager.get(
-            record["program"], record["thread"],
+            msg.program, msg.payload["thread"],
             lambda compiled: self._replay_shipped(msg, compiled))
 
     def _replay_shipped(self, msg: SDMessage,
                         compiled: Optional[CompiledMicrothread]) -> None:
         if self.site.stopped:
             return
-        record = msg.payload
         programs = self.site.program_manager
-        if compiled is None or not programs.knows(record["program"]):
+        if compiled is None or not programs.knows(msg.program):
             self._shadowed(msg, None)
             return
         self._replay(ExecutionContext.shadow(
-            record, msg.src_site, self.site,
-            programs.get(record["program"]).thread_table(), compiled.entry),
+            msg.payload, msg.program, msg.src_site, self.site,
+            programs.get(msg.program).thread_table(), compiled.entry),
             partial(self._shadowed, msg))
 
     def _shadowed(self, msg: SDMessage, effects: Optional[list]) -> None:

@@ -86,34 +86,40 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: ``steal_out`` is journaled after its HELP_REPLY left instead of before.
 #: With those five kinds mapped back, every plan's sorted journal equals
 #: the one before, entry for entry.
+#: All thirteen moved when CHECKPOINT_STATE stopped repeating its sender
+#: as ``site`` (the envelope's ``src_site`` says it): every plan sends
+#: checkpoint shards, so shards arrive a little sooner.  Each plan sends
+#: the same messages of each type as before; finish times moved by at
+#: most 1 us.  No pinned plan replicates, so REPLICATE losing its
+#: ``program`` (the envelope's) moved none of them.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "79f6f1fc855604ed67b12fad7dcc61e58208183f022e69351d60683ded3b970d",
+        "2486565102d6c4ba7a1efb824f199948dc964c741c999efa81bd248acbfabb64",
     "crash_during_recovery.json":
-        "d3893a98b3b4f77b6c014ab555c99c87f7e3e141ddb31df86fbdf091394cc213",
+        "9731757fde531be72f62a6780731bf86b357a3c0d4beda45725244879c82da4c",
     "crash_during_wave.json":
-        "a417554defc6e4a210f662e9be0f0ef67cfec601e9855638c9bc14b1918e4f63",
+        "5f6a4ca7ae79065afdf88c30cc8fe53d1c1fbd7f5ada0ee15b6e7d8484f69f40",
     "dir_shard_crash.json":
-        "fae6db7b15066492e2236af75e12622420c1ce7af80dccfb111d0a7fe174f506",
+        "345f2eb0ce53b45624ecc1a92c96b22ca60faecce8e63c849d610aaf7fb82326",
     "duplicate_delivery.json":
-        "9b4a7e0c40df76a22d6fcacf1ff963709fb6b409aa28278380c13d4f86ee20a5",
+        "b4e7e3f3cfba0c62e95583bad6e5ed5ec42c80663d8f18a5a0d53138beea1a1c",
     "homesite_crash.json":
-        "3fdf5bd2791bc3b84ab8e1320c2e5b7f4c22b55aabac73b875035e37a751bb74",
+        "394c6fff63531ff6ed2eb029c5586d35b765563f5f7ff6e90cb9e54d38221742",
     "lossy_recovery.json":
-        "b4fd4b141586f28bdc06be14244c3a8b82de9f4318fd589a49b867179a424701",
+        "ee1dff465e58229142684ea98437f1df1d302f5321976cadbf5e0a433d431f76",
     "memory_partition.json":
-        "aa445b620e8dc3a90188f3271559a35e35b155415b8237d055f46a979affd1b7",
+        "d76ffd4c4c351a93d35aea6c6f018e8f8840dda56f85d7e766a6235d55e25983",
     "partition_then_heal.json":
-        "6e7aa96a1f07cfaa6ff2cf6cd36a98dacc7c5892b1a4ce611dfa268a80a1baa4",
+        "a43c544df3ca0ebbb6d6d598a5ba216914d9ea417646a20680d3031060cc7978",
     "recover_done_overtakes_state.json":
-        "3f5f8beebb5b174de2efcf4898d3530bab3a809cf7831d54edc3f763c7a0b0ef",
+        "86993ae55c6860994ae6e46af323337a9ff7dbbd56f6caf447187e696bb61dac",
     "signoff_leaver_silence.json":
-        "b97ea75a5d282d1f6c7193fde3b66793b735f69fc0a5a5b4838d12bb44b27fd3",
+        "70e178f1b0328c0ba1ec2d47b5e911b4111b36bc1dbf450bd4f53cec44ab1717",
     "steal_batch_reorder.json":
-        "5bb794aeaf580787c6d24c90f68c3fd600a929d4fc4daea73b7a466afd46108a",
+        "81415c0bfaa6cb2d1ded6622d578949288be75e26c566f24f0e9c40e11cbffa0",
     "wave_stall.json":
-        "e3b029683f155ed06102fed9f6a276c6db6009fc42dee8add7830e18cfc60f20",
+        "92b4d2b2afada0f0babd914c24369cc95d11728dba38f9ccfc16933a777cd6b1",
 }
 
 _corpus_results = {}

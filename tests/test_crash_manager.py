@@ -122,7 +122,7 @@ class TestWaveAbort:
         # a stale CHECKPOINT_STATE from the aborted wave is fenced out
         cm._on_checkpoint_state(ctrl(
             MsgType.CHECKPOINT_STATE, victim_logical, wave=wave,
-            site=victim_logical, state=dumps({"stale": True})))
+            state=dumps({"stale": True})))
         assert cm.committed_wave == -1
         assert cm._collected == {}
         # without a committed checkpoint there is no recovery wave, so the
@@ -161,7 +161,7 @@ class TestWaveAbort:
                                        wave=wave2))
         for logical in alive:
             cm._on_checkpoint_state(ctrl(
-                MsgType.CHECKPOINT_STATE, logical, wave=wave2, site=logical,
+                MsgType.CHECKPOINT_STATE, logical, wave=wave2,
                 state=dumps({"site": logical})))
         assert cm.committed_wave == wave2
         assert set(cm.committed) == set(alive)
@@ -360,7 +360,7 @@ class TestHardening:
         wave_before = cm.committed_wave
         src = cluster.sites[1].site_id
         cm._on_checkpoint_state(ctrl(MsgType.CHECKPOINT_STATE, src,
-                                     wave=cm._wave, site=src,
+                                     wave=cm._wave,
                                      state=dumps({"dup": True})))
         assert cm.stats.get("wave_commit").count == committed_before
         assert cm.committed_wave == wave_before
@@ -459,7 +459,7 @@ class TestShardBlobs:
         on_state = CrashManager._on_checkpoint_state
 
         def counted(cm, msg):
-            states.append(msg.payload["site"])
+            states.append(msg.src_site)
             on_state(cm, msg)
 
         monkeypatch.setattr(CrashManager, "_on_checkpoint_state", counted)
@@ -563,7 +563,7 @@ class TestShardBlobs:
         with pytest.raises(SerializationError):
             SDMessage.decode(remote.crash_manager._msg(
                 coordinator.site_id, MsgType.CHECKPOINT_STATE,
-                {"wave": 1, "state": tree, "site": 1}).encode())
+                {"wave": 1, "state": tree}).encode())
         cm = coordinator.crash_manager
         cm.start_checkpoint()
         cluster.sim.run(until=0.3)

@@ -117,6 +117,20 @@ class TestHeader:
                      payload={}, program=-1, seq=7, src_load=0, src_queue=0)
         assert msg.encode() == b"R" + bytes([24, 2, 4, 1, 14, 1, 0, 0, 0])
 
+    def test_no_payload_repeats_what_the_envelope_says(self):
+        """REPLICATE's program and CHECKPOINT_STATE's sender ride in the
+        envelope only; REPLICATE's seven fields take a 1-byte mask."""
+        assert "program" not in MESSAGE_TABLE[MsgType.REPLICATE].fields
+        assert "site" not in MESSAGE_TABLE[MsgType.CHECKPOINT_STATE].fields
+        values = {"frame": GlobalAddress(1, 2), "thread": 3,
+                  "targets": [], "args": [4], "oplog": [], "now": 0.5,
+                  "work": 1.0}
+        msg = sample(type=MsgType.REPLICATE, payload=values, program=5,
+                     seq=7, src_load=0, src_queue=0)
+        assert msg.encode() == (b"R" + bytes([30, 2, 4, 10, 14, 1, 0, 0])
+                                + bytes([0x7f])
+                                + b"".join(dumps(v) for v in values.values()))
+
     def test_plain_loads_reads_the_envelope(self):
         """Any codec reader can open an envelope without the table:
         ``loads`` returns the eight figures, the mask and the values."""
