@@ -359,65 +359,47 @@ class ClusterManager(Manager):
 
     def learn_records(self, wires: Iterable[Sequence]) -> None:
         """Learn the site records ``wires`` carry, in order: the one loop
-        of SIGN_ON_ACK, CLUSTER_INFO and a stranger's HELP_REQUEST.  This
-        site's own record, and a record known here whose wire form equals
-        the incoming one, are passed over before a :class:`SiteRecord` is
-        built — merging either would change nothing — so a join wave pays
-        only for news."""
+        of SIGN_ON, SIGN_ON_ACK, CLUSTER_INFO and a stranger's
+        HELP_REQUEST.  This site's own record, and a record known here
+        whose wire form equals the incoming one, are passed over before a
+        :class:`SiteRecord` is built — merging either would change
+        nothing — so a join wave pays only for news."""
         sites = self.sites
         local_id = self.local_id
         physical = self.kernel.local_physical()
         now = self.kernel.now
+        from_wire = SiteRecord.from_wire
         for wire in wires:
             logical = wire[0]
-            if logical == local_id:
+            if logical == local_id or wire[1] == physical:
+                # our own record, perhaps echoed back before we know our
+                # id (a batched announcement overtaking the SIGN_ON_ACK):
+                # adopting ourselves as a peer would shift our heartbeat
+                # ring and cascade false crash detections
                 continue
             existing = sites.get(logical)
             if existing is None:
-                if wire[1] != physical:
-                    self._add_record(SiteRecord.from_wire(wire), now)
+                record = from_wire(wire)
+                self.allocator.note_seen(logical)
+                sites[logical] = record
+                self._by_physical.setdefault(record.physical, record)
+                record.last_seen = now
+                self.note("site_join", logical)
+                if record.alive:
+                    self._note_joined(logical)
             elif existing.to_wire() != wire:
-                self._merge_record(SiteRecord.from_wire(wire))
-
-    def _merge_record(self, incoming: SiteRecord) -> None:
-        if incoming.logical == self.local_id:
-            return
-        if incoming.physical == self.kernel.local_physical():
-            # our own record echoed back (e.g. a batched announcement
-            # overtaking the SIGN_ON_ACK while local_id is still -1):
-            # adopting ourselves as a peer would shift our heartbeat ring
-            # and cascade false crash detections
-            return
-        existing = self.sites.get(incoming.logical)
-        if existing is None:
-            self._add_record(incoming, self.kernel.now)
-            return
-        was_alive = existing.alive
-        existing.merge_newer(incoming)
-        if was_alive and not existing.alive:
-            # merge_newer can learn of a death via gossiped records,
-            # which bypasses mark_dead/_on_sign_off — the membership
-            # caches must still be told
-            self._note_departed(existing.logical)
-
-    def _add_record(self, record: SiteRecord, now: float) -> None:
-        """A site this one did not know: list it, fire the join hooks."""
-        logical = record.logical
-        self.allocator.note_seen(logical)
-        self.sites[logical] = record
-        self._by_physical.setdefault(record.physical, record)
-        record.last_seen = now
-        self.note("site_join", logical)
-        if record.alive:
-            self._note_joined(logical)
+                was_alive = existing.alive
+                existing.merge_newer(from_wire(wire))
+                if was_alive and not existing.alive:
+                    # merge_newer can learn of a death via gossiped
+                    # records, which bypasses mark_dead/_on_sign_off — the
+                    # membership caches must still be told
+                    self._note_departed(logical)
 
     def _note_joined(self, logical: int) -> None:
         """A peer became a live member: update the incremental caches and
         fire the join hooks."""
-        index = bisect_left(self._sorted_alive_peers, logical)
-        if (index >= len(self._sorted_alive_peers)
-                or self._sorted_alive_peers[index] != logical):
-            insort(self._sorted_alive_peers, logical)
+        insort(self._sorted_alive_peers, logical)
         self._alive_records = None
         for callback in self.on_site_joined:
             callback(logical)
@@ -455,7 +437,7 @@ class ClusterManager(Manager):
             self._forward_or_defer_sign_on(msg)
             return
         new_id = self.allocator.allocate()
-        record = SiteRecord(
+        self.learn_records((SiteRecord(
             logical=new_id,
             physical=msg.payload["physical"],
             platform=msg.payload["platform"],
@@ -463,9 +445,10 @@ class ClusterManager(Manager):
             name=msg.payload["name"],
             code_distribution=msg.payload["code_distribution"],
             reliable=msg.payload["reliable"],
-            last_seen=self.kernel.now,
-        )
-        self._merge_record(record)
+        ).to_wire(),))
+        record = self.sites.get(new_id)
+        if record is None:
+            return  # the joiner gave this site's own address
         self._send_ack(record, grant_block=True)
         self.stats.inc("sign_ons_served")
         self._announce(record)

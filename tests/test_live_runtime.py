@@ -246,7 +246,7 @@ class TestTcp:
                     for site in cluster.sites}
             deadline = time.monotonic() + 10
             while any(view(site)[0] != want for site in cluster.sites):
-                assert time.monotonic() < deadline, "membership did not converge"
+                assert time.monotonic() < deadline, "no convergence"
                 time.sleep(0.01)
             assert view(late)[1] == {handle.pid: ("fanout", True)}
 
