@@ -585,9 +585,9 @@ def wire_copy(value: Any, depth: int = 0) -> Any:
     trip over the wire would turn them, so the result shares no mutable
     container with ``value``.  An :class:`Encoded` tuple is shared too: it
     is immutable, and equal to the plain tuple a decode returns.
-    Containers are filled in the order the
-    decoder fills them (sets in the encoder's canonical order), so a copy
-    iterates like the decoded value does.  Raises the same
+    Containers are filled in the order the decoder fills them (sets in
+    the encoder's canonical order), so a copy iterates like the decoded
+    value does.  Raises the same
     :class:`SerializationError` the round trip would: for a type outside
     the set, for nesting past :data:`MAX_DECODE_DEPTH` and for a set that
     decodes into a dict key or set element.  ``depth`` is the number of
