@@ -7,8 +7,9 @@ export PYTHONPATH := src
 # benchmark gate + benchmark self-check + the size of the system
 verify: test bench-gate perf-selfcheck size
 
+# tier-1; the five slowest tests are named in every log
 test:
-	$(PY) -m pytest -q
+	$(PY) -m pytest -q --durations=5
 
 bench:
 	$(PY) -m pytest -q benchmarks/ --benchmark-only

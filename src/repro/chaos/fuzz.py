@@ -4,8 +4,8 @@ One entry point per layer:
 
 * :func:`run_plan` — execute a single :class:`FaultPlan` against the
   standard chaos workload and return the audited result (violations,
-  journal fingerprint).  Bit-deterministic: the same plan always yields
-  the same fingerprint.
+  journal fingerprint, digested when first read).  Bit-deterministic:
+  the same plan always yields the same fingerprint.
 * :func:`verify_determinism` — run a plan twice, compare fingerprints.
 * :func:`fuzz` — sweep seeds, shrink every failing plan to a minimal
   repro via :func:`shrink_plan` (sound because replay is deterministic).
@@ -17,7 +17,8 @@ the bug they flushed out stays fixed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.apps import (build_memscatter_program, build_memstress_program,
@@ -96,24 +97,40 @@ def chaos_config(plan: FaultPlan) -> SDVMConfig:
     )
 
 
-@dataclass
 class ChaosRunResult:
-    plan: FaultPlan
-    violations: List[Violation]
-    fingerprint: str
-    cluster: object = field(repr=False, default=None)
+    """One audited run of a plan.  ``fingerprint`` digests the journal as
+    it stood when the result was built, on first read: most callers only
+    ask ``ok``, and the digest walks every entry.  A caller may hand a
+    fingerprint in instead."""
+
+    def __init__(self, plan: FaultPlan, violations: List[Violation],
+                 fingerprint: Optional[str] = None,
+                 cluster: object = None) -> None:
+        self.plan, self.violations, self.cluster = plan, violations, cluster
+        self._fingerprint = fingerprint
+        self._tracer = getattr(cluster, "tracer", None)
+        self._journal_len = 0 if self._tracer is None else len(self._tracer)
+
+    @property
+    def fingerprint(self) -> str:
+        if self._fingerprint is None:
+            self._fingerprint = journal_fingerprint(self._tracer,
+                                                    self._journal_len)
+        return self._fingerprint
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def journal_fingerprint(tracer) -> str:  # noqa: ANN001
-    """Stable digest of the raw trace journal (the determinism witness)."""
+def journal_fingerprint(tracer,  # noqa: ANN001
+                        upto: Optional[int] = None) -> str:
+    """Stable digest of the raw trace journal (the determinism witness),
+    or of its first ``upto`` entries."""
     if tracer is None:
         return ""
     digest = hashlib.sha256()
-    for entry in tracer._raw:
+    for entry in islice(tracer._raw, upto):
         digest.update(repr(entry).encode("utf-8"))
     return digest.hexdigest()
 
@@ -169,9 +186,7 @@ def run_plan(plan: FaultPlan,
                                expect_complete=plan.expect_complete,
                                expected_results=expected())
     violations.extend(checker.check())
-    return ChaosRunResult(plan=plan, violations=violations,
-                          fingerprint=journal_fingerprint(cluster.tracer),
-                          cluster=cluster)
+    return ChaosRunResult(plan=plan, violations=violations, cluster=cluster)
 
 
 def verify_determinism(plan: FaultPlan) -> Tuple[str, str]:

@@ -177,10 +177,17 @@ class ProgramManager(Manager):
                 payload=payload,
             ))
 
-    def learn_program_wire(self, wire: list) -> ProgramInfo:
+    def learn_program_wire(self, wire: Sequence) -> ProgramInfo:
         """Adopt program knowledge from any message carrying it ("the list
         is updated with every access to another site resulting in a
-        microframe belonging to a new program", §4)."""
+        microframe belonging to a new program", §4).  A known program whose
+        wire form equals the incoming one is passed over before a
+        :class:`ProgramInfo` is built: learning it would change nothing,
+        and most steal replies carry programs the thief knows."""
+        known = (self.programs.get(wire[0])
+                 if isinstance(wire, tuple) and wire else None)
+        if known is not None and known.to_wire() == wire:
+            return known
         info = ProgramInfo.from_wire(wire)
         existing = self.programs.get(info.pid)
         if existing is None:

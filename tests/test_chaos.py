@@ -14,9 +14,11 @@ import glob
 import io
 import json
 import os
+import types
 
 import pytest
 
+import repro.trace.tracer as tracer_module
 from repro.chaos import (
     ChaosController,
     CorruptFault,
@@ -32,8 +34,10 @@ from repro.chaos import (
     shrink_plan,
     verify_determinism,
 )
+from repro.chaos.invariants import AUDITED_KINDS
 from repro.cli import main
 from repro.common.errors import SDVMError
+from repro.trace import Tracer
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -827,6 +831,94 @@ class TestInvariantChecker:
 
     def test_fingerprint_requires_tracer(self):
         assert journal_fingerprint(None) == ""
+
+    @staticmethod
+    def audit(entries, handles=()):
+        """The violations of a journal appended in ``entries`` order, on a
+        cluster with no running site."""
+        tracer = Tracer()
+        for entry in entries:
+            tracer.emit(*entry)
+        cluster = types.SimpleNamespace(sites=[], handles=list(handles),
+                                        tracer=tracer, horizon=9.0)
+        return [str(v) for v in InvariantChecker(cluster).check()]
+
+    #: coordinator 1 re-begins and re-commits wave 2, coordinator 0 goes
+    #: back to epoch 1, and a tainted commit on site 3 at t=0.5 is followed
+    #: by a committed wave; the noise kinds are what the audit skips
+    BROKEN = [
+        (0.1, 1, "wave_begin", 1, 4), (0.2, 1, "wave_commit", 1, 4),
+        (0.3, 1, "wave_begin", 2, 4), (0.35, 2, "msg_send", 9, 1, 12, 1, -1),
+        (0.4, 1, "wave_commit", 2, 4), (0.45, 0, "recovery_begin", 2, (3,)),
+        (0.5, 3, "sdc_tainted_commit", 77), (0.55, 2, "site_sleep"),
+        (0.6, 1, "wave_begin", 2, 4), (0.7, 1, "wave_commit", 2, 4),
+        (0.8, 0, "recovery_begin", 1, (3,)),
+    ]
+    BROKEN_VIOLATIONS = [
+        "[wave_monotonic] site 1 began wave 2 after wave 2",
+        "[wave_monotonic] site 1 committed wave 2 after wave 2",
+        "[epoch_monotonic] site 0 began recovery epoch 1 after epoch 2",
+        "[sdc_commit] corrupted result of frame 77 committed on site 3 "
+        "at t=0.5000 reached durable state",
+    ]
+
+    def test_journal_audits_flag_what_breaks_them(self):
+        assert self.audit(self.BROKEN) == self.BROKEN_VIOLATIONS
+        # the same events in a sound order break nothing
+        sound = [e for e in self.BROKEN if e[0] not in (0.6, 0.7, 0.8)]
+        sound[6] = (0.9, 3, "sdc_tainted_commit", 77)
+        assert self.audit(sound) == []
+        # a tainted commit after the last wave is durable only once the
+        # program certifies a result
+        done = types.SimpleNamespace(done=True, failed=False, result=None,
+                                     program=types.SimpleNamespace(name="p"))
+        assert self.audit(sound, [done]) == [
+            "[sdc_commit] corrupted result of frame 77 committed on site 3 "
+            "at t=0.9000 reached durable state"]
+
+    def test_journal_audits_read_time_order_not_append_order(self):
+        """Sites append to the journal out of time order (a live kernel's
+        reactor threads do); the audits read the (ts, site) stream."""
+        shuffled = self.BROKEN[1::2][::-1] + self.BROKEN[::2]
+        assert self.audit(shuffled) == self.BROKEN_VIOLATIONS
+
+    def test_schema_violation_skips_monotonicity_but_not_sdc(self):
+        bad = self.BROKEN + [(0.9, 2, "warp_core_breach")]
+        assert self.audit(bad) == [
+            "[journal_schema] unknown trace event kind 'warp_core_breach'",
+            self.BROKEN_VIOLATIONS[-1]]
+
+    def test_audit_builds_only_the_events_it_reads(self, monkeypatch):
+        """Auditing a crash plan's journal wraps the audited kinds in
+        :class:`TracerEvent` and nothing else: no whole-journal sort."""
+        result = corpus_result(os.path.join(CORPUS_DIR,
+                                            "crash_during_wave.json"))
+        assert result.ok
+        tracer = result.cluster.tracer
+        audited = sum(tracer.kinds()[kind] for kind in AUDITED_KINDS)
+        built = []
+        real = tracer_module.TracerEvent
+
+        def counting(*raw):
+            built.append(raw[2])
+            return real(*raw)
+
+        monkeypatch.setattr(tracer_module, "TracerEvent", counting)
+        checker = InvariantChecker(result.cluster, expect_complete=True)
+        assert checker.check() == []
+        assert 0 < len(built) <= audited < len(tracer) // 100
+        assert set(built) <= AUDITED_KINDS
+
+    def test_fingerprint_digests_the_journal_at_return(self):
+        result = run_plan(FaultPlan(seed=14, nsites=2))
+        tracer = result.cluster.tracer
+        at_return = journal_fingerprint(tracer)
+        size = len(tracer)
+        result.cluster.sim.run(until=result.cluster.sim.now + 0.5)
+        assert len(tracer) > size
+        assert journal_fingerprint(tracer) != at_return
+        assert result.fingerprint == at_return
+        assert result.fingerprint is result.fingerprint
 
 
 class TestChaosCli:

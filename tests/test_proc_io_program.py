@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import build_primes_program, first_n_primes
 from repro.common.errors import ProgramError, SerializationError
 from repro.common.ids import FileHandle, make_program_id, program_origin_site
 from repro.core.program import ProgramBuilder
-from repro.program.manager import ProgramInfo
+from repro.program.manager import ProgramInfo, ProgramManager
 from repro.serde import Encoded, dumps, loads
 from repro.site.simcluster import SimCluster
 
@@ -58,6 +59,71 @@ class TestProgramManager:
         cluster.sim.run(until=cluster.sim.now + 0.5)
         for site in cluster.sites:
             assert site.program_manager.get(handle.pid).terminated
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Record the wire of every ProgramInfo built from one."""
+        built = []
+        real = ProgramInfo.from_wire.__func__
+
+        def from_wire(cls, data):
+            built.append(data)
+            return real(cls, data)
+
+        monkeypatch.setattr(ProgramInfo, "from_wire", classmethod(from_wire))
+        return built
+
+    def test_known_program_is_not_relearned(self, fast_config, monkeypatch):
+        """A steal reply or frame transfer carries the info of each of its
+        programs; one this site knows unchanged is passed over, and only
+        news (a new program, a terminated flag) builds a ProgramInfo."""
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.1)
+        pm = cluster.sites[1].program_manager
+        prefetched = []
+        monkeypatch.setattr(pm.site.code_manager, "prefetch_program",
+                            lambda info: prefetched.append(info.pid))
+        built = self.count_builds(monkeypatch)
+        info = ProgramInfo(pid=make_program_id(0, 60), name="p",
+                           entry="main", code_home=0, frontend=0,
+                           threads={"main": (0, 1, 1.0, ())})
+        learned = pm.learn_program_wire(info.to_wire())
+        assert learned is pm.get(info.pid) and learned == info
+        assert prefetched == [info.pid] and len(built) == 1
+        # the same program again, shared or decoded from a real wire
+        assert pm.learn_program_wire(info.to_wire()) is learned
+        assert pm.learn_program_wire(loads(dumps(info.to_wire()))) is learned
+        assert prefetched == [info.pid] and len(built) == 1
+        info.terminated = True
+        assert pm.learn_program_wire(info.to_wire()) is learned
+        assert learned.terminated and len(built) == 2
+        assert prefetched == [info.pid]
+        # a malformed wire is rejected whether or not its pid is known
+        for wire in (list(info.to_wire()), info.to_wire()[:6],
+                     (make_program_id(0, 61),) + info.to_wire()[1:5]):
+            with pytest.raises(SerializationError):
+                pm.learn_program_wire(wire)
+        assert not pm.knows(make_program_id(0, 61))
+
+    def test_a_run_builds_each_program_once_per_change(self, fast_config,
+                                                       monkeypatch):
+        built = self.count_builds(monkeypatch)
+        learned = []
+        real = ProgramManager.learn_program_wire
+
+        def learn(pm, wire):
+            learned.append(wire)
+            return real(pm, wire)
+
+        monkeypatch.setattr(ProgramManager, "learn_program_wire", learn)
+        cluster = SimCluster(nsites=4, config=fast_config)
+        handle = cluster.submit(build_primes_program(),
+                                args=(30, 6, 400.0, 4000.0))
+        cluster.run(progress_timeout=120.0)
+        assert handle.result == first_n_primes(30)
+        # each other site learns the program once, and once more at most
+        # when a wire carries the terminated flag
+        assert 3 <= len(built) <= 6 < len(learned)
 
     def test_accounting_records_work(self, fast_config):
         cluster = SimCluster(nsites=1, config=fast_config)

@@ -57,6 +57,40 @@ class TestTracerUnit:
         assert len(tracer.select(kind="site_join", site=1)) == 1
         assert tracer.select(site=1)[-1].kind == "site_sleep"
 
+    def test_select_equals_filtering_events_on_an_out_of_order_journal(
+            self):
+        """A live kernel's reactor threads append out of time order, and
+        events at one (ts, site) keep their append order.  ``select``
+        filters before it sorts; every answer must still be the filter of
+        the sorted stream, entry for entry."""
+        tracer = Tracer()
+        kinds = ("wave_begin", "wave_commit", "site_sleep", "site_wake")
+        for n in range(60):
+            kind = kinds[(n * 7) % 4]
+            fields = () if kind.startswith("site_") else (n, 3)
+            tracer.emit(((n * 37) % 11) * 0.125, (n * 5) % 3, kind, *fields)
+        # the reference: wrap and sort the whole journal, then filter
+        events = sorted((TracerEvent(*raw) for raw in tracer._raw),
+                        key=lambda e: (e.ts, e.site))
+        assert tracer.events == events
+
+        def old(kind=None, site=None):
+            return [e for e in events
+                    if (kind is None or e.kind == kind)
+                    and (site is None or e.site == site)]
+
+        for kind in kinds:
+            assert tracer.select(kind) == old(kind) != []
+            for site in range(3):
+                assert tracer.select(kind, site=site) == old(kind, site)
+        for site in range(3):
+            assert tracer.select(site=site) == old(site=site) != []
+        pair = {"wave_begin", "site_wake"}
+        assert tracer.select(pair) == [e for e in events if e.kind in pair]
+        assert tracer.select(frozenset(pair), site=2) \
+            == [e for e in events if e.kind in pair and e.site == 2]
+        assert tracer.select(["no_such_kind"]) == []
+
     def test_validate_rejects_unknown_kind(self):
         tracer = Tracer()
         tracer.emit(0.0, 0, "warp_core_breach")
