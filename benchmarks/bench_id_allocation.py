@@ -26,8 +26,7 @@ STRATEGIES = ("central", "contingent", "modulo")
 
 
 def run_strategy(strategy: str) -> dict:
-    config = bench_config(cluster=ClusterConfig(
-        id_allocation=strategy, contingent_size=4))
+    config = bench_config(cluster=ClusterConfig(id_allocation=strategy))
     cluster = SimCluster(nsites=1, config=config)
     cluster.sim.run(until=0.01)
     rng = cluster.sim.rng

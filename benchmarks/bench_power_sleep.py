@@ -29,8 +29,7 @@ ARGS = (60, 12, 400.0, 4000.0)
 
 def run_bursts(power_enabled: bool) -> dict:
     config = bench_config(power=PowerConfig(
-        enabled=power_enabled, sleep_after=0.3,
-        busy_watts=100.0, idle_watts=60.0, sleep_watts=5.0))
+        enabled=power_enabled, sleep_after=0.3))
     cluster = SimCluster(nsites=SITES, config=config)
     first = cluster.submit(build_primes_program(), args=ARGS)
     second = cluster.submit(build_primes_program(), args=ARGS,

@@ -21,7 +21,7 @@ import time
 from repro.apps import build_primes_program, first_n_primes
 from repro.bench import calibrated_test_params, render_table
 from repro.bench.harness import bench_config
-from repro.common.config import LiveTransportConfig, NetworkConfig
+from repro.common.config import NetworkConfig
 from repro.net.tcp import TcpTransport
 from repro.serde.framing import frame
 from repro.site.simcluster import SimCluster
@@ -178,12 +178,12 @@ def test_live_tcp_queued_writer_vs_direct(benchmark):
     """The reliability layer's cost: ``TcpTransport.send`` (caller-thread
     fast path, per-peer queue + writer thread behind it) vs a bare inline
     ``sendall``, same loopback socket, same framing."""
-    cfg = LiveTransportConfig(send_queue_limit=FRAMES + 64)
+    limit = FRAMES + 64
     results = {}
 
     def sweep():
         sink = _CountingSink(1)
-        server = TcpTransport(sink, config=cfg)
+        server = TcpTransport(sink, send_queue_limit=limit)
         dst = server.local_address()
 
         direct = _DirectSender(dst)
@@ -194,7 +194,7 @@ def test_live_tcp_queued_writer_vs_direct(benchmark):
         finally:
             direct.close()
 
-        client = TcpTransport(lambda d: None, config=cfg)
+        client = TcpTransport(lambda d: None, send_queue_limit=limit)
         try:
             ok = lambda data: client.send(dst, data)  # noqa: E731
             # connect before the clock starts, as _DirectSender does, and

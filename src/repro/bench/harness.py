@@ -224,12 +224,12 @@ def load_bench_json(path: str) -> dict:
     return doc
 
 
-def compare_metrics(current: Dict[str, float], baseline: dict,
-                    default_rel_tol: float = DEFAULT_REL_TOL) -> List[dict]:
+def compare_metrics(current: Dict[str, float],
+                    baseline: dict) -> List[dict]:
     """Diff ``current`` metrics against a baseline document.
 
     Every baseline metric must be present in ``current`` and within its
-    tolerance (the baseline's per-metric entry, else ``default_rel_tol``,
+    tolerance (the baseline's per-metric entry, else ``DEFAULT_REL_TOL``,
     relative to the baseline value; for a zero baseline the tolerance is
     read as an absolute bound).  Metrics present only in ``current`` are
     ignored — adding instrumentation must not fail the gate.  Returns the
@@ -238,7 +238,7 @@ def compare_metrics(current: Dict[str, float], baseline: dict,
     tolerances = baseline.get("tolerances", {})
     violations: List[dict] = []
     for name, expected in baseline["metrics"].items():
-        tol = float(tolerances.get(name, default_rel_tol))
+        tol = float(tolerances.get(name, DEFAULT_REL_TOL))
         got = current.get(name)
         if got is None:
             violations.append({

@@ -33,12 +33,16 @@ class HintPolicy:
         return self.hints.get(name, (0.0, False))[1]
 
 
-def derive_hints(program: SDVMProgram,
-                 critical_threshold: float = 0.95) -> HintPolicy:
+#: share of the largest downstream work a critical-path node needs to be
+#: flagged critical
+CRITICAL_THRESHOLD = 0.95
+
+
+def derive_hints(program: SDVMProgram) -> HintPolicy:
     """Analyze ``program`` and derive scheduling hints.
 
     Priority is the node's downstream work normalized to [0, 100]; nodes on
-    the critical path whose downstream work is within ``critical_threshold``
+    the critical path whose downstream work is within ``CRITICAL_THRESHOLD``
     of the maximum are flagged critical (they get the express overcommit
     slot in the processing manager).
     """
@@ -50,7 +54,7 @@ def derive_hints(program: SDVMProgram,
         priority = 100.0 * node.downstream_work / max_down
         critical = (node.on_critical_path
                     and node.downstream_work
-                    >= critical_threshold * max_down
+                    >= CRITICAL_THRESHOLD * max_down
                     # a pure leaf is never "the" critical path driver
                     and node.fan_out > 0)
         hints[name] = (priority, critical)

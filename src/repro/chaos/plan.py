@@ -382,9 +382,12 @@ def random_plan(seed: int, nsites: int = 4,
 # ---------------------------------------------------------------------------
 # plan shrinking (the fuzzer's back half)
 
+#: passes over the fault list before the shrinker gives up
+_SHRINK_ROUNDS = 8
+
+
 def shrink_plan(plan: FaultPlan,
-                still_fails: Callable[[FaultPlan], bool],
-                max_rounds: int = 8) -> FaultPlan:
+                still_fails: Callable[[FaultPlan], bool]) -> FaultPlan:
     """Greedy delta-debugging: drop faults while the failure reproduces.
 
     ``still_fails`` re-runs a candidate plan and reports whether the
@@ -393,7 +396,7 @@ def shrink_plan(plan: FaultPlan,
     between.  Returns the smallest failing plan found.
     """
     current = plan
-    for _ in range(max_rounds):
+    for _ in range(_SHRINK_ROUNDS):
         shrunk = False
         for index in range(len(current.faults)):
             candidate = current.replace_faults(

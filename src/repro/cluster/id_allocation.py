@@ -25,6 +25,9 @@ from repro.common.errors import ClusterError
 #: residue-class stride for the modulo strategy — the "fixed number of site
 #: id servers" the paper mentions
 MODULO_STRIDE = 64
+#: size of the id block handed to each contingent server (read when a
+#: cluster manager builds its allocator)
+CONTINGENT_SIZE = 4
 
 
 class IdAllocator(abc.ABC):
@@ -75,7 +78,7 @@ class CentralAllocator(IdAllocator):
 class ContingentAllocator(IdAllocator):
     """Every site holds a block of free ids granted at its own sign-on."""
 
-    def __init__(self, block_size: int = 16) -> None:
+    def __init__(self, block_size: int = CONTINGENT_SIZE) -> None:
         if block_size < 1:
             raise ClusterError("contingent block size must be >= 1")
         self.block_size = block_size
@@ -124,12 +127,8 @@ class ModuloAllocator(IdAllocator):
     assumption guarantees.
     """
 
-    def __init__(self, local_id: Optional[int] = None,
-                 stride: int = MODULO_STRIDE) -> None:
-        if stride < 2:
-            raise ClusterError("modulo stride must be >= 2")
+    def __init__(self, local_id: Optional[int] = None) -> None:
         self._local_id = local_id
-        self.stride = stride
         self._k = 0
 
     def set_local_id(self, local_id: int) -> None:
@@ -137,29 +136,30 @@ class ModuloAllocator(IdAllocator):
 
     def can_allocate(self) -> bool:
         return (self._local_id is not None
-                and 0 <= self._local_id < self.stride)
+                and 0 <= self._local_id < MODULO_STRIDE)
 
     def allocate(self) -> int:
         if not self.can_allocate():
             raise ClusterError(
                 f"site {self._local_id} is not an id server "
-                f"(ids >= stride {self.stride} cannot emit)")
+                f"(ids >= stride {MODULO_STRIDE} cannot emit)")
         self._k += 1
-        return self._local_id + self._k * self.stride
+        return self._local_id + self._k * MODULO_STRIDE
 
     def note_seen(self, logical: int) -> None:
         if (self._local_id is not None
-                and logical % self.stride == self._local_id % self.stride):
-            k = (logical - self._local_id) // self.stride
+                and logical % MODULO_STRIDE
+                == self._local_id % MODULO_STRIDE):
+            k = (logical - self._local_id) // MODULO_STRIDE
             if k > self._k:
                 self._k = k
 
 
-def make_allocator(strategy: str, block_size: int = 16) -> IdAllocator:
+def make_allocator(strategy: str) -> IdAllocator:
     if strategy == "central":
         return CentralAllocator()
     if strategy == "contingent":
-        return ContingentAllocator(block_size)
+        return ContingentAllocator(CONTINGENT_SIZE)
     if strategy == "modulo":
         return ModuloAllocator()
     raise ClusterError(f"unknown id allocation strategy {strategy!r}")

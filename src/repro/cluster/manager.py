@@ -17,6 +17,7 @@ from repro.common.errors import ClusterError
 from repro.common.ids import GlobalAddress, ManagerId
 from repro.messages import MsgType, SDMessage, make_reply
 from repro.cluster.id_allocation import (
+    MODULO_STRIDE,
     CentralAllocator,
     ContingentAllocator,
     ModuloAllocator,
@@ -33,9 +34,7 @@ class ClusterManager(Manager):
     def __init__(self, site) -> None:  # noqa: ANN001
         super().__init__(site)
         self.sites: Dict[int, SiteRecord] = {}
-        self.allocator = make_allocator(
-            self.config.cluster.id_allocation,
-            self.config.cluster.contingent_size)
+        self.allocator = make_allocator(self.config.cluster.id_allocation)
         self._heartbeat_timer = None
         #: when the running heartbeat interval began: a peer sent anything
         #: after it has had its beat (see _heartbeat_tick)
@@ -490,7 +489,7 @@ class ClusterManager(Manager):
             return
         if isinstance(self.allocator, ModuloAllocator):
             servers = [r.logical for r in self.alive_peers()
-                       if r.logical < self.allocator.stride]
+                       if r.logical < MODULO_STRIDE]
             target = min(servers) if servers else 0
         else:  # central
             target = 0

@@ -84,43 +84,6 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class LiveTransportConfig:
-    """Reliability knobs for the *live* TCP transport (:mod:`repro.net.tcp`).
-
-    The sim kernel models the network with :class:`NetworkConfig`; this class
-    instead configures the real-socket path: per-peer send queues drained by
-    a writer thread, reconnect with exponential backoff, dead-letter
-    accounting once the retry budget is spent, and suspicion of a peer whose
-    deliveries keep failing, reported to the crash manager.
-    """
-
-    #: seconds to wait for one TCP connect attempt
-    connect_timeout: float = 5.0
-    #: max frames queued per peer before ``send`` applies backpressure
-    send_queue_limit: int = 1024
-    #: delivery attempts (connect+write) per frame before dead-lettering
-    retry_budget: int = 6
-    #: first retry delay; doubles each attempt up to ``backoff_max``
-    backoff_initial: float = 0.05
-    backoff_max: float = 1.0
-    #: consecutive failed delivery attempts before a peer is suspected dead
-    heartbeat_misses: int = 3
-
-    def __post_init__(self) -> None:
-        if self.connect_timeout <= 0:
-            raise ConfigError("connect_timeout must be positive")
-        if self.send_queue_limit < 1:
-            raise ConfigError("send_queue_limit must be >= 1")
-        if self.retry_budget < 1:
-            raise ConfigError("retry_budget must be >= 1")
-        if self.backoff_initial <= 0 or self.backoff_max < self.backoff_initial:
-            raise ConfigError(
-                "need 0 < backoff_initial <= backoff_max")
-        if self.heartbeat_misses < 1:
-            raise ConfigError("heartbeat_misses must be >= 1")
-
-
-@dataclass(frozen=True, slots=True)
 class SchedulingConfig:
     """Scheduling-manager policy knobs (§3.3, §4).  Values that held one
     setting everywhere are constants next to their reader (sched/manager.py,
@@ -136,9 +99,6 @@ class SchedulingConfig:
     use_hints: bool = True
     #: refuse to give away frames when fewer than this many remain locally
     keep_local_min: int = 1
-    #: max frames handed over per HELP_REPLY or proactive push (the
-    #: steal-half batch is capped here)
-    steal_batch_max: int = 4
     #: the longest a LOAD_REPORT correction waits (0 disables them; the
     #: load/queue figures piggybacked on regular traffic are always on).
     #: Not a period: a flush is armed only when a peer this site is in
@@ -157,8 +117,9 @@ class SchedulingConfig:
     #: nothing corrects a figure: keep this short
     gossip_staleness: float = 5e-3
     #: proactively push surplus executable frames toward known-idle peers
-    push_enabled: bool = True
-    #: only push while more than this many frames sit in the executable queue
+    #: only while more than this many frames sit in the executable queue
+    #: (and more than ``keep_local_min``); set above any queue depth to
+    #: turn pushing off
     push_min_queue: int = 1
     #: fraction of microthreads executed twice with result comparison
     #: before their effects dispatch — the silent-data-corruption defense
@@ -169,8 +130,6 @@ class SchedulingConfig:
     def __post_init__(self) -> None:
         if self.ready_target < 1:
             raise ConfigError("ready_target must be >= 1")
-        if self.steal_batch_max < 1:
-            raise ConfigError("steal_batch_max must be >= 1")
         if self.gossip_interval < 0:
             raise ConfigError("gossip_interval must be >= 0")
         if self.gossip_staleness <= 0:
@@ -187,8 +146,6 @@ class ClusterConfig:
 
     #: logical-id allocation strategy (the three concepts discussed in §4)
     id_allocation: Literal["central", "contingent", "modulo"] = "central"
-    #: size of the id block handed to each contingent server
-    contingent_size: int = 16
     #: whether sites exchange heartbeats (required for crash detection;
     #: off by default so idle clusters quiesce and sim runs terminate)
     heartbeats_enabled: bool = False
@@ -205,8 +162,6 @@ class ClusterConfig:
     heartbeat_fanout: int = 0
 
     def __post_init__(self) -> None:
-        if self.contingent_size < 1:
-            raise ConfigError("contingent_size must be >= 1")
         # a skipped beat lets a live peer fall silent for almost two
         # intervals (see ClusterManager._heartbeat_tick)
         if self.heartbeat_timeout <= 2 * self.heartbeat_interval:
@@ -230,14 +185,10 @@ class CheckpointConfig:
     enabled: bool = False
     #: seconds between coordinated checkpoint waves
     interval: float = 5.0
-    #: how many replicas of each site snapshot to keep on other sites
-    replicas: int = 1
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ConfigError("checkpoint interval must be positive")
-        if self.replicas < 0:
-            raise ConfigError("checkpoint replicas must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,21 +198,17 @@ class PowerConfig:
     "If the system's power supply is low or sites are out of work, some
     sites are switched to a sleep state."  Out-of-work sites sleep after
     ``sleep_after`` idle seconds (no stealing, no heartbeat chatter) and
-    wake on the first incoming message.  Wattages feed the per-site energy
-    accounting used by ``benchmarks/bench_power_sleep.py``.
+    wake on the first incoming message.  The energy accounting used by
+    ``benchmarks/bench_power_sleep.py`` prices each state at the wattages
+    in ``site/site_manager.py``.
     """
 
     enabled: bool = False
     sleep_after: float = 0.5
-    busy_watts: float = 100.0
-    idle_watts: float = 60.0
-    sleep_watts: float = 5.0
 
     def __post_init__(self) -> None:
         if self.sleep_after <= 0:
             raise ConfigError("sleep_after must be positive")
-        if min(self.busy_watts, self.idle_watts, self.sleep_watts) < 0:
-            raise ConfigError("wattages must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,8 +245,6 @@ class SDVMConfig:
 
     cost: CostModel = field(default_factory=CostModel)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    live_transport: LiveTransportConfig = field(
-        default_factory=LiveTransportConfig)
     scheduling: SchedulingConfig = field(default_factory=SchedulingConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     security: SecurityConfig = field(default_factory=SecurityConfig)

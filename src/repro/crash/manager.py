@@ -21,6 +21,8 @@ from repro.site.manager_base import Manager
 #: each attempt waits one settle delay for the RECOVER_ACK (a
 #: RECOVER_STATE also twice its shard's transfer time)
 _RECOVER_RETRIES = 5
+#: how many other sites keep a copy of each committed snapshot
+SNAPSHOT_REPLICAS = 1
 
 
 def _nothing() -> None:
@@ -287,14 +289,13 @@ class CrashManager(Manager):
     # snapshot replication (coordinator-crash survival)
 
     def _backup_sites(self) -> List[int]:
-        """The next ``checkpoint.replicas`` coordinator-successors."""
+        """The next ``SNAPSHOT_REPLICAS`` coordinator-successors."""
         records = [r for r in self.site.cluster_manager.sites.values()
                    if r.alive and r.logical != self.local_id]
         reliable = [r for r in records if r.reliable]
         pool = reliable if reliable else records
         pool.sort(key=lambda r: r.logical)
-        return [r.logical
-                for r in pool[:max(0, self.config.checkpoint.replicas)]]
+        return [r.logical for r in pool[:SNAPSHOT_REPLICAS]]
 
     def _replicate_snapshot(self, wave: int) -> None:
         """Copy the committed snapshot onto backup sites.

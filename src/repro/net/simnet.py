@@ -26,9 +26,8 @@ from repro.sim.engine import Simulator
 class SimNetwork:
     """Shared medium connecting all simulated sites.
 
-    Each site attaches a receive callback under its integer physical
-    address.  ``endpoint(addr)`` returns a per-site
-    :class:`SimTransportEndpoint` satisfying the Transport protocol.
+    Each site's kernel attaches a receive callback under its integer
+    physical address and sends with :meth:`send`.
     """
 
     def __init__(self, sim: Simulator, config: Optional[NetworkConfig] = None,
@@ -62,9 +61,6 @@ class SimNetwork:
 
     def detach(self, addr: int) -> None:
         self._receivers.pop(addr, None)
-
-    def is_attached(self, addr: int) -> bool:
-        return addr in self._receivers
 
     # ------------------------------------------------------------------
     def _one_way_latency(self, src: int, dst: int) -> float:
@@ -147,26 +143,3 @@ class SimNetwork:
             return
         self.stats.inc("delivered")
         receiver(data)
-
-    def endpoint(self, addr: int,
-                 receiver: Callable[[bytes], None]) -> "SimTransportEndpoint":
-        """Attach ``receiver`` and return a Transport-shaped endpoint."""
-        self.attach(addr, receiver)
-        return SimTransportEndpoint(self, addr)
-
-
-class SimTransportEndpoint:
-    """Per-site view of the shared :class:`SimNetwork` (Transport protocol)."""
-
-    def __init__(self, network: SimNetwork, addr: int) -> None:
-        self._network = network
-        self._addr = addr
-
-    def send(self, dst: str, data: bytes) -> bool:
-        return self._network.send(self._addr, int(dst), data)
-
-    def local_address(self) -> str:
-        return str(self._addr)
-
-    def close(self) -> None:
-        self._network.detach(self._addr)

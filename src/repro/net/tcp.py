@@ -7,7 +7,7 @@ observation that TCP "needs a lot of communication to establish and end a
 connection" is exactly why), and messages are delimited with the
 length-prefixed framing from :mod:`repro.serde.framing`.
 
-Reliability model (see ``LiveTransportConfig``):
+Reliability model (the constants of :class:`TcpTransport`):
 
 * Every destination gets a bounded **send queue** drained by a dedicated
   writer thread.  At most one thread writes to a peer's socket at a time:
@@ -28,7 +28,7 @@ Reliability model (see ``LiveTransportConfig``):
   peer is dropped into the ``dead_letters`` counter and the peer is
   reported via :attr:`on_peer_down` — the live kernel forwards this to the
   cluster manager, which feeds the crash manager's recovery path.
-* The transport suspects a peer after ``heartbeat_misses`` failed
+* The transport suspects a peer after ``HEARTBEAT_MISSES`` failed
   delivery attempts.  It sends nothing of its own: on an idle cluster the
   cluster heartbeat (``ClusterConfig.heartbeats_enabled``) is the traffic
   that notices a dead peer.
@@ -41,10 +41,8 @@ from __future__ import annotations
 import socket
 import threading
 from collections import deque
-from dataclasses import replace
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.common.config import LiveTransportConfig
 from repro.common.errors import AddressError, SerializationError
 from repro.common.stats import StatSet
 from repro.serde.framing import FrameDecoder, frame
@@ -100,17 +98,28 @@ class _Peer:
 
 
 class TcpTransport:
-    """Listener + per-peer queued writers, one reader thread per peer."""
+    """Listener + per-peer queued writers, one reader thread per peer.
+
+    The reliability constants are read per use, so a test may shorten
+    them on one instance (or on the class) before it sends.
+    """
+
+    #: seconds to wait for one TCP connect attempt
+    CONNECT_TIMEOUT = 5.0
+    #: delivery attempts (connect+write) per frame before dead-lettering
+    RETRY_BUDGET = 6
+    #: first retry delay; doubles each attempt up to ``BACKOFF_MAX``
+    BACKOFF_INITIAL = 0.05
+    BACKOFF_MAX = 1.0
+    #: consecutive failed delivery attempts before a peer is suspected dead
+    HEARTBEAT_MISSES = 3
 
     def __init__(self, receiver: Callable[[bytes], None],
                  host: str = "127.0.0.1", port: int = 0,
-                 connect_timeout: Optional[float] = None,
-                 config: Optional[LiveTransportConfig] = None) -> None:
+                 send_queue_limit: int = 1024) -> None:
         self._receiver = receiver
-        cfg = config or LiveTransportConfig()
-        if connect_timeout is not None:
-            cfg = replace(cfg, connect_timeout=connect_timeout)
-        self._config = cfg
+        #: max frames queued per peer before ``send`` applies backpressure
+        self.send_queue_limit = send_queue_limit
         self.stats = StatSet(locked=True)
         #: set to a callable(physical_addr) to hear about suspected-dead
         #: peers (failure detector / retry budget exhaustion); invoked on a
@@ -215,7 +224,7 @@ class TcpTransport:
         payload = frame(data)
         peer = self._peer(dst)
         with peer.cond:
-            if len(peer.queue) >= self._config.send_queue_limit:
+            if len(peer.queue) >= self.send_queue_limit:
                 self.stats.inc("queue_full_drops")
                 return False
             # The writer leaves a frame at the head of the queue while it
@@ -296,12 +305,11 @@ class TcpTransport:
 
         Returns False once the retry budget is exhausted (the caller
         dead-letters the queue).  The failure detector fires as soon as
-        ``heartbeat_misses`` consecutive attempts have failed — before the
+        ``HEARTBEAT_MISSES`` consecutive attempts have failed — before the
         budget runs out, so recovery starts while retries continue.
         """
-        cfg = self._config
-        backoff = cfg.backoff_initial
-        for attempt in range(cfg.retry_budget):
+        backoff = self.BACKOFF_INITIAL
+        for attempt in range(self.RETRY_BUDGET):
             if self._closed.is_set():
                 return False
             with peer.cond:
@@ -326,9 +334,9 @@ class TcpTransport:
             peer.failures += 1
             self.stats.inc("send_retries")
             self._note_failure(peer)
-            if attempt + 1 < cfg.retry_budget:
+            if attempt + 1 < self.RETRY_BUDGET:
                 self._closed.wait(backoff)
-                backoff = min(backoff * 2.0, cfg.backoff_max)
+                backoff = min(backoff * 2.0, self.BACKOFF_MAX)
         self._note_failure(peer, force=True)
         return False
 
@@ -336,7 +344,7 @@ class TcpTransport:
         host, port = _parse(peer.addr)
         try:
             sock = socket.create_connection(
-                (host, port), timeout=self._config.connect_timeout)
+                (host, port), timeout=self.CONNECT_TIMEOUT)
             sock.settimeout(None)
         except OSError:
             return None
@@ -377,7 +385,7 @@ class TcpTransport:
     def _note_failure(self, peer: _Peer, force: bool = False) -> None:
         if peer.suspected:
             return
-        if force or peer.failures >= self._config.heartbeat_misses:
+        if force or peer.failures >= self.HEARTBEAT_MISSES:
             peer.suspected = True
             self.stats.inc("peers_suspected")
             callback = self.on_peer_down

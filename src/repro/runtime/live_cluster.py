@@ -108,9 +108,7 @@ class LiveCluster(ClusterFacade):
             def make_transport(receiver, index=index):  # noqa: ANN001
                 return InProcTransport(self._hub, f"site-{index}", receiver)
         elif transport == "tcp":
-            def make_transport(receiver):  # noqa: ANN001
-                return TcpTransport(receiver,
-                                    config=self.config.live_transport)
+            make_transport = TcpTransport
         else:
             raise SDVMError(f"unknown transport {transport!r}")
         kernel = LiveKernel(make_transport, seed=self.config.seed,

@@ -32,10 +32,8 @@ def _worker_main(bootstrap_addr: str, config: SDVMConfig,
     from repro.runtime.live_kernel import LiveKernel
     from repro.site.daemon import SDVMSite
 
-    kernel = LiveKernel(
-        lambda receiver: TcpTransport(receiver,
-                                      config=config.live_transport),
-        seed=config.seed, name=site_config.name or "worker")
+    kernel = LiveKernel(TcpTransport, seed=config.seed,
+                        name=site_config.name or "worker")
     site = SDVMSite(kernel, config, site_config)
     kernel.reactor_call(lambda: site.join(bootstrap_addr))
     try:

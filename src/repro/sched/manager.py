@@ -20,6 +20,9 @@ HELP_RETRY_INTERVAL = 5e-4
 HELP_TIMEOUT = 0.05
 #: at most this many peers get a LOAD_REPORT from one gossip flush
 GOSSIP_FANOUT = 3
+#: max frames handed over per HELP_REPLY or proactive push (the
+#: steal-half batch is capped here)
+STEAL_BATCH_MAX = 4
 
 
 class _HelpRequest(NamedTuple):
@@ -201,7 +204,7 @@ class SchedulingManager(Manager):
         cfg = self.config.scheduling
         pm = self.site.processing_manager
         free = max(0, pm.max_parallel - pm.in_flight)
-        return max(1, min(cfg.steal_batch_max, free + cfg.ready_target))
+        return max(1, min(STEAL_BATCH_MAX, free + cfg.ready_target))
 
     def _send_help(self) -> None:
         """One request to one victim that is not on cooldown."""
@@ -435,7 +438,7 @@ class SchedulingManager(Manager):
         avail = (len(self.executable) + len(self.ready)
                  - cfg.keep_local_min)
         want = int(msg.payload["want"])
-        count = max(1, min(want, cfg.steal_batch_max, (avail + 1) // 2))
+        count = max(1, min(want, STEAL_BATCH_MAX, (avail + 1) // 2))
         frames = take_batch_for_help(self.executable, cfg.help_reply_policy,
                                      count)
         while len(frames) < count and self.ready:
@@ -557,7 +560,7 @@ class SchedulingManager(Manager):
         """Proactive work sharing: an overloaded site pushes surplus frames
         toward a peer it knows (freshly) to be idle, before that peer asks."""
         cfg = self.config.scheduling
-        if not cfg.push_enabled or self._adopting:
+        if self._adopting:
             return
         if self.site.paused or self.site.sleeping or self._pm_hungry:
             return
@@ -568,7 +571,7 @@ class SchedulingManager(Manager):
         target = self.site.cluster_manager.pick_push_target()
         if target is None:
             return
-        count = min(cfg.steal_batch_max, (spare + 1) // 2, spare - floor)
+        count = min(STEAL_BATCH_MAX, (spare + 1) // 2, spare - floor)
         frames = take_push_batch(self.executable, cfg.help_reply_policy,
                                  count)
         if not frames:

@@ -37,10 +37,9 @@ class DHKeyPair:
         self._private = rng.getrandbits(_EXPONENT_BITS) | 1
         self.public = pow(DH_GENERATOR, self._private, DH_GROUP_PRIME)
 
-    def shared_key(self, peer_public: int,
-                   context: bytes = b"sdvm-session") -> bytes:
+    def shared_key(self, peer_public: int) -> bytes:
         """Derive the 32-byte session key from the peer's public value."""
         if not 2 <= peer_public <= DH_GROUP_PRIME - 2:
             raise SecurityError("peer public value out of range")
         secret = pow(peer_public, self._private, DH_GROUP_PRIME)
-        return derive_key(context, secret)
+        return derive_key(b"sdvm-session", secret)

@@ -35,8 +35,7 @@ class SDVMSite:
     """One SDVM daemon: eleven managers over one kernel."""
 
     def __init__(self, kernel: Kernel, config: SDVMConfig,
-                 site_config: Optional[SiteConfig] = None,
-                 debug: bool = False) -> None:
+                 site_config: Optional[SiteConfig] = None) -> None:
         self.kernel = kernel
         self.config = config
         self.site_config = site_config or SiteConfig()
@@ -56,7 +55,6 @@ class SDVMSite:
         #: zombie-forwarding target after relocation: straggler messages
         #: are re-sent to the heir until the site finally detaches
         self.forward_to: Optional[int] = None
-        self.debug = debug
         self.log_lines: List[str] = []
         #: cluster-wide structured tracer (config.trace); managers cache
         #: this reference at construction (``Manager.note`` journals to it)
@@ -249,8 +247,6 @@ class SDVMSite:
         line = f"[{self.kernel.now:.6f} s{self.site_id}] " + (
             fmt % args if args else fmt)
         self.log_lines.append(line)
-        if self.debug:
-            print(line)
 
     def __repr__(self) -> str:
         return (f"SDVMSite(id={self.site_id}, "

@@ -30,12 +30,11 @@ class SimKernel(Kernel):
         self.tracer = tracer
         self._physical = physical
         self.rng = random.Random((seed << 16) ^ physical ^ 0x5DF1)
-        self._endpoint: Optional[Any] = None
         self._closed = False
 
     # ------------------------------------------------------------------
     def attach_receiver(self, receiver: Callable[[bytes], None]) -> None:
-        self._endpoint = self._network.endpoint(self._physical, receiver)
+        self._network.attach(self._physical, receiver)
 
     # ------------------------------------------------------------------
     @property
@@ -88,6 +87,4 @@ class SimKernel(Kernel):
 
     def shutdown(self) -> None:
         self._closed = True
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
+        self._network.detach(self._physical)

@@ -70,14 +70,12 @@ class SimCluster(ClusterFacade):
     def __init__(self, nsites: int = 1,
                  config: Optional[SDVMConfig] = None,
                  site_configs: Optional[Sequence[SiteConfig]] = None,
-                 topology: Optional[Topology] = None,
-                 debug: bool = False) -> None:
+                 topology: Optional[Topology] = None) -> None:
         if nsites < 1 and not site_configs:
             raise SDVMError("cluster needs at least one site")
         super().__init__(config)
         self.sim = Simulator(seed=self.config.seed)
         self.network = SimNetwork(self.sim, self.config.network, topology)
-        self.debug = debug
         self._sites: List[SDVMSite] = []
         self._next_physical = 0
         self.handles: List[ProgramHandle] = []
@@ -113,7 +111,7 @@ class SimCluster(ClusterFacade):
                            speed=site_config.speed, seed=self.config.seed,
                            tracer=self.tracer)
         self._next_physical += 1
-        site = SDVMSite(kernel, self.config, site_config, debug=self.debug)
+        site = SDVMSite(kernel, self.config, site_config)
         self._sites.append(site)
         return site
 

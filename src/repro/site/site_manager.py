@@ -12,6 +12,11 @@ from repro.common.ids import ManagerId
 from repro.messages import MsgType, SDMessage, make_reply
 from repro.site.manager_base import Manager
 
+#: the energy model's draw per state (watts), read by energy_report
+BUSY_WATTS = 100.0
+IDLE_WATTS = 60.0
+SLEEP_WATTS = 5.0
+
 
 class SiteManager(Manager):
     manager_id = ManagerId.SITE
@@ -69,8 +74,7 @@ class SiteManager(Manager):
         self._schedule_sleep_check()
 
     def energy_report(self) -> dict:
-        """Per-site energy consumption under the configured wattages."""
-        power = self.config.power
+        """Per-site energy consumption at the three wattages above."""
         now = self.kernel.now
         cpu = self.kernel.cpu
         busy = cpu.busy_total if cpu is not None else 0.0
@@ -78,8 +82,8 @@ class SiteManager(Manager):
         if self.site.sleeping:
             sleep += now - self._sleep_started
         idle = max(0.0, now - busy - sleep)
-        joules = (busy * power.busy_watts + idle * power.idle_watts
-                  + sleep * power.sleep_watts)
+        joules = (busy * BUSY_WATTS + idle * IDLE_WATTS
+                  + sleep * SLEEP_WATTS)
         return {"busy_s": busy, "idle_s": idle, "sleep_s": sleep,
                 "joules": joules}
 

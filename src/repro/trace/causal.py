@@ -175,10 +175,9 @@ class CausalGraph:
     # ------------------------------------------------------------------
     # span assembly
 
-    def critical_path(self,
-                      node_id: Optional[int] = None) -> List[dict]:
-        """Categorized end-to-end segments of the chain ending at
-        ``node_id`` (default: the last-completing node).
+    def critical_path(self) -> List[dict]:
+        """Categorized end-to-end segments of the chain ending at the
+        last-completing node.
 
         Categories: ``compute`` (an execution's span), ``message-latency``
         (a remote dataflow message's transit), ``steal-transfer`` (a
@@ -189,14 +188,12 @@ class CausalGraph:
         queueing, code fetch, steal transport), ``handler`` (gap between
         a cause completing and the dependent message leaving).
         """
-        if node_id is None:
-            term = self.terminal()
-            if term is None:
-                return []
-            node_id = term.node_id
+        term = self.terminal()
+        if term is None:
+            return []
         segments: List[dict] = []
         prev_end: Optional[float] = None
-        for node in self.chain(node_id):
+        for node in self.chain(term.node_id):
             if prev_end is not None and node.start > prev_end:
                 segments.append({
                     "category": ("sched-wait" if node.kind == "exec"

@@ -12,7 +12,9 @@ records the lines run inside functions of ``src/repro`` outside
 * ``unreached_lines``: executable lines inside functions that no test ran,
   out of ``function_lines``;
 * ``never_entered``: the functions no test called, one ``path:line name``
-  each.
+  each;
+* ``most_unreached``: the ten files with the most unreached lines, the
+  order in which to triage them.
 
 Module and class bodies are not counted: importing runs them.  Code
 compiled from strings (the microthreads of an app) has no file to be
@@ -80,10 +82,12 @@ def _functions(code: CodeType) -> Iterator[CodeType]:
             yield from _functions(const)
 
 
-def ledger() -> Tuple[int, int, List[str]]:
-    """(unreached lines, function lines, never-entered functions)."""
+def ledger() -> Tuple[int, int, List[str], Dict[str, int]]:
+    """(unreached lines, function lines, never-entered functions,
+    unreached lines per file)."""
     unreached = total = 0
     never: List[str] = []
+    per_file: Dict[str, int] = {}
     for folder, dirs, files in os.walk(_ROOT):
         dirs.sort()
         for name in sorted(files):
@@ -104,9 +108,12 @@ def ledger() -> Tuple[int, int, List[str]]:
                 else:
                     never.append(f"{os.path.relpath(path, _ROOT)}:"
                                  f"{code.co_firstlineno} {code.co_qualname}")
+                missed = len(lines - hits)
                 total += len(lines)
-                unreached += len(lines - hits)
-    return unreached, total, never
+                unreached += missed
+                relpath = os.path.relpath(path, _ROOT)
+                per_file[relpath] = per_file.get(relpath, 0) + missed
+    return unreached, total, never, per_file
 
 
 def _install() -> None:
@@ -129,13 +136,17 @@ def pytest_unconfigure(config) -> None:  # noqa: ANN001
 
 
 def pytest_terminal_summary(terminalreporter) -> None:  # noqa: ANN001
-    unreached, total, never = ledger()
+    unreached, total, never, per_file = ledger()
     write = terminalreporter.write_line
     write(f"unreached_lines {unreached} of function_lines {total} "
           f"(src/repro outside apps/)")
     write(f"never_entered {len(never)}")
     for name in never:
         write(f"  {name}")
+    write("most_unreached")
+    ranked = sorted(per_file.items(), key=lambda item: (-item[1], item[0]))
+    for relpath, missed in ranked[:10]:
+        write(f"  {missed:5d} {relpath}")
 
 
 # from import on: the plugin is loaded before conftest files and tests

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import id_allocation
+from repro.cluster.records import SiteRecord
 from repro.common.config import ClusterConfig, SDVMConfig, SiteConfig
 from repro.core.program import ProgramBuilder
-from repro.messages import MsgType
+from repro.messages import MsgType, SDMessage
 from repro.serde import Encoded
 from repro.site.simcluster import SimCluster
 
@@ -124,12 +126,12 @@ class TestIdStrategies:
         assert -1 not in ids
         assert len(set(ids)) == 8
 
-    def test_contingent_block_exhaustion_triggers_refill(self):
+    def test_contingent_block_exhaustion_triggers_refill(self, monkeypatch):
         # tiny blocks: a non-root site that serves more sign-ons than its
         # block holds must fetch a fresh one from the root (the root
         # refills its own block without a message)
-        config = SDVMConfig(cluster=ClusterConfig(
-            id_allocation="contingent", contingent_size=2))
+        monkeypatch.setattr(id_allocation, "CONTINGENT_SIZE", 2)
+        config = SDVMConfig(cluster=ClusterConfig(id_allocation="contingent"))
         cluster = SimCluster(nsites=2, config=config)
         cluster.sim.run(until=0.5)
         server = cluster.sites[1]
@@ -237,6 +239,49 @@ class TestLookups:
         manager = cluster.sites[0].cluster_manager
         other = cluster.sites[1].site_id
         assert manager.pick_help_target(exclude={other}) is None
+
+
+class TestGossipedDeath:
+    def test_death_in_cluster_info_is_merged_once(self, monkeypatch):
+        """A CLUSTER_INFO naming a known, alive peer as left (with an heir)
+        merges into the known record and retires the peer from every
+        membership cache; the same news again changes nothing."""
+        cluster = build(3)
+        site, sender, peer = cluster.sites
+        manager = site.cluster_manager
+        gone, heir = peer.site_id, sender.site_id
+        manager.note_load(gone, 5, queue=5)
+        assert gone in manager._hot_peers
+        departed, merges = [], []
+        manager.on_site_departed.append(departed.append)
+        merge = SiteRecord.merge_newer
+
+        def counted(record, other):
+            merges.append(record.logical)
+            merge(record, other)
+        monkeypatch.setattr(SiteRecord, "merge_newer", counted)
+        news = SiteRecord.from_wire(tuple(manager.sites[gone].to_wire()))
+        news.alive, news.left, news.heir = False, True, heir
+        wire = tuple(news.to_wire())
+
+        def deliver():
+            sender.message_manager.send(SDMessage(
+                type=MsgType.CLUSTER_INFO, src_site=heir,
+                dst_site=site.site_id, payload={"sites": [wire]}))
+            cluster.sim.run(until=cluster.sim.now + 0.01)
+
+        deliver()
+        record = manager.sites[gone]
+        assert merges == [gone]
+        assert (record.alive, record.left, record.heir) == (False, True, heir)
+        assert gone not in manager.sorted_alive_ids()
+        assert departed == [gone]
+        assert gone not in manager._hot_peers
+        deliver()
+        assert merges == [gone]
+        assert departed == [gone]
+        assert manager.sites[gone] is record
+        assert tuple(record.to_wire()) == wire
 
 
 def slow_fanout_program():

@@ -17,6 +17,7 @@ from repro.apps import build_primes_program, first_n_primes
 from repro.common.errors import SerializationError
 from repro.common.ids import GlobalAddress
 from repro.core.frames import MISSING, Microframe
+from repro.crash import manager as crash_manager
 from repro.crash.manager import CrashManager
 from repro.messages import MsgType, SDMessage
 from repro.serde import dumps, loads
@@ -463,9 +464,9 @@ class TestShardBlobs:
             on_state(cm, msg)
 
         monkeypatch.setattr(CrashManager, "_on_checkpoint_state", counted)
+        monkeypatch.setattr(crash_manager, "SNAPSHOT_REPLICAS", 2)
         cfg = config(heartbeats=False).with_(
-            checkpoint=CheckpointConfig(enabled=True, interval=0.1,
-                                        replicas=2))
+            checkpoint=CheckpointConfig(enabled=True, interval=0.1))
         cluster = SimCluster(nsites=8, config=cfg)
         handle = cluster.submit(build_primes_program(),
                                 args=(60, 8, 800.0, 8000.0))

@@ -74,10 +74,9 @@ class TestAccounting:
 
 
 class TestPowerManagement:
-    def power_config(self, fast_config, **kwargs):
+    def power_config(self, fast_config):
         return fast_config.with_(power=PowerConfig(enabled=True,
-                                                   sleep_after=0.2,
-                                                   **kwargs))
+                                                   sleep_after=0.2))
 
     def test_idle_sites_fall_asleep(self, fast_config):
         cluster = SimCluster(nsites=3,
@@ -104,9 +103,7 @@ class TestPowerManagement:
     def test_energy_saved_by_sleeping(self, fast_config):
         """Idle cluster: sleep-enabled burns far less than sleep-disabled."""
         asleep = SimCluster(nsites=2,
-                            config=self.power_config(fast_config,
-                                                     idle_watts=60.0,
-                                                     sleep_watts=5.0))
+                            config=self.power_config(fast_config))
         asleep.sim.run(until=5.0)
         awake = SimCluster(nsites=2, config=fast_config)
         awake.sim.run(until=5.0)
@@ -127,5 +124,3 @@ class TestPowerManagement:
     def test_power_config_validation(self):
         with pytest.raises(ConfigError):
             PowerConfig(sleep_after=0.0)
-        with pytest.raises(ConfigError):
-            PowerConfig(busy_watts=-1.0)

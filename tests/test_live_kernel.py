@@ -175,12 +175,12 @@ class TestTcpTransportDirect:
     def test_send_to_dead_endpoint_dead_letters(self):
         """Sends to an unreachable peer are queued for retry; once the
         budget is spent they are dead-lettered and the peer reported."""
-        from repro.common.config import LiveTransportConfig
         from repro.net.tcp import TcpTransport
         down = threading.Event()
-        client = TcpTransport(lambda d: None, config=LiveTransportConfig(
-            connect_timeout=0.3, retry_budget=3, backoff_initial=0.01,
-            backoff_max=0.05, heartbeat_misses=2))
+        client = TcpTransport(lambda d: None)
+        client.CONNECT_TIMEOUT, client.RETRY_BUDGET = 0.3, 3
+        client.BACKOFF_INITIAL, client.BACKOFF_MAX = 0.01, 0.05
+        client.HEARTBEAT_MISSES = 2
         client.on_peer_down = lambda addr: down.set()
         try:
             assert client.send("127.0.0.1:1", b"x")  # accepted for retry

@@ -723,8 +723,7 @@ class TestSimLiveDifferential:
     #: one microthread at a time per site as in the benchmark's twin
     PINNED = SDVMConfig(
         cost=CostModel(compile_fixed_cost=1e-4), trace=True,
-        scheduling=SchedulingConfig(ready_target=1, keep_local_min=10**9,
-                                    push_enabled=False))
+        scheduling=SchedulingConfig(ready_target=1, keep_local_min=10**9))
     SITES = [SiteConfig(name=f"site{i}", max_parallel=1) for i in range(3)]
 
     def sim_run(self):

@@ -325,7 +325,7 @@ class TestFiguresRideInTheEnvelope:
         # no proactive push: it raises the pusher's record of its target,
         # which would blur what the envelope alone set
         config = base.with_(
-            scheduling=replace(base.scheduling, push_enabled=False),
+            scheduling=replace(base.scheduling, push_min_queue=10**9),
             cluster=replace(base.cluster, heartbeats_enabled=True,
                             heartbeat_interval=2e-3, heartbeat_timeout=1.0))
         cluster = SimCluster(nsites=4, config=config)

@@ -7,9 +7,12 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import build_primes_program, first_n_primes
-from repro.common.errors import ProgramError, SerializationError
+from repro.common.errors import (MemoryFault, ProgramError, SDVMError,
+                                 SerializationError)
 from repro.common.ids import FileHandle, make_program_id, program_origin_site
 from repro.core.program import ProgramBuilder
+from repro.messages import MsgType
+from repro.proc.context import _Failed
 from repro.program.manager import ProgramInfo, ProgramManager
 from repro.serde import Encoded, dumps, loads
 from repro.site.simcluster import SimCluster
@@ -667,6 +670,60 @@ class TestReplicatedExecution:
                          and e.site == b.site_id)
         assert committed - asked >= 2 * hop
         assert self.count(b, "sdc_verified") == 1
+
+    def test_failed_operation_is_replayed_as_the_same_error(
+            self, fast_config, monkeypatch):
+        """A read of an address nobody allocated fails on the primary; the
+        REPLICATE carries the failure as (class, text), the buddy's replay
+        raises it at the same read, and the two agree."""
+        import dataclasses
+        from repro.common.ids import GlobalAddress
+        prog = ProgramBuilder("failread")
+
+        @prog.microthread
+        def main(ctx, addr):
+            try:
+                value = ctx.read(addr)
+            except Exception as error:  # noqa: BLE001 — the point
+                value = (error.__class__.__name__, str(error))
+            ctx.exit_program(value)
+
+        config = fast_config.with_(scheduling=dataclasses.replace(
+            fast_config.scheduling, replicate_frac=1.0))
+        cluster = SimCluster(nsites=2, config=config)
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        oplogs, decoded = [], []
+        request = b.message_manager.request
+
+        def spy(msg, *args, **kwargs):
+            if msg.type == MsgType.REPLICATE:
+                oplogs.append(msg.payload["oplog"])
+            return request(msg, *args, **kwargs)
+        monkeypatch.setattr(b.message_manager, "request", spy)
+        from_wire = _Failed.from_wire.__func__
+
+        def counted(cls, name, text):
+            failed = from_wire(cls, name, text)
+            decoded.append(failed.error)
+            return failed
+        monkeypatch.setattr(_Failed, "from_wire", classmethod(counted))
+        missing = GlobalAddress(b.site_id, 10**6)
+        handle = cluster.submit(prog.build(), args=(missing,),
+                                site_index=1, at=0.25)
+        cluster.run()
+        name, text = handle.result
+        assert name == "MemoryFault" and str(missing) in text
+        assert oplogs == [[(name, text)]]
+        assert [(type(e), str(e)) for e in decoded] == [(MemoryFault, text)]
+        assert self.count(a, "sdc_shadow_execs") == 1
+        assert self.count(b, "sdc_verified") == 1
+        assert self.count(b, "sdc_mismatch") == 0
+
+    def test_unknown_error_class_decodes_to_sdvm_error(self):
+        failed = _Failed.from_wire("NoSuchError", "gone")
+        assert type(failed.error) is SDVMError
+        assert str(failed.error) == "gone"
 
     def test_argument_the_wire_cannot_carry_is_shadowed_locally(
             self, fast_config):

@@ -144,17 +144,3 @@ class TestTopologyRouting:
         assert net.send(0, 7, b"hi")
         sim.run()
         assert got == [b"hi"]
-
-
-class TestEndpoint:
-    def test_endpoint_protocol(self, sim):
-        net = make_net(sim)
-        got = []
-        a = net.endpoint(0, lambda d: None)
-        net.endpoint(1, got.append)
-        assert a.local_address() == "0"
-        assert a.send("1", b"via endpoint")
-        sim.run()
-        assert got == [b"via endpoint"]
-        a.close()
-        assert not net.is_attached(0)

@@ -14,19 +14,36 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import replace
 from typing import Callable, List, Optional, Set, Tuple
 
 import pytest
 
-from repro.common.config import LiveTransportConfig, SDVMConfig
+from repro.common.config import SDVMConfig
 from repro.net.tcp import TcpTransport
 from repro.serde.framing import frame
 
-#: fast-failure knobs: suspicion after 2 misses, dead letters after 4
-FAST = LiveTransportConfig(
-    connect_timeout=0.5, retry_budget=4, backoff_initial=0.02,
-    backoff_max=0.1, heartbeat_misses=2)
+#: fast-failure constants: suspicion after 2 misses, dead letters after 4
+FAST = {"CONNECT_TIMEOUT": 0.5, "RETRY_BUDGET": 4, "BACKOFF_INITIAL": 0.02,
+        "BACKOFF_MAX": 0.1, "HEARTBEAT_MISSES": 2}
+
+
+def fast_transport(receiver: Callable[[bytes], None],
+                   host: str = "127.0.0.1", port: int = 0,
+                   send_queue_limit: int = 1024,
+                   **constants: float) -> TcpTransport:
+    """A transport with the FAST constants, ``constants`` overriding them
+    on this instance only."""
+    transport = TcpTransport(receiver, host, port, send_queue_limit)
+    for name, value in {**FAST, **constants}.items():
+        setattr(transport, name, value)
+    return transport
+
+
+@pytest.fixture
+def fast_cluster_transports(monkeypatch):
+    """Every TcpTransport a LiveCluster builds gets the FAST constants."""
+    for name, value in FAST.items():
+        monkeypatch.setattr(TcpTransport, name, value)
 
 WATCHDOG_SECONDS = 60.0
 
@@ -170,11 +187,11 @@ def test_multithreaded_send_every_frame_decodes_intact():
     must serialize frames so every one decodes at the receiver."""
     threads_n, frames_n = 8, 150
     sink = Collector()
-    server = TcpTransport(sink, config=FAST)
+    server = fast_transport(sink)
     # queue limit must exceed threads_n * frames_n: this test asserts zero
     # backpressure drops, it is not a backpressure test
-    roomy = replace(FAST, send_queue_limit=threads_n * frames_n + 64)
-    client = TcpTransport(lambda d: None, config=roomy)
+    client = fast_transport(lambda d: None,
+                            send_queue_limit=threads_n * frames_n + 64)
     expected = {
         f"{tid}:{i}:".encode() + bytes([tid]) * (64 + i % 32)
         for tid in range(threads_n) for i in range(frames_n)
@@ -211,13 +228,11 @@ def test_multithreaded_send_every_frame_decodes_intact():
 
 def test_peer_restart_queued_messages_flush_in_order():
     sink1 = Collector()
-    server = TcpTransport(sink1, config=FAST)
+    server = fast_transport(sink1)
     host, port = _parse(server.local_address())
     # generous budget so the backlog survives until the peer returns
-    patient = LiveTransportConfig(
-        connect_timeout=0.5, retry_budget=30, backoff_initial=0.02,
-        backoff_max=0.1, heartbeat_misses=3)
-    client = TcpTransport(lambda d: None, config=patient)
+    client = fast_transport(lambda d: None, RETRY_BUDGET=30,
+                            HEARTBEAT_MISSES=3)
     dst = f"{host}:{port}"
     server2 = None
     try:
@@ -234,7 +249,7 @@ def test_peer_restart_queued_messages_flush_in_order():
         for payload in batch:
             assert client.send(dst, payload)
         sink2 = Collector()
-        server2 = TcpTransport(sink2, host=host, port=port, config=FAST)
+        server2 = fast_transport(sink2, host=host, port=port)
         _wait_until(lambda: len(sink2.snapshot()) >= len(batch),
                     timeout=20, message="backlog to flush after restart")
         assert sink2.snapshot() == batch  # intact AND in send order
@@ -250,9 +265,9 @@ def test_first_message_after_peer_restart_not_lost():
     """Regression: a stale cached connection used to make the first send
     after a peer restart fail silently; the writer must reconnect."""
     sink1 = Collector()
-    server = TcpTransport(sink1, config=FAST)
+    server = fast_transport(sink1)
     host, port = _parse(server.local_address())
-    client = TcpTransport(lambda d: None, config=FAST)
+    client = fast_transport(lambda d: None)
     dst = f"{host}:{port}"
     server2 = None
     try:
@@ -260,7 +275,7 @@ def test_first_message_after_peer_restart_not_lost():
         _wait_until(lambda: sink1.snapshot() == [b"m1"], message="m1")
         server.close()
         sink2 = Collector()
-        server2 = TcpTransport(sink2, host=host, port=port, config=FAST)
+        server2 = fast_transport(sink2, host=host, port=port)
         _wait_until(
             lambda: client.stats.get("stale_connections").count >= 1,
             message="stale connection detected")
@@ -280,10 +295,10 @@ def test_first_message_after_peer_restart_not_lost():
 
 def test_partition_dead_letters_then_recovers_after_heal():
     sink = Collector()
-    backend = TcpTransport(sink, config=FAST)
+    backend = fast_transport(sink)
     proxy = FlakyProxy(backend.local_address())
     down: List[str] = []
-    client = TcpTransport(lambda d: None, config=FAST)
+    client = fast_transport(lambda d: None)
     client.on_peer_down = down.append
     try:
         assert client.send(proxy.address, b"healthy")
@@ -298,7 +313,8 @@ def test_partition_dead_letters_then_recovers_after_heal():
                     message="dead letter accounting")
         assert down == [proxy.address]
         assert client.stats.get("peers_suspected").count == 1
-        assert client.stats.get("send_retries").count >= FAST.retry_budget
+        assert (client.stats.get("send_retries").count
+                >= FAST["RETRY_BUDGET"])
         proxy.heal()
         assert client.send(proxy.address, b"revived")
         _wait_until(lambda: b"revived" in sink.snapshot(),
@@ -314,12 +330,13 @@ def test_partition_dead_letters_then_recovers_after_heal():
 # empty frame: the transport passes it on, the site rejects and carries on
 
 
-def test_empty_frame_rejected_by_live_site_and_next_message_arrives():
+def test_empty_frame_rejected_by_live_site_and_next_message_arrives(
+        fast_cluster_transports):
     from repro.messages import MsgType, SDMessage
     from repro.runtime.live_cluster import LiveCluster
 
-    config = SDVMConfig(live_transport=FAST)
-    with LiveCluster(nsites=2, config=config, transport="tcp") as cluster:
+    with LiveCluster(nsites=2, config=SDVMConfig(),
+                     transport="tcp") as cluster:
         receiver, sender = cluster.sites
         mm = receiver.message_manager
 
@@ -352,7 +369,7 @@ def test_empty_frame_rejected_by_live_site_and_next_message_arrives():
 
 def test_corrupt_length_prefix_closes_connection_not_listener():
     sink = Collector()
-    server = TcpTransport(sink, config=FAST)
+    server = fast_transport(sink)
     host, port = _parse(server.local_address())
     evil = socket.create_connection((host, port), timeout=2.0)
     evil.settimeout(5.0)
@@ -364,7 +381,7 @@ def test_corrupt_length_prefix_closes_connection_not_listener():
                     message="corrupt stream counted")
         assert evil.recv(4096) == b""  # server closed the poisoned stream
         # the listener is fine: a clean client still gets through
-        client = TcpTransport(lambda d: None, config=FAST)
+        client = fast_transport(lambda d: None)
         try:
             assert client.send(server.local_address(), b"still-alive")
             _wait_until(lambda: b"still-alive" in sink.snapshot(),
@@ -382,7 +399,7 @@ def test_corrupt_length_prefix_closes_connection_not_listener():
 
 def test_close_reaps_accepted_connections():
     sink = Collector()
-    server = TcpTransport(sink, config=FAST)
+    server = fast_transport(sink)
     host, port = _parse(server.local_address())
     inbound = socket.create_connection((host, port), timeout=2.0)
     inbound.settimeout(5.0)
@@ -398,19 +415,19 @@ def test_close_reaps_accepted_connections():
 
 
 def test_send_after_close_fails_fast():
-    server = TcpTransport(lambda d: None, config=FAST)
+    server = fast_transport(lambda d: None)
     addr = server.local_address()
-    client = TcpTransport(lambda d: None, config=FAST)
+    client = fast_transport(lambda d: None)
     client.close()
     assert client.send(addr, b"x") is False
     server.close()
 
 
 def test_send_queue_backpressure():
-    config = LiveTransportConfig(
-        connect_timeout=0.2, retry_budget=30, backoff_initial=0.2,
-        backoff_max=0.5, heartbeat_misses=30, send_queue_limit=4)
-    client = TcpTransport(lambda d: None, config=config)
+    client = fast_transport(
+        lambda d: None, send_queue_limit=4, CONNECT_TIMEOUT=0.2,
+        RETRY_BUDGET=30, BACKOFF_INITIAL=0.2, BACKOFF_MAX=0.5,
+        HEARTBEAT_MISSES=30)
     try:
         # unreachable peer: the writer parks in backoff, the queue fills
         accepted = [client.send("127.0.0.1:1", b"x") for _ in range(20)]
@@ -424,15 +441,13 @@ def test_send_queue_backpressure():
 # acceptance: a live two-site cluster notices real socket death
 
 
-def test_live_cluster_transport_death_reaches_crash_manager():
+def test_live_cluster_transport_death_reaches_crash_manager(
+        fast_cluster_transports):
     from repro.common.config import ClusterConfig, CostModel
     from repro.runtime.live_cluster import LiveCluster
 
     config = SDVMConfig(
         cost=CostModel(compile_fixed_cost=1e-4),
-        live_transport=LiveTransportConfig(
-            connect_timeout=0.5, retry_budget=4, backoff_initial=0.02,
-            backoff_max=0.1, heartbeat_misses=2),
         # the idle traffic that meets the dead socket; the timeout is far
         # beyond the test's wait, so the transport must be the detector
         cluster=ClusterConfig(heartbeats_enabled=True,
@@ -474,9 +489,9 @@ def test_fast_path_concurrent_senders_keep_per_thread_order():
     each thread's frames arrive in the order that thread sent them."""
     threads_n, frames_n = 8, 500
     sink = Collector()
-    server = TcpTransport(sink, config=FAST)
-    roomy = replace(FAST, send_queue_limit=threads_n * frames_n + 64)
-    client = TcpTransport(lambda d: None, config=roomy)
+    server = fast_transport(sink)
+    client = fast_transport(lambda d: None,
+                            send_queue_limit=threads_n * frames_n + 64)
     try:
         dst = server.local_address()
         assert client.send(dst, b"hello")  # queued: it opens the connection
@@ -523,13 +538,15 @@ class StalledPeer:
     """A client transport whose peer accepts but does not read, with small
     kernel buffers on both sides so a few frames fill them."""
 
-    def __init__(self, config: LiveTransportConfig) -> None:
+    def __init__(self, send_queue_limit: int, **constants: float) -> None:
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         self.listener.bind(("127.0.0.1", 0))
         self.listener.listen(2)
         self.dst = f"127.0.0.1:{self.listener.getsockname()[1]}"
-        self.client = TcpTransport(lambda d: None, config=config)
+        self.client = fast_transport(lambda d: None,
+                                     send_queue_limit=send_queue_limit,
+                                     **constants)
         assert self.client.send(self.dst, b"first")
         self.conn = self.accept()
         _wait_until(lambda: self.client.stats.get("frames_sent").count == 1
@@ -574,8 +591,7 @@ def test_send_never_blocks_on_a_peer_that_stops_reading():
     fast path must hand over (never block the caller), the unsent tail of
     its partial write must reach the wire before any later frame, and
     backpressure must still trip at ``send_queue_limit``."""
-    config = replace(FAST, send_queue_limit=16)
-    peer = StalledPeer(config)
+    peer = StalledPeer(send_queue_limit=16)
     client = peer.client
     try:
         accepted: List[bytes] = [b"first"]
@@ -591,7 +607,7 @@ def test_send_never_blocks_on_a_peer_that_stops_reading():
             pytest.fail("the send queue never filled")
         assert slowest < 0.050
         assert client.stats.get("queue_full_drops").count == 1
-        assert len(client._peers[peer.dst].queue) == config.send_queue_limit
+        assert len(client._peers[peer.dst].queue) == client.send_queue_limit
         # once the peer drains, the stream is every accepted frame, whole
         # and in order: the frame the buffers filled on (mid-frame on
         # Linux: the next test insists) went out ahead of the backlog
@@ -606,8 +622,7 @@ def test_partial_write_restarts_from_byte_zero_on_a_fresh_connection():
     """The connection dies with half a frame on it.  The reconnect must
     carry that frame from its first byte — its tail alone would read as a
     garbage length prefix — followed by everything queued behind it."""
-    patient = replace(FAST, retry_budget=30, send_queue_limit=64)
-    peer = StalledPeer(patient)
+    peer = StalledPeer(send_queue_limit=64, RETRY_BUDGET=30)
     client = peer.client
     try:
         sent_frames = []

@@ -29,6 +29,7 @@ from repro.apps import first_n_primes
 from repro.bench.harness import bench_config, run_primes, run_treesum
 from repro.chaos.invariants import InvariantChecker
 from repro.common.config import SchedulingConfig
+from repro.sched import manager as sched_manager
 from repro.site.simcluster import SimCluster
 
 LEAVES = 1024
@@ -103,7 +104,9 @@ class TestSixtyFourSites:
 @pytest.mark.parametrize("push", [False, True])
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("gossip", [0.0, 1e-3])
-def test_policy_matrix_cell_is_correct_and_audited(gossip, batch, push):
+def test_policy_matrix_cell_is_correct_and_audited(gossip, batch, push,
+                                                   monkeypatch):
+    monkeypatch.setattr(sched_manager, "STEAL_BATCH_MAX", batch)
     config = bench_config(trace=True)
     # without load reports nothing refreshes a figure, so the gossip-off
     # cells trust one only as long as gossip-off configs elsewhere do
@@ -111,8 +114,9 @@ def test_policy_matrix_cell_is_correct_and_audited(gossip, batch, push):
                  else SchedulingConfig().gossip_staleness)
     config = config.with_(scheduling=replace(
         config.scheduling, gossip_interval=gossip,
-        gossip_staleness=staleness, steal_batch_max=batch,
-        push_enabled=push))
+        gossip_staleness=staleness,
+        # no queue is this deep: pushing off
+        push_min_queue=config.scheduling.push_min_queue if push else 10**9))
     expected = first_n_primes(20)
     _duration, cluster = run_primes(20, 6, 4, 400.0, 4000.0,
                                     config=config, verify=False)
