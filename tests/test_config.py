@@ -55,6 +55,7 @@ class TestNetworkConfig:
 class TestSchedulingConfig:
     @pytest.mark.parametrize("kwargs", [
         {"ready_target": 0},
+        {"gossip_staleness": 0.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
