@@ -10,15 +10,19 @@ Paper §4 discusses three concepts for creating unique logical ids:
 3. **modulo** — "define a fixed number of site id servers and let them emit
    any multiple of their own id (like a modulo function)".
 
-Each allocator answers two questions for its local cluster manager: *can I
-assign an id right now?* and *which id?*  A site that cannot allocate
-locally forwards the sign-on to one that can.
+The whole decision lives here.  The cluster manager asks its allocator
+four things and never which strategy it holds: :meth:`~IdAllocator.adopt`
+the site's own id (and the block its SIGN_ON_ACK carried),
+:meth:`~IdAllocator.allocate` an id for a joiner (None: forward the
+sign-on), :meth:`~IdAllocator.server` to forward it to, and
+:meth:`~IdAllocator.grant` the block a joiner's SIGN_ON_ACK carries.  The
+very first site of a cluster takes id 0.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.common.errors import ClusterError
 
@@ -33,17 +37,27 @@ CONTINGENT_SIZE = 4
 class IdAllocator(abc.ABC):
     """Strategy interface used by the cluster manager."""
 
-    @abc.abstractmethod
-    def can_allocate(self) -> bool:
-        """True if this site can hand out an id without asking anybody."""
+    #: this site's own id, once adopted
+    _local_id: Optional[int] = None
+
+    def adopt(self, local_id: int, block: Optional[Sequence] = None) -> None:
+        """Take this site's own id: 0 at bootstrap, else the one its
+        SIGN_ON_ACK names, with the id block ``(low, high)`` it granted."""
+        self._local_id = local_id
 
     @abc.abstractmethod
-    def allocate(self) -> int:
-        """Produce a fresh logical id.  Raises ClusterError if exhausted."""
+    def allocate(self) -> Optional[int]:
+        """A fresh logical id, or None: forward the sign-on to
+        :meth:`server`."""
 
-    def bootstrap_id(self) -> int:
-        """Id taken by the very first site of a cluster."""
+    def server(self, alive_ids: Sequence[int]) -> int:
+        """Where a site that cannot allocate forwards a sign-on, given the
+        sorted ids of its alive peers: the root."""
         return 0
+
+    def grant(self) -> Optional[tuple]:
+        """The id block a served joiner's SIGN_ON_ACK carries, if any."""
+        return None
 
     def note_seen(self, logical: int) -> None:
         """Observe an id in use somewhere (keeps allocators ahead of it)."""
@@ -52,20 +66,12 @@ class IdAllocator(abc.ABC):
 class CentralAllocator(IdAllocator):
     """Only the contact site (logical id 0) allocates; monotone counter."""
 
-    def __init__(self, local_id: Optional[int] = None) -> None:
-        self._local_id = local_id
+    def __init__(self) -> None:
         self._next = 1
 
-    def set_local_id(self, local_id: int) -> None:
-        self._local_id = local_id
-
-    def can_allocate(self) -> bool:
-        return self._local_id == 0
-
-    def allocate(self) -> int:
-        if not self.can_allocate():
-            raise ClusterError(
-                "central strategy: only site 0 allocates logical ids")
+    def allocate(self) -> Optional[int]:
+        if self._local_id != 0:
+            return None
         value = self._next
         self._next += 1
         return value
@@ -76,47 +82,48 @@ class CentralAllocator(IdAllocator):
 
 
 class ContingentAllocator(IdAllocator):
-    """Every site holds a block of free ids granted at its own sign-on."""
+    """Every site holds a block of free ids granted at its own sign-on.
+
+    The root (id 0) owns the id space: it carves a block for itself and
+    one for every joiner it serves, and carves itself a fresh block when
+    its own runs out.  Any other site forwards to the root once its block
+    is spent.
+    """
 
     def __init__(self, block_size: int = CONTINGENT_SIZE) -> None:
-        if block_size < 1:
-            raise ClusterError("contingent block size must be >= 1")
         self.block_size = block_size
         self._low = 0
-        self._high = 0  # exclusive; empty until a block is granted
+        self._high = 0  # exclusive; empty until a block is adopted
+        #: (root only) the first id no block holds yet
+        self._cursor: Optional[int] = None
 
-    # the site that bootstraps the cluster owns the id space and grants
-    # blocks; it keeps a cursor of the next unallocated block
-    def init_as_root(self) -> None:
-        self._low, self._high = 1, 1 + self.block_size
-        self._grant_cursor = 1 + self.block_size
+    def adopt(self, local_id: int, block: Optional[Sequence] = None) -> None:
+        super().adopt(local_id)
+        if local_id == 0:
+            self._cursor = 1
+            block = self._carve()
+        if block:
+            low, high = block
+            if high <= low:
+                raise ClusterError(f"empty id block [{low}, {high})")
+            self._low, self._high = low, high
 
-    def grant_block(self) -> tuple:
-        """(root only) carve a fresh block for a signing-on site."""
-        if not hasattr(self, "_grant_cursor"):
-            raise ClusterError("grant_block on a non-root contingent allocator")
-        low = self._grant_cursor
-        self._grant_cursor += self.block_size
-        return (low, low + self.block_size)
+    def _carve(self) -> tuple:
+        low = self._cursor
+        self._cursor += self.block_size
+        return (low, self._cursor)
 
-    def receive_block(self, low: int, high: int) -> None:
-        if high <= low:
-            raise ClusterError(f"empty id block [{low}, {high})")
-        self._low, self._high = low, high
-
-    def can_allocate(self) -> bool:
-        return self._low < self._high
-
-    def allocate(self) -> int:
-        if not self.can_allocate():
-            raise ClusterError("contingent exhausted; request a new block")
+    def allocate(self) -> Optional[int]:
+        if self._low >= self._high:
+            if self._cursor is None:
+                return None
+            self._low, self._high = self._carve()
         value = self._low
         self._low += 1
         return value
 
-    @property
-    def remaining(self) -> int:
-        return max(0, self._high - self._low)
+    def grant(self) -> Optional[tuple]:
+        return None if self._cursor is None else self._carve()
 
 
 class ModuloAllocator(IdAllocator):
@@ -124,27 +131,23 @@ class ModuloAllocator(IdAllocator):
 
     Uniqueness holds as long as every allocating site has a distinct id
     below the stride — which the paper's "fixed number of site id servers"
-    assumption guarantees.
+    assumption guarantees.  A site at or above the stride forwards to the
+    lowest alive server.
     """
 
-    def __init__(self, local_id: Optional[int] = None) -> None:
-        self._local_id = local_id
+    def __init__(self) -> None:
         self._k = 0
 
-    def set_local_id(self, local_id: int) -> None:
-        self._local_id = local_id
-
-    def can_allocate(self) -> bool:
-        return (self._local_id is not None
-                and 0 <= self._local_id < MODULO_STRIDE)
-
-    def allocate(self) -> int:
-        if not self.can_allocate():
-            raise ClusterError(
-                f"site {self._local_id} is not an id server "
-                f"(ids >= stride {MODULO_STRIDE} cannot emit)")
+    def allocate(self) -> Optional[int]:
+        if self._local_id is None or self._local_id >= MODULO_STRIDE:
+            return None
         self._k += 1
         return self._local_id + self._k * MODULO_STRIDE
+
+    def server(self, alive_ids: Sequence[int]) -> int:
+        if alive_ids and alive_ids[0] < MODULO_STRIDE:
+            return alive_ids[0]
+        return 0
 
     def note_seen(self, logical: int) -> None:
         if (self._local_id is not None

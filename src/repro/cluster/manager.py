@@ -1,11 +1,12 @@
 """The cluster manager (paper §4).
 
-Maintains the site list, runs the sign-on/sign-off protocols, allocates
-logical site ids, answers physical-address lookups for the message manager,
-picks help-request targets from statistical load data, and (optionally)
-watches its peers for crash detection: any message proves life, a
-HEARTBEAT fills in for a peer that got nothing else, and a site that
-has signed off stops judging.
+Maintains the site list, runs the sign-on/sign-off protocols (which id a
+joiner gets, and where a sign-on it cannot serve goes, is its allocator's
+call: ``id_allocation.py``), answers physical-address lookups for the
+message manager, picks help-request targets from statistical load data,
+and (optionally) watches its peers for crash detection: any message proves
+life, a HEARTBEAT fills in for a peer that got nothing else, and a site
+that has signed off stops judging.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.common.errors import ClusterError
 from repro.common.ids import GlobalAddress, ManagerId
-from repro.messages import MsgType, SDMessage, make_reply
-from repro.cluster.id_allocation import (
-    MODULO_STRIDE,
-    CentralAllocator,
-    ContingentAllocator,
-    ModuloAllocator,
-    make_allocator,
-)
+from repro.messages import MsgType, SDMessage
+from repro.cluster.id_allocation import make_allocator
 from repro.cluster.records import SiteRecord
 from repro.serde import Encoded
 from repro.site.manager_base import Manager
@@ -39,9 +34,6 @@ class ClusterManager(Manager):
         #: when the running heartbeat interval began: a peer sent anything
         #: after it has had its beat (see _heartbeat_tick)
         self._beat_from = 0.0
-        self._pending_block_request = False
-        #: sign-ons queued while waiting for a fresh id block (contingent)
-        self._deferred_signons: List[SDMessage] = []
         #: callbacks fired when a new site joins: fn(logical_id)
         self.on_site_joined: List[Callable[[int], None]] = []
         #: callbacks fired when a site crashes or signs off: fn(logical_id)
@@ -74,18 +66,11 @@ class ClusterManager(Manager):
     # bootstrap / join
 
     def bootstrap(self) -> int:
-        """Become the first site of a new cluster."""
-        local = self.allocator.bootstrap_id()
-        self._adopt_local_id(local)
+        """Become the first site of a new cluster: logical id 0."""
+        self.site.site_id = 0
+        self.allocator.adopt(0)
         self._add_self_record()
-        if isinstance(self.allocator, ContingentAllocator):
-            self.allocator.init_as_root()
-        return local
-
-    def _adopt_local_id(self, local: int) -> None:
-        self.site.site_id = local
-        if isinstance(self.allocator, (CentralAllocator, ModuloAllocator)):
-            self.allocator.set_local_id(local)
+        return 0
 
     def _add_self_record(self) -> None:
         cfg = self.site.site_config
@@ -432,10 +417,10 @@ class ClusterManager(Manager):
         if record is not None and record.logical != self.local_id:
             self._send_ack(record)
             return
-        if not self.allocator.can_allocate():
-            self._forward_or_defer_sign_on(msg)
-            return
         new_id = self.allocator.allocate()
+        if new_id is None:
+            self._forward_sign_on(msg)
+            return
         self.learn_records((SiteRecord(
             logical=new_id,
             physical=msg.payload["physical"],
@@ -448,25 +433,20 @@ class ClusterManager(Manager):
         record = self.sites.get(new_id)
         if record is None:
             return  # the joiner gave this site's own address
-        self._send_ack(record, grant_block=True)
+        self._send_ack(record, self.allocator.grant())
         self.stats.inc("sign_ons_served")
         self._announce(record)
 
-    def _send_ack(self, record: SiteRecord, grant_block: bool = False) -> None:
+    def _send_ack(self, record: SiteRecord,
+                  block: Optional[tuple] = None) -> None:
+        """ACK a joiner; only a first ACK carries a granted id block."""
         payload = {
             "your_id": record.logical,
             "sites": [r.to_wire() for r in self.sites.values()],
             "programs": self.site.program_manager.known_programs_wire(),
         }
-        if grant_block and isinstance(self.allocator, ContingentAllocator):
-            try:
-                low, high = self.allocator.grant_block()
-                payload["id_block"] = (low, high)
-            except ClusterError:
-                # non-root contingent sites can allocate single ids from
-                # their block but cannot grant blocks; joiner will request
-                # one from site 0 when it needs to allocate
-                pass
+        if block is not None:
+            payload["id_block"] = block
         ack = SDMessage(
             type=MsgType.SIGN_ON_ACK,
             src_site=self.local_id, dst_site=record.logical,
@@ -474,45 +454,24 @@ class ClusterManager(Manager):
         )
         self.site.message_manager.send_physical(record.physical, ack)
 
-    def _forward_or_defer_sign_on(self, msg: SDMessage) -> None:
-        """Cannot allocate: route the request to a site that can."""
-        if isinstance(self.allocator, ContingentAllocator):
-            if hasattr(self.allocator, "_grant_cursor"):
-                # we are the root: carve ourselves a fresh block and retry
-                low, high = self.allocator.grant_block()
-                self.allocator.receive_block(low, high)
-                self._on_sign_on(msg)
-                return
-            # ask the root for a fresh block, defer the joiner meanwhile
-            self._deferred_signons.append(msg)
-            self._request_id_block()
-            return
-        if isinstance(self.allocator, ModuloAllocator):
-            servers = [r.logical for r in self.alive_peers()
-                       if r.logical < MODULO_STRIDE]
-            target = min(servers) if servers else 0
-        else:  # central
-            target = 0
-        if target == self.local_id:
-            raise ClusterError("id allocation forwarding loop")
-        forward = SDMessage(
+    def _forward_sign_on(self, msg: SDMessage) -> None:
+        """Cannot allocate: route the request to the allocator's server."""
+        self.site.message_manager.send(SDMessage(
             type=MsgType.SIGN_ON,
-            src_site=self.local_id, dst_site=target,
+            src_site=self.local_id,
+            dst_site=self.allocator.server(self._sorted_alive_peers),
             payload=dict(msg.payload),
-        )
-        self.site.message_manager.send(forward)
+        ))
         self.stats.inc("sign_ons_forwarded")
 
     def _on_sign_on_ack(self, msg: SDMessage) -> None:
         if self.site.running:
             return  # duplicate ACK after a retried sign-on
         new_id = msg.payload["your_id"]
-        self._adopt_local_id(new_id)
+        self.site.site_id = new_id
+        self.allocator.adopt(new_id, msg.payload.get("id_block"))
         self._add_self_record()
         self.learn_records(msg.payload["sites"])
-        block = msg.payload.get("id_block")
-        if block and isinstance(self.allocator, ContingentAllocator):
-            self.allocator.receive_block(block[0], block[1])
         self.site.program_manager.learn_programs_wire(
             msg.payload["programs"])
         self.stats.inc("joined")
@@ -554,42 +513,6 @@ class ClusterManager(Manager):
                 payload=payload,
             ))
 
-    # -- id blocks (contingent strategy) ----------------------------------
-    def _request_id_block(self) -> None:
-        if self._pending_block_request or self.local_id == 0:
-            return
-        self._pending_block_request = True
-        sent = self.site.message_manager.send(SDMessage(
-            type=MsgType.ID_BLOCK_REQUEST,
-            src_site=self.local_id, dst_site=0,
-        ))
-        if not sent:
-            # the block server is not reachable (yet); retry shortly so
-            # deferred sign-ons are not stranded
-            self._pending_block_request = False
-            self.kernel.call_later(self.SIGN_ON_RETRY,
-                                   self._retry_block_request)
-
-    def _retry_block_request(self) -> None:
-        if self.site.running and self._deferred_signons:
-            self._request_id_block()
-
-    def _on_id_block_request(self, msg: SDMessage) -> None:
-        if not isinstance(self.allocator, ContingentAllocator):
-            raise ClusterError("ID_BLOCK_REQUEST under non-contingent strategy")
-        low, high = self.allocator.grant_block()
-        self.site.message_manager.send(make_reply(
-            msg, MsgType.ID_BLOCK_REPLY, {"id_block": (low, high)}))
-
-    def _on_id_block_reply(self, msg: SDMessage) -> None:
-        self._pending_block_request = False
-        if isinstance(self.allocator, ContingentAllocator):
-            low, high = msg.payload["id_block"]
-            self.allocator.receive_block(low, high)
-        deferred, self._deferred_signons = self._deferred_signons, []
-        for pending in deferred:
-            self._on_sign_on(pending)
-
     # -- membership updates ------------------------------------------------
     def _on_cluster_info(self, msg: SDMessage) -> None:
         self.learn_records(msg.payload["sites"])
@@ -609,21 +532,18 @@ class ClusterManager(Manager):
 
     def _on_crash_notice(self, msg: SDMessage) -> None:
         dead = msg.payload["site"]
-        self.mark_dead(dead, left=False)
+        self.mark_dead(dead)
 
-    def mark_dead(self, logical: int, left: bool,
-                  heir: Optional[int] = None) -> None:
+    def mark_dead(self, logical: int) -> None:
+        """A peer crashed (a sign-off is :meth:`_on_sign_off`)."""
         record = self.sites.get(logical)
         if record is not None and record.alive:
             record.alive = False
-            record.left = left
-            record.heir = heir
-            if not left:
-                self.note("site_dead", logical)
+            self.note("site_dead", logical)
             # caches and departure hooks first: recovery and
             # directory rebalancing below must see the new membership
             self._note_departed(logical)
-            self.site.crash_manager.on_site_dead(logical, orderly=left)
+            self.site.crash_manager.on_site_dead(logical)
 
     def note_record_dead(self, logical: int,
                          heir: Optional[int] = None) -> None:
@@ -734,11 +654,7 @@ class ClusterManager(Manager):
             since = self._watch_since.setdefault(record.logical, now)
             if (record.alive and record.logical != self.local_id
                     and now - max(record.last_seen, since) > timeout):
-                self.log("site %d missed heartbeats; declaring crashed",
-                         record.logical)
-                self.stats.inc("crashes_detected")
-                self.mark_dead(record.logical, left=False)
-                self._broadcast_crash_notice(record.logical)
+                self._declare_crashed(record, "crashes_detected")
 
     def _watched_records(self) -> List[SiteRecord]:
         """Peers whose silence this site is responsible for noticing.
@@ -759,13 +675,23 @@ class ClusterManager(Manager):
                 watched.append(record)
         return watched
 
-    def _broadcast_crash_notice(self, logical: int) -> None:
-        """Tell everyone else so detection is cluster-wide."""
+    #: the log line of each crash detector, keyed by the counter it bumps
+    CRASH_VERDICTS = {
+        "crashes_detected": "site %d (%s) missed heartbeats; declaring crashed",
+        "transport_suspicions": "transport suspects site %d (%s) dead",
+    }
+
+    def _declare_crashed(self, record: SiteRecord, counter: str) -> None:
+        """A detector gave up on ``record``: log and count it, mark it dead,
+        and tell everyone else so detection is cluster-wide."""
+        self.log(self.CRASH_VERDICTS[counter], record.logical, record.physical)
+        self.stats.inc(counter)
+        self.mark_dead(record.logical)
         for peer in self.alive_peers():
             self.site.message_manager.send(SDMessage(
                 type=MsgType.CRASH_NOTICE,
                 src_site=self.local_id, dst_site=peer.logical,
-                payload={"site": logical},
+                payload={"site": record.logical},
             ))
 
     def report_transport_suspicion(self, physical: str) -> None:
@@ -778,11 +704,7 @@ class ClusterManager(Manager):
         for record in list(self.sites.values()):
             if (record.alive and record.physical == physical
                     and record.logical != self.local_id):
-                self.log("transport suspects site %d (%s) dead",
-                         record.logical, physical)
-                self.stats.inc("transport_suspicions")
-                self.mark_dead(record.logical, left=False)
-                self._broadcast_crash_notice(record.logical)
+                self._declare_crashed(record, "transport_suspicions")
 
     def on_stop(self) -> None:
         self._cancel_heartbeat()

@@ -376,13 +376,11 @@ class CrashManager(Manager):
     # ------------------------------------------------------------------
     # crash handling
 
-    def on_site_dead(self, logical: int, orderly: bool) -> None:
-        """Cluster manager reports a peer gone.
-
-        Orderly sign-offs relocated their state already; real crashes
-        trigger rollback recovery from the last committed checkpoint.
-        """
-        if orderly or not self.site.running:
+    def on_site_dead(self, logical: int) -> None:
+        """Cluster manager reports a peer crashed: rollback recovery from
+        the last committed checkpoint (a sign-off relocated its state
+        already and never reaches here)."""
+        if not self.site.running:
             return
         self.log("suspecting site %d crashed; entering recovery path",
                  logical)

@@ -51,8 +51,6 @@ class MsgType(enum.IntEnum):
     SIGN_OFF = 52              # orderly leave announcement
     CLUSTER_INFO = 53          # gossip: site records piggybacked
     HEARTBEAT = 54
-    ID_BLOCK_REQUEST = 55      # contingent strategy: ask for an id block
-    ID_BLOCK_REPLY = 56
     LOAD_REPORT = 57           # statistical load data for help targeting
 
     # -- program management (§4 program manager)
@@ -172,8 +170,6 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     _row(_T.SIGN_OFF, _M.CLUSTER, "leaver heir"),
     _row(_T.CLUSTER_INFO, _M.CLUSTER, "sites"),
     _row(_T.HEARTBEAT, _M.CLUSTER),
-    _row(_T.ID_BLOCK_REQUEST, _M.CLUSTER),
-    _row(_T.ID_BLOCK_REPLY, _M.CLUSTER, "id_block"),
     _row(_T.CRASH_NOTICE, _M.CLUSTER, "site"),
     # -- program management
     _row(_T.PROGRAM_REGISTER, _M.PROGRAM, "info relay?", forward=True),

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.bench.harness import bench_config
 from repro.cluster import id_allocation
 from repro.cluster.records import SiteRecord
 from repro.common.config import ClusterConfig, SDVMConfig, SiteConfig
@@ -126,31 +129,65 @@ class TestIdStrategies:
         assert -1 not in ids
         assert len(set(ids)) == 8
 
-    def test_contingent_block_exhaustion_triggers_refill(self, monkeypatch):
-        # tiny blocks: a non-root site that serves more sign-ons than its
-        # block holds must fetch a fresh one from the root (the root
-        # refills its own block without a message)
+    def test_spent_contingent_server_forwards_to_root(self, monkeypatch):
+        # tiny blocks: a non-root site serves the sign-ons its block holds
+        # and forwards the rest to the root, which carves itself a fresh
+        # block when its own runs out; no message asks for a block
         monkeypatch.setattr(id_allocation, "CONTINGENT_SIZE", 2)
         config = SDVMConfig(cluster=ClusterConfig(id_allocation="contingent"))
         cluster = SimCluster(nsites=2, config=config)
         cluster.sim.run(until=0.5)
-        server = cluster.sites[1]
+        root, server = cluster.sites
         sent = []
-        send = server.message_manager.send
+        for site in (root, server):
+            send = site.message_manager.send
 
-        def spy(msg):
-            sent.append(msg.type)
-            return send(msg)
-        server.message_manager.send = spy
+            def spy(msg, send=send):
+                sent.append(msg.type.name)
+                return send(msg)
+            site.message_manager.send = spy
         joiners = [cluster.add_site(via_index=1) for _ in range(4)]
         cluster.sim.run(until=1.5)
         assert all(joiner.running for joiner in joiners)
-        served = server.cluster_manager.stats.get("sign_ons_served").count
-        assert served == 4  # two more than its block
-        assert sent.count(MsgType.ID_BLOCK_REQUEST) == 1
-        # site 1 holds [3, 5); the refill granted it [5, 7)
-        assert [s.site_id for s in cluster.sites] == [0, 1, 3, 4, 5, 6]
-        assert server.cluster_manager.allocator.remaining == 0
+
+        def count(site, name):
+            return site.cluster_manager.stats.get(name).count
+        assert count(server, "sign_ons_served") == 2  # its block [3, 5)
+        assert count(server, "sign_ons_forwarded") == 2
+        assert count(root, "sign_ons_served") == 3  # site 1, then 2 and 7
+        # the root holds [1, 3) and granted [3, 5) to site 1 and [5, 7) to
+        # the first forwarded joiner; its second forward spends the root's
+        # block, so it carves [7, 9)
+        assert sorted(s.site_id for s in cluster.sites) == [0, 1, 2, 3, 4, 7]
+        assert not [name for name in sent if "ID_BLOCK" in name]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def join_wave(strategy):
+        """E7's join wave: 23 sites sign on to a one-site cluster, one
+        every 0.2 ms, each through a contact point the sim RNG draws among
+        the sites built so far.  Returns (running, ids, forwarded)."""
+        config = bench_config(cluster=ClusterConfig(id_allocation=strategy))
+        cluster = SimCluster(nsites=1, config=config)
+        cluster.sim.run(until=0.01)
+        rng = cluster.sim.rng
+        for i in range(1, 24):
+            via = rng.randrange(len(cluster.sites))
+            cluster.add_site(SiteConfig(name=f"s{i}"),
+                             at=cluster.sim.now + i * 2e-4, via_index=via)
+        cluster.sim.run(until=2.0)
+        return ([site.running for site in cluster.sites],
+                [site.site_id for site in cluster.sites],
+                cluster.total_stats().get("sign_ons_forwarded").count)
+
+    @pytest.mark.parametrize("strategy", ["central", "contingent", "modulo"])
+    def test_join_wave_through_random_contacts(self, strategy):
+        running, ids, forwarded = self.join_wave(strategy)
+        assert len(running) == 24 and all(running)
+        assert -1 not in ids and len(set(ids)) == 24
+        if strategy == "contingent":
+            # id servers spread the allocation: fewer sign-ons travel on
+            assert forwarded < self.join_wave("central")[2]
 
     def test_modulo_ids_in_residue_classes(self):
         cluster = build(5, id_allocation="modulo")
@@ -177,7 +214,7 @@ class TestLookups:
         cluster = build(3)
         manager = cluster.sites[0].cluster_manager
         victim = cluster.sites[2].site_id
-        manager.mark_dead(victim, left=False)
+        manager.mark_dead(victim)
         assert manager.physical_of(victim) is None
 
     def test_effective_site_follows_heirs(self):
@@ -380,7 +417,7 @@ class TestHeartbeats:
         watcher = cluster.sites[6].cluster_manager
         # site 5 dies: watcher 6's watch set shifts {5, 4} -> {4, 3}
         cluster.sites[5].crash()
-        watcher.mark_dead(5, left=False)
+        watcher.mark_dead(5)
         # simulate a cold pair: 3 has never sent anything to 6
         watcher.sites[3].last_seen = 0.0
         watcher._check_liveness()

@@ -23,6 +23,7 @@ from repro.common.config import (
     SiteConfig,
 )
 from repro.common.errors import ConfigError
+from repro.messages import MsgType
 
 
 class TestCostModel:
@@ -208,6 +209,19 @@ def test_one_memory_and_file_protocol():
             patterns.append(r"def sim_")
         offences += [f"{path.relative_to(root)}: {pattern}"
                      for pattern in patterns if re.search(pattern, text)]
+    assert offences == []
+
+
+def test_site_ids_are_the_allocators_decision():
+    """The cluster manager asks its allocator (``adopt``, ``allocate``,
+    ``server``, ``grant``) and never which strategy it holds, and ids move
+    only in a SIGN_ON_ACK: no message asks a server for an id block."""
+    root = pathlib.Path(repro.__file__).parent
+    manager = (root / "cluster" / "manager.py").read_text()
+    offences = [pattern
+                for pattern in (r"isinstance\(self\.allocator", r"\w+Allocator\b")
+                if re.search(pattern, manager)]
+    offences += [member.name for member in MsgType if "ID_BLOCK" in member.name]
     assert offences == []
 
 

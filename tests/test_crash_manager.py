@@ -116,8 +116,7 @@ class TestWaveAbort:
         victim = cluster.sites[2]
         victim_logical = victim.site_id
         victim.crash()
-        cluster.sites[0].cluster_manager.mark_dead(victim_logical,
-                                                   left=False)
+        cluster.sites[0].cluster_manager.mark_dead(victim_logical)
         assert cm.stats.get("wave_abort").count == 1
         assert not cm._acks_pending and not cm._states_pending
         # a stale CHECKPOINT_STATE from the aborted wave is fenced out
@@ -151,7 +150,7 @@ class TestWaveAbort:
         coordinator = cluster.sites[0]
         victim = cluster.sites[2]
         victim.crash()
-        coordinator.cluster_manager.mark_dead(victim.site_id, left=False)
+        coordinator.cluster_manager.mark_dead(victim.site_id)
         cm.start_checkpoint()
         wave2 = cm._wave
         alive = [r.logical for r in
@@ -269,8 +268,7 @@ class TestHardening:
                 # whatever the message sizes make the detector's timing
                 started.append(dead)
                 second.crash()
-                coordinator.cluster_manager.mark_dead(second.site_id,
-                                                      left=False)
+                coordinator.cluster_manager.mark_dead(second.site_id)
 
         monkeypatch.setattr(coordinator.crash_manager, "_start_recovery",
                             start_then_lose_another)

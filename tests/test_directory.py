@@ -171,7 +171,7 @@ class TestDirUpdate:
         assert _dir_shard(cluster, addr, view=c) is a
         a.crash()
         for survivor in (b, c):
-            survivor.cluster_manager.mark_dead(a.site_id, left=False)
+            survivor.cluster_manager.mark_dead(a.site_id)
         cluster.sim.run(until=1.2)
         shard = _dir_shard(cluster, addr, view=b)
         assert shard is _dir_shard(cluster, addr, view=c)
@@ -347,7 +347,7 @@ class TestMembershipChange:
         spy_on_publishes(c)
         a.crash()
         for survivor in (b, c):
-            survivor.cluster_manager.mark_dead(a.site_id, left=False)
+            survivor.cluster_manager.mark_dead(a.site_id)
         cluster.sim.run(until=0.8)
         assert sorted(published) == sorted(
             [(b.site_id, addr) for addr in from_a[:4]]
@@ -374,7 +374,7 @@ class TestDeadCreatorRegression:
         # the creator dies abruptly; the survivors learn of it
         a.crash()
         for survivor in (b, c):
-            survivor.cluster_manager.mark_dead(a.site_id, left=False)
+            survivor.cluster_manager.mark_dead(a.site_id)
         cluster.sim.run(until=1.2)
         # a third site must still be able to locate the object
         result = []

@@ -16,95 +16,114 @@ from repro.cluster.id_allocation import (
 )
 
 
+def adopted(allocator, local_id, block=None):
+    allocator.adopt(local_id, block)
+    return allocator
+
+
 class TestCentral:
     def test_only_site_zero_allocates(self):
-        root = CentralAllocator(local_id=0)
-        other = CentralAllocator(local_id=3)
-        assert root.can_allocate()
-        assert not other.can_allocate()
-        with pytest.raises(ClusterError):
-            other.allocate()
+        root = adopted(CentralAllocator(), 0)
+        other = adopted(CentralAllocator(), 3)
+        assert root.allocate() == 1
+        assert other.allocate() is None
+        assert other.server([0, 1, 2]) == 0
 
     def test_monotone_unique(self):
-        root = CentralAllocator(local_id=0)
+        root = adopted(CentralAllocator(), 0)
         ids = [root.allocate() for _ in range(100)]
         assert len(set(ids)) == 100
         assert ids == sorted(ids)
         assert 0 not in ids
 
     def test_note_seen_skips_ahead(self):
-        root = CentralAllocator(local_id=0)
+        root = adopted(CentralAllocator(), 0)
         root.note_seen(50)
         assert root.allocate() == 51
+
+    def test_grants_nothing(self):
+        assert adopted(CentralAllocator(), 0).grant() is None
 
 
 class TestContingent:
     def test_root_grants_disjoint_blocks(self):
-        root = ContingentAllocator(block_size=8)
-        root.init_as_root()
-        blocks = [root.grant_block() for _ in range(10)]
+        root = adopted(ContingentAllocator(block_size=8), 0)
+        blocks = [root.grant() for _ in range(10)]
         seen = set()
         for low, high in blocks:
             ids = set(range(low, high))
+            assert len(ids) == 8
             assert not ids & seen
             seen |= ids
 
     def test_allocate_from_block(self):
-        alloc = ContingentAllocator(block_size=4)
-        alloc.receive_block(100, 104)
+        alloc = adopted(ContingentAllocator(block_size=4), 7, (100, 104))
         ids = [alloc.allocate() for _ in range(4)]
         assert ids == [100, 101, 102, 103]
-        assert not alloc.can_allocate()
-        with pytest.raises(ClusterError):
-            alloc.allocate()
+        assert alloc.allocate() is None
+        assert alloc.server([0, 3, 5]) == 0
+
+    def test_joiner_without_block_forwards(self):
+        assert adopted(ContingentAllocator(), 3).allocate() is None
 
     def test_root_allocates_from_own_block_too(self):
-        root = ContingentAllocator(block_size=4)
-        root.init_as_root()
+        root = adopted(ContingentAllocator(block_size=4), 0)
         own = [root.allocate() for _ in range(4)]
-        low, high = root.grant_block()
+        low, high = root.grant()
         assert not set(own) & set(range(low, high))
+
+    def test_spent_root_carves_itself_a_fresh_block(self):
+        root = adopted(ContingentAllocator(block_size=2), 0)
+        granted = root.grant()
+        ids = [root.allocate() for _ in range(5)]
+        assert None not in ids
+        assert len(set(ids)) == 5
+        assert not set(ids) & set(range(*granted))
+        assert 0 not in ids
 
     def test_empty_block_rejected(self):
         with pytest.raises(ClusterError):
-            ContingentAllocator().receive_block(5, 5)
+            ContingentAllocator().adopt(3, (5, 5))
 
     def test_non_root_cannot_grant(self):
-        with pytest.raises(ClusterError):
-            ContingentAllocator().grant_block()
+        assert adopted(ContingentAllocator(), 3, (4, 8)).grant() is None
 
     def test_remaining(self):
-        alloc = ContingentAllocator()
-        alloc.receive_block(0, 3)
+        alloc = adopted(ContingentAllocator(), 3, (0, 3))
         alloc.allocate()
-        assert alloc.remaining == 2
+        assert [alloc.allocate(), alloc.allocate()] == [1, 2]
+        assert alloc.allocate() is None
 
 
 class TestModulo:
     def test_emits_own_residue_class(self):
-        alloc = ModuloAllocator(local_id=5)
+        alloc = adopted(ModuloAllocator(), 5)
         ids = [alloc.allocate() for _ in range(10)]
         assert all(i % MODULO_STRIDE == 5 for i in ids)
         assert len(set(ids)) == 10
 
     def test_high_id_sites_cannot_emit(self):
-        alloc = ModuloAllocator(local_id=MODULO_STRIDE + 1)
-        assert not alloc.can_allocate()
-        with pytest.raises(ClusterError):
-            alloc.allocate()
+        alloc = adopted(ModuloAllocator(), MODULO_STRIDE + 1)
+        assert alloc.allocate() is None
+
+    def test_forwards_to_lowest_alive_server(self):
+        alloc = adopted(ModuloAllocator(), MODULO_STRIDE + 1)
+        assert alloc.server([3, 9, MODULO_STRIDE]) == 3
+        assert alloc.server([MODULO_STRIDE, 2 * MODULO_STRIDE]) == 0
+        assert alloc.server([]) == 0
 
     def test_servers_never_collide(self):
-        servers = [ModuloAllocator(local_id=i) for i in range(8)]
+        servers = [adopted(ModuloAllocator(), i) for i in range(8)]
         ids = [srv.allocate() for srv in servers for _ in range(20)]
         assert len(set(ids)) == len(ids)
 
     def test_note_seen_skips_own_class(self):
-        alloc = ModuloAllocator(local_id=2)
+        alloc = adopted(ModuloAllocator(), 2)
         alloc.note_seen(2 + 5 * MODULO_STRIDE)
         assert alloc.allocate() == 2 + 6 * MODULO_STRIDE
 
     def test_note_seen_ignores_other_class(self):
-        alloc = ModuloAllocator(local_id=2)
+        alloc = adopted(ModuloAllocator(), 2)
         alloc.note_seen(3 + 5 * MODULO_STRIDE)
         assert alloc.allocate() == 2 + MODULO_STRIDE
 
@@ -128,6 +147,6 @@ class TestFactory:
                 max_size=50))
 def test_modulo_uniqueness_property(sequence):
     """Any interleaving of allocations across servers stays collision-free."""
-    servers = {i: ModuloAllocator(local_id=i) for i in range(8)}
+    servers = {i: adopted(ModuloAllocator(), i) for i in range(8)}
     out = [servers[i].allocate() for i in sequence]
     assert len(set(out)) == len(out)

@@ -268,7 +268,7 @@ class TestInvalidation:
         rep = Reporter(nsites=4)
         rep.talk_to(*rep.peers)
         gone = rep.peers[0].site_id
-        rep.site.cluster_manager.mark_dead(gone, left=False)
+        rep.site.cluster_manager.mark_dead(gone)
         assert gone not in rep.mm._told
         rep.set_figure(2, 1)
         rep.run(3 * INTERVAL)

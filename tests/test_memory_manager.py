@@ -124,7 +124,7 @@ class TestFramesAndResults:
         """Known and dead is not unknown: recovery replays that result."""
         _cluster, a, b = pair
         pid, _tid = register_program(a)
-        a.cluster_manager.mark_dead(b.site_id, left=False)
+        a.cluster_manager.mark_dead(b.site_id)
         a.attraction_memory.apply_result(
             GlobalAddress(b.site_id, 2), 0, 1, pid)
         stats = a.attraction_memory.stats
