@@ -57,6 +57,9 @@ class ClusterManager(Manager):
         #: sign-on check and transport suspicion used to re-walk every
         #: record per event, an O(n²) tax on the n-site join wave
         self._by_physical: Dict[str, SiteRecord] = {}
+        #: joiner physical -> its latest SIGN_ON that reached this site
+        #: while it was signing on itself; served once our ACK lands
+        self._held_sign_ons: Dict[str, SDMessage] = {}
         #: freshly joined records queued for the next batched
         #: CLUSTER_INFO announcement (see _flush_announcements)
         self._announce_queue: List[SiteRecord] = []
@@ -408,7 +411,8 @@ class ClusterManager(Manager):
     def _on_sign_on(self, msg: SDMessage) -> None:
         if not self.site.running:
             # we are still signing on ourselves and know nobody to forward
-            # to; the joiner's retry will find us ready
+            # to: hold it (a retry overwrites it) until our own ACK lands
+            self._held_sign_ons[msg.payload["physical"]] = msg
             return
         # duplicate sign-on (the joiner retried): resend the original ACK.
         # O(1) via the physical index — a 1024-site join wave used to
@@ -476,6 +480,9 @@ class ClusterManager(Manager):
             msg.payload["programs"])
         self.stats.inc("joined")
         self.site.on_joined()
+        held, self._held_sign_ons = self._held_sign_ons, {}
+        for sign_on in held.values():
+            self._on_sign_on(sign_on)
 
     #: how long freshly served sign-ons accumulate before one batched
     #: CLUSTER_INFO goes out per peer.  During an n-site join wave the

@@ -99,31 +99,31 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "2486565102d6c4ba7a1efb824f199948dc964c741c999efa81bd248acbfabb64",
+        "816c6a8f37f573fc739d0b286ea09bf2b2e214e9f2c99ee27f9c8ff63aea0f97",
     "crash_during_recovery.json":
-        "9731757fde531be72f62a6780731bf86b357a3c0d4beda45725244879c82da4c",
+        "66de3faebcdcb2f3a2230eb050c76128f3e999e795670494128ae8f8ac9fe21f",
     "crash_during_wave.json":
-        "5f6a4ca7ae79065afdf88c30cc8fe53d1c1fbd7f5ada0ee15b6e7d8484f69f40",
+        "13a6b41e7f3f6c7144f545bb38b223362c4abee0c4ed83bb1a7620df3a78ad39",
     "dir_shard_crash.json":
-        "345f2eb0ce53b45624ecc1a92c96b22ca60faecce8e63c849d610aaf7fb82326",
+        "fdd4254cc759c103112937e0a2f33531e1a67376841835be66243d3f12e1d362",
     "duplicate_delivery.json":
-        "b4e7e3f3cfba0c62e95583bad6e5ed5ec42c80663d8f18a5a0d53138beea1a1c",
+        "cfd8a1d4f8ca16491148fae4f3e284726a708b609d364c7a9d26f606859d01b9",
     "homesite_crash.json":
-        "394c6fff63531ff6ed2eb029c5586d35b765563f5f7ff6e90cb9e54d38221742",
+        "8c464615251b31f8a87a648200b0a5b0d1882076a26528e848c29853e2bc22e8",
     "lossy_recovery.json":
-        "ee1dff465e58229142684ea98437f1df1d302f5321976cadbf5e0a433d431f76",
+        "0d2d80bb3fe9aa95119262f2b98a65a9be708739237f712c21735d965c89e33b",
     "memory_partition.json":
-        "d76ffd4c4c351a93d35aea6c6f018e8f8840dda56f85d7e766a6235d55e25983",
+        "b0fc6f6603fb04284aa2c99348b8595d6109a9a80fcc35a13ac2c13c15d9614e",
     "partition_then_heal.json":
-        "a43c544df3ca0ebbb6d6d598a5ba216914d9ea417646a20680d3031060cc7978",
+        "c3208ead4faacb2bba26af3138dc07d55e0617b39df9d9956c2fedae6502e943",
     "recover_done_overtakes_state.json":
-        "86993ae55c6860994ae6e46af323337a9ff7dbbd56f6caf447187e696bb61dac",
+        "c7c539d356aceb2b6b34af42b95bb3c17f7a1e14e4f1cafb7e068d9236b9b410",
     "signoff_leaver_silence.json":
-        "70e178f1b0328c0ba1ec2d47b5e911b4111b36bc1dbf450bd4f53cec44ab1717",
+        "b7aff1239359aaf6621e237ba65282f2a7198664f6ae4317e6f35ba265312e2f",
     "steal_batch_reorder.json":
-        "81415c0bfaa6cb2d1ded6622d578949288be75e26c566f24f0e9c40e11cbffa0",
+        "6cb469849c0a26bdea8c24a3db71e78df3c0c2dd26643f6a71ae52b3ab1bef70",
     "wave_stall.json":
-        "92b4d2b2afada0f0babd914c24369cc95d11728dba38f9ccfc16933a777cd6b1",
+        "36f25bae84357a22cbd1d97864c413d803bcc4760a3ce65a8d57b126b9759860",
 }
 
 _corpus_results = {}

@@ -4,6 +4,8 @@ selection, rollback mechanics, and epoch fencing.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.common.config import (
@@ -18,7 +20,8 @@ from repro.common.errors import SerializationError
 from repro.common.ids import GlobalAddress
 from repro.core.frames import MISSING, Microframe
 from repro.crash import manager as crash_manager
-from repro.crash.manager import CrashManager
+from repro.crash.manager import CrashManager, pack_shard, unpack_shard
+from repro.memory.manager import AttractionMemory
 from repro.messages import MsgType, SDMessage
 from repro.serde import dumps, loads
 from repro.serde.codec import MAX_DECODE_DEPTH
@@ -386,7 +389,7 @@ class TestHardening:
         live["results"].append(2)
         cluster.sim.run(until=0.3)
         assert cm.committed_wave == 7
-        shard = loads(cm.committed[site.site_id])
+        shard = unpack_shard(cm.committed[site.site_id])
         (shard_frame,) = [f for f in map(Microframe.from_wire,
                                          shard["frames"])
                           if f.frame_id == frame.frame_id]
@@ -416,7 +419,7 @@ class TestHardening:
                          {"state": blob, "epoch": site.epoch,
                           "shard": site.site_id})
         memory.objects[addr]["results"].append(99)
-        committed = loads(cm.committed[site.site_id])
+        committed = unpack_shard(cm.committed[site.site_id])
         assert [value for at, value, _version in committed["objects"]
                 if at == addr] == [{"results": [1]}]
 
@@ -492,16 +495,91 @@ class TestShardBlobs:
         assert derived["snapshot_bytes_per_wave"] == shipped.total / waves
         assert 0.0 < derived["snapshot_bytes_frac"] < 1.0
 
+    def test_committed_shard_unpacks_to_the_cut(self, monkeypatch):
+        cuts = {}
+        export = AttractionMemory.export_checkpoint
+
+        def spy(memory):
+            state = export(memory)
+            cuts[memory.site.site_id] = loads(dumps(state))
+            return state
+
+        monkeypatch.setattr(AttractionMemory, "export_checkpoint", spy)
+        cluster = SimCluster(nsites=3, config=config())
+        cluster.submit(build_primes_program(), args=(40, 6, 800.0, 8000.0))
+        cluster.sim.run(until=0.35)
+        cm = cluster.sites[0].crash_manager
+        cm.on_stop()  # no further waves: the last cut is the committed one
+        cluster.sim.run(until=0.45)
+        assert cm.committed_wave >= 1 and sorted(cm.committed) == [0, 1, 2]
+        assert any(cuts[site]["frames"] for site in cm.committed)
+        for site, blob in cm.committed.items():
+            assert unpack_shard(blob) == cuts[site]
+            assert len(blob) < len(dumps(cuts[site]))
+
+    def test_flipped_byte_in_a_stored_shard_is_refused_at_adoption(self):
+        """zlib's Adler-32 catches a flipped byte anywhere in a packed
+        shard; a raw shard has no checksum and adopted the damage."""
+        cluster = SimCluster(nsites=2, config=config(heartbeats=False))
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        addr = b.attraction_memory.alloc_object("kept")
+        cm = a.crash_manager
+        cm.start_checkpoint()
+        cluster.sim.run(until=0.3)
+        assert cm.committed_wave == 1
+        blob = cm.committed[b.site_id]
+        for at in range(len(blob)):
+            flipped = blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:]
+            with pytest.raises(SerializationError):
+                unpack_shard(flipped)
+        raw = dumps("kept")
+        assert loads(raw[:-1] + b"u") == "kepu"
+        middle = len(blob) // 2
+        damaged = blob[:middle] + bytes([blob[middle] ^ 0x01]) \
+            + blob[middle + 1:]
+        b.attraction_memory.reset_program_state()
+        acks = []
+        a.message_manager.request(
+            cm._msg(b.site_id, MsgType.RECOVER_STATE,
+                    {"state": damaged, "epoch": b.epoch,
+                     "shard": b.site_id}),
+            on_reply=acks.append, timeout=0.05)
+        cluster.sim.run(until=0.4)
+        assert [m.type for m in acks] == [MsgType.RECOVER_ACK]
+        assert b.crash_manager.stats.get("malformed_shards").count == 1
+        assert addr not in b.attraction_memory.objects
+        # the undamaged shard of the same wave is adopted
+        a.message_manager.request(
+            cm._msg(b.site_id, MsgType.RECOVER_STATE,
+                    {"state": blob, "epoch": b.epoch, "shard": 9}),
+            on_reply=acks.append, timeout=0.05)
+        cluster.sim.run(until=0.5)
+        assert b.attraction_memory.objects[addr] == "kept"
+
+    def test_packed_size_pins_the_zlib_build(self):
+        """Shard sizes move message timings, so the chaos fingerprints
+        hold for one zlib build only: a different one fails here first."""
+        state = {"objects": [(GlobalAddress(i % 4, i), {"n": i, "s": "x" * i},
+                              i % 3) for i in range(64)],
+                 "frames": [], "dir": [], "pending": [], "programs": []}
+        packed = len(pack_shard(state))
+        assert packed == 804, (
+            f"zlib {zlib.ZLIB_RUNTIME_VERSION} packs the pinned shard to "
+            f"{packed} B; the chaos fingerprints were pinned under zlib "
+            f"1.2.13: re-pin them (repro chaos corpus --twice --fingerprints)")
+
     def test_unreadable_recover_state_is_counted_acked_and_not_adopted(self):
         cluster = SimCluster(nsites=2, config=config(heartbeats=False))
         cluster.sim.run(until=0.2)
         a, b = cluster.sites
-        whole = dumps({"objects": [(GlobalAddress(0, 7), "kept", 3)],
-                       "frames": [], "dir": [], "pending": [],
-                       "programs": []})
+        whole = pack_shard({"objects": [(GlobalAddress(0, 7), "kept", 3)],
+                            "frames": [], "dir": [], "pending": [],
+                            "programs": []})
         hostile = [whole[:-9],              # damaged in flight: truncated
-                   b"\xff\x00not a value",  # no codec tag
-                   dumps([1, 2, 3]),        # parses, but is no state
+                   b"\xff\x00not a value",  # no zlib stream
+                   pack_shard([1, 2, 3]),   # unpacks, but is no state
+                   dumps({"objects": []}),  # a raw, uncompressed shard
                    {"objects": []}]         # the retired dict shape
         acks = []
         for shard, blob in enumerate(hostile):
