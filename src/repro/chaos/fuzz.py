@@ -76,8 +76,9 @@ def chaos_config(plan: FaultPlan) -> SDVMConfig:
     cache exists to avoid.  Small plans keep the historical config
     bit-for-bit.
 
-    The metrics sampler stays *off* — its timer events would change the
-    replayed event interleaving.
+    The metrics sampler stays *off*: it would not change the replayed
+    trajectory, but a health detector that fires journals a ``health``
+    event, and the fingerprint digests the journal.
     """
     big = plan.nsites > 16
     return SDVMConfig(
@@ -159,9 +160,10 @@ def run_plan(plan: FaultPlan,
     """Execute one fault plan against the standard workload and audit it.
 
     ``metrics_interval`` above 0 turns the metrics sampler on, e.g. when a
-    test wants the health detectors watching the run.  Note the sampler's
-    timer events shift the interleaving, so fingerprints are only
-    comparable between runs at the *same* interval.
+    test wants the health detectors watching the run.  The sampler leaves
+    the trajectory as it is, but a detector that fires journals a
+    ``health`` event, so a fingerprint equals the metrics-off one only
+    when no detector fired.
     """
     plan.validate()
     workload = WORKLOADS.get(plan.workload)

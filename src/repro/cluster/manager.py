@@ -719,10 +719,3 @@ class ClusterManager(Manager):
             self.kernel.cancel(self._announce_timer)
             self._announce_timer = None
             self._announce_queue = []
-
-    # ------------------------------------------------------------------
-    def status(self) -> dict:
-        base = super().status()
-        base["known_sites"] = len(self.sites)
-        base["alive_sites"] = sum(1 for r in self.sites.values() if r.alive)
-        return base

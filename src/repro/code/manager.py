@@ -479,11 +479,3 @@ class CodeManager(Manager):
                     thread_id=tid, name=name, program=pid, source="",
                     nparams=nparams, work_hint=work, creates=creates)
         return None
-
-    def status(self) -> dict:
-        base = super().status()
-        base["compiled"] = len(self._compiled)
-        base["sources"] = len(self._sources)
-        base["binaries"] = len(self._binaries)
-        base["parked"] = sum(len(v) for v in self._parked.values())
-        return base

@@ -258,8 +258,9 @@ class SDVMConfig:
     #: seconds between per-site snapshot samples (``sdvm-metrics/1`` rows
     #: fed to the health detectors): virtual seconds under the sim kernel,
     #: wall clock under the live kernel.  0 turns the sampler off, the
-    #: default: under the sim its timer changes the event interleaving,
-    #: so bench baselines are bit-identical only with it off
+    #: default.  Under the sim its timer leaves the trajectory as it is
+    #: (the engine orders every other event by its own sequence number);
+    #: only a health detector that fires adds a ``health`` journal event
     metrics_interval: float = 0.0
     seed: int = 0
 

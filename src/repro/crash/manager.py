@@ -624,10 +624,3 @@ class CrashManager(Manager):
         if self._timer is not None:
             self.kernel.cancel(self._timer)
             self._timer = None
-
-    def status(self) -> dict:
-        base = super().status()
-        base["committed_wave"] = self.committed_wave
-        base["recovering"] = self.recovering
-        base["queued_crashes"] = len(self._crash_queue)
-        return base

@@ -231,9 +231,3 @@ class IOManager(Manager):
         handle = msg.payload["handle"]
         self._local_handles.pop(handle, None)
         self._positions.pop(handle, None)
-
-    def status(self) -> dict:
-        base = super().status()
-        base["open_handles"] = len(self._local_handles)
-        base["programs_with_output"] = len(self.outputs)
-        return base

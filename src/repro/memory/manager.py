@@ -636,11 +636,3 @@ class AttractionMemory(Manager):
             frame = Microframe.from_wire(wire)
             if self.site.program_manager.is_active(frame.program):
                 self.register_frame(frame)
-
-    # ------------------------------------------------------------------
-    def status(self) -> dict:
-        base = super().status()
-        base["incomplete_frames"] = len(self.frames)
-        base["objects_owned"] = len(self.objects)
-        base["dir_entries"] = len(self.dir_entries)
-        return base

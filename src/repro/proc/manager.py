@@ -485,8 +485,3 @@ class ProcessingManager(Manager):
     # ------------------------------------------------------------------
     def current_load(self) -> int:
         return self.in_flight
-
-    def status(self) -> dict:
-        base = super().status()
-        base["in_flight"] = self.in_flight
-        return base

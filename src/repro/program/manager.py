@@ -316,13 +316,3 @@ class ProgramManager(Manager):
         for info in self.programs.values():
             if not info.terminated:
                 self.site.code_manager.prefetch_program(info)
-
-    def status(self) -> dict:
-        base = super().status()
-        base["programs"] = {
-            info.name: {"terminated": info.terminated,
-                        "executions": info.executions,
-                        "work": info.work_charged}
-            for info in self.programs.values()
-        }
-        return base

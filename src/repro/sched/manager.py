@@ -668,11 +668,3 @@ class SchedulingManager(Manager):
         if self._flush_timer is not None:
             self.kernel.cancel(self._flush_timer)
             self._flush_timer = None
-
-    def status(self) -> dict:
-        base = super().status()
-        base["executable"] = len(self.executable)
-        base["ready"] = len(self.ready)
-        base["pending_code"] = len(self._pending_code)
-        base["inflight_helps"] = len(self._inflight_helps)
-        return base

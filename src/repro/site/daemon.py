@@ -13,6 +13,7 @@ from typing import Any, Dict, List, Optional
 from repro.common.config import SDVMConfig, SiteConfig
 from repro.common.errors import ProgramError, SDVMError
 from repro.common.ids import ManagerId, NO_SITE, make_program_id
+from repro.common.stats import StatSet
 from repro.core.frames import Microframe
 from repro.core.program import SDVMProgram
 from repro.messages import HANDLER_OF, MESSAGE_TABLE, SDMessage
@@ -236,6 +237,45 @@ class SDVMSite:
                                               data["address"], data["slot"])
             else:  # pragma: no cover — exhaustive over EffectKind
                 raise SDVMError(f"unknown effect kind {kind}")
+
+    # ------------------------------------------------------------------
+    # the one reading of a site (site manager status, §4): the sampler,
+    # ``full_status()``, the deadlock diagnosis and the reports read these
+
+    def snapshot(self, now: float) -> Dict[str, float]:
+        """The state fields of an ``sdvm-metrics/1`` row; reads only."""
+        sched = self.scheduling_manager
+        crash = self.crash_manager
+        mem = self.attraction_memory
+        return {
+            "alive": 1 if self.running else 0,
+            "paused": 1 if self.paused else 0,
+            "recovering": 1 if crash.recovering else 0,
+            "sleeping": 1 if self.sleeping else 0,
+            "queue": sched.queue_depth(),
+            "executable": len(sched.executable),
+            "ready": len(sched.ready),
+            "in_flight": self.processing_manager.in_flight,
+            "wave_age": crash.open_wave_age(now),
+            "committed_wave": crash.committed_wave,
+            "dir_entries": len(mem.dir_entries),
+            "frames": len(mem.frames),
+            "objects": len(mem.objects),
+        }
+
+    def count(self, name: str) -> int:
+        """The site's count of counter ``name``.  Looks the counter up in
+        each manager and never iterates a counter dict, so a live
+        sampler thread may call it while reactor threads add counters."""
+        return sum(mgr.stats.get(name).count
+                   for mgr in self.managers.values())
+
+    def ledger(self) -> StatSet:
+        """Every manager's counters merged (the reports after a run)."""
+        merged = StatSet()
+        for manager in self.managers.values():
+            merged.merge(manager.stats)
+        return merged
 
     # ------------------------------------------------------------------
     def reset_program_state(self) -> None:

@@ -93,8 +93,7 @@ class ClusterFacade:
         """Merge every manager's counters across all sites."""
         merged = StatSet()
         for site in self.sites:
-            for manager in site.managers.values():
-                merged.merge(manager.stats)
+            merged.merge(site.ledger())
         return merged
 
     def wall_clock_metrics(self) -> Dict[str, float]:

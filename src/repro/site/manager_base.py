@@ -68,7 +68,3 @@ class Manager:
 
     def on_stop(self) -> None:
         """Called during orderly shutdown."""
-
-    def status(self) -> dict:
-        """Manager-specific status snapshot (site manager queries, §4)."""
-        return {"stats": self.stats.as_dict()}

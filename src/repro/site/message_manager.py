@@ -335,12 +335,3 @@ class MessageManager(Manager):
     def on_stop(self) -> None:
         for seq in list(self._pending):
             self._drop_pending(seq)
-
-    def status(self) -> dict:
-        base = super().status()
-        base["pending_requests"] = len(self._pending)
-        # live transports keep their own counters (queue depth, retries,
-        # dead letters); expose them with the messaging stats so the site
-        # manager's full_status() shows the whole delivery picture
-        base["transport"] = self.kernel.transport_stats()
-        return base

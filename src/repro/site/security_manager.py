@@ -75,10 +75,3 @@ class SecurityManager(Manager):
             return
         self.layer.install_session_key(peer_physical, key)
         self.note("key_exchange", peer_logical, "complete")
-
-    def status(self) -> dict:
-        base = super().status()
-        base["enabled"] = self.enabled
-        base["sealed"] = self.layer.messages_sealed
-        base["opened"] = self.layer.messages_opened
-        return base

@@ -269,15 +269,12 @@ class SimCluster(ClusterFacade):
                         f"{handle.failure}")
 
     def _diagnose(self) -> dict:
-        return {
-            "alive_sites": self.alive_count(),
-            "incomplete_frames": sum(
-                len(s.attraction_memory.frames) for s in self._sites),
-            "queued": sum(s.scheduling_manager.queue_depth()
-                          for s in self._sites),
-            "in_flight": sum(s.processing_manager.in_flight
-                             for s in self._sites),
-        }
+        snapshots = [site.snapshot(self.sim.now) for site in self._sites]
+        return {key: sum(snap[field] for snap in snapshots)
+                for key, field in (("alive_sites", "alive"),
+                                   ("incomplete_frames", "frames"),
+                                   ("queued", "queue"),
+                                   ("in_flight", "in_flight"))}
 
     # ------------------------------------------------------------------
     # metrics

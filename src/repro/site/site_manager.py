@@ -96,15 +96,19 @@ class SiteManager(Manager):
 
     def full_status(self) -> dict:
         """Status of all local managers ("query the status of the local
-        site, i.e. all local managers")."""
+        site, i.e. all local managers"): the site's snapshot, the
+        transport's counters (live TCP keeps queue depth, retries and dead
+        letters there) and every manager's counters."""
         return {
             "site_id": self.local_id,
             "physical": self.kernel.local_physical(),
             "platform": self.site.site_config.platform,
             "speed": self.site.site_config.speed,
             "load": self.current_load(),
+            "state": self.site.snapshot(self.kernel.now),
+            "transport": self.kernel.transport_stats(),
             "managers": {
-                mgr.manager_id.name.lower(): mgr.status()
+                mgr.manager_id.name.lower(): mgr.stats.as_dict()
                 for mgr in self.site.managers.values()
             },
         }

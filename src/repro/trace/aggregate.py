@@ -101,9 +101,7 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
     busy = busy_sites = 0.0
     inline_sends = queued_sends = 0.0
     for index, site in enumerate(sites):
-        stats = StatSet()
-        for manager in site.managers.values():
-            stats.merge(manager.stats)
+        stats = site.ledger()
         per_site[getattr(site, "site_id", index)] = stats
         merged.merge(stats)
         # the transport is not a manager: its counters live on the kernel

@@ -26,7 +26,8 @@ same detector re-fires for the same site), are recorded in order, and are
 emitted as structured ``health`` events into the run's tracer, if any.
 
 The monitor is pure observation: it never touches the simulator, timers,
-or RNG, so attaching it cannot perturb a run beyond the sampler's timer.
+or RNG, so attaching it cannot perturb a run; a detection adds only its
+``health`` event to the journal.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ Discipline (same as :class:`repro.trace.Tracer`):
 
 * **Zero cost when disabled.**  Nothing here is constructed unless
   ``SDVMConfig(metrics_interval=...)`` is above 0.
-* **Pure observation.**  Sampling reads manager state and counters; it
-  never mutates a site, charges CPU, or touches an RNG.  The sampler's
-  *timer* is the one necessary intrusion: under the sim kernel it
-  schedules events, so the event interleaving of a metrics-on run differs
-  from a metrics-off run — which is why bench baselines are only
-  guaranteed bit-identical with metrics off.
+* **Pure observation.**  Sampling reads a site through
+  ``SDVMSite.snapshot`` and ``SDVMSite.count``; it never mutates a site,
+  charges CPU, or touches an RNG.  Under the sim kernel the sampler's
+  timer adds events, but the engine orders every other event by its own
+  sequence number, so a metrics-on run takes the metrics-off trajectory:
+  the same duration, counters and journal.  Only a health detector that
+  fires adds an event (``health``) to the journal.
 """
 
 from __future__ import annotations
@@ -57,14 +58,11 @@ SAMPLE_FIELDS: Tuple[str, ...] = (
     "sdc_mismatch",   # replica-divergence detections this interval
 )
 
-#: the manager counters a row reports as their count this interval, each
-#: under the counter's own name
-INTERVAL_COUNTERS: Tuple[Tuple[str, str], ...] = (
-    ("scheduling_manager", "help_sent"),
-    ("scheduling_manager", "steals_in"),
-    ("scheduling_manager", "steal_grants"),
-    ("scheduling_manager", "cant_help_received"),
-    ("processing_manager", "sdc_mismatch"),
+#: the counters a row reports as their count this interval, each under
+#: the counter's own name (``SDVMSite.count`` sums it over the managers)
+INTERVAL_COUNTERS: Tuple[str, ...] = (
+    "help_sent", "steals_in", "steal_grants", "cant_help_received",
+    "sdc_mismatch",
 )
 
 #: row fields that are flags/counts and must be non-negative integers
@@ -224,18 +222,12 @@ class MetricsSampler:
         return rows
 
     def _collect(self, index: int, site, now: float) -> dict:  # noqa: ANN001
-        sched = site.scheduling_manager
-        proc = site.processing_manager
-        crash = site.crash_manager
-        mem = site.attraction_memory
-        msg_stats = site.message_manager.stats
-
         cpu = site.kernel.cpu
-        local = msg_stats.get("local_messages").count
-        totals = {counter: getattr(site, manager).stats.get(counter).count
-                  for manager, counter in INTERVAL_COUNTERS}
-        totals["msgs_sent"] = msg_stats.get("sent").count + local
-        totals["msgs_recv"] = msg_stats.get("received").count + local
+        local = site.count("local_messages")
+        totals = {counter: site.count(counter)
+                  for counter in INTERVAL_COUNTERS}
+        totals["msgs_sent"] = site.count("sent") + local
+        totals["msgs_recv"] = site.count("received") + local
         totals["busy_frac"] = cpu.busy_total if cpu is not None else 0.0
         prev = self._prev.get(index)
         if prev is None:
@@ -245,23 +237,7 @@ class MetricsSampler:
         row = {name: total - prev[name] for name, total in totals.items()}
         row["busy_frac"] = max(0.0, min(row["busy_frac"] / self.interval,
                                         1.0))
-        row.update({
-            "t": now,
-            "site": site.site_id,
-            "alive": 1 if site.running else 0,
-            "paused": 1 if site.paused else 0,
-            "recovering": 1 if crash.recovering else 0,
-            "sleeping": 1 if site.sleeping else 0,
-            "queue": sched.queue_depth(),
-            "executable": len(sched.executable),
-            "ready": len(sched.ready),
-            "in_flight": proc.in_flight,
-            "wave_age": crash.open_wave_age(now),
-            "committed_wave": crash.committed_wave,
-            "dir_entries": len(mem.dir_entries),
-            "frames": len(mem.frames),
-            "objects": len(mem.objects),
-        })
+        row.update(site.snapshot(now), t=now, site=site.site_id)
         return {name: row[name] for name in SAMPLE_FIELDS}
 
 

@@ -14,7 +14,8 @@ records the lines run inside functions of ``src/repro`` outside
 * ``never_entered``: the functions no test called, one ``path:line name``
   each;
 * ``most_unreached``: the ten files with the most unreached lines, the
-  order in which to triage them.
+  order in which to triage them, each with those lines as ranges
+  (``135-141, 151-159``).
 
 Module and class bodies are not counted: importing runs them.  Code
 compiled from strings (the microthreads of an app) has no file to be
@@ -82,12 +83,12 @@ def _functions(code: CodeType) -> Iterator[CodeType]:
             yield from _functions(const)
 
 
-def ledger() -> Tuple[int, int, List[str], Dict[str, int]]:
+def ledger() -> Tuple[int, int, List[str], Dict[str, Set[int]]]:
     """(unreached lines, function lines, never-entered functions,
-    unreached lines per file)."""
+    the unreached lines of each file)."""
     unreached = total = 0
     never: List[str] = []
-    per_file: Dict[str, int] = {}
+    per_file: Dict[str, Set[int]] = {}
     for folder, dirs, files in os.walk(_ROOT):
         dirs.sort()
         for name in sorted(files):
@@ -108,12 +109,24 @@ def ledger() -> Tuple[int, int, List[str], Dict[str, int]]:
                 else:
                     never.append(f"{os.path.relpath(path, _ROOT)}:"
                                  f"{code.co_firstlineno} {code.co_qualname}")
-                missed = len(lines - hits)
+                missed = lines - hits
                 total += len(lines)
-                unreached += missed
-                relpath = os.path.relpath(path, _ROOT)
-                per_file[relpath] = per_file.get(relpath, 0) + missed
+                unreached += len(missed)
+                per_file.setdefault(os.path.relpath(path, _ROOT),
+                                    set()).update(missed)
     return unreached, total, never, per_file
+
+
+def line_ranges(lines: Set[int]) -> str:
+    """``{135, 136, 137, 151}`` as ``135-137, 151``."""
+    spans: List[List[int]] = []
+    for line in sorted(lines):
+        if spans and line == spans[-1][1] + 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ", ".join(str(first) if first == last else f"{first}-{last}"
+                     for first, last in spans)
 
 
 def _install() -> None:
@@ -144,9 +157,10 @@ def pytest_terminal_summary(terminalreporter) -> None:  # noqa: ANN001
     for name in never:
         write(f"  {name}")
     write("most_unreached")
-    ranked = sorted(per_file.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(per_file.items(),
+                    key=lambda item: (-len(item[1]), item[0]))
     for relpath, missed in ranked[:10]:
-        write(f"  {missed:5d} {relpath}")
+        write(f"  {len(missed):5d} {relpath}: {line_ranges(missed)}")
 
 
 # from import on: the plugin is loaded before conftest files and tests

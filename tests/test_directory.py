@@ -357,6 +357,33 @@ class TestMembershipChange:
             owner = b if addr in from_a[:4] else c
             assert shard.attraction_memory.dir_owner(addr) == owner.site_id
 
+    def test_stand_in_hands_its_entry_to_a_joiner_above_the_orphan(
+            self, fast_config):
+        """An orphan's stand-in is the lowest alive id above its dead
+        homesite, wrapping; a joiner above the homesite takes the entry
+        over, so the stand-in hands it off and a read still resolves."""
+        cluster = SimCluster(nsites=4, config=fast_config)
+        cluster.sim.run(until=0.2)
+        s0, s1, s2, s3 = cluster.sites
+        addr = _moved_from_a_to_b(cluster, s3, s1, "orphan")
+        s3.crash()
+        for survivor in (s0, s1, s2):
+            survivor.cluster_manager.mark_dead(s3.site_id)
+        cluster.sim.run(until=0.6)
+        # past the highest id the rule wraps: site 0 stands in for site 3
+        assert _dir_shard(cluster, addr) is s0
+        assert s0.attraction_memory.dir_owner(addr) == s1.site_id
+        joiner = cluster.add_site()
+        cluster.sim.run(until=1.2)
+        assert joiner.running and joiner.site_id == 4
+        assert _mem_stat(s0, "dir_entries_handed_off") == 1
+        assert addr not in s0.attraction_memory.dir_entries
+        assert joiner.attraction_memory.dir_owner(addr) == s1.site_id
+        got = []
+        s2.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
+        cluster.sim.run(until=2.0)
+        assert got == ["orphan"]
+
 
 class TestDeadCreatorRegression:
     """The bug the orphan rule guards against: the per-creator ``home_dir``

@@ -402,6 +402,24 @@ class TestHeterogeneous:
         # ... and the fallback timer, not a usable push, ended the wait
         assert stats.get("push_fallback_compiles").count >= 1
 
+    def test_home_compiles_a_thread_whose_duty_push_never_came(self):
+        """The code home defers a demand to the peer holding the thread's
+        compile duty; when that peer's binary never arrives, the fallback
+        timer compiles the thread at home and the program still ends."""
+        from repro.apps import build_primes_program, first_n_primes
+
+        cluster = SimCluster(nsites=2, config=SDVMConfig())
+        duty = cluster.sites[1].code_manager
+        duty._push_binary_to_distribution = lambda compiled: None
+        handle = cluster.submit(build_primes_program(),
+                                args=(20, 4, 400.0, 4000.0))
+        cluster.run()
+        assert handle.result == first_n_primes(20)
+        home = cluster.sites[0].code_manager.stats
+        assert home.get("compile_deferrals").count == 1
+        assert home.get("push_fallback_compiles").count == 1
+        assert duty.stats.get("compile_duties").count == 1
+
     def test_binary_reuse_same_platform(self, fast_config):
         """Same-platform sites receive binaries, not source (§3.4).
 

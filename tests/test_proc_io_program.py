@@ -310,7 +310,7 @@ class TestIOManager:
             file_call(cluster, b.live_open, "shared", "r")
         file_call(cluster, b.live_close, handle)
         cluster.sim.run(until=cluster.sim.now + 0.1)
-        assert a.status()["open_handles"] == 0
+        assert not a._local_handles
 
     def test_input_without_provider_fails_program(self, fast_config):
         prog = ProgramBuilder("ask")

@@ -19,6 +19,8 @@ import time
 import pytest
 
 from repro.apps import build_primes_program, first_n_primes
+from repro.apps.treesum import build_treesum_program
+from repro.bench.harness import bench_config
 from repro.chaos import FaultPlan, run_plan
 from repro.common.config import SDVMConfig
 from repro.common.errors import SDVMError
@@ -155,6 +157,27 @@ class TestMetricsSampler:
             cluster.run()
             prints.append(journal_fingerprint(cluster.tracer))
         assert prints[0] == prints[1]
+
+    def test_sampling_leaves_the_trajectory_unchanged(self):
+        """The sampler's timer events take sequence numbers, but every
+        other event keeps its order, and sampling only reads: a metrics-on
+        run has the metrics-off duration, counters and journal."""
+        from repro.chaos import journal_fingerprint
+        for nsites, build, args in (
+                (8, build_primes_program, (100, 10, 400.0, 4000.0)),
+                (16, build_treesum_program, (512, 16000.0))):
+            runs = []
+            for interval in (0.0, 0.01):
+                cluster = SimCluster(nsites=nsites, config=bench_config(
+                    seed=3, trace=True, metrics_interval=interval))
+                handle = cluster.submit(build(), args=args)
+                cluster.run()
+                assert "health" not in cluster.tracer.kinds()
+                runs.append((handle.duration,
+                             cluster.total_stats().as_dict(),
+                             journal_fingerprint(cluster.tracer)))
+            assert len(cluster.metrics) > 10 * nsites
+            assert runs[0] == runs[1], build.__name__
 
     def test_flight_recorder_does_not_change_the_journal(self):
         from repro.chaos import journal_fingerprint

@@ -189,6 +189,27 @@ class TestChromeExporter:
         execs = cluster.total_stats().get("executions").count
         assert report["slices"] >= execs
 
+    def test_checkpoint_waves_become_one_slice_each(self, tmp_path):
+        """A wave's begin and its commit or abort export as one ``X``
+        slice on the checkpoint lane of the coordinator."""
+        from repro.chaos import FaultPlan, run_plan
+        from repro.trace.chrome import CHECKPOINT_LANE
+        plan = FaultPlan.load(str(pathlib.Path(__file__).parent
+                                  / "chaos_corpus" / "crash_during_wave.json"))
+        cluster = run_plan(plan).cluster
+        kinds = cluster.tracer.kinds()
+        assert kinds["wave_commit"] >= 1 and kinds["wave_abort"] >= 1
+        path = tmp_path / "waves.trace.json"
+        cluster.write_chrome_trace(str(path))
+        validate_chrome_trace(str(path))
+        waves = [e for e in json.loads(path.read_text())["traceEvents"]
+                 if e.get("cat") == "checkpoint"]
+        assert len(waves) == kinds["wave_commit"] + kinds["wave_abort"]
+        assert all(e["ph"] == "X" and e["tid"] == CHECKPOINT_LANE
+                   for e in waves)
+        aborted = [e for e in waves if e["name"].endswith("(aborted)")]
+        assert len(aborted) == kinds["wave_abort"]
+
     def test_site_names_in_metadata(self, traced_run, tmp_path):
         cluster, _handle = traced_run
         path = tmp_path / "named.trace.json"
