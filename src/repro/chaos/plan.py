@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.common.errors import SDVMError
@@ -226,16 +226,7 @@ class FaultPlan:
     # JSON round-trip (the corpus format)
 
     def to_dict(self) -> dict:
-        doc = {"schema": "sdvm-chaos/1",
-               "seed": self.seed, "nsites": self.nsites,
-               "submit_site": self.submit_site,
-               "ckpt_interval": self.ckpt_interval,
-               "horizon": self.horizon,
-               "expect_complete": self.expect_complete,
-               "workload": self.workload,
-               "replicate_frac": self.replicate_frac,
-               "name": self.name,
-               "faults": [asdict(f) for f in self.faults]}
+        doc = {"schema": "sdvm-chaos/1", **asdict(self)}
         for f in doc["faults"]:
             if "group" in f:
                 f["group"] = list(f["group"])
@@ -249,14 +240,10 @@ class FaultPlan:
         schema = doc.get("schema", "sdvm-chaos/1")
         if schema != "sdvm-chaos/1":
             raise SDVMError(f"unsupported chaos plan schema {schema!r}")
-        plan = cls(seed=doc.get("seed", 0), nsites=doc.get("nsites", 4),
-                   submit_site=doc.get("submit_site", 0),
-                   ckpt_interval=doc.get("ckpt_interval", 0.2),
-                   horizon=doc.get("horizon", 60.0),
-                   expect_complete=doc.get("expect_complete", True),
-                   workload=doc.get("workload", "primes"),
-                   replicate_frac=doc.get("replicate_frac", 0.0),
-                   name=doc.get("name", ""),
+        # a field the document leaves out keeps its default; a key that
+        # names no field is ignored
+        plan = cls(**{f.name: doc[f.name] for f in fields(cls)
+                      if f.name in doc and f.name != "faults"},
                    faults=[fault_from_dict(f)
                            for f in doc.get("faults", [])])
         plan.validate()
@@ -276,14 +263,7 @@ class FaultPlan:
             fh.write(self.to_json())
 
     def replace_faults(self, faults: List[Fault]) -> "FaultPlan":
-        return FaultPlan(seed=self.seed, nsites=self.nsites,
-                         submit_site=self.submit_site,
-                         ckpt_interval=self.ckpt_interval,
-                         horizon=self.horizon,
-                         expect_complete=self.expect_complete,
-                         workload=self.workload,
-                         replicate_frac=self.replicate_frac,
-                         name=self.name, faults=list(faults))
+        return replace(self, faults=list(faults))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import inspect
 import textwrap
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ProgramError
 from repro.core.threads import MicrothreadSource
@@ -65,12 +65,6 @@ class SDVMProgram:
             for name, src in self.threads.items()
         }
 
-    def thread_by_id(self, thread_id: int) -> MicrothreadSource:
-        for src in self.threads.values():
-            if src.thread_id == thread_id:
-                return src
-        raise ProgramError(f"program {self.name!r}: no thread id {thread_id}")
-
     @property
     def entry_thread(self) -> MicrothreadSource:
         return self.threads[self.entry]
@@ -91,18 +85,6 @@ class SDVMProgram:
         }
         return SDVMProgram(name=self.name, threads=rebound,
                            entry=self.entry, description=self.description)
-
-    def metadata_wire(self) -> dict:
-        """Shippable metadata (no source — code travels via the code manager)."""
-        return {
-            "name": self.name,
-            "entry": self.entry,
-            "threads": [
-                (src.name, src.thread_id, src.nparams, src.work_hint,
-                 tuple(src.creates))
-                for src in self.threads.values()
-            ],
-        }
 
 
 class ProgramBuilder:

@@ -3,7 +3,7 @@
 A checkpoint shard is packed once (serialised, then zlib-compressed), by
 the site that cuts it (``_on_snapshot_request``), and is opaque ``bytes``
 from there on: CHECKPOINT_STATE, ``committed``, CHECKPOINT_REPLICA and
-RECOVER_STATE (and its retries) carry the same value; only
+RECOVER_STATE (and its resends) carry the same value; only
 ``_on_recover_state`` unpacks it.
 """
 
@@ -15,14 +15,10 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
-from repro.messages import HANDLER_OF, MsgType, SDMessage, make_reply
+from repro.messages import HANDLER_OF, MsgType, SDMessage
 from repro.serde import dumps, loads
 from repro.site.manager_base import Manager
 
-#: attempts per RECOVER_BEGIN/STATE/DONE before giving up on a target;
-#: each attempt waits one settle delay for the RECOVER_ACK (a
-#: RECOVER_STATE also twice its shard's transfer time)
-_RECOVER_RETRIES = 5
 #: how many other sites keep a copy of each committed snapshot
 SNAPSHOT_REPLICAS = 1
 
@@ -50,17 +46,6 @@ def unpack_shard(blob: bytes,
         raise SerializationError(f"not a packed shard: {exc}") from None
     charge(len(raw))
     return loads(raw)
-
-
-def _acked(handler: Callable[["CrashManager", SDMessage], bool]):
-    """RECOVER_BEGIN / STATE / DONE carry an ack+retry contract: a peer's
-    copy is acked unless its handler returns False (not ready yet; the
-    sender's retry comes back)."""
-    def on_message(self: "CrashManager", msg: SDMessage) -> None:
-        if handler(self, msg) is not False and msg.src_site != self.local_id:
-            self.site.message_manager.send(
-                make_reply(msg, MsgType.RECOVER_ACK, {}))
-    return on_message
 
 
 class CrashManager(Manager):
@@ -463,18 +448,14 @@ class CrashManager(Manager):
                                self._recover_seq)
 
     def _send_recover(self, logical: int, mtype: MsgType, payload: dict,
-                      attempt: int = 0,
                       settled: Callable[[], None] = _nothing) -> None:
-        """Send recovery control with ack+retry.
-
-        A single dropped RECOVER_DONE would leave a survivor paused
-        forever, so each send expects a RECOVER_ACK within one settle
-        delay and is re-sent up to ``_RECOVER_RETRIES`` times; retries to
-        a target that has since been marked dead are suppressed.  A
-        RECOVER_STATE also waits twice its shard's transfer time, so a
-        large shard is not resent while its first copy is on the wire.
-        ``settled`` runs once the send is over: handled here, acked, out
-        of retries, or addressed to a site that is gone.
+        """Send recovery control, a must-arrive type: a single dropped
+        RECOVER_DONE would leave a survivor paused forever, so the message
+        manager resends each copy that is not acked within one settle
+        delay.  A RECOVER_STATE also waits twice its shard's transfer
+        time, so a large shard is not resent while its first copy is on
+        the wire.  ``settled`` runs once the send is over: handled here,
+        acked, out of attempts, or addressed to a site that is gone.
         """
         if logical == self.local_id:
             self._deliver_here(mtype, payload)
@@ -491,27 +472,17 @@ class CrashManager(Manager):
             nbytes = len(payload["state"])
             self.stats.add("snapshot_bytes", nbytes)
             timeout += 2.0 * nbytes / self.config.network.bandwidth
-        def on_timeout() -> None:
-            if attempt + 1 >= _RECOVER_RETRIES:
-                self.log("giving up on %s to site %d after %d attempts",
-                         mtype.name, logical, attempt + 1)
-                settled()
-                return
-            self.stats.inc("recover_retries")
-            self._send_recover(logical, mtype, payload, attempt + 1, settled)
-
         if not self.site.message_manager.request(
                 self._msg(logical, mtype, dict(payload)),
                 on_reply=lambda reply: settled(),
-                timeout=timeout, on_timeout=on_timeout):
+                timeout=timeout, on_timeout=settled):
             settled()
 
-    @_acked
     def _on_recover_begin(self, msg: SDMessage) -> bool:
         payload = msg.payload
         epoch = payload["epoch"]
         if epoch <= self.site.epoch:
-            # duplicate delivery or a retry of a recovery we already
+            # duplicate delivery or a resend of a recovery we already
             # entered — re-applying would wipe restored state
             return True
         self.site.epoch = epoch
@@ -534,7 +505,7 @@ class CrashManager(Manager):
             return  # superseded by a newer recovery
         epoch = self.site.epoch  # our own RECOVER_BEGIN already bumped it
         # RECOVER_DONE waits for every shard to settle, not only for the
-        # settle delay: a survivor that resumed before its retried (and
+        # settle delay: a survivor that resumed before its resent (and
         # larger) RECOVER_STATE landed would run without its shard
         self._recovery_waits = {None, *self.committed}
         # a shard goes where its site's addresses route: the site, the heir
@@ -575,13 +546,12 @@ class CrashManager(Manager):
                 return
             self._handle_crash(self._crash_queue.pop(0))
 
-    @_acked
     def _on_recover_state(self, msg: SDMessage) -> bool:
         payload = msg.payload
         epoch = payload["epoch"]
         if epoch > self.site.epoch:
             # our RECOVER_BEGIN is still in flight (lost or delayed) —
-            # withhold the ack so the coordinator keeps retrying until we
+            # withhold the ack so the coordinator keeps resending until we
             # have actually entered the new epoch
             return False
         if epoch < self.site.epoch:
@@ -591,7 +561,7 @@ class CrashManager(Manager):
             return True
         self._recover_shards_applied.add(key)
         # parsed in full before anything is adopted; an unreadable shard is
-        # acked all the same — a retry would resend the same bytes
+        # acked all the same — a resend would carry the same bytes
         blob = payload["state"]
         try:
             state = (unpack_shard(blob, self._charge_codec)
@@ -604,7 +574,6 @@ class CrashManager(Manager):
         self.site.attraction_memory.adopt_state(state)
         return True
 
-    @_acked
     def _on_recover_done(self, msg: SDMessage) -> bool:
         epoch = msg.payload["epoch"]
         if epoch > self.site.epoch:

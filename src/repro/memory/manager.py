@@ -21,9 +21,9 @@ Who records which hop of an object's life:
 * **every other migration** — the new owner publishes a real
   ``DIR_UPDATE`` to the directory site: epoch-fenced against
   post-recovery stragglers, version-fenced against reordered updates
-  from older hops of the ownership chain, acked and retried
-  (re-resolving the directory site) so a crashed directory never
-  swallows an update.
+  from older hops of the ownership chain, and must-arrive (the message
+  manager acks and resends it); a crashed directory site's updates are
+  republished to its successor by the membership change.
 * **membership change** — an owner republishes exactly the objects whose
   directory site moved (homesite departed, orphan's stand-in departed).
 
@@ -31,8 +31,8 @@ Remote reads do at most one directory hop and then a direct owner fetch;
 nothing on the lookup path broadcasts or scales with the cluster size.
 
 There is one access path, under both kernels: the message protocol
-(MEM_READ / MEM_READ_REPLY / MEM_WRITE / MEM_LOCATION / DIR_UPDATE /
-DIR_ACK) behind :meth:`live_read` and :meth:`apply_write`.  An execution
+(MEM_READ / MEM_READ_REPLY / MEM_WRITE / MEM_LOCATION / DIR_UPDATE)
+behind :meth:`live_read` and :meth:`apply_write`.  An execution
 that waits for the callback is abandoned and runs again once it has
 fired (:mod:`repro.proc.context`).  No site ever looks into another
 site's memory — a migration is two messages that chaos can delay, drop
@@ -57,10 +57,8 @@ from repro.site.manager_base import Manager
 class AttractionMemory(Manager):
     manager_id = ManagerId.ATTRACTION_MEMORY
 
-    #: DIR_UPDATE ack deadline and per-update retry budget; each retry
-    #: re-resolves the directory site, so an update outlives its crash
+    #: how long a DIR_UPDATE waits for its ACK before it is resent
     _DIR_TIMEOUT = 0.2
-    _DIR_RETRIES = 4
 
     #: total redirect/re-resolve hops a live read may take before failing
     _READ_ATTEMPTS = 4
@@ -225,10 +223,10 @@ class AttractionMemory(Manager):
             return True
         return False
 
-    def _publish_dir(self, addr: GlobalAddress, attempt: int = 0) -> None:
+    def _publish_dir(self, addr: GlobalAddress) -> None:
         """Publish this site's ownership of ``addr`` to its directory
         site: a dict write when that is this site (every allocation),
-        one acked DIR_UPDATE otherwise."""
+        one must-arrive DIR_UPDATE otherwise."""
         version = self._versions.get(addr, 0)
         target = self.site.cluster_manager.dir_site_for(addr)
         self._published_at[addr] = target
@@ -236,36 +234,19 @@ class AttractionMemory(Manager):
             self._apply_dir_entry(addr, self.local_id, version,
                                   self.site.epoch)
             return
-        self._send_dir_update(
-            addr, self.local_id, version, target,
-            on_timeout=lambda: self._dir_retry(addr, attempt))
-
-    def _dir_retry(self, addr: GlobalAddress, attempt: int) -> None:
-        if addr not in self.objects:
-            return  # ownership moved on; the new owner publishes
-        if attempt + 1 >= self._DIR_RETRIES:
-            self.stats.inc("dir_updates_abandoned")
-            return
-        self.stats.inc("dir_update_retries")
-        # re-resolves the directory site, so a crash re-homes the update
-        self._publish_dir(addr, attempt + 1)
+        self._send_dir_update(addr, self.local_id, version, target)
 
     def _send_dir_update(self, addr: GlobalAddress, owner: int, version: int,
-                         target: int, epoch: Optional[int] = None,
-                         on_timeout=None) -> None:  # noqa: ANN001
+                         target: int, epoch: Optional[int] = None) -> None:
         msg = SDMessage(
             type=MsgType.DIR_UPDATE,
             src_site=self.local_id, dst_site=target,
             payload={"addr": addr, "owner": owner, "version": version,
                      "epoch": self.site.epoch if epoch is None else epoch},
         )
-        ok = self.site.message_manager.request(
-            msg, on_reply=lambda reply: None, timeout=self._DIR_TIMEOUT,
-            on_timeout=on_timeout or (lambda: None))
-        if ok:
+        if self.site.message_manager.request(
+                msg, on_reply=lambda reply: None, timeout=self._DIR_TIMEOUT):
             self.stats.inc("dir_updates_sent")
-        elif on_timeout is not None:
-            on_timeout()  # unresolvable target: same path as a timeout
 
     def _on_dir_update(self, msg: SDMessage) -> None:
         payload = msg.payload
@@ -275,9 +256,6 @@ class AttractionMemory(Manager):
             self._apply_dir_entry(payload["addr"], payload["owner"],
                                   payload["version"], payload["epoch"])
             self.stats.inc("dir_updates_applied")
-        # always ack — even a fenced update must stop the sender's retries
-        self.site.message_manager.send(make_reply(
-            msg, MsgType.DIR_ACK, {"addr": payload["addr"]}))
 
     def _ship_out(self, addr: GlobalAddress, new_owner: int) -> bool:
         """Give up ownership of ``addr`` to ``new_owner``.  When this site

@@ -43,7 +43,6 @@ class MsgType(enum.IntEnum):
     DIR_UPDATE = 37            # owner publishes ownership to the homesite
     FRAME_TRANSFER = 38        # a microframe migrates (help reply / relocation)
     MEM_NOT_FOUND = 39
-    DIR_ACK = 40               # directory site acknowledges a DIR_UPDATE
 
     # -- cluster membership (§3.4, §4 cluster manager)
     SIGN_ON = 50               # join request to a known site
@@ -77,7 +76,9 @@ class MsgType(enum.IntEnum):
     RECOVER_STATE = 86         # snapshot shard restored onto a survivor
     RECOVER_DONE = 87
     CHECKPOINT_REPLICA = 88    # committed snapshot copied to backup sites
-    RECOVER_ACK = 89           # receipt for retried recovery control
+
+    # -- delivery (§4 message manager)
+    ACK = 89                   # receipt for a must-arrive message
 
     # -- security (§4 security manager)
     KEY_EXCHANGE_INIT = 90
@@ -108,17 +109,22 @@ class Row(NamedTuple):
     #: the field that carries a computation's values — what silent data
     #: corruption in flight hits (``ChaosController._WIRE_KEYS``), or None
     data: Optional[str]
+    #: the receiver's message manager acks a handled copy with an ACK, and
+    #: the sender's resends it until one comes back (``MessageManager.
+    #: request``)
+    must_arrive: bool
 
 
 def _row(mtype: MsgType, owner: ManagerId, fields: str = "",
-         forward: bool = False, data: Optional[str] = None) -> Row:
+         forward: bool = False, data: Optional[str] = None,
+         must_arrive: bool = False) -> Row:
     """A row from its fields in wire order, each optional one marked with
     a trailing ``?``."""
     names = fields.split()
     return Row(mtype, owner, tuple(name.rstrip("?") for name in names),
                sum(1 << bit for bit, name in enumerate(names)
                    if not name.endswith("?")),
-               forward, data)
+               forward, data, must_arrive)
 
 
 _T, _M = MsgType, ManagerId
@@ -157,11 +163,10 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     _row(_T.MEM_OBJECT, _M.ATTRACTION_MEMORY, "state", forward=True),
     _row(_T.MEM_LOCATION, _M.ATTRACTION_MEMORY, "addr owner"),
     _row(_T.DIR_UPDATE, _M.ATTRACTION_MEMORY, "addr owner version epoch",
-         forward=True),
+         forward=True, must_arrive=True),
     _row(_T.FRAME_TRANSFER, _M.ATTRACTION_MEMORY,
          "frames program_infos epoch", forward=True),
     _row(_T.MEM_NOT_FOUND, _M.ATTRACTION_MEMORY, "addr"),
-    _row(_T.DIR_ACK, _M.ATTRACTION_MEMORY, "addr"),
     # -- cluster membership
     _row(_T.SIGN_ON, _M.CLUSTER,
          "physical platform speed name code_distribution reliable",
@@ -189,10 +194,11 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     _row(_T.CHECKPOINT_ACK, _M.CRASH, "wave"),
     _row(_T.CHECKPOINT_COMMIT, _M.CRASH, "wave aborted?"),
     _row(_T.CHECKPOINT_REPLICA, _M.CRASH, "wave shards"),
-    _row(_T.RECOVER_BEGIN, _M.CRASH, "epoch dead heir"),
-    _row(_T.RECOVER_STATE, _M.CRASH, "state epoch shard"),
-    _row(_T.RECOVER_DONE, _M.CRASH, "epoch"),
-    _row(_T.RECOVER_ACK, _M.CRASH),
+    _row(_T.RECOVER_BEGIN, _M.CRASH, "epoch dead heir", must_arrive=True),
+    _row(_T.RECOVER_STATE, _M.CRASH, "state epoch shard", must_arrive=True),
+    _row(_T.RECOVER_DONE, _M.CRASH, "epoch", must_arrive=True),
+    # -- delivery
+    _row(_T.ACK, _M.MESSAGE),
     # -- security
     _row(_T.KEY_EXCHANGE_INIT, _M.SECURITY, "public"),
     _row(_T.KEY_EXCHANGE_REPLY, _M.SECURITY, "public"),

@@ -21,7 +21,6 @@ class Topology:
     def __init__(self) -> None:
         self._adj: Dict[int, Dict[int, float]] = {}
         self._cache: Dict[int, Dict[int, float]] = {}
-        self._down_links: set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     def add_node(self, node: int) -> None:
@@ -38,31 +37,9 @@ class Topology:
         self._adj.setdefault(b, {})[a] = latency
         self._cache.clear()
 
-    def remove_node(self, node: int) -> None:
-        """Drop a node and all its links (a site leaving / crashing)."""
-        for neigh in list(self._adj.get(node, {})):
-            del self._adj[neigh][node]
-        self._adj.pop(node, None)
-        self._cache.clear()
-
-    def set_link_state(self, a: int, b: int, up: bool) -> None:
-        """Administratively fail/restore a link (partition experiments)."""
-        key = (min(a, b), max(a, b))
-        if up:
-            self._down_links.discard(key)
-        else:
-            self._down_links.add(key)
-        self._cache.clear()
-
     # ------------------------------------------------------------------
     def nodes(self) -> Iterable[int]:
         return self._adj.keys()
-
-    def neighbors(self, node: int) -> Dict[int, float]:
-        return {
-            n: w for n, w in self._adj.get(node, {}).items()
-            if (min(node, n), max(node, n)) not in self._down_links
-        }
 
     def path_latency(self, src: int, dst: int) -> float:
         """One-way latency along the cheapest path, or ``inf`` if unreachable."""
@@ -74,28 +51,6 @@ class Topology:
             self._cache[src] = cached
         return cached.get(dst, float("inf"))
 
-    def hop_count(self, src: int, dst: int) -> int:
-        """Hops on the cheapest-latency path (0 if src == dst, -1 unreachable)."""
-        if src == dst:
-            return 0
-        # Run dijkstra tracking hop counts alongside distances.
-        dist: Dict[int, float] = {src: 0.0}
-        hops: Dict[int, int] = {src: 0}
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, src)]
-        while heap:
-            d, h, node = heapq.heappop(heap)
-            if node == dst:
-                return h
-            if d > dist.get(node, float("inf")):
-                continue
-            for neigh, weight in self.neighbors(node).items():
-                nd = d + weight
-                if nd < dist.get(neigh, float("inf")):
-                    dist[neigh] = nd
-                    hops[neigh] = h + 1
-                    heapq.heappush(heap, (nd, h + 1, neigh))
-        return -1
-
     def _dijkstra(self, src: int) -> Dict[int, float]:
         dist: Dict[int, float] = {src: 0.0}
         heap: List[Tuple[float, int]] = [(0.0, src)]
@@ -103,7 +58,7 @@ class Topology:
             d, node = heapq.heappop(heap)
             if d > dist.get(node, float("inf")):
                 continue
-            for neigh, weight in self.neighbors(node).items():
+            for neigh, weight in self._adj.get(node, {}).items():
                 nd = d + weight
                 if nd < dist.get(neigh, float("inf")):
                     dist[neigh] = nd

@@ -200,12 +200,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue) - self._cancelled
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None if the queue is empty."""
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            _t, _s, event = heappop(queue)
-            event._sim = None
-            self._cancelled -= 1
-        return queue[0][0] if queue else None

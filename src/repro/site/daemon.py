@@ -155,9 +155,12 @@ class SDVMSite:
     # ------------------------------------------------------------------
     # message routing
 
-    def route(self, msg: SDMessage) -> None:
+    def route(self, msg: SDMessage) -> Optional[bool]:
+        """Call the type's handler on its owner and return what it returns:
+        False when the message was not taken (the site stopped, no handler,
+        or the handler is not ready for it)."""
         if self.stopped:
-            return
+            return False
         if self.sleeping:
             # wake-on-message (§2.2: sleeping sites reactivate on demand)
             self.site_manager.wake()
@@ -169,8 +172,8 @@ class SDVMSite:
         if handler is None:
             # a reply only its request reads, arriving late or twice
             self.log("message %s without handler dropped", msg.type.name)
-            return
-        handler(msg)
+            return False
+        return handler(msg)
 
     # ------------------------------------------------------------------
     # program submission (facade entry point)

@@ -12,23 +12,30 @@ security layer, except to reject a sealed envelope.
 
 It also implements request/reply correlation (``reply_to``) with optional
 timeouts, which every higher protocol (help requests, code fetches, memory
-reads) builds on.
+reads) builds on, and the one delivery rule: a type whose row is
+``must_arrive`` is acked by the receiver's message manager once its handler
+took it, and resent by the sender's until the ACK comes back.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SecurityError, SerializationError
 from repro.common.ids import ManagerId
-from repro.messages import MESSAGE_TABLE, SDMessage, SnapshotEnvelope
+from repro.messages import (MESSAGE_TABLE, MsgType, SDMessage,
+                            SnapshotEnvelope, make_reply)
 from repro.security.layer import is_sealed
 from repro.site.manager_base import Manager
 from repro.trace.causal import msg_node
 
 #: callback invoked with the reply message
 ReplyCallback = Callable[[SDMessage], None]
+
+#: sends of one must-arrive request before its ``on_timeout`` runs
+DELIVERY_ATTEMPTS = 5
 
 
 class _Pending:
@@ -202,7 +209,20 @@ class MessageManager(Manager):
     def request(self, msg: SDMessage, on_reply: ReplyCallback,
                 timeout: Optional[float] = None,
                 on_timeout: Optional[Callable[[], None]] = None) -> bool:
-        """Send ``msg`` and invoke ``on_reply`` with the correlated reply."""
+        """Send ``msg`` and invoke ``on_reply`` with the correlated reply.
+
+        A must-arrive type's reply is the receiver's ACK.  When its
+        ``timeout`` expires a fresh copy goes to the site first addressed
+        (:meth:`_resend`), and ``on_timeout`` runs once the last attempt
+        has expired."""
+        if timeout is not None and msg.type in self._MUST_ARRIVE:
+            on_timeout = partial(self._resend, msg, msg.dst_site, on_reply,
+                                 timeout, on_timeout, 1)
+        return self._request(msg, on_reply, timeout, on_timeout)
+
+    def _request(self, msg: SDMessage, on_reply: ReplyCallback,
+                 timeout: Optional[float],
+                 on_timeout: Optional[Callable[[], None]]) -> bool:
         self._assign_seq(msg)
         seq = msg.seq
         handle = None
@@ -218,6 +238,33 @@ class MessageManager(Manager):
         if not ok:
             self._drop_pending(seq)
         return ok
+
+    def _resend(self, sent: SDMessage, dst: int, on_reply: ReplyCallback,
+                timeout: float, on_timeout: Optional[Callable[[], None]],
+                attempt: int) -> None:
+        """Attempt ``attempt`` of must-arrive ``sent`` expired unacked: send
+        a copy with a new ``seq`` and re-stamped figures to ``dst``, the
+        site first addressed, while this site runs and ``dst``'s record is
+        alive, up to :data:`DELIVERY_ATTEMPTS` sends; else ``on_timeout``.
+        A copy that lands after its directory entry moved on is fenced by
+        the receiver's version or epoch check."""
+        if not self.site.running:
+            return
+        record = self.site.cluster_manager.sites.get(dst)
+        if attempt >= DELIVERY_ATTEMPTS:
+            self.log("giving up on %s to site %d after %d attempts",
+                     sent.type.name, dst, attempt)
+        elif record is not None and record.alive:
+            self.stats.inc("resends")
+            copy = SDMessage(type=sent.type, src_site=self.local_id,
+                             dst_site=dst, payload=dict(sent.payload),
+                             program=sent.program)
+            retry = partial(self._resend, copy, dst, on_reply, timeout,
+                            on_timeout, attempt + 1)
+            if self._request(copy, on_reply, timeout, retry):
+                return
+        if on_timeout is not None:
+            on_timeout()
 
     def _timed_out(self, seq: int,
                    on_timeout: Optional[Callable[[], None]]) -> None:
@@ -274,6 +321,9 @@ class MessageManager(Manager):
     #: message kinds a departed-but-forwarding site relays to its heir
     _FORWARDABLE = frozenset(
         row.type for row in MESSAGE_TABLE.values() if row.forwardable)
+    #: message kinds acked on receipt and resent until acked
+    _MUST_ARRIVE = frozenset(
+        row.type for row in MESSAGE_TABLE.values() if row.must_arrive)
 
     def _forward_to_heir(self, msg: SDMessage, heir: int) -> None:
         """Relay a straggler to the heir without reassigning src/seq, so
@@ -329,7 +379,13 @@ class MessageManager(Manager):
             # fall through: unsolicited reply (e.g. after timeout) goes to
             # the target manager, which may still make use of it
             self.stats.inc("orphan_replies")
-        self.site.route(msg)
+        handled = self.site.route(msg)
+        # a must-arrive copy is acked unless its handler returned False
+        # (not ready yet: the sender's resend comes back); a loopback
+        # delivery has no sender waiting
+        if (msg.type in self._MUST_ARRIVE and handled is not False
+                and msg.src_site != self.local_id):
+            self.send(make_reply(msg, MsgType.ACK))
 
     # ------------------------------------------------------------------
     def on_stop(self) -> None:

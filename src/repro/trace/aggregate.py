@@ -128,7 +128,7 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         # between two sites that are not the directory costs.  A remote
         # read is priced from the serving side, which needs no tracer:
         # every MEM_READ draws exactly one of three replies and every
-        # DIR_UPDATE one DIR_ACK — under both kernels, which run the same
+        # DIR_UPDATE one ACK — under both kernels, which run the same
         # memory protocol.
         "dir_updates_per_alloc": _rate(count("dir_updates_sent"),
                                        count("objects_allocated")),

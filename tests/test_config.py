@@ -131,11 +131,19 @@ def leaf_fields(config):
             yield f"{type(config).__name__}.{f.name}", f.name
 
 
+def config_leaf_fields():
+    """Every leaf field a run is configured by: the cluster-wide
+    SDVMConfig and the per-site SiteConfig."""
+    yield from leaf_fields(SDVMConfig())
+    yield from leaf_fields(SiteConfig())
+
+
 def test_every_config_field_has_a_reader():
     """A knob nothing reads advertises behaviour the system does not
-    have: every leaf field of SDVMConfig must appear as ``.<name>``
-    somewhere under src/repro/ outside the file that declares it, or in
-    one of that file's own methods — a validator is not a reader."""
+    have: every leaf field of SDVMConfig and SiteConfig must appear as
+    ``.<name>`` somewhere under src/repro/ outside the file that declares
+    it, or in one of that file's own methods — a validator is not a
+    reader."""
     root = pathlib.Path(repro.__file__).parent
     declaring = root / "common" / "config.py"
     source = "\n".join(path.read_text()
@@ -146,13 +154,14 @@ def test_every_config_field_has_a_reader():
                  if isinstance(fn, ast.FunctionDef)
                  and fn.name != "__post_init__"
                  for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
-    unread = [qualified for qualified, name in leaf_fields(SDVMConfig())
+    unread = [qualified for qualified, name in config_leaf_fields()
               if name not in own_reads
               and not re.search(rf"\.{name}\b", source)]
     assert unread == []
 
 
-#: model parameters kept settable though no workload sets them, with why
+#: model parameters and site properties kept settable though no workload
+#: sets them, with why
 KEPT_MODEL_PARAMETERS = {
     # the CPU cost model: ROADMAP item 10's ledger preset sets these
     **{f"CostModel.{f.name}": "item 10's ledger preset"
@@ -161,25 +170,36 @@ KEPT_MODEL_PARAMETERS = {
     "NetworkConfig.bandwidth": "E5 / item 19 transport model",
     "NetworkConfig.tcp_handshake_cost": "E5 / item 19 transport model",
     "NetworkConfig.ttcp_transaction_cost": "E5 / item 19 transport model",
+    # only tests/test_reliable_core.py mixes unreliable sites in
+    "SiteConfig.reliable": "§2.2's reliable core, which no workload mixes "
+                           "in yet",
 }
 
 
 def test_every_config_field_is_set_outside_tests():
     """A knob only tests turn is a constant in disguise: every leaf field
     of SDVMConfig must be passed as a keyword argument by some call under
-    src/, benchmarks/ or examples/ (config.py itself aside), unless it is
-    one of the model parameters kept above.  Examples count: they are what
+    src/, benchmarks/ or examples/ (config.py itself aside), and every
+    SiteConfig field by some ``SiteConfig(...)`` call there, unless it is
+    one of the parameters kept above.  Examples count: they are what
     shows heterogeneous speeds and a code-distribution site."""
     root = pathlib.Path(repro.__file__).parents[2]
     declaring = pathlib.Path(repro.__file__).parent / "common" / "config.py"
-    keywords = {node.arg
-                for top in ("src", "benchmarks", "examples")
-                for path in sorted((root / top).rglob("*.py"))
-                if path != declaring
-                for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.keyword)}
-    unset = [qualified for qualified, name in leaf_fields(SDVMConfig())
-             if name not in keywords
+    calls = [node
+             for top in ("src", "benchmarks", "examples")
+             for path in sorted((root / top).rglob("*.py"))
+             if path != declaring
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    keywords = {kw.arg for call in calls for kw in call.keywords}
+    # a SiteRecord shares the names: only a SiteConfig call sets one
+    site_keywords = {kw.arg for call in calls
+                     if getattr(call.func, "id", None) == "SiteConfig"
+                     for kw in call.keywords}
+    unset = [qualified for qualified, name in config_leaf_fields()
+             if name not in (site_keywords
+                             if qualified.startswith("SiteConfig.")
+                             else keywords)
              and qualified not in KEPT_MODEL_PARAMETERS]
     assert unset == []
 

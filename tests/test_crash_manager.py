@@ -231,7 +231,7 @@ class TestHardening:
     def test_recover_control_ahead_of_its_epoch_is_not_acked(
             self, monkeypatch):
         """A RECOVER_DONE that overtook its RECOVER_BEGIN withholds the
-        ack, so the coordinator's retry comes back once this site has
+        ack, so the coordinator's resend comes back once this site has
         entered the epoch; one of the current epoch is acked."""
         cluster = SimCluster(nsites=2, config=config(heartbeats=False))
         cluster.sim.run(until=0.2)
@@ -240,17 +240,15 @@ class TestHardening:
         monkeypatch.setattr(site.message_manager, "send", sent.append)
 
         def done(seq, epoch):
-            site.route(SDMessage(type=MsgType.RECOVER_DONE,
-                                 src_site=coordinator.site_id,
-                                 dst_site=site.site_id, seq=seq,
-                                 payload={"epoch": epoch}))
+            site.message_manager._dispatch(SDMessage(
+                type=MsgType.RECOVER_DONE, src_site=coordinator.site_id,
+                dst_site=site.site_id, seq=seq, payload={"epoch": epoch}))
 
         done(1, site.epoch + 1)
         assert sent == []
         assert site.crash_manager.stats.get("early_recover_done").count == 1
         done(2, site.epoch)
-        assert [(m.type, m.reply_to) for m in sent] == [
-            (MsgType.RECOVER_ACK, 2)]
+        assert [(m.type, m.reply_to) for m in sent] == [(MsgType.ACK, 2)]
 
     def test_second_crash_during_recovery_is_queued_and_drained(
             self, monkeypatch):
@@ -323,8 +321,8 @@ class TestHardening:
         cluster.run(progress_timeout=180.0)
         assert handle.result == first_n_primes(40)
         assert len(dropped) == 2
-        assert coordinator.crash_manager.stats.get(
-            "recover_retries").count >= 2
+        assert coordinator.message_manager.stats.get(
+            "resends").count >= 2
         # the first recovery: every survivor adopts, then anyone resumes
         first_resume = events.index(
             next(e for e in events if e[1] == "resume"))
@@ -546,7 +544,7 @@ class TestShardBlobs:
                      "shard": b.site_id}),
             on_reply=acks.append, timeout=0.05)
         cluster.sim.run(until=0.4)
-        assert [m.type for m in acks] == [MsgType.RECOVER_ACK]
+        assert [m.type for m in acks] == [MsgType.ACK]
         assert b.crash_manager.stats.get("malformed_shards").count == 1
         assert addr not in b.attraction_memory.objects
         # the undamaged shard of the same wave is adopted
@@ -589,7 +587,7 @@ class TestShardBlobs:
                             "shard": shard}),
                 on_reply=acks.append, timeout=0.05)
         cluster.sim.run(until=0.4)
-        assert [m.type for m in acks] == [MsgType.RECOVER_ACK] * len(hostile)
+        assert [m.type for m in acks] == [MsgType.ACK] * len(hostile)
         cm = b.crash_manager
         assert cm.stats.get("malformed_shards").count == len(hostile)
         assert not b.attraction_memory.objects

@@ -14,6 +14,7 @@ import pytest
 from repro.common.errors import MemoryFault
 from repro.common.ids import GlobalAddress
 from repro.messages import MsgType, SDMessage
+from repro.site.message_manager import DELIVERY_ATTEMPTS
 from repro.site.simcluster import SimCluster
 
 
@@ -137,21 +138,27 @@ class TestDirUpdate:
         assert mem.dir_owner(addr) == b.site_id
 
     def test_lost_dir_update_is_retried(self, trio):
+        """The message manager resends an unacked DIR_UPDATE: one send
+        for the memory manager, two on the wire."""
         cluster, a, b, c = trio
         addr = _third_site_hop(cluster, a, b, c, lost=1)
-        assert _mem_stat(c, "dir_update_retries") == 1
-        assert _mem_stat(c, "dir_updates_sent") == 2
-        assert _mem_stat(c, "dir_updates_abandoned") == 0
+        assert c.message_manager.stats.get("resends").count == 1
+        assert _mem_stat(c, "dir_updates_sent") == 1
         assert _mem_stat(a, "dir_updates_applied") == 1
         assert a.attraction_memory.dir_owner(addr) == c.site_id
+        assert not any("giving up" in line for line in c.log_lines)
 
     def test_dir_update_abandoned_after_its_retry_budget(self, trio):
         cluster, a, b, c = trio
-        budget = c.attraction_memory._DIR_RETRIES
-        addr = _third_site_hop(cluster, a, b, c, lost=budget)
-        assert _mem_stat(c, "dir_updates_sent") == budget
-        assert _mem_stat(c, "dir_update_retries") == budget - 1
-        assert _mem_stat(c, "dir_updates_abandoned") == 1
+        addr = _third_site_hop(cluster, a, b, c, lost=DELIVERY_ATTEMPTS)
+        stats = c.message_manager.stats
+        assert _mem_stat(c, "dir_updates_sent") == 1
+        assert stats.get("resends").count == DELIVERY_ATTEMPTS - 1
+        assert stats.get("request_timeouts").count == DELIVERY_ATTEMPTS
+        gave_up = [line.split("] ", 1)[1] for line in c.log_lines
+                   if "giving up" in line]
+        assert gave_up == [f"giving up on DIR_UPDATE to site {a.site_id} "
+                           f"after {DELIVERY_ATTEMPTS} attempts"]
         assert _mem_stat(a, "dir_updates_applied") == 0
         # nothing reached the directory: it still names the previous hop
         assert a.attraction_memory.dir_owner(addr) == b.site_id
@@ -228,7 +235,7 @@ class TestHomesiteDirectory:
         cluster.sim.run(until=0.8)
         assert got == ["v"]
         # MEM_READ -> a, MEM_LOCATION, MEM_READ -> b, MEM_READ_REPLY, then
-        # the one DIR_UPDATE and its DIR_ACK
+        # the one DIR_UPDATE and its ACK
         assert _sent(cluster) - before == 6
         assert _mem_stat(c, "dir_updates_sent") == 1
         assert _mem_stat(a, "dir_updates_applied") == 1
@@ -338,9 +345,9 @@ class TestMembershipChange:
         def spy_on_publishes(site):
             publish = site.attraction_memory._publish_dir
 
-            def spy(addr, attempt=0):
+            def spy(addr):
                 published.append((site.site_id, addr))
-                publish(addr, attempt)
+                publish(addr)
             site.attraction_memory._publish_dir = spy
 
         spy_on_publishes(b)
@@ -383,6 +390,35 @@ class TestMembershipChange:
         s2.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
         cluster.sim.run(until=2.0)
         assert got == ["orphan"]
+
+    def test_lost_hand_off_is_resent(self, fast_config):
+        """The stand-in's hand-off DIR_UPDATE is must-arrive like an
+        owner's: a lost first copy is resent, so the joiner's entry names
+        the owner and a read from another site resolves.  The owner's own
+        republish to the joiner never arrives, so the hand-off is the one
+        carrier of the entry."""
+        cluster = SimCluster(nsites=4, config=fast_config)
+        cluster.sim.run(until=0.2)
+        s0, s1, s2, s3 = cluster.sites
+        addr = _moved_from_a_to_b(cluster, s3, s1, "orphan")
+        s3.crash()
+        for survivor in (s0, s1, s2):
+            survivor.cluster_manager.mark_dead(s3.site_id)
+        cluster.sim.run(until=0.6)
+        assert s0.attraction_memory.dir_owner(addr) == s1.site_id
+        dropped = _drop_dir_updates(s0, 1)
+        republished = _drop_dir_updates(s1, 99)
+        joiner = cluster.add_site()
+        cluster.sim.run(until=1.2)
+        assert dropped == [addr]
+        assert republished and set(republished) == {addr}
+        assert _mem_stat(s0, "dir_entries_handed_off") == 1
+        assert joiner.attraction_memory.dir_owner(addr) == s1.site_id
+        got = []
+        s2.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
+        cluster.sim.run(until=2.0)
+        assert got == ["orphan"]
+        assert s0.message_manager.stats.get("resends").count == 1
 
 
 class TestDeadCreatorRegression:

@@ -631,10 +631,10 @@ class TestOneProcessingManager:
             assert reader.processing_manager.stats.get(
                 "microthread_errors").count == 1
 
-
+#: the attraction memory's message types, and the ACK of its DIR_UPDATE
 #: the attraction memory's own message types
 MEMORY_TYPES = ("MEM_READ", "MEM_READ_REPLY", "MEM_LOCATION",
-                "DIR_UPDATE", "DIR_ACK")
+                "DIR_UPDATE", "ACK")
 
 
 def scripted_hops(cluster, on_site, settle):
@@ -644,7 +644,7 @@ def scripted_hops(cluster, on_site, settle):
 
     ``on_site(site, fn)`` runs ``fn`` where the site's managers may be
     touched; ``settle(done)`` returns once ``done()`` holds.  The counts
-    are of sends, and the homesite has sent its DIR_ACK by the time its
+    are of sends, and the homesite has sent its ACK by the time its
     directory shows the update."""
     a, b, c = cluster.sites
 
@@ -763,10 +763,10 @@ class TestSimLiveDifferential:
             {**zero, "MEM_READ": 1, "MEM_READ_REPLY": 1},
             # a later hop: redirect, fetch, one update to the homesite
             {"MEM_READ": 3, "MEM_READ_REPLY": 2, "MEM_LOCATION": 1,
-             "DIR_UPDATE": 1, "DIR_ACK": 1},
+             "DIR_UPDATE": 1, "ACK": 1},
             # back home: the directory site publishes to itself
             {"MEM_READ": 4, "MEM_READ_REPLY": 3, "MEM_LOCATION": 1,
-             "DIR_UPDATE": 1, "DIR_ACK": 1},
+             "DIR_UPDATE": 1, "ACK": 1},
         ]
 
     # -- whole programs ----------------------------------------------------
@@ -783,7 +783,7 @@ class TestSimLiveDifferential:
         pin_placement(cluster, where)
         handle = cluster.submit(program, args=args, at=0.25)
         cluster.run()
-        cluster.sim.run(until=cluster.sim.now + 0.2)  # trailing DIR_ACKs
+        cluster.sim.run(until=cluster.sim.now + 0.2)  # trailing ACKs
         return handle.result, self.protocol_counts(cluster)
 
     def on_live(self, program, args, where):
@@ -792,9 +792,9 @@ class TestSimLiveDifferential:
             pin_placement(cluster, where)
             result = cluster.run(program, args=args, timeout=30)
             deadline = time.monotonic() + 10.0
-            while True:  # a DIR_ACK may trail the result
+            while True:  # an ACK may trail the result
                 counts = self.protocol_counts(cluster)
-                if counts.get("DIR_ACK", 0) == counts.get("DIR_UPDATE", 0):
+                if counts.get("ACK", 0) == counts.get("DIR_UPDATE", 0):
                     return result, counts
                 assert time.monotonic() < deadline
                 time.sleep(0.005)
@@ -830,7 +830,7 @@ class TestSimLiveDifferential:
     def test_malloc_program(self):
         """Each object hops twice: home -> child's site (recorded by the
         homesite as it ships), then -> check's site by way of the
-        directory (redirect, fetch, DIR_UPDATE + DIR_ACK).  The child's
+        directory (redirect, fetch, DIR_UPDATE + ACK).  The child's
         write finds the object local."""
         n = 5
         result, counts = self.both(
@@ -842,7 +842,7 @@ class TestSimLiveDifferential:
         assert children == [(child_site, 100 + i, 2 * (100 + i))
                             for i in range(n)]
         assert counts == {"MEM_READ": 3 * n, "MEM_READ_REPLY": 2 * n,
-                          "MEM_LOCATION": n, "DIR_UPDATE": n, "DIR_ACK": n}
+                          "MEM_LOCATION": n, "DIR_UPDATE": n, "ACK": n}
 
     def test_file_program(self):
         """The file resides where ``main`` opened it; the reader's seek,

@@ -203,7 +203,7 @@ class TestObjects:
     def test_hops_send_what_the_protocol_says(self, fast_config):
         """The owner records a hop when it is the directory site (no
         message beyond the read and its reply); any other hop costs one
-        DIR_UPDATE to the homesite and its DIR_ACK."""
+        DIR_UPDATE to the homesite and its ACK."""
         cluster = SimCluster(nsites=3, config=fast_config)
         cluster.sim.run(until=0.2)
         a, b, c = cluster.sites
@@ -220,7 +220,7 @@ class TestObjects:
         assert sent() - before == 2
         read(cluster, c, addr)
         # MEM_READ to the homesite, MEM_LOCATION, MEM_READ to b, REPLY,
-        # DIR_UPDATE + DIR_ACK
+        # DIR_UPDATE + ACK
         assert sent() - before == 8
         assert c.attraction_memory.stats.get("dir_updates_sent").count == 1
         assert a.attraction_memory.dir_owner(addr) == c.site_id

@@ -183,7 +183,7 @@ class TestHeader:
 #: replies only their request reads: a late or duplicated copy is dropped
 #: by the site (the message manager counts it in ``orphan_replies``)
 REPLY_ONLY = {MsgType.CANT_HELP, MsgType.MEM_LOCATION, MsgType.MEM_NOT_FOUND,
-              MsgType.DIR_ACK, MsgType.RECOVER_ACK, MsgType.STATUS_REPLY,
+              MsgType.ACK, MsgType.STATUS_REPLY,
               MsgType.IO_FILE_READ_REPLY, MsgType.IO_FILE_WRITE_ACK}
 
 
@@ -215,6 +215,37 @@ class TestManagerTable:
                    if isinstance(node, ast.FunctionDef)
                    and node.name == "handle"]
         assert handles == []
+
+    def test_delivery_is_the_message_managers(self):
+        """Acking and resending are one rule in the message manager: each
+        must-arrive type is a handled request, no other module builds an
+        ACK and no module keeps a retry budget of its own."""
+        from repro.site.message_manager import MessageManager
+        assert MessageManager._MUST_ARRIVE == {
+            MsgType.DIR_UPDATE, MsgType.RECOVER_BEGIN, MsgType.RECOVER_STATE,
+            MsgType.RECOVER_DONE}
+        managers = SimCluster(nsites=1, config=SDVMConfig()).sites[0].managers
+        for msg_type in MessageManager._MUST_ARRIVE:
+            assert callable(getattr(managers[MESSAGE_TABLE[msg_type].owner],
+                                    HANDLER_OF[msg_type], None)), msg_type
+        src = pathlib.Path(repro.__file__).parent
+        acks, budgets = [], []
+        for path in sorted(src.rglob("*.py")):
+            where = str(path.relative_to(src))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "ACK"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "MsgType"):
+                    acks.append(where)
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]
+                           if isinstance(node, ast.AnnAssign) else [])
+                budgets += [f"{where}: {target.id}" for target in targets
+                            if isinstance(target, ast.Name)
+                            and target.id.startswith("_")
+                            and target.id.endswith("RETRIES")]
+        assert acks == ["site/message_manager.py"]
+        assert budgets == []
 
     def test_a_reply_without_handler_is_dropped(self):
         site = SimCluster(nsites=1, config=SDVMConfig()).sites[0]

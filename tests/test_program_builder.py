@@ -112,21 +112,9 @@ class TestProgram:
         table = app.thread_table()
         assert table["worker"] == (app.threads["worker"].thread_id, 3)
 
-    def test_thread_by_id(self):
-        app = build_two_thread_program()
-        tid = app.threads["worker"].thread_id
-        assert app.thread_by_id(tid).name == "worker"
-        with pytest.raises(ProgramError):
-            app.thread_by_id(999)
-
     def test_with_program_id_rebinds_all(self):
         app = build_two_thread_program().with_program_id(77)
         assert all(src.program == 77 for src in app.threads.values())
-
-    def test_metadata_wire(self):
-        meta = build_two_thread_program().metadata_wire()
-        assert meta["entry"] == "main"
-        assert len(meta["threads"]) == 2
 
 
 class TestSourceExtraction:

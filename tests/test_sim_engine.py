@@ -97,12 +97,6 @@ class TestControl:
         sim.cancel(event)
         assert sim.pending == 1
 
-    def test_peek_time_skips_cancelled(self, sim):
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.cancel(event)
-        assert sim.peek_time() == 2.0
-
 
 class TestErrors:
     def test_negative_delay(self, sim):

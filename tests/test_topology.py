@@ -12,12 +12,10 @@ class TestFactories:
     def test_full_mesh_direct(self):
         topo = Topology.full_mesh(4, latency=1e-3)
         assert topo.path_latency(0, 3) == pytest.approx(1e-3)
-        assert topo.hop_count(0, 3) == 1
 
     def test_switched_lan_two_hops(self):
         topo = Topology.switched_lan(4, latency=1e-3)
         assert topo.path_latency(0, 3) == pytest.approx(2e-3)
-        assert topo.hop_count(0, 3) == 2
 
     def test_star_routes_through_hub(self):
         topo = Topology.star(5, latency=1e-3)
@@ -59,19 +57,6 @@ class TestMutation:
         topo.add_node(0)
         topo.add_node(1)
         assert topo.path_latency(0, 1) == float("inf")
-
-    def test_remove_node_disconnects(self):
-        topo = Topology.line(3, latency=1.0)
-        topo.remove_node(1)
-        assert topo.path_latency(0, 2) == float("inf")
-
-    def test_link_down_and_up(self):
-        topo = Topology.full_mesh(3, latency=1.0)
-        topo.set_link_state(0, 1, up=False)
-        # reroute via node 2
-        assert topo.path_latency(0, 1) == pytest.approx(2.0)
-        topo.set_link_state(0, 1, up=True)
-        assert topo.path_latency(0, 1) == pytest.approx(1.0)
 
     def test_cache_invalidated_on_new_link(self):
         topo = Topology.line(3, latency=1.0)

@@ -122,7 +122,7 @@ class TestMemoryProtocolPrices:
     def test_a_wandering_object_is_priced_per_hop(self, fast_config):
         """One object read from b, c and back home over the message
         protocol: 4 MEM_READs and their 4 replies (one a redirect), one
-        DIR_UPDATE and its DIR_ACK, for 3 migrations."""
+        DIR_UPDATE and its ACK, for 3 migrations."""
         cluster = SimCluster(nsites=3, config=fast_config)
         cluster.sim.run(until=0.2)
         a, b, c = cluster.sites
