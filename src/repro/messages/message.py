@@ -160,7 +160,8 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
          "addr value owned epoch version recorded?"),
     _row(_T.MEM_WRITE, _M.ATTRACTION_MEMORY, "addr value hops?",
          forward=True),
-    _row(_T.MEM_OBJECT, _M.ATTRACTION_MEMORY, "state", forward=True),
+    _row(_T.MEM_OBJECT, _M.ATTRACTION_MEMORY, "state epoch",
+         forward=True),
     _row(_T.MEM_LOCATION, _M.ATTRACTION_MEMORY, "addr owner"),
     _row(_T.DIR_UPDATE, _M.ATTRACTION_MEMORY, "addr owner version epoch",
          forward=True, must_arrive=True),

@@ -104,6 +104,10 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: entry for entry.  ``homesite_crash`` and ``dir_shard_crash`` moved by
 #: that and by the shorter directory ack (14 or 19 B -> 13 B: no
 #: ``addr``), which lands up to 0.48 us sooner; no other entry changed.
+#: ``signoff_leaver_silence`` moved when MEM_OBJECT began to carry its
+#: sender's ``epoch`` (one byte more on the leaver's hand-off, which lands
+#: that much later); ``signoff_after_rollback`` is new: a hand-off cut
+#: before a rollback used to be adopted on top of the restored shards.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
@@ -126,8 +130,10 @@ PINNED_FINGERPRINTS = {
         "c3208ead4faacb2bba26af3138dc07d55e0617b39df9d9956c2fedae6502e943",
     "recover_done_overtakes_state.json":
         "ce9cfe13d3ac3e592ffe9c7251e1c64cb1f852030b2612a5841f766d9553baf2",
+    "signoff_after_rollback.json":
+        "79d0bce55a8964913a4aa03b2abca31d0f0786bcaf87826a5cd99925f4ea6f81",
     "signoff_leaver_silence.json":
-        "b7aff1239359aaf6621e237ba65282f2a7198664f6ae4317e6f35ba265312e2f",
+        "e07fc1ef89552ed59e7f15688b548a310a2e76bee77982ac86c642f799419613",
     "steal_batch_reorder.json":
         "6cb469849c0a26bdea8c24a3db71e78df3c0c2dd26643f6a71ae52b3ab1bef70",
     "wave_stall.json":
@@ -283,6 +289,7 @@ class TestCorpus:
                 "memory_partition.json",
                 "sdc_replicate_corrupt.json",
                 "signoff_leaver_silence.json",
+                "signoff_after_rollback.json",
                 "recover_done_overtakes_state.json"} <= names
         # the undefended twin fails by design, so it lives in a
         # subdirectory the corpus glob (and ``chaos corpus``) skip
@@ -357,6 +364,19 @@ class TestCorpus:
         failed, = [v for v in result.violations
                    if v.invariant == "completion"]
         assert "MemoryFault" in str(failed)
+
+    def test_stale_sign_off_hand_off_is_dropped(self):
+        """Site 1 crashes, site 3 signs off, and a delayed link holds the
+        leaver's MEM_OBJECT until after the rollback: the hand-off carries
+        the epoch it was cut in and its heir drops it, since the restored
+        shards already hold what it checkpointed.  Adopted, it used to make
+        memscatter return a wrong result (two owners with a longer delay)."""
+        result = corpus_result(os.path.join(CORPUS_DIR,
+                                            "signoff_after_rollback.json"))
+        assert result.ok, [str(v) for v in result.violations]
+        assert result.cluster.tracer.kinds().get("recovery_done", 0) >= 1
+        assert result.cluster.total_stats().get(
+            "stale_mem_objects_dropped").count >= 1
 
     def test_replay_is_bit_deterministic(self):
         first, second = verify_determinism(corpus_plan("crash_during_wave"))
