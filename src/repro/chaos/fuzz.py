@@ -69,12 +69,11 @@ def chaos_config(plan: FaultPlan) -> SDVMConfig:
     determinism witness and the monotonicity evidence, and a crashed
     site's flight dump comes out of it for free.
 
-    Plans bigger than the 16-peer sample window switch to ring-successor
-    heartbeats (full mesh is O(sites^2) per beat — a 256-site plan would
-    spend its whole event budget on liveness) and turn the load gossip
-    on, since blind begging is the very O(sites) regime the hot-peer
-    cache exists to avoid.  Small plans keep the historical config
-    bit-for-bit.
+    Plans bigger than the 16-peer sample window turn the load gossip on,
+    since blind begging is the very O(sites) regime the hot-peer cache
+    exists to avoid (their heartbeats ride a ring of successors by
+    themselves: ``ClusterManager.HEARTBEAT_RING``).  Small plans keep the
+    historical config bit-for-bit.
 
     The metrics sampler stays *off*: it would not change the replayed
     trajectory, but a health detector that fires journals a ``health``
@@ -91,8 +90,7 @@ def chaos_config(plan: FaultPlan) -> SDVMConfig:
                                     replicate_frac=plan.replicate_frac),
         cluster=ClusterConfig(heartbeats_enabled=True,
                               heartbeat_interval=0.05,
-                              heartbeat_timeout=0.25,
-                              heartbeat_fanout=3 if big else 0),
+                              heartbeat_timeout=0.25),
         checkpoint=CheckpointConfig(enabled=True,
                                     interval=plan.ckpt_interval),
     )

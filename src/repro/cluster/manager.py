@@ -629,17 +629,23 @@ class ClusterManager(Manager):
         self._check_liveness()
         self._schedule_heartbeat()
 
+    #: heartbeat partners per site beyond :attr:`PICK_SAMPLE` alive peers:
+    #: a site then beats to its ``HEARTBEAT_RING`` ring successors in
+    #: sorted-id order and watches its as many predecessors, turning the
+    #: O(sites^2) mesh into O(sites) (detection then relies on the
+    #: CRASH_NOTICE fan-out); at or below it every pair watches each other
+    HEARTBEAT_RING = 3
+
     def _heartbeat_targets(self) -> List[SiteRecord]:
-        """Full mesh by default; with ``heartbeat_fanout`` k > 0, the k
-        ring successors in sorted-id order (every site is then watched by
-        exactly its k predecessors instead of all n-1 peers)."""
-        fanout = self.config.cluster.heartbeat_fanout
+        """Every alive peer up to :attr:`PICK_SAMPLE` of them; beyond, the
+        :attr:`HEARTBEAT_RING` ring successors in sorted-id order (every
+        site is then watched by exactly its ring predecessors)."""
         ids = self._sorted_alive_peers
-        if fanout <= 0 or len(ids) <= fanout:
+        if len(ids) <= self.PICK_SAMPLE:
             return self.alive_peers()
         start = bisect_left(ids, self.local_id)
         return [self.sites[ids[(start + i) % len(ids)]]
-                for i in range(fanout)]
+                for i in range(self.HEARTBEAT_RING)]
 
     def _on_heartbeat(self, msg: SDMessage) -> None:
         """Nothing left to do: the message manager noted the envelope's
@@ -666,17 +672,16 @@ class ClusterManager(Manager):
     def _watched_records(self) -> List[SiteRecord]:
         """Peers whose silence this site is responsible for noticing.
 
-        Mirrors :meth:`_heartbeat_targets`: with a fanout only the ring
+        Mirrors :meth:`_heartbeat_targets`: on a ring only the ring
         predecessors heartbeat *to* us, so only their records are checked
         — any other peer's silence here is expected, not a crash.
         """
-        fanout = self.config.cluster.heartbeat_fanout
         ids = self._sorted_alive_peers
-        if fanout <= 0 or len(ids) <= fanout:
+        if len(ids) <= self.PICK_SAMPLE:
             return list(self.sites.values())
         start = bisect_left(ids, self.local_id)
         watched = []
-        for i in range(fanout):
+        for i in range(self.HEARTBEAT_RING):
             record = self.sites.get(ids[(start - 1 - i) % len(ids)])
             if record is not None:
                 watched.append(record)

@@ -154,12 +154,6 @@ class ClusterConfig:
     #: a partner sent nothing else during the period
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
-    #: heartbeat partners per tick: 0 sends to every alive peer (full
-    #: pairwise liveness, the default for small clusters); k > 0 sends to
-    #: the k ring successors in sorted-id order and watches only the k
-    #: predecessors, turning the O(sites^2) heartbeat mesh into O(sites*k)
-    #: for large clusters (detection then relies on CRASH_NOTICE fan-out)
-    heartbeat_fanout: int = 0
 
     def __post_init__(self) -> None:
         # a skipped beat lets a live peer fall silent for almost two

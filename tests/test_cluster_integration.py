@@ -419,28 +419,33 @@ class TestHeartbeats:
         assert not record.left  # crash, not orderly departure
 
     def test_fanout_ring_shift_grants_grace_to_new_watchees(self):
-        """Scaling-era regression: with ``heartbeat_fanout`` only the k
-        ring predecessors heartbeat to each site.  A death shifts the
-        ring, handing nearby watchers a peer they have *never* heard
-        from; before the watch-since grace window such a peer was
-        declared dead at the very next liveness check, cascading false
-        crashes around the ring (observed at 256 sites: one real crash
-        snowballed into 69 recoveries)."""
+        """Scaling-era regression: beyond ``PICK_SAMPLE`` alive peers only
+        the ``HEARTBEAT_RING`` ring predecessors heartbeat to each site.
+        A death shifts the ring, handing nearby watchers a peer they have
+        *never* heard from; before the watch-since grace window such a
+        peer was declared dead at the very next liveness check, cascading
+        false crashes around the ring (observed at 256 sites: one real
+        crash snowballed into 69 recoveries)."""
         config = SDVMConfig(cluster=ClusterConfig(
             heartbeats_enabled=True, heartbeat_interval=0.05,
-            heartbeat_timeout=0.2, heartbeat_fanout=2))
-        cluster = SimCluster(nsites=12, config=config)
+            heartbeat_timeout=0.2))
+        # 18 peers, 17 once site 5 is gone: the ring applies throughout
+        cluster = SimCluster(nsites=19, config=config)
         cluster.sim.run(until=0.5)
         watcher = cluster.sites[6].cluster_manager
-        # site 5 dies: watcher 6's watch set shifts {5, 4} -> {4, 3}
+        assert len(watcher.alive_peers()) > watcher.PICK_SAMPLE + 1
+        assert watcher.HEARTBEAT_RING == 3
+        assert [r.logical for r in watcher._watched_records()] == [5, 4, 3]
+        # site 5 dies: watcher 6's watch set shifts {5, 4, 3} -> {4, 3, 2}
         cluster.sites[5].crash()
         watcher.mark_dead(5)
-        # simulate a cold pair: 3 has never sent anything to 6
-        watcher.sites[3].last_seen = 0.0
+        assert [r.logical for r in watcher._watched_records()] == [4, 3, 2]
+        # simulate a cold pair: 2 has never sent anything to 6
+        watcher.sites[2].last_seen = 0.0
         watcher._check_liveness()
-        assert watcher.sites[3].alive, (
+        assert watcher.sites[2].alive, (
             "silence predating the watch is not evidence of a crash")
         # silence *since the watch started* must still detect for real
-        watcher._watch_since[3] = 0.0
+        watcher._watch_since[2] = 0.0
         watcher._check_liveness()
-        assert not watcher.sites[3].alive
+        assert not watcher.sites[2].alive
