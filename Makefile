@@ -26,14 +26,16 @@ perf-selfcheck:
 	$(PY) benchmarks/perf/selfcheck.py --quick
 
 # the trend line of ROADMAP aims 2 and 4 (least code, fewest knobs, one
-# ledger): source lines, dataclass fields declared in common/config.py and
-# the lines that count or journal a fact, in every CI log
+# ledger, the smallest protocol): source lines, dataclass fields declared
+# in common/config.py, the lines that count or journal a fact and the
+# message types (rows of messages.MESSAGE_TABLE), in every CI log
 size:
 	@echo "src_lines $$(find src -name '*.py' | xargs cat | wc -l)"
 	@$(PY) -c "import dataclasses as d, repro.common.config as c; \
 	print('config_fields', sum(len(d.fields(v)) for v in vars(c).values() \
 	if isinstance(v, type) and d.is_dataclass(v)))"
 	@echo "instrumentation_sites $$(grep -rE 'stats\.(inc|add|observe|set_gauge)\(|[a-z_]\.emit\(|self\._trace\(|\.note\(' src --include=*.py | grep -vcE '>>>|def ')"
+	@$(PY) -c "import repro.messages as m; print('msg_types', len(m.MESSAGE_TABLE))"
 
 # the line ledger of ROADMAP item 15: tier-1 under the stdlib tracer of
 # tests/linecov.py, then the unreached lines inside functions of src/repro

@@ -46,7 +46,7 @@ class CodeManager(Manager):
         #: event that ends the blame window)
         self._inflight_remote: Set[Key] = set()
         #: binary-only CODE_REQUESTs we cannot serve yet, parked until the
-        #: compile owner's CODE_PUSH_BINARY arrives (or we compile locally)
+        #: compile owner's CODE_BINARY arrives (or we compile locally)
         self._parked: Dict[Tuple[int, int, str], List[SDMessage]] = {}
         #: threads whose binary a compile owner elsewhere is producing for
         #: us (code-home side of the cluster-wide compile dedup): a demand
@@ -142,13 +142,12 @@ class CodeManager(Manager):
 
     def _adopt_stored_binary(self, pid: int,
                              tid: int) -> Optional[CompiledMicrothread]:
-        """Promote a binary received via CODE_PUSH_BINARY into the compiled
+        """Promote a binary received in a CODE_BINARY into the compiled
         cache, if one for our platform is stored here."""
         blob = self._binaries.get((pid, tid, self.platform))
         if blob is None:
             return None
-        src = (self._sources.get((pid, tid))
-               or self._meta_only_source(pid, tid))
+        src = self._source_of(pid, tid)
         if src is None:
             return None
         try:
@@ -156,6 +155,7 @@ class CodeManager(Manager):
         except CodeError as exc:
             self.log("stored binary for (%d, %d) unusable: %s",
                      pid, tid, exc)
+            del self._binaries[(pid, tid, self.platform)]  # serve it to no one
             return None
         self._compiled[(pid, tid)] = compiled
         return compiled
@@ -172,7 +172,7 @@ class CodeManager(Manager):
         Compiles are deduplicated cluster-wide.  The code home compiles
         only the entry thread eagerly (a program submit demands it
         immediately anyway) and marks every other thread as expected via
-        a peer's CODE_PUSH_BINARY, so a local demand defers briefly
+        a peer's CODE_BINARY push, so a local demand defers briefly
         instead of duplicating a compile already running elsewhere.  Each
         non-home site takes compile duty for the non-entry thread at duty
         index ``(local_id - code_home - 1) mod T`` — a pure function of
@@ -298,15 +298,11 @@ class CodeManager(Manager):
         blob = binary_from_compiled(compiled)
         for target in targets:
             self.site.message_manager.send(SDMessage(
-                type=MsgType.CODE_PUSH_BINARY,
+                type=MsgType.CODE_BINARY,
                 src_site=self.local_id, dst_site=target,
                 program=compiled.program,
-                payload={
-                    "pid": compiled.program,
-                    "tid": compiled.thread_id,
-                    "platform": compiled.platform,
-                    "binary": blob,
-                },
+                payload={"tid": compiled.thread_id,
+                         "platform": compiled.platform, "binary": blob},
             ))
             self.stats.inc("binaries_pushed")
 
@@ -331,7 +327,7 @@ class CodeManager(Manager):
             type=MsgType.CODE_REQUEST,
             src_site=self.local_id, dst_site=target,
             program=pid,
-            payload={"pid": pid, "tid": tid, "platform": self.platform,
+            payload={"tid": tid, "platform": self.platform,
                      "binary_only": binary_only},
         )
         self._inflight_remote.add(key)
@@ -347,47 +343,36 @@ class CodeManager(Manager):
             self._finish(key, None)
 
     def _on_code_reply(self, msg: SDMessage) -> None:
-        pid = msg.payload["pid"]
-        tid = msg.payload["tid"]
-        key = (pid, tid)
-        if msg.type == MsgType.CODE_REPLY_BINARY:
-            meta = msg.payload["meta"]
-            src = MicrothreadSource.from_wire(meta)
-            try:
-                compiled = compiled_from_binary(
-                    msg.payload["binary"], src, self.platform)
-            except CodeError as exc:
-                self.log("binary for %s unusable: %s", src.name, exc)
-                self._finish(key, None)
-                return
-            self._compiled[key] = compiled
-            self.stats.inc("binaries_received")
-            self._finish(key, compiled)
-        elif msg.type == MsgType.CODE_REPLY_SOURCE:
-            src = MicrothreadSource.from_wire(msg.payload["source"])
-            self.store_source(src)
-            self.stats.inc("sources_received")
-            self._compile_local(src)
-        elif msg.type == MsgType.CODE_NOT_FOUND:
-            self._finish(key, None)
+        """A fetch's answer goes where a late copy of it would."""
+        if msg.type == MsgType.CODE_BINARY:
+            self._on_code_binary(msg)
         else:
-            self.log("unexpected code reply %s", msg.type.name)
+            self._on_code_source(msg)
+
+    def _on_code_source(self, msg: SDMessage) -> None:
+        """The home's source text, to compile here; with none the home has
+        neither binary nor source, and the fetch ends empty.  The text's
+        thread comes from our own ``ProgramInfo``."""
+        key = (msg.program, msg.payload["tid"])
+        src = self._source_of(*key, msg.payload.get("source"))
+        if src is None:
             self._finish(key, None)
+            return
+        self.store_source(src)
+        self.stats.inc("sources_received")
+        self._compile_local(src)
 
-    # a reply that arrived after its request timed out is still useful
-    _on_code_reply_binary = _on_code_reply_source = _on_code_not_found = (
-        _on_code_reply)
-
-    # ------------------------------------------------------------------
-    # serving other sites
-
-    def _on_code_push_binary(self, msg: SDMessage) -> None:
-        payload = msg.payload
-        key = (payload["pid"], payload["tid"])
-        self._binaries[(payload["pid"], payload["tid"],
-                        payload["platform"])] = payload["binary"]
-        self.stats.inc("binaries_stored")
-        if payload["platform"] == self.platform:
+    def _on_code_binary(self, msg: SDMessage) -> None:
+        """One platform's binary, whether it answers our fetch
+        (``reply_to >= 0``) or a compile owner pushed it here (§4): store
+        it, adopt it for whoever waits on it, and serve the binary-only
+        requests parked on it."""
+        pid, tid = key = (msg.program, msg.payload["tid"])
+        platform = msg.payload["platform"]
+        answer = msg.reply_to >= 0
+        self._binaries[(pid, tid, platform)] = msg.payload["binary"]
+        self.stats.inc("binaries_received" if answer else "binaries_stored")
+        if platform == self.platform:
             # only a binary we can run ends the wait: a peer on another
             # platform pushes its own, and disarming the fallback for
             # that would park a deferred local demand for ever
@@ -396,86 +381,79 @@ class CodeManager(Manager):
             if timer is not None:
                 self.kernel.cancel(timer)
         if key in self._pending and key not in self._compiled:
-            # a demand parked on this push (or a remote fetch raced
-            # it): resolve the waiters straight from the fresh binary
-            compiled = self._adopt_stored_binary(*key)
-            if compiled is not None:
+            # a demand parked on a push, or our own fetch: resolve the
+            # waiters straight from the fresh binary.  An answer ends the
+            # fetch even when unusable; a push for another platform leaves
+            # the waiters parked
+            compiled = self._adopt_stored_binary(pid, tid)
+            if compiled is not None or answer:
                 self._finish(key, compiled)
-        self._serve_parked(payload["pid"], payload["tid"])
+        self._serve_parked(pid, tid)
+
+    # ------------------------------------------------------------------
+    # serving other sites
 
     def _on_code_request(self, msg: SDMessage) -> None:
-        pid = msg.payload["pid"]
-        tid = msg.payload["tid"]
+        pid, tid = key = (msg.program, msg.payload["tid"])
         platform = msg.payload["platform"]
-        key = (pid, tid)
-        # 1) a stored binary for the requested platform
-        blob = self._binaries.get((pid, tid, platform))
-        if blob is None:
-            compiled = self._compiled.get(key)
-            if compiled is not None and compiled.platform == platform:
-                blob = binary_from_compiled(compiled)
-        src = self._sources.get(key)
+        # 1) a binary for the requested platform
+        blob = self._binary_for(pid, tid, platform)
         if blob is not None:
-            meta_src = src or self._meta_only_source(pid, tid)
-            if meta_src is not None:
-                self.site.message_manager.send(make_reply(
-                    msg, MsgType.CODE_REPLY_BINARY, {
-                        "pid": pid, "tid": tid,
-                        "binary": blob,
-                        "meta": meta_src.to_wire(),
-                    }))
-                return
+            self._reply_binary(msg, blob)
+            return
+        src = self._sources.get(key)
         # 2) a binary-only request (cluster-wide compile dedup): park it
-        # until the compile owner's CODE_PUSH_BINARY lands here, instead
-        # of handing out source and triggering a thundering herd of
-        # identical compiles; the requester's timeout bounds the wait
+        # until the compile owner's CODE_BINARY lands here, instead of
+        # handing out source and triggering a thundering herd of identical
+        # compiles; the requester's timeout bounds the wait
         if msg.payload["binary_only"] and src is not None:
             self._parked.setdefault((pid, tid, platform), []).append(msg)
             return
-        # 3) source, for the requester to compile on the fly
+        # 3) source, for the requester to compile on the fly; no text
+        # when we have none either
+        reply = make_reply(msg, MsgType.CODE_SOURCE, {"tid": tid})
         if src is not None:
-            self.site.message_manager.send(make_reply(
-                msg, MsgType.CODE_REPLY_SOURCE, {
-                    "pid": pid, "tid": tid,
-                    "source": src.to_wire(),
-                }))
-            return
-        self.site.message_manager.send(make_reply(
-            msg, MsgType.CODE_NOT_FOUND, {"pid": pid, "tid": tid}))
+            reply.payload["source"] = src.source
+        self.site.message_manager.send(reply)
 
     def _serve_parked(self, pid: int, tid: int) -> None:
         """Answer binary-only requests parked for ``(pid, tid)`` now that a
         binary (pushed by the compile owner, or compiled here) exists."""
         for key in [k for k in self._parked if k[:2] == (pid, tid)]:
-            platform = key[2]
-            blob = self._binaries.get(key)
-            if blob is None:
-                compiled = self._compiled.get((pid, tid))
-                if compiled is not None and compiled.platform == platform:
-                    blob = binary_from_compiled(compiled)
-            if blob is None:
-                continue
-            meta_src = (self._sources.get((pid, tid))
-                        or self._meta_only_source(pid, tid))
-            if meta_src is None:
-                continue
-            for msg in self._parked.pop(key):
-                self.site.message_manager.send(make_reply(
-                    msg, MsgType.CODE_REPLY_BINARY, {
-                        "pid": pid, "tid": tid,
-                        "binary": blob,
-                        "meta": meta_src.to_wire(),
-                    }))
+            blob = self._binary_for(*key)
+            if blob is not None:
+                for msg in self._parked.pop(key):
+                    self._reply_binary(msg, blob)
 
-    def _meta_only_source(self, pid: int,
-                          tid: int) -> Optional[MicrothreadSource]:
-        """Thread metadata without source text (for binary-only replies)."""
-        if not self.site.program_manager.knows(pid):
+    def _binary_for(self, pid: int, tid: int,
+                    platform: str) -> Optional[bytes]:
+        """A binary of ``(pid, tid)`` for ``platform``: a stored one, or
+        our compiled copy's if it is for that platform."""
+        blob = self._binaries.get((pid, tid, platform))
+        if blob is None:
+            compiled = self._compiled.get((pid, tid))
+            if compiled is not None and compiled.platform == platform:
+                blob = binary_from_compiled(compiled)
+        return blob
+
+    def _reply_binary(self, request: SDMessage, blob: bytes) -> None:
+        self.site.message_manager.send(make_reply(
+            request, MsgType.CODE_BINARY, {
+                "tid": request.payload["tid"],
+                "platform": request.payload["platform"], "binary": blob}))
+
+    def _source_of(self, pid: int, tid: int,
+                   text: object = "") -> Optional[MicrothreadSource]:
+        """Thread ``tid`` of program ``pid`` as this site's ``ProgramInfo``
+        describes it, with ``text`` as its source; None when the program or
+        the thread is unknown here or ``text`` is not a string."""
+        programs = self.site.program_manager
+        if not isinstance(text, str) or not programs.knows(pid):
             return None
-        info = self.site.program_manager.get(pid)
-        for name, (thread_id, nparams, work, creates) in info.threads.items():
+        for name, (thread_id, nparams, work, creates) in programs.get(
+                pid).threads.items():
             if thread_id == tid:
                 return MicrothreadSource(
-                    thread_id=tid, name=name, program=pid, source="",
+                    thread_id=tid, name=name, program=pid, source=text,
                     nparams=nparams, work_hint=work, creates=creates)
         return None

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import marshal
 import types
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict
 
 from repro.common.errors import CodeError
 
@@ -42,7 +42,8 @@ _SAFE_BUILTINS = {
 
 @dataclass(frozen=True, slots=True)
 class MicrothreadSource:
-    """The shippable definition of one microthread."""
+    """One microthread: the source text a site compiles and the CDAG
+    metadata every site knows from its program info."""
 
     thread_id: int
     name: str
@@ -60,32 +61,6 @@ class MicrothreadSource:
     def source_size(self) -> int:
         return len(self.source.encode("utf-8"))
 
-    def to_wire(self) -> dict:
-        return {
-            "thread": self.thread_id,
-            "name": self.name,
-            "program": self.program,
-            "source": self.source,
-            "nparams": self.nparams,
-            "work_hint": self.work_hint,
-            "creates": tuple(self.creates),
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "MicrothreadSource":
-        try:
-            return cls(
-                thread_id=data["thread"],
-                name=data["name"],
-                program=data["program"],
-                source=data["source"],
-                nparams=data["nparams"],
-                work_hint=data["work_hint"],
-                creates=tuple(data["creates"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise CodeError(f"malformed microthread on wire: {exc}") from exc
-
 
 @dataclass(slots=True)
 class CompiledMicrothread:
@@ -99,8 +74,6 @@ class CompiledMicrothread:
     nparams: int
     #: size of the binary blob (drives code-transfer message sizes)
     binary_size: int = 0
-    #: retained so a binary holder can still serve source requests
-    source: Optional[MicrothreadSource] = None
 
 
 def compile_microthread(src: MicrothreadSource,
@@ -132,7 +105,6 @@ def compile_microthread(src: MicrothreadSource,
         entry=entry,
         nparams=src.nparams,
         binary_size=len(blob),
-        source=src,
     )
 
 
@@ -160,5 +132,4 @@ def compiled_from_binary(blob: bytes, src: MicrothreadSource,
         entry=entry,
         nparams=src.nparams,
         binary_size=len(blob),
-        source=src,
     )

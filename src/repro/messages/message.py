@@ -28,10 +28,8 @@ class MsgType(enum.IntEnum):
 
     # -- code distribution (§3.4, §4 code manager)
     CODE_REQUEST = 20          # need microthread (thread id, platform id)
-    CODE_REPLY_BINARY = 21     # platform-matching binary
-    CODE_REPLY_SOURCE = 22     # source only; requester compiles on the fly
-    CODE_PUSH_BINARY = 23      # freshly compiled binary -> distribution site
-    CODE_NOT_FOUND = 24
+    CODE_SOURCE = 22           # source text to compile on the fly, if any
+    CODE_BINARY = 23           # a platform's binary: fetched or pushed
 
     # -- attraction memory / COMA (§4 attraction memory)
     APPLY_RESULT = 30          # write a parameter into a waiting microframe
@@ -145,13 +143,10 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
          "frame thread targets args oplog now work", data="args"),
     _row(_T.VERDICT, _M.PROCESSING, "tainted effects", data="effects"),
     # -- code distribution
-    _row(_T.CODE_REQUEST, _M.CODE, "pid tid platform binary_only",
+    _row(_T.CODE_REQUEST, _M.CODE, "tid platform binary_only",
          forward=True),
-    _row(_T.CODE_REPLY_BINARY, _M.CODE, "pid tid binary meta"),
-    _row(_T.CODE_REPLY_SOURCE, _M.CODE, "pid tid source"),
-    _row(_T.CODE_PUSH_BINARY, _M.CODE, "pid tid platform binary",
-         forward=True),
-    _row(_T.CODE_NOT_FOUND, _M.CODE, "pid tid"),
+    _row(_T.CODE_SOURCE, _M.CODE, "tid source?"),
+    _row(_T.CODE_BINARY, _M.CODE, "tid platform binary", forward=True),
     # -- attraction memory
     _row(_T.APPLY_RESULT, _M.ATTRACTION_MEMORY, "addr slot value epoch",
          forward=True, data="value"),

@@ -372,8 +372,8 @@ class TestHeterogeneous:
     def test_foreign_platform_push_keeps_fallback_armed(self, app, nsites,
                                                         seed):
         """Regression: the code home defers a demand because a peer holds
-        the compile duty (``compile_deferrals``), the peer's
-        CODE_PUSH_BINARY arrives — for the *peer's* platform — and used to
+        the compile duty (``compile_deferrals``), the peer's CODE_BINARY
+        push arrives — for the *peer's* platform — and used to
         cancel the fallback timer, so the demand waited for ever ("no
         progress for 30 virtual seconds" at every seed).  Only a binary
         for the local platform may disarm the fallback."""

@@ -287,6 +287,23 @@ def _literal_payloads(root):
     return found
 
 
+#: the types some module of ``src/`` sends with a dict-literal payload
+LITERAL_SENT = {
+    MsgType.CANT_HELP, MsgType.VERDICT, MsgType.CODE_REQUEST,
+    MsgType.CODE_SOURCE, MsgType.CODE_BINARY, MsgType.APPLY_RESULT,
+    MsgType.MEM_READ, MsgType.MEM_WRITE, MsgType.MEM_OBJECT,
+    MsgType.MEM_LOCATION, MsgType.DIR_UPDATE, MsgType.FRAME_TRANSFER,
+    MsgType.MEM_NOT_FOUND, MsgType.SIGN_ON, MsgType.SIGN_OFF,
+    MsgType.PROGRAM_TERMINATED, MsgType.PROGRAM_RESULT, MsgType.IO_OUTPUT,
+    MsgType.IO_FILE_OPEN, MsgType.IO_FILE_READ, MsgType.IO_FILE_WRITE,
+    MsgType.IO_FILE_CLOSE, MsgType.CHECKPOINT_BEGIN,
+    MsgType.CHECKPOINT_STATE, MsgType.CHECKPOINT_ACK,
+    MsgType.CHECKPOINT_COMMIT, MsgType.CRASH_NOTICE, MsgType.RECOVER_BEGIN,
+    MsgType.RECOVER_STATE, MsgType.RECOVER_DONE, MsgType.CHECKPOINT_REPLICA,
+    MsgType.KEY_EXCHANGE_INIT, MsgType.KEY_EXCHANGE_REPLY,
+    MsgType.STATUS_REPLY}
+
+
 class TestMessageTable:
     """One row per type names its owner, its payload fields in wire order
     (which of them every sender fills in), whether a departed site relays
@@ -294,7 +311,9 @@ class TestMessageTable:
 
     def test_every_literal_payload_key_is_in_its_row(self):
         found = _literal_payloads(pathlib.Path(repro.__file__).parent)
-        assert len(found) >= 40  # the scan sees the senders
+        # the scan sees every type some sender writes as a dict literal:
+        # one that goes blind on a type fails here, whatever the count
+        assert {mtype for mtype, _keys, _where in found} == LITERAL_SENT
         strays = [f"{where}: {mtype.name} {key!r}"
                   for mtype, keys, where in found for key in keys
                   if key not in MESSAGE_TABLE[mtype].fields]
@@ -306,7 +325,7 @@ class TestMessageTable:
         assert MessageManager._FORWARDABLE == {
             MsgType.APPLY_RESULT, MsgType.FRAME_TRANSFER, MsgType.MEM_READ,
             MsgType.MEM_WRITE, MsgType.MEM_OBJECT, MsgType.DIR_UPDATE,
-            MsgType.CODE_REQUEST, MsgType.CODE_PUSH_BINARY,
+            MsgType.CODE_REQUEST, MsgType.CODE_BINARY,
             MsgType.HELP_REQUEST, MsgType.SIGN_ON,
             MsgType.PROGRAM_REGISTER, MsgType.IO_OUTPUT}
         assert ChaosController._WIRE_KEYS == {

@@ -70,11 +70,15 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 #: the shard's ``msg_send`` 2 B smaller and what follows it sooner.
 #: And again when shards went zlib-compressed: the same 256 events in
 #: the same order, the shard's ``msg_send`` 263 -> 199 B and the 241
-#: events after it sooner.
+#: events after it sooner.  Both were re-pinned when a code reply stopped
+#: carrying its thread's metadata (CODE_BINARY is ``tid platform
+#: binary``): no code message falls in either window, and every dump
+#: holds the same events in the same order, each up to 17 us (crash) or
+#: 39 us (invariant) sooner.
 CRASH_DUMP_SHA256 = (
-    "196ea3e1c7482555424deeea8957b0073910be01b58ba426a31a264dce28c493")
+    "9315f9bf0f781bd589ae00b009beb06356196296b353f721168e7b2897ca7ea1")
 INVARIANT_DUMPS_SHA256 = (
-    "f7823ec0119b41f4f8b25806a5c8aa8372bbe9cce09a735eb3504503c6747ce4")
+    "16175f3dc194e28edce605e0f9747773ca02b01a9cde88f6ebda7f8fd5ee5640")
 
 
 def sha256_json(obj):
