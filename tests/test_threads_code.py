@@ -100,7 +100,7 @@ class TestWire:
 
     def test_parked_binary_answer_carries_no_source(self):
         home, req, cluster, pid = formed_pair()
-        tid, name, nparams = thread_of(home, pid, "worker")
+        tid, nparams = thread_of(home, pid, "worker")
         sent = spy_sends(home)
         got = []
         req.code_manager.get(pid, tid, got.append, binary_only=True)
@@ -113,7 +113,7 @@ class TestWire:
         assert set(answer.payload) == {"tid", "platform", "binary"}
         compiled, = got
         assert (compiled.name, compiled.nparams, compiled.thread_id) == (
-            name, nparams, tid)
+            "worker", nparams, tid)
         assert compiled.entry(FakeCtx(), 3) is None
         assert req.code_manager.stats.get("binaries_received").count == 1
 
@@ -122,7 +122,7 @@ class TestWire:
         empty CODE_SOURCE: the fetch ends with None, and the scheduler
         re-queues the frame (three retries, then the program fails)."""
         home, req, cluster, pid = formed_pair()
-        tid, _name, _nparams = thread_of(home, pid, "worker")
+        tid, _nparams = thread_of(home, pid, "worker")
         home.code_manager._sources.clear()
         sent = spy_sends(home)
         sched = req.scheduling_manager
@@ -142,9 +142,9 @@ class TestWire:
     @pytest.mark.parametrize("case", ["unknown thread", "text not a str"])
     def test_source_the_requester_cannot_place_ends_the_fetch(self, case):
         home, req, cluster, pid = formed_pair()
-        tid, name, _nparams = thread_of(home, pid, "worker")
+        tid, _nparams = thread_of(home, pid, "worker")
         if case == "unknown thread":
-            del req.program_manager.get(pid).threads[name]
+            del req.program_manager.get(pid).threads["worker"]
         else:
             sources = home.code_manager._sources
             sources[pid, tid] = replace(sources[pid, tid], source=b"x")
@@ -181,9 +181,10 @@ def formed_pair():
 
 
 def thread_of(site, pid, name):
+    """The thread id and parameter count ``site`` knows for ``name``."""
     tid, nparams, _work, _creates = site.program_manager.get(pid).threads[
         name]
-    return tid, name, nparams
+    return tid, nparams
 
 
 def spy_sends(site):
