@@ -148,16 +148,10 @@ class ClusterManager(Manager):
             current = record.heir
         return current
 
-    def record_of(self, logical: int) -> Optional[SiteRecord]:
-        """The record of a resolvable (alive) site, or None."""
-        record = self.sites.get(logical)
-        if record is None or not record.alive:
-            return None
-        return record
-
     def physical_of(self, logical: int) -> Optional[str]:
-        record = self.record_of(logical)
-        return None if record is None else record.physical
+        """The address of an alive site, or None."""
+        record = self.sites.get(logical)
+        return None if record is None or not record.alive else record.physical
 
     def alive_peers(self) -> List[SiteRecord]:
         """Alive peer records, cached between membership changes.
@@ -528,13 +522,14 @@ class ClusterManager(Manager):
         leaver = msg.payload["leaver"]
         heir = msg.payload["heir"]
         record = self.sites.get(leaver)
-        if record is not None:
-            was_alive = record.alive
-            record.alive = False
-            record.left = True
-            record.heir = heir
-            if was_alive:
-                self._note_departed(leaver)
+        if record is None or (record.left and record.heir == heir):
+            return  # a resend, or a leaver we never knew
+        was_alive = record.alive
+        record.alive = False
+        record.left = True
+        record.heir = heir
+        if was_alive:
+            self._note_departed(leaver)
         self.note("site_leave", leaver, heir)
 
     def _on_crash_notice(self, msg: SDMessage) -> None:
@@ -587,12 +582,13 @@ class ClusterManager(Manager):
         from its watch set on this message, and a leaver that drains past
         ``heartbeat_timeout`` must not declare the live cluster crashed."""
         self._cancel_heartbeat()
+        timeout = self.site.crash_manager.settle_delay()
         for peer in self.alive_peers():
-            self.site.message_manager.send(SDMessage(
+            self.site.message_manager.request(SDMessage(
                 type=MsgType.SIGN_OFF,
                 src_site=self.local_id, dst_site=peer.logical,
                 payload={"leaver": self.local_id, "heir": heir},
-            ))
+            ), on_reply=lambda _ack: None, timeout=timeout)
 
     # -- heartbeats ---------------------------------------------------------
     def on_start(self) -> None:

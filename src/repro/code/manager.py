@@ -227,8 +227,10 @@ class CodeManager(Manager):
                 in sorted(info.threads.items(), key=_cdag_priority)
                 if name != info.entry]
 
-    def _push_expected(self, key: Key) -> bool:
-        """Is some alive peer on compile duty for ``key`` right now?
+    def _push_expected(self, key: Key, platform: Optional[str] = None,
+                       requester: int = -1) -> bool:
+        """Is some alive peer on compile duty for ``key`` right now — one
+        of ``platform`` other than ``requester``, when they are given?
 
         Decided at demand time (registration happens before the cluster
         has signed on, when the membership view is empty): the home only
@@ -247,7 +249,8 @@ class CodeManager(Manager):
         nt = len(order)
         return any((r.logical - info.code_home - 1) % nt == idx
                    for r in self.site.cluster_manager.alive_peers()
-                   if r.logical != info.code_home)
+                   if r.logical not in (info.code_home, requester)
+                   and platform in (None, r.platform))
 
     def _finish(self, key: Key,
                 compiled: Optional[CompiledMicrothread]) -> None:
@@ -405,8 +408,11 @@ class CodeManager(Manager):
         # 2) a binary-only request (cluster-wide compile dedup): park it
         # until the compile owner's CODE_BINARY lands here, instead of
         # handing out source and triggering a thundering herd of identical
-        # compiles; the requester's timeout bounds the wait
-        if msg.payload["binary_only"] and src is not None:
+        # compiles; the requester's timeout bounds the wait.  For another
+        # platform than ours, only while a peer of it has the duty
+        if (msg.payload["binary_only"] and src is not None
+                and (platform == self.platform or self._push_expected(
+                    key, platform, msg.src_site))):
             self._parked.setdefault((pid, tid, platform), []).append(msg)
             return
         # 3) source, for the requester to compile on the fly; no text

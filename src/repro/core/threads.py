@@ -72,8 +72,6 @@ class CompiledMicrothread:
     platform: str
     entry: Callable[..., Any]
     nparams: int
-    #: size of the binary blob (drives code-transfer message sizes)
-    binary_size: int = 0
 
 
 def compile_microthread(src: MicrothreadSource,
@@ -96,7 +94,6 @@ def compile_microthread(src: MicrothreadSource,
     if not callable(entry):
         raise CodeError(
             f"microthread source must define a function {src.name!r}")
-    blob = marshal.dumps(entry.__code__)
     return CompiledMicrothread(
         thread_id=src.thread_id,
         name=src.name,
@@ -104,7 +101,6 @@ def compile_microthread(src: MicrothreadSource,
         platform=platform,
         entry=entry,
         nparams=src.nparams,
-        binary_size=len(blob),
     )
 
 
@@ -131,5 +127,4 @@ def compiled_from_binary(blob: bytes, src: MicrothreadSource,
         platform=platform,
         entry=entry,
         nparams=src.nparams,
-        binary_size=len(blob),
     )

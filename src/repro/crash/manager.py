@@ -4,7 +4,7 @@ A checkpoint shard is packed once (serialised, then zlib-compressed), by
 the site that cuts it (``_on_snapshot_request``), and is opaque ``bytes``
 from there on: CHECKPOINT_STATE, ``committed``, CHECKPOINT_REPLICA and
 RECOVER_STATE (and its resends) carry the same value; only
-``_on_recover_state`` unpacks it.
+``_on_recover_state`` unpacks it, as it unpacks a leaver's hand-off.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class CrashManager(Manager):
         #: whose RECOVER_STATE is not yet settled, and None until the
         #: settle delay has passed
         self._recovery_waits: Set[Optional[int]] = set()
-        #: (epoch, shard) pairs already adopted (duplicate-delivery fence)
+        #: (epoch, sender, shard) already adopted (duplicate-delivery fence)
         self._recover_shards_applied: Set[tuple] = set()
         #: (wave, coordinator) while waiting for local executions to drain
         self._pending_ack: Optional[tuple] = None
@@ -106,7 +106,7 @@ class CrashManager(Manager):
         pool = reliable if reliable else [r.logical for r in records]
         return self.local_id == min(pool)
 
-    def _settle_delay(self) -> float:
+    def settle_delay(self) -> float:
         # long enough for every pre-pause message to land
         return 6.0 * self.config.network.latency + 2e-3
 
@@ -265,7 +265,7 @@ class CrashManager(Manager):
             return
         self._acks_pending.discard(src)
         if not self._acks_pending:
-            self.kernel.call_later(self._settle_delay(),
+            self.kernel.call_later(self.settle_delay(),
                                    self._request_snapshots, wave)
 
     def _request_snapshots(self, wave: int) -> None:
@@ -443,7 +443,7 @@ class CrashManager(Manager):
             self._send_recover(logical, MsgType.RECOVER_BEGIN,
                                {"epoch": new_epoch, "dead": dead,
                                 "heir": self.local_id})
-        self.kernel.call_later(self._settle_delay(),
+        self.kernel.call_later(self.settle_delay(),
                                self._distribute_snapshot, dead, set(alive),
                                self._recover_seq)
 
@@ -467,7 +467,7 @@ class CrashManager(Manager):
         if record is None or not record.alive:
             settled()
             return
-        timeout = self._settle_delay()
+        timeout = self.settle_delay()
         if mtype == MsgType.RECOVER_STATE:
             nbytes = len(payload["state"])
             self.stats.add("snapshot_bytes", nbytes)
@@ -477,6 +477,17 @@ class CrashManager(Manager):
                 on_reply=lambda reply: settled(),
                 timeout=timeout, on_timeout=settled):
             settled()
+
+    def hand_off(self, heir: int, settled: Callable[[], None]) -> None:
+        """Relocate a leaver's state to ``heir`` (§3.4) as a shard: packed
+        like a cut, must-arrive, fenced by epoch; its sender keeps it apart
+        from a recovery's shard of this site in the duplicate fence."""
+        blob = pack_shard(self.site.attraction_memory.export_state(),
+                          self._charge_codec)
+        heir = self.site.cluster_manager.effective_site(heir)  # if it left
+        self._send_recover(heir, MsgType.RECOVER_STATE,
+                           {"state": blob, "epoch": self.site.epoch,
+                            "shard": self.local_id}, settled)
 
     def _on_recover_begin(self, msg: SDMessage) -> bool:
         payload = msg.payload
@@ -520,7 +531,7 @@ class CrashManager(Manager):
                                 "shard": shard_site},
                                settled=partial(self._recovery_step_done,
                                                shard_site, alive, seq))
-        self.kernel.call_later(self._settle_delay(), self._recovery_step_done,
+        self.kernel.call_later(self.settle_delay(), self._recovery_step_done,
                                None, alive, seq)
 
     def _recovery_step_done(self, step: Optional[int], alive: Set[int],
@@ -555,8 +566,10 @@ class CrashManager(Manager):
             # have actually entered the new epoch
             return False
         if epoch < self.site.epoch:
+            # cut before the last rollback, whose shards restored it
+            self.stats.inc("stale_shards_dropped")
             return True
-        key = (epoch, payload["shard"])
+        key = (epoch, msg.src_site, payload["shard"])
         if key in self._recover_shards_applied:
             return True
         self._recover_shards_applied.add(key)
@@ -569,7 +582,7 @@ class CrashManager(Manager):
             if type(state) is not dict:
                 raise SerializationError("not a serialised state dict")
         except SerializationError as exc:
-            self._malformed_shard("RECOVER_STATE", key[1], exc)
+            self._malformed_shard("RECOVER_STATE", key[2], exc)
             return True
         self.site.attraction_memory.adopt_state(state)
         return True

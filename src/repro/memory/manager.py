@@ -570,23 +570,6 @@ class AttractionMemory(Manager):
         self._published_at.clear()
         self.dir_entries.clear()
 
-    def send_state_to_heir(self, heir: int) -> None:
-        self.site.message_manager.send(SDMessage(
-            type=MsgType.MEM_OBJECT,
-            src_site=self.local_id, dst_site=heir,
-            payload={"state": self.export_state(),
-                     "epoch": self.site.epoch},
-        ))
-
-    def _on_mem_object(self, msg: SDMessage) -> None:
-        if self._stale_epoch(msg.payload):
-            # a hand-off cut before the last rollback: the restored shards
-            # already hold the leaver's checkpointed state, and adopting
-            # the stale copy on top would fork ownership
-            self.stats.inc("stale_mem_objects_dropped")
-            return
-        self.adopt_state(msg.payload["state"])
-
     def adopt_state(self, state: dict) -> None:
         """Adopt a departed/recovered site's frames, objects, directory.
 

@@ -36,7 +36,6 @@ class MsgType(enum.IntEnum):
     MEM_READ = 31              # request a memory object's value
     MEM_READ_REPLY = 32
     MEM_WRITE = 33             # update a memory object
-    MEM_OBJECT = 35            # object transfer (migration payload)
     MEM_LOCATION = 36          # directory redirect: "object now lives at X"
     DIR_UPDATE = 37            # owner publishes ownership to the homesite
     FRAME_TRANSFER = 38        # a microframe migrates (help reply / relocation)
@@ -71,7 +70,7 @@ class MsgType(enum.IntEnum):
     CHECKPOINT_COMMIT = 83     # wave complete; snapshot becomes "last good"
     CRASH_NOTICE = 84          # heartbeat timeout observed for a site
     RECOVER_BEGIN = 85         # coordinator starts rollback
-    RECOVER_STATE = 86         # snapshot shard restored onto a survivor
+    RECOVER_STATE = 86         # a shard to restore, or a leaver's hand-off
     RECOVER_DONE = 87
     CHECKPOINT_REPLICA = 88    # committed snapshot copied to backup sites
 
@@ -155,8 +154,6 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
          "addr value owned epoch version recorded?"),
     _row(_T.MEM_WRITE, _M.ATTRACTION_MEMORY, "addr value hops?",
          forward=True),
-    _row(_T.MEM_OBJECT, _M.ATTRACTION_MEMORY, "state epoch",
-         forward=True),
     _row(_T.MEM_LOCATION, _M.ATTRACTION_MEMORY, "addr owner"),
     _row(_T.DIR_UPDATE, _M.ATTRACTION_MEMORY, "addr owner version epoch",
          forward=True, must_arrive=True),
@@ -168,7 +165,7 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
          "physical platform speed name code_distribution reliable",
          forward=True),
     _row(_T.SIGN_ON_ACK, _M.CLUSTER, "your_id sites programs id_block?"),
-    _row(_T.SIGN_OFF, _M.CLUSTER, "leaver heir"),
+    _row(_T.SIGN_OFF, _M.CLUSTER, "leaver heir", must_arrive=True),
     _row(_T.CLUSTER_INFO, _M.CLUSTER, "sites"),
     _row(_T.HEARTBEAT, _M.CLUSTER),
     _row(_T.CRASH_NOTICE, _M.CLUSTER, "site"),

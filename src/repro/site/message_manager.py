@@ -87,12 +87,16 @@ class MessageManager(Manager):
 
         Messages to a site that has signed off are transparently rerouted to
         its heir (see cluster manager) — the heir adopted the leaver's
-        frames and memory objects.  A message that goes out is stamped on
-        the target's record as ``last_sent``, which spares it a heartbeat.
+        frames and memory objects.  A reply goes to its requester, whose
+        ``seq`` it answers: to a leaver's address (it runs on until its
+        hand-off settled), never to a crashed site.  A message that goes out
+        is stamped on the target's record as ``last_sent``, which spares it
+        a heartbeat.
         """
         self._assign_seq(msg)
         cluster = self.site.cluster_manager
-        dst = cluster.effective_site(msg.dst_site)
+        reply = msg.reply_to >= 0
+        dst = msg.dst_site if reply else cluster.effective_site(msg.dst_site)
         if dst == self.local_id:
             # local loopback: no serialization/network, small dispatch cost
             self.stats.inc("local_messages")
@@ -107,8 +111,8 @@ class MessageManager(Manager):
             self.kernel.cpu_run(self.cost.sched_decision_cost,
                                 self._dispatch, msg)
             return True
-        record = cluster.record_of(dst)
-        if record is None:
+        record = cluster.sites.get(dst)
+        if record is None or not (record.alive or (reply and record.left)):
             self.stats.inc("unresolvable")
             return False
         msg.dst_site = dst

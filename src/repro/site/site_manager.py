@@ -165,10 +165,10 @@ class SiteManager(Manager):
             self._drain_then_export(heir)
             return
         self.log("relocating state to heir %d", heir)
-        self.site.attraction_memory.send_state_to_heir(heir)
-        # 3) zombie window: forward anything that still arrives
+        self.site.crash_manager.hand_off(heir, lambda: self.kernel.call_later(
+            self.FORWARD_GRACE, self._final_stop))
+        # 3) zombie window: forward stragglers, stop a grace after it settled
         self.site.forward_to = heir
-        self.kernel.call_later(self.FORWARD_GRACE, self._final_stop)
 
     def _final_stop(self) -> None:
         self.site.stop()

@@ -104,8 +104,8 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: entry for entry.  ``homesite_crash`` and ``dir_shard_crash`` moved by
 #: that and by the shorter directory ack (14 or 19 B -> 13 B: no
 #: ``addr``), which lands up to 0.48 us sooner; no other entry changed.
-#: ``signoff_leaver_silence`` moved when MEM_OBJECT began to carry its
-#: sender's ``epoch`` (one byte more on the leaver's hand-off, which lands
+#: ``signoff_leaver_silence`` moved when the leaver's hand-off began to
+#: carry its sender's ``epoch`` (one byte more on the leaver's hand-off, which lands
 #: that much later); ``signoff_after_rollback`` is new: a hand-off cut
 #: before a rollback used to be adopted on top of the restored shards.
 #: All fourteen moved when the code protocol became three types
@@ -121,6 +121,18 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: ``sdc_replicate_corrupt`` was re-timed to mangle at 0.243-0.2625 s:
 #: the VERDICT case it pins (primary 3) now has its mismatch at 0.2453 s,
 #: 19 ms sooner and before the old window opened.
+#: Two moved when a sign-off began to hand its state to its heir as a
+#: RECOVER_STATE shard under the delivery rule and SIGN_OFF became
+#: must-arrive: ``signoff_leaver_silence`` sends four ACKs more (three
+#: SIGN_OFFs and the hand-off), whose packed shard is 359 B where the old
+#: hand-off message's raw dict was 550 B, and finishes 2 ns sooner.
+#: ``signoff_after_rollback`` resends its SIGN_OFF four times to site 1,
+#: crashed but not yet detected, and resends the hand-off its delayed link
+#: holds; the heir adopts the resend before the rollback and drops the held
+#: copy as stale after it.  It finishes at the same instant as before.
+#: ``signoff_handoff_drop`` and ``signoff_notice_drop`` are new: one lost
+#: hand-off used to stall the program, and one SIGN_OFF lost on its way to
+#: the coordinator to leave two owners of an object.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
@@ -144,9 +156,13 @@ PINNED_FINGERPRINTS = {
     "recover_done_overtakes_state.json":
         "2fffad78595f6411dbd5b3dfa9da75e198f15d8a4a43bac36322a9580879a71c",
     "signoff_after_rollback.json":
-        "c369d44206608d47d0666f7cd872be56e299ba73dbd9c48d9b24c307bfc25905",
+        "91d0b6c4d9cb5969158fa188668c3c70d5e2b42b31d1efe937a0d480a2f96bd3",
+    "signoff_handoff_drop.json":
+        "4b4d9be12c61be458a594afdc12da981c0f2ccba3e877946778d0461d9e27899",
     "signoff_leaver_silence.json":
-        "4ce1e8c3ce964476dd0d9815fb7ffec9d554b5b999fe6cfb2ad0a2877df501a7",
+        "946fc2d2c1302862d11547940ffd3799f15ec3caddb7e5c5cca58309898dcefa",
+    "signoff_notice_drop.json":
+        "2306f24d2584a614ef14e226cb7de2a5322f6237599a4e5a6187c1ccb7af6224",
     "steal_batch_reorder.json":
         "dbf377640eb1421d650f192e385bae4bb584d91eb234b691751a195def76e2ee",
     "wave_stall.json":
@@ -303,6 +319,7 @@ class TestCorpus:
                 "sdc_replicate_corrupt.json",
                 "signoff_leaver_silence.json",
                 "signoff_after_rollback.json",
+                "signoff_handoff_drop.json", "signoff_notice_drop.json",
                 "recover_done_overtakes_state.json"} <= names
         # the undefended twin fails by design, so it lives in a
         # subdirectory the corpus glob (and ``chaos corpus``) skip
@@ -391,8 +408,8 @@ class TestCorpus:
 
     def test_stale_sign_off_hand_off_is_dropped(self):
         """Site 1 crashes, site 3 signs off, and a delayed link holds the
-        leaver's MEM_OBJECT until after the rollback: the hand-off carries
-        the epoch it was cut in and its heir drops it, since the restored
+        leaver's hand-off until after the rollback: the shard carries the
+        epoch it was cut in and its heir drops it, since the restored
         shards already hold what it checkpointed.  Adopted, it used to make
         memscatter return a wrong result (two owners with a longer delay)."""
         result = corpus_result(os.path.join(CORPUS_DIR,
@@ -400,7 +417,24 @@ class TestCorpus:
         assert result.ok, [str(v) for v in result.violations]
         assert result.cluster.tracer.kinds().get("recovery_done", 0) >= 1
         assert result.cluster.total_stats().get(
-            "stale_mem_objects_dropped").count >= 1
+            "stale_shards_dropped").count >= 1
+
+    @pytest.mark.parametrize("name, mtype, dst", [
+        ("signoff_handoff_drop", "RECOVER_STATE", 3),
+        ("signoff_notice_drop", "SIGN_OFF", 0)])
+    def test_a_lost_sign_off_message_is_resent(self, name, mtype, dst):
+        """Both messages of a sign-off are must-arrive: the link drops the
+        leaver's first hand-off to its heir (which stalled the program) or
+        its SIGN_OFF to the coordinator (which left two owners of an
+        object), and the one resend lands."""
+        result = corpus_result(os.path.join(CORPUS_DIR, name + ".json"))
+        assert result.ok, [str(v) for v in result.violations]
+        sent = [e.fields[1] for e in result.cluster.tracer.events
+                if e.kind == "msg_send" and e.site == 2
+                and e.fields[0] == mtype]
+        assert sent.count(dst) == 2
+        assert result.cluster.sites[2].message_manager.stats.get(
+            "resends").count == 1
 
     def test_replay_is_bit_deterministic(self):
         first, second = verify_determinism(corpus_plan("crash_during_wave"))

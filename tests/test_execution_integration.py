@@ -420,6 +420,27 @@ class TestHeterogeneous:
         assert home.get("push_fallback_compiles").count == 1
         assert duty.stats.get("compile_duties").count == 1
 
+    def test_all_different_platforms_receive_no_binary(self):
+        """E4 (§3.4): with every site on its own platform no binary serves
+        a second site, so the home answers a binary-only fetch for a
+        platform no peer compiles with source at once.  Parked, it was
+        answered with the requester's own binary, after the fetch had
+        timed out and the requester had compiled the thread itself."""
+        from repro.apps import build_primes_program, first_n_primes
+        from repro.bench.harness import bench_config
+
+        cluster = SimCluster(
+            site_configs=[SiteConfig(name=f"s{i}", platform=f"platform-{i}")
+                          for i in range(8)],
+            config=bench_config())
+        handle = cluster.submit(build_primes_program(),
+                                args=(20, 4, 400.0, 4000.0))
+        cluster.run()
+        assert handle.result == first_n_primes(20)
+        stats = cluster.total_stats()
+        assert stats.get("binaries_received").count == 0
+        assert stats.get("sources_received").count > 0
+
     def test_binary_reuse_same_platform(self, fast_config):
         """Same-platform sites receive binaries, not source (§3.4).
 

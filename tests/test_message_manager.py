@@ -102,6 +102,38 @@ class TestSendReceive:
         assert len(replies) == 1
         assert replies[0].payload["site_id"] == c.site_id
 
+    def test_reply_to_a_leaver_goes_to_it_not_its_heir(self, fast_config):
+        """A reply answers its requester's own ``seq``: after a SIGN_OFF it
+        goes to the leaver's address, where the leaver runs until its
+        hand-off settled, never to the heir, whose own pending request may
+        carry the same number.  A reply to a crashed site goes nowhere."""
+        cluster = SimCluster(nsites=3, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b, c = cluster.sites
+        request = status_msg(b, a)
+        b.message_manager.send(request)
+        cluster.sim.run(until=0.25)
+        b.cluster_manager.broadcast_sign_off(c.site_id)
+        cluster.sim.run(until=0.3)
+        assert a.cluster_manager.sites[b.site_id].heir == c.site_id
+        sent = []
+        real = a.kernel.transport_send
+
+        def spy(physical, envelope, msg=None):
+            sent.append(physical)
+            return real(physical, envelope, msg)
+
+        a.kernel.transport_send = spy
+        reply = make_reply(request, MsgType.STATUS_REPLY, {
+            "load": 0, "site_id": a.site_id, "queue_depth": 0})
+        assert a.message_manager.send(reply)
+        assert sent == [b.kernel.local_physical()]
+        a.cluster_manager.sites[b.site_id].left = False  # crashed instead
+        assert not a.message_manager.send(make_reply(
+            request, MsgType.STATUS_REPLY, dict(reply.payload)))
+        assert sent == [b.kernel.local_physical()]
+        assert a.message_manager.stats.get("unresolvable").count == 1
+
 
 def data_msg(src, dst, payload):
     """A message whose row has two optional fields, ``data`` and

@@ -222,8 +222,8 @@ class TestManagerTable:
         ACK and no module keeps a retry budget of its own."""
         from repro.site.message_manager import MessageManager
         assert MessageManager._MUST_ARRIVE == {
-            MsgType.DIR_UPDATE, MsgType.RECOVER_BEGIN, MsgType.RECOVER_STATE,
-            MsgType.RECOVER_DONE}
+            MsgType.DIR_UPDATE, MsgType.SIGN_OFF, MsgType.RECOVER_BEGIN,
+            MsgType.RECOVER_STATE, MsgType.RECOVER_DONE}
         managers = SimCluster(nsites=1, config=SDVMConfig()).sites[0].managers
         for msg_type in MessageManager._MUST_ARRIVE:
             assert callable(getattr(managers[MESSAGE_TABLE[msg_type].owner],
@@ -291,8 +291,8 @@ def _literal_payloads(root):
 LITERAL_SENT = {
     MsgType.CANT_HELP, MsgType.VERDICT, MsgType.CODE_REQUEST,
     MsgType.CODE_SOURCE, MsgType.CODE_BINARY, MsgType.APPLY_RESULT,
-    MsgType.MEM_READ, MsgType.MEM_WRITE, MsgType.MEM_OBJECT,
-    MsgType.MEM_LOCATION, MsgType.DIR_UPDATE, MsgType.FRAME_TRANSFER,
+    MsgType.MEM_READ, MsgType.MEM_WRITE, MsgType.MEM_LOCATION,
+    MsgType.DIR_UPDATE, MsgType.FRAME_TRANSFER,
     MsgType.MEM_NOT_FOUND, MsgType.SIGN_ON, MsgType.SIGN_OFF,
     MsgType.PROGRAM_TERMINATED, MsgType.PROGRAM_RESULT, MsgType.IO_OUTPUT,
     MsgType.IO_FILE_OPEN, MsgType.IO_FILE_READ, MsgType.IO_FILE_WRITE,
@@ -324,7 +324,7 @@ class TestMessageTable:
         from repro.site.message_manager import MessageManager
         assert MessageManager._FORWARDABLE == {
             MsgType.APPLY_RESULT, MsgType.FRAME_TRANSFER, MsgType.MEM_READ,
-            MsgType.MEM_WRITE, MsgType.MEM_OBJECT, MsgType.DIR_UPDATE,
+            MsgType.MEM_WRITE, MsgType.DIR_UPDATE,
             MsgType.CODE_REQUEST, MsgType.CODE_BINARY,
             MsgType.HELP_REQUEST, MsgType.SIGN_ON,
             MsgType.PROGRAM_REGISTER, MsgType.IO_OUTPUT}
