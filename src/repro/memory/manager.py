@@ -360,7 +360,7 @@ class AttractionMemory(Manager):
         msg = SDMessage(
             type=MsgType.MEM_READ,
             src_site=self.local_id, dst_site=target,
-            payload={"addr": addr, "migrate": True},
+            payload={"addr": addr},
         )
         self.stats.inc("reads_remote")
 
@@ -397,14 +397,13 @@ class AttractionMemory(Manager):
         if self._stale_epoch(payload):
             self.stats.inc("stale_read_replies_dropped")
             return False
-        if payload["owned"]:
-            self._adopt_remote_object(
-                payload["addr"], payload["value"], payload["version"],
-                reply.src_site, payload.get("recorded", False))
+        self._adopt_remote_object(
+            payload["addr"], payload["value"], payload["version"],
+            reply.src_site, payload.get("recorded", False))
         return True
 
-    # a late reply after a timed-out read: if it shipped ownership, adopt
-    # the object — dropping it would lose data
+    # a late reply after a timed-out read shipped ownership all the same:
+    # adopt the object — dropping it would lose data
     _on_mem_read_reply = _adopt_shipped
 
     def _adopt_remote_object(self, addr: GlobalAddress, value: Any,
@@ -470,15 +469,14 @@ class AttractionMemory(Manager):
 
     def _on_mem_read(self, msg: SDMessage) -> None:
         addr = msg.payload["addr"]
-        migrate = msg.payload["migrate"]
         if addr in self.objects:
             reply = {"addr": addr, "value": self.objects[addr],
-                     "owned": migrate, "epoch": self.site.epoch,
+                     "epoch": self.site.epoch,
                      "version": self._versions.get(addr, 0)}
             # ownership ships with the reply; the *requester* publishes a
             # DIR_UPDATE once it has adopted the object, unless the
             # directory is this very site and already knows
-            if migrate and self._ship_out(addr, msg.src_site):
+            if self._ship_out(addr, msg.src_site):
                 reply["recorded"] = True
             self.site.message_manager.send(make_reply(
                 msg, MsgType.MEM_READ_REPLY, reply))

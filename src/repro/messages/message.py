@@ -56,12 +56,9 @@ class MsgType(enum.IntEnum):
 
     # -- input/output (§4 I/O manager)
     IO_OUTPUT = 70             # console output -> frontend
-    IO_FILE_OPEN = 71
-    IO_FILE_READ = 73
-    IO_FILE_READ_REPLY = 74
-    IO_FILE_WRITE = 75
-    IO_FILE_WRITE_ACK = 76
-    IO_FILE_CLOSE = 77
+    IO_INPUT = 71              # a microthread's input request -> frontend
+    IO_FILE = 73               # read / write / seek / close at the file's site
+    IO_FILE_REPLY = 74         # the value or the error of one IO_FILE
 
     # -- crash management (§2.2, ref [4])
     CHECKPOINT_BEGIN = 80      # coordinator starts a checkpoint wave
@@ -149,9 +146,9 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     # -- attraction memory
     _row(_T.APPLY_RESULT, _M.ATTRACTION_MEMORY, "addr slot value epoch",
          forward=True, data="value"),
-    _row(_T.MEM_READ, _M.ATTRACTION_MEMORY, "addr migrate", forward=True),
+    _row(_T.MEM_READ, _M.ATTRACTION_MEMORY, "addr", forward=True),
     _row(_T.MEM_READ_REPLY, _M.ATTRACTION_MEMORY,
-         "addr value owned epoch version recorded?"),
+         "addr value epoch version recorded?"),
     _row(_T.MEM_WRITE, _M.ATTRACTION_MEMORY, "addr value hops?",
          forward=True),
     _row(_T.MEM_LOCATION, _M.ATTRACTION_MEMORY, "addr owner"),
@@ -175,12 +172,9 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     _row(_T.PROGRAM_RESULT, _M.PROGRAM, "pid result failed failure"),
     # -- input/output
     _row(_T.IO_OUTPUT, _M.IO, "text", forward=True),
-    _row(_T.IO_FILE_OPEN, _M.IO, "prompt addr slot"),
-    _row(_T.IO_FILE_READ, _M.IO, "handle size"),
-    _row(_T.IO_FILE_READ_REPLY, _M.IO, "data? error?"),
-    _row(_T.IO_FILE_WRITE, _M.IO, "handle data? seek?"),
-    _row(_T.IO_FILE_WRITE_ACK, _M.IO, "written? error?"),
-    _row(_T.IO_FILE_CLOSE, _M.IO, "handle"),
+    _row(_T.IO_INPUT, _M.IO, "prompt addr slot"),
+    _row(_T.IO_FILE, _M.IO, "handle op arg"),
+    _row(_T.IO_FILE_REPLY, _M.IO, "value? error?"),
     # -- crash management
     _row(_T.CHECKPOINT_BEGIN, _M.CRASH, "wave phase"),
     _row(_T.CHECKPOINT_STATE, _M.CRASH, "wave state"),

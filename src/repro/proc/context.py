@@ -11,7 +11,7 @@ kernels.  Side effects are buffered as :class:`Effect` records and
 dispatched when the execution completes (§3.2's "send the results" step).
 Every *primitive operation* — a frame address, a ``malloc``, a memory
 read, the five file calls — goes through :meth:`_op`, which asks a
-manager call (``AttractionMemory.live_read``, ``IOManager.live_open`` …)
+manager call (``AttractionMemory.live_read``, ``IOManager.file_op`` …)
 and appends the answer to ``oplog``.  When the answer does not come at
 once the run is abandoned (:class:`Suspended`) and the processing manager
 repeats it from ``args_snapshot`` once the reply has been logged: every
@@ -302,7 +302,7 @@ class ExecutionContext:
 
     def open_file(self, path: str, mode: str = "r") -> FileHandle:
         """Open a cluster-global file; the handle works from any site (§4)."""
-        return self._op(self._site.io_manager.live_open, path, mode)
+        return self._op(self._site.io_manager.open_file, path, mode)
 
     def file_read(self, handle: FileHandle, size: int = -1,
                   offset: int = -1) -> bytes:
@@ -310,18 +310,18 @@ class ExecutionContext:
         is shared cluster-wide through the handle's owning site)."""
         if offset >= 0:
             self.file_seek(handle, offset)
-        return self._op(self._site.io_manager.live_read, handle, size)
+        return self._op(self._site.io_manager.file_op, handle, "read", size)
 
     def file_seek(self, handle: FileHandle, offset: int) -> None:
         if offset < 0:
             raise ProgramError("file offset must be >= 0")
-        self._op(self._site.io_manager.live_seek, handle, offset)
+        self._op(self._site.io_manager.file_op, handle, "seek", offset)
 
     def file_write(self, handle: FileHandle, data: bytes) -> int:
-        return self._op(self._site.io_manager.live_write, handle, data)
+        return self._op(self._site.io_manager.file_op, handle, "write", data)
 
     def file_close(self, handle: FileHandle) -> None:
-        self._op(self._site.io_manager.live_close, handle)
+        self._op(self._site.io_manager.file_op, handle, "close", None)
 
     # ------------------------------------------------------------------
     # control

@@ -251,8 +251,8 @@ class TestHomesiteDirectory:
         a.message_manager.send(SDMessage(
             type=MsgType.MEM_READ_REPLY,
             src_site=a.site_id, dst_site=c.site_id,
-            payload={"addr": addr, "value": "v", "owned": True,
-                     "epoch": c.epoch, "version": 0}))
+            payload={"addr": addr, "value": "v", "epoch": c.epoch,
+                     "version": 0}))
         cluster.sim.run(until=0.4)
         assert addr in c.attraction_memory.objects
         assert _mem_stat(c, "dir_updates_sent") == 1

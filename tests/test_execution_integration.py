@@ -222,9 +222,9 @@ class TestIO:
         assert handle.result == b"file contents"
 
     def test_duplicated_file_replies_do_not_abort_the_run(self, fast_config):
-        """A duplicated IO_FILE_WRITE_ACK / IO_FILE_READ_REPLY finds its
-        request already answered: the copy is an orphan reply, dropped at
-        the site, and the program still returns what it read."""
+        """A duplicated IO_FILE_REPLY finds its request already answered:
+        the copy is an orphan reply, dropped at the site, and the program
+        still returns what it read."""
         from repro.chaos import FaultPlan, LinkFault
         prog = ProgramBuilder("files_dup")
 
@@ -272,7 +272,7 @@ class TestIO:
 
     def test_remote_input_reaches_the_frontend(self, fast_config):
         """Microthreads stolen away from the frontend ask for input: each
-        IO_FILE_OPEN reaches the frontend's I/O manager, and its answer
+        IO_INPUT reaches the frontend's I/O manager, and its answer
         fills the collector's slot."""
         prog = ProgramBuilder("ask_far")
 
@@ -303,7 +303,7 @@ class TestIO:
         assert handle.result == sum(2 * i for i in range(16))
         assert frontend.io_manager.stats.get("inputs_answered").count == 16
         sent = cluster.cluster_report().message_breakdown
-        assert sent["IO_FILE_OPEN"]["count"] >= 1
+        assert sent["IO_INPUT"]["count"] >= 1
 
 
 class TestMultiProgram:

@@ -673,8 +673,7 @@ def scripted_hops(cluster, on_site, settle):
 
 #: everything a program's memory and file accesses put on the wire
 PROTOCOL_TYPES = MEMORY_TYPES + (
-    "MEM_NOT_FOUND", "MEM_WRITE", "IO_FILE_READ", "IO_FILE_READ_REPLY",
-    "IO_FILE_WRITE", "IO_FILE_WRITE_ACK", "IO_FILE_CLOSE")
+    "MEM_NOT_FOUND", "MEM_WRITE", "IO_FILE", "IO_FILE_REPLY")
 
 
 def pin_placement(cluster, where):
@@ -846,13 +845,11 @@ class TestSimLiveDifferential:
 
     def test_file_program(self):
         """The file resides where ``main`` opened it; the reader's seek,
-        read and close are rerouted there."""
+        read and close are rerouted there, and each is answered."""
         result, counts = self.both(file_program(), (),
                                    {"main": 0, "reader": 1})
         assert result == b"cluster file"
-        assert counts == {
-            "IO_FILE_WRITE": 1, "IO_FILE_WRITE_ACK": 1,  # the seek
-            "IO_FILE_READ": 1, "IO_FILE_READ_REPLY": 1, "IO_FILE_CLOSE": 1}
+        assert counts == {"IO_FILE": 3, "IO_FILE_REPLY": 3}
 
 
 @pytest.mark.slow

@@ -136,10 +136,10 @@ class TestSendReceive:
 
 
 def data_msg(src, dst, payload):
-    """A message whose row has two optional fields, ``data`` and
+    """A message whose row has two optional fields, ``value`` and
     ``error``, which may hold any value."""
     msg = status_msg(src, dst)
-    msg.type = MsgType.IO_FILE_READ_REPLY
+    msg.type = MsgType.IO_FILE_REPLY
     msg.payload = payload
     return msg
 
@@ -167,27 +167,27 @@ class TestSnapshotDelivery:
     def test_sender_mutation_after_send_is_invisible(self, pair):
         cluster, a, b = pair
         got = capture_dispatched(b)
-        msg = data_msg(a, b, {"data": [1], "error": {"k": [2]}})
+        msg = data_msg(a, b, {"value": [1], "error": {"k": [2]}})
         a.message_manager.send(msg)
-        msg.payload["data"].append(99)
+        msg.payload["value"].append(99)
         msg.payload["error"]["k"].clear()
         msg.payload["late"] = True
         cluster.sim.run(until=0.5)
         (delivered,) = got
         assert delivered is not msg
-        assert delivered.payload == {"data": [1], "error": {"k": [2]}}
+        assert delivered.payload == {"value": [1], "error": {"k": [2]}}
         assert (delivered.type, delivered.seq, delivered.src_site) == (
             msg.type, msg.seq, a.site_id)
 
     def test_receiver_mutation_is_invisible_to_sender(self, pair):
         cluster, a, b = pair
         got = capture_dispatched(b)
-        msg = data_msg(a, b, {"data": [1], "error": {"k": [2]}})
+        msg = data_msg(a, b, {"value": [1], "error": {"k": [2]}})
         a.message_manager.send(msg)
         cluster.sim.run(until=0.5)
-        got[0].payload["data"].append(99)
+        got[0].payload["value"].append(99)
         got[0].payload["error"]["k"] = None
-        assert msg.payload == {"data": [1], "error": {"k": [2]}}
+        assert msg.payload == {"value": [1], "error": {"k": [2]}}
 
     def test_nothing_is_parsed_on_a_fault_free_wire(self, pair):
         cluster, a, b = pair
@@ -206,9 +206,9 @@ class TestSnapshotDelivery:
                                                            bytes(data))
         got = capture_dispatched(b)
         before = b.message_manager.stats.get("parsed").count
-        a.message_manager.send(data_msg(a, b, {"data": [1]}))
+        a.message_manager.send(data_msg(a, b, {"value": [1]}))
         cluster.sim.run(until=0.5)
-        assert [m.payload for m in got] == [{"data": [1]}]
+        assert [m.payload for m in got] == [{"value": [1]}]
         assert b.message_manager.stats.get("parsed").count == before + 1
 
     def test_second_delivery_of_one_envelope_is_parsed(self, pair):
@@ -221,12 +221,12 @@ class TestSnapshotDelivery:
 
         cluster.network.send = twice
         got = capture_dispatched(b)
-        a.message_manager.send(data_msg(a, b, {"data": [1]}))
+        a.message_manager.send(data_msg(a, b, {"value": [1]}))
         cluster.sim.run(until=0.5)
         first, second = got
-        assert first.payload == second.payload == {"data": [1]}
+        assert first.payload == second.payload == {"value": [1]}
         assert first.payload is not second.payload
-        assert first.payload["data"] is not second.payload["data"]
+        assert first.payload["value"] is not second.payload["value"]
         assert b.message_manager.stats.get("parsed").count == 1
 
     def test_what_a_parse_would_drop_is_still_dropped(self, pair):
@@ -236,7 +236,7 @@ class TestSnapshotDelivery:
         cluster, a, b = pair
         got = capture_dispatched(b)
         assert a.message_manager.send(
-            data_msg(a, b, {"data": nested(MAX_DECODE_DEPTH)}))
+            data_msg(a, b, {"value": nested(MAX_DECODE_DEPTH)}))
         cluster.sim.run(until=0.5)
         assert got == []
         assert b.message_manager.stats.get("malformed").count == 1
@@ -411,7 +411,7 @@ class TestSecurityIntegration:
         cluster.network.send = spy
         cluster.sim.run(until=0.2)
         a, b = cluster.sites
-        msg = data_msg(a, b, {"data": "VERY-SECRET-TOKEN"})
+        msg = data_msg(a, b, {"value": "VERY-SECRET-TOKEN"})
         a.message_manager.send(msg)
         cluster.sim.run(until=0.5)
         assert seen

@@ -184,7 +184,7 @@ class TestHeader:
 #: by the site (the message manager counts it in ``orphan_replies``)
 REPLY_ONLY = {MsgType.CANT_HELP, MsgType.MEM_LOCATION, MsgType.MEM_NOT_FOUND,
               MsgType.ACK, MsgType.STATUS_REPLY,
-              MsgType.IO_FILE_READ_REPLY, MsgType.IO_FILE_WRITE_ACK}
+              MsgType.IO_FILE_REPLY}
 
 
 class TestManagerTable:
@@ -249,10 +249,10 @@ class TestManagerTable:
 
     def test_a_reply_without_handler_is_dropped(self):
         site = SimCluster(nsites=1, config=SDVMConfig()).sites[0]
-        site.route(SDMessage(type=MsgType.IO_FILE_WRITE_ACK, src_site=0,
+        site.route(SDMessage(type=MsgType.IO_FILE_REPLY, src_site=0,
                              dst_site=0, reply_to=5))
         assert site.log_lines[-1].endswith(
-            "message IO_FILE_WRITE_ACK without handler dropped")
+            "message IO_FILE_REPLY without handler dropped")
 
 
 def _literal_payloads(root):
@@ -295,8 +295,7 @@ LITERAL_SENT = {
     MsgType.DIR_UPDATE, MsgType.FRAME_TRANSFER,
     MsgType.MEM_NOT_FOUND, MsgType.SIGN_ON, MsgType.SIGN_OFF,
     MsgType.PROGRAM_TERMINATED, MsgType.PROGRAM_RESULT, MsgType.IO_OUTPUT,
-    MsgType.IO_FILE_OPEN, MsgType.IO_FILE_READ, MsgType.IO_FILE_WRITE,
-    MsgType.IO_FILE_CLOSE, MsgType.CHECKPOINT_BEGIN,
+    MsgType.IO_INPUT, MsgType.IO_FILE, MsgType.CHECKPOINT_BEGIN,
     MsgType.CHECKPOINT_STATE, MsgType.CHECKPOINT_ACK,
     MsgType.CHECKPOINT_COMMIT, MsgType.CRASH_NOTICE, MsgType.RECOVER_BEGIN,
     MsgType.RECOVER_STATE, MsgType.RECOVER_DONE, MsgType.CHECKPOINT_REPLICA,
@@ -341,8 +340,8 @@ class TestMessageTable:
 
     def test_absent_is_not_none(self):
         """The mask tells a field that is absent from one that is None."""
-        for payload in ({"data": None}, {"error": None}, {}):
-            msg = sample(type=MsgType.IO_FILE_READ_REPLY, payload=payload)
+        for payload in ({"value": None}, {"error": None}, {}):
+            msg = sample(type=MsgType.IO_FILE_REPLY, payload=payload)
             assert SDMessage.decode(msg.encode()).payload == payload
 
     def test_a_key_outside_the_row_is_refused_at_encode(self):

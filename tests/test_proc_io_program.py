@@ -245,8 +245,9 @@ class TestProcessing:
 
 
 def file_call(cluster, call, *args):
-    """One ``IOManager.live_*`` call settled: its value, or raises its
-    error — the calls a sim microthread's file operations go through."""
+    """One ``IOManager.open_file`` or ``file_op`` call settled: its value,
+    or raises its error — the calls a sim microthread's file operations
+    go through."""
     got = []
     call(*args, lambda value=None, error=None: got.append((value, error)))
     cluster.sim.run(until=cluster.sim.now + 0.1)
@@ -262,26 +263,29 @@ class TestIOManager:
         cluster.sim.run(until=0.1)
         io = cluster.sites[0].io_manager
         with pytest.raises(ProgramError):
-            file_call(cluster, io.live_open, "missing.txt", "r")
-        handle = file_call(cluster, io.live_open, "new.txt", "w")
+            file_call(cluster, io.open_file, "missing.txt", "r")
+        handle = file_call(cluster, io.open_file, "new.txt", "w")
         with pytest.raises(ProgramError):
-            file_call(cluster, io.live_read, handle, -1)  # write-only
-        file_call(cluster, io.live_close, handle)
+            file_call(cluster, io.file_op, handle, "read", -1)  # write-only
+        with pytest.raises(ProgramError, match="unknown file operation"):
+            file_call(cluster, io.file_op, handle, "truncate", 0)
+        file_call(cluster, io.file_op, handle, "close", None)
         with pytest.raises(ProgramError):
-            file_call(cluster, io.live_open, "x", "x+")
+            file_call(cluster, io.open_file, "x", "x+")
 
     def test_append_mode(self, fast_config):
         cluster = SimCluster(nsites=1, config=fast_config)
         cluster.sim.run(until=0.1)
         io = cluster.sites[0].io_manager
-        h1 = file_call(cluster, io.live_open, "log", "w")
-        assert file_call(cluster, io.live_write, h1, b"first") == 5
-        file_call(cluster, io.live_close, h1)
-        h2 = file_call(cluster, io.live_open, "log", "a")
-        file_call(cluster, io.live_write, h2, b"|second")
-        file_call(cluster, io.live_close, h2)
-        h3 = file_call(cluster, io.live_open, "log", "r")
-        assert file_call(cluster, io.live_read, h3, -1) == b"first|second"
+        h1 = file_call(cluster, io.open_file, "log", "w")
+        assert file_call(cluster, io.file_op, h1, "write", b"first") == 5
+        file_call(cluster, io.file_op, h1, "close", None)
+        h2 = file_call(cluster, io.open_file, "log", "a")
+        file_call(cluster, io.file_op, h2, "write", b"|second")
+        file_call(cluster, io.file_op, h2, "close", None)
+        h3 = file_call(cluster, io.open_file, "log", "r")
+        assert file_call(cluster, io.file_op, h3, "read",
+                         -1) == b"first|second"
 
     def test_stale_handle_rejected(self, fast_config):
         cluster = SimCluster(nsites=2, config=fast_config)
@@ -289,8 +293,9 @@ class TestIOManager:
         a, b = cluster.sites
         # asked of the site that minted it, and rerouted there from another
         for io in (a.io_manager, b.io_manager):
-            with pytest.raises(ProgramError, match="stale|fh"):
-                file_call(cluster, io.live_read, FileHandle(a.site_id, 999), 1)
+            with pytest.raises(ProgramError, match="stale file handle"):
+                file_call(cluster, io.file_op, FileHandle(a.site_id, 999),
+                          "read", 1)
 
     def test_remote_handle_is_rerouted_to_its_site(self, fast_config):
         """Files reside on the site that opened them (§4): another site
@@ -298,19 +303,74 @@ class TestIOManager:
         cluster = SimCluster(nsites=2, config=fast_config)
         cluster.sim.run(until=0.2)
         a, b = (site.io_manager for site in cluster.sites)
-        handle = file_call(cluster, a.live_open, "shared", "rw")
-        file_call(cluster, a.live_write, handle, b"cluster file")
-        file_call(cluster, b.live_seek, handle, 8)
-        assert file_call(cluster, b.live_read, handle, -1) == b"file"
-        assert file_call(cluster, b.live_write, handle, b"!") == 1
-        file_call(cluster, b.live_seek, handle, 0)
-        assert file_call(cluster, a.live_read, handle, -1) == b"cluster file!"
+        handle = file_call(cluster, a.open_file, "shared", "rw")
+        file_call(cluster, a.file_op, handle, "write", b"cluster file")
+        file_call(cluster, b.file_op, handle, "seek", 8)
+        assert file_call(cluster, b.file_op, handle, "read", -1) == b"file"
+        assert file_call(cluster, b.file_op, handle, "write", b"!") == 1
+        file_call(cluster, b.file_op, handle, "seek", 0)
+        assert file_call(cluster, a.file_op, handle, "read",
+                         -1) == b"cluster file!"
         # the path namespace is the opening site's own
         with pytest.raises(ProgramError, match="not found"):
-            file_call(cluster, b.live_open, "shared", "r")
-        file_call(cluster, b.live_close, handle)
-        cluster.sim.run(until=cluster.sim.now + 0.1)
+            file_call(cluster, b.open_file, "shared", "r")
+        file_call(cluster, b.file_op, handle, "close", None)
         assert not a._local_handles
+
+    def test_a_remote_close_is_answered_and_leaves_the_handle_stale(
+            self, fast_config):
+        """A close from another site is a request like a read: once it
+        is answered the owner has closed the file, and every later
+        operation, a second close included, names the handle stale."""
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b = (site.io_manager for site in cluster.sites)
+        handle = file_call(cluster, a.open_file, "shared", "w")
+        file_call(cluster, b.file_op, handle, "close", None)
+        for op, arg in (("read", -1), ("close", None)):
+            with pytest.raises(ProgramError, match="stale file handle"):
+                file_call(cluster, b.file_op, handle, op, arg)
+
+    def test_a_closed_local_handle_is_stale_without_a_message(
+            self, fast_config):
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a = cluster.sites[0]
+        handle = file_call(cluster, a.io_manager.open_file, "own", "w")
+        file_call(cluster, a.io_manager.file_op, handle, "close", None)
+        local = a.message_manager.stats.get("local_messages")
+        before = local.count
+        with pytest.raises(ProgramError, match="stale file handle"):
+            file_call(cluster, a.io_manager.file_op, handle, "write", b"x")
+        assert local.count == before
+
+    def test_an_unanswered_file_request_times_out(self, fast_config,
+                                                  monkeypatch):
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        handle = file_call(cluster, a.io_manager.open_file, "f", "w")
+        monkeypatch.setattr(a.io_manager, "_on_io_file", lambda msg: None)
+        got = []
+        b.io_manager.file_op(handle, "write", b"x",
+                             lambda value=None, error=None: got.append(error))
+        cluster.sim.run(until=cluster.sim.now + 4.9)
+        assert got == []
+        cluster.sim.run(until=cluster.sim.now + 0.2)
+        assert [str(error) for error in got] == [
+            f"file site {a.site_id} unresponsive"]
+
+    def test_a_handle_of_a_crashed_site_cannot_be_reached(self,
+                                                          fast_config):
+        cluster = SimCluster(nsites=2, config=fast_config)
+        cluster.sim.run(until=0.2)
+        a, b = cluster.sites
+        handle = file_call(cluster, a.io_manager.open_file, "f", "w")
+        a.crash()
+        b.cluster_manager.mark_dead(a.site_id)
+        with pytest.raises(ProgramError,
+                           match=f"cannot reach file site {a.site_id}"):
+            file_call(cluster, b.io_manager.file_op, handle, "read", -1)
 
     def test_input_without_provider_fails_program(self, fast_config):
         prog = ProgramBuilder("ask")
@@ -432,7 +492,7 @@ class TestRestartableExecution:
         # logged, not repeated: one allocation, one byte in the file
         assert site.attraction_memory.stats.get(
             "objects_allocated").count == 1
-        assert bytes(site.io_manager._live_store["log"]) == b"x"
+        assert bytes(site.io_manager._files["log"]) == b"x"
 
     def suspended_reader(self, config):
         """Site b with one execution suspended on a read of a's object."""
