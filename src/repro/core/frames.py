@@ -134,14 +134,17 @@ class Microframe:
     # ------------------------------------------------------------------
     # wire representation (frames migrate between sites)
 
-    def to_wire(self) -> list:
+    def to_wire(self, params: Optional[List[Any]] = None) -> list:
         """The frame on the wire, positionally: ``[id, thread, program, n,
         filled, targets, priority, critical, created_at]``, where ``filled``
         holds (slot, value) pairs for the filled slots only.  Frames fill
         checkpoint shards and steal replies, so repeating nine keys in
-        every one would cost more bytes than the fields themselves."""
+        every one would cost more bytes than the fields themselves.
+        ``params`` stands in for the slots (a running execution's frame is
+        cut with the arguments it started from)."""
         return [self.frame_id, self.thread_id, self.program, len(self.params),
-                [(i, v) for i, v in enumerate(self.params)
+                [(i, v) for i, v in enumerate(
+                    self.params if params is None else params)
                  if v is not MISSING],
                 [(addr, slot) for addr, slot in self.targets],
                 self.priority, self.critical, self.created_at]

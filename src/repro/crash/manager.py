@@ -5,6 +5,13 @@ the site that cuts it (``_on_snapshot_request``), and is opaque ``bytes``
 from there on: CHECKPOINT_STATE, ``committed``, CHECKPOINT_REPLICA and
 RECOVER_STATE (and its resends) carry the same value; only
 ``_on_recover_state`` unpacks it, as it unpacks a leaver's hand-off.
+
+A wave pauses a site without draining it: CHECKPOINT_ACK means "paused".
+Running executions go on, but the processing manager holds their effects
+until the wave ends, so the cut records each one as its frame.  Every way
+a wave ends here ends the hold: its COMMIT (an aborted wave's too),
+RECOVER_BEGIN or RECOVER_DONE, the loss of its coordinator and this
+site's sign-off; a superseding wave takes the hold over.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
-from repro.messages import HANDLER_OF, MsgType, SDMessage
+from repro.messages import HANDLER_OF, MESSAGE_TABLE, MsgType, SDMessage
 from repro.serde import dumps, loads
 from repro.site.manager_base import Manager
 
@@ -80,8 +87,9 @@ class CrashManager(Manager):
         self._recovery_waits: Set[Optional[int]] = set()
         #: (epoch, sender, shard) already adopted (duplicate-delivery fence)
         self._recover_shards_applied: Set[tuple] = set()
-        #: (wave, coordinator) while waiting for local executions to drain
-        self._pending_ack: Optional[tuple] = None
+        #: participant: (wave, coordinator) of the wave this site is
+        #: paused for and holds effects in, None when none is open
+        self._open_wave: Optional[tuple] = None
         #: participant: highest committed/aborted wave seen per coordinator
         #: (fences a CHECKPOINT_BEGIN that a smaller, faster COMMIT overtook
         #: on the wire — pausing for a finished wave would wedge the site)
@@ -183,8 +191,15 @@ class CrashManager(Manager):
                    payload: dict) -> None:
         if logical == self.local_id:
             self._deliver_here(mtype, payload)
+            return
+        msg = self._msg(logical, mtype, payload)
+        if MESSAGE_TABLE[mtype].must_arrive:
+            # a COMMIT: one lost would leave its site paused, holding the
+            # effects of every execution that ran on
+            self.site.message_manager.request(msg, on_reply=_nothing,
+                                              timeout=self.settle_delay())
         else:
-            self.site.message_manager.send(self._msg(logical, mtype, payload))
+            self.site.message_manager.send(msg)
 
     def _deliver_here(self, mtype: MsgType, payload: dict) -> None:
         """Control addressed to this site: its handler, called at once
@@ -207,20 +222,24 @@ class CrashManager(Manager):
             # this pause (message delay scales with size, and a commit is
             # smaller than a pause); obeying it now would pause us forever
             return
-        self.site.paused = True
-        self._pending_ack = (wave, coordinator)
-        self.maybe_ack_drained()
-
-    def maybe_ack_drained(self) -> None:
-        """Called by the processing manager as executions complete."""
-        pending = self._pending_ack
-        if pending is None or not self.site.paused:
-            return
-        if self.site.processing_manager.in_flight > 0:
-            return
-        wave, coordinator = pending
-        self._pending_ack = None
+        if not self.site.leaving:
+            # a leaver has stopped for good, and no COMMIT reaches it: its
+            # heir answers for its addresses
+            self.site.paused = True
+            self._open_wave = (wave, coordinator)
+            self.site.processing_manager.hold()
         self._send_ctrl(coordinator, MsgType.CHECKPOINT_ACK, {"wave": wave})
+
+    def end_wave(self) -> None:
+        """The open wave is over for this site: what it held goes out."""
+        self._open_wave = None
+        self.site.processing_manager.release()
+
+    def _resume(self) -> None:
+        self.end_wave()
+        self.site.paused = False
+        self.site.processing_manager.kick()
+        self.site.scheduling_manager.kick()
 
     def _on_snapshot_request(self, wave: int, coordinator: int) -> None:
         # packing is also the by-value cut: frame parameters are live
@@ -244,14 +263,17 @@ class CrashManager(Manager):
         if wave >= 0:
             self._finished_waves[src] = max(
                 self._finished_waves.get(src, -1), wave)
-        self.site.paused = False
-        self._pending_ack = None
         if msg.payload.get("aborted", False):
             self.stats.inc("waves_aborted_observed")
         else:
             self.stats.inc("waves_committed")
-        self.site.processing_manager.kick()
-        self.site.scheduling_manager.kick()
+        open_wave = self._open_wave
+        if open_wave is None or src != open_wave[1] or wave < open_wave[0]:
+            # its pause has not come (it is fenced now), a copy of a COMMIT
+            # this site has had, or one of a wave a later wave took over
+            # from: releasing now would let effects out across the open cut
+            return
+        self._resume()
 
     # ------------------------------------------------------------------
     # coordinator collection
@@ -399,6 +421,11 @@ class CrashManager(Manager):
         self.log("suspecting site %d crashed; entering recovery path",
                  logical)
         self.stats.inc("crashes_observed")
+        if self._open_wave is not None and self._open_wave[1] == logical:
+            # the wave's coordinator is gone, and its COMMIT with it: the
+            # wave ends here as an aborted one would
+            self._finished_waves[logical] = self._open_wave[0]
+            self._resume()
         if not self.is_coordinator():
             return
         if self.recovering:
@@ -498,9 +525,6 @@ class CrashManager(Manager):
             return True
         self.site.epoch = epoch
         self.site.paused = True
-        # forget any ack owed to a pre-recovery wave: the wave is dead, and
-        # a drain-triggered stale ACK would confuse the next coordinator
-        self._pending_ack = None
         dead = payload["dead"]
         heir = payload["heir"]
         # reset before recording the death: the membership hooks republish
@@ -508,6 +532,9 @@ class CrashManager(Manager):
         # the post-recovery directory
         self.site.reset_program_state()
         self.site.cluster_manager.note_record_dead(dead, heir)
+        # a wave still open here is dead: its held completions are stale
+        # now, and a held read finds the rolled-back memory
+        self.end_wave()
         return True
 
     def _distribute_snapshot(self, dead: int, alive: Set[int],
@@ -596,10 +623,10 @@ class CrashManager(Manager):
             # DONE of an older recovery arriving late — unpausing now
             # would resume us in the middle of the newer one
             return True
-        self.site.paused = False
         self.stats.inc("recoveries_completed")
-        self.site.processing_manager.kick()
-        self.site.scheduling_manager.kick()
+        # a pause of a wave the recovery killed may have come since
+        # RECOVER_BEGIN: nothing would end it
+        self._resume()
         return True
 
     def on_stop(self) -> None:

@@ -470,6 +470,10 @@ class AttractionMemory(Manager):
     def _on_mem_read(self, msg: SDMessage) -> None:
         addr = msg.payload["addr"]
         if addr in self.objects:
+            if self.site.processing_manager.holds(self._on_mem_read, msg):
+                # ownership does not cross an open checkpoint wave: the
+                # object is cut here, and ships once the wave has ended
+                return
             reply = {"addr": addr, "value": self.objects[addr],
                      "epoch": self.site.epoch,
                      "version": self._versions.get(addr, 0)}
@@ -536,9 +540,11 @@ class AttractionMemory(Manager):
         return self._export(self.site.scheduling_manager.snapshot_frames())
 
     def _export(self, sched_frames: List[Microframe]) -> dict:
+        # an execution whose effects have not dispatched goes as its frame
         return {
             "frames": [f.to_wire() for f in self.frames.values()]
-                      + [f.to_wire() for f in sched_frames],
+                      + [f.to_wire() for f in sched_frames]
+                      + self.site.processing_manager.uncommitted_wire(),
             "objects": [(addr, value, self._versions.get(addr, 0))
                         for addr, value in self.objects.items()],
             "dir": [(addr, owner, version, epoch)

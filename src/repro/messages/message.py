@@ -179,7 +179,7 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     _row(_T.CHECKPOINT_BEGIN, _M.CRASH, "wave phase"),
     _row(_T.CHECKPOINT_STATE, _M.CRASH, "wave state"),
     _row(_T.CHECKPOINT_ACK, _M.CRASH, "wave"),
-    _row(_T.CHECKPOINT_COMMIT, _M.CRASH, "wave aborted?"),
+    _row(_T.CHECKPOINT_COMMIT, _M.CRASH, "wave aborted?", must_arrive=True),
     _row(_T.CHECKPOINT_REPLICA, _M.CRASH, "wave shards"),
     _row(_T.RECOVER_BEGIN, _M.CRASH, "epoch dead heir", must_arrive=True),
     _row(_T.RECOVER_STATE, _M.CRASH, "state epoch shard", must_arrive=True),

@@ -19,7 +19,12 @@ semantics"):
    register, results travel, output flows, the frame is consumed — for an
    execution picked for replication, once another site has repeated it
    from its recorded inputs (REPLICATE) and answered with the same
-   effects (VERDICT).
+   effects (VERDICT); while a checkpoint wave is open, once the wave has
+   ended (:meth:`ProcessingManager.hold`).
+
+Until its effects have dispatched an execution is *uncommitted*: a
+checkpoint cut records it as its frame with the arguments it started
+from, and a rollback runs that frame again like any other.
 
 A context-switch cost is charged whenever more than one execution is in
 flight, so very large ``max_parallel`` degrades — reproducing the paper's
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import traceback
 from functools import partial
-from typing import Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import SerializationError
 from repro.common.ids import ManagerId
@@ -96,6 +101,12 @@ class ProcessingManager(Manager):
         #: chaos-engine result-corruption hook (None outside corrupt plans)
         self._sdc_corrupter = None
         self._sdc_index = -1
+        #: executions whose effects have not dispatched: frame -> (the
+        #: arguments it started from, the epoch it started in)
+        self._uncommitted: Dict[Microframe, tuple] = {}
+        #: what waits for the open checkpoint wave to end, in the order it
+        #: came: completions and served migrations (None: no wave is open)
+        self._held: Optional[List[Callable[[], None]]] = None
 
     def sdc_arm(self, corrupter, index: int) -> None:  # noqa: ANN001
         """Arm the chaos engine's result-corruption hook for this site."""
@@ -167,6 +178,7 @@ class ProcessingManager(Manager):
             # its verdict waits for a shadow's replay of the same log
             ctx.replicated = True
             self.stats.inc("sdc_replicated")
+        self._uncommitted[frame] = (ctx.args_snapshot, self.site.epoch)
         self._run(frame, compiled, ctx, self.site.epoch)
 
     def _run(self, frame: Microframe, compiled: CompiledMicrothread,
@@ -178,6 +190,9 @@ class ProcessingManager(Manager):
              ctx: ExecutionContext, epoch: int,
              raised: Optional[BaseException]) -> None:
         if type(raised) is Suspended:
+            if self.site.forward_to is not None:
+                self._discard_stale(frame)  # see _commit_causal
+                return
             # it waits for a reply and the CPU is free — admit another
             # microthread to hide the latency (§4)
             self.stats.inc("ctx_round_trips")
@@ -252,6 +267,15 @@ class ProcessingManager(Manager):
 
     def _commit_causal(self, frame: Microframe, ctx: ExecutionContext,
                        effects: list, tainted: bool) -> None:
+        if self.site.forward_to is not None:
+            # this site has handed its state to its heir, and the execution
+            # went with it as its frame
+            self._discard_stale(frame)
+            return
+        if self._held is not None:
+            self._held.append(partial(self._release_one, frame, ctx, effects,
+                                      tainted, self.site.epoch))
+            return
         tr = self.tracer
         if tr is None:
             self._commit(frame, ctx, effects, tainted)
@@ -476,11 +500,53 @@ class ProcessingManager(Manager):
 
     def _finish_slot(self, frame: Microframe) -> None:
         self.in_flight = max(0, self.in_flight - 1)
+        self._uncommitted.pop(frame, None)
         if not self.site.running:
             return
         self.site.site_manager.note_activity()
-        self.site.crash_manager.maybe_ack_drained()
         self.kick()
+
+    # ------------------------------------------------------------------
+    # the checkpoint cut: a wave pauses the site without draining it.
+    # Executions run on, but no effect of theirs leaves the site until the
+    # wave has ended, so every one of them still falls after the cut, which
+    # records it as its frame.
+
+    def hold(self) -> None:
+        """A checkpoint wave is open: hold every completion from now on."""
+        if self._held is None:
+            self._held = []
+
+    def holds(self, fn: Callable[..., None], *args: object) -> bool:
+        """Run ``fn(*args)`` once the open wave has ended; False, and
+        nothing kept, when no wave is open."""
+        if self._held is None:
+            return False
+        self._held.append(partial(fn, *args))
+        return True
+
+    def release(self) -> None:
+        """The wave has ended: what it held goes out, in the order it came.
+        A completion that a recovery has made stale is discarded."""
+        held, self._held = self._held, None
+        for fn in held or ():
+            fn()
+
+    def _release_one(self, frame: Microframe, ctx: ExecutionContext,
+                     effects: list, tainted: bool, epoch: int) -> None:
+        if epoch != self.site.epoch:
+            self._discard_stale(frame)
+            return
+        self._commit_causal(frame, ctx, effects, tainted)
+
+    def uncommitted_wire(self) -> list:
+        """The cut's record of each execution of this epoch whose effects
+        have not dispatched: its frame, with the arguments it started from
+        (a microthread may change its own in place)."""
+        epoch = self.site.epoch
+        return [frame.to_wire(args)
+                for frame, (args, started) in self._uncommitted.items()
+                if started == epoch]
 
     # ------------------------------------------------------------------
     def current_load(self) -> int:

@@ -114,14 +114,15 @@ class SiteManager(Manager):
         }
 
     # ------------------------------------------------------------------
-    # orderly departure (§3.4): announce, drain, relocate, forward, stop.
+    # orderly departure (§3.4): announce, relocate, forward, stop.
     #
     # "The sign off process is a bit more difficult, as every site owns a
     # part of the global memory.  All microframes and the local part of the
     # global memory have to be relocated to other sites before shutdown to
     # avoid damaging the data coherency."
 
-    #: wait after draining so in-flight messages land before the export
+    #: wait after the announcement so in-flight messages land before the
+    #: export
     SETTLE_DELAY = 2e-3
     #: zombie window during which stragglers are forwarded to the heir
     FORWARD_GRACE = 0.05
@@ -142,17 +143,21 @@ class SiteManager(Manager):
         self.note("sign_off", heir)
         # 1) announce, so peers route new traffic to the heir
         self.site.cluster_manager.broadcast_sign_off(heir)
-        # 2) stop taking new work (pause refuses help + PM intake) and
-        #    let in-flight executions drain
+        # 2) stop taking new work (pause refuses help + PM intake); a
+        #    leaver takes no further part in a checkpoint wave, so what one
+        #    holds goes out now
         self.site.paused = True
-        self._drain_then_export(heir)
+        self.site.crash_manager.end_wave()
+        self._settle_then_export(heir)
         return True
 
-    def _drain_then_export(self, heir: int) -> None:
+    def _settle_then_export(self, heir: int) -> None:
         if not self.site.running:
             return
-        if self.site.processing_manager.in_flight > 0:
-            self.kernel.call_later(1e-3, self._drain_then_export, heir)
+        if self.site.processing_manager.waiting > 0:
+            # the reply a suspended execution waits for may carry an
+            # object: it has to land here before the state leaves
+            self.kernel.call_later(1e-3, self._settle_then_export, heir)
             return
         self.kernel.call_later(self.SETTLE_DELAY, self._export_and_stop,
                                heir)
@@ -160,17 +165,26 @@ class SiteManager(Manager):
     def _export_and_stop(self, heir: int) -> None:
         if not self.site.running:
             return
-        if self.site.processing_manager.in_flight > 0:
-            # a straggler arrived during the settle window; drain again
-            self._drain_then_export(heir)
+        if self.site.processing_manager.waiting > 0:
+            self._settle_then_export(heir)
             return
+        # 3) relocate: an execution still running goes as its frame, to run
+        #    again on the heir (a leaver that waited for it would hold
+        #    objects and frames no checkpoint wave or reader can reach)
         self.log("relocating state to heir %d", heir)
         self.site.crash_manager.hand_off(heir, lambda: self.kernel.call_later(
             self.FORWARD_GRACE, self._final_stop))
-        # 3) zombie window: forward stragglers, stop a grace after it settled
+        # 4) zombie window: forward stragglers, stop a grace after it settled
         self.site.forward_to = heir
 
     def _final_stop(self) -> None:
+        if not self.site.running:
+            return
+        if self.site.processing_manager.in_flight > 0:
+            # the copies still running here commit nothing, but user code
+            # on a worker thread has to end before the site stops
+            self.kernel.call_later(1e-3, self._final_stop)
+            return
         self.site.stop()
 
     def on_stop(self) -> None:

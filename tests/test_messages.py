@@ -222,8 +222,8 @@ class TestManagerTable:
         ACK and no module keeps a retry budget of its own."""
         from repro.site.message_manager import MessageManager
         assert MessageManager._MUST_ARRIVE == {
-            MsgType.DIR_UPDATE, MsgType.SIGN_OFF, MsgType.RECOVER_BEGIN,
-            MsgType.RECOVER_STATE, MsgType.RECOVER_DONE}
+            MsgType.DIR_UPDATE, MsgType.SIGN_OFF, MsgType.CHECKPOINT_COMMIT,
+            MsgType.RECOVER_BEGIN, MsgType.RECOVER_STATE, MsgType.RECOVER_DONE}
         managers = SimCluster(nsites=1, config=SDVMConfig()).sites[0].managers
         for msg_type in MessageManager._MUST_ARRIVE:
             assert callable(getattr(managers[MESSAGE_TABLE[msg_type].owner],

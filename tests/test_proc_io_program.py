@@ -11,7 +11,7 @@ from repro.common.errors import (MemoryFault, ProgramError, SDVMError,
                                  SerializationError)
 from repro.common.ids import FileHandle, make_program_id, program_origin_site
 from repro.core.program import ProgramBuilder
-from repro.messages import MsgType
+from repro.messages import MsgType, SDMessage
 from repro.proc.context import _Failed
 from repro.program.manager import ProgramInfo, ProgramManager
 from repro.serde import Encoded, dumps, loads
@@ -522,23 +522,29 @@ class TestRestartableExecution:
         assert (pm.in_flight, pm.waiting) == (0, 0)
         assert not handle.done  # the restored frame would run again
 
-    def test_no_pause_ack_with_a_read_outstanding(self, fast_config):
-        """A suspended execution is in flight: the checkpoint wave's line
-        is cut only after its reply has landed and it has committed."""
-        cluster, a, b, _addr, handle = self.suspended_reader(
+    def test_pause_acks_with_a_read_outstanding(self, fast_config):
+        """A suspended execution does not hold up a checkpoint wave: the
+        pause is acked at once, the execution finishes its read while the
+        site is paused, and its effects wait for the wave's COMMIT."""
+        cluster, a, b, addr, handle = self.suspended_reader(
             fast_config.with_(trace=True))
-        assert b.processing_manager.in_flight == 1
+        pm = b.processing_manager
+        assert pm.in_flight == 1
         b.crash_manager._on_pause(1, a.site_id)
-        assert b.paused and b.crash_manager._pending_ack == (1, a.site_id)
         acks = lambda: cluster.cluster_report().message_breakdown.get(  # noqa: E731
             "CHECKPOINT_ACK", {"count": 0})["count"]
-        assert acks() == 0
-        while not handle.done:
-            assert b.crash_manager._pending_ack is not None
-            assert cluster.sim.step()
-        assert b.processing_manager.in_flight == 0
-        assert b.crash_manager._pending_ack is None
-        assert acks() == 1
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        assert b.paused and acks() == 1
+        assert (pm.in_flight, pm.waiting) == (1, 0) and not handle.done
+        # the cut would record it as its frame, with its arguments
+        wire, = pm.uncommitted_wire()
+        assert wire[4] == [(0, addr)]
+        b.crash_manager._on_checkpoint_commit(SDMessage(
+            type=MsgType.CHECKPOINT_COMMIT, src_site=a.site_id,
+            dst_site=b.site_id, payload={"wave": 1}))
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        assert not b.paused and handle.done and handle.result == "v"
+        assert pm.in_flight == 0 and pm.uncommitted_wire() == []
 
     def dead_owner_read(self, config):
         cluster, a, b, addr, handle = self.suspended_reader(config)
