@@ -196,7 +196,7 @@ class ClusterManager(Manager):
     #: only a victim whose fresh queue figure is at least this deep is
     #: worth a request: a site advertising a single spare frame will
     #: almost always run it itself before the request lands, so begging
-    #: it mostly buys a CANT_HELP (the thundering-herd dampener for
+    #: it mostly buys a refusal (the thundering-herd dampener for
     #: victim selection, the hot-peer cache and help-request forwarding)
     STEAL_MIN_QUEUE = 2
 
@@ -223,7 +223,7 @@ class ClusterManager(Manager):
         never heard (probing refreshes the view), else a fresh peer whose
         total load suggests work may surface soon.  When every fresh peer
         is known-empty, returns None so the scheduler backs off instead of
-        paying a round trip for a guaranteed CANT_HELP.
+        paying a round trip for a guaranteed refusal.
         """
         excluded = set(exclude)
         now = self.kernel.now

@@ -31,7 +31,7 @@ Remote reads do at most one directory hop and then a direct owner fetch;
 nothing on the lookup path broadcasts or scales with the cluster size.
 
 There is one access path, under both kernels: the message protocol
-(MEM_READ / MEM_READ_REPLY / MEM_WRITE / MEM_LOCATION / DIR_UPDATE)
+(MEM_READ / MEM_READ_REPLY / MEM_WRITE / DIR_UPDATE)
 behind :meth:`live_read` and :meth:`apply_write`.  An execution
 that waits for the callback is abandoned and runs again once it has
 fired (:mod:`repro.proc.context`).  No site ever looks into another
@@ -365,16 +365,17 @@ class AttractionMemory(Manager):
         self.stats.inc("reads_remote")
 
         def on_reply(reply: SDMessage) -> None:
-            if reply.type == MsgType.MEM_READ_REPLY:
+            payload = reply.payload
+            if "value" in payload:
                 if self._adopt_shipped(reply):
-                    cb(reply.payload["value"])
+                    cb(payload["value"])
                 else:
                     self._read_unresolved(addr, cb, attempt)
-            elif reply.type == MsgType.MEM_LOCATION:
-                self._live_read_at(addr, reply.payload["owner"], cb,
-                                   attempt + 1)
+            elif "owner" in payload:
+                # the directory's redirect: the object lives there
+                self._live_read_at(addr, payload["owner"], cb, attempt + 1)
             else:
-                # MEM_NOT_FOUND: the owner-side handoff window — the old
+                # not found: the owner-side handoff window — the old
                 # owner already shipped the object, the new owner's
                 # DIR_UPDATE is still in flight.  Re-resolve, bounded.
                 self._read_unresolved(addr, cb, attempt)
@@ -388,12 +389,19 @@ class AttractionMemory(Manager):
             self._read_unresolved(addr, cb, attempt)
 
     def _adopt_shipped(self, reply: SDMessage) -> bool:
-        """Take the ownership a MEM_READ_REPLY carries.  False — nothing
-        adopted, the value not to be used — for a reply its sender stamped
-        before the last rollback: recovery has restored every checkpointed
-        object at its checkpointed owner, so adopting the straggler would
-        put one address on two sites."""
+        """Take the ownership a MEM_READ_REPLY with a value carries.
+        False — nothing adopted, the value not to be used — for a reply its
+        sender stamped before the last rollback: recovery has restored
+        every checkpointed object at its checkpointed owner, so adopting
+        the straggler would put one address on two sites.  False too for a
+        value without its epoch and version, which the table leaves
+        optional only because a redirect has neither."""
         payload = reply.payload
+        if "epoch" not in payload or "version" not in payload:
+            self.site.message_manager.drop_malformed(
+                f"MEM_READ_REPLY from {reply.src_site}: a value without "
+                "its epoch or version")
+            return False
         if self._stale_epoch(payload):
             self.stats.inc("stale_read_replies_dropped")
             return False
@@ -402,9 +410,12 @@ class AttractionMemory(Manager):
             reply.src_site, payload.get("recorded", False))
         return True
 
-    # a late reply after a timed-out read shipped ownership all the same:
-    # adopt the object — dropping it would lose data
-    _on_mem_read_reply = _adopt_shipped
+    def _on_mem_read_reply(self, msg: SDMessage) -> None:
+        """A late value reply after a timed-out read shipped ownership all
+        the same: adopt the object — dropping it would lose data.  A late
+        redirect or not-found has nothing to adopt."""
+        if "value" in msg.payload:
+            self._adopt_shipped(msg)
 
     def _adopt_remote_object(self, addr: GlobalAddress, value: Any,
                              version: int, src: int,
@@ -468,33 +479,30 @@ class AttractionMemory(Manager):
             self.register_frame(frame)
 
     def _on_mem_read(self, msg: SDMessage) -> None:
+        """Answer with the value (and ownership), else with the owner the
+        directory names, else with neither: not found."""
         addr = msg.payload["addr"]
+        reply = {"addr": addr}
         if addr in self.objects:
             if self.site.processing_manager.holds(self._on_mem_read, msg):
                 # ownership does not cross an open checkpoint wave: the
                 # object is cut here, and ships once the wave has ended
                 return
-            reply = {"addr": addr, "value": self.objects[addr],
-                     "epoch": self.site.epoch,
-                     "version": self._versions.get(addr, 0)}
+            reply.update(value=self.objects[addr], epoch=self.site.epoch,
+                         version=self._versions.get(addr, 0))
             # ownership ships with the reply; the *requester* publishes a
             # DIR_UPDATE once it has adopted the object, unless the
             # directory is this very site and already knows
             if self._ship_out(addr, msg.src_site):
                 reply["recorded"] = True
-            self.site.message_manager.send(make_reply(
-                msg, MsgType.MEM_READ_REPLY, reply))
             self.stats.inc("reads_served")
-            return
-        owner = self.dir_owner(addr)
-        if owner is not None and owner != self.local_id:
-            self.site.message_manager.send(make_reply(
-                msg, MsgType.MEM_LOCATION, {"addr": addr, "owner": owner}))
+        elif (owner := self.dir_owner(addr)) not in (None, self.local_id):
+            reply["owner"] = owner
             self.stats.inc("redirects_served")
-            return
+        else:
+            self.stats.inc("reads_not_found")
         self.site.message_manager.send(make_reply(
-            msg, MsgType.MEM_NOT_FOUND, {"addr": addr}))
-        self.stats.inc("reads_not_found")
+            msg, MsgType.MEM_READ_REPLY, reply))
 
     def _on_mem_write(self, msg: SDMessage) -> None:
         addr = msg.payload["addr"]

@@ -19,8 +19,7 @@ class MsgType(enum.IntEnum):
 
     # -- scheduling / work stealing (§3.3, §4 scheduling manager)
     HELP_REQUEST = 10          # idle site asks another site for work
-    HELP_REPLY = 11            # an executable/ready frame, if one was spared
-    CANT_HELP = 12             # "my queues are empty, too"
+    HELP_REPLY = 11            # frames spared, or none: "my queues are empty"
 
     # -- replicated execution (SDC defense, §4 processing manager)
     REPLICATE = 15             # an execution's recorded inputs, to repeat
@@ -34,12 +33,10 @@ class MsgType(enum.IntEnum):
     # -- attraction memory / COMA (§4 attraction memory)
     APPLY_RESULT = 30          # write a parameter into a waiting microframe
     MEM_READ = 31              # request a memory object's value
-    MEM_READ_REPLY = 32
+    MEM_READ_REPLY = 32        # the value, else its owner, else neither
     MEM_WRITE = 33             # update a memory object
-    MEM_LOCATION = 36          # directory redirect: "object now lives at X"
     DIR_UPDATE = 37            # owner publishes ownership to the homesite
     FRAME_TRANSFER = 38        # a microframe migrates (help reply / relocation)
-    MEM_NOT_FOUND = 39
 
     # -- cluster membership (§3.4, §4 cluster manager)
     SIGN_ON = 50               # join request to a known site
@@ -75,13 +72,7 @@ class MsgType(enum.IntEnum):
     ACK = 89                   # receipt for a must-arrive message
 
     # -- security (§4 security manager)
-    KEY_EXCHANGE_INIT = 90
-    KEY_EXCHANGE_REPLY = 91
-
-    # -- site maintenance (§4 site manager)
-    STATUS_QUERY = 95
-    STATUS_REPLY = 96
-    SHUTDOWN = 97
+    KEY_EXCHANGE = 90          # a DH public value; a reply answers in kind
 
 
 class Row(NamedTuple):
@@ -131,8 +122,7 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     # -- scheduling / work stealing
     _row(_T.HELP_REQUEST, _M.SCHEDULING, "want record? hops? thief? rseq?",
          forward=True),
-    _row(_T.HELP_REPLY, _M.SCHEDULING, "frames program_infos epoch"),
-    _row(_T.CANT_HELP, _M.SCHEDULING),
+    _row(_T.HELP_REPLY, _M.SCHEDULING, "frames? program_infos? epoch?"),
     _row(_T.LOAD_REPORT, _M.SCHEDULING),
     # -- replicated execution
     _row(_T.REPLICATE, _M.PROCESSING,
@@ -148,15 +138,13 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
          forward=True, data="value"),
     _row(_T.MEM_READ, _M.ATTRACTION_MEMORY, "addr", forward=True),
     _row(_T.MEM_READ_REPLY, _M.ATTRACTION_MEMORY,
-         "addr value epoch version recorded?"),
+         "addr value? epoch? version? recorded? owner?"),
     _row(_T.MEM_WRITE, _M.ATTRACTION_MEMORY, "addr value hops?",
          forward=True),
-    _row(_T.MEM_LOCATION, _M.ATTRACTION_MEMORY, "addr owner"),
     _row(_T.DIR_UPDATE, _M.ATTRACTION_MEMORY, "addr owner version epoch",
          forward=True, must_arrive=True),
     _row(_T.FRAME_TRANSFER, _M.ATTRACTION_MEMORY,
          "frames program_infos epoch", forward=True),
-    _row(_T.MEM_NOT_FOUND, _M.ATTRACTION_MEMORY, "addr"),
     # -- cluster membership
     _row(_T.SIGN_ON, _M.CLUSTER,
          "physical platform speed name code_distribution reliable",
@@ -187,12 +175,7 @@ MESSAGE_TABLE: Dict[MsgType, Row] = {row.type: row for row in (
     # -- delivery
     _row(_T.ACK, _M.MESSAGE),
     # -- security
-    _row(_T.KEY_EXCHANGE_INIT, _M.SECURITY, "public"),
-    _row(_T.KEY_EXCHANGE_REPLY, _M.SECURITY, "public"),
-    # -- site maintenance
-    _row(_T.STATUS_QUERY, _M.SITE),
-    _row(_T.STATUS_REPLY, _M.SITE, "load site_id queue_depth"),
-    _row(_T.SHUTDOWN, _M.SITE),
+    _row(_T.KEY_EXCHANGE, _M.SECURITY, "public"),
 )}
 #: the owner's method that handles each type: ``_on_`` and the type's name
 #: in lower case (``_on_help_request``), as ``ast.NodeVisitor`` names its

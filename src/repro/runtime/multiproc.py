@@ -72,10 +72,10 @@ def spawn_workers(count: int, bootstrap_addr: str, config: SDVMConfig,
 
 def stop_workers(processes: List[multiprocessing.Process],
                  timeout: float = 2.0) -> None:
-    """Terminate worker processes (the crash-style exit).  For an orderly
-    one, a cluster site's reactor first sends each a ``SDMessage(type=
-    MsgType.SHUTDOWN, src_site=..., dst_site=worker_id)``: it signs off
-    to an heir, stops, and its process exits by itself."""
+    """Terminate worker processes: the crash-style exit, which the
+    cluster's failure detector and recovery see as a crash.  No message
+    stops a worker remotely: an orderly leave, ``site.sign_off()``, is
+    called on the leaving site itself."""
     for process in processes:
         process.terminate()
     for process in processes:

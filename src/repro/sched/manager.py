@@ -251,14 +251,14 @@ class SchedulingManager(Manager):
         if request is not None:
             self.stats.observe("help_latency",
                                self.kernel.now - request.sent_at)
-        if msg.type == MsgType.CANT_HELP:
+        if "frames" not in msg.payload:
             self.stats.inc("cant_help_received")
             # the thief sits out its backoff; the refuser's next queue
             # change reaches it as a correction (_gossip_flush)
             self._help_failed(msg.src_site)
             return
-        if msg.type != MsgType.HELP_REPLY:
-            self.log("unexpected help reply %s", msg.type.name)
+        if self._malformed_grant(msg):
+            self._help_failed(msg.src_site)  # as its timeout would have
             return
         self.stats.inc("steal_grants")
         self._adopt_steal(msg, live=request is not None)
@@ -267,10 +267,22 @@ class SchedulingManager(Manager):
         """A reply whose request timed out still carries stolen frames, so
         adopt and count them — but the request already fed the
         backoff/cooldown failure path when it timed out, so the reply must
-        NOT reset that state (live=False).  A late CANT_HELP has no
-        handler: the site drops it."""
+        NOT reset that state (live=False).  A late refusal (no frames) is
+        dropped: it changes nothing the timeout did not."""
+        if "frames" not in msg.payload or self._malformed_grant(msg):
+            return
         self.stats.inc("late_steal_grants")
         self._adopt_steal(msg, live=False)
+
+    def _malformed_grant(self, msg: SDMessage) -> bool:
+        """A grant's fields are optional in the table only because a
+        refusal has none: one with frames must carry the rest too."""
+        if "program_infos" in msg.payload and "epoch" in msg.payload:
+            return False
+        self.site.message_manager.drop_malformed(
+            f"HELP_REPLY from {msg.src_site}: frames without their epoch "
+            "or program infos")
+        return True
 
     def _adopt_steal(self, msg: SDMessage, live: bool) -> None:
         """Account for stolen frames arriving via (batched) HELP_REPLY.
@@ -325,7 +337,7 @@ class SchedulingManager(Manager):
         delay = HELP_RETRY_INTERVAL * self._help_backoff
         # a constant ceiling: a refused thief is woken by the victim's
         # next queue change, so blind retries into a drained cluster only
-        # pad the CANT_HELP count — but nothing wakes a thief nobody has
+        # pad the refusal count — but nothing wakes a thief nobody has
         # refused lately, so its longest sleep must not grow with the
         # membership
         self._help_backoff = min(self._help_backoff * 1.5, 20.0)
@@ -355,19 +367,18 @@ class SchedulingManager(Manager):
     # ------------------------------------------------------------------
     # serving help requests from other sites
 
-    def _reply_help(self, msg: SDMessage, mtype: MsgType,
-                    payload: dict) -> bool:
+    def _reply_help(self, msg: SDMessage, payload: dict) -> bool:
         """Answer a help request at its *originating* thief — which differs
         from ``msg.src_site`` when an empty victim forwarded the request."""
         return self.site.message_manager.send(SDMessage(
-            type=mtype,
+            type=MsgType.HELP_REPLY,
             src_site=self.local_id,
             dst_site=int(msg.payload.get("thief", msg.src_site)),
             payload=payload,
             reply_to=int(msg.payload.get("rseq", msg.seq))))
 
     def _cant_help(self, msg: SDMessage) -> None:
-        self._reply_help(msg, MsgType.CANT_HELP, {})
+        self._reply_help(msg, {})
         self.note("cant_help", int(msg.payload.get("thief", msg.src_site)))
 
     def _forward_help(self, msg: SDMessage) -> bool:
@@ -375,7 +386,7 @@ class SchedulingManager(Manager):
 
         A victim with nothing to spare often *knows* (from fresh gossip)
         a peer that does have stealable work — forwarding the request
-        there turns a guaranteed CANT_HELP plus a thief-side retry round
+        there turns a guaranteed refusal plus a thief-side retry round
         trip into a single extra hop.  The originating thief and its
         request seq ride in the payload so the eventual holder's reply
         goes straight back to the thief; a hop budget stops a drained
@@ -447,8 +458,8 @@ class SchedulingManager(Manager):
                                 else self.ready.popleft())
             frames.append(frame)
         if not frames:
-            # nothing actually takeable: an empty HELP_REPLY would read
-            # as generosity (backoff reset) — refuse honestly instead
+            # nothing actually takeable: refuse, so that every grant
+            # carries a frame and "no frames" means a refusal
             self._cant_help(msg)
             return
         self.arm_gossip()
@@ -457,7 +468,7 @@ class SchedulingManager(Manager):
             "program_infos": self._program_infos(frames),
             "epoch": self.site.epoch,
         }
-        if not self._reply_help(msg, MsgType.HELP_REPLY, payload):
+        if not self._reply_help(msg, payload):
             # unresolvable thief (crashed between request and grant):
             # keep the frames — handing them to a dead site loses them
             self.stats.inc("grants_undeliverable")
@@ -489,7 +500,7 @@ class SchedulingManager(Manager):
             # wrong in the drain phase, where single-frame bursts are all
             # there is).  Fresh positive first-hand evidence beats stale
             # failure memory: take the sender off cooldown, drop the
-            # backoff a streak of startup CANT_HELPs built up, and react
+            # backoff a streak of startup refusals built up, and react
             # now instead of waiting out the retry timer
             self._cooldown.pop(msg.src_site, None)
             self._help_backoff = 1.0

@@ -5,8 +5,8 @@ made in a secure way, e. g. by supplying a start password by hand": every
 pair of sites deterministically derives an initial pairwise key from the
 cluster password and the two *physical* addresses, so any site can encrypt
 to any other immediately, with no handshake on the critical path.  A DH
-exchange (KEY_EXCHANGE_INIT/REPLY messages, handled by the site wiring) can
-later rotate a pair onto a fresh session key.
+exchange (a KEY_EXCHANGE answered in kind, handled by the site's security
+manager) can later rotate a pair onto a fresh session key.
 
 When disabled ("if an insular cluster ... is used, the security manager can
 be disabled in favor of a performance gain", §4), the envelope is the

@@ -310,8 +310,7 @@ class MessageManager(Manager):
             try:
                 msg = SDMessage.decode(data)
             except SerializationError as exc:
-                self.stats.inc("malformed")
-                self.log("malformed message dropped: %s", exc)
+                self.drop_malformed(exc)
                 return
             self.stats.inc("parsed")
         self.stats.inc("received")
@@ -321,6 +320,12 @@ class MessageManager(Manager):
             tr.emit(self.kernel.now, self.local_id, "msg_recv",
                     msg.type.name, msg.src_site, len(data), msg.seq)
         self.kernel.cpu_run(self._wire_cost(len(data)), self._dispatch, msg)
+
+    def drop_malformed(self, problem: object) -> None:
+        """Count and log a message the decode refused, or a reply its
+        handler found without a field its kind of answer needs."""
+        self.stats.inc("malformed")
+        self.log("malformed message dropped: %s", problem)
 
     #: message kinds a departed-but-forwarding site relays to its heir
     _FORWARDABLE = frozenset(

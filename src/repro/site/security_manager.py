@@ -48,26 +48,29 @@ class SecurityManager(Manager):
         pair = DHKeyPair(self.kernel.rng)
         self._pending_dh[peer_logical] = pair
         self.site.message_manager.send(SDMessage(
-            type=MsgType.KEY_EXCHANGE_INIT,
+            type=MsgType.KEY_EXCHANGE,
             src_site=self.local_id, dst_site=peer_logical,
             payload={"public": pair.public},
         ))
         self.note("key_exchange", peer_logical, "init")
 
-    def _on_key_exchange_init(self, msg: SDMessage) -> None:
+    def _on_key_exchange(self, msg: SDMessage) -> None:
+        """A peer's public value: a request is answered in kind, a reply
+        (``reply_to >= 0``) completes the exchange this site began."""
+        if msg.reply_to >= 0:
+            pair = self._pending_dh.pop(msg.src_site, None)
+            if pair is None:
+                self.log("unsolicited KEY_EXCHANGE reply from %d",
+                         msg.src_site)
+                return
+            self._install(msg.src_site, pair.shared_key(msg.payload["public"]))
+            return
         pair = DHKeyPair(self.kernel.rng)
         key = pair.shared_key(msg.payload["public"])
         # install only after the reply is sealed under the old key
         self.site.message_manager.send(make_reply(
-            msg, MsgType.KEY_EXCHANGE_REPLY, {"public": pair.public}))
+            msg, MsgType.KEY_EXCHANGE, {"public": pair.public}))
         self._install(msg.src_site, key)
-
-    def _on_key_exchange_reply(self, msg: SDMessage) -> None:
-        pair = self._pending_dh.pop(msg.src_site, None)
-        if pair is None:
-            self.log("unsolicited KEY_EXCHANGE_REPLY from %d", msg.src_site)
-            return
-        self._install(msg.src_site, pair.shared_key(msg.payload["public"]))
 
     def _install(self, peer_logical: int, key: bytes) -> None:
         peer_physical = self.site.cluster_manager.physical_of(peer_logical)

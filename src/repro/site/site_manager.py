@@ -1,4 +1,4 @@
-"""The site manager — local lifecycle, performance data, status queries (§4).
+"""The site manager — local lifecycle, performance data, local status (§4).
 
 "In contrast to the cluster manager, the site manager focuses on the local
 site.  It offers the functionality to start and end the local site, and to
@@ -9,7 +9,6 @@ about the local site."
 from __future__ import annotations
 
 from repro.common.ids import ManagerId
-from repro.messages import MsgType, SDMessage, make_reply
 from repro.site.manager_base import Manager
 
 #: the energy model's draw per state (watts), read by energy_report
@@ -191,14 +190,3 @@ class SiteManager(Manager):
         if self._sleep_timer is not None:
             self.kernel.cancel(self._sleep_timer)
             self._sleep_timer = None
-
-    # ------------------------------------------------------------------
-    def _on_status_query(self, msg: SDMessage) -> None:
-        self.site.message_manager.send(make_reply(
-            msg, MsgType.STATUS_REPLY,
-            {"load": self.current_load(),
-             "site_id": self.local_id,
-             "queue_depth": self.site.scheduling_manager.queue_depth()}))
-
-    def _on_shutdown(self, msg: SDMessage) -> None:
-        self.sign_off()

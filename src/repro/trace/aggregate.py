@@ -168,7 +168,7 @@ def aggregate_sites(sites: List, tracer: Optional[Tracer] = None,  # noqa: ANN00
         "gossip_flushes": merged.get("gossip_flushes").count,
         # the trade conversation-scoped load reports make: fewer reports
         # per useful execution, paid for in blind probes that come back
-        # as CANT_HELP
+        # refused (a HELP_REPLY without frames)
         "load_reports_per_exec": _rate(merged.get("gossip_sent").count,
                                        merged.get("executions").count),
         "help_refusal_rate": _rate(merged.get("cant_help_received").count,

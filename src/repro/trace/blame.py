@@ -286,7 +286,7 @@ def blame_cluster(cluster) -> BlameReport:  # noqa: ANN001
     for node in graph.nodes.values():
         if node.kind != "msg" or node.local:
             continue
-        if node.label in ("HELP_REPLY", "CANT_HELP"):
+        if node.label == "HELP_REPLY":  # a grant or a refusal
             help_ends.setdefault(node.dst, []).append(node.end)
         if node.label in _DATAFLOW_TYPES and node.end > node.start:
             dataflow.setdefault(node.dst, []).append((node.start, node.end))

@@ -32,7 +32,7 @@ from repro.trace.tracer import Tracer, TracerEvent
 
 #: help-protocol message types: their transit on a critical path means
 #: the work itself travelled by stealing, not ordinary dataflow
-_STEAL_LABELS = frozenset({"HELP_REQUEST", "HELP_REPLY", "CANT_HELP"})
+_STEAL_LABELS = frozenset({"HELP_REQUEST", "HELP_REPLY"})
 #: load-view maintenance traffic — rarely on the path, but when a
 #: LOAD_REPORT triggers the steal that moved the work it should say so
 _GOSSIP_LABELS = frozenset({"LOAD_REPORT", "HEARTBEAT", "CLUSTER_INFO"})
@@ -181,8 +181,8 @@ class CausalGraph:
 
         Categories: ``compute`` (an execution's span), ``message-latency``
         (a remote dataflow message's transit), ``steal-transfer`` (a
-        help-protocol message — HELP_REQUEST/HELP_REPLY/CANT_HELP — on
-        the path: work arrived here by being stolen), ``gossip`` (a
+        help-protocol message — a HELP_REQUEST, or a HELP_REPLY, grant or
+        refusal — on the path: work arrived here by being stolen), ``gossip`` (a
         load-report/heartbeat message on the path), ``sched-wait`` (gap
         between a cause completing and the dependent execution starting —
         queueing, code fetch, steal transport), ``handler`` (gap between

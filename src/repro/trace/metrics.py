@@ -47,7 +47,7 @@ SAMPLE_FIELDS: Tuple[str, ...] = (
     "help_sent",      # help requests sent this interval
     "steals_in",      # frames stolen in this interval
     "steal_grants",   # frames granted to thieves this interval
-    "cant_help_received",  # CANT_HELP replies received this interval
+    "cant_help_received",  # refusals (HELP_REPLYs without frames) received
     "msgs_sent",      # messages sent this interval (incl. loopback)
     "msgs_recv",      # messages received this interval
     "wave_age",       # age of the coordinator's open checkpoint wave (s)

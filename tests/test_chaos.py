@@ -155,42 +155,49 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 #: site but 0 allocates an object any more).
 #: ``signoff_handoff_past_rollback`` is new: ``signoff_after_rollback``'s
 #: leaver now hands off before that plan's delayed window opens.
+#: All seventeen moved when the refusal, redirect and not-found answers
+#: became replies of their requests' one reply type (CANT_HELP is a
+#: HELP_REPLY without frames, MEM_LOCATION and MEM_NOT_FOUND a
+#: MEM_READ_REPLY with an owner or with neither): the type names in the
+#: journal's message events changed and nothing else.  With the old
+#: names mapped onto the new, every plan's journal digests equal to the
+#: one before.
 #: ``repro chaos corpus --twice --fingerprints`` prints this map as JSON.
 PINNED_FINGERPRINTS = {
     "coordinator_crash.json":
-        "e999eba00b661714b1370f0a833835734db2058a888f302e4b365c1cf37d7d77",
+        "9a56e24a47bfe1531f12ae431e941405d9172948f44e2699a48ff221eb55b8dc",
     "crash_during_recovery.json":
-        "43ddc08e1e064bb617e85361a1bdadc8ad13d60d2906fd2c488f51e440b3eaa8",
+        "fac2d79718564336ca0eb3ade25ba6402f163b2ddb3308273dfa051f40175639",
     "crash_during_wave.json":
-        "921442e8ffd08646225f4fcef38fde9897a9bdeb7cd07d33cdca011a1d0a755f",
+        "d7b2053a728655c49ea19a314fa3f77aa23dddb4fa38fcd72f6268fba7d2450e",
     "dir_shard_crash.json":
-        "95c588b57adddd38b6e2cfa0a6121ba7ea9e4ea17a5824d42cdb0635f8125eba",
+        "6b8e9a3ac15269e8e7124bbdc0defcb5b26564b2ebc5aa111d71145aafa382f2",
     "duplicate_delivery.json":
-        "3fc5e86516503af16de92f2ff4326d30276baa0d6c923c5a199fc331339b4076",
+        "bc0dc6dee870f9139722b5401f4b655a096676352df3d2628f2a59b6a6754d4a",
     "homesite_crash.json":
-        "21349a2c2200b0c4dadd155ffbdcdec9f9546264591d5dde0ef08fb195c16d54",
+        "c0b309228fda4a7025b4e564c4f7acb61647a3521c4fe41690bf6f4af1bb3211",
     "lossy_recovery.json":
-        "55795f5cbac852ae705b7b27ab3a74762ab8e3893edfba7cccb2dfea8e348cf4",
+        "4329919f2e93014fe13be30a5e207612421933a6e474e365549f67b3632a7df9",
     "memory_partition.json":
-        "7ee8d1ee6c3d81a1675b551f8860d7bc13004f1e809deab0b1b00e80e6630b02",
+        "0c81d6d3730f7ff011ffa5d03d4f1f56ed5bce19e4462bb2fa46133a68d0010f",
     "partition_then_heal.json":
-        "72e52ced875945e334e26cf63aee154f6f9b927a69ae81069e98e67dd0af5ea4",
+        "c04cdb14ae2b8214a66617829d3dae0f475e246d6db545132b1df535923b9672",
     "recover_done_overtakes_state.json":
-        "e8aa760adf00eb8e8d745a2a7c452e00fca255a9af54f0e8d7f5330116b1d046",
+        "a3a3d2a047a6a6282e364c8868d0ba49c3446aec8dc803785ef68025008556c8",
     "signoff_after_rollback.json":
-        "04ff19e17babe0241a7d1a86cf22f5e4471adc3df0b7e0c09f5e77b5fdcd39e2",
+        "cf3879c02c8722467607f86bbd65e641e4966d1e1cbbcffef4dfdd6c86264291",
     "signoff_handoff_drop.json":
-        "77090e169e370608f834ee9d6936c5ab5040ca9ace6b6f68e4c6e1cb4823d2b5",
+        "eaeca4aa7861800a16de18832acd5c08c6319bdd03ac03f104d536a6634e6125",
     "signoff_handoff_past_rollback.json":
-        "846fbfa9d3fe4a61d60790c89aa174f40b06b4aacf4f2155166ece6ffc332619",
+        "2f84de17b9059aec462e08a2c25e033182a50d7d4205da725717b3186fdb27f5",
     "signoff_leaver_silence.json":
-        "6d19e4d3d4834d15afb1e40be1c057dd85f18d5087486314d43131ae6184841a",
+        "5180751eb4dbdc76541e2d47333a97b4544d071d930dfbf30708ff6b83e09d84",
     "signoff_notice_drop.json":
-        "106af79eb2a938dd237cd625dab4f23cabfbac7149c42317bbe2c3ad258c43fb",
+        "0b75a464ccc7d56dc8730f888a4db234e449f492c5ecf6c974ca596c315af3aa",
     "steal_batch_reorder.json":
-        "131ae5eb29eebdd4d745da7c5c71ee4521ce3a77d5a287ed5fb3b20ebce51a3b",
+        "9cbde8e3da45ff24181cba63d2799bb85e09e3947eb10537cb5265882469cb8e",
     "wave_stall.json":
-        "320488591708829c26eb2581e15ae7833bdd00d3949d934f2dabb6c09ed3d73e",
+        "cf65b68ff37105d365310948f03e2a1eebb68bb1406461f863b24468dd463658",
 }
 
 _corpus_results = {}

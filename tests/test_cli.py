@@ -114,7 +114,8 @@ class TestTraceAndStats:
         # primes read 49 / 57 until a code reply stopped carrying its
         # thread's metadata: the same seven code messages are 1.6 kB
         # smaller, the run steals differently (HELP_REQUEST 5 -> 8,
-        # HELP_REPLY 4 -> 6, CANT_HELP 1 -> 2), sends one more
+        # grants 4 -> 6, refusals 1 -> 2: HELP_REPLY 5 -> 8 since the
+        # refusal is a HELP_REPLY without frames), sends one more
         # APPLY_RESULT and runs two more executions
         assert derived("primes", "--sites", "2",
                        "--args", "10", "4", "200", "2000") \

@@ -361,24 +361,6 @@ def slow_fanout_program():
     return prog.build()
 
 
-class TestShutdown:
-    def test_shutdown_message_makes_the_site_sign_off(self, fast_config):
-        """SHUTDOWN is the site manager's: the target relocates to an
-        heir, stops, and its peers record an orderly departure."""
-        from repro.messages import SDMessage
-        cluster = SimCluster(nsites=3, config=fast_config)
-        cluster.sim.run(until=0.2)
-        sender, leaver = cluster.sites[0], cluster.sites[2]
-        assert sender.message_manager.send(SDMessage(
-            type=MsgType.SHUTDOWN, src_site=sender.site_id,
-            dst_site=leaver.site_id))
-        cluster.sim.run(until=0.5)
-        assert leaver.site_manager.stats.get("sign_off").count == 1
-        assert leaver.stopped
-        record = sender.cluster_manager.sites[leaver.site_id]
-        assert record.left and not record.alive
-
-
 class TestHeartbeats:
     def test_a_leaver_that_drains_past_the_timeout_suspects_no_one(self):
         """Once SIGN_OFF is out, every peer drops the leaver from its

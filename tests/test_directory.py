@@ -234,7 +234,7 @@ class TestHomesiteDirectory:
         c.attraction_memory.live_read(addr, lambda v, e=None: got.append(v))
         cluster.sim.run(until=0.8)
         assert got == ["v"]
-        # MEM_READ -> a, MEM_LOCATION, MEM_READ -> b, MEM_READ_REPLY, then
+        # MEM_READ -> a, its redirect, MEM_READ -> b, MEM_READ_REPLY, then
         # the one DIR_UPDATE and its ACK
         assert _sent(cluster) - before == 6
         assert _mem_stat(c, "dir_updates_sent") == 1

@@ -632,9 +632,9 @@ class TestOneProcessingManager:
                 "microthread_errors").count == 1
 
 #: the attraction memory's message types, and the ACK of its DIR_UPDATE
-#: the attraction memory's own message types
-MEMORY_TYPES = ("MEM_READ", "MEM_READ_REPLY", "MEM_LOCATION",
-                "DIR_UPDATE", "ACK")
+#: the attraction memory's own message types (a directory's redirect is
+#: a MEM_READ_REPLY that names the owner)
+MEMORY_TYPES = ("MEM_READ", "MEM_READ_REPLY", "DIR_UPDATE", "ACK")
 
 
 def scripted_hops(cluster, on_site, settle):
@@ -672,8 +672,7 @@ def scripted_hops(cluster, on_site, settle):
 
 
 #: everything a program's memory and file accesses put on the wire
-PROTOCOL_TYPES = MEMORY_TYPES + (
-    "MEM_NOT_FOUND", "MEM_WRITE", "IO_FILE", "IO_FILE_REPLY")
+PROTOCOL_TYPES = MEMORY_TYPES + ("MEM_WRITE", "IO_FILE", "IO_FILE_REPLY")
 
 
 def pin_placement(cluster, where):
@@ -760,12 +759,11 @@ class TestSimLiveDifferential:
             zero,  # the allocation: nothing
             # first hop away from home: the homesite records it
             {**zero, "MEM_READ": 1, "MEM_READ_REPLY": 1},
-            # a later hop: redirect, fetch, one update to the homesite
-            {"MEM_READ": 3, "MEM_READ_REPLY": 2, "MEM_LOCATION": 1,
-             "DIR_UPDATE": 1, "ACK": 1},
+            # a later hop: redirect (a reply naming the owner), fetch,
+            # one update to the homesite
+            {"MEM_READ": 3, "MEM_READ_REPLY": 3, "DIR_UPDATE": 1, "ACK": 1},
             # back home: the directory site publishes to itself
-            {"MEM_READ": 4, "MEM_READ_REPLY": 3, "MEM_LOCATION": 1,
-             "DIR_UPDATE": 1, "ACK": 1},
+            {"MEM_READ": 4, "MEM_READ_REPLY": 4, "DIR_UPDATE": 1, "ACK": 1},
         ]
 
     # -- whole programs ----------------------------------------------------
@@ -840,8 +838,9 @@ class TestSimLiveDifferential:
         child_site = children[0][0]
         assert children == [(child_site, 100 + i, 2 * (100 + i))
                             for i in range(n)]
-        assert counts == {"MEM_READ": 3 * n, "MEM_READ_REPLY": 2 * n,
-                          "MEM_LOCATION": n, "DIR_UPDATE": n, "ACK": n}
+        # n of the replies are the directory's redirects
+        assert counts == {"MEM_READ": 3 * n, "MEM_READ_REPLY": 3 * n,
+                          "DIR_UPDATE": n, "ACK": n}
 
     def test_file_program(self):
         """The file resides where ``main`` opened it; the reader's seek,

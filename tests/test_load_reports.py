@@ -180,7 +180,7 @@ class TestConversationScope:
         assert rep.reported_to() == [peer.site_id]
 
     def test_a_refused_thief_hears_the_victims_next_queue_change(self):
-        """The CANT_HELP is a message like any other: it subscribes the
+        """The refusal is a message like any other: it subscribes the
         thief, and only the thief, to the victim's next queue change."""
         rep = Reporter(nsites=4)
         thief, bystanders = rep.peers[0], rep.peers[1:]
@@ -316,9 +316,10 @@ class TestFiguresRideInTheEnvelope:
     to repeat them still does, and what a receiver records of the sender
     is what the envelope said."""
 
+    #: a refusal is a HELP_REPLY without frames, so it has no kind of
+    #: its own
     KINDS = frozenset({MsgType.LOAD_REPORT, MsgType.HEARTBEAT,
-                       MsgType.CANT_HELP, MsgType.HELP_REQUEST,
-                       MsgType.HELP_REPLY})
+                       MsgType.HELP_REQUEST, MsgType.HELP_REPLY})
 
     def test_no_payload_repeats_the_envelope(self):
         base = gossip_config()

@@ -219,8 +219,8 @@ class TestObjects:
         assert a.attraction_memory.dir_owner(addr) == b.site_id
         assert sent() - before == 2
         read(cluster, c, addr)
-        # MEM_READ to the homesite, MEM_LOCATION, MEM_READ to b, REPLY,
-        # DIR_UPDATE + ACK
+        # MEM_READ to the homesite, its redirect (a MEM_READ_REPLY naming
+        # b), MEM_READ to b, REPLY, DIR_UPDATE + ACK
         assert sent() - before == 8
         assert c.attraction_memory.stats.get("dir_updates_sent").count == 1
         assert a.attraction_memory.dir_owner(addr) == c.site_id
@@ -318,6 +318,58 @@ class TestLiveProtocolHandlers:
             lambda v, e=None: got.append(type(e).__name__ if e else v))
         cluster.sim.run(until=0.5)
         assert got == ["MemoryFault"]
+
+    @pytest.mark.parametrize("payload", [{"owner": 0}, {}],
+                             ids=["owner_only", "empty"])
+    def test_a_late_reply_without_value_adopts_nothing(self, pair, payload):
+        """A redirect or a not-found whose read timed out has nothing to
+        adopt: no object, no DIR_UPDATE."""
+        cluster, a, b = pair
+        addr = a.attraction_memory.alloc_object("v")
+        mem = b.attraction_memory
+        published = mem.stats.get("dir_updates_sent").count
+        sent = b.message_manager.stats.get("sent").count
+        b.message_manager.deliver_raw(SDMessage(
+            type=MsgType.MEM_READ_REPLY, src_site=a.site_id,
+            dst_site=b.site_id, reply_to=9_999,
+            payload={"addr": addr, **payload}).encode())
+        cluster.sim.run(until=cluster.sim.now + 0.05)
+        assert b.message_manager.stats.get("orphan_replies").count == 1
+        assert addr not in mem.objects
+        assert mem.stats.get("dir_updates_sent").count == published
+        assert b.message_manager.stats.get("sent").count == sent
+
+    @pytest.mark.parametrize("missing", ["epoch", "version"])
+    def test_a_value_without_its_fields_is_refused(self, pair, monkeypatch,
+                                                   missing):
+        """The table leaves a value reply's epoch and version optional
+        only because a redirect has neither: a value without them is
+        refused on the receive path, answering its read or late."""
+        cluster, a, b = pair
+        addr = a.attraction_memory.alloc_object("v")
+        # the owner ignores the read: only the forged reply answers it
+        monkeypatch.setattr(a.attraction_memory, "_on_mem_read",
+                            lambda msg: None)
+        got = []
+        b.attraction_memory.live_read(addr, lambda *answer: got.append(answer))
+        cluster.sim.run(until=cluster.sim.now + 0.01)
+        mm = b.message_manager
+        payload = {"addr": addr, "value": "forged", "epoch": a.epoch,
+                   "version": 0}
+        del payload[missing]
+        reply = SDMessage(type=MsgType.MEM_READ_REPLY, src_site=a.site_id,
+                          dst_site=b.site_id, reply_to=max(mm._pending),
+                          payload=payload)
+        # the first copy meets the read, the second finds none waiting
+        for _copy in range(2):
+            mm.deliver_raw(reply.encode())
+            cluster.sim.run(until=cluster.sim.now + 0.01)
+        assert mm.stats.get("malformed").count == 2
+        assert mm.stats.get("orphan_replies").count == 1
+        assert addr not in b.attraction_memory.objects
+        assert b.attraction_memory.stats.get(
+            "migrations_in").count == 0
+        assert got == []  # the read re-resolves; it never saw "forged"
 
     def test_frame_transfer_message(self, pair):
         cluster, a, b = pair

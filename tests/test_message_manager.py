@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import SDVMConfig
+from repro.common.ids import GlobalAddress
 from repro.messages import MsgType, SDMessage, make_reply
 from repro.site.simcluster import SimCluster
 
@@ -18,10 +19,13 @@ def pair(fast_config):
     return cluster, cluster.sites[0], cluster.sites[1]
 
 
-def status_msg(src, dst):
+def read_msg(src, dst):
+    """A MEM_READ of an address no site holds: ``dst`` answers it with
+    a MEM_READ_REPLY that carries neither value nor owner."""
     return SDMessage(
-        type=MsgType.STATUS_QUERY,
+        type=MsgType.MEM_READ,
         src_site=src.site_id, dst_site=dst.site_id,
+        payload={"addr": GlobalAddress(dst.site_id, 999_999)},
     )
 
 
@@ -29,37 +33,39 @@ class TestSendReceive:
     def test_request_reply_roundtrip(self, pair):
         cluster, a, b = pair
         replies = []
-        a.message_manager.request(status_msg(a, b), replies.append)
+        a.message_manager.request(read_msg(a, b), replies.append)
         cluster.sim.run(until=0.5)
         assert len(replies) == 1
-        assert replies[0].type is MsgType.STATUS_REPLY
-        assert replies[0].payload["site_id"] == b.site_id
+        assert replies[0].type is MsgType.MEM_READ_REPLY
+        assert replies[0].src_site == b.site_id
+        assert replies[0].payload == {"addr": GlobalAddress(b.site_id,
+                                                            999_999)}
 
     def test_local_loopback(self, pair):
         cluster, a, _b = pair
         replies = []
-        a.message_manager.request(status_msg(a, a), replies.append)
+        a.message_manager.request(read_msg(a, a), replies.append)
         cluster.sim.run(until=0.5)
         assert len(replies) == 1
         assert a.message_manager.stats.get("local_messages").count >= 1
 
     def test_unresolvable_target(self, pair):
         _cluster, a, _b = pair
-        msg = status_msg(a, a)
+        msg = read_msg(a, a)
         msg.dst_site = 999
         assert not a.message_manager.send(msg)
         assert a.message_manager.stats.get("unresolvable").count == 1
 
     def test_seq_assigned_monotonically(self, pair):
         _cluster, a, b = pair
-        m1, m2 = status_msg(a, b), status_msg(a, b)
+        m1, m2 = read_msg(a, b), read_msg(a, b)
         a.message_manager.send(m1)
         a.message_manager.send(m2)
         assert 0 < m1.seq < m2.seq
 
     def test_src_load_piggybacked(self, pair):
         cluster, a, b = pair
-        msg = status_msg(a, b)
+        msg = read_msg(a, b)
         a.message_manager.send(msg)
         assert msg.src_load >= 0
         assert type(msg.src_load) is int and type(msg.src_queue) is int
@@ -71,7 +77,7 @@ class TestSendReceive:
         cluster, a, b = pair
         timed_out = []
         # impossible timeout: shorter than one-way latency
-        a.message_manager.request(status_msg(a, b), lambda m: None,
+        a.message_manager.request(read_msg(a, b), lambda m: None,
                                   timeout=1e-6,
                                   on_timeout=lambda: timed_out.append(1))
         cluster.sim.run(until=0.5)
@@ -83,7 +89,7 @@ class TestSendReceive:
     def test_stopped_site_drops_messages(self, pair):
         cluster, a, b = pair
         b.crash()
-        assert a.message_manager.send(status_msg(a, b))  # fire and forget
+        assert a.message_manager.send(read_msg(a, b))  # fire and forget
         cluster.sim.run(until=0.5)  # no crash: message swallowed
 
     def test_reroute_to_heir_after_sign_off(self, fast_config):
@@ -97,10 +103,10 @@ class TestSendReceive:
         record.left = True
         record.heir = c.site_id
         replies = []
-        a.message_manager.request(status_msg(a, b), replies.append)
+        a.message_manager.request(read_msg(a, b), replies.append)
         cluster.sim.run(until=0.5)
         assert len(replies) == 1
-        assert replies[0].payload["site_id"] == c.site_id
+        assert replies[0].src_site == c.site_id
 
     def test_reply_to_a_leaver_goes_to_it_not_its_heir(self, fast_config):
         """A reply answers its requester's own ``seq``: after a SIGN_OFF it
@@ -110,7 +116,7 @@ class TestSendReceive:
         cluster = SimCluster(nsites=3, config=fast_config)
         cluster.sim.run(until=0.2)
         a, b, c = cluster.sites
-        request = status_msg(b, a)
+        request = read_msg(b, a)
         b.message_manager.send(request)
         cluster.sim.run(until=0.25)
         b.cluster_manager.broadcast_sign_off(c.site_id)
@@ -124,13 +130,13 @@ class TestSendReceive:
             return real(physical, envelope, msg)
 
         a.kernel.transport_send = spy
-        reply = make_reply(request, MsgType.STATUS_REPLY, {
-            "load": 0, "site_id": a.site_id, "queue_depth": 0})
+        reply = make_reply(request, MsgType.MEM_READ_REPLY,
+                           {"addr": request.payload["addr"]})
         assert a.message_manager.send(reply)
         assert sent == [b.kernel.local_physical()]
         a.cluster_manager.sites[b.site_id].left = False  # crashed instead
         assert not a.message_manager.send(make_reply(
-            request, MsgType.STATUS_REPLY, dict(reply.payload)))
+            request, MsgType.MEM_READ_REPLY, dict(reply.payload)))
         assert sent == [b.kernel.local_physical()]
         assert a.message_manager.stats.get("unresolvable").count == 1
 
@@ -138,7 +144,7 @@ class TestSendReceive:
 def data_msg(src, dst, payload):
     """A message whose row has two optional fields, ``value`` and
     ``error``, which may hold any value."""
-    msg = status_msg(src, dst)
+    msg = read_msg(src, dst)
     msg.type = MsgType.IO_FILE_REPLY
     msg.payload = payload
     return msg
@@ -191,7 +197,7 @@ class TestSnapshotDelivery:
 
     def test_nothing_is_parsed_on_a_fault_free_wire(self, pair):
         cluster, a, b = pair
-        a.message_manager.request(status_msg(a, b), lambda reply: None)
+        a.message_manager.request(read_msg(a, b), lambda reply: None)
         cluster.sim.run(until=0.5)
         for site in (a, b):
             stats = site.message_manager.stats
@@ -251,7 +257,7 @@ class TestSnapshotDelivery:
             security=SecurityConfig(enabled=sealed)))
         cluster.sim.run(until=0.2)
         a, b, _c = cluster.sites
-        a.message_manager.request(status_msg(a, b), lambda reply: None)
+        a.message_manager.request(read_msg(a, b), lambda reply: None)
         cluster.sim.run(until=0.5)
         total = cluster.total_stats()
         assert total.get("sent").count == total.get("received").count > 0
@@ -331,10 +337,10 @@ class TestLiveKernelTimeoutPaths:
 
     @staticmethod
     def _swallow_queries(site):
-        """Make ``site`` drop STATUS_QUERYs so no reply can race the
+        """Make ``site`` drop MEM_READs so no reply can race the
         timeout timer."""
         site.kernel.reactor_call(
-            lambda: setattr(site.site_manager, "_on_status_query",
+            lambda: setattr(site.attraction_memory, "_on_mem_read",
                             lambda msg: None))
 
     @staticmethod
@@ -354,7 +360,7 @@ class TestLiveKernelTimeoutPaths:
             self._swallow_queries(b)
             timed_out = threading.Event()
             a.kernel.reactor_call(lambda: a.message_manager.request(
-                status_msg(a, b), lambda m: None, timeout=0.05,
+                read_msg(a, b), lambda m: None, timeout=0.05,
                 on_timeout=timed_out.set))
             assert timed_out.wait(5.0)
             assert self._await(lambda: a.kernel.reactor_call(
@@ -366,16 +372,15 @@ class TestLiveKernelTimeoutPaths:
         with self._cluster() as cluster:
             a, b = cluster.sites
             self._swallow_queries(b)
-            msg = status_msg(a, b)
+            msg = read_msg(a, b)
             a.kernel.reactor_call(lambda: a.message_manager.request(
                 msg, lambda m: None, timeout=0.05))
             assert self._await(lambda: a.kernel.reactor_call(
                 lambda: a.message_manager.stats.get(
                     "request_timeouts").count) == 1)
             # now hand-deliver the reply the swallowed query never produced
-            late = make_reply(msg, MsgType.STATUS_REPLY,
-                              {"load": 0, "site_id": b.site_id,
-                               "queue_depth": 0})
+            late = make_reply(msg, MsgType.MEM_READ_REPLY,
+                              {"addr": msg.payload["addr"]})
             b.kernel.reactor_call(lambda: b.message_manager.send(late))
             assert self._await(lambda: a.kernel.reactor_call(
                 lambda: a.message_manager.stats.get(
@@ -385,7 +390,7 @@ class TestLiveKernelTimeoutPaths:
         with self._cluster() as cluster:
             a, b = cluster.sites
             self._swallow_queries(b)
-            msg = status_msg(a, b)
+            msg = read_msg(a, b)
             a.kernel.reactor_call(lambda: a.message_manager.request(
                 msg, lambda m: None, timeout=60.0))
             handle = a.kernel.reactor_call(

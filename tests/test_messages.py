@@ -113,9 +113,9 @@ class TestHeader:
     the order of the type's row."""
 
     def test_header_is_eight_varints_then_the_payload(self):
-        msg = sample(type=MsgType.CANT_HELP, src_site=1, dst_site=2,
+        msg = sample(type=MsgType.HELP_REPLY, src_site=1, dst_site=2,
                      payload={}, program=-1, seq=7, src_load=0, src_queue=0)
-        assert msg.encode() == b"R" + bytes([24, 2, 4, 1, 14, 1, 0, 0, 0])
+        assert msg.encode() == b"R" + bytes([22, 2, 4, 1, 14, 1, 0, 0, 0])
 
     def test_no_payload_repeats_what_the_envelope_says(self):
         """REPLICATE's program and CHECKPOINT_STATE's sender ride in the
@@ -171,10 +171,11 @@ class TestHeader:
             pass
 
     def test_cant_help_fits_in_16_bytes(self):
-        """A CANT_HELP between sites below 64 with a ``seq`` below 2**13:
-        eight header figures and an empty payload.  With the tagged
-        12-tuple and the causal stamp it took 43 B."""
-        msg = SDMessage(type=MsgType.CANT_HELP, src_site=63, dst_site=62,
+        """A refusal — a HELP_REPLY without frames — between sites below
+        64 with a ``seq`` below 2**13: eight header figures and an empty
+        payload.  With the tagged 12-tuple and the causal stamp it took
+        43 B."""
+        msg = SDMessage(type=MsgType.HELP_REPLY, src_site=63, dst_site=62,
                         seq=(1 << 13) - 1, reply_to=(1 << 13) - 1,
                         src_load=40, src_queue=30)
         assert msg.wire_size() <= 16
@@ -182,9 +183,7 @@ class TestHeader:
 
 #: replies only their request reads: a late or duplicated copy is dropped
 #: by the site (the message manager counts it in ``orphan_replies``)
-REPLY_ONLY = {MsgType.CANT_HELP, MsgType.MEM_LOCATION, MsgType.MEM_NOT_FOUND,
-              MsgType.ACK, MsgType.STATUS_REPLY,
-              MsgType.IO_FILE_REPLY}
+REPLY_ONLY = {MsgType.ACK, MsgType.IO_FILE_REPLY}
 
 
 class TestManagerTable:
@@ -287,20 +286,39 @@ def _literal_payloads(root):
     return found
 
 
+def test_every_type_is_sent_in_src():
+    """A type nothing sends is protocol in disguise (the twin of
+    ``test_config.py::test_every_config_field_is_set_outside_tests``):
+    every ``MsgType`` member is passed, as a call argument or as
+    ``type=``, by some call in ``src/`` outside the table's module."""
+    src = pathlib.Path(repro.__file__).parent
+    table = src / "messages" / "message.py"
+    passed = {node.attr
+              for path in sorted(src.rglob("*.py")) if path != table
+              for call in ast.walk(ast.parse(path.read_text()))
+              if isinstance(call, ast.Call)
+              for node in (*call.args,
+                           *(kw.value for kw in call.keywords
+                             if kw.arg == "type"))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "MsgType"}
+    assert [t.name for t in MsgType if t.name not in passed] == []
+
+
 #: the types some module of ``src/`` sends with a dict-literal payload
 LITERAL_SENT = {
-    MsgType.CANT_HELP, MsgType.VERDICT, MsgType.CODE_REQUEST,
+    MsgType.VERDICT, MsgType.CODE_REQUEST,
     MsgType.CODE_SOURCE, MsgType.CODE_BINARY, MsgType.APPLY_RESULT,
-    MsgType.MEM_READ, MsgType.MEM_WRITE, MsgType.MEM_LOCATION,
+    MsgType.MEM_READ, MsgType.MEM_WRITE,
     MsgType.DIR_UPDATE, MsgType.FRAME_TRANSFER,
-    MsgType.MEM_NOT_FOUND, MsgType.SIGN_ON, MsgType.SIGN_OFF,
+    MsgType.SIGN_ON, MsgType.SIGN_OFF,
     MsgType.PROGRAM_TERMINATED, MsgType.PROGRAM_RESULT, MsgType.IO_OUTPUT,
     MsgType.IO_INPUT, MsgType.IO_FILE, MsgType.CHECKPOINT_BEGIN,
     MsgType.CHECKPOINT_STATE, MsgType.CHECKPOINT_ACK,
     MsgType.CHECKPOINT_COMMIT, MsgType.CRASH_NOTICE, MsgType.RECOVER_BEGIN,
     MsgType.RECOVER_STATE, MsgType.RECOVER_DONE, MsgType.CHECKPOINT_REPLICA,
-    MsgType.KEY_EXCHANGE_INIT, MsgType.KEY_EXCHANGE_REPLY,
-    MsgType.STATUS_REPLY}
+    MsgType.KEY_EXCHANGE}
 
 
 class TestMessageTable:
@@ -354,7 +372,7 @@ class TestMessageTable:
         cluster = SimCluster(nsites=2, config=SDVMConfig())
         cluster.sim.run(until=0.2)
         a, b = cluster.sites
-        msg = SDMessage(type=MsgType.STATUS_QUERY, src_site=a.site_id,
+        msg = SDMessage(type=MsgType.HEARTBEAT, src_site=a.site_id,
                         dst_site=b.site_id, payload={"deep": True})
         with pytest.raises(SerializationError):
             a.message_manager.request(msg, lambda reply: None, timeout=1.0)
@@ -464,7 +482,7 @@ class TestEncodeOnce:
 class TestReply:
     def test_make_reply_swaps_endpoints(self):
         request = sample()
-        reply = make_reply(request, MsgType.CANT_HELP, {})
+        reply = make_reply(request, MsgType.HELP_REPLY, {})
         assert reply.dst_site == request.src_site
         assert (MESSAGE_TABLE[reply.type].owner
                 is MESSAGE_TABLE[request.type].owner)
@@ -473,5 +491,5 @@ class TestReply:
         assert reply.program == request.program
 
     def test_make_reply_default_payload(self):
-        reply = make_reply(sample(), MsgType.CANT_HELP)
+        reply = make_reply(sample(), MsgType.HELP_REPLY)
         assert reply.payload == {}

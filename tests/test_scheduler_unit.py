@@ -165,16 +165,19 @@ class TestLateHelpReply:
     reply must NOT reset that congestion state (only a reply correlated
     to a live in-flight request may)."""
 
-    def _late_reply(self, mtype, thief, victim, pid):
+    @staticmethod
+    def _late_reply(thief, victim, pid, grant=True):
+        """A HELP_REPLY no request waits for: a grant of one frame, or a
+        refusal (no payload)."""
         from repro.messages import MsgType, SDMessage
         payload = {}
-        if mtype is MsgType.HELP_REPLY:
+        if grant:
             frame = Microframe(GlobalAddress(victim.site_id, 7777),
                                thread_id=0, program=pid, nparams=0)
             payload.update(frames=[frame.to_wire()], program_infos=[],
                            epoch=victim.epoch)
         return SDMessage(
-            type=mtype,
+            type=MsgType.HELP_REPLY,
             src_site=victim.site_id, dst_site=thief.site_id,
             payload=payload)
 
@@ -189,8 +192,7 @@ class TestLateHelpReply:
         grants = sm.stats.get("steal_grants").count
         late = sm.stats.get("late_steal_grants").count
 
-        thief.route(self._late_reply(MsgType.HELP_REPLY, thief, victim,
-                                     handle.pid))
+        thief.route(self._late_reply(thief, victim, handle.pid))
 
         # the frame is adopted and fully accounted...
         assert sm.stats.get("steals_in").count == steals + 1
@@ -237,15 +239,58 @@ class TestLateHelpReply:
         assert 999 in sm._cooldown
 
     def test_late_cant_help_is_ignored(self, running_pair):
-        from repro.messages import MsgType
+        """A refusal whose request timed out changes nothing: no late
+        grant, no frame, and the cooldown and backoff its timeout set
+        stay."""
         _cluster, thief, victim, handle = running_pair
         sm = thief.scheduling_manager
         sm._cooldown[victim.site_id] = until = sm.kernel.now + 100.0
-        steals = sm.stats.get("steals_in").count
-        thief.route(self._late_reply(MsgType.CANT_HELP, thief, victim,
-                                     handle.pid))
-        assert sm.stats.get("steals_in").count == steals
+        sm._help_backoff = 4.0
+        counts = {name: sm.stats.get(name).count for name in (
+            "steals_in", "frame_enqueued", "late_steal_grants",
+            "cant_help_received")}
+        thief.route(self._late_reply(thief, victim, handle.pid,
+                                     grant=False))
+        assert {name: sm.stats.get(name).count for name in counts} == counts
         assert sm._cooldown[victim.site_id] == until
+        assert sm._help_backoff == 4.0
+
+
+class TestMalformedHelpReply:
+    """The table leaves a grant's fields optional only because a refusal
+    has none: frames without their epoch or program infos are refused on
+    the receive path, answering a request or late, and adopt nothing."""
+
+    @pytest.mark.parametrize("missing", ["epoch", "program_infos"])
+    def test_a_grant_without_its_fields_is_refused(self, running_pair,
+                                                   monkeypatch, missing):
+        from repro.messages import MsgType, SDMessage
+        cluster, thief, victim, handle = running_pair
+        sm = thief.scheduling_manager
+        # the victim ignores the request: only the forged grant answers it
+        monkeypatch.setattr(victim.scheduling_manager, "_on_help_request",
+                            lambda msg: None)
+        request = SDMessage(type=MsgType.HELP_REQUEST,
+                            src_site=thief.site_id, dst_site=victim.site_id,
+                            payload={"want": 1})
+        thief.message_manager.request(request, sm._help_answered,
+                                      timeout=1.0)
+        grant = TestLateHelpReply._late_reply(thief, victim, handle.pid)
+        del grant.payload[missing]
+        grant.reply_to = request.seq
+        mm = thief.message_manager
+        names = ("steals_in", "steal_grants", "late_steal_grants",
+                 "cant_help_received")
+        counts = {name: sm.stats.get(name).count for name in names}
+        malformed = mm.stats.get("malformed").count
+        # the first copy meets its request, the second finds none waiting
+        for _copy in range(2):
+            mm.deliver_raw(grant.encode())
+            cluster.sim.run(until=cluster.sim.now + 0.01)
+        assert mm.stats.get("malformed").count == malformed + 2
+        assert mm.stats.get("orphan_replies").count >= 1
+        assert request.seq not in mm._pending
+        assert {name: sm.stats.get(name).count for name in names} == counts
 
 
 class TestBackoffAndCooldown:
@@ -641,7 +686,8 @@ class TestHelpProtocol:
         ), replies.append)
         cluster.sim.run(until=0.5)
         assert len(replies) == 1
-        assert replies[0].type is MsgType.CANT_HELP
+        assert replies[0].type is MsgType.HELP_REPLY
+        assert replies[0].payload == {}  # a refusal carries no frames
 
     def test_paused_site_refuses_help(self, fast_config):
         cluster = SimCluster(nsites=2, config=fast_config)
@@ -656,7 +702,8 @@ class TestHelpProtocol:
             payload={"want": 1},
         ), replies.append)
         cluster.sim.run(until=0.5)
-        assert replies[0].type is MsgType.CANT_HELP
+        assert replies[0].type is MsgType.HELP_REPLY
+        assert replies[0].payload == {}
 
     def test_steal_counts_balance(self, fast_config):
         """steals_out across the cluster equals steals_in plus late-reply
@@ -690,7 +737,7 @@ class TestHelpProtocol:
 
     def test_help_latency_times_every_correlated_answer(self, fast_config):
         """Each answer that meets its request in flight — a HELP_REPLY or
-        a CANT_HELP — adds one sample to the scheduler's ``help_latency``,
+        a refusal — adds one sample to the scheduler's ``help_latency``,
         the time from the request to its answer."""
         from repro.apps import build_primes_program, first_n_primes
         cluster = SimCluster(nsites=4, config=fast_config)

@@ -267,7 +267,7 @@ class TestPlaintextEnvelope:
         send = cluster.network.send
         cluster.network.send = lambda src, dst, data: (
             seen.append(bytes(data)), send(src, dst, data))[1]
-        msg = SDMessage(type=MsgType.STATUS_QUERY, src_site=a.site_id,
+        msg = SDMessage(type=MsgType.HEARTBEAT, src_site=a.site_id,
                         dst_site=b.site_id)
         a.message_manager.send(msg)
         assert seen == [msg.encode()]
@@ -326,7 +326,7 @@ class TestPlaintextEnvelope:
         a, b = cluster.sites
         received = b.message_manager.stats.get("received").count
         a.message_manager.send(SDMessage(
-            type=MsgType.STATUS_QUERY, src_site=a.site_id,
+            type=MsgType.HEARTBEAT, src_site=a.site_id,
             dst_site=b.site_id))
         cluster.sim.run(until=0.4)
         assert b.message_manager.stats.get("received").count > received
